@@ -7,9 +7,11 @@ prox certifies its accuracy through the duality gap it reports.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .core import ShapeError, Signal, SolveError, as_array
+from .core import DivergenceError, ShapeError, Signal, SolveError, as_array
 from .operators import LinearOp, solve_shifted_normal
 
 
@@ -130,88 +132,114 @@ def prox_wavelet_l1(v, tau: float, levels: int):
 # ---------------------------------------------------------------------------
 
 
-def _grad(x: np.ndarray) -> list[np.ndarray]:
-    # Forward differences with Neumann boundary (trailing difference = 0).
-    grads = []
-    for axis in range(x.ndim):
-        g = np.zeros_like(x)
-        src = [slice(None)] * x.ndim
-        dst = [slice(None)] * x.ndim
-        src[axis] = slice(1, None)
-        dst[axis] = slice(0, -1)
-        g[tuple(dst)] = x[tuple(src)] - x[tuple(dst)]
-        grads.append(g)
-    return grads
+@functools.cache
+def _shifts(ndim: int) -> tuple[tuple[tuple, tuple], ...]:
+    # Per axis, the index tuples of the leading [:-1] and trailing [1:] parts.
+    out = []
+    for axis in range(ndim):
+        lead = [slice(None)] * ndim
+        trail = [slice(None)] * ndim
+        lead[axis] = slice(0, -1)
+        trail[axis] = slice(1, None)
+        out.append((tuple(lead), tuple(trail)))
+    return tuple(out)
 
 
-def _grad_adjoint(p: list[np.ndarray]) -> np.ndarray:
-    out = np.zeros_like(p[0])
-    for axis, pa in enumerate(p):
-        shifted = np.roll(pa, 1, axis=axis)
-        lead = [slice(None)] * pa.ndim
-        lead[axis] = slice(0, 1)
-        shifted[tuple(lead)] = 0.0
-        out += shifted - pa
-        tail = [slice(None)] * pa.ndim
-        tail[axis] = slice(-1, None)
-        out[tuple(tail)] += pa[tuple(tail)]  # p is zero on the trailing slice
+def _grad(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Forward differences stacked as (ndim, *x.shape), Neumann boundary.
+
+    Only the leading part of each axis is written, so an ``out`` that starts
+    at zero keeps a zero trailing slice (the boundary difference) for good.
+    """
+    if out is None:
+        out = np.zeros((x.ndim,) + x.shape)
+    for axis, (lead, trail) in enumerate(_shifts(x.ndim)):
+        np.subtract(x[trail], x[lead], out=out[axis][lead])
+    return out
+
+
+def _grad_adjoint(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """grad^T p for stacked duals p that are zero on each trailing slice."""
+    np.negative(p[0], out=out)
+    for axis in range(1, out.ndim):
+        out -= p[axis]
+    for axis, (lead, trail) in enumerate(_shifts(out.ndim)):
+        out[trail] += p[axis][lead]
     return out
 
 
 def tv_value(x) -> float:
     """Anisotropic TV: l1 norm of the forward-difference gradient."""
-    arr = as_array(x)
-    return float(sum(np.sum(np.abs(g)) for g in _grad(arr)))
-
-
-def _zero_tail(p: list[np.ndarray]) -> None:
-    for axis, pa in enumerate(p):
-        tail = [slice(None)] * pa.ndim
-        tail[axis] = slice(-1, None)
-        pa[tuple(tail)] = 0.0
+    return float(np.sum(np.abs(_grad(as_array(x)))))
 
 
 def _tv_dual_solve(v: np.ndarray, lam: float, tol: float, max_iter: int, p0=None):
-    """FISTA-accelerated projected gradient on the TV dual.
+    """FISTA-accelerated projected gradient on the TV dual (Beck-Teboulle).
 
     Maximizes the dual of 0.5*||x - v||^2 + lam*TV(x) over |p| <= lam
     componentwise; returns (x, div_p, gap, iterations).  Dual ascent step is
     1/4 in 1-D and 1/8 in 2-D (1 / ||grad||^2 bound).  ``p0`` optionally
-    seeds the dual variables.
+    seeds the stacked (ndim, *v.shape) dual variables.
+
+    The dual gradient at the extrapolated point q = p + beta*(p - p_old) is
+    linear in the last two iterates, so with x = v - grad^T p and
+    z = p + step*grad(x) the step reads p_next = clip(z + beta*(z - z_old)).
+    Each iteration thus costs one adjoint and one gradient, and the grad(x)
+    that drives the next step also gives the duality gap
+    lam*||grad x||_1 - <p, grad x>, checked against ``tol`` every iteration.
+    A non-finite gap raises DivergenceError; running out of iterations raises
+    SolveError carrying the gap.
     """
     ndim = v.ndim
     step = 1.0 / (4.0 * ndim)
-    if p0 is None:
-        p = [np.zeros_like(v) for _ in range(ndim)]
-    else:
-        p = [np.clip(pa, -lam, lam) for pa in p0]
-        _zero_tail(p)
-    q = [pa.copy() for pa in p]
-    t = 1.0
+    p = np.zeros((ndim,) + v.shape)
+    if p0 is not None:
+        for axis, (lead, _) in enumerate(_shifts(ndim)):
+            p[axis][lead] = np.clip(p0[axis][lead], -lam, lam)
+    z = np.empty_like(p)
+    z_old = np.zeros_like(p)
+    dx = np.zeros_like(p)
+    work = np.empty_like(p)
+    div_p = np.empty_like(v)
+    x = np.empty_like(v)
+    np.subtract(v, _grad_adjoint(p, div_p), out=x)
+    _grad(x, dx)
+    t, beta = 1.0, 0.0
     gap = np.inf
-    div_p = np.zeros_like(v)
     for it in range(1, max_iter + 1):
-        div_q = _grad_adjoint(q)
-        grad_h = _grad(div_q - v)
-        p_new = [np.clip(qa - step * ga, -lam, lam) for qa, ga in zip(q, grad_h)]
-        _zero_tail(p_new)
+        np.multiply(dx, step, out=z)
+        z += p
+        np.subtract(z, z_old, out=p)
+        p *= beta
+        p += z
+        np.clip(p, -lam, lam, out=p)
+        z, z_old = z_old, z
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_new
-        q = [pn + beta * (pn - po) for pn, po in zip(p_new, p)]
-        p = p_new
         t = t_new
 
-        div_p = _grad_adjoint(p)
-        x = v - div_p
-        primal = 0.5 * float(np.sum(div_p**2)) + lam * tv_value(x)
-        dual = float(np.sum(v * div_p)) - 0.5 * float(np.sum(div_p**2))
-        gap = primal - dual
+        np.subtract(v, _grad_adjoint(p, div_p), out=x)
+        _grad(x, dx)
+        gap = lam * float(np.sum(np.abs(dx, out=work))) - float(np.vdot(p, dx))
         if gap <= tol:
             return x, div_p, gap, it
+        if not np.isfinite(gap):
+            raise DivergenceError(f"TV dual projection hit a non-finite gap at iteration {it}",
+                                  step=it)
     raise SolveError(
         f"TV dual projection did not reach gap {tol:.3e} in {max_iter} iterations",
         residual=gap,
     )
+
+
+def _check_lam(lam: float) -> None:
+    if not np.isfinite(lam) or lam < 0:
+        raise ValueError("lam must be finite and nonnegative")
+
+
+def _check_tv_domain(arr: np.ndarray) -> None:
+    if arr.ndim not in (1, 2):
+        raise ShapeError("TV proxes support 1-D and 2-D signals")
 
 
 def prox_tv(v, lam: float, tol: float | None = None, max_iter: int = 200000):
@@ -219,15 +247,14 @@ def prox_tv(v, lam: float, tol: float | None = None, max_iter: int = 200000):
 
     Chambolle-type dual projection with FISTA acceleration, stopped on the
     duality gap.  Default tolerance is 1e-10 * n, well inside the certified
-    1e-6 * n contract; SolveError (carrying the gap) if max_iter is hit.
+    1e-6 * n contract; SolveError (carrying the gap) if max_iter is hit,
+    DivergenceError if the input is non-finite.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    _check_lam(lam)
     arr = as_array(v)
     if lam == 0.0:
         return _wrap_like(v, arr.copy())
-    if arr.ndim not in (1, 2):
-        raise ShapeError("prox_tv supports 1-D and 2-D signals")
+    _check_tv_domain(arr)
     if tol is None:
         tol = 1e-10 * arr.size
     x, _, _, _ = _tv_dual_solve(arr, lam, tol, max_iter)
@@ -241,14 +268,14 @@ def tv_conjugate_prox(v, lam: float, tol: float | None = None, max_iter: int = 2
     step rather than at zero, so recombining with :func:`prox_tv` through
     Moreau's identity cross-checks two genuinely distinct solves.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    _check_lam(lam)
     arr = as_array(v)
     if lam == 0.0:
         return _wrap_like(v, np.zeros_like(arr))
+    _check_tv_domain(arr)
     if tol is None:
         tol = 1e-10 * arr.size
-    seed = [0.25 / arr.ndim * g for g in _grad(arr)]
+    seed = (0.25 / arr.ndim) * _grad(arr)
     _, div_p, _, _ = _tv_dual_solve(arr, lam, tol, max_iter, p0=seed)
     return _wrap_like(v, div_p)
 

@@ -3,6 +3,7 @@ import pytest
 
 from pnpkit import (
     DenseOp,
+    DivergenceError,
     DiagonalOp,
     GmmPrior,
     Rng,
@@ -130,6 +131,12 @@ class TestTvDenoiser:
         d = tv_denoiser(c=1.0, tol=1e-13)
         eps = estimate_residual_lipschitz(d, 0.3, (4, 4), probes=2, rng=Rng(5))
         assert eps <= 1.0 + 1e-3
+
+    def test_non_finite_input_raises_divergence(self):
+        x = np.full((16, 16), 0.5)
+        x[2, 2] = np.nan
+        with pytest.raises(DivergenceError):
+            tv_denoiser().apply(x, 0.2)
 
 
 class TestSpectralDenoiser:

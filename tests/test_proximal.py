@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnpkit import (
+    DivergenceError,
     ShapeError,
     SolveError,
     box_prox,
@@ -21,12 +22,15 @@ from pnpkit import (
     soft_threshold,
     squared_l2_prox,
     tv_conj_prox,
+    tv_conjugate_prox,
     tv_prox,
     tv_value,
     wavelet_l1_prox,
     zero_op,
 )
+from pnpkit.cli import builtin_image
 from pnpkit.operators import as_dense
+from pnpkit.proximal import _grad, _grad_adjoint, _tv_dual_solve
 
 
 class TestSoftThreshold:
@@ -265,3 +269,145 @@ class TestProxMapProperties:
     def test_scaled_evaluate_requires_separable(self, rng):
         with pytest.raises(Exception):
             tv_prox(1.0).evaluate_scaled(rng.standard_normal(4), np.ones(4))
+
+
+def _reference_grad(x):
+    grads = []
+    for axis in range(x.ndim):
+        g = np.zeros_like(x)
+        src = [slice(None)] * x.ndim
+        dst = [slice(None)] * x.ndim
+        src[axis] = slice(1, None)
+        dst[axis] = slice(0, -1)
+        g[tuple(dst)] = x[tuple(src)] - x[tuple(dst)]
+        grads.append(g)
+    return grads
+
+
+def _reference_grad_adjoint(p):
+    out = np.zeros_like(p[0])
+    for axis, pa in enumerate(p):
+        shifted = np.roll(pa, 1, axis=axis)
+        lead = [slice(None)] * pa.ndim
+        lead[axis] = slice(0, 1)
+        shifted[tuple(lead)] = 0.0
+        out += shifted - pa
+        tail = [slice(None)] * pa.ndim
+        tail[axis] = slice(-1, None)
+        out[tuple(tail)] += pa[tuple(tail)]
+    return out
+
+
+def _reference_zero_tail(p):
+    for axis, pa in enumerate(p):
+        tail = [slice(None)] * pa.ndim
+        tail[axis] = slice(-1, None)
+        pa[tuple(tail)] = 0.0
+
+
+def _reference_dual_solve(v, lam, tol, max_iter, p0=None):
+    """The two-stencil FISTA loop: explicit extrapolation q, gap from primal - dual."""
+    step = 1.0 / (4.0 * v.ndim)
+    if p0 is None:
+        p = [np.zeros_like(v) for _ in range(v.ndim)]
+    else:
+        p = [np.clip(pa, -lam, lam) for pa in p0]
+        _reference_zero_tail(p)
+    q = [pa.copy() for pa in p]
+    t = 1.0
+    for it in range(1, max_iter + 1):
+        grad_h = _reference_grad(_reference_grad_adjoint(q) - v)
+        p_new = [np.clip(qa - step * ga, -lam, lam) for qa, ga in zip(q, grad_h)]
+        _reference_zero_tail(p_new)
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_new
+        q = [pn + beta * (pn - po) for pn, po in zip(p_new, p)]
+        p = p_new
+        t = t_new
+        div_p = _reference_grad_adjoint(p)
+        x = v - div_p
+        tv = sum(np.sum(np.abs(g)) for g in _reference_grad(x))
+        primal = 0.5 * float(np.sum(div_p**2)) + lam * float(tv)
+        dual = float(np.sum(v * div_p)) - 0.5 * float(np.sum(div_p**2))
+        if primal - dual <= tol:
+            return x, div_p, it
+    raise AssertionError("reference solve did not converge")
+
+
+def _piecewise_noisy(ndim):
+    rng = np.random.default_rng(3)
+    if ndim == 1:
+        clean = np.repeat(rng.uniform(0.0, 1.0, 8), 16)
+    else:
+        clean = builtin_image("shapes", 32)
+    return clean + 0.05 * rng.standard_normal(clean.shape)
+
+
+class TestTvStencil:
+    @pytest.mark.parametrize("shape", [(17,), (9, 13)])
+    def test_adjoint_identity(self, rng, shape):
+        for _ in range(20):
+            x = rng.standard_normal(shape)
+            p = rng.standard_normal((len(shape),) + shape)
+            for axis in range(len(shape)):
+                p[(axis,) + (slice(None),) * axis + (-1,)] = 0.0
+            lhs = float(np.sum(_grad(x) * p))
+            rhs = float(np.sum(x * _grad_adjoint(p, np.empty(shape))))
+            assert abs(lhs - rhs) <= 1e-12
+
+
+class TestFusedDualKernel:
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize("lam", [0.0025, 0.04])
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_matches_two_stencil_reference(self, ndim, lam, seeded):
+        v = _piecewise_noisy(ndim)
+        tol = 1e-10 * v.size
+        # the seed tv_conjugate_prox starts from
+        seed = (0.25 / ndim) * _grad(v) if seeded else None
+        ref_x, ref_div, ref_it = _reference_dual_solve(
+            v, lam, tol, 100000, p0=None if seed is None else list(seed))
+        x, div_p, gap, it = _tv_dual_solve(v, lam, tol, 100000, p0=seed)
+        assert it == ref_it
+        assert gap <= tol
+        assert np.max(np.abs(x - ref_x)) <= 1e-12
+        assert np.max(np.abs(div_p - ref_div)) <= 1e-12
+
+    def test_nan_input_raises_divergence_at_once(self):
+        v = np.zeros((16, 16))
+        v[3, 5] = np.nan
+        with pytest.raises(DivergenceError) as exc:
+            prox_tv(v, 0.04)
+        assert exc.value.step == 1
+
+    def test_inf_input_raises_divergence(self):
+        v = np.linspace(0.0, 1.0, 32)
+        v[-1] = np.inf
+        with pytest.raises(DivergenceError):
+            prox_tv(v, 0.04)
+        with pytest.raises(DivergenceError):
+            tv_conjugate_prox(v, 0.04)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lam_rejected(self, lam):
+        v = np.zeros((4, 4))
+        with pytest.raises(ValueError):
+            prox_tv(v, lam)
+        with pytest.raises(ValueError):
+            tv_conjugate_prox(v, lam)
+
+    def test_max_iter_zero_tol_raises_with_gap(self, rng):
+        v = rng.standard_normal((16, 16))
+        with pytest.raises(SolveError) as exc:
+            prox_tv(v, 0.04, tol=0.0, max_iter=25)
+        assert exc.value.residual is not None and exc.value.residual > 0
+
+
+class TestTvConjugateDomain:
+    @pytest.mark.parametrize("shape", [(), (3, 3, 3)])
+    def test_shape_error_like_prox_tv(self, shape):
+        v = np.ones(shape)
+        with pytest.raises(ShapeError):
+            prox_tv(v, 0.1)
+        with pytest.raises(ShapeError):
+            tv_conjugate_prox(v, 0.1)

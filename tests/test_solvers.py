@@ -409,6 +409,17 @@ class TestHqs:
         assert len(trace) == 31
         assert trace.stop_reason in ("max_iter", "tolerance", "diverged")
 
+    def test_non_finite_tv_input_records_divergence(self):
+        from pnpkit import tv_denoiser
+
+        y = np.full((8, 8), 0.5)
+        y[4, 4] = np.nan
+        slot = RegSlot(denoiser=tv_denoiser(), sigma=0.2)
+        cfg = SolverConfig(rho=1.0, max_iter=5, tol=0.0)
+        # the fidelity step turns the finite start into a NaN denoiser input
+        _, trace = run_hqs(identity_op((8, 8)), y, slot, cfg, x0=np.zeros((8, 8)))
+        assert trace.stop_reason == "diverged"
+
 
 class TestRedGd:
     def test_identity_denoiser_is_gradient_descent(self, lasso_instance):
