@@ -226,6 +226,10 @@ def _validate_solver(spec, where):
         _check_keys(reg, {"kind", "weight", "levels", "lo", "hi"}, {"kind"}, where + ".reg")
         if reg["kind"] not in ("l1", "box", "tv", "wavelet", "zero"):
             raise ConfigError(f"{where}.reg: unknown reg kind {reg['kind']!r}")
+    try:
+        _solver_config(spec)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _validate_noise(spec, where):

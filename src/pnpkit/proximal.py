@@ -252,9 +252,9 @@ def prox_tv(v, lam: float, tol: float | None = None, max_iter: int = 200000):
     """
     _check_lam(lam)
     arr = as_array(v)
+    _check_tv_domain(arr)
     if lam == 0.0:
         return _wrap_like(v, arr.copy())
-    _check_tv_domain(arr)
     if tol is None:
         tol = 1e-10 * arr.size
     x, _, _, _ = _tv_dual_solve(arr, lam, tol, max_iter)
@@ -270,9 +270,9 @@ def tv_conjugate_prox(v, lam: float, tol: float | None = None, max_iter: int = 2
     """
     _check_lam(lam)
     arr = as_array(v)
+    _check_tv_domain(arr)
     if lam == 0.0:
         return _wrap_like(v, np.zeros_like(arr))
-    _check_tv_domain(arr)
     if tol is None:
         tol = 1e-10 * arr.size
     seed = (0.25 / arr.ndim) * _grad(arr)

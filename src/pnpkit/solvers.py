@@ -2,11 +2,17 @@
 
 Every driver accepts a regularization slot that holds either an exact
 proximal map or a denoiser, so the plug-and-play variant of each scheme is
-the same code path as the classical one.  Drivers return the final iterate
-plus a per-iteration :class:`~pnpkit.core.Trace`; stopping is on the step
-residual ||x_{k+1} - x_k|| (default 1e-9) or max_iter, and any non-finite
-iterate or norm above 1e12 raises :class:`~pnpkit.core.DivergenceError`
-carrying the last finite iterate.
+the same code path as the classical one.  Each scheme is a fixed-point
+iteration x_{k+1} = T(x_k) and supplies only its step to one kernel,
+:func:`_iterate`: ``advance(k, x)`` returns the next state, and
+``report(k, x, r)``, called once that state has passed the divergence check,
+says what the trace shows for it.  The kernel owns the rest.  Drivers return
+the final point plus a per-iteration :class:`~pnpkit.core.Trace`; stopping
+is on the step residual ||x_{k+1} - x_k|| (default 1e-9) or max_iter.  A
+non-finite start raises ValueError.  A non-finite state, a state norm above
+1e12, or a DivergenceError from inside the step (a denoiser's non-finite
+output) raises :class:`~pnpkit.core.DivergenceError` carrying the step, the
+last finite state and the trace; HQS and RED-APG record it instead.
 """
 
 from __future__ import annotations
@@ -146,44 +152,9 @@ class FixedPointProblem:
     tag: str = "T"
 
 
-class _Run:
-    """Trace bookkeeping shared by the drivers."""
-
-    def __init__(self, cfg: SolverConfig, reference=None, peak: float = 1.0):
-        self.cfg = cfg
-        self.trace = Trace()
-        self.reference = None if reference is None else as_array(reference)
-        self.peak = peak
-        self._t0 = time.perf_counter()
-
-    def _seconds(self) -> float:
-        return (time.perf_counter() - self._t0) if self.cfg.record_time else math.nan
-
-    def _psnr(self, x: np.ndarray) -> float:
-        if self.reference is None:
-            return math.nan
-        return psnr(x, self.reference, self.peak)
-
-    def row(self, k: int, x: np.ndarray, objective: float = math.nan,
-            step_residual: float = math.nan, fp_residual: float = math.nan):
-        self.trace.append(k, objective, step_residual, fp_residual,
-                          self._psnr(x), self._seconds())
-
-    def check(self, x: np.ndarray, k: int, last: np.ndarray):
-        if not np.all(np.isfinite(x)) or float(np.linalg.norm(x)) > DIVERGENCE_NORM:
-            raise DivergenceError(
-                f"iterates diverged at step {k}", last=Signal.from_array(last),
-                step=k, trace=self.trace,
-            )
-
-    def finish(self, x: np.ndarray, reason: str) -> tuple[Signal, Trace]:
-        self.trace.stop_reason = reason
-        return Signal.from_array(x), self.trace
-
-
-def _objective(run: _Run, f: SmoothFn | None, slot: RegSlot | None, x: np.ndarray,
-               scale: float) -> float:
-    if not run.cfg.eval_objective:
+def _objective(cfg: SolverConfig, f: SmoothFn | None, slot: RegSlot | None,
+               x: np.ndarray, scale: float) -> float:
+    if not cfg.eval_objective:
         return math.nan
     total = 0.0
     if f is not None:
@@ -196,6 +167,52 @@ def _objective(run: _Run, f: SmoothFn | None, slot: RegSlot | None, x: np.ndarra
             return math.nan
         total += reg
     return total
+
+
+def _iterate(cfg: SolverConfig, x0, advance, report=None, reference=None,
+             peak: float = 1.0, row0=None, record_divergence: bool = False):
+    """Run x_{k+1} = advance(k, x_k) under the shared trace and stopping rules.
+
+    ``report(k, x, r)`` gets a checked state and its step residual and
+    returns the traced (point, objective, step_residual, fp_residual); the
+    default traces the state with no objective and r as both residuals.
+    Row 0 is ``report(0, x0, nan)`` unless ``row0``, with the same
+    signature, is given.  Returns (Signal of the last traced point, trace).
+    """
+    x = as_array(x0).copy()
+    if not np.all(np.isfinite(x)):
+        raise ValueError("the start point x0 has non-finite entries")
+    report = report or (lambda k, x_new, r: (x_new, math.nan, r, r))
+    ref = None if reference is None else as_array(reference)
+    trace = Trace()
+    t0 = time.perf_counter()
+
+    def append(k, point, objective, step_residual, fp_residual):
+        trace.append(k, objective, step_residual, fp_residual,
+                     math.nan if ref is None else psnr(point, ref, peak),
+                     (time.perf_counter() - t0) if cfg.record_time else math.nan)
+
+    point, objective, r, fp = (row0 or report)(0, x, math.nan)
+    append(0, point, objective, r, fp)
+    trace.stop_reason = "max_iter"
+    for k in range(1, cfg.max_iter + 1):
+        try:
+            x_new = advance(k, x)
+            if not np.all(np.isfinite(x_new)) or float(np.linalg.norm(x_new)) > DIVERGENCE_NORM:
+                raise DivergenceError(f"iterates diverged at step {k}")
+            point, objective, r, fp = report(k, x_new, float(np.linalg.norm(x_new - x)))
+        except DivergenceError as exc:
+            trace.stop_reason = "diverged"
+            exc.step, exc.last, exc.trace = k, Signal.from_array(x), trace
+            if record_divergence:
+                return exc.last, trace
+            raise
+        append(k, point, objective, r, fp)
+        x = x_new
+        if r <= cfg.tol:
+            trace.stop_reason = "tolerance"
+            break
+    return Signal.from_array(point), trace
 
 
 # ---------------------------------------------------------------------------
@@ -211,22 +228,9 @@ def run_pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, peak: float = 1.
     """
     f = _as_smooth(grad_f)
     slot = as_slot(reg)
-    x = as_array(x0).copy()
-    run = _Run(cfg, reference, peak)
-    run.row(0, x, objective=_objective(run, f, slot, x, cfg.step))
-    reason = "max_iter"
-    for k in range(1, cfg.max_iter + 1):
-        v = x - cfg.step * f.grad(x)
-        x_new = slot.apply(v, cfg.step)
-        run.check(x_new, k, x)
-        r = float(np.linalg.norm(x_new - x))
-        run.row(k, x_new, objective=_objective(run, f, slot, x_new, cfg.step),
-                step_residual=r, fp_residual=r)
-        x = x_new
-        if r <= cfg.tol:
-            reason = "tolerance"
-            break
-    return run.finish(x, reason)
+    return _iterate(cfg, x0, lambda k, x: slot.apply(x - cfg.step * f.grad(x), cfg.step),
+                    lambda k, x, r: (x, _objective(cfg, f, slot, x, cfg.step), r, r),
+                    reference, peak)
 
 
 def run_pgd_preconditioned(grad_f, reg: ProxMap, precond, cfg: SolverConfig, x0,
@@ -242,25 +246,13 @@ def run_pgd_preconditioned(grad_f, reg: ProxMap, precond, cfg: SolverConfig, x0,
     if np.any(b <= 0):
         raise ValueError("preconditioner entries must be positive")
     inv_b = 1.0 / b
-    x = as_array(x0).copy()
-    if x.shape != b.shape:
+    if as_array(x0).shape != b.shape:
         raise ValueError("preconditioner shape must match the iterate")
-    run = _Run(cfg, reference, peak)
     slot = as_slot(reg)
-    run.row(0, x, objective=_objective(run, f, slot, x, 1.0))
-    reason = "max_iter"
-    for k in range(1, cfg.max_iter + 1):
-        v = x - inv_b * f.grad(x)
-        x_new = as_array(reg.evaluate_scaled(v, inv_b))
-        run.check(x_new, k, x)
-        r = float(np.linalg.norm(x_new - x))
-        run.row(k, x_new, objective=_objective(run, f, slot, x_new, 1.0),
-                step_residual=r, fp_residual=r)
-        x = x_new
-        if r <= cfg.tol:
-            reason = "tolerance"
-            break
-    return run.finish(x, reason)
+    return _iterate(cfg, x0,
+                    lambda k, x: as_array(reg.evaluate_scaled(x - inv_b * f.grad(x), inv_b)),
+                    lambda k, x, r: (x, _objective(cfg, f, slot, x, 1.0), r, r),
+                    reference, peak)
 
 
 def run_apgd(grad_f, reg, cfg: SolverConfig, x0, y0=None, reference=None,
@@ -278,24 +270,17 @@ def run_apgd(grad_f, reg, cfg: SolverConfig, x0, y0=None, reference=None,
     f = _as_smooth(grad_f)
     slot = as_slot(reg)
     alpha = cfg.alpha
-    x = as_array(x0).copy()
-    y = x.copy() if y0 is None else as_array(y0).copy()
-    run = _Run(cfg, reference, peak)
-    run.row(0, x, objective=_objective(run, f, slot, x, cfg.step))
-    reason = "max_iter"
-    for k in range(1, cfg.max_iter + 1):
+    y = as_array(x0 if y0 is None else y0)
+
+    def advance(k, x):
+        nonlocal y
         q = (1.0 - alpha) * x + alpha * y
         y = slot.apply(y - cfg.step * f.grad(q), cfg.step)
-        x_new = (1.0 - alpha) * x + alpha * y
-        run.check(x_new, k, x)
-        r = float(np.linalg.norm(x_new - x))
-        run.row(k, x_new, objective=_objective(run, f, slot, x_new, cfg.step),
-                step_residual=r, fp_residual=r)
-        x = x_new
-        if r <= cfg.tol:
-            reason = "tolerance"
-            break
-    return run.finish(x, reason)
+        return (1.0 - alpha) * x + alpha * y
+
+    return _iterate(cfg, x0, advance,
+                    lambda k, x, r: (x, _objective(cfg, f, slot, x, cfg.step), r, r),
+                    reference, peak)
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +305,16 @@ def run_drs(map_a, map_b, cfg: SolverConfig, x0, reference=None, peak: float = 1
     slot_a = as_slot(map_a)
     slot_b = as_slot(map_b)
     lam = cfg.step
-    x = as_array(x0).copy()
-    run = _Run(cfg, reference, peak)
+    y = as_array(x0)  # the traced point; row 0 shows the start
+
+    def advance(k, x):
+        nonlocal y
+        y = slot_a.apply(x, lam)
+        z = slot_b.apply(2.0 * y - x, lam)
+        return x + z - y
 
     def objective_at(point):
-        if not run.cfg.eval_objective:
+        if not cfg.eval_objective:
             return math.nan
         va = slot_a.reg_value(point, lam)
         vb = slot_b.reg_value(point, lam)
@@ -332,21 +322,8 @@ def run_drs(map_a, map_b, cfg: SolverConfig, x0, reference=None, peak: float = 1
             return math.nan
         return va + vb
 
-    run.row(0, x, objective=objective_at(x))
-    y = x
-    reason = "max_iter"
-    for k in range(1, cfg.max_iter + 1):
-        y = slot_a.apply(x, lam)
-        z = slot_b.apply(2.0 * y - x, lam)
-        x_new = x + z - y
-        run.check(x_new, k, x)
-        r = float(np.linalg.norm(x_new - x))
-        run.row(k, y, objective=objective_at(y), step_residual=r, fp_residual=r)
-        x = x_new
-        if r <= cfg.tol:
-            reason = "tolerance"
-            break
-    return run.finish(y, reason)
+    return _iterate(cfg, x0, advance, lambda k, x, r: (y, objective_at(y), r, r), reference,
+                    peak)
 
 
 def run_admm(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, z0=None, u0=None,
@@ -364,27 +341,23 @@ def run_admm(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, z0=None, u0=None,
     slot = as_slot(reg)
     rho = cfg.rho
     kty = op._adjoint(y_arr)
-    x = kty.copy() if x0 is None else as_array(x0).copy()
-    z = x.copy() if z0 is None else as_array(z0).copy()
-    u = np.zeros_like(x) if u0 is None else as_array(u0).copy()
+    x = kty if x0 is None else as_array(x0)
+    z = x if z0 is None else as_array(z0)
+    u = np.zeros_like(x) if u0 is None else as_array(u0)
     fid = SmoothFn.least_squares(op, y_arr)
-    run = _Run(cfg, reference, peak)
-    run.row(0, x, objective=_objective(run, fid, slot, x, 1.0 / rho))
-    reason = "max_iter"
-    for k in range(1, cfg.max_iter + 1):
+
+    def advance(k, x):
+        nonlocal z, u
         x_new = as_array(solve_shifted_normal(op, rho, kty + rho * (z - u)))
         z = slot.apply(x_new + u, 1.0 / rho)
         u = u + x_new - z
-        run.check(x_new, k, x)
-        r = float(np.linalg.norm(x_new - x))
-        primal = float(np.linalg.norm(x_new - z))
-        run.row(k, x_new, objective=_objective(run, fid, slot, x_new, 1.0 / rho),
-                step_residual=r, fp_residual=primal)
-        x = x_new
-        if r <= cfg.tol:
-            reason = "tolerance"
-            break
-    return run.finish(x, reason)
+        return x_new
+
+    def report(k, x, r):
+        primal = float(np.linalg.norm(x - z)) if k else math.nan
+        return x, _objective(cfg, fid, slot, x, 1.0 / rho), r, primal
+
+    return _iterate(cfg, x, advance, report, reference, peak)
 
 
 def _as_schedule(value, default: float):
@@ -413,32 +386,20 @@ def run_hqs(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, rho_schedule=None,
     slot = as_slot(reg)
     rho_of = _as_schedule(rho_schedule, cfg.rho)
     sigma_of = _as_schedule(sigma_schedule, slot.sigma)
-    z = op._adjoint(y_arr) if x0 is None else as_array(x0).copy()
     fid = SmoothFn.least_squares(op, y_arr)
-    run = _Run(cfg, reference, peak)
-    run.row(0, z, objective=_objective(run, fid, slot, z, 1.0 / rho_of(1)))
-    reason = "max_iter"
-    try:
-        for k in range(1, cfg.max_iter + 1):
-            rho = rho_of(k)
-            x = as_array(prox_quadratic_fidelity(z, 1.0 / rho, op, y_arr))
-            if slot.denoiser is not None:
-                z_new = as_array(slot.denoiser.apply(x, sigma_of(k)))
-            else:
-                z_new = slot.apply(x, 1.0 / rho)
-            run.check(z_new, k, z)
-            r = float(np.linalg.norm(z_new - z))
-            run.row(k, z_new, objective=_objective(run, fid, slot, z_new, 1.0 / rho),
-                    step_residual=r, fp_residual=r)
-            z = z_new
-            if r <= cfg.tol:
-                reason = "tolerance"
-                break
-    except DivergenceError as exc:
-        reason = "diverged"
-        if exc.last is not None:
-            z = as_array(exc.last)
-    return run.finish(z, reason)
+    scale = 1.0 / rho_of(1)  # 1/rho_k of the current step; row 0 uses rho_1
+
+    def advance(k, z):
+        nonlocal scale
+        scale = 1.0 / rho_of(k)
+        x = as_array(prox_quadratic_fidelity(z, scale, op, y_arr))
+        if slot.denoiser is not None:
+            return as_array(slot.denoiser.apply(x, sigma_of(k)))
+        return slot.apply(x, scale)
+
+    return _iterate(cfg, op._adjoint(y_arr) if x0 is None else x0, advance,
+                    lambda k, z, r: (z, _objective(cfg, fid, slot, z, scale), r, r),
+                    reference, peak, record_divergence=True)
 
 
 # ---------------------------------------------------------------------------
@@ -465,24 +426,52 @@ def run_red_gd(op: LinearOp, y, denoiser: Denoiser, lam: float, sigma: float,
         raise ValueError("eta must be positive")
     y_arr = as_array(y)
     weight = lam / (sigma * sigma)
-    x = op._adjoint(y_arr) if x0 is None else as_array(x0).copy()
-    run = _Run(cfg, reference, peak)
-    dx = as_array(denoiser.apply(x, sigma))
-    fc = op._adjoint(op._apply(x) - y_arr) + weight * (x - dx)
-    run.row(0, x, fp_residual=float(np.linalg.norm(fc)))
-    reason = "max_iter"
-    for k in range(1, cfg.max_iter + 1):
-        x_new = x - eta * fc
-        run.check(x_new, k, x)
-        dx = as_array(denoiser.apply(x_new, sigma))
-        fc = op._adjoint(op._apply(x_new) - y_arr) + weight * (x_new - dx)
-        r = float(np.linalg.norm(x_new - x))
-        run.row(k, x_new, step_residual=r, fp_residual=float(np.linalg.norm(fc)))
-        x = x_new
-        if r <= cfg.tol:
-            reason = "tolerance"
-            break
-    return run.finish(x, reason)
+    fc = None  # the bracket at the current state
+
+    def bracket_norm(x):
+        nonlocal fc
+        dx = as_array(denoiser.apply(x, sigma))
+        fc = op._adjoint(op._apply(x) - y_arr) + weight * (x - dx)
+        return float(np.linalg.norm(fc))
+
+    return _iterate(cfg, op._adjoint(y_arr) if x0 is None else x0,
+                    lambda k, x: x - eta * fc,
+                    lambda k, x, r: (x, math.nan, r, bracket_norm(x)), reference, peak)
+
+
+def _run_red_prox(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,
+                  cfg: SolverConfig, v0, sigma: float, reference, peak: float,
+                  accelerated: bool):
+    """RED-PG and, with Nesterov momentum on the v-update, RED-APG."""
+    if L <= 1:
+        raise ValueError("L must exceed 1")
+    y_arr = as_array(y)
+    v = op._adjoint(y_arr) if v0 is None else as_array(v0)
+    x_prev, t_prev = None, 1.0
+
+    def advance(k, x):
+        return as_array(prox_quadratic_fidelity(v, 1.0 / (lam * L), op, y_arr))
+
+    def report(k, x, r):
+        nonlocal v, x_prev, t_prev
+        dx = as_array(denoiser.apply(x, sigma))
+        z = x
+        if accelerated:
+            t = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_prev * t_prev))
+            if x_prev is None:
+                r = math.nan  # the start is v_0; there is no x_0 to step from
+            else:
+                z = x + ((t_prev - 1.0) / t) * (x - x_prev)
+            x_prev, t_prev = x, t
+        v = (1.0 / L) * dx - ((1.0 - L) / L) * z
+        return x, math.nan, r, _red_fixed_point_norm(op, y_arr, x, dx, lam)
+
+    def row0(k, v0, r):
+        dv = as_array(denoiser.apply(v0, sigma))
+        return v0, math.nan, r, _red_fixed_point_norm(op, y_arr, v0, dv, lam)
+
+    return _iterate(cfg, v, advance, report, reference, peak, row0=row0,
+                    record_divergence=accelerated)
 
 
 def run_red_pg(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,
@@ -496,28 +485,8 @@ def run_red_pg(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,
     Requires L > 1 (the averagedness condition).  The traced fixed-point
     residual is ||K^T(K x - y) + lam (x - D(x))||.
     """
-    if L <= 1:
-        raise ValueError("L must exceed 1")
-    y_arr = as_array(y)
-    v = op._adjoint(y_arr) if v0 is None else as_array(v0).copy()
-    run = _Run(cfg, reference, peak)
-    dv = as_array(denoiser.apply(v, sigma))
-    run.row(0, v, fp_residual=_red_fixed_point_norm(op, y_arr, v, dv, lam))
-    x_prev = v
-    reason = "max_iter"
-    for k in range(1, cfg.max_iter + 1):
-        x = as_array(prox_quadratic_fidelity(v, 1.0 / (lam * L), op, y_arr))
-        run.check(x, k, x_prev)
-        dx = as_array(denoiser.apply(x, sigma))
-        v = (1.0 / L) * dx - ((1.0 - L) / L) * x
-        r = float(np.linalg.norm(x - x_prev))
-        run.row(k, x, step_residual=r,
-                fp_residual=_red_fixed_point_norm(op, y_arr, x, dx, lam))
-        x_prev = x
-        if r <= cfg.tol:
-            reason = "tolerance"
-            break
-    return run.finish(x_prev, reason)
+    return _run_red_prox(op, y, denoiser, lam, L, cfg, v0, sigma, reference, peak,
+                         accelerated=False)
 
 
 def nesterov_t_sequence(count: int) -> np.ndarray:
@@ -541,43 +510,12 @@ def run_red_apg(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,
         z_k = x_k + ((t_{k-1} - 1)/t_k) (x_k - x_{k-1})
         v_k = (1/L) D(x_k) - ((1 - L)/L) z_k
 
-    Divergence is recorded in the trace rather than raised.
+    Divergence is recorded in the trace rather than raised, and the last
+    finite x_k is returned.  The step residual of k = 1 is NaN, as x_1 has
+    no predecessor.
     """
-    if L <= 1:
-        raise ValueError("L must exceed 1")
-    y_arr = as_array(y)
-    v = op._adjoint(y_arr) if v0 is None else as_array(v0).copy()
-    run = _Run(cfg, reference, peak)
-    dv = as_array(denoiser.apply(v, sigma))
-    run.row(0, v, fp_residual=_red_fixed_point_norm(op, y_arr, v, dv, lam))
-    x_prev = None
-    t_prev = 1.0
-    x = v
-    reason = "max_iter"
-    try:
-        for k in range(1, cfg.max_iter + 1):
-            x = as_array(prox_quadratic_fidelity(v, 1.0 / (lam * L), op, y_arr))
-            run.check(x, k, x_prev if x_prev is not None else v)
-            t = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_prev * t_prev))
-            momentum = (t_prev - 1.0) / t
-            z = x if x_prev is None else x + momentum * (x - x_prev)
-            dx = as_array(denoiser.apply(x, sigma))
-            v = (1.0 / L) * dx - ((1.0 - L) / L) * z
-            r = math.nan if x_prev is None else float(np.linalg.norm(x - x_prev))
-            run.row(k, x, step_residual=r,
-                    fp_residual=_red_fixed_point_norm(op, y_arr, x, dx, lam))
-            if x_prev is not None and r <= cfg.tol:
-                x_prev = x
-                reason = "tolerance"
-                break
-            x_prev = x
-            t_prev = t
-    except DivergenceError as exc:
-        reason = "diverged"
-        if exc.last is not None:
-            x = as_array(exc.last)
-        return run.finish(x, reason)
-    return run.finish(x_prev if x_prev is not None else x, reason)
+    return _run_red_prox(op, y, denoiser, lam, L, cfg, v0, sigma, reference, peak,
+                         accelerated=True)
 
 
 # ---------------------------------------------------------------------------
@@ -615,12 +553,15 @@ def run_gs_pnp(op: LinearOp, y, gs: Denoiser, cfg: SolverConfig, lam: float | No
         fid = 0.5 * float(np.sum((op._apply(x) - y_arr) ** 2))
         return fid + lam * float(gs.potential(x, 0.0))
 
-    x = op._adjoint(y_arr) if x0 is None else as_array(x0).copy()
-    fx = full_objective(x)
-    run = _Run(cfg, reference, peak)
-    run.row(0, x, objective=fx)
-    reason = "max_iter"
-    for k in range(1, cfg.max_iter + 1):
+    fx = math.nan  # F at the current state
+
+    def row0(k, x, r):
+        nonlocal fx
+        fx = full_objective(x)
+        return x, fx, r, r
+
+    def advance(k, x):
+        nonlocal fx
         grad = as_array(gs.grad_potential(x, 0.0))
         if backtracking:
             t = tau
@@ -642,14 +583,11 @@ def run_gs_pnp(op: LinearOp, y, gs: Denoiser, cfg: SolverConfig, lam: float | No
         else:
             cand = as_array(prox_quadratic_fidelity(x - tau * lam * grad, tau, op, y_arr))
             f_cand = full_objective(cand)
-        run.check(cand, k, x)
-        r = float(np.linalg.norm(cand - x))
-        run.row(k, cand, objective=f_cand, step_residual=r, fp_residual=r)
-        x, fx = cand, f_cand
-        if r <= cfg.tol:
-            reason = "tolerance"
-            break
-    return run.finish(x, reason)
+        fx = f_cand
+        return cand
+
+    return _iterate(cfg, op._adjoint(y_arr) if x0 is None else x0, advance,
+                    lambda k, x, r: (x, fx, r, r), reference, peak, row0=row0)
 
 
 # ---------------------------------------------------------------------------
@@ -684,22 +622,14 @@ def run_fixed_point(problem, cfg: SolverConfig, x0, reference=None, peak: float 
     residual reaches tolerance.
     """
     operator = problem.operator if isinstance(problem, FixedPointProblem) else problem
-    x = as_array(x0).copy()
-    run = _Run(cfg, reference, peak)
-    run.row(0, x)
-    iterates = [x.copy()]
-    converged = False
-    for k in range(1, cfg.max_iter + 1):
-        x_new = as_array(operator(x))
-        run.check(x_new, k, x)
-        r = float(np.linalg.norm(x_new - x))
-        run.row(k, x_new, step_residual=r, fp_residual=r)
-        iterates.append(x_new.copy())
-        x = x_new
-        if r <= cfg.tol:
-            converged = True
-            break
+    iterates = [as_array(x0).copy()]
 
+    def advance(k, x):
+        x_new = as_array(operator(x))
+        iterates.append(x_new.copy())
+        return x_new
+
+    x, trace = _iterate(cfg, x0, advance, reference=reference, peak=peak)
     star = iterates[-1]
     dists = [float(np.linalg.norm(it - star)) for it in iterates]
     factor = 0.0
@@ -708,7 +638,6 @@ def run_fixed_point(problem, cfg: SolverConfig, x0, reference=None, peak: float 
     for k in range(max(usable, 0)):
         if dists[k] > 1e-14 * scale:
             factor = max(factor, dists[k + 1] / dists[k])
-    if not converged:
+    if trace.stop_reason != "tolerance":
         raise SolveError("fixed-point iteration did not converge", residual=factor)
-    run.trace.stop_reason = "tolerance"
-    return Signal.from_array(x), run.trace, factor
+    return x, trace, factor

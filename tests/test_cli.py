@@ -111,6 +111,21 @@ class TestSolveCommand:
         cfg = write_config(tmp_path, small_deblur_config(str(tmp_path / "out")))
         assert main(["compare", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("key,value", [("step", "abc"), ("max_iter", -1), ("step", 0),
+                                           ("alpha", 2.0), ("tol", -1)])
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_bad_solver_number_exit_2(self, tmp_path, capsys, command, key, value):
+        out = tmp_path / "out"
+        doc = small_deblur_config(str(out))
+        doc["solver"][key] = value
+        if command == "compare":
+            doc = {"task": "compare", "images": [doc["image"]], "operator": doc["operator"],
+                   "denoiser": doc["denoiser"], "output": str(out),
+                   "solvers": [{"algo": "pnp-pgd"}, doc["solver"]]}
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+        assert "config.solver" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_inpaint_task(self, tmp_path):
         out = tmp_path / "out"
         doc = {

@@ -407,7 +407,8 @@ class TestTvConjugateDomain:
     @pytest.mark.parametrize("shape", [(), (3, 3, 3)])
     def test_shape_error_like_prox_tv(self, shape):
         v = np.ones(shape)
-        with pytest.raises(ShapeError):
-            prox_tv(v, 0.1)
-        with pytest.raises(ShapeError):
-            tv_conjugate_prox(v, 0.1)
+        for lam in (0.1, 0.0):
+            with pytest.raises(ShapeError):
+                prox_tv(v, lam)
+            with pytest.raises(ShapeError):
+                tv_conjugate_prox(v, lam)

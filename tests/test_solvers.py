@@ -717,3 +717,139 @@ class TestCrossSolverConsistency:
         f1 = objective(x_pgd.to_array())
         f2 = objective(x_drs.to_array())
         assert abs(f1 - f2) <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# What the shared iteration kernel guarantees for every driver
+# ---------------------------------------------------------------------------
+
+CONTRACT_OP = DiagonalOp(np.array([0.4, 0.3, 0.8, 0.6]))
+CONTRACT_Y = np.array([1.0, -0.5, 0.25, 2.0])
+
+
+def _scaling_denoiser(grow):
+    c = 10.0 if grow else 0.6
+    return Denoiser(lambda arr, s: c * arr, tag="scale", linear=True)
+
+
+def _quadratic_gs(grow):
+    # g(x) = c/2 ||x||^2: convex for c > 0, and for c = -10 the step expands
+    c = -10.0 if grow else 1.0
+    return Denoiser(lambda arr, s: arr, tag="quadratic",
+                    potential=lambda x, s: 0.5 * c * float(np.sum(x * x)),
+                    grad_potential=lambda x, s: c * x)
+
+
+def _fid():
+    return SmoothFn.least_squares(CONTRACT_OP, CONTRACT_Y)
+
+
+DRIVERS = {
+    "pgd": lambda cfg, grow: run_pgd(
+        _fid(), RegSlot(denoiser=_scaling_denoiser(grow)), cfg, np.ones(4)),
+    "pgd_preconditioned": lambda cfg, grow: run_pgd_preconditioned(
+        _fid(), l1_prox(0.1), np.full(4, 0.01 if grow else 1.0), cfg, np.ones(4)),
+    "apgd": lambda cfg, grow: run_apgd(
+        _fid(), RegSlot(denoiser=_scaling_denoiser(grow)), cfg, np.ones(4)),
+    "drs": lambda cfg, grow: run_drs(
+        RegSlot(denoiser=_scaling_denoiser(grow)),
+        quadratic_fidelity_prox(CONTRACT_OP, CONTRACT_Y), cfg, np.ones(4)),
+    "admm": lambda cfg, grow: run_admm(
+        CONTRACT_OP, CONTRACT_Y, RegSlot(denoiser=_scaling_denoiser(grow)), cfg),
+    "hqs": lambda cfg, grow: run_hqs(
+        CONTRACT_OP, CONTRACT_Y, RegSlot(denoiser=_scaling_denoiser(grow)), cfg),
+    "red_gd": lambda cfg, grow: run_red_gd(
+        CONTRACT_OP, CONTRACT_Y, _scaling_denoiser(grow), lam=1.0, sigma=1.0, eta=1.0,
+        cfg=cfg),
+    "red_pg": lambda cfg, grow: run_red_pg(
+        CONTRACT_OP, CONTRACT_Y, _scaling_denoiser(grow), lam=1.0, L=2.0, cfg=cfg),
+    "red_apg": lambda cfg, grow: run_red_apg(
+        CONTRACT_OP, CONTRACT_Y, _scaling_denoiser(grow), lam=1.0, L=2.0, cfg=cfg),
+    "gs_pnp": lambda cfg, grow: run_gs_pnp(
+        CONTRACT_OP, CONTRACT_Y, _quadratic_gs(grow), cfg, lam=1.0, tau=0.5, x0=np.ones(4)),
+    "fixed_point": lambda cfg, grow: run_fixed_point(
+        lambda z: (3.0 if grow else 0.5) * z + 1.0, cfg, np.ones(4))[:2],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRIVERS))
+def test_driver_contract(name):
+    run = DRIVERS[name]
+    _, trace = run(SolverConfig(max_iter=5000, tol=1e-10), False)
+    assert trace.stop_reason == "tolerance"
+    assert len(trace) == trace.last().iter + 1
+    assert trace.last().step_residual <= 1e-10
+    step = trace.column("step_residual")
+    assert math.isnan(step[0])
+    assert math.isnan(step[1]) == (name == "red_apg")
+
+    if name == "fixed_point":
+        with pytest.raises(SolveError):
+            run(SolverConfig(max_iter=3, tol=0.0), False)
+    else:
+        _, trace = run(SolverConfig(max_iter=3, tol=0.0), False)
+        assert trace.stop_reason == "max_iter"
+        assert len(trace) == 4
+
+    cfg = SolverConfig(max_iter=500, tol=0.0)
+    if name in ("hqs", "red_apg"):
+        x, trace = run(cfg, True)
+        assert trace.stop_reason == "diverged"
+        assert 1 < len(trace) < 501 and np.all(np.isfinite(x.to_array()))
+    else:
+        with pytest.raises(DivergenceError) as exc:
+            run(cfg, True)
+        err = exc.value
+        assert err.step >= 1 and len(err.trace) == err.step
+        assert err.trace.stop_reason == "diverged"
+        assert np.all(np.isfinite(err.last.to_array()))
+
+
+def _failing_denoiser(fail_at):
+    calls = {"n": 0}
+
+    def fn(arr, s):
+        calls["n"] += 1
+        return 0.5 * arr if calls["n"] < fail_at else np.full_like(arr, np.inf)
+
+    return Denoiser(fn, tag="fails")
+
+
+class TestDivergenceContext:
+    def test_denoiser_error_carries_step_last_and_trace(self):
+        cfg = SolverConfig(max_iter=10, tol=0.0)
+        with pytest.raises(DivergenceError) as exc:
+            run_pgd(_fid(), RegSlot(denoiser=_failing_denoiser(3)), cfg, np.ones(4))
+        err = exc.value
+        assert err.step == 3 and len(err.trace) == 3
+        assert err.trace.stop_reason == "diverged"
+        two_steps, _ = run_pgd(_fid(), RegSlot(denoiser=_failing_denoiser(99)),
+                               SolverConfig(max_iter=2, tol=0.0), np.ones(4))
+        np.testing.assert_array_equal(err.last.to_array(), two_steps.to_array())
+
+    def test_red_apg_returns_last_finite_state_when_denoiser_fails(self):
+        # calls: row 0, then one per step; the 4th call (step 3) fails
+        cfg = SolverConfig(max_iter=10, tol=0.0)
+        x, trace = run_red_apg(CONTRACT_OP, CONTRACT_Y, _failing_denoiser(4), lam=1.0,
+                               L=2.0, cfg=cfg)
+        assert trace.stop_reason == "diverged" and len(trace) == 3
+        x2, _ = run_red_apg(CONTRACT_OP, CONTRACT_Y, _failing_denoiser(99), lam=1.0, L=2.0,
+                            cfg=SolverConfig(max_iter=2, tol=0.0))
+        np.testing.assert_array_equal(x.to_array(), x2.to_array())
+
+
+class TestNonFiniteStart:
+    def test_hqs_rejects_non_finite_back_projection(self):
+        from pnpkit import tv_denoiser
+
+        y = np.full((8, 8), 0.5)
+        y[4, 4] = np.nan
+        slot = RegSlot(denoiser=tv_denoiser(), sigma=0.2)
+        with pytest.raises(ValueError, match="start point"):
+            run_hqs(identity_op((8, 8)), y, slot, SolverConfig(rho=1.0, max_iter=5, tol=0.0))
+
+    def test_pgd_rejects_non_finite_x0(self):
+        x0 = np.ones(4)
+        x0[1] = np.inf
+        with pytest.raises(ValueError, match="start point"):
+            run_pgd(_fid(), RegSlot(prox=zero_prox()), SolverConfig(), x0)
