@@ -230,6 +230,20 @@ def _validate_solver(spec, where):
         _solver_config(spec)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
+    red_gd = spec["algo"] == "red-gd"
+    # key -> (lower bound, bound allowed), as the drivers require
+    bounds = {"L": (1.0, False), "eta": (0.0, False), "tau": (0.0, False),
+              "lam": (0.0, red_gd), "sigma": (0.0, not red_gd)}
+    for key, (bound, closed) in bounds.items():
+        if key not in spec:
+            continue
+        try:
+            value = float(spec[key])
+        except (TypeError, ValueError):
+            raise ConfigError(f"{where}: {key} must be a number") from None
+        if not math.isfinite(value) or value < bound or (value == bound and not closed):
+            relation = ">=" if closed else ">"
+            raise ConfigError(f"{where}: {key} must be finite and {relation} {bound:g}")
 
 
 def _validate_noise(spec, where):
@@ -498,8 +512,9 @@ def run_algo(algo: str, spec: dict, op: LinearOp, y: np.ndarray,
     if algo == "gs-pnp":
         if denoiser is None or denoiser.potential is None:
             raise ConfigError("gs-pnp needs a gradient-step denoiser (kind 'gs')")
-        return run_gs_pnp(op, y, denoiser, cfg, lam=spec.get("lam"),
-                          tau=spec.get("tau"),
+        return run_gs_pnp(op, y, denoiser, cfg,
+                          lam=float(spec["lam"]) if "lam" in spec else None,
+                          tau=float(spec["tau"]) if "tau" in spec else None,
                           backtracking=bool(spec.get("backtracking", False)),
                           reference=reference)
     raise ConfigError(f"unknown algo {algo!r}; valid algos: {', '.join(VALID_ALGOS)}")

@@ -280,14 +280,18 @@ def gaussian_smoother(shape, kernel_sigma: float, floor: float = 0.0,
     shape = tuple(int(s) for s in shape)
     kernel = _fitted_gaussian_kernel(kernel_sigma, shape, radius)
     g = make_blur(kernel, shape)
-    freq = floor + (1.0 - floor) * np.abs(g.freq_response) ** 2
-    return CirculantOp(freq.astype(np.complex128), shape)
+    return CirculantOp.from_half_response(floor + (1.0 - floor) * np.abs(g.half_response) ** 2,
+                                          shape)
 
 
 def _smoother_spectrum(op: LinearOp):
-    """Exact eigenvalues of a symmetric smoother when cheaply available."""
+    """Eigenvalues of a symmetric smoother when cheaply available.
+
+    A circulant smoother gives its half spectrum, which holds every
+    eigenvalue (not every multiplicity).
+    """
     if isinstance(op, CirculantOp):
-        return np.real(op.freq_response).reshape(-1)
+        return np.real(op.half_response).reshape(-1)
     if isinstance(op, DiagonalOp):
         return op.diag.reshape(-1)
     if isinstance(op, MaskOp):
@@ -301,7 +305,7 @@ def _check_symmetric(op: LinearOp) -> None:
     if isinstance(op, (DiagonalOp, MaskOp)):
         return
     if isinstance(op, CirculantOp):
-        if np.max(np.abs(np.imag(op.freq_response))) > 1e-10:
+        if np.max(np.abs(np.imag(op.half_response))) > 1e-10:
             raise ValueError("circulant smoother is not symmetric (complex spectrum)")
         return
     if isinstance(op, DenseOp):
@@ -325,8 +329,9 @@ def gs_denoiser(smoother: LinearOp, weight: float = 1.0) -> Denoiser:
     A must be a symmetric smoother with eigenvalues in [0, 1]; then
     grad g = (I - A)^2 has Lipschitz constant ||I - A||^2 <= 1.  ``weight``
     is the default regularization strength the solvers pair with g.  When A
-    is circulant with spectrum bounded away from 0ish, D is invertible and
-    its exact proximal potential is exposed as well.
+    is circulant, D is applied as one filter with spectrum 1 - (1 - a)^2,
+    and when that spectrum is bounded away from 0, D is invertible and its
+    exact proximal potential is exposed as well.
     """
     if smoother.in_shape != smoother.out_shape:
         raise ValueError("smoother must be square")
@@ -343,23 +348,21 @@ def gs_denoiser(smoother: LinearOp, weight: float = 1.0) -> Denoiser:
     def g_value(x, sigma=0.0):
         return 0.5 * float(np.sum(residual(as_array(x)) ** 2))
 
-    def fn(arr, sigma):
-        return arr - grad_g(arr)
-
     spectrum = _smoother_spectrum(smoother)
     lipschitz = None
     phi = None
+    d_op = None  # D as one circulant filter
     if spectrum is not None:
         lipschitz = float(np.max((1.0 - spectrum) ** 2))
-        d_eigs = 1.0 - (1.0 - spectrum) ** 2  # spectrum of D = I - (I-A)^2
-        if isinstance(smoother, CirculantOp) and np.min(d_eigs) > 1e-12:
-            quad = 1.0 / d_eigs.reshape(smoother.in_shape) - 1.0
-            axes = tuple(range(len(smoother.in_shape)))
-            n = smoother.in_size
+    if isinstance(smoother, CirculantOp):
+        a = np.real(smoother.half_response)
+        d_op = CirculantOp.from_half_response(1.0 - (1.0 - a) ** 2, smoother.in_shape)
+        d_eigs = d_op.half_response  # spectrum of D = I - (I-A)^2
+        if np.min(d_eigs) > 1e-12:
+            phi = _circulant_quadratic(1.0 / d_eigs - 1.0, d_op._spatial)
 
-            def phi(x, sigma=0.0):
-                spec = np.fft.fftn(as_array(x), axes=axes)
-                return 0.5 * float(np.sum(quad * np.abs(spec) ** 2)) / n
+    def fn(arr, sigma):
+        return arr - grad_g(arr) if d_op is None else d_op._apply(arr)
 
     den = Denoiser(
         fn,
@@ -373,6 +376,31 @@ def gs_denoiser(smoother: LinearOp, weight: float = 1.0) -> Denoiser:
     den.grad_lipschitz = lipschitz
     den.smoother = smoother
     return den
+
+
+def _circulant_quadratic(quad: np.ndarray, spatial: tuple):
+    """x -> 0.5 * sum_k quad(k) |X(k)|^2 / n over the full FFT grid ``spatial``.
+
+    ``quad`` is real and even, given on the ``rfftn`` half spectrum; a real
+    x has |X(-k)| = |X(k)|, so every column other than 0 and (for an even
+    side) the Nyquist column stands for two and is weighted 2.  A 3-D x is
+    summed over its channels.
+    """
+    axes = tuple(range(len(spatial)))
+    cols = np.full(quad.shape[-1], 2.0)
+    cols[0] = 1.0
+    if spatial[-1] % 2 == 0:
+        cols[-1] = 1.0
+    weights = 0.5 * quad * cols / math.prod(spatial)
+    channel = weights[..., None]
+
+    def phi(x, sigma=0.0):
+        arr = as_array(x)
+        spec = scipy.fft.rfftn(arr, axes=axes)
+        power = spec.real**2 + spec.imag**2
+        return float(np.sum((weights if arr.ndim == weights.ndim else channel) * power))
+
+    return phi
 
 
 def mmse_gmm_denoiser(prior: GmmPrior) -> Denoiser:

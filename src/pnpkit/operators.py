@@ -1,10 +1,12 @@
 """Linear forward operators with adjoints and the associated linear solvers.
 
 All operators are immutable and safe to share between concurrent solver
-runs.  Circulant operators (periodic convolutions) expose their frequency
-response, which gives exact FFT-domain solves for the shifted normal
-equations; everything else falls back to conjugate gradients on the normal
-equations with a certified relative residual.
+runs.  Circulant operators (periodic convolutions) keep their frequency
+response on the half spectrum of a real FFT, which gives one real round
+trip per filter and exact FFT-domain solves for the shifted normal
+equations; diagonal and mask kinds divide componentwise; everything else
+falls back to conjugate gradients on the normal equations with a certified
+relative residual.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .core import ShapeError, Signal, SolveError, as_array, load_signal
 
@@ -24,7 +27,9 @@ class LinearOp:
 
     Subclasses implement ``_apply`` and ``_adjoint`` on plain arrays; the
     public methods accept and return either Signals or arrays, matching the
-    input type.
+    input type.  ``normal`` (K^T K x) and ``shifted_solve`` work on plain
+    arrays of the input shape without checks; kinds with a closed form
+    override them, and :func:`solve_shifted_normal` is the checked entry.
     """
 
     kind = "abstract"
@@ -52,6 +57,28 @@ class LinearOp:
             raise ShapeError(f"{self.kind} adjoint expects {self.out_shape}, got {arr.shape}")
         out = self._adjoint(arr)
         return Signal.from_array(out) if isinstance(y, Signal) else out
+
+    def normal(self, x: np.ndarray) -> np.ndarray:
+        """K^T K x."""
+        return self._adjoint(self._apply(x))
+
+    def least_squares_grad(self, y: np.ndarray):
+        """x -> K^T (K x - y), the gradient of 0.5*||K x - y||^2."""
+        return lambda x: self._adjoint(self._apply(x) - y)
+
+    def shifted_solve(self, rho: float, b: np.ndarray) -> np.ndarray:
+        """(K^T K + rho*I)^{-1} b by conjugate gradients, at most 10*n iterations.
+
+        Raises SolveError when the relative residual stays above CG_RTOL.
+        """
+
+        def matvec(v):
+            return self.normal(v.reshape(self.in_shape)).reshape(-1) + rho * v
+
+        x_flat, res = _cg(matvec, b.reshape(-1), CG_RTOL, 10 * self.in_size)
+        if res > CG_RTOL:
+            raise SolveError("conjugate gradients stagnated", residual=res)
+        return x_flat.reshape(self.in_shape)
 
     @property
     def in_size(self) -> int:
@@ -98,6 +125,9 @@ class DiagonalOp(LinearOp):
     def _adjoint(self, y):
         return self.diag * y
 
+    def shifted_solve(self, rho, b):
+        return b / (self.diag**2 + rho)
+
 
 class MaskOp(LinearOp):
     """Self-adjoint projection that zeroes entries where the mask is False."""
@@ -115,41 +145,100 @@ class MaskOp(LinearOp):
 
     _adjoint = _apply
 
+    def shifted_solve(self, rho, b):
+        return b / (self.mask.astype(np.float64) + rho)
+
 
 class CirculantOp(LinearOp):
     """Periodic convolution; diagonalized by the FFT.
 
-    ``freq_response`` holds the transfer function on the FFT grid of the
-    image shape.  For 3-D inputs the same 2-D response is applied to each
-    channel.
+    ``freq_response`` is the transfer function H on the FFT grid of the
+    image's spatial shape; for 3-D inputs the same 2-D response is applied
+    to each channel.  A real signal only sees the Hermitian part
+    (H(k) + conj(H(-k)))/2 of H, so that part is what the operator keeps,
+    on the half spectrum of a real FFT (``half_response``, a real array
+    when the response is real, as for an even kernel).  Apply, adjoint,
+    the normal map and the shifted solve are one ``rfftn``/``irfftn`` round
+    trip each.
     """
 
     kind = "circulant-conv"
 
     def __init__(self, freq_response, image_shape, kernel=None):
-        super().__init__(tuple(image_shape), tuple(image_shape))
-        self.freq_response = np.asarray(freq_response, dtype=np.complex128)
-        self.freq_response.setflags(write=False)
-        self.kernel = None if kernel is None else np.asarray(kernel, dtype=np.float64)
-        self._axes = tuple(range(self.freq_response.ndim))
+        full = np.asarray(freq_response)
+        # H(-k): reverse every axis, then roll so that index 0 stays in place
+        mirrored = np.roll(np.flip(full), 1, axis=tuple(range(full.ndim)))
+        hermitian = 0.5 * (full + np.conj(mirrored))
+        self._init(hermitian[..., : full.shape[-1] // 2 + 1], image_shape, kernel,
+                   full.shape)
 
-    def _filter(self, x, response):
-        spec = np.fft.fftn(x, axes=self._axes)
-        if x.ndim == response.ndim + 1:
-            spec = spec * response[..., None]
-        else:
-            spec = spec * response
-        return np.fft.ifftn(spec, axes=self._axes).real
+    @classmethod
+    def from_half_response(cls, half_response, image_shape, kernel=None) -> "CirculantOp":
+        """Build from a Hermitian response given on the ``rfftn`` half spectrum.
+
+        A real function of a real half spectrum (such as a product or a
+        polynomial of other operators' responses) stays Hermitian.
+        """
+        op = cls.__new__(cls)
+        half = np.asarray(half_response)
+        spatial = tuple(int(s) for s in image_shape)[: half.ndim]
+        op._init(half, image_shape, kernel, spatial)
+        return op
+
+    def _init(self, half, image_shape, kernel, spatial):
+        LinearOp.__init__(self, image_shape, image_shape)
+        spatial = tuple(int(s) for s in spatial)
+        expected = spatial[:-1] + (spatial[-1] // 2 + 1,)
+        if (half.shape != expected or self.in_shape[: len(spatial)] != spatial
+                or len(self.in_shape) - len(spatial) not in (0, 1)):
+            raise ShapeError(f"circulant response does not fit image shape {self.in_shape}")
+        if np.iscomplexobj(half) and not np.any(half.imag):
+            half = half.real
+        real = not np.iscomplexobj(half)
+        self.half_response = np.array(half, dtype=np.float64 if real else np.complex128)
+        self._conj_response = self.half_response if real else np.conj(self.half_response)
+        self._gram = (self.half_response**2 if real
+                      else self.half_response.real**2 + self.half_response.imag**2)
+        for arr in (self.half_response, self._conj_response, self._gram):
+            arr.setflags(write=False)
+        self._spatial = spatial
+        self._axes = tuple(range(len(spatial)))
+        self.kernel = None if kernel is None else np.asarray(kernel, dtype=np.float64)
+
+    def _filter(self, x, response, combine=np.multiply):
+        spec = scipy.fft.rfftn(x, axes=self._axes)
+        combine(spec, response if x.ndim == response.ndim else response[..., None], out=spec)
+        return scipy.fft.irfftn(spec, s=self._spatial, axes=self._axes, overwrite_x=True)
 
     def _apply(self, x):
-        return self._filter(x, self.freq_response)
+        return self._filter(x, self.half_response)
 
     def _adjoint(self, y):
-        return self._filter(y, np.conj(self.freq_response))
+        return self._filter(y, self._conj_response)
+
+    def normal(self, x):
+        return self._filter(x, self._gram)
+
+    def least_squares_grad(self, y):
+        kty = self._adjoint(y)  # once, so each gradient is one filter
+        return lambda x: self.normal(x) - kty
+
+    def shifted_solve(self, rho, b):
+        return self._filter(b, self._gram + rho, np.divide)
+
+    @property
+    def freq_response(self) -> np.ndarray:
+        """The Hermitian response on the full FFT grid, rebuilt from the half spectrum."""
+        half = self.half_response
+        # column j > n/2 of the last axis holds conj(H(-k)), read from column n - j
+        tail = np.conj(half[..., self._spatial[-1] - half.shape[-1]: 0: -1])
+        for axis in range(half.ndim - 1):
+            tail = np.roll(np.flip(tail, axis=axis), 1, axis=axis)
+        return np.concatenate([half, tail], axis=-1)
 
     @property
     def spectral_norm(self) -> float:
-        return float(np.max(np.abs(self.freq_response)))
+        return float(np.max(np.abs(self.half_response)))
 
 
 class CompositeOp(LinearOp):
@@ -210,8 +299,10 @@ def make_blur(kernel, image_shape) -> CirculantOp:
     embedded[slices] = kernel
     center = tuple(k // 2 for k in kernel.shape)
     embedded = np.roll(embedded, tuple(-c for c in center), axis=tuple(range(kernel.ndim)))
-    freq = np.fft.fftn(embedded)
-    return CirculantOp(freq, image_shape, kernel=kernel)
+    half = scipy.fft.rfftn(embedded)
+    if np.array_equal(kernel, np.flip(kernel)):
+        half = half.real  # an even kernel has a real response; drop the rounding residue
+    return CirculantOp.from_half_response(half, image_shape, kernel=kernel)
 
 
 def make_mask(mask) -> MaskOp:
@@ -299,39 +390,17 @@ def _cg(matvec, b: np.ndarray, rtol: float, max_iter: int) -> tuple[np.ndarray, 
 def solve_shifted_normal(op: LinearOp, rho: float, b):
     """Solve (K^T K + rho*I) x = b to relative residual <= 1e-10.
 
-    Uses exact frequency-domain division for circulant operators and exact
-    componentwise division for diagonal/mask kinds; otherwise conjugate
-    gradients with at most 10*n iterations (SolveError on stagnation).
+    Runs the operator's ``shifted_solve``: exact frequency-domain division
+    for circulant operators and exact componentwise division for
+    diagonal/mask kinds; otherwise conjugate gradients with at most 10*n
+    iterations (SolveError on stagnation).
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
     b_arr = as_array(b)
     if b_arr.shape != op.in_shape:
         raise ShapeError(f"rhs shape {b_arr.shape} does not match operator {op.in_shape}")
-
-    if isinstance(op, CirculantOp):
-        denom = np.abs(op.freq_response) ** 2 + rho
-        spec = np.fft.fftn(b_arr, axes=op._axes)
-        if b_arr.ndim == denom.ndim + 1:
-            spec = spec / denom[..., None]
-        else:
-            spec = spec / denom
-        x = np.fft.ifftn(spec, axes=op._axes).real
-    elif isinstance(op, DiagonalOp):
-        x = b_arr / (op.diag**2 + rho)
-    elif isinstance(op, MaskOp):
-        x = b_arr / (op.mask.astype(np.float64) + rho)
-    else:
-        n = op.in_size
-
-        def matvec(v):
-            return op._adjoint(op._apply(v.reshape(op.in_shape))).reshape(-1) + rho * v
-
-        x_flat, res = _cg(matvec, b_arr.reshape(-1), CG_RTOL, 10 * n)
-        if res > CG_RTOL:
-            raise SolveError("conjugate gradients stagnated", residual=res)
-        x = x_flat.reshape(op.in_shape)
-
+    x = op.shifted_solve(rho, b_arr)
     return Signal.from_array(x) if isinstance(b, Signal) else x
 
 

@@ -291,13 +291,15 @@ def prox_quadratic_fidelity(v, lam: float, op: LinearOp, y):
     Returns (I + lam*K^T K)^{-1} (v + lam*K^T y), solved through the shifted
     normal equations with rho = 1/lam (exact for circulant/diagonal kinds).
     """
+    out = _fidelity_prox(as_array(v), lam, op, op._adjoint(as_array(y)))
+    return _wrap_like(v, out)
+
+
+def _fidelity_prox(v: np.ndarray, lam: float, op: LinearOp, kty: np.ndarray) -> np.ndarray:
+    """:func:`prox_quadratic_fidelity` on arrays, given K^T y computed once per run."""
     if lam <= 0:
         raise ValueError("lam must be positive")
-    arr = as_array(v)
-    y_arr = as_array(y)
-    rhs = op._adjoint(y_arr) + arr / lam
-    out = solve_shifted_normal(op, 1.0 / lam, rhs)
-    return _wrap_like(v, as_array(out))
+    return as_array(solve_shifted_normal(op, 1.0 / lam, kty + v / lam))
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +426,10 @@ def wavelet_l1_prox(weight: float = 1.0, levels: int = 1) -> ProxMap:
 
 def quadratic_fidelity_prox(op: LinearOp, y) -> ProxMap:
     y_arr = as_array(y)
+    kty = op._adjoint(y_arr)
     return ProxMap(
         "quadratic_fidelity",
-        lambda v, lam: as_array(prox_quadratic_fidelity(v, lam, op, y_arr)),
+        lambda v, lam: _fidelity_prox(v, lam, op, kty),
         objective=lambda x: 0.5 * float(np.sum((op._apply(as_array(x)) - y_arr) ** 2)),
     )
 

@@ -27,7 +27,7 @@ import numpy as np
 from .core import DivergenceError, Signal, SolveError, Trace, as_array, psnr
 from .denoisers import Denoiser
 from .operators import LinearOp, solve_shifted_normal
-from .proximal import ProxMap, prox_quadratic_fidelity
+from .proximal import ProxMap, _fidelity_prox
 
 DIVERGENCE_NORM = 1e12
 
@@ -52,6 +52,9 @@ class SolverConfig:
     record_time: bool = True
 
     def __post_init__(self):
+        for name in ("step", "alpha", "rho", "tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.step <= 0:
             raise ValueError("step must be positive")
         if not (0.0 < self.alpha <= 1.0):
@@ -75,9 +78,7 @@ class SmoothFn:
     @staticmethod
     def least_squares(op: LinearOp, y) -> "SmoothFn":
         y_arr = as_array(y)
-
-        def grad(x):
-            return op._adjoint(op._apply(x) - y_arr)
+        grad = op.least_squares_grad(y_arr)
 
         def value(x):
             return 0.5 * float(np.sum((op._apply(x) - y_arr) ** 2))
@@ -387,17 +388,18 @@ def run_hqs(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, rho_schedule=None,
     rho_of = _as_schedule(rho_schedule, cfg.rho)
     sigma_of = _as_schedule(sigma_schedule, slot.sigma)
     fid = SmoothFn.least_squares(op, y_arr)
+    kty = op._adjoint(y_arr)
     scale = 1.0 / rho_of(1)  # 1/rho_k of the current step; row 0 uses rho_1
 
     def advance(k, z):
         nonlocal scale
         scale = 1.0 / rho_of(k)
-        x = as_array(prox_quadratic_fidelity(z, scale, op, y_arr))
+        x = _fidelity_prox(z, scale, op, kty)
         if slot.denoiser is not None:
             return as_array(slot.denoiser.apply(x, sigma_of(k)))
         return slot.apply(x, scale)
 
-    return _iterate(cfg, op._adjoint(y_arr) if x0 is None else x0, advance,
+    return _iterate(cfg, kty if x0 is None else x0, advance,
                     lambda k, z, r: (z, _objective(cfg, fid, slot, z, scale), r, r),
                     reference, peak, record_divergence=True)
 
@@ -407,8 +409,8 @@ def run_hqs(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, rho_schedule=None,
 # ---------------------------------------------------------------------------
 
 
-def _red_fixed_point_norm(op: LinearOp, y_arr, x, dx, weight: float) -> float:
-    return float(np.linalg.norm(op._adjoint(op._apply(x) - y_arr) + weight * (x - dx)))
+def _red_fixed_point_norm(grad_f, x, dx, weight: float) -> float:
+    return float(np.linalg.norm(grad_f(x) + weight * (x - dx)))
 
 
 def run_red_gd(op: LinearOp, y, denoiser: Denoiser, lam: float, sigma: float,
@@ -425,13 +427,14 @@ def run_red_gd(op: LinearOp, y, denoiser: Denoiser, lam: float, sigma: float,
     if eta <= 0:
         raise ValueError("eta must be positive")
     y_arr = as_array(y)
+    grad_f = op.least_squares_grad(y_arr)
     weight = lam / (sigma * sigma)
     fc = None  # the bracket at the current state
 
     def bracket_norm(x):
         nonlocal fc
         dx = as_array(denoiser.apply(x, sigma))
-        fc = op._adjoint(op._apply(x) - y_arr) + weight * (x - dx)
+        fc = grad_f(x) + weight * (x - dx)
         return float(np.linalg.norm(fc))
 
     return _iterate(cfg, op._adjoint(y_arr) if x0 is None else x0,
@@ -446,11 +449,13 @@ def _run_red_prox(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,
     if L <= 1:
         raise ValueError("L must exceed 1")
     y_arr = as_array(y)
-    v = op._adjoint(y_arr) if v0 is None else as_array(v0)
+    kty = op._adjoint(y_arr)
+    grad_f = op.least_squares_grad(y_arr)
+    v = kty if v0 is None else as_array(v0)
     x_prev, t_prev = None, 1.0
 
     def advance(k, x):
-        return as_array(prox_quadratic_fidelity(v, 1.0 / (lam * L), op, y_arr))
+        return _fidelity_prox(v, 1.0 / (lam * L), op, kty)
 
     def report(k, x, r):
         nonlocal v, x_prev, t_prev
@@ -464,11 +469,11 @@ def _run_red_prox(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,
                 z = x + ((t_prev - 1.0) / t) * (x - x_prev)
             x_prev, t_prev = x, t
         v = (1.0 / L) * dx - ((1.0 - L) / L) * z
-        return x, math.nan, r, _red_fixed_point_norm(op, y_arr, x, dx, lam)
+        return x, math.nan, r, _red_fixed_point_norm(grad_f, x, dx, lam)
 
     def row0(k, v0, r):
         dv = as_array(denoiser.apply(v0, sigma))
-        return v0, math.nan, r, _red_fixed_point_norm(op, y_arr, v0, dv, lam)
+        return v0, math.nan, r, _red_fixed_point_norm(grad_f, v0, dv, lam)
 
     return _iterate(cfg, v, advance, report, reference, peak, row0=row0,
                     record_divergence=accelerated)
@@ -543,11 +548,12 @@ def run_gs_pnp(op: LinearOp, y, gs: Denoiser, cfg: SolverConfig, lam: float | No
     """
     if gs.potential is None or gs.grad_potential is None:
         raise ValueError("run_gs_pnp needs a gradient-step denoiser exposing its potential")
-    y_arr = as_array(y)
     lam = (gs.weight if gs.weight is not None else 1.0) if lam is None else lam
     tau = cfg.step if tau is None else tau
     if lam <= 0 or tau <= 0:
         raise ValueError("lam and tau must be positive")
+    y_arr = as_array(y)
+    kty = op._adjoint(y_arr)
 
     def full_objective(x):
         fid = 0.5 * float(np.sum((op._apply(x) - y_arr) ** 2))
@@ -569,7 +575,7 @@ def run_gs_pnp(op: LinearOp, y, gs: Denoiser, cfg: SolverConfig, lam: float | No
             cand, f_cand = x, fx
             slack = 1e-12 * max(1.0, abs(fx))
             for _ in range(max_halvings + 1):
-                cand = as_array(prox_quadratic_fidelity(x - t * lam * grad, t, op, y_arr))
+                cand = _fidelity_prox(x - t * lam * grad, t, op, kty)
                 f_cand = full_objective(cand)
                 if fx - f_cand >= (1.0 / t) * float(np.sum((cand - x) ** 2)) - slack:
                     accepted = True
@@ -581,12 +587,12 @@ def run_gs_pnp(op: LinearOp, y, gs: Denoiser, cfg: SolverConfig, lam: float | No
                     f"F(x) = {fx:.12g}, last trial F = {f_cand:.12g}"
                 )
         else:
-            cand = as_array(prox_quadratic_fidelity(x - tau * lam * grad, tau, op, y_arr))
+            cand = _fidelity_prox(x - tau * lam * grad, tau, op, kty)
             f_cand = full_objective(cand)
         fx = f_cand
         return cand
 
-    return _iterate(cfg, op._adjoint(y_arr) if x0 is None else x0, advance,
+    return _iterate(cfg, kty if x0 is None else x0, advance,
                     lambda k, x, r: (x, fx, r, r), reference, peak, row0=row0)
 
 

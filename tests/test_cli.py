@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -125,6 +126,36 @@ class TestSolveCommand:
         assert main([command, "--config", write_config(tmp_path, doc)]) == 2
         assert "config.solver" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("algo,key,value", [
+        ("pnp-pgd", "step", math.nan), ("pnp-pgd", "tol", math.nan),
+        ("pnp-pgd", "rho", math.nan), ("pnp-pgd", "alpha", math.inf),
+        ("pnp-pgd", "tol", math.inf),
+        ("red-pg", "L", 1.0), ("red-gd", "eta", -1), ("gs-pnp", "tau", -1),
+        ("pnp-pgd", "sigma", -1), ("red-gd", "sigma", 0.0), ("gs-pnp", "lam", 0.0),
+        ("red-apg", "L", math.nan), ("gs-pnp", "lam", "abc"),
+    ])
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_bad_driver_number_exit_2(self, tmp_path, capsys, command, algo, key, value):
+        out = tmp_path / "out"
+        doc = small_deblur_config(str(out))
+        doc["solver"]["algo"] = algo
+        doc["solver"][key] = value
+        if command == "compare":
+            doc = {"task": "compare", "images": [doc["image"]], "operator": doc["operator"],
+                   "denoiser": doc["denoiser"], "output": str(out),
+                   "solvers": [{"algo": "pnp-pgd"}, doc["solver"]]}
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+        assert "config.solver" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_driver_numbers_at_their_bounds_run(self, tmp_path):
+        # red-gd accepts lam = 0; pnp-pgd accepts sigma = 0
+        for algo, key in (("red-gd", "lam"), ("pnp-pgd", "sigma")):
+            out = tmp_path / f"{algo}_{key}"
+            doc = small_deblur_config(str(out), max_iter=3)
+            doc["solver"].update({"algo": algo, key: 0.0})
+            assert main(["solve", "--config", write_config(tmp_path, doc)]) == 0
 
     def test_inpaint_task(self, tmp_path):
         out = tmp_path / "out"

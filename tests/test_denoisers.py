@@ -259,6 +259,34 @@ class TestGsDenoiser:
             assert d.prox_potential(z, 0.0) + 0.5 * np.sum((z - v) ** 2) >= base - 1e-12
 
 
+class TestGsSingleFilter:
+    @pytest.mark.parametrize("shape", [(9,), (10,), (8, 8), (7, 9), (6, 5), (8, 7, 3)])
+    def test_d_matches_gradient_step(self, rng, shape):
+        d = gs_denoiser(gaussian_smoother(shape, 1.2, floor=0.1))
+        x = rng.standard_normal(shape)
+        expected = x - d.grad_potential(x, 0.0)
+        err = np.max(np.abs(d.apply(x) - expected)) / np.max(np.abs(expected))
+        assert err <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(9,), (10,), (8, 8), (7, 9), (6, 5), (8, 7, 3)])
+    def test_phi_matches_full_spectrum_formula(self, rng, shape):
+        smoother = gaussian_smoother(shape, 1.2, floor=0.2)
+        d = gs_denoiser(smoother)
+        spatial = shape[:2]
+        axes = tuple(range(len(spatial)))
+        delta = np.zeros(shape)
+        delta[(0,) * len(shape)] = 1.0
+        impulse = smoother.apply(delta)  # channel 0 holds the impulse response
+        a = np.real(np.fft.fftn(impulse[..., 0] if len(shape) > 2 else impulse))
+        quad = 1.0 / (1.0 - (1.0 - a) ** 2) - 1.0
+        x = rng.standard_normal(shape)
+        power = np.abs(np.fft.fftn(x, axes=axes)) ** 2
+        if len(shape) > len(spatial):
+            quad = quad[..., None]
+        expected = 0.5 * float(np.sum(quad * power)) / np.prod(spatial)
+        assert d.prox_potential(x, 0.0) == pytest.approx(expected, rel=1e-12)
+
+
 class TestMmseDenoiser:
     def test_single_component_example(self):
         d = mmse_gmm_denoiser(GmmPrior([1.0], [[0.0, 0.0]], [1.0]))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pnpkit import (
+    CirculantOp,
     DenseOp,
     DiagonalOp,
     Rng,
@@ -252,3 +253,89 @@ class TestDenseIo:
         save_signal(Signal.from_array(np.zeros(4)), path)
         with pytest.raises(ShapeError):
             load_dense_operator(path)
+
+
+def hermitian_part(freq):
+    """(H(k) + conj(H(-k)))/2 on the full FFT grid."""
+    mirrored = np.conj(np.flip(freq))
+    for ax in range(freq.ndim):
+        mirrored = np.roll(mirrored, 1, axis=ax)
+    return 0.5 * (freq + mirrored)
+
+
+def complex_filter(x, response):
+    """Re(ifftn(response * fftn(x))) over the response's axes, per channel for 3-D x."""
+    axes = tuple(range(response.ndim))
+    if x.ndim == response.ndim + 1:
+        response = response[..., None]
+    return np.fft.ifftn(np.fft.fftn(x, axes=axes) * response, axes=axes).real
+
+
+def rel_err(a, b):
+    return float(np.max(np.abs(np.asarray(a) - b))) / max(float(np.max(np.abs(b))), 1e-300)
+
+
+CIRCULANT_CASES = [((9,), (9,)), ((10,), (10,)), ((8, 6), (8, 6)), ((7, 5), (7, 5)),
+                   ((8, 7), (8, 7, 3))]
+
+
+def random_response(rng, spatial, even):
+    if even:  # real and even in k: the response of a symmetric kernel
+        r = rng.uniform(-1.0, 1.0, spatial)
+        return np.real(hermitian_part(r))
+    return rng.standard_normal(spatial) + 1j * rng.standard_normal(spatial)
+
+
+class TestRealFftCirculant:
+    @pytest.mark.parametrize("spatial,shape", CIRCULANT_CASES)
+    @pytest.mark.parametrize("even", [False, True])
+    def test_matches_complex_fft_reference(self, rng, spatial, shape, even):
+        freq = random_response(rng, spatial, even)
+        op = CirculantOp(freq, shape)
+        assert np.iscomplexobj(op.half_response) == (not even)
+        x = rng.standard_normal(shape)
+        kx = complex_filter(x, freq)
+        assert rel_err(op.apply(x), kx) <= 1e-12
+        assert rel_err(op.adjoint(x), complex_filter(x, np.conj(freq))) <= 1e-12
+        assert rel_err(op.normal(x), complex_filter(kx, np.conj(freq))) <= 1e-12
+        rho = 0.5
+        denom = np.abs(hermitian_part(freq)) ** 2 + rho
+        assert rel_err(solve_shifted_normal(op, rho, x), complex_filter(x, 1.0 / denom)) <= 1e-12
+        assert rel_err(op.freq_response, hermitian_part(freq)) <= 1e-15
+
+    def test_non_hermitian_shifted_solve_regression(self, rng):
+        freq = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        op = CirculantOp(freq, (8, 8))
+        b = rng.standard_normal((8, 8))
+        rho = 0.5
+        x = solve_shifted_normal(op, rho, b)
+        residual = op.adjoint(op.apply(x)) + rho * x - b
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(b)
+        assert adjoint_defect(op, Rng(5), probes=50) <= 1e-12
+        estimated = operator_norm(op, Rng(6), iters=5000, tol=1e-15)
+        assert abs(op.spectral_norm - estimated) <= 1e-8
+
+    def test_blur_of_even_kernel_has_real_response(self):
+        op = make_blur(np.full((3, 3), 1.0 / 9.0), (8, 8))
+        assert not np.iscomplexobj(op.half_response)
+        assert op.half_response.shape == (8, 5)
+
+    def test_response_must_fit_image(self):
+        with pytest.raises(ShapeError):
+            CirculantOp(np.ones((8, 8)), (8, 6))
+        with pytest.raises(ShapeError):
+            CirculantOp.from_half_response(np.ones((8, 8)), (8, 8))
+
+
+class TestShiftedSolveMethods:
+    def test_each_kind_solves_its_system(self, rng):
+        kernel = rng.uniform(0, 1, (3, 3))
+        ops = [make_blur(kernel / kernel.sum(), (6, 6)), DiagonalOp(rng.standard_normal((6, 6))),
+               make_mask(rng.uniform(0, 1, (6, 6)) > 0.5), DenseOp(rng.standard_normal((36, 36)),
+                                                                 (6, 6), (6, 6))]
+        b = rng.standard_normal((6, 6))
+        for op in ops:
+            x = op.shifted_solve(0.3, b)
+            residual = op.adjoint(op.apply(x)) + 0.3 * x - b
+            assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(b), op.kind
+            np.testing.assert_array_equal(solve_shifted_normal(op, 0.3, b), x)
