@@ -1,22 +1,32 @@
 """Command-line harness: pnpkit <solve|compare|sweep|diagnose|sample|plot>.
 
-Experiments are described by a single JSON config (unknown keys are
-rejected).  Commands are deterministic given config + seed: solver timing
-is suppressed in emitted traces so repeated runs are byte-identical.
+Experiments are described by a single JSON config.  Each config section
+has one schema table below (key -> type, default, choices or range); one
+reader, :func:`_read`, checks a section against its table and fills in its
+defaults, and the builders and commands read only that filled spec.  A
+command builds its whole problem before it makes its output directory, and
+a value the library rejects there is a config error naming its section.
+Commands are deterministic given config + seed: solver timing is
+suppressed in emitted traces so repeated runs are byte-identical.
 
-Exit codes: 0 success, 2 usage/config error, 3 assertion failure,
-4 numerical divergence where fatal.
+Exit codes: 0 success; 2 usage/config error, a shape mismatch found
+during the run included; 3 assertion failure (``sweep --assert``);
+4 numerical failure: divergence, or an inner solve that did not reach its
+certificate.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import numbers
+import operator
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +37,7 @@ from .core import (
     ParseError,
     PnpkitError,
     Rng,
+    ShapeError,
     Signal,
     Trace,
     add_gaussian_noise,
@@ -41,6 +52,7 @@ from .denoisers import (
     Denoiser,
     estimate_residual_lipschitz,
     gaussian_filter_denoiser,
+    gaussian_kernel,
     gaussian_smoother,
     gs_denoiser,
     homogeneity_defect,
@@ -97,33 +109,256 @@ EXIT_CONFIG = 2
 EXIT_ASSERT = 3
 EXIT_DIVERGED = 4
 
-TASKS = ("deblur", "inpaint", "denoise", "sample", "sweep", "diagnose", "compare")
 SOLVE_TASKS = ("deblur", "inpaint", "denoise")
 VALID_ALGOS = (
     "pgd", "pnp-pgd", "apgd", "pnp-apgd", "drs", "pnp-drs", "pnp-drsdiff",
     "admm", "pnp-admm", "hqs", "red-gd", "red-pg", "red-apg", "gs-pnp",
 )
+PROX_ALGOS = ("pgd", "apgd", "drs", "admm")  # a 'reg' prox first, else the denoiser
 
 
 # ---------------------------------------------------------------------------
-# Config handling
+# Config schema
 # ---------------------------------------------------------------------------
 
+REQUIRED = object()  # no default: the key must be given
+PATH = "path"  # a string naming an existing file
 
-def _check_keys(doc: dict, allowed: set, required: set, where: str) -> None:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where}: expected an object, got {type(doc).__name__}")
-    unknown = set(doc) - allowed
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: its type, its default, and the values it may take.
+
+    ``type`` is bool, int, float, str, PATH, a list ``[t]`` of values of
+    type t, or a nested section (a table or a :class:`OneOf`).  A bool is
+    not a number, an int takes only integral values, and a float must be
+    finite.  None is accepted only where it is the default.  ``choices``,
+    ``gt``, ``ge`` and ``le`` restrict a value, or each entry of a list.
+    Ranges that a library constructor enforces are not repeated here.
+    """
+
+    type: object
+    default: object = REQUIRED
+    choices: tuple = ()
+    gt: float | None = None
+    ge: float | None = None
+    le: float | None = None
+    min_len: int = 0
+
+
+@dataclass(frozen=True)
+class OneOf:
+    """A section with several forms, each with its own table.
+
+    With a ``tag``, the value of that key names the form; without one, the
+    form is the one key of ``tables`` that the section gives.
+    """
+
+    tables: dict
+    tag: str | None = None
+
+
+_IMAGE = OneOf({
+    "builtin": {"builtin": Key(str, choices=("shapes", "ramp")), "size": Key(int, 64)},
+    "path": {"path": Key(PATH)},
+})
+_KERNEL = OneOf({
+    "builtin": {"builtin": Key(str, choices=("uniform", "gaussian")),
+                "size": Key(int, 9, ge=1), "sigma": Key(float, 1.5),
+                "radius": Key(int, None)},
+    "path": {"path": Key(PATH)},
+})
+_OPERATOR = OneOf({
+    "blur": {"kernel": Key(_KERNEL)},
+    "mask": {"density": Key(float, 0.5, gt=0.0, le=1.0), "path": Key(PATH, None)},
+    "identity": {},
+    "diagonal": {"entries": Key([float], min_len=1)},
+}, tag="kind")
+_NOISE = OneOf({
+    "percent": {"percent": Key(float)},  # percent of the unit peak
+    "sigma": {"sigma": Key(float)},
+})
+_PRIOR = OneOf({
+    "path": {"path": Key(PATH)},
+    "weights": {"weights": Key([float]), "means": Key([[float]]), "variances": Key([float])},
+})
+_DENOISER = OneOf({
+    "tv": {"c": Key(float, 1.0, ge=0.0), "tol": Key(float, None, gt=0.0),
+           "max_iter": Key(int, 200000, ge=1)},
+    "gaussian": {"kernel_sigma": Key(float, 1.5, gt=0.0), "radius": Key(int, None)},
+    "nlm": {"patch_radius": Key(int, 1), "window_radius": Key(int, 3), "h": Key(float, 0.3)},
+    "spectral": {"transform": Key(str, "dct"), "lam": Key(float, 0.1),
+                 "profile": Key([[float]], None)},
+    "gs": {"kernel_sigma": Key(float, 1.5), "floor": Key(float, 0.1),
+           "weight": Key(float, 1.0, gt=0.0)},
+    "gmm": _PRIOR,
+}, tag="kind")
+_REG = OneOf({
+    "l1": {"weight": Key(float, 1.0)},
+    "box": {"lo": Key(float, 0.0), "hi": Key(float, 1.0)},
+    "tv": {"weight": Key(float, 1.0)},
+    "wavelet": {"weight": Key(float, 1.0), "levels": Key(int, 1)},
+    "zero": {},
+}, tag="kind")
+# step, alpha, rho, max_iter and tol are checked by SolverConfig.  eta and tau
+# default to step, and gs-pnp's lam to the denoiser's weight, in the drivers.
+_SOLVER_KEYS = {
+    "step": Key(float, 1.0), "alpha": Key(float, 0.5), "rho": Key(float, 1.0),
+    "max_iter": Key(int, 200), "tol": Key(float, 1e-9),
+    "lam": Key(float, 1.0, gt=0.0), "sigma": Key(float, 0.0, ge=0.0),
+    "L": Key(float, 2.0, gt=1.0), "eta": Key(float, None, gt=0.0),
+    "tau": Key(float, None, gt=0.0), "backtracking": Key(bool, False),
+    "rho_schedule": Key([float], None, gt=0.0, min_len=1),
+    "sigma_schedule": Key([float], None, ge=0.0, min_len=1),
+    "reg": Key(_REG, None),
+}
+_ALGO_KEYS = {
+    "red-gd": {"lam": Key(float, 1.0, ge=0.0), "sigma": Key(float, 1.0, gt=0.0)},
+    "gs-pnp": {"lam": Key(float, None, gt=0.0)},
+}
+_SOLVER = OneOf({algo: {**_SOLVER_KEYS, **_ALGO_KEYS.get(algo, {})} for algo in VALID_ALGOS},
+                tag="algo")
+_SWEEP = {
+    "c": Key(float, 0.5, ge=0.0), "eta": Key(float, 0.45),
+    "k_min": Key(int, 1), "k_max": Key(int, 8),
+    "diag": Key([float], [2.0, 1.7, 1.4, 1.1], min_len=1),
+    "x_true": Key([float], [0.15, 0.15, 0.15, 0.15], min_len=1),
+    "deltas": Key([float], None, ge=0.0),
+}
+_PROBE = {"shape": Key([int], [16, 16], ge=1, min_len=1), "sigma": Key(float, 0.1),
+          "probes": Key(int, 2), "fd_step": Key(float, None)}
+_SAMPLER = {"delta": Key(float), "sigma": Key(float), "sigma_w": Key(float),
+            "kept": Key(int, 2000), "burn_in": Key(int, None), "thin": Key(int, 1)}
+_COMMON = {"seed": Key(int, 0), "output": Key(str, "out")}
+_SOLVE = {**_COMMON, "image": Key(_IMAGE), "operator": Key(_OPERATOR),
+          "noise": Key(_NOISE, None), "denoiser": Key(_DENOISER, None),
+          "solver": Key(_SOLVER)}
+_CONFIG = OneOf({
+    "deblur": _SOLVE,
+    "inpaint": _SOLVE,
+    "denoise": {**_SOLVE, "operator": Key(_OPERATOR, {"kind": "identity"})},
+    "sample": {**_COMMON, "operator": Key(_OPERATOR), "prior": Key(_PRIOR),
+               "sampler": Key(_SAMPLER), "save_samples": Key(bool, False)},
+    "sweep": {**_COMMON, "sweep": Key(_SWEEP, {})},
+    "diagnose": {**_COMMON, "denoiser": Key(_DENOISER), "probe": Key(_PROBE, {}),
+                 "mu": Key(float, 1.0, gt=0.0)},
+    "compare": {**_COMMON, "images": Key([_IMAGE], min_len=1), "operator": Key(_OPERATOR),
+                "noise": Key(_NOISE, None), "denoiser": Key(_DENOISER, None),
+                "solvers": Key([_SOLVER], min_len=2)},
+}, tag="task")
+_PLOT = {"traces": Key([PATH], min_len=1), "output": Key(str, "plot.svg")}
+
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a finite number",
+               str: "a string", PATH: "a path to a file"}
+_BOUNDS = (("gt", ">", operator.gt), ("ge", ">=", operator.ge), ("le", "<=", operator.le))
+
+
+def _number(value, kind):
+    """``value`` as an int or a finite float (``kind``), or None when it is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    if kind is int and isinstance(value, numbers.Integral):
+        return int(value)
+    with contextlib.suppress(OverflowError):
+        value = float(value)
+        if math.isfinite(value) and (kind is float or value.is_integer()):
+            return kind(value)
+    return None
+
+
+def _form(spec: dict, table, where: str) -> dict:
+    """The plain table of the form ``spec`` takes, with the tag keys that chose it."""
+    tags = {}
+    while isinstance(table, OneOf):
+        if table.tag is None:
+            given = [k for k in table.tables if k in spec]
+            if len(given) != 1:
+                names = " or ".join(repr(k) for k in table.tables)
+                raise ConfigError(f"{where}: give exactly one of {names}")
+            table = table.tables[given[0]]
+            continue
+        if table.tag not in spec:
+            raise ConfigError(f"{where}: missing required keys [{table.tag!r}]")
+        tags[table.tag] = Key(str, choices=tuple(table.tables))
+        table = table.tables[_value(spec[table.tag], tags[table.tag], where, table.tag)]
+    return {**tags, **table}
+
+
+def _read(spec, table, where: str) -> dict:
+    """Check a config section against its table; return it with defaults filled in."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(spec).__name__}")
+    table = _form(spec, table, where)
+    unknown = set(spec) - set(table)
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; allowed {sorted(allowed)}")
-    missing = required - set(doc)
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; allowed {sorted(table)}")
+    missing = [name for name, key in table.items() if key.default is REQUIRED and name not in spec]
     if missing:
         raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
+    return {name: _value(spec[name] if name in spec else key.default, key, where, name)
+            for name, key in table.items()}
+
+
+def _value(value, key: Key, where: str, name: str):
+    """Check one value of a section; return it normalized (numbers typed, lists copied)."""
+    kind = key.type
+    if value is None and key.default is None:
+        return None
+    if isinstance(kind, (dict, OneOf)):
+        return _read(value, kind, f"{where}.{name}")
+    if isinstance(kind, list):
+        if not isinstance(value, list) or len(value) < key.min_len:
+            least = f" of length >= {key.min_len}" if key.min_len else ""
+            raise ConfigError(f"{where}: {name} must be a list{least}, got {value!r:.60}")
+        entry = replace(key, type=kind[0], default=REQUIRED, min_len=0)
+        return [_value(v, entry, where, f"{name}[{i}]") for i, v in enumerate(value)]
+    if kind in (int, float):
+        checked = _number(value, kind)
+    elif kind is bool:
+        checked = value if isinstance(value, bool) else None
+    else:  # str or PATH
+        checked = value if isinstance(value, str) else None
+    if checked is None:
+        raise ConfigError(f"{where}: {name} must be {_TYPE_NAMES[kind]}, got {value!r:.60}")
+    if key.choices and checked not in key.choices:
+        raise ConfigError(f"{where}: {name} must be one of {', '.join(key.choices)}; "
+                          f"got {checked!r:.60}")
+    for field, sign, holds in _BOUNDS:
+        bound = getattr(key, field)
+        if bound is not None and not holds(checked, bound):
+            raise ConfigError(f"{where}: {name} must be {sign} {bound:g}, got {checked!r}")
+    if kind == PATH and not Path(checked).is_file():
+        raise ConfigError(f"{where}: file does not exist: {checked}")
+    return checked
+
+
+@contextlib.contextmanager
+def _section(where: str):
+    """Report a value the library rejects as a ConfigError naming its section."""
+    try:
+        yield
+    except (ValueError, TypeError, OSError, ShapeError, ParseError, ConfigError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def validate_config(doc: dict) -> dict:
+    """Check an experiment config; return it with every default filled in."""
+    return _read(doc, _CONFIG, "config")
+
+
+def _load_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description; round-trips losslessly via JSON."""
+    """Validated experiment description, defaults filled in; round-trips via JSON."""
 
     doc: dict
 
@@ -133,19 +368,11 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        validate_config(doc)
-        return ExperimentConfig(doc)
+        return ExperimentConfig(validate_config(doc))
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}")
-        return ExperimentConfig.from_dict(doc)
+        return ExperimentConfig.from_dict(_load_json(path))
 
     def to_dict(self) -> dict:
         return json.loads(self.to_json())
@@ -154,169 +381,8 @@ class ExperimentConfig:
         return json.dumps(self.doc, sort_keys=True, separators=(",", ":"))
 
 
-def _validate_image(spec, where):
-    _check_keys(spec, {"builtin", "size", "path"}, set(), where)
-    if ("builtin" in spec) == ("path" in spec):
-        raise ConfigError(f"{where}: give exactly one of 'builtin' or 'path'")
-    if "builtin" in spec and spec["builtin"] not in ("shapes", "ramp"):
-        raise ConfigError(f"{where}: unknown builtin image {spec['builtin']!r}")
-    if "path" in spec and not Path(spec["path"]).exists():
-        raise ConfigError(f"{where}: file does not exist: {spec['path']}")
-
-
-def _validate_kernel(spec, where):
-    _check_keys(spec, {"builtin", "size", "sigma", "radius", "path"}, set(), where)
-    if ("builtin" in spec) == ("path" in spec):
-        raise ConfigError(f"{where}: give exactly one of 'builtin' or 'path'")
-    if "builtin" in spec and spec["builtin"] not in ("uniform", "gaussian"):
-        raise ConfigError(f"{where}: unknown builtin kernel {spec['builtin']!r}")
-    if "path" in spec and not Path(spec["path"]).exists():
-        raise ConfigError(f"{where}: file does not exist: {spec['path']}")
-
-
-def _validate_operator(spec, where):
-    _check_keys(spec, {"kind", "kernel", "density", "path", "entries"}, {"kind"}, where)
-    kind = spec["kind"]
-    if kind not in ("blur", "mask", "identity", "diagonal"):
-        raise ConfigError(f"{where}: unknown operator kind {kind!r}")
-    if kind == "blur":
-        if "kernel" not in spec:
-            raise ConfigError(f"{where}: blur operator needs a 'kernel'")
-        _validate_kernel(spec["kernel"], where + ".kernel")
-    if kind == "diagonal" and "entries" not in spec:
-        raise ConfigError(f"{where}: diagonal operator needs 'entries'")
-    if kind == "mask" and "path" in spec and not Path(spec["path"]).exists():
-        raise ConfigError(f"{where}: file does not exist: {spec['path']}")
-
-
-def _validate_denoiser(spec, where):
-    allowed = {
-        "tv": {"kind", "c", "tol", "max_iter"},
-        "gaussian": {"kind", "kernel_sigma", "radius"},
-        "nlm": {"kind", "patch_radius", "window_radius", "h"},
-        "spectral": {"kind", "transform", "lam", "profile"},
-        "gs": {"kind", "kernel_sigma", "floor", "weight"},
-        "gmm": {"kind", "path", "weights", "means", "variances"},
-    }
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"{where}: denoiser spec needs a 'kind'")
-    kind = spec["kind"]
-    if kind not in allowed:
-        raise ConfigError(f"{where}: unknown denoiser kind {kind!r}; "
-                          f"valid {sorted(allowed)}")
-    _check_keys(spec, allowed[kind], {"kind"}, where)
-    if kind == "gmm" and "path" in spec and not Path(spec["path"]).exists():
-        raise ConfigError(f"{where}: file does not exist: {spec['path']}")
-
-
-def _validate_solver(spec, where):
-    _check_keys(
-        spec,
-        {"algo", "step", "alpha", "rho", "lam", "tau", "eta", "L", "sigma",
-         "max_iter", "tol", "backtracking", "reg", "rho_schedule", "sigma_schedule"},
-        {"algo"},
-        where,
-    )
-    if spec["algo"] not in VALID_ALGOS:
-        raise ConfigError(
-            f"{where}: unknown algo {spec['algo']!r}; valid algos: {', '.join(VALID_ALGOS)}"
-        )
-    if "reg" in spec:
-        reg = spec["reg"]
-        _check_keys(reg, {"kind", "weight", "levels", "lo", "hi"}, {"kind"}, where + ".reg")
-        if reg["kind"] not in ("l1", "box", "tv", "wavelet", "zero"):
-            raise ConfigError(f"{where}.reg: unknown reg kind {reg['kind']!r}")
-    try:
-        _solver_config(spec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    red_gd = spec["algo"] == "red-gd"
-    # key -> (lower bound, bound allowed), as the drivers require
-    bounds = {"L": (1.0, False), "eta": (0.0, False), "tau": (0.0, False),
-              "lam": (0.0, red_gd), "sigma": (0.0, not red_gd)}
-    for key, (bound, closed) in bounds.items():
-        if key not in spec:
-            continue
-        try:
-            value = float(spec[key])
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}: {key} must be a number") from None
-        if not math.isfinite(value) or value < bound or (value == bound and not closed):
-            relation = ">=" if closed else ">"
-            raise ConfigError(f"{where}: {key} must be finite and {relation} {bound:g}")
-
-
-def _validate_noise(spec, where):
-    _check_keys(spec, {"percent", "sigma"}, set(), where)
-    if ("percent" in spec) == ("sigma" in spec):
-        raise ConfigError(f"{where}: give exactly one of 'percent' or 'sigma'")
-
-
-def validate_config(doc: dict) -> None:
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    task = doc.get("task")
-    if task not in TASKS:
-        raise ConfigError(f"config task must be one of {TASKS}, got {task!r}")
-
-    common = {"task", "seed", "output"}
-    if task in SOLVE_TASKS:
-        _check_keys(doc, common | {"image", "operator", "noise", "denoiser", "solver"},
-                    {"task", "image", "solver"}, "config")
-        _validate_image(doc["image"], "config.image")
-        if "operator" in doc:
-            _validate_operator(doc["operator"], "config.operator")
-        elif task != "denoise":
-            raise ConfigError(f"config: task {task!r} needs an 'operator'")
-        if "noise" in doc:
-            _validate_noise(doc["noise"], "config.noise")
-        if "denoiser" in doc:
-            _validate_denoiser(doc["denoiser"], "config.denoiser")
-        _validate_solver(doc["solver"], "config.solver")
-    elif task == "compare":
-        _check_keys(doc, common | {"images", "operator", "noise", "denoiser", "solvers"},
-                    {"task", "images", "operator", "solvers"}, "config")
-        if not isinstance(doc["solvers"], list) or len(doc["solvers"]) < 2:
-            raise ConfigError("config.solvers: compare needs at least 2 solvers")
-        if not isinstance(doc["images"], list) or len(doc["images"]) < 1:
-            raise ConfigError("config.images: compare needs at least 1 image")
-        for i, s in enumerate(doc["solvers"]):
-            _validate_solver(s, f"config.solvers[{i}]")
-        for i, im in enumerate(doc["images"]):
-            _validate_image(im, f"config.images[{i}]")
-        _validate_operator(doc["operator"], "config.operator")
-        if "noise" in doc:
-            _validate_noise(doc["noise"], "config.noise")
-        if "denoiser" in doc:
-            _validate_denoiser(doc["denoiser"], "config.denoiser")
-    elif task == "sweep":
-        _check_keys(doc, common | {"sweep"}, {"task"}, "config")
-        sweep = doc.get("sweep", {})
-        _check_keys(sweep, {"c", "eta", "k_min", "k_max", "diag", "x_true", "deltas"},
-                    set(), "config.sweep")
-    elif task == "diagnose":
-        _check_keys(doc, common | {"denoiser", "probe", "mu"}, {"task", "denoiser"}, "config")
-        _validate_denoiser(doc["denoiser"], "config.denoiser")
-        probe = doc.get("probe", {})
-        _check_keys(probe, {"shape", "sigma", "probes", "fd_step"}, set(), "config.probe")
-    elif task == "sample":
-        _check_keys(doc, common | {"operator", "prior", "sampler", "save_samples"},
-                    {"task", "operator", "prior", "sampler"}, "config")
-        _validate_operator(doc["operator"], "config.operator")
-        prior = doc["prior"]
-        if "path" in prior:
-            _check_keys(prior, {"path"}, {"path"}, "config.prior")
-            if not Path(prior["path"]).exists():
-                raise ConfigError(f"config.prior: file does not exist: {prior['path']}")
-        else:
-            _check_keys(prior, {"weights", "means", "variances"},
-                        {"weights", "means", "variances"}, "config.prior")
-        _check_keys(doc["sampler"], {"delta", "sigma", "sigma_w", "kept", "burn_in", "thin"},
-                    {"delta", "sigma", "sigma_w"}, "config.sampler")
-
-
 # ---------------------------------------------------------------------------
-# Builders
+# Builders: each reads a filled section
 # ---------------------------------------------------------------------------
 
 
@@ -347,44 +413,30 @@ def builtin_image(name: str, size: int = 64) -> np.ndarray:
 
 def build_image(spec: dict) -> tuple[np.ndarray, str]:
     if "builtin" in spec:
-        name = spec["builtin"]
-        return builtin_image(name, int(spec.get("size", 64))), name
-    sig = load_signal(spec["path"])
-    return sig.to_array(), Path(spec["path"]).stem
+        return builtin_image(spec["builtin"], spec["size"]), spec["builtin"]
+    return load_signal(spec["path"]).to_array(), Path(spec["path"]).stem
 
 
 def build_kernel(spec: dict) -> np.ndarray:
     if "path" in spec:
         return load_signal(spec["path"]).to_array()
+    size = spec["size"]
     if spec["builtin"] == "uniform":
-        size = int(spec.get("size", 9))
-        if size % 2 == 0:
-            raise ConfigError("uniform kernel size must be odd")
         return np.full((size, size), 1.0 / (size * size))
-    from .denoisers import gaussian_kernel
-
-    return gaussian_kernel(float(spec.get("sigma", 1.5)), ndim=2,
-                           radius=spec.get("radius"))
+    return gaussian_kernel(spec["sigma"], ndim=2, radius=spec["radius"])
 
 
 def build_operator(spec: dict, shape, rng: Rng) -> LinearOp:
     kind = spec["kind"]
-    if kind == "identity":
-        return identity_op(shape)
     if kind == "blur":
         return make_blur(build_kernel(spec["kernel"]), shape)
     if kind == "mask":
-        if "path" in spec:
-            mask = load_signal(spec["path"]).to_array() > 0.5
-        else:
-            density = float(spec.get("density", 0.5))
-            if not (0.0 < density <= 1.0):
-                raise ConfigError("mask density must lie in (0, 1]")
-            mask = rng.uniform(0.0, 1.0, tuple(shape)) < density
-        return make_mask(mask)
+        if spec["path"] is not None:
+            return make_mask(load_signal(spec["path"]).to_array() > 0.5)
+        return make_mask(rng.uniform(0.0, 1.0, tuple(shape)) < spec["density"])
     if kind == "diagonal":
         return DiagonalOp(np.asarray(spec["entries"], dtype=np.float64))
-    raise ConfigError(f"unknown operator kind {kind!r}")
+    return identity_op(shape)
 
 
 def build_gmm_prior(spec: dict) -> GmmPrior:
@@ -395,129 +447,109 @@ def build_gmm_prior(spec: dict) -> GmmPrior:
 
 
 def build_denoiser(spec: dict, shape) -> Denoiser:
+    """The denoiser of a ``denoiser`` config section, for signals of ``shape``."""
+    spec = _read(spec, _DENOISER, "denoiser")
     kind = spec["kind"]
     if kind == "tv":
-        return tv_denoiser(c=float(spec.get("c", 1.0)), tol=spec.get("tol"),
-                           max_iter=int(spec.get("max_iter", 200000)))
+        return tv_denoiser(c=spec["c"], tol=spec["tol"], max_iter=spec["max_iter"])
     if kind == "gaussian":
-        return gaussian_filter_denoiser(float(spec.get("kernel_sigma", 1.5)),
-                                        radius=spec.get("radius"))
+        return gaussian_filter_denoiser(spec["kernel_sigma"], radius=spec["radius"])
     if kind == "nlm":
-        return nlm_denoiser(int(spec.get("patch_radius", 1)),
-                            int(spec.get("window_radius", 3)),
-                            float(spec.get("h", 0.3)))
+        return nlm_denoiser(spec["patch_radius"], spec["window_radius"], spec["h"])
     if kind == "spectral":
-        family = tikhonov_spectral_family(shape, transform=spec.get("transform", "dct"),
-                                          profile=spec.get("profile"))
-        return linear_spectral_denoiser(family, float(spec.get("lam", 0.1)))
+        family = tikhonov_spectral_family(shape, transform=spec["transform"],
+                                          profile=spec["profile"])
+        return linear_spectral_denoiser(family, spec["lam"])
     if kind == "gs":
-        smoother = gaussian_smoother(shape, float(spec.get("kernel_sigma", 1.5)),
-                                     floor=float(spec.get("floor", 0.1)))
-        return gs_denoiser(smoother, weight=float(spec.get("weight", 1.0)))
-    if kind == "gmm":
-        return mmse_gmm_denoiser(build_gmm_prior(spec))
-    raise ConfigError(f"unknown denoiser kind {kind!r}")
+        smoother = gaussian_smoother(shape, spec["kernel_sigma"], floor=spec["floor"])
+        return gs_denoiser(smoother, weight=spec["weight"])
+    denoiser = mmse_gmm_denoiser(build_gmm_prior(spec))
+    denoiser.apply(np.zeros(shape))  # the prior checks its dimension against the signal's
+    return denoiser
 
 
 def build_reg_prox(spec: dict):
     kind = spec["kind"]
-    weight = float(spec.get("weight", 1.0))
     if kind == "l1":
-        return l1_prox(weight)
+        return l1_prox(spec["weight"])
     if kind == "box":
-        return box_prox(float(spec.get("lo", 0.0)), float(spec.get("hi", 1.0)))
+        return box_prox(spec["lo"], spec["hi"])
     if kind == "tv":
-        return tv_prox(weight)
+        return tv_prox(spec["weight"])
     if kind == "wavelet":
-        return wavelet_l1_prox(weight, levels=int(spec.get("levels", 1)))
-    if kind == "zero":
-        return zero_prox()
-    raise ConfigError(f"unknown reg kind {kind!r}")
+        return wavelet_l1_prox(spec["weight"], levels=spec["levels"])
+    return zero_prox()
 
 
-def noise_sigma(spec: dict | None) -> float:
-    if spec is None:
-        return 0.0
-    if "percent" in spec:
-        return 0.01 * float(spec["percent"])  # percent of the unit peak
-    return float(spec["sigma"])
+def _build_problem(spec: dict, image_spec: dict, rng: Rng, where: str, image_index: int = 0):
+    """Build (x_true, name, K, y, denoiser) for a solve/compare config.
+
+    The solver runs of one image share these read-only.
+    """
+    with _section(where):
+        x_true, name = build_image(image_spec)
+    x_true.setflags(write=False)
+    with _section("config.operator"):
+        op = build_operator(spec["operator"], x_true.shape, rng.child(7))
+        y_clean = op.apply(x_true)
+    noise = spec["noise"]
+    with _section("config.noise"):
+        sigma = (0.0 if noise is None
+                 else 0.01 * noise["percent"] if "percent" in noise else noise["sigma"])
+        y = as_array(add_gaussian_noise(Signal.from_array(y_clean), sigma,
+                                        rng.child(100 + image_index)))
+    with _section("config.denoiser"):
+        denoiser = (None if spec["denoiser"] is None
+                    else build_denoiser(spec["denoiser"], x_true.shape))
+    return x_true, name, op, y, denoiser
 
 
-def _solver_config(spec: dict) -> SolverConfig:
-    return SolverConfig(
-        step=float(spec.get("step", 1.0)),
-        alpha=float(spec.get("alpha", 0.5)),
-        rho=float(spec.get("rho", 1.0)),
-        max_iter=int(spec.get("max_iter", 200)),
-        tol=float(spec.get("tol", 1e-9)),
-        record_time=False,  # byte-identical outputs for identical config+seed
-    )
+def _solver_run(spec: dict, problem, where: str):
+    """Check a filled solver section against its problem; return its run.
 
-
-def run_algo(algo: str, spec: dict, op: LinearOp, y: np.ndarray,
-             denoiser: Denoiser | None, reference: np.ndarray | None):
-    """Dispatch one solver spec against a measurement; returns (Signal, Trace)."""
-    cfg = _solver_config(spec)
-    fid = SmoothFn.least_squares(op, y)
-    x0 = op._adjoint(y)
-    sigma = float(spec.get("sigma", 0.0))
-    lam = float(spec.get("lam", 1.0))
-
-    def denoiser_slot():
-        if denoiser is None:
-            raise ConfigError(f"algo {algo!r} needs a denoiser in the config")
-        return RegSlot(denoiser=denoiser, sigma=sigma)
-
-    def prox_slot():
-        if "reg" not in spec:
-            if denoiser is not None:
-                return denoiser_slot()
-            raise ConfigError(f"algo {algo!r} needs either a 'reg' spec or a denoiser")
-        return RegSlot(prox=build_reg_prox(spec["reg"]))
-
-    if algo in ("pgd", "pnp-pgd"):
-        slot = denoiser_slot() if algo.startswith("pnp") else prox_slot()
-        return run_pgd(fid, slot, cfg, x0, reference=reference)
-    if algo in ("apgd", "pnp-apgd"):
-        slot = denoiser_slot() if algo.startswith("pnp") else prox_slot()
-        return run_apgd(fid, slot, cfg, x0, reference=reference)
-    if algo == "drs":
-        return run_drs(quadratic_fidelity_prox(op, y), prox_slot(), cfg, x0,
-                       reference=reference)
-    if algo == "pnp-drs":
-        return run_drs(denoiser_slot(), quadratic_fidelity_prox(op, y), cfg, x0,
-                       reference=reference)
-    if algo == "pnp-drsdiff":
-        return run_drs(quadratic_fidelity_prox(op, y), denoiser_slot(), cfg, x0,
-                       reference=reference)
-    if algo in ("admm", "pnp-admm"):
-        slot = denoiser_slot() if algo.startswith("pnp") else prox_slot()
-        return run_admm(op, y, slot, cfg, reference=reference)
-    if algo == "hqs":
-        slot = denoiser_slot() if denoiser is not None else prox_slot()
-        return run_hqs(op, y, slot, cfg, rho_schedule=spec.get("rho_schedule"),
-                       sigma_schedule=spec.get("sigma_schedule"), reference=reference)
-    if algo == "red-gd":
-        if denoiser is None:
-            raise ConfigError("red-gd needs a denoiser")
-        return run_red_gd(op, y, denoiser, lam=lam, sigma=float(spec.get("sigma", 1.0)),
-                          eta=float(spec.get("eta", cfg.step)), cfg=cfg,
-                          reference=reference)
-    if algo in ("red-pg", "red-apg"):
-        if denoiser is None:
-            raise ConfigError(f"{algo} needs a denoiser")
-        runner = run_red_pg if algo == "red-pg" else run_red_apg
-        return runner(op, y, denoiser, lam=lam, L=float(spec.get("L", 2.0)), cfg=cfg,
-                      sigma=sigma, reference=reference)
-    if algo == "gs-pnp":
-        if denoiser is None or denoiser.potential is None:
+    The run takes no arguments and returns (Signal, Trace).
+    """
+    algo = spec["algo"]
+    ref, _, op, y, den = problem
+    with _section(where):
+        cfg = SolverConfig(**{k: spec[k] for k in ("step", "alpha", "rho", "max_iter", "tol")},
+                           record_time=False)  # byte-identical outputs for identical config+seed
+        prox = None if spec["reg"] is None else RegSlot(prox=build_reg_prox(spec["reg"]))
+        plug = None if den is None else RegSlot(denoiser=den, sigma=spec["sigma"])
+        slot = (plug or prox) if algo == "hqs" else (prox or plug) if algo in PROX_ALGOS else plug
+        if slot is None:
+            needs = ("either a 'reg' spec or a denoiser" if algo in PROX_ALGOS + ("hqs",)
+                     else "a denoiser in the config")
+            raise ConfigError(f"algo {algo!r} needs {needs}")
+        if algo == "gs-pnp" and den.potential is None:
             raise ConfigError("gs-pnp needs a gradient-step denoiser (kind 'gs')")
-        return run_gs_pnp(op, y, denoiser, cfg,
-                          lam=float(spec["lam"]) if "lam" in spec else None,
-                          tau=float(spec["tau"]) if "tau" in spec else None,
-                          backtracking=bool(spec.get("backtracking", False)),
-                          reference=reference)
-    raise ConfigError(f"unknown algo {algo!r}; valid algos: {', '.join(VALID_ALGOS)}")
+
+    def run():
+        x0 = op._adjoint(y)
+        if algo in ("pgd", "pnp-pgd", "apgd", "pnp-apgd"):
+            driver = run_apgd if algo.endswith("apgd") else run_pgd
+            return driver(SmoothFn.least_squares(op, y), slot, cfg, x0, reference=ref)
+        if algo in ("drs", "pnp-drsdiff"):
+            return run_drs(quadratic_fidelity_prox(op, y), slot, cfg, x0, reference=ref)
+        if algo == "pnp-drs":
+            return run_drs(slot, quadratic_fidelity_prox(op, y), cfg, x0, reference=ref)
+        if algo in ("admm", "pnp-admm"):
+            return run_admm(op, y, slot, cfg, reference=ref)
+        if algo == "hqs":
+            return run_hqs(op, y, slot, cfg, rho_schedule=spec["rho_schedule"],
+                           sigma_schedule=spec["sigma_schedule"], reference=ref)
+        if algo == "red-gd":
+            eta = cfg.step if spec["eta"] is None else spec["eta"]
+            return run_red_gd(op, y, den, lam=spec["lam"], sigma=spec["sigma"], eta=eta,
+                              cfg=cfg, reference=ref)
+        if algo in ("red-pg", "red-apg"):
+            runner = run_red_pg if algo == "red-pg" else run_red_apg
+            return runner(op, y, den, lam=spec["lam"], L=spec["L"], cfg=cfg,
+                          sigma=spec["sigma"], reference=ref)
+        return run_gs_pnp(op, y, den, cfg, lam=spec["lam"], tau=spec["tau"],
+                          backtracking=spec["backtracking"], reference=ref)
+
+    return run
 
 
 def _worker_count() -> int:
@@ -543,40 +575,23 @@ def _write_json(doc: dict, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each builds its problem, then makes its output directory
 # ---------------------------------------------------------------------------
 
 
-def _prepare_out(cfg_doc: dict, out_override) -> Path:
-    out = Path(out_override or cfg_doc.get("output", "out"))
-    out.mkdir(parents=True, exist_ok=True)
+def _prepare_out(path) -> Path:
+    out = Path(path)
+    with _section("config.output"):
+        out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _simulate_measurement(doc: dict, image_spec: dict, seed: int, image_index: int = 0):
-    """Build (x_true, name, K, y) for a solve/compare config."""
-    x_true, name = build_image(image_spec)
-    rng = Rng(seed)
-    op_spec = doc.get("operator", {"kind": "identity"})
-    op = build_operator(op_spec, x_true.shape, rng.child(7))
-    y_clean = op._apply(x_true)
-    sigma = noise_sigma(doc.get("noise"))
-    y = as_array(add_gaussian_noise(Signal.from_array(y_clean), sigma,
-                                    rng.child(100 + image_index)))
-    return x_true, name, op, y
-
-
-def cmd_solve(config: ExperimentConfig, out_dir, seed: int) -> int:
-    doc = config.doc
-    out = _prepare_out(doc, out_dir)
-    x_true, name, op, y = _simulate_measurement(doc, doc["image"], seed)
-    denoiser = build_denoiser(doc["denoiser"], x_true.shape) if "denoiser" in doc else None
-    solver = doc["solver"]
-    try:
-        recon, trace = run_algo(solver["algo"], solver, op, y, denoiser, x_true)
-    except DivergenceError as exc:
-        print(f"solve: diverged at step {exc.step}", file=sys.stderr)
-        return EXIT_DIVERGED
+def cmd_solve(spec: dict, rng: Rng, args) -> int:
+    problem = _build_problem(spec, spec["image"], rng, "config.image")
+    run = _solver_run(spec["solver"], problem, "config.solver")
+    out = _prepare_out(args.out or spec["output"])
+    recon, trace = run()
+    x_true, name, _, y, _ = problem
     save_signal(recon, out / "recon.raw")
     save_signal(Signal.from_array(np.clip(recon.to_array(), 0.0, 1.0)), out / "recon.pgm")
     write_trace(trace, out / "trace.csv")
@@ -585,11 +600,11 @@ def cmd_solve(config: ExperimentConfig, out_dir, seed: int) -> int:
         "input_psnr": psnr(y, x_true) if y.shape == x_true.shape else None,
         "iters": int(trace.last().iter),
         "stop_reason": trace.stop_reason,
-        "seed": seed,
+        "seed": rng.seed,
         "image": name,
     }
     _write_json(summary, out / "summary.json")
-    print(f"solve[{solver['algo']}] {name}: psnr {summary['final_psnr']:.2f} dB "
+    print(f"solve[{spec['solver']['algo']}] {name}: psnr {summary['final_psnr']:.2f} dB "
           f"after {summary['iters']} iters ({trace.stop_reason})")
     return EXIT_OK
 
@@ -610,29 +625,26 @@ def _residual_slope(trace: Trace) -> float:
     return float(coef[0])
 
 
-def cmd_compare(config: ExperimentConfig, out_dir, seed: int) -> int:
-    doc = config.doc
-    out = _prepare_out(doc, out_dir)
-
+def cmd_compare(spec: dict, rng: Rng, args) -> int:
     jobs = []
-    for i, image_spec in enumerate(doc["images"]):
-        for solver in doc["solvers"]:
-            jobs.append((i, image_spec, solver))
+    for i, image_spec in enumerate(spec["images"]):
+        problem = _build_problem(spec, image_spec, rng, f"config.images[{i}]", image_index=i)
+        x_true, name = problem[:2]
+        for j, solver in enumerate(spec["solvers"]):
+            run = _solver_run(solver, problem, f"config.solvers[{j}]")
+            jobs.append((solver["algo"], f"{i:02d}_{name}", x_true, run))
+    out = _prepare_out(args.out or spec["output"])
 
     def run_one(job):
-        i, image_spec, solver = job
-        x_true, name, op, y = _simulate_measurement(doc, image_spec, seed, image_index=i)
-        denoiser = (build_denoiser(doc["denoiser"], x_true.shape)
-                    if "denoiser" in doc else None)
-        label = f"{solver['algo']}_{i:02d}_{name}"
+        algo, image, x_true, run = job
         try:
-            recon, trace = run_algo(solver["algo"], solver, op, y, denoiser, x_true)
+            recon, trace = run()
             final_psnr = psnr(recon, x_true)
         except DivergenceError as exc:
             trace = exc.trace if exc.trace is not None else Trace()
             trace.stop_reason = "diverged"
             final_psnr = psnr(exc.last, x_true) if exc.last is not None else math.nan
-        write_trace(trace, out / f"trace_{label}.csv")
+        write_trace(trace, out / f"trace_{algo}_{image}.csv")
         res = trace.column("step_residual")
         finite = res[np.isfinite(res)]
         slope = _residual_slope(trace)
@@ -640,8 +652,8 @@ def cmd_compare(config: ExperimentConfig, out_dir, seed: int) -> int:
             trace.stop_reason == "tolerance" or (math.isfinite(slope) and slope <= -0.35)
         )
         return {
-            "solver": solver["algo"],
-            "image": f"{i:02d}_{name}",
+            "solver": algo,
+            "image": image,
             "final_psnr": final_psnr,
             "min_residual": float(np.min(finite)) if finite.size else math.nan,
             "residual_slope": slope,
@@ -662,35 +674,27 @@ def cmd_compare(config: ExperimentConfig, out_dir, seed: int) -> int:
     return EXIT_OK
 
 
-DEFAULT_SWEEP_DIAG = (2.0, 1.7, 1.4, 1.1)
-DEFAULT_SWEEP_X = (0.15, 0.15, 0.15, 0.15)
-
-
-def cmd_sweep(config: ExperimentConfig, out_dir, seed: int, do_assert: bool) -> int:
-    doc = config.doc
-    out = _prepare_out(doc, out_dir)
-    sweep = doc.get("sweep", {})
-    c = float(sweep.get("c", 0.5))
-    eta = float(sweep.get("eta", 0.45))
-    diag = np.asarray(sweep.get("diag", DEFAULT_SWEEP_DIAG), dtype=np.float64)
-    x_true = np.asarray(sweep.get("x_true", DEFAULT_SWEEP_X), dtype=np.float64)
+def cmd_sweep(spec: dict, rng: Rng, args) -> int:
+    sweep = spec["sweep"]
+    c = sweep["c"]
+    diag = np.asarray(sweep["diag"], dtype=np.float64)
+    x_true = np.asarray(sweep["x_true"], dtype=np.float64)
     if diag.shape != x_true.shape:
-        raise ConfigError("sweep diag and x_true must have the same length")
-    if "deltas" in sweep:
-        deltas = [float(d) for d in sweep["deltas"]]
-    else:
-        k_min = int(sweep.get("k_min", 1))
-        k_max = int(sweep.get("k_max", 8))
-        deltas = [2.0 ** (-k) for k in range(k_min, k_max + 1)]
+        raise ConfigError("config.sweep: diag and x_true must have the same length")
+    deltas = sweep["deltas"]
+    if deltas is None:
+        deltas = [2.0 ** (-k) for k in range(sweep["k_min"], sweep["k_max"] + 1)]
+    with _section("config.sweep"):
+        fid_cfg = SolverConfig(step=sweep["eta"], max_iter=100000, tol=1e-14,
+                               eval_objective=False, record_time=False)
+    out = _prepare_out(args.out or spec["output"])
 
     op = DiagonalOp(diag)
     y0 = op._apply(x_true)
     x_dagger = naive_svd_solve(as_dense(op), y0)
-    direction = Rng(seed).standard_normal(diag.shape)
+    direction = rng.standard_normal(diag.shape)
     direction /= np.linalg.norm(direction)
     family = tikhonov_spectral_family(diag.shape, transform="identity")
-    fid_cfg = SolverConfig(step=eta, max_iter=100000, tol=1e-14, eval_objective=False,
-                           record_time=False)
 
     rows = []
     for delta in deltas:
@@ -715,29 +719,25 @@ def cmd_sweep(config: ExperimentConfig, out_dir, seed: int, do_assert: bool) -> 
 
     errors = [r[2] for r in rows]
     monotone = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
-    if do_assert and not monotone:
+    if args.do_assert and not monotone:
         print("sweep: error column is not strictly decreasing", file=sys.stderr)
         return EXIT_ASSERT
     return EXIT_OK
 
 
-def cmd_diagnose(config: ExperimentConfig, out_dir, seed: int) -> int:
-    doc = config.doc
-    out = _prepare_out(doc, out_dir)
-    probe = doc.get("probe", {})
-    shape = tuple(int(s) for s in probe.get("shape", (16, 16)))
-    sigma = float(probe.get("sigma", 0.1))
-    probes = int(probe.get("probes", 2))
-    fd_step = probe.get("fd_step")
-    mu = float(doc.get("mu", 1.0))
-    denoiser = build_denoiser(doc["denoiser"], shape)
-    rng = Rng(seed)
-
-    eps = estimate_residual_lipschitz(denoiser, sigma, shape, probes=probes,
-                                      fd_step=fd_step, rng=rng.child(1))
-    x_probe = rng.child(2).uniform(0.0, 1.0, shape)
-    asym = jacobian_asymmetry(denoiser, x_probe, sigma, fd_step=fd_step)
-    hom = homogeneity_defect(denoiser, x_probe, sigma)
+def cmd_diagnose(spec: dict, rng: Rng, args) -> int:
+    probe = spec["probe"]
+    shape = tuple(probe["shape"])
+    sigma, fd_step, mu = probe["sigma"], probe["fd_step"], spec["mu"]
+    with _section("config.denoiser"):
+        denoiser = build_denoiser(spec["denoiser"], shape)
+    # the diagnostics themselves check the probe settings
+    with _section("config.probe"):
+        eps = estimate_residual_lipschitz(denoiser, sigma, shape, probes=probe["probes"],
+                                          fd_step=fd_step, rng=rng.child(1))
+        x_probe = rng.child(2).uniform(0.0, 1.0, shape)
+        asym = jacobian_asymmetry(denoiser, x_probe, sigma, fd_step=fd_step)
+        hom = homogeneity_defect(denoiser, x_probe, sigma)
     if eps < 1.0:
         gate = {"pnp_drsdiff_tau_min": eps / ((1.0 + eps - 2.0 * eps * eps) * mu)}
     else:
@@ -750,38 +750,33 @@ def cmd_diagnose(config: ExperimentConfig, out_dir, seed: int) -> int:
         "mu": mu,
         "theorem_gate": gate,
     }
+    out = _prepare_out(args.out or spec["output"])
     _write_json(report, out / "diagnose.json")
     print(json.dumps(report, sort_keys=True))
     return EXIT_OK
 
 
-def cmd_sample(config: ExperimentConfig, out_dir, seed: int) -> int:
-    doc = config.doc
-    out = _prepare_out(doc, out_dir)
-    prior = build_gmm_prior(doc["prior"])
-    rng = Rng(seed)
+def cmd_sample(spec: dict, rng: Rng, args) -> int:
+    with _section("config.prior"):
+        prior = build_gmm_prior(spec["prior"])
     x_true = sample_smoothed(prior, 0.0, rng.child(1))
-    op = build_operator(doc["operator"], x_true.shape, rng.child(7))
-    s = doc["sampler"]
-    cfg = UlaConfig(
-        delta=float(s["delta"]), sigma=float(s["sigma"]), sigma_w=float(s["sigma_w"]),
-        kept=int(s.get("kept", 2000)), burn_in=s.get("burn_in"),
-        thin=int(s.get("thin", 1)), seed=seed,
-    )
-    y = as_array(add_gaussian_noise(Signal.from_array(op._apply(x_true)), cfg.sigma_w,
-                                    rng.child(2)))
+    with _section("config.operator"):
+        op = build_operator(spec["operator"], x_true.shape, rng.child(7))
+        y_clean = op.apply(x_true)
+    s = spec["sampler"]
+    with _section("config.sampler"):
+        cfg = UlaConfig(delta=s["delta"], sigma=s["sigma"], sigma_w=s["sigma_w"],
+                        kept=s["kept"], burn_in=s["burn_in"], thin=s["thin"], seed=rng.seed)
+        y = as_array(add_gaussian_noise(Signal.from_array(y_clean), cfg.sigma_w, rng.child(2)))
     denoiser = mmse_gmm_denoiser(prior)
-    try:
-        stats, samples = run_pnp_ula(op, y, denoiser, cfg)
-    except DivergenceError as exc:
-        print(f"sample: chain diverged at step {exc.step}", file=sys.stderr)
-        return EXIT_DIVERGED
+    out = _prepare_out(args.out or spec["output"])
+    stats, samples = run_pnp_ula(op, y, denoiser, cfg)
 
     write_stats_csv(stats, out / "stats.csv")
-    if doc.get("save_samples", False):
+    if spec["save_samples"]:
         write_samples(samples, out / "samples.raw")
     summary = {
-        "seed": seed,
+        "seed": rng.seed,
         "count": stats.count,
         "ess": stats.ess,
         "stability": stats.stability,
@@ -892,22 +887,15 @@ def render_traces_svg(traces: list[Trace], labels: list[str]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def cmd_plot(config_doc: dict, out_dir) -> int:
-    _check_keys(config_doc, {"traces", "output"}, {"traces"}, "config")
-    paths = config_doc["traces"]
-    if not isinstance(paths, list) or not paths:
-        raise ConfigError("config.traces must be a non-empty list of CSV paths")
+def cmd_plot(spec: dict, rng, args) -> int:
     traces, labels = [], []
-    for p in paths:
+    for p in spec["traces"]:
         t = read_trace(p)
         if len(t) == 0:
             raise ParseError(f"{p}: trace has no rows")
         traces.append(t)
         labels.append(Path(p).stem)
-    out_name = config_doc.get("output", "plot.svg")
-    out = Path(out_dir) if out_dir else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    target = out / out_name
+    target = _prepare_out(args.out or ".") / spec["output"]
     target.write_text(render_traces_svg(traces, labels), encoding="utf-8")
     print(f"plot: wrote {target}")
     return EXIT_OK
@@ -917,12 +905,22 @@ def cmd_plot(config_doc: dict, out_dir) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+# command -> (the config tasks it runs, handler); a plot config has no task
+COMMANDS = {
+    "solve": (SOLVE_TASKS, cmd_solve),
+    "compare": (("compare",), cmd_compare),
+    "sweep": (("sweep",), cmd_sweep),
+    "diagnose": (("diagnose",), cmd_diagnose),
+    "sample": (("sample",), cmd_sample),
+    "plot": (None, cmd_plot),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pnpkit",
                                      description="plug-and-play experiment harness")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "compare", "sweep", "diagnose", "sample", "plot"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
@@ -934,48 +932,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    tasks, handler = COMMANDS[args.command]
     try:
-        if args.command == "plot":
-            try:
-                with open(args.config, "r", encoding="utf-8") as fh:
-                    doc = json.load(fh)
-            except FileNotFoundError:
-                raise ConfigError(f"config file not found: {args.config}")
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{args.config}: invalid JSON: {exc}")
-            return cmd_plot(doc, args.out)
-
-        config = ExperimentConfig.from_json(args.config)
-        seed = args.seed if args.seed is not None else int(config.doc.get("seed", 0))
-        task = config.task
-        if args.command == "solve":
-            if task not in SOLVE_TASKS:
-                raise ConfigError(f"'solve' expects task in {SOLVE_TASKS}, got {task!r}")
-            return cmd_solve(config, args.out, seed)
-        if args.command == "compare":
-            if task != "compare":
-                raise ConfigError(f"'compare' expects task 'compare', got {task!r}")
-            return cmd_compare(config, args.out, seed)
-        if args.command == "sweep":
-            if task != "sweep":
-                raise ConfigError(f"'sweep' expects task 'sweep', got {task!r}")
-            return cmd_sweep(config, args.out, seed, args.do_assert)
-        if args.command == "diagnose":
-            if task != "diagnose":
-                raise ConfigError(f"'diagnose' expects task 'diagnose', got {task!r}")
-            return cmd_diagnose(config, args.out, seed)
-        if args.command == "sample":
-            if task != "sample":
-                raise ConfigError(f"'sample' expects task 'sample', got {task!r}")
-            return cmd_sample(config, args.out, seed)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ParseError) as exc:
+        doc = _load_json(args.config)
+        if tasks is None:
+            return handler(_read(doc, _PLOT, "config"), None, args)
+        spec = validate_config(doc)
+        if spec["task"] not in tasks:
+            raise ConfigError(f"{args.command!r} expects task in {tasks}, "
+                              f"got {spec['task']!r}")
+        with _section("config.seed"):
+            rng = Rng(spec["seed"] if args.seed is None else args.seed)
+        return handler(spec, rng, args)
+    except (ConfigError, ParseError, ShapeError) as exc:  # shapes come from the config
         print(f"pnpkit: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DivergenceError as exc:
-        print(f"pnpkit: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except PnpkitError as exc:
+    except PnpkitError as exc:  # divergence, or an inner solve that missed its certificate
         print(f"pnpkit: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
 

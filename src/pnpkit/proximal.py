@@ -340,9 +340,13 @@ class ProxMap:
         return _wrap_like(v, self._evaluate_scaled(as_array(v), lam_arr))
 
 
-def l1_prox(weight: float = 1.0) -> ProxMap:
+def _check_weight(weight: float) -> None:
     if weight < 0:
         raise ValueError("weight must be nonnegative")
+
+
+def l1_prox(weight: float = 1.0) -> ProxMap:
+    _check_weight(weight)
     return ProxMap(
         "l1",
         lambda v, lam: as_array(soft_threshold(v, lam * weight)),
@@ -352,6 +356,9 @@ def l1_prox(weight: float = 1.0) -> ProxMap:
 
 
 def box_prox(lo: float = 0.0, hi: float = 1.0) -> ProxMap:
+    if lo > hi:
+        raise ValueError("box requires lo <= hi")
+
     def objective(x):
         arr = as_array(x)
         return 0.0 if (arr.min() >= lo - 1e-12 and arr.max() <= hi + 1e-12) else np.inf
@@ -400,6 +407,7 @@ def zero_prox() -> ProxMap:
 
 
 def tv_prox(weight: float = 1.0, tol: float | None = None, max_iter: int = 200000) -> ProxMap:
+    _check_weight(weight)
     return ProxMap(
         "tv",
         lambda v, lam: as_array(prox_tv(v, lam * weight, tol=tol, max_iter=max_iter)),
@@ -416,6 +424,9 @@ def tv_conj_prox(weight: float = 1.0, tol: float | None = None, max_iter: int = 
 
 
 def wavelet_l1_prox(weight: float = 1.0, levels: int = 1) -> ProxMap:
+    _check_weight(weight)
+    if levels < 1:
+        raise ValueError("levels must be >= 1")
     return ProxMap(
         "wavelet_l1",
         lambda v, lam: as_array(prox_wavelet_l1(v, lam * weight, levels)),

@@ -49,8 +49,10 @@ class UlaConfig:
             raise ValueError("sigma must be positive")
         if self.sigma_w <= 0:
             raise ValueError("sigma_w must be positive")
-        if self.kept < 1 or self.thin < 1:
-            raise ValueError("kept and thin must be >= 1")
+        if self.kept < 2:
+            raise ValueError("kept must be >= 2: the sample statistics need two samples")
+        if self.thin < 1:
+            raise ValueError("thin must be >= 1")
         if self.burn_in is None:
             self.burn_in = self.kept
         if self.burn_in < 1:

@@ -426,6 +426,10 @@ def run_red_gd(op: LinearOp, y, denoiser: Denoiser, lam: float, sigma: float,
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError("sigma must be finite and positive")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError("lam must be finite and nonnegative")
     y_arr = as_array(y)
     grad_f = op.least_squares_grad(y_arr)
     weight = lam / (sigma * sigma)

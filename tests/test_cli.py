@@ -1,8 +1,13 @@
+import copy
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnpkit import ConfigError, Trace, write_trace
 from pnpkit.cli import (
@@ -424,3 +429,144 @@ class TestPlotCommand:
         t.append(1, step_residual=0.5)
         svg = render_traces_svg([t], ["lbl"])
         assert svg.count("<polyline") == 2
+
+
+def readme_solve_config(size=16, max_iter=3):
+    """The README's example `solve` config, shrunk to `size` and `max_iter`."""
+    return {
+        "task": "deblur",
+        "image": {"builtin": "shapes", "size": size},
+        "operator": {"kind": "blur", "kernel": {"builtin": "uniform", "size": 9}},
+        "noise": {"percent": 3.0},
+        "denoiser": {"kind": "tv", "c": 1.0},
+        "solver": {"algo": "pnp-pgd", "step": 1.0, "sigma": 0.05, "max_iter": max_iter},
+        "seed": 0,
+        "output": "out",
+    }
+
+
+PROBE_BASES = {
+    "solve": readme_solve_config(),
+    "sample": TestSampleCommand().gaussian_config("out"),
+    "diagnose": {"task": "diagnose",
+                 "denoiser": {"kind": "spectral", "transform": "dct", "lam": 0.1},
+                 "probe": {"shape": [8, 8], "sigma": 0.1, "probes": 2}, "mu": 1.0},
+    "sweep": {"task": "sweep", "sweep": {}},
+}
+GMM_1D = {"weights": [1.0], "means": [[0.0]], "variances": [1.0]}
+# (command, key path, value put there, the section the message names); a path
+# of None passes `--seed -3` instead
+MALFORMED = [
+    pytest.param("solve", ("image", "size"), "big", "config.image", id="image-size"),
+    pytest.param("solve", ("seed",), -3, "config.seed", id="seed"),
+    pytest.param("solve", ("operator",), {"kind": "diagonal", "entries": [1.0, 1.0, 1.0]},
+                 "config.operator", id="diagonal-entries-vs-image"),
+    pytest.param("solve", ("denoiser",), {"kind": "gmm", **GMM_1D}, "config.denoiser",
+                 id="gmm-dim-vs-image"),
+    pytest.param("solve", ("operator", "kernel", "size"), "x", "config.operator.kernel",
+                 id="kernel-size"),
+    pytest.param("solve", ("image", "size"), 8, "config.operator", id="kernel-vs-image"),
+    pytest.param("solve", ("noise", "percent"), "a", "config.noise", id="noise-percent"),
+    pytest.param("solve", ("noise",), {"sigma": -1}, "config.noise", id="noise-sigma"),
+    pytest.param("solve", ("operator",), {"kind": "mask", "density": "x"},
+                 "config.operator", id="mask-density"),
+    pytest.param("solve", ("denoiser", "c"), "x", "config.denoiser", id="tv-c"),
+    pytest.param("solve", ("denoiser",), {"kind": "nlm", "h": "x"}, "config.denoiser",
+                 id="nlm-h"),
+    pytest.param("solve", ("solver",), {"algo": "pgd", "reg": {"kind": "l1", "weight": "x"}},
+                 "config.solver.reg", id="reg-weight"),
+    pytest.param("solve", ("solver",), {"algo": "hqs", "rho_schedule": "x"},
+                 "config.solver", id="hqs-rho-schedule"),
+    pytest.param("solve", ("solver",), {"algo": "gs-pnp", "backtracking": "no"},
+                 "config.solver", id="gs-pnp-backtracking"),
+    pytest.param("sample", ("sampler", "kept"), "x", "config.sampler", id="sampler-kept"),
+    pytest.param("sample", ("sampler", "delta"), -1, "config.sampler", id="sampler-delta"),
+    pytest.param("sample", ("sampler", "thin"), 0, "config.sampler", id="sampler-thin"),
+    pytest.param("sample", ("prior",), {"weights": [1.0], "means": [[0.0, 0.0]],
+                                        "variances": [1.0]},
+                 "config.operator", id="operator-vs-prior-dim"),
+    pytest.param("diagnose", ("probe", "shape"), "x", "config.probe", id="probe-shape"),
+    pytest.param("diagnose", ("probe", "sigma"), "x", "config.probe", id="probe-sigma"),
+    pytest.param("diagnose", ("mu",), "x", "config", id="mu"),
+    pytest.param("sweep", ("sweep", "k_max"), "x", "config.sweep", id="sweep-k-max"),
+    pytest.param("sweep", ("sweep", "c"), "x", "config.sweep", id="sweep-c"),
+    pytest.param("solve", None, None, "config.seed", id="seed-flag"),
+]
+
+
+def set_path(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("command,path,value,section", MALFORMED)
+def test_malformed_config_exit_2_before_output(tmp_path, capsys, command, path, value,
+                                               section):
+    out = tmp_path / "out"
+    doc = copy.deepcopy(PROBE_BASES[command])
+    doc["output"] = str(out)
+    argv = ["--seed", "-3"] if path is None else []
+    if path is not None:
+        set_path(doc, path, value)
+    assert main([command, "--config", write_config(tmp_path, doc)] + argv) == 2
+    assert f"pnpkit: {section}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_uncertified_inner_solve_exit_4(tmp_path, capsys):
+    doc = readme_solve_config()
+    doc["denoiser"]["max_iter"] = 1
+    doc["output"] = str(tmp_path / "out")
+    assert main(["solve", "--config", write_config(tmp_path, doc)]) == 4
+    assert "did not reach" in capsys.readouterr().err
+
+
+def test_shape_mismatch_found_in_the_run_exit_2(tmp_path, capsys):
+    doc = readme_solve_config()
+    doc["solver"] = {"algo": "pgd", "max_iter": 3, "reg": {"kind": "wavelet", "levels": 5}}
+    assert main(["solve", "--config", write_config(tmp_path, doc)]
+                + ["--out", str(tmp_path / "out")]) == 2
+    assert "Haar levels" in capsys.readouterr().err
+
+
+def key_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,), isinstance(value, dict)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+README_PATHS = list(key_paths(readme_solve_config()))
+DELETE = object()
+BAD_LEAF = st.one_of(
+    st.text(max_size=8),
+    st.integers(max_value=-1),
+    st.floats(max_value=-1e-9, allow_infinity=False),
+    st.just(math.nan),
+    st.sampled_from([math.inf, -math.inf]),
+    st.booleans(),
+    st.lists(st.integers(), max_size=3),
+    st.none(),
+)
+MUTATION = st.one_of(
+    st.tuples(st.sampled_from([p for p, nested in README_PATHS if not nested]), BAD_LEAF),
+    st.tuples(st.sampled_from([p for p, _ in README_PATHS]), st.just(DELETE)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(MUTATION)
+def test_mutated_readme_config_keeps_exit_contract(mutation):
+    path, value = mutation
+    doc = readme_solve_config()
+    if value is DELETE:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+    else:
+        set_path(doc, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), doc)
+        assert main(["solve", "--config", cfg, "--out", str(Path(tmp) / "out")]) in (0, 2, 3, 4)

@@ -11,10 +11,9 @@ import pnpkit
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-# the demos that run the solver drivers; each copy runs from tmp_path because
-# 05 writes its traces and figure into an output/ folder next to its own file
-@pytest.mark.parametrize("name", ["05_pnp_deblurring.py", "06_red_schemes.py",
-                                  "08_convergent_regularization.py"])
+# every demo; each copy runs from tmp_path because 05 writes its traces and
+# figure into an output/ folder next to its own file
+@pytest.mark.parametrize("name", sorted(p.name for p in DEMOS.glob("*.py")))
 def test_demo_runs(tmp_path, name):
     script = tmp_path / name
     shutil.copy(DEMOS / name, script)

@@ -220,6 +220,16 @@ class TestMoreau:
                 assert moreau_check(p, p_conj, v) <= 1e-5
 
 
+@pytest.mark.parametrize("make", [lambda: l1_prox(-1.0), lambda: tv_prox(-1.0),
+                                  lambda: wavelet_l1_prox(-1.0),
+                                  lambda: wavelet_l1_prox(1.0, levels=0),
+                                  lambda: box_prox(1.0, 0.0)],
+                         ids=["l1", "tv", "wavelet", "wavelet-levels", "box"])
+def test_prox_map_rejects_bad_parameters_at_construction(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 class TestProxMapProperties:
     def cases(self):
         return [

@@ -39,6 +39,11 @@ class TestUlaConfig:
         with pytest.raises(ValueError):
             UlaConfig(delta=1e-3, sigma=0.5, sigma_w=1.0, kept=0)
 
+    def test_rejects_a_single_kept_sample(self):
+        # the sample statistics need two samples, so the chain could never finish
+        with pytest.raises(ValueError, match="kept must be >= 2"):
+            UlaConfig(delta=1e-3, sigma=0.5, sigma_w=1.0, kept=1)
+
 
 class TestRunPnpUla:
     def test_deterministic_given_seed(self):

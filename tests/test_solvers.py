@@ -459,6 +459,16 @@ class TestRedGd:
         assert np.max(np.abs(x.to_array() - closed)) <= 1e-8
         assert trace.column("fp_residual")[-1] <= 1e-8
 
+    @pytest.mark.parametrize("lam,sigma,message", [
+        (1.0, 0.0, "sigma"), (1.0, -1.0, "sigma"), (1.0, math.nan, "sigma"),
+        (1.0, math.inf, "sigma"), (-1.0, 1.0, "lam"), (math.nan, 1.0, "lam"),
+        (math.inf, 1.0, "lam"),
+    ])
+    def test_rejects_bad_sigma_and_lam(self, lam, sigma, message):
+        with pytest.raises(ValueError, match=f"^{message} must be finite"):
+            run_red_gd(identity_op((4,)), np.zeros(4), identity_denoiser(), lam=lam,
+                       sigma=sigma, eta=1.0, cfg=SolverConfig(max_iter=3))
+
 
 class TestRedPg:
     def test_identity_denoiser_is_proximal_point(self, lasso_instance):
