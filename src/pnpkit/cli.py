@@ -183,14 +183,14 @@ _PRIOR = OneOf({
     "weights": {"weights": Key([float]), "means": Key([[float]]), "variances": Key([float])},
 })
 _DENOISER = OneOf({
-    "tv": {"c": Key(float, 1.0, ge=0.0), "tol": Key(float, None, gt=0.0),
+    "tv": {"c": Key(float, 1.0), "tol": Key(float, None, gt=0.0),
            "max_iter": Key(int, 200000, ge=1)},
-    "gaussian": {"kernel_sigma": Key(float, 1.5, gt=0.0), "radius": Key(int, None)},
+    "gaussian": {"kernel_sigma": Key(float, 1.5), "radius": Key(int, None)},
     "nlm": {"patch_radius": Key(int, 1), "window_radius": Key(int, 3), "h": Key(float, 0.3)},
     "spectral": {"transform": Key(str, "dct"), "lam": Key(float, 0.1),
                  "profile": Key([[float]], None)},
     "gs": {"kernel_sigma": Key(float, 1.5), "floor": Key(float, 0.1),
-           "weight": Key(float, 1.0, gt=0.0)},
+           "weight": Key(float, 1.0)},
     "gmm": _PRIOR,
 }, tag="kind")
 _REG = OneOf({
@@ -481,6 +481,13 @@ def build_reg_prox(spec: dict):
     return zero_prox()
 
 
+def _check_start(op: LinearOp, y: np.ndarray) -> None:
+    """K^T y starts every solve and chain, so a non-finite one is a config error."""
+    with _section("config.operator"), np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(np.isfinite(op._adjoint(y))):
+            raise ConfigError("K^T y has non-finite entries; the operator scale overflows")
+
+
 def _build_problem(spec: dict, image_spec: dict, rng: Rng, where: str, image_index: int = 0):
     """Build (x_true, name, K, y, denoiser) for a solve/compare config.
 
@@ -498,6 +505,7 @@ def _build_problem(spec: dict, image_spec: dict, rng: Rng, where: str, image_ind
                  else 0.01 * noise["percent"] if "percent" in noise else noise["sigma"])
         y = as_array(add_gaussian_noise(Signal.from_array(y_clean), sigma,
                                         rng.child(100 + image_index)))
+    _check_start(op, y)
     with _section("config.denoiser"):
         denoiser = (None if spec["denoiser"] is None
                     else build_denoiser(spec["denoiser"], x_true.shape))
@@ -768,6 +776,7 @@ def cmd_sample(spec: dict, rng: Rng, args) -> int:
         cfg = UlaConfig(delta=s["delta"], sigma=s["sigma"], sigma_w=s["sigma_w"],
                         kept=s["kept"], burn_in=s["burn_in"], thin=s["thin"], seed=rng.seed)
         y = as_array(add_gaussian_noise(Signal.from_array(y_clean), cfg.sigma_w, rng.child(2)))
+    _check_start(op, y)
     denoiser = mmse_gmm_denoiser(prior)
     out = _prepare_out(args.out or spec["output"])
     stats, samples = run_pnp_ula(op, y, denoiser, cfg)

@@ -22,7 +22,7 @@ from scipy import ndimage
 
 from .core import DivergenceError, Rng, Signal, as_array
 from .gmm import GmmPrior, posterior_mean
-from .operators import CirculantOp, DenseOp, DiagonalOp, LinearOp, MaskOp, make_blur
+from .operators import CirculantOp, LinearOp, make_blur
 from .proximal import haar_inverse, haar_transform, prox_tv, tv_value
 
 JACOBIAN_MAX_DIM = 4096
@@ -104,6 +104,8 @@ def gaussian_filter_denoiser(kernel_sigma: float, radius: int | None = None) -> 
     ``kernel_sigma``.  Constant images are preserved because the kernel sums
     to one.
     """
+    if not kernel_sigma > 0:
+        raise ValueError("kernel sigma must be positive")
 
     def fn(arr, sigma):
         kernel = _fitted_gaussian_kernel(kernel_sigma, arr.shape, radius)
@@ -150,6 +152,8 @@ def nlm_denoiser(patch_radius: int, window_radius: int, h: float) -> Denoiser:
 def tv_denoiser(lambda_of_sigma: Callable[[float], float] | None = None, c: float = 1.0,
                 tol: float | None = None, max_iter: int = 200000) -> Denoiser:
     """TV denoiser: the TV prox with strength lam = c * sigma^2 (or a custom rule)."""
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError("c must be finite and nonnegative")
     rule = lambda_of_sigma if lambda_of_sigma is not None else (lambda s: c * s * s)
 
     def fn(arr, sigma):
@@ -284,45 +288,6 @@ def gaussian_smoother(shape, kernel_sigma: float, floor: float = 0.0,
                                           shape)
 
 
-def _smoother_spectrum(op: LinearOp):
-    """Eigenvalues of a symmetric smoother when cheaply available.
-
-    A circulant smoother gives its half spectrum, which holds every
-    eigenvalue (not every multiplicity).
-    """
-    if isinstance(op, CirculantOp):
-        return np.real(op.half_response).reshape(-1)
-    if isinstance(op, DiagonalOp):
-        return op.diag.reshape(-1)
-    if isinstance(op, MaskOp):
-        return op.mask.astype(np.float64).reshape(-1)
-    if isinstance(op, DenseOp) and op.in_size <= JACOBIAN_MAX_DIM:
-        return np.linalg.eigvalsh(op.matrix)
-    return None
-
-
-def _check_symmetric(op: LinearOp) -> None:
-    if isinstance(op, (DiagonalOp, MaskOp)):
-        return
-    if isinstance(op, CirculantOp):
-        if np.max(np.abs(np.imag(op.half_response))) > 1e-10:
-            raise ValueError("circulant smoother is not symmetric (complex spectrum)")
-        return
-    if isinstance(op, DenseOp):
-        if not np.allclose(op.matrix, op.matrix.T, atol=1e-10, rtol=0.0):
-            raise ValueError("smoother matrix is not symmetric")
-        return
-    rng = Rng(0)
-    for _ in range(8):
-        x = rng.standard_normal(op.in_shape)
-        y = rng.standard_normal(op.in_shape)
-        lhs = float(np.vdot(op._apply(x), y))
-        rhs = float(np.vdot(x, op._apply(y)))
-        scale = np.linalg.norm(x) * np.linalg.norm(y)
-        if abs(lhs - rhs) > 1e-8 * max(scale, 1.0):
-            raise ValueError("smoother fails the self-adjointness probe")
-
-
 def gs_denoiser(smoother: LinearOp, weight: float = 1.0) -> Denoiser:
     """Gradient-step denoiser D = id - grad g with g(x) = 0.5*||x - A x||^2.
 
@@ -335,7 +300,9 @@ def gs_denoiser(smoother: LinearOp, weight: float = 1.0) -> Denoiser:
     """
     if smoother.in_shape != smoother.out_shape:
         raise ValueError("smoother must be square")
-    _check_symmetric(smoother)
+    if not (math.isfinite(weight) and weight > 0):
+        raise ValueError("weight must be finite and positive")
+    spectrum = smoother.symmetric_spectrum()
 
     def residual(arr):
         return arr - smoother._apply(arr)
@@ -348,15 +315,10 @@ def gs_denoiser(smoother: LinearOp, weight: float = 1.0) -> Denoiser:
     def g_value(x, sigma=0.0):
         return 0.5 * float(np.sum(residual(as_array(x)) ** 2))
 
-    spectrum = _smoother_spectrum(smoother)
-    lipschitz = None
     phi = None
     d_op = None  # D as one circulant filter
-    if spectrum is not None:
-        lipschitz = float(np.max((1.0 - spectrum) ** 2))
     if isinstance(smoother, CirculantOp):
-        a = np.real(smoother.half_response)
-        d_op = CirculantOp.from_half_response(1.0 - (1.0 - a) ** 2, smoother.in_shape)
+        d_op = CirculantOp.from_half_response(1.0 - (1.0 - spectrum) ** 2, smoother.in_shape)
         d_eigs = d_op.half_response  # spectrum of D = I - (I-A)^2
         if np.min(d_eigs) > 1e-12:
             phi = _circulant_quadratic(1.0 / d_eigs - 1.0, d_op._spatial)
@@ -373,7 +335,7 @@ def gs_denoiser(smoother: LinearOp, weight: float = 1.0) -> Denoiser:
         prox_potential=phi,
         weight=weight,
     )
-    den.grad_lipschitz = lipschitz
+    den.grad_lipschitz = None if spectrum is None else float(np.max((1.0 - spectrum) ** 2))
     den.smoother = smoother
     return den
 

@@ -16,20 +16,24 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .core import ShapeError, Signal, SolveError, as_array, load_signal
+from .core import Rng, ShapeError, Signal, SolveError, as_array, load_signal
 
 CG_RTOL = 1e-10
 SVD_MAX_DIM = 512
+EIGH_MAX_DIM = 4096
 
 
 class LinearOp:
     """Forward/adjoint operator pair between fixed shapes.
 
-    Subclasses implement ``_apply`` and ``_adjoint`` on plain arrays; the
-    public methods accept and return either Signals or arrays, matching the
+    Subclasses implement ``_apply`` and ``_adjoint`` on plain arrays: the
+    unchecked path (no shape check, no Signal wrapping) that the package's
+    own solver, denoiser and sampler loops call.  The public methods check
+    shapes and accept and return either Signals or arrays, matching the
     input type.  ``normal`` (K^T K x) and ``shifted_solve`` work on plain
     arrays of the input shape without checks; kinds with a closed form
     override them, and :func:`solve_shifted_normal` is the checked entry.
+    Each kind answers for its own ``spectral_norm`` and ``symmetric_spectrum()``.
     """
 
     kind = "abstract"
@@ -62,9 +66,35 @@ class LinearOp:
         """K^T K x."""
         return self._adjoint(self._apply(x))
 
+    def least_squares_value(self, y: np.ndarray):
+        """x -> 0.5*||K x - y||^2."""
+        return lambda x: 0.5 * float(np.sum((self._apply(x) - y) ** 2))
+
     def least_squares_grad(self, y: np.ndarray):
         """x -> K^T (K x - y), the gradient of 0.5*||K x - y||^2."""
         return lambda x: self._adjoint(self._apply(x) - y)
+
+    @property
+    def spectral_norm(self) -> float:
+        """||K||_2, by power iteration on K^T K from a fixed seed."""
+        return operator_norm(self, Rng(0))
+
+    def symmetric_spectrum(self):
+        """An array of the eigenvalues of a self-adjoint operator, or None when not cheap.
+
+        Raises ValueError when the operator is not self-adjoint.  This default
+        checks <K x, y> = <x, K y> on 8 random probe pairs and returns None.
+        """
+        rng = Rng(0)
+        for _ in range(8):
+            x = rng.standard_normal(self.in_shape)
+            y = rng.standard_normal(self.in_shape)
+            lhs = float(np.vdot(self._apply(x), y))
+            rhs = float(np.vdot(x, self._apply(y)))
+            scale = np.linalg.norm(x) * np.linalg.norm(y)
+            if abs(lhs - rhs) > 1e-8 * max(scale, 1.0):
+                raise ValueError("smoother fails the self-adjointness probe")
+        return None
 
     def shifted_solve(self, rho: float, b: np.ndarray) -> np.ndarray:
         """(K^T K + rho*I)^{-1} b by conjugate gradients, at most 10*n iterations.
@@ -109,6 +139,11 @@ class DenseOp(LinearOp):
     def _adjoint(self, y):
         return (self.matrix.T @ y.reshape(-1)).reshape(self.in_shape)
 
+    def symmetric_spectrum(self):
+        if not np.allclose(self.matrix, self.matrix.T, atol=1e-10, rtol=0.0):
+            raise ValueError("smoother matrix is not symmetric")
+        return np.linalg.eigvalsh(self.matrix) if self.in_size <= EIGH_MAX_DIM else None
+
 
 class DiagonalOp(LinearOp):
     kind = "diagonal"
@@ -127,6 +162,13 @@ class DiagonalOp(LinearOp):
 
     def shifted_solve(self, rho, b):
         return b / (self.diag**2 + rho)
+
+    @property
+    def spectral_norm(self) -> float:
+        return float(np.max(np.abs(self.diag)))
+
+    def symmetric_spectrum(self):
+        return self.diag
 
 
 class MaskOp(LinearOp):
@@ -147,6 +189,13 @@ class MaskOp(LinearOp):
 
     def shifted_solve(self, rho, b):
         return b / (self.mask.astype(np.float64) + rho)
+
+    @property
+    def spectral_norm(self) -> float:
+        return 1.0 if np.any(self.mask) else 0.0
+
+    def symmetric_spectrum(self):
+        return self.mask.astype(np.float64)
 
 
 class CirculantOp(LinearOp):
@@ -239,6 +288,12 @@ class CirculantOp(LinearOp):
     @property
     def spectral_norm(self) -> float:
         return float(np.max(np.abs(self.half_response)))
+
+    def symmetric_spectrum(self):
+        """The real half spectrum: every eigenvalue, though not every multiplicity."""
+        if np.max(np.abs(np.imag(self.half_response))) > 1e-10:
+            raise ValueError("circulant smoother is not symmetric (complex spectrum)")
+        return np.real(self.half_response)
 
 
 class CompositeOp(LinearOp):

@@ -438,10 +438,11 @@ def wavelet_l1_prox(weight: float = 1.0, levels: int = 1) -> ProxMap:
 def quadratic_fidelity_prox(op: LinearOp, y) -> ProxMap:
     y_arr = as_array(y)
     kty = op._adjoint(y_arr)
+    value = op.least_squares_value(y_arr)
     return ProxMap(
         "quadratic_fidelity",
         lambda v, lam: _fidelity_prox(v, lam, op, kty),
-        objective=lambda x: 0.5 * float(np.sum((op._apply(as_array(x)) - y_arr) ** 2)),
+        objective=lambda x: value(as_array(x)),
     )
 
 

@@ -69,24 +69,15 @@ class SolverConfig:
 
 @dataclass
 class SmoothFn:
-    """Smooth term: gradient plus optional value / Lipschitz constant."""
+    """Smooth term: gradient plus optional value."""
 
     grad: Callable[[np.ndarray], np.ndarray]
     value: Callable[[np.ndarray], float] | None = None
-    lipschitz: float | None = None
 
     @staticmethod
     def least_squares(op: LinearOp, y) -> "SmoothFn":
         y_arr = as_array(y)
-        grad = op.least_squares_grad(y_arr)
-
-        def value(x):
-            return 0.5 * float(np.sum((op._apply(x) - y_arr) ** 2))
-
-        lip = None
-        if hasattr(op, "spectral_norm"):
-            lip = float(op.spectral_norm) ** 2
-        return SmoothFn(grad=grad, value=value, lipschitz=lip)
+        return SmoothFn(grad=op.least_squares_grad(y_arr), value=op.least_squares_value(y_arr))
 
 
 def _as_smooth(obj) -> SmoothFn:
@@ -143,14 +134,6 @@ def as_slot(obj, weight: float = 1.0, sigma: float = 0.0) -> RegSlot:
     if isinstance(obj, Denoiser):
         return RegSlot(denoiser=obj, sigma=sigma)
     raise TypeError(f"cannot build a RegSlot from {type(obj).__name__}")
-
-
-@dataclass(frozen=True)
-class FixedPointProblem:
-    """A fixed-point operator x -> T(x) assembled from fidelity and reg slot."""
-
-    operator: Callable[[np.ndarray], np.ndarray]
-    tag: str = "T"
 
 
 def _objective(cfg: SolverConfig, f: SmoothFn | None, slot: RegSlot | None,
@@ -558,10 +541,10 @@ def run_gs_pnp(op: LinearOp, y, gs: Denoiser, cfg: SolverConfig, lam: float | No
         raise ValueError("lam and tau must be positive")
     y_arr = as_array(y)
     kty = op._adjoint(y_arr)
+    fidelity = op.least_squares_value(y_arr)
 
     def full_objective(x):
-        fid = 0.5 * float(np.sum((op._apply(x) - y_arr) ** 2))
-        return fid + lam * float(gs.potential(x, 0.0))
+        return fidelity(x) + lam * float(gs.potential(x, 0.0))
 
     fx = math.nan  # F at the current state
 
@@ -606,8 +589,8 @@ def run_gs_pnp(op: LinearOp, y, gs: Denoiser, cfg: SolverConfig, lam: float | No
 
 
 def drsdiff_operator(prox_f: ProxMap, denoiser: Denoiser, tau: float,
-                     sigma: float = 0.0) -> FixedPointProblem:
-    """Fidelity-first DRS as a single operator.
+                     sigma: float = 0.0) -> Callable[[np.ndarray], np.ndarray]:
+    """Fidelity-first DRS as a single operator x -> T(x).
 
     T = 0.5*id + 0.5*(2D - id)(2 prox_{tau f} - id); iterating T reproduces
     the three-line fidelity-first DRS updates exactly.
@@ -619,11 +602,11 @@ def drsdiff_operator(prox_f: ProxMap, denoiser: Denoiser, tau: float,
         zk = as_array(denoiser.apply(reflected, sigma))
         return 0.5 * x + 0.5 * (2.0 * zk - reflected)
 
-    return FixedPointProblem(operator=operator, tag="drsdiff")
+    return operator
 
 
-def run_fixed_point(problem, cfg: SolverConfig, x0, reference=None, peak: float = 1.0):
-    """Iterate x_{k+1} = T(x_k) and estimate the empirical contraction factor.
+def run_fixed_point(operator, cfg: SolverConfig, x0, reference=None, peak: float = 1.0):
+    """Iterate x_{k+1} = operator(x_k) and estimate the empirical contraction factor.
 
     The factor is sup_k ||x_{k+1} - x*|| / ||x_k - x*|| against the final
     iterate as the x* proxy, excluding the last 5 iterations (whose ratios
@@ -631,7 +614,6 @@ def run_fixed_point(problem, cfg: SolverConfig, x0, reference=None, peak: float 
     SolveError carrying the factor when max_iter is hit before the step
     residual reaches tolerance.
     """
-    operator = problem.operator if isinstance(problem, FixedPointProblem) else problem
     iterates = [as_array(x0).copy()]
 
     def advance(k, x):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnpkit import ConfigError, Trace, write_trace
+from pnpkit import ConfigError, Signal, Trace, save_signal, write_trace
 from pnpkit.cli import (
     ExperimentConfig,
     builtin_image,
@@ -471,6 +471,11 @@ MALFORMED = [
     pytest.param("solve", ("operator",), {"kind": "mask", "density": "x"},
                  "config.operator", id="mask-density"),
     pytest.param("solve", ("denoiser", "c"), "x", "config.denoiser", id="tv-c"),
+    pytest.param("solve", ("denoiser", "c"), -1.0, "config.denoiser", id="tv-c-negative"),
+    pytest.param("solve", ("denoiser",), {"kind": "gaussian", "kernel_sigma": -1.0},
+                 "config.denoiser", id="gaussian-kernel-sigma-negative"),
+    pytest.param("solve", ("denoiser",), {"kind": "gs", "weight": -1.0}, "config.denoiser",
+                 id="gs-weight-negative"),
     pytest.param("solve", ("denoiser",), {"kind": "nlm", "h": "x"}, "config.denoiser",
                  id="nlm-h"),
     pytest.param("solve", ("solver",), {"algo": "pgd", "reg": {"kind": "l1", "weight": "x"}},
@@ -511,6 +516,25 @@ def test_malformed_config_exit_2_before_output(tmp_path, capsys, command, path, 
         set_path(doc, path, value)
     assert main([command, "--config", write_config(tmp_path, doc)] + argv) == 2
     assert f"pnpkit: {section}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "sample"])
+def test_non_finite_adjoint_measurement_exit_2_before_output(tmp_path, capsys, command):
+    # y stays finite, but K^T y = 1e200 * y overflows
+    out = tmp_path / "out"
+    if command == "solve":
+        image = tmp_path / "line.raw"
+        save_signal(Signal.from_array(np.full(3, 0.5)), image)
+        doc = {"task": "denoise", "image": {"path": str(image)},
+               "operator": {"kind": "diagonal", "entries": [1e200, 1.0, 1.0]},
+               "solver": {"algo": "pgd", "reg": {"kind": "zero"}, "max_iter": 3}}
+    else:
+        doc = TestSampleCommand().gaussian_config(str(out))
+        doc["operator"]["entries"] = [1e200, 1.0, 1.0]
+    doc["output"] = str(out)
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+    assert "pnpkit: config.operator:" in capsys.readouterr().err
     assert not out.exists()
 
 

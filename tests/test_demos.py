@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -8,7 +9,16 @@ import pytest
 
 import pnpkit
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
+
+
+def run_script(script: Path, cwd: Path):
+    env = dict(os.environ)
+    src = str(Path(pnpkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(script)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 # every demo; each copy runs from tmp_path because 05 writes its traces and
@@ -17,9 +27,15 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 def test_demo_runs(tmp_path, name):
     script = tmp_path / name
     shutil.copy(DEMOS / name, script)
-    env = dict(os.environ)
-    src = str(Path(pnpkit.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = run_script(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_python_example_runs(tmp_path):
+    # a fresh interpreter, so that no other test's imports stand in for the snippet's
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    script = tmp_path / "readme_example.py"
+    script.write_text(blocks[0])
+    proc = run_script(script, tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]

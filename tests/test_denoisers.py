@@ -7,6 +7,7 @@ from pnpkit import (
     DiagonalOp,
     GmmPrior,
     Rng,
+    compose,
     estimate_residual_lipschitz,
     gaussian_filter_denoiser,
     gaussian_kernel,
@@ -16,6 +17,7 @@ from pnpkit import (
     jacobian_asymmetry,
     linear_spectral_denoiser,
     make_blur,
+    make_mask,
     mmse_gmm_denoiser,
     nlm_denoiser,
     operator_norm,
@@ -247,6 +249,20 @@ class TestGsDenoiser:
         d = gs_denoiser(gaussian_smoother((8, 8), 1.0, floor=0.0))
         assert d.grad_lipschitz is not None and d.grad_lipschitz <= 1.0 + 1e-12
 
+    def test_mask_smoother(self, rng):
+        mask = np.array([True, False, True, True])
+        d = gs_denoiser(make_mask(mask))
+        assert d.grad_lipschitz == 1.0
+        x = rng.standard_normal(4)
+        np.testing.assert_array_equal(d.apply(x), np.where(mask, x, 0.0))
+
+    def test_composite_smoother(self, rng):
+        half = DiagonalOp([0.5, 0.8, 1.0])
+        d = gs_denoiser(compose(half, half))
+        assert d.grad_lipschitz is None
+        x = rng.standard_normal(3)
+        np.testing.assert_allclose(d.apply(x), x - (1.0 - half.diag**2) ** 2 * x, atol=1e-15)
+
     def test_prox_potential_optimality(self, rng):
         smoother = gaussian_smoother((6,), 1.0, floor=0.3)
         d = gs_denoiser(smoother)
@@ -369,3 +385,19 @@ class TestHomogeneity:
     def test_delta_zero_convention(self, rng):
         d = gaussian_filter_denoiser(1.0)
         assert homogeneity_defect(d, rng.uniform(0, 1, (4, 4)), 0.0, delta=0.0) == 0.0
+
+
+class TestConstructorChecks:
+    @pytest.mark.parametrize("build", [
+        lambda: tv_denoiser(c=-0.5),
+        lambda: gaussian_filter_denoiser(0.0),
+        lambda: gaussian_filter_denoiser(-1.0),
+        lambda: gs_denoiser(DiagonalOp([0.5, 0.5]), weight=0.0),
+        lambda: gs_denoiser(DiagonalOp([0.5, 0.5]), weight=-1.0),
+        lambda: gs_denoiser(DiagonalOp([0.5, 0.5]), weight=float("inf")),
+        lambda: gs_denoiser(DiagonalOp([0.5, 0.5]), weight=float("nan")),
+    ], ids=["tv-c", "gaussian-zero", "gaussian-negative", "gs-zero", "gs-negative", "gs-inf",
+            "gs-nan"])
+    def test_bad_parameter_rejected_at_construction(self, build):
+        with pytest.raises(ValueError):
+            build()

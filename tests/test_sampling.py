@@ -101,6 +101,12 @@ class TestRunPnpUla:
             run_pnp_ula(op, np.zeros(3), bad, cfg, x0=np.ones(3))
         assert exc.value.step is not None and exc.value.step >= 1
 
+    def test_overflowing_operator_norm_diverges(self):
+        den = mmse_gmm_denoiser(standard_prior(3))
+        cfg = UlaConfig(delta=1e-2, sigma=0.5, sigma_w=1.0, kept=10, seed=0)
+        with pytest.raises(DivergenceError), np.errstate(over="ignore"):
+            run_pnp_ula(DiagonalOp([1e200, 1.0, 1.0]), np.ones(3), den, cfg, x0=np.zeros(3))
+
     def test_stability_heuristic_recorded(self):
         prior = standard_prior(2)
         den = mmse_gmm_denoiser(prior)

@@ -660,7 +660,7 @@ class TestFixedPoint:
         target = rng.standard_normal(n)
         prox_f = quadratic_prox(target)
         tau = 0.7
-        op = drsdiff_operator(prox_f, den, tau).operator
+        op = drsdiff_operator(prox_f, den, tau)
         x = rng.standard_normal(n)
         yk = np.asarray(prox_f.evaluate(x, tau))
         zk = den.apply(2.0 * yk - x)
