@@ -19,6 +19,7 @@ PSNR_CAP_DB = 300.0
 RAW_MAGIC = b"PNPK0001"
 
 TRACE_COLUMNS = ("iter", "objective", "step_residual", "fp_residual", "psnr", "seconds")
+DIVERGENCE_NORM = 1e12
 
 
 class PnpkitError(Exception):
@@ -69,6 +70,16 @@ class DivergenceError(PnpkitError):
 
 class ConfigError(PnpkitError):
     """An experiment configuration is invalid."""
+
+
+def diverged(x: np.ndarray) -> bool:
+    """True when x has a non-finite entry or a norm above DIVERGENCE_NORM.
+
+    One reduction covers both: a NaN, an inf or an overflowing norm fails
+    the comparison.  Callers run it under ``np.errstate(over="ignore")`` so a
+    large but finite state does not warn on its way to inf.
+    """
+    return not (np.linalg.norm(x) <= DIVERGENCE_NORM)
 
 
 @dataclass(frozen=True)

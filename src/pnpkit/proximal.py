@@ -310,34 +310,31 @@ def _fidelity_prox(v: np.ndarray, lam: float, op: LinearOp, kty: np.ndarray) -> 
 class ProxMap:
     """A prox evaluator with an identity tag and optional objective.
 
-    ``evaluate(v, lam)`` returns prox_{lam*f}(v).  ``objective`` (when
-    present) evaluates f itself, which solver traces use.  Separable proxes
-    additionally support ``evaluate_scaled`` with a componentwise lam, as
-    needed by diagonal preconditioning.
+    ``evaluate(v, lam)`` returns prox_{lam*f}(v) for a positive scalar lam.
+    A prox built with ``separable=True`` (f a sum of per-entry terms) also
+    takes a positive componentwise lam shaped like v, which is the prox under
+    a diagonal metric; other proxes raise SolveError for it.  ``objective``
+    (when present) evaluates f itself, which solver traces use.
     """
 
-    def __init__(self, fn_id: str, evaluate, objective=None, evaluate_scaled=None):
+    def __init__(self, fn_id: str, evaluate, objective=None, separable: bool = False):
         self.fn_id = fn_id
         self._evaluate = evaluate
         self.objective = objective
-        self._evaluate_scaled = evaluate_scaled
+        self.separable = separable
 
-    def evaluate(self, v, lam: float):
-        if lam <= 0:
-            raise ValueError("lam must be positive")
-        return _wrap_like(v, self._evaluate(as_array(v), float(lam)))
-
-    @property
-    def separable(self) -> bool:
-        return self._evaluate_scaled is not None
-
-    def evaluate_scaled(self, v, lam_diag):
-        if not self.separable:
+    def evaluate(self, v, lam):
+        if np.ndim(lam) == 0:
+            if lam <= 0:
+                raise ValueError("lam must be positive")
+            lam = float(lam)
+        elif not self.separable:
             raise SolveError(f"prox {self.fn_id!r} does not support componentwise scaling")
-        lam_arr = as_array(lam_diag)
-        if np.any(lam_arr <= 0):
-            raise ValueError("componentwise lam must be positive")
-        return _wrap_like(v, self._evaluate_scaled(as_array(v), lam_arr))
+        else:
+            lam = as_array(lam)
+            if np.any(lam <= 0):
+                raise ValueError("componentwise lam must be positive")
+        return _wrap_like(v, self._evaluate(as_array(v), lam))
 
 
 def _check_weight(weight: float) -> None:
@@ -349,9 +346,9 @@ def l1_prox(weight: float = 1.0) -> ProxMap:
     _check_weight(weight)
     return ProxMap(
         "l1",
-        lambda v, lam: as_array(soft_threshold(v, lam * weight)),
+        lambda v, lam: np.sign(v) * np.maximum(np.abs(v) - lam * weight, 0.0),
         objective=lambda x: weight * float(np.sum(np.abs(as_array(x)))),
-        evaluate_scaled=lambda v, lam: np.sign(v) * np.maximum(np.abs(v) - lam * weight, 0.0),
+        separable=True,
     )
 
 
@@ -367,7 +364,7 @@ def box_prox(lo: float = 0.0, hi: float = 1.0) -> ProxMap:
         "box",
         lambda v, lam: np.clip(v, lo, hi),
         objective=objective,
-        evaluate_scaled=lambda v, lam: np.clip(v, lo, hi),
+        separable=True,
     )
 
 
@@ -382,7 +379,7 @@ def squared_l2_prox(weight: float = 1.0) -> ProxMap:
         "squared_l2",
         lambda v, lam: v / (1.0 + lam * weight),
         objective=lambda x: 0.5 * weight * float(np.sum(as_array(x) ** 2)),
-        evaluate_scaled=lambda v, lam: v / (1.0 + lam * weight),
+        separable=True,
     )
 
 
@@ -393,7 +390,7 @@ def quadratic_prox(center, weight: float = 1.0) -> ProxMap:
         "quadratic",
         lambda v, lam: (v + lam * weight * c) / (1.0 + lam * weight),
         objective=lambda x: 0.5 * weight * float(np.sum((as_array(x) - c) ** 2)),
-        evaluate_scaled=lambda v, lam: (v + lam * weight * c) / (1.0 + lam * weight),
+        separable=True,
     )
 
 
@@ -402,7 +399,7 @@ def zero_prox() -> ProxMap:
         "zero",
         lambda v, lam: v.copy(),
         objective=lambda x: 0.0,
-        evaluate_scaled=lambda v, lam: v.copy(),
+        separable=True,
     )
 
 

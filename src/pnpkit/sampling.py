@@ -15,11 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DivergenceError, Rng, Signal, as_array, save_signal
+from .core import DivergenceError, Rng, Signal, as_array, diverged, save_signal
 from .denoisers import Denoiser
 from .operators import LinearOp, as_dense
-
-DIVERGENCE_NORM = 1e12
 
 
 @dataclass
@@ -99,26 +97,26 @@ def run_pnp_ula(op: LinearOp, y, denoiser: Denoiser, cfg: UlaConfig, x0=None):
     inv_w2 = 1.0 / (cfg.sigma_w * cfg.sigma_w)
     noise_std = math.sqrt(2.0 * cfg.delta)
 
-    with np.errstate(over="ignore"):  # an overflowing ||K||^2 is inf; the chain then diverges
-        stability = cfg.delta * (inv_s2 + float(np.float64(op.spectral_norm) ** 2) * inv_w2)
-
     total_steps = cfg.burn_in + cfg.kept * cfg.thin
     samples = np.empty((cfg.kept, n))
     kept = 0
     apply_d = denoiser.apply
-    for k in range(1, total_steps + 1):
-        drift = inv_s2 * (as_array(apply_d(x, cfg.sigma)) - x)
-        drift += inv_w2 * op._adjoint(y_arr - op._apply(x))
-        x = x + cfg.delta * drift
-        if cfg.noise_scale != 0.0:
-            x = x + noise_std * cfg.noise_scale * rng.standard_normal(shape)
-        if not np.all(np.isfinite(x)) or float(np.linalg.norm(x)) > DIVERGENCE_NORM:
-            raise DivergenceError(f"PnP-ULA chain diverged at step {k}", step=k)
-        if k > cfg.burn_in and (k - cfg.burn_in) % cfg.thin == 0:
-            samples[kept] = x.reshape(-1)
-            kept += 1
-            if kept == cfg.kept:
-                break
+    # an overflowing ||K||^2 or state norm is inf, and the chain then diverges
+    with np.errstate(over="ignore"):
+        stability = cfg.delta * (inv_s2 + float(np.float64(op.spectral_norm) ** 2) * inv_w2)
+        for k in range(1, total_steps + 1):
+            drift = inv_s2 * (as_array(apply_d(x, cfg.sigma)) - x)
+            drift += inv_w2 * op._adjoint(y_arr - op._apply(x))
+            x = x + cfg.delta * drift
+            if cfg.noise_scale != 0.0:
+                x = x + noise_std * cfg.noise_scale * rng.standard_normal(shape)
+            if diverged(x):
+                raise DivergenceError(f"PnP-ULA chain diverged at step {k}", step=k)
+            if k > cfg.burn_in and (k - cfg.burn_in) % cfg.thin == 0:
+                samples[kept] = x.reshape(-1)
+                kept += 1
+                if kept == cfg.kept:
+                    break
     stats = sample_stats(samples, stability=stability)
     return stats, samples
 

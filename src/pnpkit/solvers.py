@@ -9,10 +9,15 @@ iteration x_{k+1} = T(x_k) and supplies only its step to one kernel,
 says what the trace shows for it.  The kernel owns the rest.  Drivers return
 the final point plus a per-iteration :class:`~pnpkit.core.Trace`; stopping
 is on the step residual ||x_{k+1} - x_k|| (default 1e-9) or max_iter.  A
-non-finite start raises ValueError.  A non-finite state, a state norm above
-1e12, or a DivergenceError from inside the step (a denoiser's non-finite
-output) raises :class:`~pnpkit.core.DivergenceError` carrying the step, the
-last finite state and the trace; HQS and RED-APG record it instead.
+non-finite start raises ValueError.  A state that fails
+:func:`~pnpkit.core.diverged` (non-finite, or norm above 1e12), or a
+DivergenceError from inside the step (a denoiser's non-finite output),
+raises :class:`~pnpkit.core.DivergenceError` carrying the step, the last
+finite state and the trace; HQS and RED-APG record it instead.
+
+One driver per scheme: :func:`run_pgd` takes an optional diagonal metric,
+and fidelity-first DRS is :func:`run_drs` with the fidelity prox first.
+:func:`contraction_factor` reads a converged run's contraction off its trace.
 """
 
 from __future__ import annotations
@@ -24,12 +29,10 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DivergenceError, Signal, SolveError, Trace, as_array, psnr
+from .core import DivergenceError, Signal, SolveError, Trace, as_array, diverged, psnr
 from .denoisers import Denoiser
 from .operators import LinearOp, solve_shifted_normal
 from .proximal import ProxMap, _fidelity_prox
-
-DIVERGENCE_NORM = 1e12
 
 
 @dataclass
@@ -48,7 +51,6 @@ class SolverConfig:
     max_iter: int = 500
     tol: float = 1e-9
     eval_objective: bool = True
-    seed: int = 0
     record_time: bool = True
 
     def __post_init__(self):
@@ -90,49 +92,46 @@ def _as_smooth(obj) -> SmoothFn:
 class RegSlot:
     """Regularization slot: exactly one of an exact prox or a denoiser.
 
-    For a prox slot, ``apply(v, scale)`` evaluates prox_{scale*weight*g};
-    the denoiser slot applies D_sigma and ignores the scale, which is the
-    plug-and-play substitution.  ``reg_value`` evaluates the regularization
-    term of the objective the scheme targets, when that is known (prox
-    objective, or the denoiser's exact proximal potential divided by the
-    scale).
+    For a prox slot, ``apply(v, scale)`` evaluates prox_{scale*g} (scale may
+    be componentwise for a separable prox); the denoiser slot applies D_sigma
+    and ignores the scale, which is the plug-and-play substitution.
+    ``reg_value`` evaluates the regularization term of the objective the
+    scheme targets, when that is known (prox objective, or the denoiser's
+    exact proximal potential divided by the scale).
     """
 
     prox: ProxMap | None = None
     denoiser: Denoiser | None = None
-    weight: float = 1.0
     sigma: float = 0.0
 
     def __post_init__(self):
         if (self.prox is None) == (self.denoiser is None):
             raise ValueError("exactly one of prox/denoiser must be set")
-        if self.weight < 0:
-            raise ValueError("weight must be nonnegative")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
 
     def apply(self, v: np.ndarray, scale: float) -> np.ndarray:
         if self.prox is not None:
-            return as_array(self.prox.evaluate(v, scale * self.weight))
+            return as_array(self.prox.evaluate(v, scale))
         return as_array(self.denoiser.apply(v, self.sigma))
 
     def reg_value(self, x: np.ndarray, scale: float) -> float | None:
         if self.prox is not None:
             if self.prox.objective is None:
                 return None
-            return self.weight * float(self.prox.objective(x))
+            return float(self.prox.objective(x))
         if self.denoiser.prox_potential is not None:
             return float(self.denoiser.prox_potential(x, self.sigma)) / scale
         return None
 
 
-def as_slot(obj, weight: float = 1.0, sigma: float = 0.0) -> RegSlot:
+def as_slot(obj) -> RegSlot:
     if isinstance(obj, RegSlot):
         return obj
     if isinstance(obj, ProxMap):
-        return RegSlot(prox=obj, weight=weight)
+        return RegSlot(prox=obj)
     if isinstance(obj, Denoiser):
-        return RegSlot(denoiser=obj, sigma=sigma)
+        return RegSlot(denoiser=obj)
     raise TypeError(f"cannot build a RegSlot from {type(obj).__name__}")
 
 
@@ -179,23 +178,24 @@ def _iterate(cfg: SolverConfig, x0, advance, report=None, reference=None,
     point, objective, r, fp = (row0 or report)(0, x, math.nan)
     append(0, point, objective, r, fp)
     trace.stop_reason = "max_iter"
-    for k in range(1, cfg.max_iter + 1):
-        try:
-            x_new = advance(k, x)
-            if not np.all(np.isfinite(x_new)) or float(np.linalg.norm(x_new)) > DIVERGENCE_NORM:
-                raise DivergenceError(f"iterates diverged at step {k}")
-            point, objective, r, fp = report(k, x_new, float(np.linalg.norm(x_new - x)))
-        except DivergenceError as exc:
-            trace.stop_reason = "diverged"
-            exc.step, exc.last, exc.trace = k, Signal.from_array(x), trace
-            if record_divergence:
-                return exc.last, trace
-            raise
-        append(k, point, objective, r, fp)
-        x = x_new
-        if r <= cfg.tol:
-            trace.stop_reason = "tolerance"
-            break
+    with np.errstate(over="ignore"):
+        for k in range(1, cfg.max_iter + 1):
+            try:
+                x_new = advance(k, x)
+                if diverged(x_new):
+                    raise DivergenceError(f"iterates diverged at step {k}")
+                point, objective, r, fp = report(k, x_new, float(np.linalg.norm(x_new - x)))
+            except DivergenceError as exc:
+                trace.stop_reason = "diverged"
+                exc.step, exc.last, exc.trace = k, Signal.from_array(x), trace
+                if record_divergence:
+                    return exc.last, trace
+                raise
+            append(k, point, objective, r, fp)
+            x = x_new
+            if r <= cfg.tol:
+                trace.stop_reason = "tolerance"
+                break
     return Signal.from_array(point), trace
 
 
@@ -204,38 +204,31 @@ def _iterate(cfg: SolverConfig, x0, advance, report=None, reference=None,
 # ---------------------------------------------------------------------------
 
 
-def run_pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, peak: float = 1.0):
+def run_pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, peak: float = 1.0,
+            precond=None):
     """Proximal gradient descent x_{k+1} = reg(x_k - step * grad f(x_k)).
 
     With an exact prox in the slot this is classical PGD; with a denoiser it
-    is the plug-and-play substitution of the same iteration.
+    is the plug-and-play substitution of the same iteration.  A positive
+    diagonal metric ``precond`` = B (shaped like x0) replaces the scalar step
+    by the componentwise step 1/B, x_{k+1} = prox_g^B(x_k - B^{-1} grad f(x_k)),
+    which needs a separable prox in the slot (l1, box, quadratic, ...);
+    other proxes raise SolveError.
     """
     f = _as_smooth(grad_f)
     slot = as_slot(reg)
-    return _iterate(cfg, x0, lambda k, x: slot.apply(x - cfg.step * f.grad(x), cfg.step),
-                    lambda k, x, r: (x, _objective(cfg, f, slot, x, cfg.step), r, r),
-                    reference, peak)
-
-
-def run_pgd_preconditioned(grad_f, reg: ProxMap, precond, cfg: SolverConfig, x0,
-                           reference=None, peak: float = 1.0):
-    """Fixed-preconditioner proximal gradient with a diagonal metric B.
-
-    x_{k+1} = prox_g^B(x_k - B^{-1} grad f(x_k)), where the scaled prox under
-    a diagonal B is the componentwise prox with lam_i = 1/B_i; this requires
-    a separable g (l1, box, quadratic), otherwise the prox raises.
-    """
-    f = _as_smooth(grad_f)
-    b = as_array(precond)
-    if np.any(b <= 0):
-        raise ValueError("preconditioner entries must be positive")
-    inv_b = 1.0 / b
-    if as_array(x0).shape != b.shape:
-        raise ValueError("preconditioner shape must match the iterate")
-    slot = as_slot(reg)
-    return _iterate(cfg, x0,
-                    lambda k, x: as_array(reg.evaluate_scaled(x - inv_b * f.grad(x), inv_b)),
-                    lambda k, x, r: (x, _objective(cfg, f, slot, x, 1.0), r, r),
+    step = cfg.step
+    if precond is not None:
+        b = as_array(precond)
+        if np.any(b <= 0):
+            raise ValueError("preconditioner entries must be positive")
+        if as_array(x0).shape != b.shape:
+            raise ValueError("preconditioner shape must match the iterate")
+        if slot.prox is None:
+            raise ValueError("a preconditioner needs a prox in the slot")
+        step = 1.0 / b
+    return _iterate(cfg, x0, lambda k, x: slot.apply(x - step * f.grad(x), step),
+                    lambda k, x, r: (x, _objective(cfg, f, slot, x, step), r, r),
                     reference, peak)
 
 
@@ -282,9 +275,11 @@ def run_drs(map_a, map_b, cfg: SolverConfig, x0, reference=None, peak: float = 1
     With A = prox of the first term and B of the second this is classical
     DRS; putting the denoiser in the A slot gives the denoiser-first
     variant, putting it in the B slot (after a differentiable fidelity
-    prox) gives the fidelity-first variant.  The returned point is the
-    limit of the y-sequence.  The traced fixed-point residual is
-    ||z_k - y_k|| = ||x_{k+1} - x_k||, the update's own residual.
+    prox) gives the fidelity-first variant, whose contraction for a strongly
+    convex fidelity (Ryu et al. 2019) :func:`contraction_factor` measures.
+    The returned point is the limit of the y-sequence.  The traced
+    fixed-point residual is ||z_k - y_k|| = ||x_{k+1} - x_k||, the update's
+    own residual.
     """
     slot_a = as_slot(map_a)
     slot_b = as_slot(map_b)
@@ -584,52 +579,24 @@ def run_gs_pnp(op: LinearOp, y, gs: Denoiser, cfg: SolverConfig, lam: float | No
 
 
 # ---------------------------------------------------------------------------
-# Generic fixed-point driver
+# Convergence diagnostics
 # ---------------------------------------------------------------------------
 
 
-def drsdiff_operator(prox_f: ProxMap, denoiser: Denoiser, tau: float,
-                     sigma: float = 0.0) -> Callable[[np.ndarray], np.ndarray]:
-    """Fidelity-first DRS as a single operator x -> T(x).
+def contraction_factor(trace: Trace) -> float:
+    """Empirical contraction factor sup_k r_{k+1} / r_k of a converged run.
 
-    T = 0.5*id + 0.5*(2D - id)(2 prox_{tau f} - id); iterating T reproduces
-    the three-line fidelity-first DRS updates exactly.
+    r_k is the traced step residual ||x_k - x_{k-1}||.  Ratios that involve
+    the last 5 iterations (rounding noise near the tolerance) or a residual
+    below 1e-14 of the first are skipped.  Raises SolveError carrying the
+    factor when the run did not stop on tolerance.
     """
-
-    def operator(x):
-        yk = as_array(prox_f.evaluate(x, tau))
-        reflected = 2.0 * yk - x
-        zk = as_array(denoiser.apply(reflected, sigma))
-        return 0.5 * x + 0.5 * (2.0 * zk - reflected)
-
-    return operator
-
-
-def run_fixed_point(operator, cfg: SolverConfig, x0, reference=None, peak: float = 1.0):
-    """Iterate x_{k+1} = operator(x_k) and estimate the empirical contraction factor.
-
-    The factor is sup_k ||x_{k+1} - x*|| / ||x_k - x*|| against the final
-    iterate as the x* proxy, excluding the last 5 iterations (whose ratios
-    are dominated by the proxy error).  Returns (x, trace, factor); raises
-    SolveError carrying the factor when max_iter is hit before the step
-    residual reaches tolerance.
-    """
-    iterates = [as_array(x0).copy()]
-
-    def advance(k, x):
-        x_new = as_array(operator(x))
-        iterates.append(x_new.copy())
-        return x_new
-
-    x, trace = _iterate(cfg, x0, advance, reference=reference, peak=peak)
-    star = iterates[-1]
-    dists = [float(np.linalg.norm(it - star)) for it in iterates]
+    r = trace.column("step_residual")[1:]
+    r = r[:max(len(r) - 5, 0)]
     factor = 0.0
-    usable = len(dists) - 1 - 5  # drop ratios from the last 5 iterations
-    scale = max(dists[0], 1.0)
-    for k in range(max(usable, 0)):
-        if dists[k] > 1e-14 * scale:
-            factor = max(factor, dists[k + 1] / dists[k])
+    for k in range(len(r) - 1):
+        if r[k] > 1e-14 * r[0]:
+            factor = max(factor, float(r[k + 1] / r[k]))
     if trace.stop_reason != "tolerance":
         raise SolveError("fixed-point iteration did not converge", residual=factor)
-    return x, trace, factor
+    return factor

@@ -21,7 +21,7 @@ from pnpkit import (
     UlaConfig,
     adjoint_defect,
     compose,
-    drsdiff_operator,
+    contraction_factor,
     effective_sample_size,
     estimate_residual_lipschitz,
     gaussian_filter_denoiser,
@@ -41,7 +41,6 @@ from pnpkit import (
     run_admm,
     run_apgd,
     run_drs,
-    run_fixed_point,
     run_gs_pnp,
     run_hqs,
     run_pgd,
@@ -167,10 +166,10 @@ def test_criterion_04_drsdiff_contraction():
         den = linear_spectral_denoiser(tikhonov_spectral_family((n,), "dct"), lam)
         assert den.residual_norm == pytest.approx(eps, abs=1e-12)
         tau = 2.0 * eps / ((1.0 + eps - 2.0 * eps * eps) * 1.0)
-        problem = drsdiff_operator(prox_f, den, tau)
-        cfg = SolverConfig(max_iter=5000, tol=1e-13)
-        x1, _, f1 = run_fixed_point(problem, cfg, np.zeros(n))
-        x2, _, f2 = run_fixed_point(problem, cfg, 5.0 * rng.standard_normal(n))
+        cfg = SolverConfig(step=tau, max_iter=5000, tol=1e-13)
+        x1, t1 = run_drs(prox_f, RegSlot(denoiser=den), cfg, np.zeros(n))
+        x2, t2 = run_drs(prox_f, RegSlot(denoiser=den), cfg, 5.0 * rng.standard_normal(n))
+        f1, f2 = contraction_factor(t1), contraction_factor(t2)
         assert f1 < 1.0 and f2 < 1.0
         gap = float(np.max(np.abs(x1.to_array() - x2.to_array())))
         assert gap <= 1e-8

@@ -18,6 +18,7 @@ from pnpkit import (
     save_signal,
     write_trace,
 )
+from pnpkit.core import DIVERGENCE_NORM, diverged
 
 
 class TestSignal:
@@ -274,3 +275,15 @@ class TestTrace:
         t = Trace()
         with pytest.raises(ValueError):
             t.append(3)
+
+
+class TestDiverged:
+    @pytest.mark.filterwarnings("error")
+    def test_one_rule_for_non_finite_and_large_states(self):
+        assert not diverged(np.ones(4))
+        assert not diverged(np.array([DIVERGENCE_NORM, 0.0]))
+        assert diverged(np.array([1.0, np.nan]))
+        assert diverged(np.array([-np.inf, 1.0]))
+        assert diverged(np.array([2.0 * DIVERGENCE_NORM, 0.0]))
+        with np.errstate(over="ignore"):  # the norm of a large finite state overflows
+            assert diverged(np.array([1e200, 1.0]))

@@ -1,3 +1,4 @@
+import inspect
 import os
 import re
 import shutil
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import pnpkit
+from pnpkit import solvers
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
@@ -39,3 +41,12 @@ def test_readme_python_example_runs(tmp_path):
     script.write_text(blocks[0])
     proc = run_script(script, tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_solvers_row_names_every_driver():
+    row = next(line for line in (ROOT / "README.md").read_text().splitlines()
+               if line.startswith("| `pnpkit.solvers` |"))
+    listed = set(re.findall(r"`(run_\w+)", row))
+    drivers = {name for name, obj in vars(solvers).items()
+               if name.startswith("run_") and inspect.isfunction(obj)}
+    assert listed == drivers

@@ -19,6 +19,7 @@ from pnpkit import (
     prox_quadratic_fidelity,
     prox_tv,
     prox_wavelet_l1,
+    quadratic_prox,
     soft_threshold,
     squared_l2_prox,
     tv_conj_prox,
@@ -27,6 +28,7 @@ from pnpkit import (
     tv_value,
     wavelet_l1_prox,
     zero_op,
+    zero_prox,
 )
 from pnpkit.cli import builtin_image
 from pnpkit.operators import as_dense
@@ -277,8 +279,18 @@ class TestProxMapProperties:
                 assert total(z) >= base - 1e-12
 
     def test_scaled_evaluate_requires_separable(self, rng):
-        with pytest.raises(Exception):
-            tv_prox(1.0).evaluate_scaled(rng.standard_normal(4), np.ones(4))
+        with pytest.raises(SolveError):
+            tv_prox(1.0).evaluate(rng.standard_normal(4), np.ones(4))
+
+    def test_componentwise_lam_matches_entrywise_scalar_calls(self, rng):
+        v = rng.standard_normal(5)
+        lam = np.array([0.1, 0.5, 1.0, 2.0, 4.0])
+        for prox in (l1_prox(0.7), box_prox(-0.5, 0.5), squared_l2_prox(2.0),
+                     quadratic_prox(np.linspace(-1.0, 1.0, 5), 1.5), zero_prox()):
+            expected = [prox.evaluate(v, lam[i])[i] for i in range(5)]
+            np.testing.assert_array_equal(prox.evaluate(v, lam), expected)
+        with pytest.raises(ValueError):
+            l1_prox(1.0).evaluate(v, -lam)
 
 
 def _reference_grad(x):

@@ -14,7 +14,7 @@ from pnpkit import (
     SolveError,
     SolverConfig,
     box_prox,
-    drsdiff_operator,
+    contraction_factor,
     gaussian_smoother,
     gs_denoiser,
     identity_op,
@@ -28,11 +28,9 @@ from pnpkit import (
     run_admm,
     run_apgd,
     run_drs,
-    run_fixed_point,
     run_gs_pnp,
     run_hqs,
     run_pgd,
-    run_pgd_preconditioned,
     run_red_apg,
     run_red_gd,
     run_red_pg,
@@ -162,15 +160,15 @@ class TestPgdPreconditioned:
         c = 8.0
         cfg = SolverConfig(step=1.0 / c, max_iter=100, tol=0.0)
         x_pgd, _ = run_pgd(fid, RegSlot(prox=l1_prox(weight)), cfg, np.zeros(5))
-        x_pre, _ = run_pgd_preconditioned(fid, l1_prox(weight), np.full(5, c), cfg,
-                                          np.zeros(5))
+        x_pre, _ = run_pgd(fid, RegSlot(prox=l1_prox(weight)), cfg, np.zeros(5),
+                           precond=np.full(5, c))
         assert np.max(np.abs(x_pgd.to_array() - x_pre.to_array())) <= 1e-12
 
     def test_newton_on_diagonal_quadratic(self):
         h = np.array([2.0, 7.0, 0.5])
         f = SmoothFn(grad=lambda x: h * x)
         cfg = SolverConfig(step=1.0, max_iter=3, tol=1e-15)
-        x, trace = run_pgd_preconditioned(f, zero_prox(), h, cfg, np.array([1.0, -2.0, 3.0]))
+        x, trace = run_pgd(f, zero_prox(), cfg, np.array([1.0, -2.0, 3.0]), precond=h)
         np.testing.assert_allclose(x.to_array(), np.zeros(3), atol=1e-14)
         assert trace.rows[1].step_residual > 0  # one step was enough
 
@@ -179,8 +177,8 @@ class TestPgdPreconditioned:
         op = DenseOp(k_mat)
         b = np.full(5, np.linalg.norm(k_mat, 2) ** 2)  # valid majorizer
         cfg = SolverConfig(step=1.0, max_iter=20000, tol=1e-14)
-        x, _ = run_pgd_preconditioned(SmoothFn.least_squares(op, y), l1_prox(weight),
-                                      b, cfg, np.zeros(5))
+        x, _ = run_pgd(SmoothFn.least_squares(op, y), l1_prox(weight), cfg, np.zeros(5),
+                       precond=b)
         oracle = lasso_cd_oracle(k_mat, y, weight)
         assert np.max(np.abs(x.to_array() - oracle)) <= 1e-8
 
@@ -188,8 +186,17 @@ class TestPgdPreconditioned:
         f = SmoothFn(grad=lambda x: x)
         cfg = SolverConfig(step=1.0, max_iter=2)
         with pytest.raises(SolveError):
-            run_pgd_preconditioned(f, tv_prox(0.5), np.array([1.0, 2.0]), cfg,
-                                   np.zeros(2))
+            run_pgd(f, tv_prox(0.5), cfg, np.zeros(2), precond=np.array([1.0, 2.0]))
+
+    def test_bad_preconditioner_rejected(self):
+        f = SmoothFn(grad=lambda x: x)
+        cfg = SolverConfig(max_iter=2)
+        with pytest.raises(ValueError, match="positive"):
+            run_pgd(f, zero_prox(), cfg, np.zeros(2), precond=np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="shape"):
+            run_pgd(f, zero_prox(), cfg, np.zeros(2), precond=np.ones(3))
+        with pytest.raises(ValueError, match="prox"):
+            run_pgd(f, identity_denoiser(), cfg, np.zeros(2), precond=np.ones(2))
 
 
 class TestApgd:
@@ -627,12 +634,18 @@ class TestGsPnp:
             run_gs_pnp(DenseOp(k_mat), y, identity_denoiser(), SolverConfig())
 
 
+def _iterate_map(fn, cfg, x0):
+    """Iterate x_{k+1} = fn(x_k) as PnP-PGD with no smooth term."""
+    den = Denoiser(lambda arr, s: fn(arr), tag="map")
+    return run_pgd(SmoothFn(grad=np.zeros_like), RegSlot(denoiser=den), cfg, x0)
+
+
 class TestFixedPoint:
     def test_half_identity_contracts_at_half(self):
         cfg = SolverConfig(max_iter=200, tol=1e-12)
-        x, trace, factor = run_fixed_point(lambda z: 0.5 * z, cfg, np.ones(3))
+        x, trace = _iterate_map(lambda z: 0.5 * z, cfg, np.ones(3))
         assert np.linalg.norm(x.to_array()) <= 1e-11
-        assert factor == pytest.approx(0.5, abs=1e-9)
+        assert contraction_factor(trace) == pytest.approx(0.5, abs=1e-9)
 
     def test_drsdiff_contraction_gate(self):
         # epsilon = lam/(1+lam); tau at twice the theorem threshold
@@ -645,14 +658,14 @@ class TestFixedPoint:
         target = rng.standard_normal(n)
         prox_f = quadratic_prox(target, weight=1.0)  # mu = 1
         tau = 2.0 * eps / ((1.0 + eps - 2.0 * eps**2) * 1.0)
-        problem = drsdiff_operator(prox_f, den, tau)
-        cfg = SolverConfig(max_iter=4000, tol=1e-13)
-        x1, _, factor1 = run_fixed_point(problem, cfg, np.zeros(n))
-        x2, _, factor2 = run_fixed_point(problem, cfg, 10.0 * rng.standard_normal(n))
-        assert factor1 < 1.0 and factor2 < 1.0
+        cfg = SolverConfig(step=tau, max_iter=4000, tol=1e-13)
+        x1, trace1 = run_drs(prox_f, RegSlot(denoiser=den), cfg, np.zeros(n))
+        x2, trace2 = run_drs(prox_f, RegSlot(denoiser=den), cfg, 10.0 * rng.standard_normal(n))
+        assert contraction_factor(trace1) < 1.0 and contraction_factor(trace2) < 1.0
         assert np.max(np.abs(x1.to_array() - x2.to_array())) <= 1e-8
 
-    def test_drsdiff_operator_matches_three_line_updates(self):
+    def test_fidelity_first_drs_matches_three_line_updates(self):
+        # fidelity-first run_drs: y = prox_{tau f}(x), z = D(2y - x), x <- x + z - y
         rng = Rng(6)
         n = 5
         family = tikhonov_spectral_family((n,), transform="identity")
@@ -660,19 +673,23 @@ class TestFixedPoint:
         target = rng.standard_normal(n)
         prox_f = quadratic_prox(target)
         tau = 0.7
-        op = drsdiff_operator(prox_f, den, tau)
-        x = rng.standard_normal(n)
-        yk = np.asarray(prox_f.evaluate(x, tau))
-        zk = den.apply(2.0 * yk - x)
-        np.testing.assert_allclose(op(x), x + zk - yk, atol=1e-14)
+        x0 = rng.standard_normal(n)
+        x = x0
+        for _ in range(3):
+            y = np.asarray(prox_f.evaluate(x, tau))
+            x = x + den.apply(2.0 * y - x) - y
+        cfg = SolverConfig(step=tau, max_iter=3, tol=0.0)
+        out, _ = run_drs(prox_f, RegSlot(denoiser=den), cfg, x0)
+        np.testing.assert_allclose(out.to_array(), y, atol=1e-14)
 
     def test_nonconvergent_rotation_raises_with_factor(self):
         theta = 0.3
         rot = np.array([[math.cos(theta), -math.sin(theta)],
                         [math.sin(theta), math.cos(theta)]])
         cfg = SolverConfig(max_iter=50, tol=1e-12)
+        _, trace = _iterate_map(lambda z: rot @ z, cfg, np.array([1.0, 0.0]))
         with pytest.raises(SolveError) as exc:
-            run_fixed_point(lambda z: rot @ z, cfg, np.array([1.0, 0.0]))
+            contraction_factor(trace)
         assert exc.value.residual is not None
 
 
@@ -754,11 +771,16 @@ def _fid():
     return SmoothFn.least_squares(CONTRACT_OP, CONTRACT_Y)
 
 
+def _with_contraction(result):
+    assert contraction_factor(result[1]) < 1.0
+    return result
+
+
 DRIVERS = {
     "pgd": lambda cfg, grow: run_pgd(
         _fid(), RegSlot(denoiser=_scaling_denoiser(grow)), cfg, np.ones(4)),
-    "pgd_preconditioned": lambda cfg, grow: run_pgd_preconditioned(
-        _fid(), l1_prox(0.1), np.full(4, 0.01 if grow else 1.0), cfg, np.ones(4)),
+    "pgd_preconditioned": lambda cfg, grow: run_pgd(
+        _fid(), l1_prox(0.1), cfg, np.ones(4), precond=np.full(4, 0.01 if grow else 1.0)),
     "apgd": lambda cfg, grow: run_apgd(
         _fid(), RegSlot(denoiser=_scaling_denoiser(grow)), cfg, np.ones(4)),
     "drs": lambda cfg, grow: run_drs(
@@ -777,8 +799,10 @@ DRIVERS = {
         CONTRACT_OP, CONTRACT_Y, _scaling_denoiser(grow), lam=1.0, L=2.0, cfg=cfg),
     "gs_pnp": lambda cfg, grow: run_gs_pnp(
         CONTRACT_OP, CONTRACT_Y, _quadratic_gs(grow), cfg, lam=1.0, tau=0.5, x0=np.ones(4)),
-    "fixed_point": lambda cfg, grow: run_fixed_point(
-        lambda z: (3.0 if grow else 0.5) * z + 1.0, cfg, np.ones(4))[:2],
+    # fidelity-first DRS whose trace must certify a contraction factor
+    "fixed_point": lambda cfg, grow: _with_contraction(run_drs(
+        quadratic_fidelity_prox(CONTRACT_OP, CONTRACT_Y),
+        RegSlot(denoiser=_scaling_denoiser(grow)), cfg, np.ones(4))),
 }
 
 
@@ -846,6 +870,15 @@ class TestDivergenceContext:
         x2, _ = run_red_apg(CONTRACT_OP, CONTRACT_Y, _failing_denoiser(99), lam=1.0, L=2.0,
                             cfg=SolverConfig(max_iter=2, tol=0.0))
         np.testing.assert_array_equal(x.to_array(), x2.to_array())
+
+
+@pytest.mark.filterwarnings("error")
+def test_large_finite_state_diverges_without_overflow_warning():
+    # the state stays finite, but its norm overflows to inf
+    huge = Denoiser(lambda arr, s: 1e200 * arr, tag="huge")
+    with pytest.raises(DivergenceError) as exc:
+        run_pgd(_fid(), RegSlot(denoiser=huge), SolverConfig(max_iter=5, tol=0.0), np.ones(4))
+    assert exc.value.step == 1
 
 
 class TestNonFiniteStart:
