@@ -27,7 +27,6 @@ from pnpkit import (
     psnr,
     quadratic_fidelity_prox,
     run_drs,
-    run_gs_pnp,
     run_hqs,
     run_pgd,
     save_signal,
@@ -79,7 +78,9 @@ report("pnp-drs", sig, tr)
 sig, tr = run_drs(quadratic_fidelity_prox(op, y), RegSlot(denoiser=gs), cfg, x0,
                   reference=x_true)
 report("pnp-drsdiff", sig, tr)
-sig, tr = run_gs_pnp(op, y, gs, cfg, lam=0.7, tau=1.0, reference=x_true)
+# GS-PnP is PGD on F = f + lam*g: the data term in the prox slot, lam*g smooth
+sig, tr = run_pgd(SmoothFn.potential(gs, 0.7), quadratic_fidelity_prox(op, y), cfg, x0,
+                  reference=x_true)
 report("gs-pnp", sig, tr)
 
 print("\nhalf-quadratic baseline with a decreasing denoiser schedule (recorded only):")

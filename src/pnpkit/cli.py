@@ -96,7 +96,6 @@ from .solvers import (
     run_admm,
     run_apgd,
     run_drs,
-    run_gs_pnp,
     run_hqs,
     run_pgd,
     run_red_apg,
@@ -200,21 +199,21 @@ _REG = OneOf({
     "wavelet": {"weight": Key(float, 1.0), "levels": Key(int, 1)},
     "zero": {},
 }, tag="kind")
-# step, alpha, rho, max_iter and tol are checked by SolverConfig.  eta and tau
-# default to step, and gs-pnp's lam to the denoiser's weight, in the drivers.
+# step, alpha, rho, max_iter and tol are checked by SolverConfig.  eta and
+# gs-pnp's tau default to step, and gs-pnp's lam to the denoiser's weight.
 _SOLVER_KEYS = {
     "step": Key(float, 1.0), "alpha": Key(float, 0.5), "rho": Key(float, 1.0),
     "max_iter": Key(int, 200), "tol": Key(float, 1e-9),
     "lam": Key(float, 1.0, gt=0.0), "sigma": Key(float, 0.0, ge=0.0),
     "L": Key(float, 2.0, gt=1.0), "eta": Key(float, None, gt=0.0),
-    "tau": Key(float, None, gt=0.0), "backtracking": Key(bool, False),
     "rho_schedule": Key([float], None, gt=0.0, min_len=1),
     "sigma_schedule": Key([float], None, ge=0.0, min_len=1),
     "reg": Key(_REG, None),
 }
 _ALGO_KEYS = {
     "red-gd": {"lam": Key(float, 1.0, ge=0.0), "sigma": Key(float, 1.0, gt=0.0)},
-    "gs-pnp": {"lam": Key(float, None, gt=0.0)},
+    "gs-pnp": {"lam": Key(float, None, gt=0.0), "tau": Key(float, None, gt=0.0),
+               "backtracking": Key(bool, False)},
 }
 _SOLVER = OneOf({algo: {**_SOLVER_KEYS, **_ALGO_KEYS.get(algo, {})} for algo in VALID_ALGOS},
                 tag="algo")
@@ -522,6 +521,8 @@ def _solver_run(spec: dict, problem, where: str):
     with _section(where):
         cfg = SolverConfig(**{k: spec[k] for k in ("step", "alpha", "rho", "max_iter", "tol")},
                            record_time=False)  # byte-identical outputs for identical config+seed
+        if spec.get("tau") is not None:  # gs-pnp names its step tau
+            cfg = replace(cfg, step=spec["tau"])
         prox = None if spec["reg"] is None else RegSlot(prox=build_reg_prox(spec["reg"]))
         plug = None if den is None else RegSlot(denoiser=den, sigma=spec["sigma"])
         slot = (plug or prox) if algo == "hqs" else (prox or plug) if algo in PROX_ALGOS else plug
@@ -554,8 +555,9 @@ def _solver_run(spec: dict, problem, where: str):
             runner = run_red_pg if algo == "red-pg" else run_red_apg
             return runner(op, y, den, lam=spec["lam"], L=spec["L"], cfg=cfg,
                           sigma=spec["sigma"], reference=ref)
-        return run_gs_pnp(op, y, den, cfg, lam=spec["lam"], tau=spec["tau"],
-                          backtracking=spec["backtracking"], reference=ref)
+        lam = den.weight if spec["lam"] is None else spec["lam"]
+        return run_pgd(SmoothFn.potential(den, lam), quadratic_fidelity_prox(op, y), cfg, x0,
+                       reference=ref, backtracking=spec["backtracking"])
 
     return run
 

@@ -42,12 +42,10 @@ class Denoiser:
     map is linear and the constant is known in closed form.
     """
 
-    def __init__(self, fn, tag: str, linear: bool = False, potential=None,
-                 grad_potential=None, prox_potential=None, residual_norm=None,
-                 weight: float | None = None):
+    def __init__(self, fn, tag: str, potential=None, grad_potential=None,
+                 prox_potential=None, residual_norm=None, weight: float | None = None):
         self._fn = fn
         self.tag = tag
-        self.linear = linear
         self.potential = potential
         self.grad_potential = grad_potential
         self.prox_potential = prox_potential
@@ -112,7 +110,7 @@ def gaussian_filter_denoiser(kernel_sigma: float, radius: int | None = None) -> 
         op = make_blur(kernel, arr.shape)
         return op._apply(arr)
 
-    return Denoiser(fn, tag=f"gaussian({kernel_sigma})", linear=True)
+    return Denoiser(fn, tag=f"gaussian({kernel_sigma})")
 
 
 def nlm_denoiser(patch_radius: int, window_radius: int, h: float) -> Denoiser:
@@ -186,7 +184,6 @@ class SpectralDenoiserFamily:
     transform: str
     shape: tuple
     gains: Callable[[float], np.ndarray]
-    lambda_range: tuple[float, float] = (0.0, math.inf)
     levels: int = 1
 
     def __post_init__(self):
@@ -214,7 +211,6 @@ def tikhonov_spectral_family(shape, transform: str = "dct", profile=None,
         transform=transform,
         shape=shape,
         gains=lambda lam: 1.0 / (1.0 + lam * profile_arr),
-        lambda_range=(0.0, math.inf),
         levels=levels,
     )
 
@@ -237,9 +233,8 @@ def linear_spectral_denoiser(family: SpectralDenoiserFamily, lam: float) -> Deno
     shrinkage in an orthonormal basis is the prox of a diagonal quadratic,
     the exact potential it is the prox of.
     """
-    lo, hi = family.lambda_range
-    if not (lo <= lam <= hi):
-        raise ValueError(f"lam {lam} outside family range [{lo}, {hi}]")
+    if not lam >= 0:
+        raise ValueError(f"lam {lam} must be nonnegative")
     gains = np.asarray(family.gains(float(lam)), dtype=np.float64)
     if gains.shape != family.shape:
         raise ValueError("gain array shape does not match the family shape")
@@ -260,7 +255,6 @@ def linear_spectral_denoiser(family: SpectralDenoiserFamily, lam: float) -> Deno
     return Denoiser(
         fn,
         tag=f"spectral({family.transform},lam={lam})",
-        linear=True,
         prox_potential=phi,
         residual_norm=float(np.max(1.0 - gains)),
     )
@@ -329,7 +323,6 @@ def gs_denoiser(smoother: LinearOp, weight: float = 1.0) -> Denoiser:
     den = Denoiser(
         fn,
         tag="gs",
-        linear=True,
         potential=g_value,
         grad_potential=grad_g,
         prox_potential=phi,
@@ -372,14 +365,12 @@ def mmse_gmm_denoiser(prior: GmmPrior) -> Denoiser:
     single zero-mean component, where it reduces to the scalar shrinkage
     gamma^2 / (gamma^2 + sigma^2).
     """
-    linear = prior.n_components == 1 and not np.any(prior.means)
-
     def fn(arr, sigma):
         flat = arr.reshape(-1)
         out = posterior_mean(prior, flat, sigma)
         return np.asarray(out).reshape(arr.shape)
 
-    return Denoiser(fn, tag=f"mmse_gmm(J={prior.n_components})", linear=linear)
+    return Denoiser(fn, tag=f"mmse_gmm(J={prior.n_components})")
 
 
 # ---------------------------------------------------------------------------

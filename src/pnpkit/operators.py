@@ -450,7 +450,7 @@ def solve_shifted_normal(op: LinearOp, rho: float, b):
     diagonal/mask kinds; otherwise conjugate gradients with at most 10*n
     iterations (SolveError on stagnation).
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError("rho must be positive")
     b_arr = as_array(b)
     if b_arr.shape != op.in_shape:

@@ -173,6 +173,8 @@ def tv_value(x) -> float:
     return float(np.sum(np.abs(_grad(as_array(x)))))
 
 
+# An inf input makes nan (inf * 0) in the iterates; the non-finite gap reports it.
+@np.errstate(invalid="ignore")
 def _tv_dual_solve(v: np.ndarray, lam: float, tol: float, max_iter: int, p0=None):
     """FISTA-accelerated projected gradient on the TV dual (Beck-Teboulle).
 
@@ -297,7 +299,7 @@ def prox_quadratic_fidelity(v, lam: float, op: LinearOp, y):
 
 def _fidelity_prox(v: np.ndarray, lam: float, op: LinearOp, kty: np.ndarray) -> np.ndarray:
     """:func:`prox_quadratic_fidelity` on arrays, given K^T y computed once per run."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lam must be positive")
     return as_array(solve_shifted_normal(op, 1.0 / lam, kty + v / lam))
 
@@ -325,14 +327,14 @@ class ProxMap:
 
     def evaluate(self, v, lam):
         if np.ndim(lam) == 0:
-            if lam <= 0:
+            if not lam > 0:
                 raise ValueError("lam must be positive")
             lam = float(lam)
         elif not self.separable:
             raise SolveError(f"prox {self.fn_id!r} does not support componentwise scaling")
         else:
             lam = as_array(lam)
-            if np.any(lam <= 0):
+            if not np.all(lam > 0):
                 raise ValueError("componentwise lam must be positive")
         return _wrap_like(v, self._evaluate(as_array(v), lam))
 

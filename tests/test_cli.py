@@ -484,6 +484,10 @@ MALFORMED = [
                  "config.solver", id="hqs-rho-schedule"),
     pytest.param("solve", ("solver",), {"algo": "gs-pnp", "backtracking": "no"},
                  "config.solver", id="gs-pnp-backtracking"),
+    pytest.param("solve", ("solver",), {"algo": "pgd", "backtracking": True},
+                 "config.solver", id="pgd-backtracking"),
+    pytest.param("solve", ("solver",), {"algo": "pnp-pgd", "tau": 1.0},
+                 "config.solver", id="pnp-pgd-tau"),
     pytest.param("sample", ("sampler", "kept"), "x", "config.sampler", id="sampler-kept"),
     pytest.param("sample", ("sampler", "delta"), -1, "config.sampler", id="sampler-delta"),
     pytest.param("sample", ("sampler", "thin"), 0, "config.sampler", id="sampler-thin"),

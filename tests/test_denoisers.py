@@ -331,7 +331,7 @@ class TestMmseDenoiser:
 class TestResidualLipschitz:
     def test_scaled_identity_exact(self):
         for alpha in (0.3, 1.0, 1.4):
-            d = Denoiser(lambda arr, s, a=alpha: a * arr, tag="scale", linear=True)
+            d = Denoiser(lambda arr, s, a=alpha: a * arr, tag="scale")
             est = estimate_residual_lipschitz(d, 0.0, (5,), probes=1, rng=Rng(0))
             assert est == pytest.approx(abs(alpha - 1.0), abs=1e-7)
 
@@ -345,7 +345,7 @@ class TestResidualLipschitz:
 
     def test_random_dense_linear_vs_svd(self, rng):
         mat = rng.standard_normal((16, 16)) / 4.0
-        d = Denoiser(lambda arr, s: mat @ arr, tag="dense", linear=True)
+        d = Denoiser(lambda arr, s: mat @ arr, tag="dense")
         est = estimate_residual_lipschitz(d, 0.0, (16,), probes=1, rng=Rng(7))
         exact = np.linalg.svd(mat - np.eye(16), compute_uv=False)[0]
         assert abs(est - exact) / exact <= 1e-3
@@ -361,7 +361,7 @@ class TestResidualLipschitz:
 class TestJacobianAsymmetry:
     def test_upper_triangular_matches_dense_algebra(self):
         mat = np.triu(np.ones((4, 4)))
-        d = Denoiser(lambda arr, s: mat @ arr, tag="tri", linear=True)
+        d = Denoiser(lambda arr, s: mat @ arr, tag="tri")
         measured = jacobian_asymmetry(d, np.zeros(4), 0.0)
         expected = np.linalg.norm(mat - mat.T) / np.linalg.norm(mat)
         assert measured == pytest.approx(expected, abs=1e-7)

@@ -228,8 +228,9 @@ class TestShiftedNormal:
         assert np.max(np.abs(x - oracle)) <= 1e-8
 
     def test_rho_must_be_positive(self):
-        with pytest.raises(ValueError):
-            solve_shifted_normal(identity_op((3,)), 0.0, np.zeros(3))
+        for rho in (0.0, np.nan):
+            with pytest.raises(ValueError):
+                solve_shifted_normal(identity_op((3,)), rho, np.zeros(3))
 
     def test_residual_certified(self, rng):
         mat = rng.standard_normal((10, 10))

@@ -157,6 +157,11 @@ class TestProxTv:
 
 
 class TestProxQuadraticFidelity:
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan])
+    def test_nonpositive_lam_rejected(self, lam):
+        with pytest.raises(ValueError):
+            prox_quadratic_fidelity(np.zeros(6), lam, identity_op((6,)), np.zeros(6))
+
     def test_zero_operator_returns_v(self, rng):
         v = rng.standard_normal(6)
         out = prox_quadratic_fidelity(v, 0.8, zero_op((6,)), np.zeros(6))
@@ -291,6 +296,10 @@ class TestProxMapProperties:
             np.testing.assert_array_equal(prox.evaluate(v, lam), expected)
         with pytest.raises(ValueError):
             l1_prox(1.0).evaluate(v, -lam)
+        with pytest.raises(ValueError):
+            l1_prox(1.0).evaluate(v, np.where(lam > 1.5, np.nan, lam))
+        with pytest.raises(ValueError):
+            l1_prox(1.0).evaluate(v, np.nan)
 
 
 def _reference_grad(x):
@@ -405,6 +414,16 @@ class TestFusedDualKernel:
     def test_inf_input_raises_divergence(self):
         v = np.linspace(0.0, 1.0, 32)
         v[-1] = np.inf
+        with pytest.raises(DivergenceError):
+            prox_tv(v, 0.04)
+        with pytest.raises(DivergenceError):
+            tv_conjugate_prox(v, 0.04)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", [(32,), (8, 8)])
+    def test_inf_input_raises_divergence_without_warning(self, shape):
+        v = np.linspace(0.0, 1.0, int(np.prod(shape))).reshape(shape)
+        v.flat[-1] = np.inf
         with pytest.raises(DivergenceError):
             prox_tv(v, 0.04)
         with pytest.raises(DivergenceError):

@@ -94,7 +94,7 @@ class TestRunPnpUla:
         # an expansive "denoiser" plus a huge step blows the chain up
         from pnpkit.denoisers import Denoiser
 
-        bad = Denoiser(lambda arr, s: 3.0 * arr, tag="expander", linear=True)
+        bad = Denoiser(lambda arr, s: 3.0 * arr, tag="expander")
         op = zero_op((3,))
         cfg = UlaConfig(delta=5.0, sigma=0.1, sigma_w=1.0, kept=10, burn_in=10, seed=0)
         with pytest.raises(DivergenceError) as exc:

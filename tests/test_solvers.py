@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from pnpkit import (
     run_admm,
     run_apgd,
     run_drs,
-    run_gs_pnp,
     run_hqs,
     run_pgd,
     run_red_apg,
@@ -39,6 +39,7 @@ from pnpkit import (
     tv_prox,
     zero_prox,
 )
+from pnpkit import solvers
 from pnpkit.operators import as_dense
 
 
@@ -65,7 +66,7 @@ def lasso_instance():
 
 
 def identity_denoiser():
-    return Denoiser(lambda arr, s: arr, tag="identity", linear=True)
+    return Denoiser(lambda arr, s: arr, tag="identity")
 
 
 class TestPgd:
@@ -541,7 +542,7 @@ class TestRedApg:
         rng = Rng(1)
         op = DiagonalOp(np.full(4, 0.1))
         y = rng.standard_normal(4)
-        expander = Denoiser(lambda arr, s: 10.0 * arr, tag="expander", linear=True)
+        expander = Denoiser(lambda arr, s: 10.0 * arr, tag="expander")
         cfg = SolverConfig(max_iter=2000, tol=0.0)
         _, trace = run_red_apg(op, y, expander, lam=1.0, L=1.5, cfg=cfg,
                                v0=np.ones(4))
@@ -566,6 +567,12 @@ class TestRedApg:
         np.testing.assert_array_equal(out.to_array(), x_prev)
 
 
+def _gs_pnp(op, y, den, cfg, lam, x0=None, backtracking=False):
+    """GS-PnP: PGD with the data term in the prox slot and lam*g as the smooth term."""
+    return run_pgd(SmoothFn.potential(den, lam), quadratic_fidelity_prox(op, y), cfg,
+                   op._adjoint(y) if x0 is None else x0, backtracking=backtracking)
+
+
 class TestGsPnp:
     def _deblur_setup(self, shape=(8, 8), floor=0.2):
         rng = Rng(21)
@@ -580,7 +587,7 @@ class TestGsPnp:
         op = DenseOp(k_mat)
         den = gs_denoiser(DiagonalOp(np.ones(5)))
         cfg = SolverConfig(step=0.5, max_iter=25, tol=0.0)
-        x, _ = run_gs_pnp(op, y, den, cfg, lam=1.0)
+        x, _ = _gs_pnp(op, y, den, cfg, lam=1.0)
         z = op._adjoint(y)
         for _ in range(25):
             z = np.asarray(prox_quadratic_fidelity(z - 0.0, 0.5, op, y))
@@ -591,7 +598,7 @@ class TestGsPnp:
         lam = 0.5
         tau = 0.9 / (lam * den.grad_lipschitz)
         cfg = SolverConfig(step=tau, max_iter=300, tol=0.0)
-        _, trace = run_gs_pnp(op, y, den, cfg, lam=lam)
+        _, trace = _gs_pnp(op, y, den, cfg, lam=lam)
         obj = trace.column("objective")
         assert np.all(np.diff(obj) <= 1e-12)
 
@@ -600,7 +607,7 @@ class TestGsPnp:
         lam = 0.5
         tau = 0.9 / (lam * den.grad_lipschitz)
         cfg = SolverConfig(step=tau, max_iter=5000, tol=1e-13)
-        x, _ = run_gs_pnp(op, y, den, cfg, lam=lam)
+        x, _ = _gs_pnp(op, y, den, cfg, lam=lam)
         grad_f = op._adjoint(op._apply(x.to_array()) - y)
         grad = grad_f + lam * den.grad_potential(x.to_array(), 0.0)
         assert np.linalg.norm(grad) <= 1e-6
@@ -611,27 +618,83 @@ class TestGsPnp:
         y = rng.standard_normal(6)
         den = gs_denoiser(gaussian_smoother((6,), 1.0, floor=0.3))
         cfg = SolverConfig(step=0.4, max_iter=200, tol=1e-12)
-        x, trace = run_gs_pnp(op, y, den, cfg, lam=0.3, backtracking=True)
+        x, trace = _gs_pnp(op, y, den, cfg, lam=0.3, backtracking=True)
         obj = trace.column("objective")
         assert np.all(np.diff(obj) <= 1e-12)
         assert trace.stop_reason == "tolerance"
 
-    def test_backtracking_exhaustion_raises(self):
+    def test_backtracking_exhaustion_raises(self, monkeypatch):
         # K = I, y = 0, g = 0.5*||x||^2, lam = 5: the decrease falls short of
         # the (1/t)*||dx||^2 demand by 12t/(1+t) * ||dx||^2 at every t, so a
-        # capped search exhausts its halvings and errors out
+        # search capped at 12 halvings (before the 1e-12 slack absorbs the
+        # shortfall near t = 2^-16) exhausts them and errors out
+        monkeypatch.setattr(solvers, "_HALVINGS", 12)
         op = identity_op((4,))
         den = gs_denoiser(DiagonalOp(np.zeros(4)))  # g = 0.5*||x||^2
         cfg = SolverConfig(step=0.5, max_iter=5, tol=0.0)
         with pytest.raises(SolveError) as exc:
-            run_gs_pnp(op, np.zeros(4), den, cfg, lam=5.0, backtracking=True,
-                       x0=2.0 * np.ones(4), max_halvings=12)
+            _gs_pnp(op, np.zeros(4), den, cfg, lam=5.0, x0=2.0 * np.ones(4),
+                    backtracking=True)
         assert "backtracking" in str(exc.value)
 
-    def test_requires_potential(self, lasso_instance):
-        k_mat, y, _ = lasso_instance
+    def test_requires_potential(self):
         with pytest.raises(ValueError):
-            run_gs_pnp(DenseOp(k_mat), y, identity_denoiser(), SolverConfig())
+            SmoothFn.potential(identity_denoiser(), 1.0)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_lam(self, lam):
+        with pytest.raises(ValueError):
+            SmoothFn.potential(gs_denoiser(DiagonalOp(np.zeros(4))), lam)
+
+
+class TestBacktracking:
+    @staticmethod
+    def _lasso_run(lasso_instance, max_iter, backtracking):
+        # a step of 5/L, where plain PGD needs one below 2/L
+        k_mat, y, weight = lasso_instance
+        op = DenseOp(k_mat)
+        cfg = SolverConfig(step=5.0 / op.spectral_norm ** 2, max_iter=max_iter, tol=1e-12)
+        return run_pgd(SmoothFn.least_squares(op, y), l1_prox(weight), cfg, np.zeros(5),
+                       backtracking=backtracking)
+
+    def test_lasso_step_above_two_over_l_halves_and_never_raises_f(self, lasso_instance):
+        with pytest.raises(DivergenceError):
+            self._lasso_run(lasso_instance, 200, False)
+        # the full trial step is rejected: the first iterate is a halved step's
+        first, _ = self._lasso_run(lasso_instance, 1, True)
+        full, _ = self._lasso_run(lasso_instance, 1, False)
+        assert np.max(np.abs(first.to_array() - full.to_array())) > 1e-3
+        _, trace = self._lasso_run(lasso_instance, 200, True)
+        obj = trace.column("objective")
+        assert np.all(np.diff(obj) <= 1e-12) and obj[-1] < obj[0]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the rule demands a decrease of (1/t)||dx||^2, more than the (1/t - L/2)||dx||^2 "
+        "that PGD guarantees with a convex smooth term, so the l1 steps shrink until "
+        "the 1e-12 slack absorbs the shortfall and the run creeps"))
+    def test_lasso_backtracking_stops_on_tolerance(self, lasso_instance):
+        x, trace = self._lasso_run(lasso_instance, 2000, True)
+        assert trace.stop_reason == "tolerance"
+        np.testing.assert_allclose(x.to_array(), lasso_cd_oracle(*lasso_instance), atol=1e-8)
+
+    def test_rejects_denoiser_slot(self, lasso_instance):
+        k_mat, y, _ = lasso_instance
+        with pytest.raises(ValueError, match="backtracking"):
+            run_pgd(SmoothFn.least_squares(DenseOp(k_mat), y), identity_denoiser(),
+                    SolverConfig(), np.zeros(5), backtracking=True)
+
+    def test_rejects_precond(self, lasso_instance):
+        k_mat, y, _ = lasso_instance
+        with pytest.raises(ValueError, match="backtracking"):
+            run_pgd(SmoothFn.least_squares(DenseOp(k_mat), y), l1_prox(0.2),
+                    SolverConfig(), np.zeros(5), precond=np.ones(5), backtracking=True)
+
+    def test_rejects_smooth_term_without_value(self, lasso_instance):
+        k_mat, y, _ = lasso_instance
+        grad = DenseOp(k_mat).least_squares_grad(y)
+        with pytest.raises(ValueError, match="backtracking"):
+            run_pgd(SmoothFn(grad=grad), l1_prox(0.2), SolverConfig(), np.zeros(5),
+                    backtracking=True)
 
 
 def _iterate_map(fn, cfg, x0):
@@ -756,7 +819,7 @@ CONTRACT_Y = np.array([1.0, -0.5, 0.25, 2.0])
 
 def _scaling_denoiser(grow):
     c = 10.0 if grow else 0.6
-    return Denoiser(lambda arr, s: c * arr, tag="scale", linear=True)
+    return Denoiser(lambda arr, s: c * arr, tag="scale")
 
 
 def _quadratic_gs(grow):
@@ -797,8 +860,9 @@ DRIVERS = {
         CONTRACT_OP, CONTRACT_Y, _scaling_denoiser(grow), lam=1.0, L=2.0, cfg=cfg),
     "red_apg": lambda cfg, grow: run_red_apg(
         CONTRACT_OP, CONTRACT_Y, _scaling_denoiser(grow), lam=1.0, L=2.0, cfg=cfg),
-    "gs_pnp": lambda cfg, grow: run_gs_pnp(
-        CONTRACT_OP, CONTRACT_Y, _quadratic_gs(grow), cfg, lam=1.0, tau=0.5, x0=np.ones(4)),
+    "gs_pnp": lambda cfg, grow: run_pgd(
+        SmoothFn.potential(_quadratic_gs(grow), 1.0),
+        quadratic_fidelity_prox(CONTRACT_OP, CONTRACT_Y), replace(cfg, step=0.5), np.ones(4)),
     # fidelity-first DRS whose trace must certify a contraction factor
     "fixed_point": lambda cfg, grow: _with_contraction(run_drs(
         quadratic_fidelity_prox(CONTRACT_OP, CONTRACT_Y),
