@@ -234,16 +234,18 @@ def run_pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, peak: float = 1.
     which needs a separable prox in the slot (l1, box, quadratic, ...);
     other proxes raise SolveError.
 
-    With ``backtracking`` the trial step t starts at ``cfg.step`` in every
-    iteration and is halved (at most 60 times) until F = f + g satisfies
+    With ``backtracking`` the trial step t starts at ``cfg.step``, is halved
+    (at most 60 times per iteration) until F = f + g satisfies
 
-        F(x_k) - F(x_{k+1}) >= (1/t) ||x_{k+1} - x_k||^2,
+        F(x_k) - F(x_{k+1}) >= (1/(2t)) ||x_{k+1} - x_k||^2,
 
-    with a 1e-12 relative slack so that rounding noise near convergence
-    cannot stall the search; exhaustion raises SolveError reporting both F
-    values.  F is traced at every row, whatever ``cfg.eval_objective`` says.
-    Backtracking needs ``f.value``, a prox slot with an objective, and no
-    ``precond``.
+    and the accepted t starts the next iteration's search, so the step never
+    grows (Beck-Teboulle).  Every t <= 1/L meets this sufficient decrease by
+    the descent lemma when f is L-smooth and g convex.  A 1e-12 relative
+    slack keeps rounding noise near convergence from stalling the search;
+    exhaustion raises SolveError reporting both F values.  F is traced at
+    every row, whatever ``cfg.eval_objective`` says.  Backtracking needs
+    ``f.value``, a prox slot with an objective, and no ``precond``.
     """
     f = _as_smooth(grad_f)
     slot = as_slot(reg)
@@ -269,6 +271,7 @@ def run_pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, peak: float = 1.
         return float(f.value(x)) + float(slot.prox.objective(x))
 
     fx = math.nan  # F at the current state
+    t = step  # the accepted step, carried into the next iteration's search
 
     def row0(k, x, r):
         nonlocal fx
@@ -276,14 +279,13 @@ def run_pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, peak: float = 1.
         return x, fx, r, r
 
     def advance(k, x):
-        nonlocal fx
+        nonlocal fx, t
         grad = f.grad(x)
         slack = 1e-12 * max(1.0, abs(fx))
-        t = step
         for _ in range(_HALVINGS + 1):
             cand = slot.apply(x - t * grad, t)
             f_cand = objective(cand)
-            if fx - f_cand >= (1.0 / t) * float(np.sum((cand - x) ** 2)) - slack:
+            if fx - f_cand >= (0.5 / t) * float(np.sum((cand - x) ** 2)) - slack:
                 fx = f_cand
                 return cand
             t *= 0.5

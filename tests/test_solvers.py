@@ -624,16 +624,16 @@ class TestGsPnp:
         assert trace.stop_reason == "tolerance"
 
     def test_backtracking_exhaustion_raises(self, monkeypatch):
-        # K = I, y = 0, g = 0.5*||x||^2, lam = 5: the decrease falls short of
-        # the (1/t)*||dx||^2 demand by 12t/(1+t) * ||dx||^2 at every t, so a
-        # search capped at 12 halvings (before the 1e-12 slack absorbs the
-        # shortfall near t = 2^-16) exhausts them and errors out
+        # K = I, y = 0, g = 0.5*||x||^2, lam = 1e5: the smooth term is
+        # 1e5-smooth, and the rule holds only once t <= 1/(lam - 1), 16
+        # halvings below the trial step 0.5, so a search capped at 12
+        # halvings exhausts them and errors out
         monkeypatch.setattr(solvers, "_HALVINGS", 12)
         op = identity_op((4,))
         den = gs_denoiser(DiagonalOp(np.zeros(4)))  # g = 0.5*||x||^2
         cfg = SolverConfig(step=0.5, max_iter=5, tol=0.0)
         with pytest.raises(SolveError) as exc:
-            _gs_pnp(op, np.zeros(4), den, cfg, lam=5.0, x0=2.0 * np.ones(4),
+            _gs_pnp(op, np.zeros(4), den, cfg, lam=1e5, x0=2.0 * np.ones(4),
                     backtracking=True)
         assert "backtracking" in str(exc.value)
 
@@ -668,10 +668,6 @@ class TestBacktracking:
         obj = trace.column("objective")
         assert np.all(np.diff(obj) <= 1e-12) and obj[-1] < obj[0]
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the rule demands a decrease of (1/t)||dx||^2, more than the (1/t - L/2)||dx||^2 "
-        "that PGD guarantees with a convex smooth term, so the l1 steps shrink until "
-        "the 1e-12 slack absorbs the shortfall and the run creeps"))
     def test_lasso_backtracking_stops_on_tolerance(self, lasso_instance):
         x, trace = self._lasso_run(lasso_instance, 2000, True)
         assert trace.stop_reason == "tolerance"
