@@ -22,6 +22,7 @@ from pnpkit import (
     svd_factors,
     tikhonov_solve,
 )
+from pnpkit.operators import CompositeOp
 
 
 def spatial_convolve_periodic(image, kernel):
@@ -326,6 +327,30 @@ class TestRealFftCirculant:
             CirculantOp(np.ones((8, 8)), (8, 6))
         with pytest.raises(ShapeError):
             CirculantOp.from_half_response(np.ones((8, 8)), (8, 8))
+
+
+class TestCirculantCompose:
+    @pytest.mark.parametrize("spatial,shape", CIRCULANT_CASES)
+    @pytest.mark.parametrize("even", [False, True])
+    def test_two_circulants_compose_to_a_circulant(self, rng, spatial, shape, even):
+        outer = CirculantOp(random_response(rng, spatial, even), shape)
+        inner = CirculantOp(random_response(rng, spatial, not even), shape)
+        op = compose(outer, inner)
+        chained = CompositeOp(outer, inner)
+        assert op.kind == "circulant-conv"
+        assert adjoint_defect(op, Rng(5), probes=50) <= 1e-10
+        x = rng.standard_normal(shape)
+        assert rel_err(op.apply(x), chained.apply(x)) <= 1e-12
+        assert rel_err(op.adjoint(x), chained.adjoint(x)) <= 1e-12
+        rho = 0.5
+        assert rel_err(solve_shifted_normal(op, rho, x), chained.shifted_solve(rho, x)) <= 1e-8
+
+    def test_mismatched_grids_stay_composite(self, rng):
+        per_channel = make_blur(np.full((3, 3), 1.0 / 9.0), (8, 6, 3))
+        volume = CirculantOp(random_response(rng, (8, 6, 3), True), (8, 6, 3))
+        assert compose(per_channel, volume).kind == "composite"
+        with pytest.raises(ShapeError):
+            compose(make_blur(np.ones((3, 3)), (8, 8)), make_blur(np.ones((3, 3)), (8, 6)))
 
 
 class TestShiftedSolveMethods:

@@ -336,8 +336,12 @@ def _reference_zero_tail(p):
         pa[tuple(tail)] = 0.0
 
 
-def _reference_dual_solve(v, lam, tol, max_iter, p0=None):
-    """The two-stencil FISTA loop: explicit extrapolation q, gap from primal - dual."""
+def _reference_dual_solve(v, lam, tol, max_iter, p0=None, restart=True):
+    """The two-stencil FISTA loop: explicit extrapolation q, gap from primal - dual.
+
+    With ``restart`` the momentum resets (q = p, t = 1) whenever the dual
+    objective 0.5*||v||^2 - 0.5*||x||^2 falls; without it this is plain FISTA.
+    """
     step = 1.0 / (4.0 * v.ndim)
     if p0 is None:
         p = [np.zeros_like(v) for _ in range(v.ndim)]
@@ -346,6 +350,7 @@ def _reference_dual_solve(v, lam, tol, max_iter, p0=None):
         _reference_zero_tail(p)
     q = [pa.copy() for pa in p]
     t = 1.0
+    x_old = v - _reference_grad_adjoint(p)
     for it in range(1, max_iter + 1):
         grad_h = _reference_grad(_reference_grad_adjoint(q) - v)
         p_new = [np.clip(qa - step * ga, -lam, lam) for qa, ga in zip(q, grad_h)]
@@ -362,6 +367,11 @@ def _reference_dual_solve(v, lam, tol, max_iter, p0=None):
         dual = float(np.sum(v * div_p)) - 0.5 * float(np.sum(div_p**2))
         if primal - dual <= tol:
             return x, div_p, it
+        d = x - x_old
+        if restart and 2.0 * float(np.vdot(d, x)) > float(np.vdot(d, d)):
+            q = [pa.copy() for pa in p]
+            t = 1.0
+        x_old = x
     raise AssertionError("reference solve did not converge")
 
 
@@ -403,6 +413,44 @@ class TestFusedDualKernel:
         assert gap <= tol
         assert np.max(np.abs(x - ref_x)) <= 1e-12
         assert np.max(np.abs(div_p - ref_div)) <= 1e-12
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize("lam", [0.0025, 0.04])
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_gap_bounds_distance_to_solution(self, ndim, lam, seeded):
+        # The primal 0.5*||x - v||^2 + lam*TV(x) is 1-strongly convex, so any
+        # x with gap g satisfies 0.5*||x - x*||^2 <= g, whatever produced it.
+        v = _piecewise_noisy(ndim)
+        tol = 1e-10 * v.size
+        seed = (0.25 / ndim) * _grad(v) if seeded else None
+        x, div_p, gap, _ = _tv_dual_solve(v, lam, tol, 100000, p0=seed)
+        x_star, _, gap_star, _ = _tv_dual_solve(v, lam, 1e-13, 100000, p0=seed)
+        primal = 0.5 * float(np.sum((x - v) ** 2)) + lam * tv_value(x)
+        dual = 0.5 * float(np.sum(v**2)) - 0.5 * float(np.sum(x**2))
+        assert 0.0 <= gap <= tol and 0.0 <= gap_star <= 1e-13
+        assert abs((primal - dual) - gap) <= 1e-10
+        np.testing.assert_array_equal(x, v - div_p)
+        bound = np.sqrt(2.0 * gap) + np.sqrt(2.0 * gap_star)
+        assert np.linalg.norm(x - x_star) <= bound
+
+    def test_restart_at_least_halves_iterations(self):
+        v = _piecewise_noisy(2)
+        tol = 1e-10 * v.size
+        _, _, plain_it = _reference_dual_solve(v, 0.04, tol, 100000, restart=False)
+        _, _, _, it = _tv_dual_solve(v, 0.04, tol, 100000)
+        assert 2 * it <= plain_it
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e150, 1e154])
+    def test_near_overflow_input_ends_finite_or_diverges(self, rng, scale):
+        # prox_tv(s*v, s*lam) = s*prox_tv(v, lam): the same problem near overflow
+        v = scale * rng.standard_normal((16, 16))
+        for solve in (prox_tv, tv_conjugate_prox):
+            try:
+                out = solve(v, 0.04 * scale)
+            except DivergenceError:
+                continue
+            assert np.all(np.isfinite(out))
 
     def test_nan_input_raises_divergence_at_once(self):
         v = np.zeros((16, 16))
