@@ -83,7 +83,6 @@ from .proximal import (
 )
 from .sampling import (
     UlaConfig,
-    effective_sample_size,
     gaussian_posterior_oracle,
     run_pnp_ula,
     write_samples,
@@ -800,9 +799,7 @@ def cmd_sample(spec: dict, rng: Rng, args) -> int:
         oracle = gaussian_posterior_oracle(op, y, gamma, cfg.sigma, cfg.sigma_w)
         gaps = stats.mean - oracle.mean
         oracle_var = np.diag(oracle.covariance)
-        ess_per = np.array([effective_sample_size(samples[:, j])
-                            for j in range(samples.shape[1])])
-        se = np.sqrt(oracle_var / np.maximum(ess_per, 1.0))
+        se = np.sqrt(oracle_var / np.maximum(stats.coordinate_ess, 1.0))
         allowed = np.maximum(3.0 * se, 2.0 * cfg.delta)
         var_err = np.abs(stats.variance / oracle_var - 1.0)
         gap_doc = {

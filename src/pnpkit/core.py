@@ -79,7 +79,8 @@ def diverged(x: np.ndarray) -> bool:
     the comparison.  Callers run it under ``np.errstate(over="ignore")`` so a
     large but finite state does not warn on its way to inf.
     """
-    return not (np.linalg.norm(x) <= DIVERGENCE_NORM)
+    flat = np.ravel(x)
+    return not (math.sqrt(flat.dot(flat)) <= DIVERGENCE_NORM)
 
 
 @dataclass(frozen=True)

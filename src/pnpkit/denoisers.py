@@ -59,7 +59,7 @@ class Denoiser:
         out = self._fn(arr, float(sigma))
         if out.shape != arr.shape:
             raise ValueError(f"denoiser {self.tag!r} changed shape {arr.shape} -> {out.shape}")
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise DivergenceError(f"denoiser {self.tag!r} produced non-finite output")
         return Signal.from_array(out) if isinstance(x, Signal) else out
 

@@ -36,6 +36,8 @@ class GmmPrior:
         variances = np.asarray(self.variances, dtype=np.float64).reshape(-1)
         if means.shape[0] != weights.size or variances.size != weights.size:
             raise ValueError("weights, means, and variances must agree on the component count")
+        if not all(np.all(np.isfinite(arr)) for arr in (weights, means, variances)):
+            raise ValueError("weights, means, and variances must be finite")
         if np.any(weights <= 0):
             raise ValueError("component weights must be positive")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
@@ -49,6 +51,8 @@ class GmmPrior:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "variances", variances)
+        # a one-entry cache: the smoothed constants of the last sigma used
+        object.__setattr__(self, "_smoothed", None)
 
     @property
     def dim(self) -> int:
@@ -75,71 +79,122 @@ def load_gmm_prior(path) -> GmmPrior:
                     np.asarray(doc["variances"]))
 
 
-def _component_logpdfs(prior: GmmPrior, x: np.ndarray, sigma: float) -> np.ndarray:
-    s = prior.variances + sigma * sigma
-    diff2 = np.sum((x[None, :] - prior.means) ** 2, axis=1)
-    return np.log(prior.weights) - 0.5 * prior.dim * np.log(2.0 * math.pi * s) - diff2 / (2.0 * s)
+@dataclass(frozen=True)
+class _Smoothed:
+    """Per-component constants of the prior smoothed by N(0, sigma^2 I).
+
+    With s_j = v_j + sigma^2: ``log_norm`` is log w_j - (n/2) log(2 pi s_j),
+    ``half_inv`` is 1/(2 s_j), ``inv_var`` is 1/s_j, ``shrink`` is v_j/s_j
+    and ``offset`` (J, n) is sigma^2 mu_j / s_j, so component j's posterior
+    mean is shrink_j * x + offset_j.
+    """
+
+    sigma: float
+    log_norm: np.ndarray
+    half_inv: np.ndarray
+    inv_var: np.ndarray
+    shrink: np.ndarray
+    offset: np.ndarray
 
 
-def _as_point(prior: GmmPrior, x) -> np.ndarray:
-    arr = as_array(x).reshape(-1)
-    if arr.size != prior.dim:
-        raise ValueError(f"point has dimension {arr.size}, prior expects {prior.dim}")
+def _smoothed(prior: GmmPrior, sigma: float) -> _Smoothed:
+    """The constants for ``sigma``; the last sigma's are kept on the prior."""
+    cached = prior._smoothed
+    if cached is not None and cached.sigma == sigma:
+        return cached
+    s2 = sigma * sigma
+    s = prior.variances + s2
+    consts = _Smoothed(
+        sigma=sigma,
+        log_norm=np.log(prior.weights) - 0.5 * prior.dim * np.log(2.0 * math.pi * s),
+        half_inv=1.0 / (2.0 * s),
+        inv_var=1.0 / s,
+        shrink=prior.variances / s,
+        offset=s2 * prior.means / s[:, None],
+    )
+    # one attribute store, so a concurrent reader sees the old or the new entry
+    object.__setattr__(prior, "_smoothed", consts)
+    return consts
+
+
+def _component_logpdfs(prior: GmmPrior, c: _Smoothed, x: np.ndarray) -> np.ndarray:
+    """log w_j N(x; mu_j, s_j I) for each component: shape (J,) or (C, J)."""
+    diff2 = np.sum((x[..., None, :] - prior.means) ** 2, axis=-1)
+    return c.log_norm - diff2 * c.half_inv
+
+
+def _as_points(prior: GmmPrior, x) -> np.ndarray:
+    """A point (n,) or a batch (C, n); scalars and lists of n values are points."""
+    arr = as_array(x)
+    if arr.ndim < 2:
+        arr = arr.reshape(-1)
+    elif arr.ndim > 2:
+        raise ValueError(f"x must be a point (n,) or a batch (C, n), got shape {arr.shape}")
+    if arr.shape[-1] != prior.dim:
+        raise ValueError(f"point has dimension {arr.shape[-1]}, prior expects {prior.dim}")
     return arr
 
 
-def smoothed_logpdf(prior: GmmPrior, x, sigma: float) -> float:
-    """log p_sigma(x): density of the prior corrupted by N(0, sigma^2 I) noise."""
+def _wrap(x, out):
+    return Signal.from_array(out) if isinstance(x, Signal) else out
+
+
+def smoothed_logpdf(prior: GmmPrior, x, sigma: float):
+    """log p_sigma(x): density of the prior corrupted by N(0, sigma^2 I) noise.
+
+    A point gives a float; a batch (C, n) gives one value per row.
+    """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    arr = _as_point(prior, x)
-    return float(logsumexp(_component_logpdfs(prior, arr, sigma)))
+    arr = _as_points(prior, x)
+    out = logsumexp(_component_logpdfs(prior, _smoothed(prior, sigma), arr), axis=-1)
+    return float(out) if arr.ndim == 1 else out
 
 
-def _responsibilities(prior: GmmPrior, x: np.ndarray, sigma: float) -> np.ndarray:
-    logs = _component_logpdfs(prior, x, sigma)
-    logs = logs - logs.max()
-    w = np.exp(logs)
-    return w / w.sum()
+def _responsibilities(prior: GmmPrior, c: _Smoothed, x: np.ndarray) -> np.ndarray:
+    logs = _component_logpdfs(prior, c, x)
+    w = np.exp(logs - logs.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def smoothed_score(prior: GmmPrior, x, sigma: float, allow_unsmoothed: bool = False):
     """Exact gradient of :func:`smoothed_logpdf` with respect to x.
 
     sigma = 0 is rejected unless ``allow_unsmoothed`` is set, in which case
-    the score of the mixture itself is returned.
+    the score of the mixture itself is returned.  A batch (C, n) gives the
+    score of each row.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0 and not allow_unsmoothed:
         raise ValueError("sigma = 0 requires allow_unsmoothed=True")
-    arr = _as_point(prior, x)
-    r = _responsibilities(prior, arr, sigma)
-    s = prior.variances + sigma * sigma
-    score = (r / s) @ (prior.means - arr[None, :])
-    return Signal.from_array(score) if isinstance(x, Signal) else score
+    arr = _as_points(prior, x)
+    c = _smoothed(prior, sigma)
+    weights = _responsibilities(prior, c, arr) * c.inv_var
+    score = np.sum(weights[..., None] * (prior.means - arr[..., None, :]), axis=-2)
+    return _wrap(x, score)
 
 
 def posterior_mean(prior: GmmPrior, x, sigma: float):
     """Exact conditional mean E[x0 | x0 + sigma*w = x] under the mixture prior.
 
     Responsibilities are taken under the smoothed mixture; each component
-    contributes its conjugate-Gaussian posterior mean.  sigma = 0 returns x
-    (identity by convention).
+    contributes its conjugate-Gaussian posterior mean shrink_j * x + offset_j.
+    One component needs no responsibilities: the map is affine.  sigma = 0
+    returns x (identity by convention).  A batch (C, n) gives the posterior
+    mean of each row.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    arr = _as_point(prior, x)
+    arr = _as_points(prior, x)
     if sigma == 0:
-        out = arr.copy()
-    else:
-        r = _responsibilities(prior, arr, sigma)
-        s = prior.variances + sigma * sigma
-        comp_means = (
-            prior.variances[:, None] * arr[None, :] + sigma * sigma * prior.means
-        ) / s[:, None]
-        out = r @ comp_means
-    return Signal.from_array(out) if isinstance(x, Signal) else out
+        return _wrap(x, arr.copy())
+    c = _smoothed(prior, sigma)
+    if prior.n_components == 1:
+        return _wrap(x, c.shrink[0] * arr + c.offset[0])
+    r = _responsibilities(prior, c, arr)
+    comp_means = c.shrink[:, None] * arr[..., None, :] + c.offset
+    return _wrap(x, np.sum(r[..., None] * comp_means, axis=-2))
 
 
 def sample_smoothed(prior: GmmPrior, sigma: float, rng: Rng) -> np.ndarray:

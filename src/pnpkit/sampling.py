@@ -19,6 +19,8 @@ from .core import DivergenceError, Rng, Signal, as_array, diverged, save_signal
 from .denoisers import Denoiser
 from .operators import LinearOp, as_dense
 
+NOISE_BLOCK_BYTES = 1 << 16
+
 
 @dataclass
 class UlaConfig:
@@ -41,6 +43,9 @@ class UlaConfig:
     noise_scale: float = 1.0
 
     def __post_init__(self):
+        for name in ("delta", "sigma", "sigma_w", "noise_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
         if self.sigma <= 0:
@@ -61,17 +66,22 @@ class UlaConfig:
 
 @dataclass
 class SampleStats:
-    """Per-coordinate posterior summaries plus a pooled ESS estimate.
+    """Per-coordinate posterior summaries and autocorrelation ESS.
 
-    ``stability`` records the linearized step-size heuristic
-    delta * (1/sigma^2 + ||K||^2/sigma_w^2), which should stay below 2.
+    ``ess`` pools ``coordinate_ess`` by its mean.  ``stability`` records the
+    linearized step-size heuristic delta * (1/sigma^2 + ||K||^2/sigma_w^2),
+    which should stay below 2.
     """
 
     mean: np.ndarray
     variance: np.ndarray
-    ess: float
+    coordinate_ess: np.ndarray
     count: int
     stability: float | None = None
+
+    @property
+    def ess(self) -> float:
+        return float(np.mean(self.coordinate_ess))
 
 
 def run_pnp_ula(op: LinearOp, y, denoiser: Denoiser, cfg: UlaConfig, x0=None):
@@ -84,39 +94,50 @@ def run_pnp_ula(op: LinearOp, y, denoiser: Denoiser, cfg: UlaConfig, x0=None):
     The sqrt(2*delta) noise scale is the standard overdamped-Langevin
     discretization, which makes the chain's stationary law match the
     smoothed posterior up to O(delta) bias.  Deterministic given the seed.
+    K^T y is computed once, so the data drift is K^T y - K^T K x_k.  The
+    increments eps_k are drawn in blocks of at most NOISE_BLOCK_BYTES from
+    the one seeded stream, which gives the same eps_k as one draw per step.
     Returns (SampleStats, samples) where samples is a (kept, n) array of
     the thinned kept states; raises DivergenceError (with the step index)
-    if the chain blows up.
+    if the chain blows up or the denoiser output is non-finite.
     """
     y_arr = as_array(y)
     rng = Rng(cfg.seed)
-    x = as_array(op._adjoint(y_arr)).copy() if x0 is None else as_array(x0).copy()
+    kty = as_array(op._adjoint(y_arr))
+    x = kty.copy() if x0 is None else as_array(x0).copy()
     n = x.size
     shape = x.shape
     inv_s2 = 1.0 / (cfg.sigma * cfg.sigma)
     inv_w2 = 1.0 / (cfg.sigma_w * cfg.sigma_w)
-    noise_std = math.sqrt(2.0 * cfg.delta)
+    noise_std = math.sqrt(2.0 * cfg.delta) * cfg.noise_scale
 
     total_steps = cfg.burn_in + cfg.kept * cfg.thin
     samples = np.empty((cfg.kept, n))
-    kept = 0
+    # a (B, n) draw is the same stream as B successive (n,) draws
+    block = max(1, NOISE_BLOCK_BYTES // (8 * n))
+    noise = None
     apply_d = denoiser.apply
     # an overflowing ||K||^2 or state norm is inf, and the chain then diverges
     with np.errstate(over="ignore"):
         stability = cfg.delta * (inv_s2 + float(np.float64(op.spectral_norm) ** 2) * inv_w2)
         for k in range(1, total_steps + 1):
-            drift = inv_s2 * (as_array(apply_d(x, cfg.sigma)) - x)
-            drift += inv_w2 * op._adjoint(y_arr - op._apply(x))
+            try:
+                drift = inv_s2 * (apply_d(x, cfg.sigma) - x)
+            except DivergenceError as exc:
+                exc.step = k
+                raise
+            drift += inv_w2 * (kty - op.normal(x))
             x = x + cfg.delta * drift
-            if cfg.noise_scale != 0.0:
-                x = x + noise_std * cfg.noise_scale * rng.standard_normal(shape)
+            if noise_std != 0.0:
+                i = (k - 1) % block
+                if i == 0:
+                    draws = min(block, total_steps - k + 1)
+                    noise = noise_std * rng.standard_normal((draws, *shape))
+                x = x + noise[i]
             if diverged(x):
                 raise DivergenceError(f"PnP-ULA chain diverged at step {k}", step=k)
             if k > cfg.burn_in and (k - cfg.burn_in) % cfg.thin == 0:
-                samples[kept] = x.reshape(-1)
-                kept += 1
-                if kept == cfg.kept:
-                    break
+                samples[(k - cfg.burn_in) // cfg.thin - 1] = x.reshape(-1)
     stats = sample_stats(samples, stability=stability)
     return stats, samples
 
@@ -179,9 +200,11 @@ def effective_sample_size(x: np.ndarray) -> float:
 
 
 def sample_stats(samples: np.ndarray, stability: float | None = None) -> SampleStats:
-    """One-pass (Welford) per-coordinate mean/variance plus a pooled ESS.
+    """Per-coordinate mean, unbiased variance and autocorrelation ESS.
 
-    The ESS is the mean of per-coordinate autocorrelation ESS estimates.
+    The mean and variance are numpy reductions over the sample axis (the
+    variance with ddof=1).  The pooled ``ess`` is the mean of the
+    per-coordinate estimates.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim == 1:
@@ -189,16 +212,9 @@ def sample_stats(samples: np.ndarray, stability: float | None = None) -> SampleS
     count, n = samples.shape
     if count < 2:
         raise ValueError("need at least 2 samples")
-    mean = np.zeros(n)
-    m2 = np.zeros(n)
-    for i in range(count):
-        delta = samples[i] - mean
-        mean += delta / (i + 1)
-        m2 += delta * (samples[i] - mean)
-    variance = m2 / (count - 1)
-    ess = float(np.mean([effective_sample_size(samples[:, j]) for j in range(n)]))
-    return SampleStats(mean=mean, variance=variance, ess=ess, count=count,
-                       stability=stability)
+    coordinate_ess = np.array([effective_sample_size(samples[:, j]) for j in range(n)])
+    return SampleStats(mean=samples.mean(axis=0), variance=samples.var(axis=0, ddof=1),
+                       coordinate_ess=coordinate_ess, count=count, stability=stability)
 
 
 def write_samples(samples: np.ndarray, path) -> None:

@@ -355,6 +355,17 @@ class TestSampleCommand:
         assert not (out / "oracle_gap.json").exists()
         assert (out / "stats.csv").exists()
 
+    def test_non_finite_prior_file_names_the_prior(self, tmp_path, capsys):
+        out = tmp_path / "smp"
+        prior_path = tmp_path / "prior.json"
+        prior_path.write_text(json.dumps({"weights": [1.0], "means": [[0.0, 0.0, 0.0]],
+                                          "variances": [math.nan]}))
+        doc = self.gaussian_config(str(out))
+        doc["prior"] = {"path": str(prior_path)}
+        assert main(["sample", "--config", write_config(tmp_path, doc)]) == 2
+        assert "config.prior" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         doc = self.gaussian_config("unused", seed=5)
         doc["sampler"]["kept"] = 400

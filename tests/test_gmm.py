@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 from pnpkit import (
     GmmPrior,
@@ -67,6 +68,16 @@ class TestPriorValidation:
     def test_variances_positive(self):
         with pytest.raises(ValueError):
             GmmPrior([1.0], [[0.0]], [0.0])
+
+    @pytest.mark.parametrize("weights,means,variances", [
+        ([math.nan], [[0.0]], [1.0]),
+        ([1.0], [[math.nan]], [1.0]),
+        ([1.0], [[0.0]], [math.nan]),
+        ([1.0], [[0.0]], [math.inf]),
+    ])
+    def test_non_finite_entries_rejected(self, weights, means, variances):
+        with pytest.raises(ValueError, match="finite"):
+            GmmPrior(weights, means, variances)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
@@ -187,3 +198,75 @@ class TestTweedie:
             x = mode + 0.05 * rng.standard_normal(1)
             out = posterior_mean(prior, x, sigma)
             assert np.max(np.abs(out - x)) <= 1e-3
+
+
+def old_logpdfs(prior, x, sigma):
+    """The per-point formulas the constants replaced, kept as the reference."""
+    s = prior.variances + sigma * sigma
+    diff2 = np.sum((x[None, :] - prior.means) ** 2, axis=1)
+    return np.log(prior.weights) - 0.5 * prior.dim * np.log(2.0 * math.pi * s) - diff2 / (2.0 * s)
+
+
+def old_responsibilities(prior, x, sigma):
+    logs = old_logpdfs(prior, x, sigma)
+    w = np.exp(logs - logs.max())
+    return w / w.sum()
+
+
+def old_score(prior, x, sigma):
+    s = prior.variances + sigma * sigma
+    return (old_responsibilities(prior, x, sigma) / s) @ (prior.means - x[None, :])
+
+
+def old_posterior_mean(prior, x, sigma):
+    s = prior.variances + sigma * sigma
+    comp_means = (prior.variances[:, None] * x[None, :] + sigma * sigma * prior.means) / s[:, None]
+    return old_responsibilities(prior, x, sigma) @ comp_means
+
+
+PRIORS = {
+    1: GmmPrior([1.0], [[0.5, -1.0, 2.0, 0.0]], [0.7]),
+    3: GmmPrior([0.2, 0.5, 0.3],
+                [[0.0, 0.0, 1.0, -1.0], [1.0, -1.0, 0.5, 0.5], [-2.0, 0.5, 0.0, 1.5]],
+                [0.3, 1.0, 2.0]),
+}
+
+
+class TestBatchAndConstants:
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_batch_rows_equal_single_calls(self, j):
+        prior = PRIORS[j]
+        batch = 1.5 * Rng(4).standard_normal((7, prior.dim))
+        for sigma in (0.3, 1.1):
+            lp = smoothed_logpdf(prior, batch, sigma)
+            sc = smoothed_score(prior, batch, sigma)
+            pm = posterior_mean(prior, batch, sigma)
+            assert lp.shape == (7,) and sc.shape == pm.shape == batch.shape
+            for c, row in enumerate(batch):
+                assert lp[c] == smoothed_logpdf(prior, row, sigma)
+                np.testing.assert_array_equal(sc[c], smoothed_score(prior, row, sigma))
+                np.testing.assert_array_equal(pm[c], posterior_mean(prior, row, sigma))
+
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_single_point_matches_old_formulas(self, j):
+        # sigma changes between calls, so the one-entry cache is refilled and reread
+        prior = PRIORS[j]
+        rng = Rng(5)
+        for sigma in (0.3, 1.1, 0.3, 4.0):
+            for _ in range(20):
+                x = 2.0 * rng.standard_normal(prior.dim)
+                lp_old = logsumexp(old_logpdfs(prior, x, sigma))
+                assert abs(smoothed_logpdf(prior, x, sigma) - lp_old) <= 1e-14 * abs(lp_old)
+                for new, old in ((smoothed_score(prior, x, sigma), old_score(prior, x, sigma)),
+                                 (posterior_mean(prior, x, sigma),
+                                  old_posterior_mean(prior, x, sigma))):
+                    assert np.max(np.abs(new - old)) <= 1e-14 * np.max(np.abs(old))
+
+    def test_batch_shape_contract(self):
+        prior = PRIORS[3]
+        with pytest.raises(ValueError, match="dimension"):
+            posterior_mean(prior, np.zeros((2, 3)), 0.5)
+        with pytest.raises(ValueError, match="batch"):
+            posterior_mean(prior, np.zeros((2, 2, 4)), 0.5)
+        np.testing.assert_array_equal(posterior_mean(prior, np.ones((2, 4)), 0.0),
+                                      np.ones((2, 4)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pnpkit import (
+    DenseOp,
     DiagonalOp,
     DivergenceError,
     GmmPrior,
@@ -38,6 +39,13 @@ class TestUlaConfig:
             UlaConfig(delta=1e-3, sigma=-1.0, sigma_w=1.0)
         with pytest.raises(ValueError):
             UlaConfig(delta=1e-3, sigma=0.5, sigma_w=1.0, kept=0)
+
+    @pytest.mark.parametrize("key,value", [("delta", np.nan), ("sigma", np.nan),
+                                           ("noise_scale", np.nan), ("sigma_w", np.inf)])
+    def test_rejects_non_finite_numbers(self, key, value):
+        params = {"delta": 1e-3, "sigma": 0.5, "sigma_w": 1.0, key: value}
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            UlaConfig(**params)
 
     def test_rejects_a_single_kept_sample(self):
         # the sample statistics need two samples, so the chain could never finish
@@ -89,6 +97,43 @@ class TestRunPnpUla:
             x_red, _ = run_red_gd(op, y, den, lam=1.0, sigma=sigma, eta=delta,
                                   cfg=red_cfg, x0=np.zeros(n))
             np.testing.assert_allclose(row, x_red.to_array(), atol=1e-12)
+
+    def test_matches_a_per_step_draw_loop(self):
+        # n = 64 gives noise blocks of 128 steps; 150 + 50*3 = 300 steps is no multiple
+        n = 64
+        rng = Rng(8)
+        op = DenseOp(np.eye(n) + 0.1 * rng.standard_normal((n, n)))
+        y = rng.standard_normal(n)
+        den = mmse_gmm_denoiser(GmmPrior([0.3, 0.7], [np.zeros(n), np.ones(n)], [0.5, 1.0]))
+        cfg = UlaConfig(delta=2e-3, sigma=0.4, sigma_w=0.8, kept=50, burn_in=150, thin=3,
+                        seed=9)
+        stats, samples = run_pnp_ula(op, y, den, cfg)
+
+        draws = Rng(cfg.seed)
+        x = op.adjoint(y)
+        expected = []
+        for k in range(1, cfg.burn_in + cfg.kept * cfg.thin + 1):
+            drift = (den.apply(x, cfg.sigma) - x) / cfg.sigma**2
+            drift += op.adjoint(y - op.apply(x)) / cfg.sigma_w**2
+            x = x + cfg.delta * drift + np.sqrt(2 * cfg.delta) * draws.standard_normal(n)
+            if k > cfg.burn_in and (k - cfg.burn_in) % cfg.thin == 0:
+                expected.append(x)
+        np.testing.assert_allclose(samples, np.array(expected), rtol=0, atol=1e-12)
+        assert stats.count == cfg.kept
+
+    def test_non_finite_denoiser_output_reports_its_step(self):
+        from pnpkit.denoisers import Denoiser
+
+        calls = []
+
+        def fn(arr, sigma):
+            calls.append(1)
+            return np.full_like(arr, np.nan) if len(calls) == 7 else 0.5 * arr
+
+        cfg = UlaConfig(delta=1e-2, sigma=0.5, sigma_w=1.0, kept=10, burn_in=10, seed=0)
+        with pytest.raises(DivergenceError) as exc:
+            run_pnp_ula(identity_op((3,)), np.ones(3), Denoiser(fn, tag="nan@7"), cfg)
+        assert exc.value.step == 7
 
     def test_divergence_raises_with_step(self):
         # an expansive "denoiser" plus a huge step blows the chain up
@@ -143,6 +188,13 @@ class TestGaussianPosteriorOracle:
 
 
 class TestSampleStats:
+    def test_keeps_the_per_coordinate_ess(self, rng):
+        samples = rng.standard_normal((300, 3))
+        stats = sample_stats(samples)
+        expected = [effective_sample_size(samples[:, j]) for j in range(3)]
+        np.testing.assert_array_equal(stats.coordinate_ess, expected)
+        assert stats.ess == float(np.mean(expected))
+
     def test_constant_stream_zero_variance(self):
         samples = np.ones((50, 3))
         stats = sample_stats(samples)
