@@ -717,7 +717,7 @@ def cmd_sweep(spec: dict, rng: Rng, args) -> int:
             x_hat, _ = run_pgd(fid, RegSlot(denoiser=den), fid_cfg,
                                op._adjoint(y_delta))
             x_hat = x_hat.to_array()
-        err = float(np.linalg.norm(as_array(x_hat) - as_array(x_dagger)))
+        err = float(np.linalg.norm(x_hat - x_dagger))
         rows.append((delta, lam, err))
         print(f"sweep: delta {delta:.6g}  lambda {lam:.6g}  error {err:.6g}")
 

@@ -88,13 +88,14 @@ class Signal:
     """Immutable flat float64 array plus shape metadata.
 
     ``data`` is stored flat in row-major order; ``shape`` may describe 1-D
-    vectors, 2-D grayscale images, or 3-D multichannel images.  An optional
-    ``range_hint`` records the nominal intensity range.
+    vectors, 2-D grayscale images, or 3-D multichannel images.  A Signal is
+    what :func:`load_signal`, :func:`add_gaussian_noise` and a finished
+    solver run return; every map of the package takes a Signal or an array
+    and returns an array.
     """
 
     data: np.ndarray
     shape: tuple[int, ...]
-    range_hint: tuple[float, float] | None = None
 
     def __post_init__(self):
         data = np.ascontiguousarray(self.data, dtype=np.float64).reshape(-1)
@@ -111,15 +112,11 @@ class Signal:
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "shape", shape)
-        if self.range_hint is not None:
-            object.__setattr__(
-                self, "range_hint", (float(self.range_hint[0]), float(self.range_hint[1]))
-            )
 
     @staticmethod
-    def from_array(arr, range_hint=None) -> "Signal":
+    def from_array(arr) -> "Signal":
         arr = np.asarray(arr, dtype=np.float64)
-        return Signal(arr.reshape(-1), arr.shape if arr.shape else (1,), range_hint)
+        return Signal(arr.reshape(-1), arr.shape if arr.shape else (1,))
 
     def to_array(self) -> np.ndarray:
         """Return the signal as a read-only array with its true shape."""
@@ -212,7 +209,7 @@ def add_gaussian_noise(x, sigma: float, rng: Rng) -> Signal:
     if sigma == 0:
         return x
     noisy = x.data + sigma * rng.standard_normal(x.size)
-    return Signal(noisy, x.shape, x.range_hint)
+    return Signal(noisy, x.shape)
 
 
 @dataclass
@@ -410,14 +407,17 @@ def _netpbm_token(buf: bytes, pos: int, path: str) -> tuple[bytes, int]:
     return buf[start:pos], pos
 
 
-def _netpbm_int(buf: bytes, pos: int, path: str, what: str) -> tuple[int, int]:
+def _netpbm_int(buf: bytes, pos: int, path: str, what: str, least: int) -> tuple[int, int]:
+    # The next token as an integer >= least; returns it and the new offset.
+    # Errors carry the offset of the token itself.
     token, new_pos = _netpbm_token(buf, pos, path)
+    start = new_pos - len(token)
     try:
         value = int(token)
     except ValueError:
-        raise ParseError(f"{path}: expected integer {what}, got {token!r}", offset=pos)
-    if value <= 0:
-        raise ParseError(f"{path}: {what} must be positive, got {value}", offset=pos)
+        raise ParseError(f"{path}: expected integer {what}, got {token!r}", offset=start)
+    if value < least:
+        raise ParseError(f"{path}: {what} must be >= {least}, got {value}", offset=start)
     return value, new_pos
 
 
@@ -425,9 +425,9 @@ def _load_netpbm(buf: bytes, path: str) -> Signal:
     magic, pos = _netpbm_token(buf, 0, path)
     if magic not in (b"P2", b"P3", b"P5", b"P6"):
         raise ParseError(f"{path}: unsupported Netpbm magic {magic!r}", offset=0)
-    w, pos = _netpbm_int(buf, pos, path, "width")
-    h, pos = _netpbm_int(buf, pos, path, "height")
-    maxval, pos = _netpbm_int(buf, pos, path, "maxval")
+    w, pos = _netpbm_int(buf, pos, path, "width", 1)
+    h, pos = _netpbm_int(buf, pos, path, "height", 1)
+    maxval, pos = _netpbm_int(buf, pos, path, "maxval", 1)
     if maxval not in (255, 65535):
         raise ParseError(f"{path}: maxval must be 255 or 65535, got {maxval}", offset=pos)
     channels = 3 if magic in (b"P3", b"P6") else 1
@@ -449,21 +449,10 @@ def _load_netpbm(buf: bytes, path: str) -> Signal:
     else:
         values = np.empty(count, dtype=np.float64)
         for i in range(count):
-            v, pos = _netpbm_int_or_zero(buf, pos, path)
+            v, pos = _netpbm_int(buf, pos, path, "sample", 0)
             if v > maxval:
                 raise ParseError(f"{path}: sample {v} exceeds maxval {maxval}", offset=pos)
             values[i] = v
 
     shape = (h, w) if channels == 1 else (h, w, 3)
-    return Signal(values / maxval, shape, range_hint=(0.0, 1.0))
-
-
-def _netpbm_int_or_zero(buf: bytes, pos: int, path: str) -> tuple[int, int]:
-    token, new_pos = _netpbm_token(buf, pos, path)
-    try:
-        value = int(token)
-    except ValueError:
-        raise ParseError(f"{path}: expected sample value, got {token!r}", offset=pos)
-    if value < 0:
-        raise ParseError(f"{path}: negative sample {value}", offset=pos)
-    return value, new_pos
+    return Signal(values / maxval, shape)

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.fft
 from scipy import ndimage
 
-from .core import DivergenceError, Rng, Signal, as_array
+from .core import DivergenceError, Rng, as_array
 from .gmm import GmmPrior, posterior_mean
 from .operators import CirculantOp, LinearOp, make_blur
 from .proximal import haar_inverse, haar_transform, prox_tv, tv_value
@@ -30,6 +30,9 @@ JACOBIAN_MAX_DIM = 4096
 
 class Denoiser:
     """A sigma-parameterized denoising map with optional analytic structure.
+
+    ``apply(x, sigma)`` takes a Signal or an array and returns an array of
+    the same shape.
 
     Optional hooks (all taking ``(x, sigma)``):
 
@@ -56,12 +59,12 @@ class Denoiser:
         if sigma < 0:
             raise ValueError("sigma must be nonnegative")
         arr = as_array(x)
-        out = self._fn(arr, float(sigma))
+        out = as_array(self._fn(arr, float(sigma)))
         if out.shape != arr.shape:
             raise ValueError(f"denoiser {self.tag!r} changed shape {arr.shape} -> {out.shape}")
         if not np.isfinite(out).all():
             raise DivergenceError(f"denoiser {self.tag!r} produced non-finite output")
-        return Signal.from_array(out) if isinstance(x, Signal) else out
+        return out
 
     def __repr__(self):
         return f"Denoiser({self.tag!r})"
@@ -147,21 +150,19 @@ def nlm_denoiser(patch_radius: int, window_radius: int, h: float) -> Denoiser:
     return Denoiser(fn, tag=f"nlm(p={patch_radius},w={window_radius},h={h})")
 
 
-def tv_denoiser(lambda_of_sigma: Callable[[float], float] | None = None, c: float = 1.0,
-                tol: float | None = None, max_iter: int = 200000) -> Denoiser:
-    """TV denoiser: the TV prox with strength lam = c * sigma^2 (or a custom rule)."""
+def tv_denoiser(c: float = 1.0, tol: float | None = None, max_iter: int = 200000) -> Denoiser:
+    """TV denoiser: the TV prox with strength lam = c * sigma^2."""
     if not (math.isfinite(c) and c >= 0):
         raise ValueError("c must be finite and nonnegative")
-    rule = lambda_of_sigma if lambda_of_sigma is not None else (lambda s: c * s * s)
 
     def fn(arr, sigma):
-        lam = float(rule(sigma))
+        lam = c * sigma * sigma
         if lam == 0.0:
             return arr.copy()
-        return as_array(prox_tv(arr, lam, tol=tol, max_iter=max_iter))
+        return prox_tv(arr, lam, tol=tol, max_iter=max_iter)
 
     def phi(x, sigma):
-        return float(rule(sigma)) * tv_value(x)
+        return c * sigma * sigma * tv_value(x)
 
     return Denoiser(fn, tag="tv", prox_potential=phi)
 
@@ -184,7 +185,6 @@ class SpectralDenoiserFamily:
     transform: str
     shape: tuple
     gains: Callable[[float], np.ndarray]
-    levels: int = 1
 
     def __post_init__(self):
         if self.transform not in ("dct", "haar", "identity"):
@@ -192,8 +192,8 @@ class SpectralDenoiserFamily:
         object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
 
 
-def tikhonov_spectral_family(shape, transform: str = "dct", profile=None,
-                             levels: int = 1) -> SpectralDenoiserFamily:
+def tikhonov_spectral_family(shape, transform: str = "dct",
+                             profile=None) -> SpectralDenoiserFamily:
     """Family with gains 1 / (1 + lam * profile) for a profile >= 1.
 
     The default flat profile gives the uniform shrinkage x / (1 + lam).
@@ -211,7 +211,6 @@ def tikhonov_spectral_family(shape, transform: str = "dct", profile=None,
         transform=transform,
         shape=shape,
         gains=lambda lam: 1.0 / (1.0 + lam * profile_arr),
-        levels=levels,
     )
 
 
@@ -220,9 +219,7 @@ def _spectral_transforms(family: SpectralDenoiserFamily):
         return (lambda a: scipy.fft.dctn(a, norm="ortho"),
                 lambda c: scipy.fft.idctn(c, norm="ortho"))
     if family.transform == "haar":
-        lv = family.levels
-        return (lambda a: as_array(haar_transform(a, lv)),
-                lambda c: as_array(haar_inverse(c, lv)))
+        return (lambda a: haar_transform(a, 1), lambda c: haar_inverse(c, 1))
     return (lambda a: a, lambda c: c)
 
 
@@ -265,8 +262,7 @@ def linear_spectral_denoiser(family: SpectralDenoiserFamily, lam: float) -> Deno
 # ---------------------------------------------------------------------------
 
 
-def gaussian_smoother(shape, kernel_sigma: float, floor: float = 0.0,
-                      radius: int | None = None) -> CirculantOp:
+def gaussian_smoother(shape, kernel_sigma: float, floor: float = 0.0) -> CirculantOp:
     """Symmetric PSD circulant smoother floor*I + (1-floor)*G G^T.
 
     G is the normalized Gaussian filter, so the spectrum lies in
@@ -276,7 +272,7 @@ def gaussian_smoother(shape, kernel_sigma: float, floor: float = 0.0,
     if not (0.0 <= floor < 1.0):
         raise ValueError("floor must lie in [0, 1)")
     shape = tuple(int(s) for s in shape)
-    kernel = _fitted_gaussian_kernel(kernel_sigma, shape, radius)
+    kernel = _fitted_gaussian_kernel(kernel_sigma, shape, None)
     g = make_blur(kernel, shape)
     return CirculantOp.from_half_response(floor + (1.0 - floor) * np.abs(g.half_response) ** 2,
                                           shape)
@@ -329,7 +325,6 @@ def gs_denoiser(smoother: LinearOp, weight: float = 1.0) -> Denoiser:
         weight=weight,
     )
     den.grad_lipschitz = None if spectrum is None else float(np.max((1.0 - spectrum) ** 2))
-    den.smoother = smoother
     return den
 
 
@@ -366,9 +361,7 @@ def mmse_gmm_denoiser(prior: GmmPrior) -> Denoiser:
     gamma^2 / (gamma^2 + sigma^2).
     """
     def fn(arr, sigma):
-        flat = arr.reshape(-1)
-        out = posterior_mean(prior, flat, sigma)
-        return np.asarray(out).reshape(arr.shape)
+        return posterior_mean(prior, arr.reshape(-1), sigma).reshape(arr.shape)
 
     return Denoiser(fn, tag=f"mmse_gmm(J={prior.n_components})")
 
@@ -457,7 +450,7 @@ def homogeneity_defect(d: Denoiser, x, sigma: float, delta: float = 1e-3) -> flo
     if delta == 0.0:
         return 0.0
     arr = as_array(x)
-    dx = as_array(d.apply(arr, sigma))
-    scaled = as_array(d.apply((1.0 + delta) * arr, sigma))
+    dx = d.apply(arr, sigma)
+    scaled = d.apply((1.0 + delta) * arr, sigma)
     num = float(np.linalg.norm(scaled - (1.0 + delta) * dx))
     return num / (abs(delta) * float(np.linalg.norm(dx)) + 1e-300)

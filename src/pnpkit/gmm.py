@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import Rng, Signal, as_array
+from .core import Rng, as_array
 
 GMM_MAX_DIM = 64
 
@@ -29,11 +29,12 @@ class GmmPrior:
     variances: np.ndarray
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        means = np.asarray(self.means, dtype=np.float64)
+        # copies, so the caller's arrays stay writable and cannot change the prior
+        weights = np.array(self.weights, dtype=np.float64).reshape(-1)
+        means = np.array(self.means, dtype=np.float64)
         if means.ndim == 1:
             means = means[:, None]
-        variances = np.asarray(self.variances, dtype=np.float64).reshape(-1)
+        variances = np.array(self.variances, dtype=np.float64).reshape(-1)
         if means.shape[0] != weights.size or variances.size != weights.size:
             raise ValueError("weights, means, and variances must agree on the component count")
         if not all(np.all(np.isfinite(arr)) for arr in (weights, means, variances)):
@@ -135,10 +136,6 @@ def _as_points(prior: GmmPrior, x) -> np.ndarray:
     return arr
 
 
-def _wrap(x, out):
-    return Signal.from_array(out) if isinstance(x, Signal) else out
-
-
 def smoothed_logpdf(prior: GmmPrior, x, sigma: float):
     """log p_sigma(x): density of the prior corrupted by N(0, sigma^2 I) noise.
 
@@ -171,8 +168,7 @@ def smoothed_score(prior: GmmPrior, x, sigma: float, allow_unsmoothed: bool = Fa
     arr = _as_points(prior, x)
     c = _smoothed(prior, sigma)
     weights = _responsibilities(prior, c, arr) * c.inv_var
-    score = np.sum(weights[..., None] * (prior.means - arr[..., None, :]), axis=-2)
-    return _wrap(x, score)
+    return np.sum(weights[..., None] * (prior.means - arr[..., None, :]), axis=-2)
 
 
 def posterior_mean(prior: GmmPrior, x, sigma: float):
@@ -188,13 +184,13 @@ def posterior_mean(prior: GmmPrior, x, sigma: float):
         raise ValueError("sigma must be nonnegative")
     arr = _as_points(prior, x)
     if sigma == 0:
-        return _wrap(x, arr.copy())
+        return arr.copy()
     c = _smoothed(prior, sigma)
     if prior.n_components == 1:
-        return _wrap(x, c.shrink[0] * arr + c.offset[0])
+        return c.shrink[0] * arr + c.offset[0]
     r = _responsibilities(prior, c, arr)
     comp_means = c.shrink[:, None] * arr[..., None, :] + c.offset
-    return _wrap(x, np.sum(r[..., None] * comp_means, axis=-2))
+    return np.sum(r[..., None] * comp_means, axis=-2)
 
 
 def sample_smoothed(prior: GmmPrior, sigma: float, rng: Rng) -> np.ndarray:

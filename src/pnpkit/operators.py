@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .core import Rng, ShapeError, Signal, SolveError, as_array, load_signal
+from .core import Rng, ShapeError, SolveError, as_array, load_signal
 
 CG_RTOL = 1e-10
 SVD_MAX_DIM = 512
@@ -27,12 +27,12 @@ class LinearOp:
     """Forward/adjoint operator pair between fixed shapes.
 
     Subclasses implement ``_apply`` and ``_adjoint`` on plain arrays: the
-    unchecked path (no shape check, no Signal wrapping) that the package's
-    own solver, denoiser and sampler loops call.  The public methods check
-    shapes and accept and return either Signals or arrays, matching the
-    input type.  ``normal`` (K^T K x) and ``shifted_solve`` work on plain
-    arrays of the input shape without checks; kinds with a closed form
-    override them, and :func:`solve_shifted_normal` is the checked entry.
+    unchecked path (no shape check) that the package's own solver, denoiser
+    and sampler loops call.  The public methods check shapes, take a Signal
+    or an array, and return an array.  ``normal`` (K^T K x) and
+    ``shifted_solve`` work on plain arrays of the input shape without
+    checks; kinds with a closed form override them, and
+    :func:`solve_shifted_normal` is the checked entry.
     Each kind answers for its own ``spectral_norm`` and ``symmetric_spectrum()``.
     """
 
@@ -52,15 +52,13 @@ class LinearOp:
         arr = as_array(x)
         if arr.shape != self.in_shape:
             raise ShapeError(f"{self.kind} operator expects {self.in_shape}, got {arr.shape}")
-        out = self._apply(arr)
-        return Signal.from_array(out) if isinstance(x, Signal) else out
+        return self._apply(arr)
 
     def adjoint(self, y):
         arr = as_array(y)
         if arr.shape != self.out_shape:
             raise ShapeError(f"{self.kind} adjoint expects {self.out_shape}, got {arr.shape}")
-        out = self._adjoint(arr)
-        return Signal.from_array(out) if isinstance(y, Signal) else out
+        return self._adjoint(arr)
 
     def normal(self, x: np.ndarray) -> np.ndarray:
         """K^T K x."""
@@ -213,16 +211,15 @@ class CirculantOp(LinearOp):
 
     kind = "circulant-conv"
 
-    def __init__(self, freq_response, image_shape, kernel=None):
+    def __init__(self, freq_response, image_shape):
         full = np.asarray(freq_response)
         # H(-k): reverse every axis, then roll so that index 0 stays in place
         mirrored = np.roll(np.flip(full), 1, axis=tuple(range(full.ndim)))
         hermitian = 0.5 * (full + np.conj(mirrored))
-        self._init(hermitian[..., : full.shape[-1] // 2 + 1], image_shape, kernel,
-                   full.shape)
+        self._init(hermitian[..., : full.shape[-1] // 2 + 1], image_shape, full.shape)
 
     @classmethod
-    def from_half_response(cls, half_response, image_shape, kernel=None) -> "CirculantOp":
+    def from_half_response(cls, half_response, image_shape) -> "CirculantOp":
         """Build from a Hermitian response given on the ``rfftn`` half spectrum.
 
         A real function of a real half spectrum (such as a product or a
@@ -231,10 +228,10 @@ class CirculantOp(LinearOp):
         op = cls.__new__(cls)
         half = np.asarray(half_response)
         spatial = tuple(int(s) for s in image_shape)[: half.ndim]
-        op._init(half, image_shape, kernel, spatial)
+        op._init(half, image_shape, spatial)
         return op
 
-    def _init(self, half, image_shape, kernel, spatial):
+    def _init(self, half, image_shape, spatial):
         LinearOp.__init__(self, image_shape, image_shape)
         spatial = tuple(int(s) for s in spatial)
         expected = spatial[:-1] + (spatial[-1] // 2 + 1,)
@@ -252,7 +249,6 @@ class CirculantOp(LinearOp):
             arr.setflags(write=False)
         self._spatial = spatial
         self._axes = tuple(range(len(spatial)))
-        self.kernel = None if kernel is None else np.asarray(kernel, dtype=np.float64)
 
     def _filter(self, x, response, combine=np.multiply):
         spec = scipy.fft.rfftn(x, axes=self._axes)
@@ -368,7 +364,7 @@ def make_blur(kernel, image_shape) -> CirculantOp:
     half = scipy.fft.rfftn(embedded)
     if np.array_equal(kernel, np.flip(kernel)):
         half = half.real  # an even kernel has a real response; drop the rounding residue
-    return CirculantOp.from_half_response(half, image_shape, kernel=kernel)
+    return CirculantOp.from_half_response(half, image_shape)
 
 
 def make_mask(mask) -> MaskOp:
@@ -426,8 +422,7 @@ def naive_svd_solve(op: LinearOp, y, tol: float = 0.0):
     inv = np.zeros_like(factors.s)
     inv[keep] = 1.0 / factors.s[keep]
     x = factors.vt.T @ (coeff * inv)
-    out = x.reshape(op.in_shape)
-    return Signal.from_array(out) if isinstance(y, Signal) else out
+    return x.reshape(op.in_shape)
 
 
 def _cg(matvec, b: np.ndarray, rtol: float, max_iter: int) -> tuple[np.ndarray, float]:
@@ -466,18 +461,14 @@ def solve_shifted_normal(op: LinearOp, rho: float, b):
     b_arr = as_array(b)
     if b_arr.shape != op.in_shape:
         raise ShapeError(f"rhs shape {b_arr.shape} does not match operator {op.in_shape}")
-    x = op.shifted_solve(rho, b_arr)
-    return Signal.from_array(x) if isinstance(b, Signal) else x
+    return op.shifted_solve(rho, b_arr)
 
 
 def tikhonov_solve(op: LinearOp, y, alpha: float):
     """Ridge solution x = (K^T K + alpha*I)^{-1} K^T y for alpha > 0."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    y_arr = as_array(y)
-    rhs = op._adjoint(y_arr)
-    x = solve_shifted_normal(op, alpha, rhs)
-    return Signal.from_array(as_array(x)) if isinstance(y, Signal) else x
+    return solve_shifted_normal(op, alpha, op._adjoint(as_array(y)))
 
 
 def adjoint_defect(op: LinearOp, rng, probes: int = 100) -> float:

@@ -11,13 +11,8 @@ import functools
 
 import numpy as np
 
-from .core import DivergenceError, ShapeError, Signal, SolveError, as_array
+from .core import DivergenceError, ShapeError, SolveError, as_array
 from .operators import LinearOp, solve_shifted_normal
-
-
-def _wrap_like(ref, arr: np.ndarray):
-    return Signal.from_array(arr) if isinstance(ref, Signal) else arr
-
 
 # ---------------------------------------------------------------------------
 # Componentwise proxes
@@ -29,15 +24,14 @@ def soft_threshold(v, tau: float):
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     arr = as_array(v)
-    out = np.sign(arr) * np.maximum(np.abs(arr) - tau, 0.0)
-    return _wrap_like(v, out)
+    return np.sign(arr) * np.maximum(np.abs(arr) - tau, 0.0)
 
 
 def prox_box(v, lo: float, hi: float):
     """Euclidean projection onto the box [lo, hi]; prox of its indicator."""
     if lo > hi:
         raise ValueError("box requires lo <= hi")
-    return _wrap_like(v, np.clip(as_array(v), lo, hi))
+    return np.clip(as_array(v), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +88,7 @@ def haar_transform(x, levels: int):
             low = _haar_level_axis(low, axis)
         out[block] = low
         sub = [s // 2 for s in sub]
-    return _wrap_like(x, out)
+    return out
 
 
 def haar_inverse(c, levels: int):
@@ -113,7 +107,7 @@ def haar_inverse(c, levels: int):
         for axis in reversed(range(arr.ndim)):
             low = _ihaar_level_axis(low, axis)
         out[block] = low
-    return _wrap_like(c, out)
+    return out
 
 
 def prox_wavelet_l1(v, tau: float, levels: int):
@@ -121,10 +115,7 @@ def prox_wavelet_l1(v, tau: float, levels: int):
 
     Computed as W^{-1} o soft_threshold o W; exact because W is orthonormal.
     """
-    arr = as_array(v)
-    coeffs = haar_transform(arr, levels)
-    shrunk = soft_threshold(coeffs, tau)
-    return _wrap_like(v, as_array(haar_inverse(shrunk, levels)))
+    return haar_inverse(soft_threshold(haar_transform(v, levels), tau), levels)
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +261,11 @@ def prox_tv(v, lam: float, tol: float | None = None, max_iter: int = 200000):
     arr = as_array(v)
     _check_tv_domain(arr)
     if lam == 0.0:
-        return _wrap_like(v, arr.copy())
+        return arr.copy()
     if tol is None:
         tol = 1e-10 * arr.size
     x, _, _, _ = _tv_dual_solve(arr, lam, tol, max_iter)
-    return _wrap_like(v, x)
+    return x
 
 
 def tv_conjugate_prox(v, lam: float, tol: float | None = None, max_iter: int = 200000):
@@ -288,12 +279,12 @@ def tv_conjugate_prox(v, lam: float, tol: float | None = None, max_iter: int = 2
     arr = as_array(v)
     _check_tv_domain(arr)
     if lam == 0.0:
-        return _wrap_like(v, np.zeros_like(arr))
+        return np.zeros_like(arr)
     if tol is None:
         tol = 1e-10 * arr.size
     seed = (0.25 / arr.ndim) * _grad(arr)
     _, div_p, _, _ = _tv_dual_solve(arr, lam, tol, max_iter, p0=seed)
-    return _wrap_like(v, div_p)
+    return div_p
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +298,14 @@ def prox_quadratic_fidelity(v, lam: float, op: LinearOp, y):
     Returns (I + lam*K^T K)^{-1} (v + lam*K^T y), solved through the shifted
     normal equations with rho = 1/lam (exact for circulant/diagonal kinds).
     """
-    out = _fidelity_prox(as_array(v), lam, op, op._adjoint(as_array(y)))
-    return _wrap_like(v, out)
+    return _fidelity_prox(as_array(v), lam, op, op._adjoint(as_array(y)))
 
 
 def _fidelity_prox(v: np.ndarray, lam: float, op: LinearOp, kty: np.ndarray) -> np.ndarray:
     """:func:`prox_quadratic_fidelity` on arrays, given K^T y computed once per run."""
     if not lam > 0:
         raise ValueError("lam must be positive")
-    return as_array(solve_shifted_normal(op, 1.0 / lam, kty + v / lam))
+    return solve_shifted_normal(op, 1.0 / lam, kty + v / lam)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +316,8 @@ def _fidelity_prox(v: np.ndarray, lam: float, op: LinearOp, kty: np.ndarray) -> 
 class ProxMap:
     """A prox evaluator with an identity tag and optional objective.
 
-    ``evaluate(v, lam)`` returns prox_{lam*f}(v) for a positive scalar lam.
+    ``evaluate(v, lam)`` returns prox_{lam*f}(v) as an array for a positive
+    scalar lam.
     A prox built with ``separable=True`` (f a sum of per-entry terms) also
     takes a positive componentwise lam shaped like v, which is the prox under
     a diagonal metric; other proxes raise SolveError for it.  ``objective``
@@ -350,7 +341,7 @@ class ProxMap:
             lam = as_array(lam)
             if not np.all(lam > 0):
                 raise ValueError("componentwise lam must be positive")
-        return _wrap_like(v, self._evaluate(as_array(v), lam))
+        return as_array(self._evaluate(as_array(v), lam))
 
 
 def _check_weight(weight: float) -> None:
@@ -423,7 +414,7 @@ def tv_prox(weight: float = 1.0, tol: float | None = None, max_iter: int = 20000
     _check_weight(weight)
     return ProxMap(
         "tv",
-        lambda v, lam: as_array(prox_tv(v, lam * weight, tol=tol, max_iter=max_iter)),
+        lambda v, lam: prox_tv(v, lam * weight, tol=tol, max_iter=max_iter),
         objective=lambda x: weight * tv_value(x),
     )
 
@@ -432,7 +423,7 @@ def tv_conj_prox(weight: float = 1.0, tol: float | None = None, max_iter: int = 
     # Conjugate of weight*TV is an indicator, so the prox ignores lam.
     return ProxMap(
         "tv_conjugate",
-        lambda v, lam: as_array(tv_conjugate_prox(v, weight, tol=tol, max_iter=max_iter)),
+        lambda v, lam: tv_conjugate_prox(v, weight, tol=tol, max_iter=max_iter),
     )
 
 
@@ -442,9 +433,8 @@ def wavelet_l1_prox(weight: float = 1.0, levels: int = 1) -> ProxMap:
         raise ValueError("levels must be >= 1")
     return ProxMap(
         "wavelet_l1",
-        lambda v, lam: as_array(prox_wavelet_l1(v, lam * weight, levels)),
-        objective=lambda x: weight
-        * float(np.sum(np.abs(as_array(haar_transform(as_array(x), levels))))),
+        lambda v, lam: prox_wavelet_l1(v, lam * weight, levels),
+        objective=lambda x: weight * float(np.sum(np.abs(haar_transform(x, levels)))),
     )
 
 
@@ -462,5 +452,5 @@ def quadratic_fidelity_prox(op: LinearOp, y) -> ProxMap:
 def moreau_check(p: ProxMap, p_conj: ProxMap, v) -> float:
     """Moreau identity defect ||prox_f(v) + prox_{f*}(v) - v||_inf at lam = 1."""
     arr = as_array(v)
-    lhs = as_array(p.evaluate(arr, 1.0)) + as_array(p_conj.evaluate(arr, 1.0))
+    lhs = p.evaluate(arr, 1.0) + p_conj.evaluate(arr, 1.0)
     return float(np.max(np.abs(lhs - arr)))

@@ -103,7 +103,7 @@ def run_pnp_ula(op: LinearOp, y, denoiser: Denoiser, cfg: UlaConfig, x0=None):
     """
     y_arr = as_array(y)
     rng = Rng(cfg.seed)
-    kty = as_array(op._adjoint(y_arr))
+    kty = op._adjoint(y_arr)
     x = kty.copy() if x0 is None else as_array(x0).copy()
     n = x.size
     shape = x.shape

@@ -97,7 +97,7 @@ class SmoothFn:
                              "its potential")
         if not lam > 0:
             raise ValueError("lam must be positive")
-        return SmoothFn(grad=lambda x: lam * as_array(den.grad_potential(x, 0.0)),
+        return SmoothFn(grad=lambda x: lam * den.grad_potential(x, 0.0),
                         value=lambda x: lam * float(den.potential(x, 0.0)))
 
 
@@ -131,8 +131,8 @@ class RegSlot:
 
     def apply(self, v: np.ndarray, scale: float) -> np.ndarray:
         if self.prox is not None:
-            return as_array(self.prox.evaluate(v, scale))
-        return as_array(self.denoiser.apply(v, self.sigma))
+            return self.prox.evaluate(v, scale)
+        return self.denoiser.apply(v, self.sigma)
 
     def reg_value(self, x: np.ndarray, scale: float) -> float | None:
         if self.prox is not None:
@@ -154,16 +154,14 @@ def as_slot(obj) -> RegSlot:
     raise TypeError(f"cannot build a RegSlot from {type(obj).__name__}")
 
 
-def _objective(cfg: SolverConfig, f: SmoothFn | None, slot: RegSlot | None,
-               x: np.ndarray, scale: float) -> float:
-    if not cfg.eval_objective:
-        return math.nan
+def _objective(x: np.ndarray, scale: float, f: SmoothFn | None, *slots: RegSlot) -> float:
+    """f(x) plus each slot's regularization term at x; NaN when a value is unknown."""
     total = 0.0
     if f is not None:
         if f.value is None:
             return math.nan
         total += float(f.value(x))
-    if slot is not None:
+    for slot in slots:
         reg = slot.reg_value(x, scale)
         if reg is None:
             return math.nan
@@ -171,8 +169,8 @@ def _objective(cfg: SolverConfig, f: SmoothFn | None, slot: RegSlot | None,
     return total
 
 
-def _iterate(cfg: SolverConfig, x0, advance, report=None, reference=None,
-             peak: float = 1.0, row0=None, record_divergence: bool = False):
+def _iterate(cfg: SolverConfig, x0, advance, report=None, reference=None, row0=None,
+             record_divergence: bool = False):
     """Run x_{k+1} = advance(k, x_k) under the shared trace and stopping rules.
 
     ``report(k, x, r)`` gets a checked state and its step residual and
@@ -191,7 +189,7 @@ def _iterate(cfg: SolverConfig, x0, advance, report=None, reference=None,
 
     def append(k, point, objective, step_residual, fp_residual):
         trace.append(k, objective, step_residual, fp_residual,
-                     math.nan if ref is None else psnr(point, ref, peak),
+                     math.nan if ref is None else psnr(point, ref),
                      (time.perf_counter() - t0) if cfg.record_time else math.nan)
 
     point, objective, r, fp = (row0 or report)(0, x, math.nan)
@@ -223,8 +221,8 @@ def _iterate(cfg: SolverConfig, x0, advance, report=None, reference=None,
 # ---------------------------------------------------------------------------
 
 
-def run_pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, peak: float = 1.0,
-            precond=None, backtracking: bool = False):
+def run_pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, precond=None,
+            backtracking: bool = False):
     """Proximal gradient descent x_{k+1} = reg(x_k - step * grad f(x_k)).
 
     With an exact prox in the slot this is classical PGD; with a denoiser it
@@ -260,22 +258,20 @@ def run_pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, peak: float = 1.
             raise ValueError("a preconditioner needs a prox in the slot")
         step = 1.0 / b
     if not backtracking:
-        return _iterate(cfg, x0, lambda k, x: slot.apply(x - step * f.grad(x), step),
-                        lambda k, x, r: (x, _objective(cfg, f, slot, x, step), r, r),
-                        reference, peak)
+        def report(k, x, r):
+            return x, _objective(x, step, f, slot) if cfg.eval_objective else math.nan, r, r
+
+        return _iterate(cfg, x0, lambda k, x: slot.apply(x - step * f.grad(x), step), report,
+                        reference)
     if f.value is None or slot.prox is None or slot.prox.objective is None or precond is not None:
         raise ValueError("backtracking needs f.value, a prox slot with an objective, "
                          "and no precond")
-
-    def objective(x):
-        return float(f.value(x)) + float(slot.prox.objective(x))
-
     fx = math.nan  # F at the current state
     t = step  # the accepted step, carried into the next iteration's search
 
     def row0(k, x, r):
         nonlocal fx
-        fx = objective(x)
+        fx = _objective(x, t, f, slot)
         return x, fx, r, r
 
     def advance(k, x):
@@ -284,7 +280,7 @@ def run_pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, peak: float = 1.
         slack = 1e-12 * max(1.0, abs(fx))
         for _ in range(_HALVINGS + 1):
             cand = slot.apply(x - t * grad, t)
-            f_cand = objective(cand)
+            f_cand = _objective(cand, t, f, slot)
             if fx - f_cand >= (0.5 / t) * float(np.sum((cand - x) ** 2)) - slack:
                 fx = f_cand
                 return cand
@@ -292,12 +288,10 @@ def run_pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, peak: float = 1.
         raise SolveError(f"backtracking exhausted {_HALVINGS} halvings at iteration {k}: "
                          f"F(x) = {fx:.12g}, last trial F = {f_cand:.12g}")
 
-    return _iterate(cfg, x0, advance, lambda k, x, r: (x, fx, r, r), reference, peak,
-                    row0=row0)
+    return _iterate(cfg, x0, advance, lambda k, x, r: (x, fx, r, r), reference, row0=row0)
 
 
-def run_apgd(grad_f, reg, cfg: SolverConfig, x0, y0=None, reference=None,
-             peak: float = 1.0):
+def run_apgd(grad_f, reg, cfg: SolverConfig, x0, reference=None):
     """Relaxed proximal gradient (alpha-PGD), three-line form.
 
         q_{k+1} = (1-alpha) x_k + alpha y_k
@@ -306,12 +300,13 @@ def run_apgd(grad_f, reg, cfg: SolverConfig, x0, y0=None, reference=None,
 
     The Lyapunov value F(x_k) + (alpha/2)(1 - 1/alpha)^2 ||x_k - x_{k-1}||^2
     is reconstructable from the trace as
-    objective + (alpha/2)(1-1/alpha)^2 * step_residual^2.
+    objective + (alpha/2)(1-1/alpha)^2 * step_residual^2.  The y-sequence
+    starts at x0.
     """
     f = _as_smooth(grad_f)
     slot = as_slot(reg)
     alpha = cfg.alpha
-    y = as_array(x0 if y0 is None else y0)
+    y = as_array(x0)
 
     def advance(k, x):
         nonlocal y
@@ -319,9 +314,10 @@ def run_apgd(grad_f, reg, cfg: SolverConfig, x0, y0=None, reference=None,
         y = slot.apply(y - cfg.step * f.grad(q), cfg.step)
         return (1.0 - alpha) * x + alpha * y
 
-    return _iterate(cfg, x0, advance,
-                    lambda k, x, r: (x, _objective(cfg, f, slot, x, cfg.step), r, r),
-                    reference, peak)
+    def report(k, x, r):
+        return x, _objective(x, cfg.step, f, slot) if cfg.eval_objective else math.nan, r, r
+
+    return _iterate(cfg, x0, advance, report, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +325,7 @@ def run_apgd(grad_f, reg, cfg: SolverConfig, x0, y0=None, reference=None,
 # ---------------------------------------------------------------------------
 
 
-def run_drs(map_a, map_b, cfg: SolverConfig, x0, reference=None, peak: float = 1.0):
+def run_drs(map_a, map_b, cfg: SolverConfig, x0, reference=None):
     """Douglas-Rachford iteration with two resolvent slots.
 
         y_{k+1} = A(x_k)
@@ -356,28 +352,22 @@ def run_drs(map_a, map_b, cfg: SolverConfig, x0, reference=None, peak: float = 1
         z = slot_b.apply(2.0 * y - x, lam)
         return x + z - y
 
-    def objective_at(point):
-        if not cfg.eval_objective:
-            return math.nan
-        va = slot_a.reg_value(point, lam)
-        vb = slot_b.reg_value(point, lam)
-        if va is None or vb is None:
-            return math.nan
-        return va + vb
+    def report(k, x, r):
+        objective = _objective(y, lam, None, slot_a, slot_b) if cfg.eval_objective else math.nan
+        return y, objective, r, r
 
-    return _iterate(cfg, x0, advance, lambda k, x, r: (y, objective_at(y), r, r), reference,
-                    peak)
+    return _iterate(cfg, x0, advance, report, reference)
 
 
-def run_admm(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, z0=None, u0=None,
-             reference=None, peak: float = 1.0):
+def run_admm(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, reference=None):
     """ADMM for 0.5*||Kx - y||^2 + g(z) subject to x = z.
 
         x_{k+1} = (K^T K + rho I)^{-1} (K^T y + rho (z_k - u_k))
         z_{k+1} = reg(x_{k+1} + u_k)        (prox_{g/rho}, or the denoiser)
         u_{k+1} = u_k + x_{k+1} - z_{k+1}
 
-    The x-update is exact through the shifted normal equations.  The traced
+    The x-update is exact through the shifted normal equations.  It starts
+    from x_0 = z_0 = x0 (K^T y when not given) and u_0 = 0.  The traced
     fixed-point residual is the primal residual ||x_k - z_k||.
     """
     y_arr = as_array(y)
@@ -385,45 +375,44 @@ def run_admm(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, z0=None, u0=None,
     rho = cfg.rho
     kty = op._adjoint(y_arr)
     x = kty if x0 is None else as_array(x0)
-    z = x if z0 is None else as_array(z0)
-    u = np.zeros_like(x) if u0 is None else as_array(u0)
+    z = x
+    u = np.zeros_like(x)
     fid = SmoothFn.least_squares(op, y_arr)
 
     def advance(k, x):
         nonlocal z, u
-        x_new = as_array(solve_shifted_normal(op, rho, kty + rho * (z - u)))
+        x_new = solve_shifted_normal(op, rho, kty + rho * (z - u))
         z = slot.apply(x_new + u, 1.0 / rho)
         u = u + x_new - z
         return x_new
 
     def report(k, x, r):
         primal = float(np.linalg.norm(x - z)) if k else math.nan
-        return x, _objective(cfg, fid, slot, x, 1.0 / rho), r, primal
+        objective = _objective(x, 1.0 / rho, fid, slot) if cfg.eval_objective else math.nan
+        return x, objective, r, primal
 
-    return _iterate(cfg, x, advance, report, reference, peak)
+    return _iterate(cfg, x, advance, report, reference)
 
 
 def _as_schedule(value, default: float):
     if value is None:
         return lambda k: default
-    if np.isscalar(value):
-        return lambda k: float(value)
-    if callable(value):
-        return lambda k: float(value(k))
     seq = [float(v) for v in value]
     return lambda k: seq[min(k - 1, len(seq) - 1)]
 
 
 def run_hqs(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, rho_schedule=None,
-            sigma_schedule=None, reference=None, peak: float = 1.0):
+            sigma_schedule=None, reference=None):
     """Half-quadratic splitting, the (possibly non-convergent) baseline.
 
         x_{k+1} = prox_{f/rho_k}(z_k)   with f = 0.5*||K. - y||^2
         z_{k+1} = reg(x_{k+1})          (prox_{g/rho_k}, or D_{sigma_k})
 
-    Supports rho and sigma schedules (constant, sequence, or callable); a
-    decreasing-sigma denoiser schedule mimics the classical non-convergent
-    baseline.  Divergence is recorded in the trace, not raised.
+    ``rho_schedule`` and ``sigma_schedule`` are each None (``cfg.rho`` and
+    the slot's sigma at every step) or a sequence whose k-th entry is used at
+    step k and whose last entry holds after its end.  A decreasing-sigma
+    denoiser schedule mimics the classical non-convergent baseline.
+    Divergence is recorded in the trace, not raised.
     """
     y_arr = as_array(y)
     slot = as_slot(reg)
@@ -438,12 +427,14 @@ def run_hqs(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, rho_schedule=None,
         scale = 1.0 / rho_of(k)
         x = _fidelity_prox(z, scale, op, kty)
         if slot.denoiser is not None:
-            return as_array(slot.denoiser.apply(x, sigma_of(k)))
+            return slot.denoiser.apply(x, sigma_of(k))
         return slot.apply(x, scale)
 
-    return _iterate(cfg, kty if x0 is None else x0, advance,
-                    lambda k, z, r: (z, _objective(cfg, fid, slot, z, scale), r, r),
-                    reference, peak, record_divergence=True)
+    def report(k, z, r):
+        return z, _objective(z, scale, fid, slot) if cfg.eval_objective else math.nan, r, r
+
+    return _iterate(cfg, kty if x0 is None else x0, advance, report, reference,
+                    record_divergence=True)
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +447,7 @@ def _red_fixed_point_norm(grad_f, x, dx, weight: float) -> float:
 
 
 def run_red_gd(op: LinearOp, y, denoiser: Denoiser, lam: float, sigma: float,
-               eta: float, cfg: SolverConfig, x0=None, reference=None,
-               peak: float = 1.0):
+               eta: float, cfg: SolverConfig, x0=None, reference=None):
     """Gradient-descent RED.
 
         x_{k+1} = x_k - eta * [K^T(K x_k - y) + (lam/sigma^2)(x_k - D(x_k))]
@@ -479,18 +469,17 @@ def run_red_gd(op: LinearOp, y, denoiser: Denoiser, lam: float, sigma: float,
 
     def bracket_norm(x):
         nonlocal fc
-        dx = as_array(denoiser.apply(x, sigma))
+        dx = denoiser.apply(x, sigma)
         fc = grad_f(x) + weight * (x - dx)
         return float(np.linalg.norm(fc))
 
     return _iterate(cfg, op._adjoint(y_arr) if x0 is None else x0,
                     lambda k, x: x - eta * fc,
-                    lambda k, x, r: (x, math.nan, r, bracket_norm(x)), reference, peak)
+                    lambda k, x, r: (x, math.nan, r, bracket_norm(x)), reference)
 
 
 def _run_red_prox(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,
-                  cfg: SolverConfig, v0, sigma: float, reference, peak: float,
-                  accelerated: bool):
+                  cfg: SolverConfig, v0, sigma: float, reference, accelerated: bool):
     """RED-PG and, with Nesterov momentum on the v-update, RED-APG."""
     if L <= 1:
         raise ValueError("L must exceed 1")
@@ -505,7 +494,7 @@ def _run_red_prox(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,
 
     def report(k, x, r):
         nonlocal v, x_prev, t_prev
-        dx = as_array(denoiser.apply(x, sigma))
+        dx = denoiser.apply(x, sigma)
         z = x
         if accelerated:
             t = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_prev * t_prev))
@@ -518,16 +507,15 @@ def _run_red_prox(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,
         return x, math.nan, r, _red_fixed_point_norm(grad_f, x, dx, lam)
 
     def row0(k, v0, r):
-        dv = as_array(denoiser.apply(v0, sigma))
+        dv = denoiser.apply(v0, sigma)
         return v0, math.nan, r, _red_fixed_point_norm(grad_f, v0, dv, lam)
 
-    return _iterate(cfg, v, advance, report, reference, peak, row0=row0,
+    return _iterate(cfg, v, advance, report, reference, row0=row0,
                     record_divergence=accelerated)
 
 
 def run_red_pg(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,
-               cfg: SolverConfig, v0=None, sigma: float = 0.0, reference=None,
-               peak: float = 1.0):
+               cfg: SolverConfig, v0=None, sigma: float = 0.0, reference=None):
     """Proximal-gradient RED, the provably convergent fixed-point scheme.
 
         x_k = argmin_x f(x) + (lam*L/2) ||x - v_{k-1}||^2
@@ -536,7 +524,7 @@ def run_red_pg(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,
     Requires L > 1 (the averagedness condition).  The traced fixed-point
     residual is ||K^T(K x - y) + lam (x - D(x))||.
     """
-    return _run_red_prox(op, y, denoiser, lam, L, cfg, v0, sigma, reference, peak,
+    return _run_red_prox(op, y, denoiser, lam, L, cfg, v0, sigma, reference,
                          accelerated=False)
 
 
@@ -552,8 +540,7 @@ def nesterov_t_sequence(count: int) -> np.ndarray:
 
 
 def run_red_apg(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,
-                cfg: SolverConfig, v0=None, sigma: float = 0.0, reference=None,
-                peak: float = 1.0):
+                cfg: SolverConfig, v0=None, sigma: float = 0.0, reference=None):
     """Momentum-accelerated RED (trace only; convergence is not asserted).
 
         x_k = argmin_x f(x) + (lam*L/2) ||x - v_{k-1}||^2
@@ -565,7 +552,7 @@ def run_red_apg(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,
     finite x_k is returned.  The step residual of k = 1 is NaN, as x_1 has
     no predecessor.
     """
-    return _run_red_prox(op, y, denoiser, lam, L, cfg, v0, sigma, reference, peak,
+    return _run_red_prox(op, y, denoiser, lam, L, cfg, v0, sigma, reference,
                          accelerated=True)
 
 

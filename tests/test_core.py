@@ -223,6 +223,16 @@ class TestNetpbm:
         with pytest.raises(ParseError):
             load_signal(path)
 
+    @pytest.mark.parametrize("sample", [b"-1", b"1.5"])
+    def test_bad_ascii_sample(self, tmp_path, sample):
+        path = tmp_path / "bad.pgm"
+        header = b"P2\n2 1\n255\n7 "
+        path.write_bytes(header + sample + b"\n")
+        with pytest.raises(ParseError) as exc:
+            load_signal(path)
+        assert exc.value.offset == len(header)
+        assert f"(byte offset {len(header)})" in str(exc.value)
+
     def test_pgm_requires_2d(self, tmp_path):
         with pytest.raises(ShapeError):
             save_signal(np.zeros((2, 2, 3)), tmp_path / "x.pgm")

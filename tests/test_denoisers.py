@@ -124,7 +124,7 @@ class TestTvDenoiser:
         np.testing.assert_array_equal(d.apply(x, sigma), expected)
 
     def test_two_point_analytic(self):
-        d = tv_denoiser(lambda_of_sigma=lambda s: 0.5, tol=1e-14)
+        d = tv_denoiser(c=0.5, tol=1e-14)  # lam = c * sigma^2 = 0.5 at sigma = 1
         out = d.apply(np.array([1.0, -1.0]), 1.0)
         np.testing.assert_allclose(out, [0.5, -0.5], atol=1e-6)
 
@@ -176,7 +176,7 @@ class TestSpectralDenoiser:
         assert abs(norm - expected) <= 1e-6
 
     def test_residual_lipschitz_matches_exact_and_monotone(self):
-        family = tikhonov_spectral_family((6,), transform="haar", levels=1)
+        family = tikhonov_spectral_family((6,), transform="haar")
         previous = -1.0
         for lam in (0.05, 0.2, 0.8):
             d = linear_spectral_denoiser(family, lam)

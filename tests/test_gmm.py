@@ -83,6 +83,20 @@ class TestPriorValidation:
         with pytest.raises(ValueError):
             GmmPrior([1.0], [np.zeros(65)], [1.0])
 
+    def test_caller_arrays_are_copied(self):
+        w = np.array([0.4, 0.6])
+        m = np.array([[-1.5, 0.0], [2.0, 1.0]])
+        v = np.array([0.5, 1.3])
+        prior = GmmPrior(w, m, v)
+        x = np.array([0.3, -0.2])
+        before = posterior_mean(prior, x, 0.7)
+        assert w.flags.writeable and m.flags.writeable and v.flags.writeable
+        w[0], m[0, 0], v[0] = 0.9, 5.0, 2.0
+        np.testing.assert_array_equal(prior.weights, [0.4, 0.6])
+        np.testing.assert_array_equal(prior.means, [[-1.5, 0.0], [2.0, 1.0]])
+        np.testing.assert_array_equal(prior.variances, [0.5, 1.3])
+        np.testing.assert_array_equal(posterior_mean(prior, x, 0.7), before)
+
     def test_json_roundtrip(self, tmp_path):
         doc = {"weights": [0.3, 0.7], "means": [[0.0, 1.0], [2.0, -1.0]],
                "variances": [0.5, 1.5]}

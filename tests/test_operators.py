@@ -5,22 +5,35 @@ from pnpkit import (
     CirculantOp,
     DenseOp,
     DiagonalOp,
+    GmmPrior,
     Rng,
     ShapeError,
     adjoint_defect,
     as_dense,
     compose,
+    haar_inverse,
+    haar_transform,
     identity_op,
+    l1_prox,
     load_dense_operator,
     make_blur,
     make_mask,
     naive_svd_solve,
     operator_norm,
+    posterior_mean,
+    prox_box,
+    prox_quadratic_fidelity,
+    prox_tv,
+    prox_wavelet_l1,
     save_signal,
     Signal,
+    smoothed_score,
+    soft_threshold,
     solve_shifted_normal,
     svd_factors,
     tikhonov_solve,
+    tv_conjugate_prox,
+    tv_denoiser,
 )
 from pnpkit.operators import CompositeOp
 
@@ -164,11 +177,6 @@ class TestTikhonov:
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
             tikhonov_solve(identity_op((3,)), np.zeros(3), 0.0)
-
-    def test_signal_in_signal_out(self, rng):
-        y = Signal.from_array(rng.standard_normal(5))
-        x = tikhonov_solve(identity_op((5,)), y, 0.5)
-        assert isinstance(x, Signal)
 
 
 class TestNaiveSvd:
@@ -408,3 +416,42 @@ class TestSpectralFacts:
     def test_symmetric_spectrum_rejects_asymmetric(self, op, message):
         with pytest.raises(ValueError, match=message):
             op.symmetric_spectrum()
+
+
+_BLUR = make_blur(np.full((3, 3), 1.0 / 9.0), (8, 8))
+_PRIOR = GmmPrior([0.4, 0.6], [[-1.0, 0.5, 0.0], [1.0, 0.0, 2.0]], [0.5, 1.3])
+
+# Each map called on a converter applied to its signal arguments: the identity
+# for the array call, Signal.from_array for the Signal call.
+_MAPS = {
+    "apply": lambda s, x, p: _BLUR.apply(s(x)),
+    "adjoint": lambda s, x, p: _BLUR.adjoint(s(x)),
+    "solve_shifted_normal": lambda s, x, p: solve_shifted_normal(_BLUR, 0.5, s(x)),
+    "tikhonov_solve": lambda s, x, p: tikhonov_solve(_BLUR, s(x), 0.5),
+    "naive_svd_solve": lambda s, x, p: naive_svd_solve(DenseOp(np.diag([2.0, 1.0, 0.5])),
+                                                       s(p)),
+    "soft_threshold": lambda s, x, p: soft_threshold(s(x), 0.3),
+    "prox_box": lambda s, x, p: prox_box(s(x), 0.2, 0.6),
+    "prox_tv": lambda s, x, p: prox_tv(s(x), 0.1),
+    "tv_conjugate_prox": lambda s, x, p: tv_conjugate_prox(s(x), 0.1),
+    "prox_wavelet_l1": lambda s, x, p: prox_wavelet_l1(s(x), 0.1, 1),
+    "haar_transform": lambda s, x, p: haar_transform(s(x), 2),
+    "haar_inverse": lambda s, x, p: haar_inverse(s(x), 2),
+    "prox_quadratic_fidelity": lambda s, x, p: prox_quadratic_fidelity(s(x), 0.5, _BLUR,
+                                                                       s(x[::-1])),
+    "ProxMap.evaluate": lambda s, x, p: l1_prox(0.3).evaluate(s(x), 1.0),
+    "Denoiser.apply": lambda s, x, p: tv_denoiser().apply(s(x), 0.3),
+    "posterior_mean": lambda s, x, p: posterior_mean(_PRIOR, s(p), 0.4),
+    "smoothed_score": lambda s, x, p: smoothed_score(_PRIOR, s(p), 0.4),
+}
+
+
+@pytest.mark.parametrize("name", list(_MAPS))
+def test_signal_input_gives_array(name, rng):
+    x = rng.uniform(0.0, 1.0, (8, 8))
+    point = rng.standard_normal(3)
+    from_array = _MAPS[name](lambda a: a, x, point)
+    from_signal = _MAPS[name](Signal.from_array, x, point)
+    assert type(from_array) is np.ndarray
+    assert type(from_signal) is np.ndarray
+    np.testing.assert_array_equal(from_signal, from_array)
