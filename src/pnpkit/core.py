@@ -9,8 +9,10 @@ traces stay numeric, and all randomness flows through the counter-based
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +72,32 @@ class DivergenceError(PnpkitError):
 
 class ConfigError(PnpkitError):
     """An experiment configuration is invalid."""
+
+
+# The state of the solver run in progress in this context, or None outside one.
+_RUN_STATE: contextvars.ContextVar[dict | None] = contextvars.ContextVar("pnpkit_run_state",
+                                                                        default=None)
+
+
+@contextmanager
+def scoped_run():
+    """Give the solver run inside the block a fresh state dict of its own.
+
+    ``solvers._iterate`` opens one per run.  A map that carries something
+    from one call to the next within a run (the TV prox's warm dual) keeps
+    it in :func:`run_state`, so nothing outlives the run or crosses into
+    another run, a nested one or another thread included.
+    """
+    token = _RUN_STATE.set({})
+    try:
+        yield
+    finally:
+        _RUN_STATE.reset(token)
+
+
+def run_state() -> dict | None:
+    """The state dict of the innermost solver run in progress; None outside a run."""
+    return _RUN_STATE.get()
 
 
 def diverged(x: np.ndarray) -> bool:
@@ -407,9 +435,10 @@ def _netpbm_token(buf: bytes, pos: int, path: str) -> tuple[bytes, int]:
     return buf[start:pos], pos
 
 
-def _netpbm_int(buf: bytes, pos: int, path: str, what: str, least: int) -> tuple[int, int]:
-    # The next token as an integer >= least; returns it and the new offset.
-    # Errors carry the offset of the token itself.
+def _netpbm_int(buf: bytes, pos: int, path: str, what: str, least: int,
+                most: int | None = None) -> tuple[int, int]:
+    # The next token as an integer in [least, most]; returns it and the new
+    # offset.  Errors carry the offset of the token itself.
     token, new_pos = _netpbm_token(buf, pos, path)
     start = new_pos - len(token)
     try:
@@ -418,6 +447,8 @@ def _netpbm_int(buf: bytes, pos: int, path: str, what: str, least: int) -> tuple
         raise ParseError(f"{path}: expected integer {what}, got {token!r}", offset=start)
     if value < least:
         raise ParseError(f"{path}: {what} must be >= {least}, got {value}", offset=start)
+    if most is not None and value > most:
+        raise ParseError(f"{path}: {what} {value} exceeds maxval {most}", offset=start)
     return value, new_pos
 
 
@@ -449,10 +480,7 @@ def _load_netpbm(buf: bytes, path: str) -> Signal:
     else:
         values = np.empty(count, dtype=np.float64)
         for i in range(count):
-            v, pos = _netpbm_int(buf, pos, path, "sample", 0)
-            if v > maxval:
-                raise ParseError(f"{path}: sample {v} exceeds maxval {maxval}", offset=pos)
-            values[i] = v
+            values[i], pos = _netpbm_int(buf, pos, path, "sample", 0, maxval)
 
     shape = (h, w) if channels == 1 else (h, w, 3)
     return Signal(values / maxval, shape)

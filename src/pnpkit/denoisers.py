@@ -151,7 +151,11 @@ def nlm_denoiser(patch_radius: int, window_radius: int, h: float) -> Denoiser:
 
 
 def tv_denoiser(c: float = 1.0, tol: float | None = None, max_iter: int = 200000) -> Denoiser:
-    """TV denoiser: the TV prox with strength lam = c * sigma^2."""
+    """TV denoiser: the TV prox with strength lam = c * sigma^2.
+
+    Each call is a :func:`~pnpkit.proximal.prox_tv`: warm-started from the
+    run's previous TV dual within a solver run, cold outside one.
+    """
     if not (math.isfinite(c) and c >= 0):
         raise ValueError("c must be finite and nonnegative")
 
@@ -284,37 +288,45 @@ def gs_denoiser(smoother: LinearOp, weight: float = 1.0) -> Denoiser:
     A must be a symmetric smoother with eigenvalues in [0, 1]; then
     grad g = (I - A)^2 has Lipschitz constant ||I - A||^2 <= 1.  ``weight``
     is the default regularization strength the solvers pair with g.  When A
-    is circulant, D is applied as one filter with spectrum 1 - (1 - a)^2,
-    and when that spectrum is bounded away from 0, D is invertible and its
-    exact proximal potential is exposed as well.
+    is circulant, grad g is one filter with spectrum (1 - a)^2, g one
+    transform, and D one filter with spectrum 1 - (1 - a)^2; when that
+    spectrum is bounded away from 0, D is invertible and its exact proximal
+    potential is exposed as well.
     """
     if smoother.in_shape != smoother.out_shape:
         raise ValueError("smoother must be square")
     if not (math.isfinite(weight) and weight > 0):
         raise ValueError("weight must be finite and positive")
     spectrum = smoother.symmetric_spectrum()
-
-    def residual(arr):
-        return arr - smoother._apply(arr)
-
-    def grad_g(x, sigma=0.0):
-        arr = as_array(x)
-        r = residual(arr)
-        return r - smoother._apply(r)  # (I - A)^T (I - A) x with A symmetric
-
-    def g_value(x, sigma=0.0):
-        return 0.5 * float(np.sum(residual(as_array(x)) ** 2))
-
     phi = None
-    d_op = None  # D as one circulant filter
     if isinstance(smoother, CirculantOp):
-        d_op = CirculantOp.from_half_response(1.0 - (1.0 - spectrum) ** 2, smoother.in_shape)
-        d_eigs = d_op.half_response  # spectrum of D = I - (I-A)^2
-        if np.min(d_eigs) > 1e-12:
-            phi = _circulant_quadratic(1.0 / d_eigs - 1.0, d_op._spatial)
+        res2 = (1.0 - spectrum) ** 2
+        grad_op = CirculantOp.from_half_response(res2, smoother.in_shape)
+        d_op = CirculantOp.from_half_response(1.0 - res2, smoother.in_shape)
+        g_value = _circulant_quadratic(res2, smoother._spatial)
 
-    def fn(arr, sigma):
-        return arr - grad_g(arr) if d_op is None else d_op._apply(arr)
+        def grad_g(x, sigma=0.0):
+            return grad_op._apply(as_array(x))
+
+        def fn(arr, sigma):
+            return d_op._apply(arr)
+
+        d_eigs = d_op.half_response
+        if np.min(d_eigs) > 1e-12:
+            phi = _circulant_quadratic(1.0 / d_eigs - 1.0, smoother._spatial)
+    else:
+        def residual(arr):
+            return arr - smoother._apply(arr)
+
+        def grad_g(x, sigma=0.0):
+            r = residual(as_array(x))
+            return r - smoother._apply(r)  # (I - A)^T (I - A) x with A symmetric
+
+        def g_value(x, sigma=0.0):
+            return 0.5 * float(np.sum(residual(as_array(x)) ** 2))
+
+        def fn(arr, sigma):
+            return arr - grad_g(arr)
 
     den = Denoiser(
         fn,

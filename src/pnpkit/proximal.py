@@ -8,10 +8,11 @@ prox certifies its accuracy through the duality gap it reports.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
-from .core import DivergenceError, ShapeError, SolveError, as_array
+from .core import DivergenceError, ShapeError, SolveError, as_array, run_state
 from .operators import LinearOp, solve_shifted_normal
 
 # ---------------------------------------------------------------------------
@@ -136,26 +137,42 @@ def _shifts(ndim: int) -> tuple[tuple[tuple, tuple], ...]:
     return tuple(out)
 
 
-def _grad(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _grad_views(x: np.ndarray, out: np.ndarray) -> list:
+    # Per axis: the trailing and leading parts of x, and the leading part of
+    # out[axis] that their difference fills.
+    return [(x[trail], x[lead], out[axis][lead])
+            for axis, (lead, trail) in enumerate(_shifts(x.ndim))]
+
+
+def _grad(x: np.ndarray, out: np.ndarray | None = None, views=None) -> np.ndarray:
     """Forward differences stacked as (ndim, *x.shape), Neumann boundary.
 
     Only the leading part of each axis is written, so an ``out`` that starts
     at zero keeps a zero trailing slice (the boundary difference) for good.
+    ``views`` is ``_grad_views(x, out)``, for a caller that builds it once.
     """
     if out is None:
         out = np.zeros((x.ndim,) + x.shape)
-    for axis, (lead, trail) in enumerate(_shifts(x.ndim)):
-        np.subtract(x[trail], x[lead], out=out[axis][lead])
+    for ahead, behind, target in _grad_views(x, out) if views is None else views:
+        np.subtract(ahead, behind, out=target)
     return out
 
 
-def _grad_adjoint(p: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """grad^T p for stacked duals p that are zero on each trailing slice."""
+def _adjoint_views(p: np.ndarray, out: np.ndarray) -> list:
+    # Per axis: the trailing part of out and the leading part of p[axis] added to it.
+    return [(out[trail], p[axis][lead]) for axis, (lead, trail) in enumerate(_shifts(out.ndim))]
+
+
+def _grad_adjoint(p: np.ndarray, out: np.ndarray, views=None) -> np.ndarray:
+    """grad^T p for stacked duals p that are zero on each trailing slice.
+
+    ``views`` is ``_adjoint_views(p, out)``, for a caller that builds it once.
+    """
     np.negative(p[0], out=out)
     for axis in range(1, out.ndim):
         out -= p[axis]
-    for axis, (lead, trail) in enumerate(_shifts(out.ndim)):
-        out[trail] += p[axis][lead]
+    for target, source in _adjoint_views(p, out) if views is None else views:
+        target += source
     return out
 
 
@@ -166,13 +183,17 @@ def tv_value(x) -> float:
 
 # An inf input makes nan (inf * 0) in the iterates; the non-finite gap reports it.
 @np.errstate(invalid="ignore")
-def _tv_dual_solve(v: np.ndarray, lam: float, tol: float, max_iter: int, p0=None):
+def _tv_dual_solve(v: np.ndarray, lam: float, tol: float, max_iter: int, p0=None, out=None):
     """FISTA-accelerated projected gradient on the TV dual (Beck-Teboulle).
 
     Maximizes the dual of 0.5*||x - v||^2 + lam*TV(x) over |p| <= lam
     componentwise; returns (x, div_p, gap, iterations).  Dual ascent step is
     1/4 in 1-D and 1/8 in 2-D (1 / ||grad||^2 bound).  ``p0`` optionally
-    seeds the stacked (ndim, *v.shape) dual variables.
+    seeds the stacked (ndim, *v.shape) dual variables: it is clipped into
+    the box and its trailing slices, which no difference reaches, are
+    zeroed.  The dual is iterated in ``out`` when one is given, else in a
+    fresh array, so ``p0 = out`` warm-starts from a buffer and leaves the
+    final dual in it for a next solve.
 
     The dual gradient at the extrapolated point q = p + beta*(p - p_old) is
     linear in the last two iterates, so with x = v - grad^T p and
@@ -180,8 +201,9 @@ def _tv_dual_solve(v: np.ndarray, lam: float, tol: float, max_iter: int, p0=None
     Each iteration thus costs one adjoint and one gradient, and the grad(x)
     that drives the next step also gives the duality gap
     lam*||grad x||_1 - <p, grad x>, checked against ``tol`` every iteration.
-    A non-finite gap raises DivergenceError; running out of iterations raises
-    SolveError carrying the gap.
+    A non-finite gap raises DivergenceError before it is compared with
+    ``tol``; running out of iterations raises SolveError carrying the gap.
+    The slice views both stencils read and write are built once per solve.
 
     The momentum restarts (t = 1, beta = 0) whenever the dual objective
     0.5*||v||^2 - 0.5*||x||^2 falls (O'Donoghue-Candes adaptive restart),
@@ -193,10 +215,13 @@ def _tv_dual_solve(v: np.ndarray, lam: float, tol: float, max_iter: int, p0=None
     """
     ndim = v.ndim
     step = 1.0 / (4.0 * ndim)
-    p = np.zeros((ndim,) + v.shape)
+    p = np.zeros((ndim,) + v.shape) if out is None else out
     if p0 is not None:
-        for axis, (lead, _) in enumerate(_shifts(ndim)):
-            p[axis][lead] = np.clip(p0[axis][lead], -lam, lam)
+        np.clip(p0, -lam, lam, out=p)
+        for axis in range(ndim):
+            p[axis].swapaxes(0, axis)[-1] = 0.0
+    elif out is not None:
+        p.fill(0.0)
     z = np.empty_like(p)
     z_old = np.zeros_like(p)
     dx = np.zeros_like(p)
@@ -205,8 +230,10 @@ def _tv_dual_solve(v: np.ndarray, lam: float, tol: float, max_iter: int, p0=None
     x = np.empty_like(v)
     x_old = np.empty_like(v)
     d = np.empty_like(v)
-    np.subtract(v, _grad_adjoint(p, div_p), out=x)
-    _grad(x, dx)
+    adjoint = _adjoint_views(p, div_p)
+    views, views_old = _grad_views(x, dx), _grad_views(x_old, dx)
+    np.subtract(v, _grad_adjoint(p, div_p, adjoint), out=x)
+    _grad(x, dx, views)
     t, beta = 1.0, 0.0
     gap = np.inf
     for it in range(1, max_iter + 1):
@@ -222,14 +249,15 @@ def _tv_dual_solve(v: np.ndarray, lam: float, tol: float, max_iter: int, p0=None
         t = t_new
 
         x, x_old = x_old, x
-        np.subtract(v, _grad_adjoint(p, div_p), out=x)
-        _grad(x, dx)
+        views, views_old = views_old, views
+        np.subtract(v, _grad_adjoint(p, div_p, adjoint), out=x)
+        _grad(x, dx, views)
         gap = lam * float(np.sum(np.abs(dx, out=work))) - float(np.vdot(p, dx))
-        if gap <= tol:
-            return x, div_p, gap, it
         if not np.isfinite(gap):
             raise DivergenceError(f"TV dual projection hit a non-finite gap at iteration {it}",
                                   step=it)
+        if gap <= tol:
+            return x, div_p, gap, it
         np.subtract(x, x_old, out=d)
         if 2.0 * float(np.vdot(d, x)) > float(np.vdot(d, d)):
             t, beta = 1.0, 0.0
@@ -249,13 +277,33 @@ def _check_tv_domain(arr: np.ndarray) -> None:
         raise ShapeError("TV proxes support 1-D and 2-D signals")
 
 
+def _default_tv_tol(arr: np.ndarray) -> float:
+    """1e-10 * max(n, ||v||^2): the gap scales with the data's energy.
+
+    An energy that overflows leaves no tolerance to certify against, so it
+    raises DivergenceError.
+    """
+    with np.errstate(over="ignore"):
+        energy = float(np.vdot(arr, arr))
+    if math.isinf(energy):
+        raise DivergenceError("TV prox input energy ||v||^2 overflows")
+    return 1e-10 * max(arr.size, energy)
+
+
 def prox_tv(v, lam: float, tol: float | None = None, max_iter: int = 200000):
     """Prox of lam * TV (anisotropic, forward differences, Neumann boundary).
 
     Chambolle-type dual projection with FISTA acceleration, stopped on the
-    duality gap.  Default tolerance is 1e-10 * n, well inside the certified
-    1e-6 * n contract; SolveError (carrying the gap) if max_iter is hit,
-    DivergenceError if the input is non-finite.
+    duality gap.  Default tolerance is 1e-10 * max(n, ||v||^2): 1e-10 * n on
+    unit-scale images, well inside the certified 1e-6 * n contract, and
+    relative to the data's energy once that is larger.  SolveError (carrying
+    the gap) if max_iter is hit, DivergenceError if the input is non-finite
+    or its energy overflows.
+
+    Outside a solver run each call is a cold solve from p = 0.  Inside one
+    (see :func:`~pnpkit.core.scoped_run`) each call starts from the dual the
+    run's previous TV prox on the same grid ended with.  Any feasible dual
+    starts a valid solve, so the gap certified is the same.
     """
     _check_lam(lam)
     arr = as_array(v)
@@ -263,9 +311,26 @@ def prox_tv(v, lam: float, tol: float | None = None, max_iter: int = 200000):
     if lam == 0.0:
         return arr.copy()
     if tol is None:
-        tol = 1e-10 * arr.size
-    x, _, _, _ = _tv_dual_solve(arr, lam, tol, max_iter)
+        tol = _default_tv_tol(arr)
+    p = _warm_dual(arr)
+    x, _, _, _ = _tv_dual_solve(arr, lam, tol, max_iter, p0=p, out=p)
     return x
+
+
+def _warm_dual(arr: np.ndarray):
+    """This solver run's TV dual on the grid of ``arr``; None outside a run.
+
+    Zeros at the run's first TV prox on that grid.  The kernel clips it into
+    the new box, so a changed lam needs nothing more.
+    """
+    state = run_state()
+    if state is None:
+        return None
+    key = ("prox_tv", arr.shape)
+    p = state.get(key)
+    if p is None:
+        p = state[key] = np.zeros((arr.ndim,) + arr.shape)
+    return p
 
 
 def tv_conjugate_prox(v, lam: float, tol: float | None = None, max_iter: int = 200000):
@@ -281,7 +346,7 @@ def tv_conjugate_prox(v, lam: float, tol: float | None = None, max_iter: int = 2
     if lam == 0.0:
         return np.zeros_like(arr)
     if tol is None:
-        tol = 1e-10 * arr.size
+        tol = _default_tv_tol(arr)
     seed = (0.25 / arr.ndim) * _grad(arr)
     _, div_p, _, _ = _tv_dual_solve(arr, lam, tol, max_iter, p0=seed)
     return div_p

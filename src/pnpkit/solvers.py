@@ -33,7 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DivergenceError, Signal, SolveError, Trace, as_array, diverged, psnr
+from .core import (DivergenceError, Signal, SolveError, Trace, as_array, diverged, psnr,
+                   scoped_run)
 from .denoisers import Denoiser
 from .operators import LinearOp, solve_shifted_normal
 from .proximal import ProxMap, _fidelity_prox
@@ -178,6 +179,10 @@ def _iterate(cfg: SolverConfig, x0, advance, report=None, reference=None, row0=N
     default traces the state with no objective and r as both residuals.
     Row 0 is ``report(0, x0, nan)`` unless ``row0``, with the same
     signature, is given.  Returns (Signal of the last traced point, trace).
+
+    The whole run, row 0 included, sits in a :func:`~pnpkit.core.scoped_run`
+    of its own, so state a map carries between its calls (the TV prox's
+    warm dual) lives exactly as long as the run.
     """
     x = as_array(x0).copy()
     if not np.all(np.isfinite(x)):
@@ -192,27 +197,28 @@ def _iterate(cfg: SolverConfig, x0, advance, report=None, reference=None, row0=N
                      math.nan if ref is None else psnr(point, ref),
                      (time.perf_counter() - t0) if cfg.record_time else math.nan)
 
-    point, objective, r, fp = (row0 or report)(0, x, math.nan)
-    append(0, point, objective, r, fp)
-    trace.stop_reason = "max_iter"
-    with np.errstate(over="ignore"):
-        for k in range(1, cfg.max_iter + 1):
-            try:
-                x_new = advance(k, x)
-                if diverged(x_new):
-                    raise DivergenceError(f"iterates diverged at step {k}")
-                point, objective, r, fp = report(k, x_new, float(np.linalg.norm(x_new - x)))
-            except DivergenceError as exc:
-                trace.stop_reason = "diverged"
-                exc.step, exc.last, exc.trace = k, Signal.from_array(x), trace
-                if record_divergence:
-                    return exc.last, trace
-                raise
-            append(k, point, objective, r, fp)
-            x = x_new
-            if r <= cfg.tol:
-                trace.stop_reason = "tolerance"
-                break
+    with scoped_run():
+        point, objective, r, fp = (row0 or report)(0, x, math.nan)
+        append(0, point, objective, r, fp)
+        trace.stop_reason = "max_iter"
+        with np.errstate(over="ignore"):
+            for k in range(1, cfg.max_iter + 1):
+                try:
+                    x_new = advance(k, x)
+                    if diverged(x_new):
+                        raise DivergenceError(f"iterates diverged at step {k}")
+                    point, objective, r, fp = report(k, x_new, float(np.linalg.norm(x_new - x)))
+                except DivergenceError as exc:
+                    trace.stop_reason = "diverged"
+                    exc.step, exc.last, exc.trace = k, Signal.from_array(x), trace
+                    if record_divergence:
+                        return exc.last, trace
+                    raise
+                append(k, point, objective, r, fp)
+                x = x_new
+                if r <= cfg.tol:
+                    trace.stop_reason = "tolerance"
+                    break
     return Signal.from_array(point), trace
 
 
@@ -394,10 +400,16 @@ def run_admm(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, reference=None):
     return _iterate(cfg, x, advance, report, reference)
 
 
-def _as_schedule(value, default: float):
+def _as_schedule(value, default: float, name: str, positive: bool):
     if value is None:
         return lambda k: default
     seq = [float(v) for v in value]
+    if not seq:
+        raise ValueError(f"{name} must not be empty")
+    for v in seq:
+        if not (math.isfinite(v) and (v > 0 if positive else v >= 0)):
+            raise ValueError(f"{name} entries must be finite and "
+                             f"{'positive' if positive else 'nonnegative'}, got {v}")
     return lambda k: seq[min(k - 1, len(seq) - 1)]
 
 
@@ -411,13 +423,15 @@ def run_hqs(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, rho_schedule=None,
     ``rho_schedule`` and ``sigma_schedule`` are each None (``cfg.rho`` and
     the slot's sigma at every step) or a sequence whose k-th entry is used at
     step k and whose last entry holds after its end.  A decreasing-sigma
-    denoiser schedule mimics the classical non-convergent baseline.
-    Divergence is recorded in the trace, not raised.
+    denoiser schedule mimics the classical non-convergent baseline.  An
+    empty schedule, or one with a non-finite entry, a rho <= 0 or a sigma < 0,
+    raises ValueError before the first step.  Divergence is recorded in the
+    trace, not raised.
     """
     y_arr = as_array(y)
     slot = as_slot(reg)
-    rho_of = _as_schedule(rho_schedule, cfg.rho)
-    sigma_of = _as_schedule(sigma_schedule, slot.sigma)
+    rho_of = _as_schedule(rho_schedule, cfg.rho, "rho_schedule", positive=True)
+    sigma_of = _as_schedule(sigma_schedule, slot.sigma, "sigma_schedule", positive=False)
     fid = SmoothFn.least_squares(op, y_arr)
     kty = op._adjoint(y_arr)
     scale = 1.0 / rho_of(1)  # 1/rho_k of the current step; row 0 uses rho_1

@@ -215,15 +215,29 @@ class TestCompareCommand:
         assert main(["compare", "--config", cfg]) == 2
 
     def test_worker_fanout_matches_sequential(self, tmp_path, monkeypatch):
-        out_seq = tmp_path / "seq"
-        out_par = tmp_path / "par"
-        doc = self.compare_config("unused")
-        cfg = write_config(tmp_path, doc)
-        monkeypatch.delenv("PNPKIT_THREADS", raising=False)
-        assert main(["compare", "--config", cfg, "--out", str(out_seq)]) == 0
-        monkeypatch.setenv("PNPKIT_THREADS", "3")
-        assert main(["compare", "--config", cfg, "--out", str(out_par)]) == 0
-        assert (out_seq / "compare.csv").read_bytes() == (out_par / "compare.csv").read_bytes()
+        # the GS set, then three TV runs sharing one denoiser, whose warm TV
+        # duals must stay within each run and its thread
+        tv_doc = self.compare_config("unused")
+        tv_doc["denoiser"] = {"kind": "tv", "c": 1.0}
+        tv_doc["solvers"] = [
+            {"algo": "pnp-pgd", "step": 1.0, "sigma": 0.05, "max_iter": 40, "tol": 1e-9},
+            {"algo": "pnp-drs", "step": 1.0, "sigma": 0.05, "max_iter": 40, "tol": 1e-9},
+            {"algo": "hqs", "rho": 1.0, "sigma": 0.2, "max_iter": 40, "tol": 0.0,
+             "sigma_schedule": list(np.geomspace(0.2, 0.02, 40))},
+        ]
+        for name, doc in (("gs", self.compare_config("unused")), ("tv", tv_doc)):
+            out_seq = tmp_path / f"{name}_seq"
+            out_par = tmp_path / f"{name}_par"
+            cfg = write_config(tmp_path, doc)
+            monkeypatch.delenv("PNPKIT_THREADS", raising=False)
+            assert main(["compare", "--config", cfg, "--out", str(out_seq)]) == 0
+            monkeypatch.setenv("PNPKIT_THREADS", "3")
+            assert main(["compare", "--config", cfg, "--out", str(out_par)]) == 0
+            names = sorted(p.name for p in out_seq.iterdir())
+            assert names == sorted(p.name for p in out_par.iterdir())
+            assert "compare.csv" in names
+            for file in names:
+                assert (out_seq / file).read_bytes() == (out_par / file).read_bytes()
 
     def test_hqs_baseline_recorded(self, tmp_path):
         out = tmp_path / "cmp"
@@ -238,6 +252,45 @@ class TestCompareCommand:
         assert main(["compare", "--config", cfg]) == 0
         rows = (out / "compare.csv").read_text().splitlines()[1:]
         assert any(r.startswith("hqs,") for r in rows)
+
+
+class TestTvInnerIterations:
+    def test_criterion_11_tv_configs_stay_3x_below_the_cold_count(self, tmp_path, monkeypatch):
+        # The TV commands of criterion 11 (its GS compare makes no TV call).
+        # Cold solves without restart took 145,303 inner iterations; the warm
+        # dual must keep the total at least 3x below that.
+        import pnpkit.proximal as proximal
+
+        solve_dual = proximal._tv_dual_solve
+        iterations = []
+
+        def counted(*args, **kwargs):
+            out = solve_dual(*args, **kwargs)
+            iterations.append(out[3])
+            return out
+
+        monkeypatch.setattr(proximal, "_tv_dual_solve", counted)
+        problem = {
+            "operator": {"kind": "blur", "kernel": {"builtin": "uniform", "size": 9}},
+            "noise": {"percent": 3.0},
+            "denoiser": {"kind": "tv", "c": 1.0},
+            "seed": 0,
+        }
+        solve = {**problem, "task": "deblur", "image": {"builtin": "shapes", "size": 64},
+                 "solver": {"algo": "pnp-pgd", "step": 1.0, "sigma": 0.05,
+                            "max_iter": 200, "tol": 1e-9}}
+        compare = {**problem, "task": "compare", "images": [{"builtin": "shapes", "size": 64}],
+                   "solvers": [
+                       {"algo": "pnp-pgd", "step": 1.0, "sigma": 0.05, "max_iter": 80,
+                        "tol": 1e-9},
+                       {"algo": "hqs", "rho": 1.0, "sigma": 0.2, "max_iter": 80, "tol": 0.0,
+                        "sigma_schedule": list(np.geomspace(0.2, 0.02, 80))},
+                   ]}
+        for command, doc in (("solve", solve), ("compare", compare)):
+            cfg = write_config(tmp_path, doc, name=f"{command}.json")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        assert len(iterations) == 200 + 80 + 80
+        assert sum(iterations) <= 145303 // 3
 
 
 class TestSweepCommand:

@@ -18,7 +18,7 @@ from pnpkit import (
     save_signal,
     write_trace,
 )
-from pnpkit.core import DIVERGENCE_NORM, diverged
+from pnpkit.core import DIVERGENCE_NORM, diverged, run_state, scoped_run
 
 
 class TestSignal:
@@ -223,6 +223,14 @@ class TestNetpbm:
         with pytest.raises(ParseError):
             load_signal(path)
 
+    def test_sample_exceeds_maxval_reports_the_sample_offset(self, tmp_path):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P2\n1 1\n255\n300\n")
+        with pytest.raises(ParseError) as exc:
+            load_signal(path)
+        assert exc.value.offset == 11  # where "300" starts, like every other token error
+        assert "(byte offset 11)" in str(exc.value)
+
     @pytest.mark.parametrize("sample", [b"-1", b"1.5"])
     def test_bad_ascii_sample(self, tmp_path, sample):
         path = tmp_path / "bad.pgm"
@@ -297,3 +305,21 @@ class TestDiverged:
         assert diverged(np.array([2.0 * DIVERGENCE_NORM, 0.0]))
         with np.errstate(over="ignore"):  # the norm of a large finite state overflows
             assert diverged(np.array([1e200, 1.0]))
+
+
+class TestScopedRun:
+    def test_each_scope_is_fresh_and_reset(self):
+        assert run_state() is None
+        with scoped_run():
+            outer = run_state()
+            outer["k"] = 1
+            with scoped_run():
+                assert run_state() == {}
+            assert run_state() is outer
+        assert run_state() is None
+
+    def test_reset_on_error(self):
+        with pytest.raises(RuntimeError):
+            with scoped_run():
+                raise RuntimeError("boom")
+        assert run_state() is None

@@ -123,6 +123,13 @@ class TestTvDenoiser:
         expected = prox_tv(x, 2.0 * sigma**2, tol=1e-12)
         np.testing.assert_array_equal(d.apply(x, sigma), expected)
 
+    def test_calls_outside_a_run_are_cold(self, rng):
+        d = tv_denoiser()
+        x = rng.uniform(0, 1, (16, 16))
+        first = d.apply(x, 0.2)
+        d.apply(rng.uniform(0, 1, (16, 16)), 0.2)  # no dual carries over to the next call
+        np.testing.assert_array_equal(d.apply(x, 0.2), first)
+
     def test_two_point_analytic(self):
         d = tv_denoiser(c=0.5, tol=1e-14)  # lam = c * sigma^2 = 0.5 at sigma = 1
         out = d.apply(np.array([1.0, -1.0]), 1.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from pnpkit import (
     DivergenceError,
+    Rng,
     ShapeError,
     SolveError,
     box_prox,
@@ -490,6 +493,30 @@ class TestFusedDualKernel:
         with pytest.raises(SolveError) as exc:
             prox_tv(v, 0.04, tol=0.0, max_iter=25)
         assert exc.value.residual is not None and exc.value.residual > 0
+
+
+class TestTvCertificateScale:
+    # Seeds where the old absolute tolerance 1e-10*n lay below the rounding of
+    # the gap: the solve ran out of iterations at one of these scales.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", [4, 11])
+    @pytest.mark.parametrize("scale", [1e150, 1e152])
+    def test_scaled_input_certifies_the_scaled_solution(self, seed, scale):
+        # prox_tv(s*v, s*lam) = s*prox_tv(v, lam); each solve's gap g bounds
+        # its distance to the exact prox by sqrt(2g), so two honest
+        # certificates put x/s within the sum of those radii of the unit solve
+        v = Rng(seed).standard_normal((16, 16))
+        energy = float(np.vdot(v, v))
+        x = prox_tv(scale * v, 0.04 * scale, max_iter=5000)
+        unit = prox_tv(v, 0.04)
+        bound = math.sqrt(2e-10 * energy) + math.sqrt(2e-10 * max(v.size, energy))
+        assert np.linalg.norm(x / scale - unit) <= bound
+
+    def test_default_tolerance_is_absolute_on_unit_scale_data(self):
+        v = _piecewise_noisy(2)
+        assert float(np.vdot(v, v)) < v.size
+        tol = 1e-10 * v.size
+        np.testing.assert_array_equal(prox_tv(v, 0.04), _tv_dual_solve(v, 0.04, tol, 200000)[0])
 
 
 class TestTvConjugateDomain:

@@ -428,6 +428,63 @@ class TestHqs:
         _, trace = run_hqs(identity_op((8, 8)), y, slot, cfg, x0=np.zeros((8, 8)))
         assert trace.stop_reason == "diverged"
 
+    @pytest.mark.parametrize("schedules", [
+        {"rho_schedule": []}, {"rho_schedule": [0.0]}, {"rho_schedule": [1.0, -1.0]},
+        {"rho_schedule": [math.nan]}, {"rho_schedule": [math.inf]},
+        {"sigma_schedule": []}, {"sigma_schedule": [0.1, -0.1]},
+        {"sigma_schedule": [math.nan]},
+    ])
+    def test_bad_schedule_raises_value_error_up_front(self, schedules):
+        cfg = SolverConfig(max_iter=3)
+        with pytest.raises(ValueError, match="schedule"):
+            run_hqs(identity_op((4,)), np.ones(4), RegSlot(prox=l1_prox(0.1)), cfg,
+                    **schedules)
+
+
+class TestTvWarmStart:
+    @staticmethod
+    def problem():
+        from pnpkit.cli import builtin_image
+
+        x_true = builtin_image("shapes", 64)
+        op = make_blur(np.full((9, 9), 1.0 / 81.0), (64, 64))
+        y = op._apply(x_true) + 0.03 * Rng(0).child(100).standard_normal((64, 64))
+        return op, y
+
+    def test_warm_run_within_certified_bound_of_cold_replay(self):
+        from pnpkit import prox_tv, tv_denoiser
+
+        op, y = self.problem()
+        steps, sigma = 25, 0.05
+        cfg = SolverConfig(step=1.0, max_iter=steps, tol=0.0, record_time=False)
+        x0 = op._adjoint(y)
+        warm, _ = run_pgd(SmoothFn.least_squares(op, y),
+                          RegSlot(denoiser=tv_denoiser(), sigma=sigma), cfg, x0)
+        grad = op.least_squares_grad(y)
+        cold = x0
+        largest = 0.0
+        for _ in range(steps):
+            v = cold - grad(cold)
+            largest = max(largest, float(np.vdot(v, v)))
+            cold = prox_tv(v, sigma * sigma)  # outside any run: a cold solve
+        # Each step's TV prox is within sqrt(2*tol) of the exact one in both
+        # runs, and the PGD map is nonexpansive, so k steps drift by at most
+        # 2*k*sqrt(2*tol).
+        tol = 1e-10 * max(x0.size, largest)
+        gap = np.linalg.norm(warm.to_array() - cold)
+        assert 0.0 < gap <= 2 * steps * math.sqrt(2.0 * tol)
+
+    def test_runs_share_no_dual(self):
+        from pnpkit import tv_denoiser
+
+        op, y = self.problem()
+        slot = RegSlot(denoiser=tv_denoiser(), sigma=0.05)
+        cfg = SolverConfig(step=1.0, max_iter=6, tol=0.0, record_time=False)
+        first, trace_a = run_pgd(SmoothFn.least_squares(op, y), slot, cfg, op._adjoint(y))
+        second, trace_b = run_pgd(SmoothFn.least_squares(op, y), slot, cfg, op._adjoint(y))
+        np.testing.assert_array_equal(first.to_array(), second.to_array())
+        np.testing.assert_array_equal(trace_a.column("objective"), trace_b.column("objective"))
+
 
 class TestRedGd:
     def test_identity_denoiser_is_gradient_descent(self, lasso_instance):
