@@ -16,6 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 PSNR_CAP_DB = 300.0
 RAW_MAGIC = b"PNPK0001"
@@ -98,6 +99,48 @@ def scoped_run():
 def run_state() -> dict | None:
     """The state dict of the innermost solver run in progress; None outside a run."""
     return _RUN_STATE.get()
+
+
+# The spectra shared by the value functions of the objective evaluation in
+# progress in this context, or None outside one.
+_SPECTRA: contextvars.ContextVar[dict | None] = contextvars.ContextVar("pnpkit_spectra",
+                                                                      default=None)
+
+
+@contextmanager
+def shared_spectra():
+    """Let the value functions evaluated inside the block share the transforms of one point.
+
+    ``solvers._objective`` opens one per objective evaluation, so the
+    fidelity value and the denoiser's potential at the same point take one
+    ``rfftn`` between them.  Nothing outlives the block or crosses into
+    another thread.
+    """
+    token = _SPECTRA.set({})
+    try:
+        yield
+    finally:
+        _SPECTRA.reset(token)
+
+
+def real_spectrum(x: np.ndarray, axes: tuple) -> np.ndarray:
+    """``rfftn(x, axes=axes)``, shared within a :func:`shared_spectra` block.
+
+    Inside the block a second request for the same array object and axes
+    returns the first, read-only result; the caller must not change x in
+    place between them.  Outside the block every call transforms afresh.
+    """
+    share = _SPECTRA.get()
+    if share is None:
+        return scipy.fft.rfftn(x, axes=axes)
+    key = (id(x), axes)
+    hit = share.get(key)
+    if hit is not None and hit[0] is x:
+        return hit[1]
+    spec = scipy.fft.rfftn(x, axes=axes)
+    spec.setflags(write=False)
+    share[key] = (x, spec)  # holding x keeps its id from being reused
+    return spec
 
 
 def diverged(x: np.ndarray) -> bool:
@@ -215,15 +258,22 @@ def psnr(a, b, peak: float = 1.0) -> float:
     """Peak signal-to-noise ratio 10*log10(peak^2 / MSE) in dB.
 
     Returns the 300 dB cap when the mean squared error is zero (or small
-    enough to exceed the cap), so that traces remain numeric.
+    enough to exceed the cap), so that traces remain numeric.  Raises
+    ValueError for a non-finite operand (or a squared error that overflows).
     """
-    a = as_signal(a)
-    b = as_signal(b)
+    a = as_array(a)
+    b = as_array(b)
     if a.shape != b.shape:
         raise ShapeError(f"psnr operands differ in shape: {a.shape} vs {b.shape}")
+    if a.size == 0:
+        raise ShapeError("psnr operands are empty")
     if peak <= 0:
         raise ValueError("peak must be positive")
-    mse = float(np.mean((a.data - b.data) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.subtract(a, b).reshape(-1)
+        mse = float(d.dot(d)) / d.size
+    if not math.isfinite(mse):
+        raise ValueError("psnr operands must be finite")
     if mse == 0.0:
         return PSNR_CAP_DB
     return min(10.0 * math.log10(peak * peak / mse), PSNR_CAP_DB)

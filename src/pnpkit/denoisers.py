@@ -20,9 +20,9 @@ import numpy as np
 import scipy.fft
 from scipy import ndimage
 
-from .core import DivergenceError, Rng, as_array
+from .core import DivergenceError, Rng, as_array, real_spectrum
 from .gmm import GmmPrior, posterior_mean
-from .operators import CirculantOp, LinearOp, make_blur
+from .operators import CirculantOp, LinearOp, half_spectrum_weights, make_blur
 from .proximal import haar_inverse, haar_transform, prox_tv, tv_value
 
 JACOBIAN_MAX_DIM = 4096
@@ -42,11 +42,14 @@ class Denoiser:
       an exact proximal operator.
 
     ``residual_norm`` is the exact Lipschitz constant of x - D(x) when the
-    map is linear and the constant is known in closed form.
+    map is linear and the constant is known in closed form;
+    ``grad_lipschitz`` that of ``grad_potential`` when known.  Both are
+    None otherwise.
     """
 
     def __init__(self, fn, tag: str, potential=None, grad_potential=None,
-                 prox_potential=None, residual_norm=None, weight: float | None = None):
+                 prox_potential=None, residual_norm=None, weight: float | None = None,
+                 grad_lipschitz: float | None = None):
         self._fn = fn
         self.tag = tag
         self.potential = potential
@@ -54,6 +57,7 @@ class Denoiser:
         self.prox_potential = prox_potential
         self.residual_norm = residual_norm
         self.weight = weight
+        self.grad_lipschitz = grad_lipschitz
 
     def apply(self, x, sigma: float = 0.0):
         if sigma < 0:
@@ -160,10 +164,7 @@ def tv_denoiser(c: float = 1.0, tol: float | None = None, max_iter: int = 200000
         raise ValueError("c must be finite and nonnegative")
 
     def fn(arr, sigma):
-        lam = c * sigma * sigma
-        if lam == 0.0:
-            return arr.copy()
-        return prox_tv(arr, lam, tol=tol, max_iter=max_iter)
+        return prox_tv(arr, c * sigma * sigma, tol=tol, max_iter=max_iter)
 
     def phi(x, sigma):
         return c * sigma * sigma * tv_value(x)
@@ -328,39 +329,34 @@ def gs_denoiser(smoother: LinearOp, weight: float = 1.0) -> Denoiser:
         def fn(arr, sigma):
             return arr - grad_g(arr)
 
-    den = Denoiser(
+    return Denoiser(
         fn,
         tag="gs",
         potential=g_value,
         grad_potential=grad_g,
         prox_potential=phi,
         weight=weight,
+        grad_lipschitz=None if spectrum is None else float(np.max((1.0 - spectrum) ** 2)),
     )
-    den.grad_lipschitz = None if spectrum is None else float(np.max((1.0 - spectrum) ** 2))
-    return den
 
 
 def _circulant_quadratic(quad: np.ndarray, spatial: tuple):
     """x -> 0.5 * sum_k quad(k) |X(k)|^2 / n over the full FFT grid ``spatial``.
 
-    ``quad`` is real and even, given on the ``rfftn`` half spectrum; a real
-    x has |X(-k)| = |X(k)|, so every column other than 0 and (for an even
-    side) the Nyquist column stands for two and is weighted 2.  A 3-D x is
-    summed over its channels.
+    ``quad`` is real and even, given on the ``rfftn`` half spectrum, which
+    :func:`~pnpkit.operators.half_spectrum_weights` sums by Parseval.  A 3-D
+    x is summed over its channels.  X comes from
+    :func:`~pnpkit.core.real_spectrum`, so an objective evaluation shares it
+    with the fidelity value at the same point.
     """
     axes = tuple(range(len(spatial)))
-    cols = np.full(quad.shape[-1], 2.0)
-    cols[0] = 1.0
-    if spatial[-1] % 2 == 0:
-        cols[-1] = 1.0
-    weights = 0.5 * quad * cols / math.prod(spatial)
+    weights = 0.5 * quad * half_spectrum_weights(spatial)
     channel = weights[..., None]
 
     def phi(x, sigma=0.0):
         arr = as_array(x)
-        spec = scipy.fft.rfftn(arr, axes=axes)
-        power = spec.real**2 + spec.imag**2
-        return float(np.sum((weights if arr.ndim == weights.ndim else channel) * power))
+        spec = real_spectrum(arr, axes)
+        return float(np.vdot(spec, (weights if arr.ndim == weights.ndim else channel) * spec).real)
 
     return phi
 

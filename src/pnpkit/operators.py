@@ -11,12 +11,13 @@ relative residual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
-from .core import Rng, ShapeError, SolveError, as_array, load_signal
+from .core import Rng, ShapeError, SolveError, as_array, load_signal, real_spectrum
 
 CG_RTOL = 1e-10
 SVD_MAX_DIM = 512
@@ -206,7 +207,7 @@ class CirculantOp(LinearOp):
     on the half spectrum of a real FFT (``half_response``, a real array
     when the response is real, as for an even kernel).  Apply, adjoint,
     the normal map and the shifted solve are one ``rfftn``/``irfftn`` round
-    trip each.
+    trip each; the least-squares value is one ``rfftn``, by Parseval.
     """
 
     kind = "circulant-conv"
@@ -264,6 +265,26 @@ class CirculantOp(LinearOp):
     def normal(self, x):
         return self._filter(x, self._gram)
 
+    def least_squares_value(self, y):
+        """x -> 0.5 * sum w |H X - Y|^2 over the half spectrum (Parseval), one ``rfftn`` of x.
+
+        Y is transformed once; the weights are :func:`half_spectrum_weights`.
+        X comes from :func:`~pnpkit.core.real_spectrum`, so it is shared with
+        any other value taken at the same point inside one objective evaluation.
+        """
+        y_hat = scipy.fft.rfftn(y, axes=self._axes)
+        weights = 0.5 * half_spectrum_weights(self._spatial)
+        response = self.half_response
+        if y.ndim > len(self._spatial):  # per channel
+            response, weights = response[..., None], weights[..., None]
+
+        def value(x):
+            res = response * real_spectrum(x, self._axes)
+            res -= y_hat
+            return float(np.vdot(res, weights * res).real)
+
+        return value
+
     def least_squares_grad(self, y):
         kty = self._adjoint(y)  # once, so each gradient is one filter
         return lambda x: self.normal(x) - kty
@@ -290,6 +311,22 @@ class CirculantOp(LinearOp):
         if np.max(np.abs(np.imag(self.half_response))) > 1e-10:
             raise ValueError("circulant smoother is not symmetric (complex spectrum)")
         return np.real(self.half_response)
+
+
+def half_spectrum_weights(spatial) -> np.ndarray:
+    """Parseval weights of the ``rfftn`` half spectrum on the grid ``spatial``.
+
+    For a real x, sum(w * |rfftn(x)|^2) = ||x||^2: |X(-k)| = |X(k)|, so
+    every column of the last axis other than 0 and (for an even side) the
+    Nyquist column stands for two and weighs 2/n; those two weigh 1/n.
+    The weights vary along the last spatial axis only.
+    """
+    n = math.prod(spatial)
+    cols = np.full(spatial[-1] // 2 + 1, 2.0 / n)
+    cols[0] = 1.0 / n
+    if spatial[-1] % 2 == 0:
+        cols[-1] = 1.0 / n
+    return cols
 
 
 class CompositeOp(LinearOp):

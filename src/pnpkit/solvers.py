@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (DivergenceError, Signal, SolveError, Trace, as_array, diverged, psnr,
-                   scoped_run)
+                   scoped_run, shared_spectra)
 from .denoisers import Denoiser
 from .operators import LinearOp, solve_shifted_normal
 from .proximal import ProxMap, _fidelity_prox
@@ -156,17 +156,23 @@ def as_slot(obj) -> RegSlot:
 
 
 def _objective(x: np.ndarray, scale: float, f: SmoothFn | None, *slots: RegSlot) -> float:
-    """f(x) plus each slot's regularization term at x; NaN when a value is unknown."""
+    """f(x) plus each slot's regularization term at x; NaN when a value is unknown.
+
+    The terms share the transforms of x (see :func:`~pnpkit.core.shared_spectra`):
+    on a circulant problem the fidelity value and a GS potential take one
+    ``rfftn`` between them.
+    """
     total = 0.0
-    if f is not None:
-        if f.value is None:
-            return math.nan
-        total += float(f.value(x))
-    for slot in slots:
-        reg = slot.reg_value(x, scale)
-        if reg is None:
-            return math.nan
-        total += reg
+    with shared_spectra():
+        if f is not None:
+            if f.value is None:
+                return math.nan
+            total += float(f.value(x))
+        for slot in slots:
+            reg = slot.reg_value(x, scale)
+            if reg is None:
+                return math.nan
+            total += reg
     return total
 
 

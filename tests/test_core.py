@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from pnpkit import (
     save_signal,
     write_trace,
 )
-from pnpkit.core import DIVERGENCE_NORM, diverged, run_state, scoped_run
+from pnpkit.core import (DIVERGENCE_NORM, diverged, real_spectrum, run_state, scoped_run,
+                         shared_spectra)
 
 
 class TestSignal:
@@ -95,6 +97,22 @@ class TestPsnr:
     def test_bad_peak(self):
         with pytest.raises(ValueError):
             psnr(np.zeros(3), np.zeros(3), peak=0.0)
+
+    def test_signal_operand_equals_its_array(self, rng):
+        a = rng.uniform(0, 1, (9, 7))
+        b = rng.uniform(0, 1, (9, 7))
+        assert psnr(Signal.from_array(a), b) == psnr(a, b)
+        assert psnr(a, Signal.from_array(b)) == psnr(a, b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operand_raises(self, bad):
+        a = np.zeros((4, 4))
+        b = np.zeros((4, 4))
+        b[1, 2] = bad
+        with pytest.raises(ValueError):
+            psnr(a, b)
+        with pytest.raises(ValueError):
+            psnr(b, b)
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=16))
     @settings(max_examples=50, deadline=None)
@@ -323,3 +341,30 @@ class TestScopedRun:
             with scoped_run():
                 raise RuntimeError("boom")
         assert run_state() is None
+
+
+class TestSharedSpectra:
+    def test_shared_only_inside_the_block(self, rng):
+        x = rng.standard_normal((6, 5))
+        assert real_spectrum(x, (0, 1)) is not real_spectrum(x, (0, 1))
+        with shared_spectra():
+            first = real_spectrum(x, (0, 1))
+            assert real_spectrum(x, (0, 1)) is first
+            assert not first.flags.writeable
+            assert real_spectrum(x.copy(), (0, 1)) is not first  # another array object
+            assert real_spectrum(x, (0,)) is not first  # other axes
+            with shared_spectra():
+                assert real_spectrum(x, (0, 1)) is not first
+        np.testing.assert_array_equal(first, np.fft.rfftn(x))
+        assert real_spectrum(x, (0, 1)).flags.writeable
+
+    def test_another_thread_does_not_see_the_share(self, rng):
+        x = rng.standard_normal(8)
+        seen = []
+        with shared_spectra():
+            first = real_spectrum(x, (0,))
+            worker = threading.Thread(target=lambda: seen.append(real_spectrum(x, (0,))))
+            worker.start()
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert seen[0] is not first and seen[0].flags.writeable

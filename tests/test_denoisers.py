@@ -7,6 +7,7 @@ from pnpkit import (
     DiagonalOp,
     GmmPrior,
     Rng,
+    ShapeError,
     compose,
     estimate_residual_lipschitz,
     gaussian_filter_denoiser,
@@ -115,6 +116,11 @@ class TestTvDenoiser:
         d = tv_denoiser()
         x = rng.uniform(0, 1, (6, 6))
         np.testing.assert_array_equal(d.apply(x, 0.0), x)
+
+    def test_three_d_input_raises_at_sigma_zero(self):
+        for sigma in (0.0, 0.1):
+            with pytest.raises(ShapeError):
+                tv_denoiser().apply(np.ones((2, 2, 2)), sigma)
 
     def test_delegates_to_prox_tv(self, rng):
         d = tv_denoiser(c=2.0, tol=1e-12)
@@ -255,6 +261,13 @@ class TestGsDenoiser:
     def test_grad_lipschitz_at_most_one(self):
         d = gs_denoiser(gaussian_smoother((8, 8), 1.0, floor=0.0))
         assert d.grad_lipschitz is not None and d.grad_lipschitz <= 1.0 + 1e-12
+
+    def test_other_denoisers_have_no_grad_lipschitz(self):
+        family = tikhonov_spectral_family((4, 4))
+        prior = GmmPrior(np.ones(1), np.zeros((1, 16)), np.ones(1))
+        for d in (tv_denoiser(), gaussian_filter_denoiser(1.0), nlm_denoiser(1, 1, 0.1),
+                  linear_spectral_denoiser(family, 0.5), mmse_gmm_denoiser(prior)):
+            assert d.grad_lipschitz is None
 
     def test_mask_smoother(self, rng):
         mask = np.array([True, False, True, True])

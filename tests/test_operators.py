@@ -35,7 +35,7 @@ from pnpkit import (
     tv_conjugate_prox,
     tv_denoiser,
 )
-from pnpkit.operators import CompositeOp
+from pnpkit.operators import CompositeOp, half_spectrum_weights
 
 
 def spatial_convolve_periodic(image, kernel):
@@ -312,6 +312,33 @@ class TestRealFftCirculant:
         denom = np.abs(hermitian_part(freq)) ** 2 + rho
         assert rel_err(solve_shifted_normal(op, rho, x), complex_filter(x, 1.0 / denom)) <= 1e-12
         assert rel_err(op.freq_response, hermitian_part(freq)) <= 1e-15
+
+    @pytest.mark.parametrize("spatial,shape", CIRCULANT_CASES)
+    @pytest.mark.parametrize("even", [False, True])
+    def test_parseval_least_squares_value(self, rng, spatial, shape, even):
+        # odd and even sides, a 3-D per-channel input, real and complex responses
+        op = CirculantOp(random_response(rng, spatial, even), shape)
+        x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+        pixel = 0.5 * float(np.sum((op._apply(x) - y) ** 2))
+        assert op.least_squares_value(y)(x) == pytest.approx(pixel, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(9, 12), (12, 9), (8, 10, 3)])
+    def test_parseval_value_of_a_non_even_kernel(self, rng, shape):
+        kernel = rng.uniform(0.0, 1.0, (3, 5))
+        op = make_blur(kernel, shape)
+        assert np.iscomplexobj(op.half_response)
+        x, y = rng.uniform(0.0, 1.0, shape), rng.uniform(0.0, 1.0, shape)
+        kx = (spatial_convolve_periodic(x, kernel) if x.ndim == 2 else np.stack(
+            [spatial_convolve_periodic(x[..., c], kernel) for c in range(shape[2])], axis=-1))
+        pixel = 0.5 * float(np.sum((kx - y) ** 2))
+        assert op.least_squares_value(y)(x) == pytest.approx(pixel, rel=1e-12)
+
+    @pytest.mark.parametrize("spatial", [(7,), (8,), (6, 9), (5, 4)])
+    def test_half_spectrum_weights_give_the_squared_norm(self, rng, spatial):
+        x = rng.standard_normal(spatial)
+        spec = np.fft.rfftn(x)
+        total = float(np.sum(half_spectrum_weights(spatial) * np.abs(spec) ** 2))
+        assert total == pytest.approx(float(np.sum(x * x)), rel=1e-13)
 
     def test_non_hermitian_shifted_solve_regression(self, rng):
         freq = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))

@@ -704,6 +704,85 @@ class TestGsPnp:
             SmoothFn.potential(gs_denoiser(DiagonalOp(np.zeros(4))), lam)
 
 
+def _circulant_gs_problem(side=32):
+    rng = Rng(13)
+    shape = (side, side)
+    op = make_blur(np.full((5, 5), 1.0 / 25.0), shape)
+    y = op._apply(rng.uniform(0, 1, shape)) + 0.03 * rng.standard_normal(shape)
+    den = gs_denoiser(gaussian_smoother(shape, 1.5, floor=0.15), weight=0.7)
+    return op, y, den
+
+
+# the five provable drivers of criterion 11, as the CLI builds them
+PROVABLE_RUNS = {
+    "pnp-pgd": lambda op, y, slot, cfg: run_pgd(SmoothFn.least_squares(op, y), slot, cfg,
+                                                op._adjoint(y)),
+    "pnp-drs": lambda op, y, slot, cfg: run_drs(slot, quadratic_fidelity_prox(op, y), cfg,
+                                                op._adjoint(y)),
+    "pnp-drsdiff": lambda op, y, slot, cfg: run_drs(quadratic_fidelity_prox(op, y), slot, cfg,
+                                                    op._adjoint(y)),
+    "gs-pnp": lambda op, y, slot, cfg: _gs_pnp(op, y, slot.denoiser, cfg, lam=0.7),
+    "apgd": lambda op, y, slot, cfg: run_apgd(SmoothFn.least_squares(op, y), slot, cfg,
+                                              op._adjoint(y)),
+}
+
+
+class TestObjectiveTransforms:
+    def test_objective_is_the_sum_of_its_terms(self):
+        op, y, den = _circulant_gs_problem(side=12)
+        x = Rng(4).uniform(0, 1, y.shape)
+        fid = SmoothFn.least_squares(op, y)
+        slot = RegSlot(denoiser=den)
+        prox_slot = RegSlot(prox=quadratic_fidelity_prox(op, y))
+        parts = fid.value(x) + slot.reg_value(x, 0.5)
+        assert solvers._objective(x, 0.5, fid, slot) == pytest.approx(parts, rel=1e-14)
+        potential = SmoothFn.potential(den, 0.7)
+        parts = potential.value(x) + prox_slot.reg_value(x, 1.0)
+        assert solvers._objective(x, 1.0, potential, prox_slot) == pytest.approx(parts,
+                                                                                 rel=1e-14)
+        parts = slot.reg_value(x, 1.0) + prox_slot.reg_value(x, 1.0)
+        assert solvers._objective(x, 1.0, None, slot, prox_slot) == pytest.approx(parts,
+                                                                                  rel=1e-14)
+
+    def test_no_spectrum_outlives_an_objective(self):
+        op, y, den = _circulant_gs_problem(side=12)
+        x = Rng(5).uniform(0, 1, y.shape)
+        fid = SmoothFn.least_squares(op, y)
+        slot = RegSlot(denoiser=den)
+        solvers._objective(x, 1.0, fid, slot)
+        x *= 2.0  # the same array object, changed in place
+        assert fid.value(x) == pytest.approx(0.5 * float(np.sum((op._apply(x) - y) ** 2)),
+                                             rel=1e-12)
+        assert solvers._objective(x, 1.0, fid, slot) == pytest.approx(
+            fid.value(x.copy()) + slot.reg_value(x.copy(), 1.0), rel=1e-14)
+
+    @pytest.mark.parametrize("algo", sorted(PROVABLE_RUNS))
+    def test_at_most_five_real_transforms_per_iteration(self, algo, monkeypatch):
+        import scipy.fft
+
+        count = [0]
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                count[0] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(scipy.fft, "rfftn", counted(scipy.fft.rfftn))
+        monkeypatch.setattr(scipy.fft, "irfftn", counted(scipy.fft.irfftn))
+        op, y, den = _circulant_gs_problem()
+        slot = RegSlot(denoiser=den)
+        counts = {}
+        for iters in (2, 8):
+            count[0] = 0
+            cfg = SolverConfig(step=1.0, max_iter=iters, tol=0.0, record_time=False)
+            _, trace = PROVABLE_RUNS[algo](op, y, slot, cfg)
+            assert np.all(np.isfinite(trace.column("objective")))
+            counts[iters] = count[0]
+        assert counts[8] - counts[2] <= 5 * 6  # the set-up and row 0 cancel out
+        assert counts[2] <= 5 * 2 + 8  # the set-up: K^T y, the transform of y and row 0
+
+
 class TestBacktracking:
     @staticmethod
     def _lasso_run(lasso_instance, max_iter, backtracking):
