@@ -10,17 +10,15 @@ import numpy as np
 
 from pnpkit import (
     Rng,
+    box_prox,
     l1_prox,
-    linf_ball_prox,
     moreau_check,
-    prox_box,
     prox_tv,
-    prox_wavelet_l1,
-    soft_threshold,
     squared_l2_prox,
     tv_conj_prox,
     tv_prox,
     tv_value,
+    wavelet_l1_prox,
 )
 
 rng = Rng(3)
@@ -28,15 +26,16 @@ rng = Rng(3)
 print("soft thresholding (prox of the l1 norm) shrinks toward zero:")
 v = np.array([1.5, -0.3, 0.8, -2.0])
 print(f"  v          = {v}")
-print(f"  shrink 0.5 = {soft_threshold(v, 0.5)}\n")
+print(f"  shrink 0.5 = {l1_prox(0.5).evaluate(v, 1.0)}\n")
 
 print("projection onto a box is the prox of its indicator:")
-print(f"  clip({v}, 0, 1) = {prox_box(v, 0.0, 1.0)}\n")
+print(f"  clip({v}, 0, 1) = {box_prox(0.0, 1.0).evaluate(v, 1.0)}\n")
 
 print("the wavelet-l1 prox shrinks Haar coefficients (exact, by orthonormality):")
 sig = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
 print(f"  piecewise-constant input : {sig}")
-print(f"  prox at tau=0.2          : {np.round(prox_wavelet_l1(sig, 0.2, 2), 4)}\n")
+shrunk = wavelet_l1_prox(0.2, levels=2).evaluate(sig, 1.0)
+print(f"  prox at tau=0.2          : {np.round(shrunk, 4)}\n")
 
 print("the TV prox flattens small oscillations while keeping the jump:")
 noisy = sig + 0.15 * rng.standard_normal(8)
@@ -46,15 +45,16 @@ print(f"  prox    : {np.round(denoised, 3)} (TV {tv_value(denoised):.3f})\n")
 
 print("Moreau identities (defect = ||prox_f(v) + prox_f*(v) - v||_inf):")
 v = 2.0 * rng.standard_normal(16)
-print(f"  l1 vs l-inf ball projection : {moreau_check(l1_prox(1.0), linf_ball_prox(1.0), v):.2e}")
+print(f"  l1 vs l-inf ball projection : {moreau_check(l1_prox(1.0), box_prox(-1.0, 1.0), v):.2e}")
 print(f"  0.5*||.||^2 (self-conjugate): {moreau_check(squared_l2_prox(1.0), squared_l2_prox(1.0), v):.2e}")
 tv_defect = moreau_check(tv_prox(0.3, tol=1e-13), tv_conj_prox(0.3, tol=1e-13), v)
 print(f"  TV via two iterative solves : {tv_defect:.2e}  (certified by duality gaps)")
 
 print("\nnon-expansiveness spot check on 200 random pairs (l1 prox):")
 worst = 0.0
+shrink = l1_prox(0.7)
 for _ in range(200):
     a, b = rng.standard_normal(8), rng.standard_normal(8)
-    pa, pb = soft_threshold(a, 0.7), soft_threshold(b, 0.7)
+    pa, pb = shrink.evaluate(a, 1.0), shrink.evaluate(b, 1.0)
     worst = max(worst, np.linalg.norm(pa - pb) / np.linalg.norm(a - b))
 print(f"  max ||prox(a)-prox(b)|| / ||a-b|| = {worst:.6f} <= 1")

@@ -354,31 +354,6 @@ def _load_json(path):
         raise ConfigError(f"{path}: invalid JSON: {exc}")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated experiment description, defaults filled in; round-trips via JSON."""
-
-    doc: dict
-
-    @property
-    def task(self) -> str:
-        return self.doc["task"]
-
-    @staticmethod
-    def from_dict(doc: dict) -> "ExperimentConfig":
-        return ExperimentConfig(validate_config(doc))
-
-    @staticmethod
-    def from_json(path) -> "ExperimentConfig":
-        return ExperimentConfig.from_dict(_load_json(path))
-
-    def to_dict(self) -> dict:
-        return json.loads(self.to_json())
-
-    def to_json(self) -> str:
-        return json.dumps(self.doc, sort_keys=True, separators=(",", ":"))
-
-
 # ---------------------------------------------------------------------------
 # Builders: each reads a filled section
 # ---------------------------------------------------------------------------

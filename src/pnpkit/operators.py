@@ -56,10 +56,17 @@ class LinearOp:
         return self._apply(arr)
 
     def adjoint(self, y):
+        return self._adjoint(self._data(y))
+
+    def _data(self, y) -> np.ndarray:
+        """y as an array of the output shape, else ShapeError.
+
+        The check each solver and sampler makes once on its data y, at setup.
+        """
         arr = as_array(y)
         if arr.shape != self.out_shape:
             raise ShapeError(f"{self.kind} adjoint expects {self.out_shape}, got {arr.shape}")
-        return self._adjoint(arr)
+        return arr
 
     def normal(self, x: np.ndarray) -> np.ndarray:
         """K^T K x."""

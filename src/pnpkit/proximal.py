@@ -2,7 +2,10 @@
 
 prox_{lam*f}(v) = argmin_x f(x) + ||x - v||^2 / (2*lam).  Convex instances
 are non-expansive and their fixed points are minimizers; the iterative TV
-prox certifies its accuracy through the duality gap it reports.
+prox certifies its accuracy through the duality gap it reports.  Each prox
+has one public form, a factory that returns a :class:`ProxMap`;
+:func:`prox_tv` is the TV kernel entry that ``tv_prox`` and the TV
+denoiser call.
 """
 
 from __future__ import annotations
@@ -16,27 +19,7 @@ from .core import DivergenceError, ShapeError, SolveError, as_array, run_state
 from .operators import LinearOp, solve_shifted_normal
 
 # ---------------------------------------------------------------------------
-# Componentwise proxes
-# ---------------------------------------------------------------------------
-
-
-def soft_threshold(v, tau: float):
-    """Componentwise shrinkage sign(v) * max(|v| - tau, 0); prox of tau*||.||_1."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    arr = as_array(v)
-    return np.sign(arr) * np.maximum(np.abs(arr) - tau, 0.0)
-
-
-def prox_box(v, lo: float, hi: float):
-    """Euclidean projection onto the box [lo, hi]; prox of its indicator."""
-    if lo > hi:
-        raise ValueError("box requires lo <= hi")
-    return np.clip(as_array(v), lo, hi)
-
-
-# ---------------------------------------------------------------------------
-# Orthonormal Haar transform and the wavelet-l1 prox
+# Orthonormal Haar transform
 # ---------------------------------------------------------------------------
 
 _SQRT2 = np.sqrt(2.0)
@@ -109,14 +92,6 @@ def haar_inverse(c, levels: int):
             low = _ihaar_level_axis(low, axis)
         out[block] = low
     return out
-
-
-def prox_wavelet_l1(v, tau: float, levels: int):
-    """Exact prox of tau*||W .||_1 for the orthonormal Haar transform W.
-
-    Computed as W^{-1} o soft_threshold o W; exact because W is orthonormal.
-    """
-    return haar_inverse(soft_threshold(haar_transform(v, levels), tau), levels)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +242,10 @@ def _tv_dual_solve(v: np.ndarray, lam: float, tol: float, max_iter: int, p0=None
     )
 
 
-def _check_lam(lam: float) -> None:
-    if not np.isfinite(lam) or lam < 0:
-        raise ValueError("lam must be finite and nonnegative")
+def _check_weight(value: float, name: str = "weight") -> None:
+    """The one check on a prox weight, and on the lam of :func:`prox_tv`."""
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative")
 
 
 def _check_tv_domain(arr: np.ndarray) -> None:
@@ -305,7 +281,7 @@ def prox_tv(v, lam: float, tol: float | None = None, max_iter: int = 200000):
     run's previous TV prox on the same grid ended with.  Any feasible dual
     starts a valid solve, so the gap certified is the same.
     """
-    _check_lam(lam)
+    _check_weight(lam, "lam")
     arr = as_array(v)
     _check_tv_domain(arr)
     if lam == 0.0:
@@ -331,46 +307,6 @@ def _warm_dual(arr: np.ndarray):
     if p is None:
         p = state[key] = np.zeros((arr.ndim,) + arr.shape)
     return p
-
-
-def tv_conjugate_prox(v, lam: float, tol: float | None = None, max_iter: int = 200000):
-    """Prox of (lam*TV)^*: projection onto {grad^T p : |p| <= lam}.
-
-    Computed from an independent dual solve seeded at a projected gradient
-    step rather than at zero, so recombining with :func:`prox_tv` through
-    Moreau's identity cross-checks two genuinely distinct solves.
-    """
-    _check_lam(lam)
-    arr = as_array(v)
-    _check_tv_domain(arr)
-    if lam == 0.0:
-        return np.zeros_like(arr)
-    if tol is None:
-        tol = _default_tv_tol(arr)
-    seed = (0.25 / arr.ndim) * _grad(arr)
-    _, div_p, _, _ = _tv_dual_solve(arr, lam, tol, max_iter, p0=seed)
-    return div_p
-
-
-# ---------------------------------------------------------------------------
-# Quadratic fidelity prox
-# ---------------------------------------------------------------------------
-
-
-def prox_quadratic_fidelity(v, lam: float, op: LinearOp, y):
-    """Prox of lam-scaled least squares f(x) = 0.5*||y - Kx||^2.
-
-    Returns (I + lam*K^T K)^{-1} (v + lam*K^T y), solved through the shifted
-    normal equations with rho = 1/lam (exact for circulant/diagonal kinds).
-    """
-    return _fidelity_prox(as_array(v), lam, op, op._adjoint(as_array(y)))
-
-
-def _fidelity_prox(v: np.ndarray, lam: float, op: LinearOp, kty: np.ndarray) -> np.ndarray:
-    """:func:`prox_quadratic_fidelity` on arrays, given K^T y computed once per run."""
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    return solve_shifted_normal(op, 1.0 / lam, kty + v / lam)
 
 
 # ---------------------------------------------------------------------------
@@ -409,24 +345,25 @@ class ProxMap:
         return as_array(self._evaluate(as_array(v), lam))
 
 
-def _check_weight(weight: float) -> None:
-    if weight < 0:
-        raise ValueError("weight must be nonnegative")
+def _shrink(v: np.ndarray, tau) -> np.ndarray:
+    """Componentwise shrinkage sign(v) * max(|v| - tau, 0), the prox of tau*||.||_1."""
+    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
 def l1_prox(weight: float = 1.0) -> ProxMap:
     _check_weight(weight)
     return ProxMap(
         "l1",
-        lambda v, lam: np.sign(v) * np.maximum(np.abs(v) - lam * weight, 0.0),
+        lambda v, lam: _shrink(v, lam * weight),
         objective=lambda x: weight * float(np.sum(np.abs(as_array(x)))),
         separable=True,
     )
 
 
 def box_prox(lo: float = 0.0, hi: float = 1.0) -> ProxMap:
-    if lo > hi:
-        raise ValueError("box requires lo <= hi")
+    """Euclidean projection onto the box [lo, hi]; infinite bounds leave a side open."""
+    if not lo <= hi:
+        raise ValueError("box requires lo <= hi, neither NaN")
 
     def objective(x):
         arr = as_array(x)
@@ -440,13 +377,9 @@ def box_prox(lo: float = 0.0, hi: float = 1.0) -> ProxMap:
     )
 
 
-def linf_ball_prox(radius: float = 1.0) -> ProxMap:
-    """Projection onto the l-infinity ball; the convex conjugate prox of l1."""
-    return box_prox(-radius, radius)
-
-
 def squared_l2_prox(weight: float = 1.0) -> ProxMap:
     """Prox of (weight/2)*||x||^2, which is v / (1 + lam*weight); self-conjugate at weight 1."""
+    _check_weight(weight)
     return ProxMap(
         "squared_l2",
         lambda v, lam: v / (1.0 + lam * weight),
@@ -457,6 +390,7 @@ def squared_l2_prox(weight: float = 1.0) -> ProxMap:
 
 def quadratic_prox(center, weight: float = 1.0) -> ProxMap:
     """Prox of (weight/2)*||x - center||^2."""
+    _check_weight(weight)
     c = as_array(center)
     return ProxMap(
         "quadratic",
@@ -485,31 +419,56 @@ def tv_prox(weight: float = 1.0, tol: float | None = None, max_iter: int = 20000
 
 
 def tv_conj_prox(weight: float = 1.0, tol: float | None = None, max_iter: int = 200000) -> ProxMap:
-    # Conjugate of weight*TV is an indicator, so the prox ignores lam.
-    return ProxMap(
-        "tv_conjugate",
-        lambda v, lam: tv_conjugate_prox(v, weight, tol=tol, max_iter=max_iter),
-    )
+    """Prox of (weight*TV)^*: projection onto {grad^T p : |p| <= weight}.
+
+    The conjugate of weight*TV is an indicator, so the prox ignores lam.  Each
+    call is an independent dual solve seeded at a projected gradient step
+    rather than at zero, so recombining with :func:`tv_prox` through Moreau's
+    identity cross-checks two genuinely distinct solves.  ``tol`` defaults
+    as in :func:`prox_tv`.
+    """
+    _check_weight(weight)
+
+    def evaluate(v, lam):
+        _check_tv_domain(v)
+        if weight == 0.0:
+            return np.zeros_like(v)
+        seed = (0.25 / v.ndim) * _grad(v)
+        gap_tol = _default_tv_tol(v) if tol is None else tol
+        return _tv_dual_solve(v, weight, gap_tol, max_iter, p0=seed)[1]
+
+    return ProxMap("tv_conjugate", evaluate)
 
 
 def wavelet_l1_prox(weight: float = 1.0, levels: int = 1) -> ProxMap:
+    """Exact prox of weight*||W .||_1 for the orthonormal Haar transform W.
+
+    Computed as W^{-1} o shrink o W; exact because W is orthonormal.
+    """
     _check_weight(weight)
     if levels < 1:
         raise ValueError("levels must be >= 1")
     return ProxMap(
         "wavelet_l1",
-        lambda v, lam: prox_wavelet_l1(v, lam * weight, levels),
+        lambda v, lam: haar_inverse(_shrink(haar_transform(v, levels), lam * weight), levels),
         objective=lambda x: weight * float(np.sum(np.abs(haar_transform(x, levels)))),
     )
 
 
 def quadratic_fidelity_prox(op: LinearOp, y) -> ProxMap:
-    y_arr = as_array(y)
+    """Prox of the least-squares fidelity f(x) = 0.5*||y - Kx||^2.
+
+    ``evaluate(v, lam)`` returns (I + lam*K^T K)^{-1} (v + lam*K^T y), solved
+    through the shifted normal equations with rho = 1/lam (exact for
+    circulant/diagonal kinds).  K^T y is formed once, here, and a y not
+    shaped like the operator's output raises ShapeError.
+    """
+    y_arr = op._data(y)
     kty = op._adjoint(y_arr)
     value = op.least_squares_value(y_arr)
     return ProxMap(
         "quadratic_fidelity",
-        lambda v, lam: _fidelity_prox(v, lam, op, kty),
+        lambda v, lam: solve_shifted_normal(op, 1.0 / lam, kty + v / lam),
         objective=lambda x: value(as_array(x)),
     )
 

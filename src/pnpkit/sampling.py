@@ -101,7 +101,7 @@ def run_pnp_ula(op: LinearOp, y, denoiser: Denoiser, cfg: UlaConfig, x0=None):
     the thinned kept states; raises DivergenceError (with the step index)
     if the chain blows up or the denoiser output is non-finite.
     """
-    y_arr = as_array(y)
+    y_arr = op._data(y)
     rng = Rng(cfg.seed)
     kty = op._adjoint(y_arr)
     x = kty.copy() if x0 is None else as_array(x0).copy()
@@ -164,7 +164,7 @@ def gaussian_posterior_oracle(op: LinearOp, y, gamma: float, sigma: float,
     if n > 256:
         raise ValueError("gaussian_posterior_oracle capped at n = 256")
     k_mat = as_dense(op).matrix
-    y_flat = as_array(y).reshape(-1)
+    y_flat = op._data(y).reshape(-1)
     prior_var = gamma * gamma + sigma * sigma
     precision = k_mat.T @ k_mat / (sigma_w * sigma_w) + np.eye(n) / prior_var
     cov = np.linalg.inv(precision)

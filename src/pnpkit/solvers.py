@@ -9,7 +9,8 @@ iteration x_{k+1} = T(x_k) and supplies only its step to one kernel,
 says what the trace shows for it.  The kernel owns the rest.  Drivers return
 the final point plus a per-iteration :class:`~pnpkit.core.Trace`; stopping
 is on the step residual ||x_{k+1} - x_k|| (default 1e-9) or max_iter.  A
-non-finite start raises ValueError.  A state that fails
+non-finite start raises ValueError, and data y not shaped like the
+operator's output raises ShapeError before the first step.  A state that fails
 :func:`~pnpkit.core.diverged` (non-finite, or norm above 1e12), or a
 DivergenceError from inside the step (a denoiser's non-finite output),
 raises :class:`~pnpkit.core.DivergenceError` carrying the step, the last
@@ -37,7 +38,7 @@ from .core import (DivergenceError, Signal, SolveError, Trace, as_array, diverge
                    scoped_run, shared_spectra)
 from .denoisers import Denoiser
 from .operators import LinearOp, solve_shifted_normal
-from .proximal import ProxMap, _fidelity_prox
+from .proximal import ProxMap, quadratic_fidelity_prox
 
 
 @dataclass
@@ -87,7 +88,7 @@ class SmoothFn:
 
     @staticmethod
     def least_squares(op: LinearOp, y) -> "SmoothFn":
-        y_arr = as_array(y)
+        y_arr = op._data(y)
         return SmoothFn(grad=op.least_squares_grad(y_arr), value=op.least_squares_value(y_arr))
 
     @staticmethod
@@ -382,7 +383,7 @@ def run_admm(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, reference=None):
     from x_0 = z_0 = x0 (K^T y when not given) and u_0 = 0.  The traced
     fixed-point residual is the primal residual ||x_k - z_k||.
     """
-    y_arr = as_array(y)
+    y_arr = op._data(y)
     slot = as_slot(reg)
     rho = cfg.rho
     kty = op._adjoint(y_arr)
@@ -434,18 +435,18 @@ def run_hqs(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, rho_schedule=None,
     raises ValueError before the first step.  Divergence is recorded in the
     trace, not raised.
     """
-    y_arr = as_array(y)
+    y_arr = op._data(y)
     slot = as_slot(reg)
     rho_of = _as_schedule(rho_schedule, cfg.rho, "rho_schedule", positive=True)
     sigma_of = _as_schedule(sigma_schedule, slot.sigma, "sigma_schedule", positive=False)
     fid = SmoothFn.least_squares(op, y_arr)
-    kty = op._adjoint(y_arr)
+    fid_prox = quadratic_fidelity_prox(op, y_arr)
     scale = 1.0 / rho_of(1)  # 1/rho_k of the current step; row 0 uses rho_1
 
     def advance(k, z):
         nonlocal scale
         scale = 1.0 / rho_of(k)
-        x = _fidelity_prox(z, scale, op, kty)
+        x = fid_prox.evaluate(z, scale)
         if slot.denoiser is not None:
             return slot.denoiser.apply(x, sigma_of(k))
         return slot.apply(x, scale)
@@ -453,7 +454,7 @@ def run_hqs(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, rho_schedule=None,
     def report(k, z, r):
         return z, _objective(z, scale, fid, slot) if cfg.eval_objective else math.nan, r, r
 
-    return _iterate(cfg, kty if x0 is None else x0, advance, report, reference,
+    return _iterate(cfg, op._adjoint(y_arr) if x0 is None else x0, advance, report, reference,
                     record_divergence=True)
 
 
@@ -482,7 +483,7 @@ def run_red_gd(op: LinearOp, y, denoiser: Denoiser, lam: float, sigma: float,
         raise ValueError("sigma must be finite and positive")
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError("lam must be finite and nonnegative")
-    y_arr = as_array(y)
+    y_arr = op._data(y)
     grad_f = op.least_squares_grad(y_arr)
     weight = lam / (sigma * sigma)
     fc = None  # the bracket at the current state
@@ -503,14 +504,14 @@ def _run_red_prox(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,
     """RED-PG and, with Nesterov momentum on the v-update, RED-APG."""
     if L <= 1:
         raise ValueError("L must exceed 1")
-    y_arr = as_array(y)
-    kty = op._adjoint(y_arr)
+    y_arr = op._data(y)
+    fid_prox = quadratic_fidelity_prox(op, y_arr)
     grad_f = op.least_squares_grad(y_arr)
-    v = kty if v0 is None else as_array(v0)
+    v = op._adjoint(y_arr) if v0 is None else as_array(v0)
     x_prev, t_prev = None, 1.0
 
     def advance(k, x):
-        return _fidelity_prox(v, 1.0 / (lam * L), op, kty)
+        return fid_prox.evaluate(v, 1.0 / (lam * L))
 
     def report(k, x, r):
         nonlocal v, x_prev, t_prev

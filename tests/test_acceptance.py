@@ -20,6 +20,7 @@ from pnpkit import (
     SolverConfig,
     UlaConfig,
     adjoint_defect,
+    box_prox,
     compose,
     contraction_factor,
     effective_sample_size,
@@ -30,12 +31,10 @@ from pnpkit import (
     gs_denoiser,
     l1_prox,
     linear_spectral_denoiser,
-    linf_ball_prox,
     make_blur,
     make_mask,
     mmse_gmm_denoiser,
     moreau_check,
-    prox_quadratic_fidelity,
     quadratic_fidelity_prox,
     quadratic_prox,
     run_admm,
@@ -106,7 +105,7 @@ def test_criterion_02_moreau_identity():
     worst_closed = 0.0
     for _ in range(1000):
         v = 3.0 * rng.standard_normal(12)
-        worst_closed = max(worst_closed, moreau_check(l1_prox(1.0), linf_ball_prox(1.0), v))
+        worst_closed = max(worst_closed, moreau_check(l1_prox(1.0), box_prox(-1.0, 1.0), v))
         worst_closed = max(worst_closed,
                            moreau_check(squared_l2_prox(1.0), squared_l2_prox(1.0), v))
     assert worst_closed <= 1e-10
@@ -437,8 +436,9 @@ def test_criterion_12_adjoint_and_consistency_suite():
     out, _ = run_drs(quadratic_fidelity_prox(op, y), RegSlot(prox=l1_prox(weight)),
                      SolverConfig(step=lam, max_iter=60, tol=0.0), np.zeros(5))
     x = np.zeros(5)
+    fidelity = quadratic_fidelity_prox(op, y)
     for _ in range(60):
-        yk = np.asarray(prox_quadratic_fidelity(x, lam * 1.0, op, y))
+        yk = np.asarray(fidelity.evaluate(x, lam * 1.0))
         v = 2.0 * yk - x
         zk = np.sign(v) * np.maximum(np.abs(v) - (lam * 1.0) * weight, 0.0)
         x = x + zk - yk
@@ -462,7 +462,7 @@ def test_criterion_12_adjoint_and_consistency_suite():
                      SolverConfig(rho=rho, max_iter=40, tol=0.0))
     zz = kty.copy()
     for _ in range(40):
-        x = np.asarray(prox_quadratic_fidelity(zz, 1.0 / rho, op, y))
+        x = np.asarray(fidelity.evaluate(zz, 1.0 / rho))
         zz = np.sign(x) * np.maximum(np.abs(x) - ((1.0 / rho) * 1.0) * weight, 0.0)
     assert np.array_equal(out.to_array(), zz)
 

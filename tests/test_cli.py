@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from pnpkit import ConfigError, Signal, Trace, save_signal, write_trace
 from pnpkit.cli import (
-    ExperimentConfig,
     builtin_image,
     main,
     render_traces_svg,
@@ -64,9 +63,10 @@ class TestConfigValidation:
 
     def test_serializable_roundtrip(self, tmp_path):
         doc = small_deblur_config(str(tmp_path / "out"))
-        cfg = ExperimentConfig.from_dict(doc)
-        assert json.loads(cfg.to_json()) == cfg.to_dict()
-        assert ExperimentConfig.from_dict(cfg.to_dict()).task == "deblur"
+        filled = validate_config(doc)
+        again = json.loads(json.dumps(filled))
+        assert again == filled
+        assert validate_config(again) == filled
 
 
 class TestBuiltinImages:

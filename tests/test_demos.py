@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pnpkit
-from pnpkit import solvers
+from pnpkit import proximal, solvers
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
@@ -50,3 +50,13 @@ def test_readme_solvers_row_names_every_driver():
     drivers = {name for name, obj in vars(solvers).items()
                if name.startswith("run_") and inspect.isfunction(obj)}
     assert listed == drivers
+
+
+def test_readme_proximal_row_names_every_prox_factory():
+    row = next(line for line in (ROOT / "README.md").read_text().splitlines()
+               if line.startswith("| `pnpkit.proximal` |"))
+    listed = set(re.findall(r"`(prox_\w+|\w+_prox)\b", row))
+    proxes = {name for name, obj in vars(proximal).items()
+              if inspect.isfunction(obj) and obj.__module__ == proximal.__name__
+              and not name.startswith("_") and re.fullmatch(r"prox_\w+|\w+_prox", name)}
+    assert listed == proxes

@@ -21,18 +21,13 @@ from pnpkit import (
     naive_svd_solve,
     operator_norm,
     posterior_mean,
-    prox_box,
-    prox_quadratic_fidelity,
     prox_tv,
-    prox_wavelet_l1,
     save_signal,
     Signal,
     smoothed_score,
-    soft_threshold,
     solve_shifted_normal,
     svd_factors,
     tikhonov_solve,
-    tv_conjugate_prox,
     tv_denoiser,
 )
 from pnpkit.operators import CompositeOp, half_spectrum_weights
@@ -457,15 +452,9 @@ _MAPS = {
     "tikhonov_solve": lambda s, x, p: tikhonov_solve(_BLUR, s(x), 0.5),
     "naive_svd_solve": lambda s, x, p: naive_svd_solve(DenseOp(np.diag([2.0, 1.0, 0.5])),
                                                        s(p)),
-    "soft_threshold": lambda s, x, p: soft_threshold(s(x), 0.3),
-    "prox_box": lambda s, x, p: prox_box(s(x), 0.2, 0.6),
     "prox_tv": lambda s, x, p: prox_tv(s(x), 0.1),
-    "tv_conjugate_prox": lambda s, x, p: tv_conjugate_prox(s(x), 0.1),
-    "prox_wavelet_l1": lambda s, x, p: prox_wavelet_l1(s(x), 0.1, 1),
     "haar_transform": lambda s, x, p: haar_transform(s(x), 2),
     "haar_inverse": lambda s, x, p: haar_inverse(s(x), 2),
-    "prox_quadratic_fidelity": lambda s, x, p: prox_quadratic_fidelity(s(x), 0.5, _BLUR,
-                                                                       s(x[::-1])),
     "ProxMap.evaluate": lambda s, x, p: l1_prox(0.3).evaluate(s(x), 1.0),
     "Denoiser.apply": lambda s, x, p: tv_denoiser().apply(s(x), 0.3),
     "posterior_mean": lambda s, x, p: posterior_mean(_PRIOR, s(p), 0.4),

@@ -15,18 +15,13 @@ from pnpkit import (
     haar_transform,
     identity_op,
     l1_prox,
-    linf_ball_prox,
     make_blur,
     moreau_check,
-    prox_box,
-    prox_quadratic_fidelity,
     prox_tv,
-    prox_wavelet_l1,
+    quadratic_fidelity_prox,
     quadratic_prox,
-    soft_threshold,
     squared_l2_prox,
     tv_conj_prox,
-    tv_conjugate_prox,
     tv_prox,
     tv_value,
     wavelet_l1_prox,
@@ -40,25 +35,25 @@ from pnpkit.proximal import _grad, _grad_adjoint, _tv_dual_solve
 
 class TestSoftThreshold:
     def test_shrinks_above_threshold(self):
-        assert soft_threshold(np.array([1.5]), 0.5)[0] == pytest.approx(1.0)
+        assert l1_prox(0.5).evaluate(np.array([1.5]), 1.0)[0] == pytest.approx(1.0)
 
     def test_kills_below_threshold(self):
-        assert soft_threshold(np.array([-0.3]), 0.5)[0] == 0.0
+        assert l1_prox(0.5).evaluate(np.array([-0.3]), 1.0)[0] == 0.0
 
     def test_tau_zero_identity(self, rng):
         v = rng.standard_normal(20)
-        np.testing.assert_array_equal(soft_threshold(v, 0.0), v)
+        np.testing.assert_array_equal(l1_prox(0.0).evaluate(v, 1.0), v)
 
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
-            soft_threshold(np.zeros(2), -1.0)
+            l1_prox(-1.0).evaluate(np.zeros(2), 1.0)
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=8),
            st.floats(0, 5))
     @settings(max_examples=80, deadline=None)
     def test_componentwise_formula(self, values, tau):
         v = np.array(values)
-        out = soft_threshold(v, tau)
+        out = l1_prox(tau).evaluate(v, 1.0)
         expected = np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
         np.testing.assert_array_equal(out, expected)
 
@@ -98,15 +93,15 @@ class TestHaar:
         coeffs = mat @ v
         shrunk = np.sign(coeffs) * np.maximum(np.abs(coeffs) - tau, 0.0)
         oracle = mat.T @ shrunk
-        assert np.max(np.abs(prox_wavelet_l1(v, tau, 2) - oracle)) <= 1e-12
+        assert np.max(np.abs(wavelet_l1_prox(tau, levels=2).evaluate(v, 1.0) - oracle)) <= 1e-12
 
     def test_tau_zero_identity(self, rng):
         v = rng.standard_normal((4, 4))
-        np.testing.assert_allclose(prox_wavelet_l1(v, 0.0, 1), v, atol=1e-13)
+        np.testing.assert_allclose(wavelet_l1_prox(0.0, levels=1).evaluate(v, 1.0), v, atol=1e-13)
 
     def test_constant_signal_only_coarse_shrinks(self):
         v = np.full(8, 1.0)
-        out = prox_wavelet_l1(v, 0.1, 3)
+        out = wavelet_l1_prox(0.1, levels=3).evaluate(v, 1.0)
         # detail coefficients are zero, so the output stays constant
         assert np.max(out) - np.min(out) <= 1e-12
         assert np.all(out < 1.0)
@@ -163,18 +158,18 @@ class TestProxQuadraticFidelity:
     @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan])
     def test_nonpositive_lam_rejected(self, lam):
         with pytest.raises(ValueError):
-            prox_quadratic_fidelity(np.zeros(6), lam, identity_op((6,)), np.zeros(6))
+            quadratic_fidelity_prox(identity_op((6,)), np.zeros(6)).evaluate(np.zeros(6), lam)
 
     def test_zero_operator_returns_v(self, rng):
         v = rng.standard_normal(6)
-        out = prox_quadratic_fidelity(v, 0.8, zero_op((6,)), np.zeros(6))
+        out = quadratic_fidelity_prox(zero_op((6,)), np.zeros(6)).evaluate(v, 0.8)
         np.testing.assert_allclose(out, v, atol=1e-12)
 
     def test_identity_closed_form(self, rng):
         v = rng.standard_normal(6)
         y = rng.standard_normal(6)
         lam = 0.7
-        out = prox_quadratic_fidelity(v, lam, identity_op((6,)), y)
+        out = quadratic_fidelity_prox(identity_op((6,)), y).evaluate(v, lam)
         np.testing.assert_allclose(out, (v + lam * y) / (1 + lam), atol=1e-12)
 
     def test_circulant_vs_dense_oracle(self, rng):
@@ -184,7 +179,7 @@ class TestProxQuadraticFidelity:
         v = rng.standard_normal((5, 5))
         y = rng.standard_normal((5, 5))
         lam = 1.3
-        out = prox_quadratic_fidelity(v, lam, op, y)
+        out = quadratic_fidelity_prox(op, y).evaluate(v, lam)
         k_mat = np.array(as_dense(op).matrix)
         oracle = np.linalg.solve(
             np.eye(25) + lam * k_mat.T @ k_mat,
@@ -196,25 +191,29 @@ class TestProxQuadraticFidelity:
 class TestProxBox:
     def test_inside_unchanged(self):
         v = np.array([0.2, 0.8])
-        np.testing.assert_array_equal(prox_box(v, 0.0, 1.0), v)
+        np.testing.assert_array_equal(box_prox(0.0, 1.0).evaluate(v, 1.0), v)
 
     def test_clamps(self):
-        assert prox_box(np.array([2.0]), 0.0, 1.0)[0] == 1.0
+        assert box_prox(0.0, 1.0).evaluate(np.array([2.0]), 1.0)[0] == 1.0
 
     def test_idempotent(self, rng):
         v = rng.standard_normal(30) * 3
-        once = prox_box(v, -0.5, 0.5)
-        np.testing.assert_array_equal(prox_box(once, -0.5, 0.5), once)
+        once = box_prox(-0.5, 0.5).evaluate(v, 1.0)
+        np.testing.assert_array_equal(box_prox(-0.5, 0.5).evaluate(once, 1.0), once)
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
-            prox_box(np.zeros(2), 1.0, 0.0)
+            box_prox(1.0, 0.0).evaluate(np.zeros(2), 1.0)
+
+    def test_infinite_bound_is_nonnegativity_projection(self, rng):
+        v = rng.standard_normal(30)
+        np.testing.assert_array_equal(box_prox(0.0, np.inf).evaluate(v, 1.0), np.maximum(v, 0.0))
 
 
 class TestMoreau:
     def test_l1_with_linf_ball(self):
         v = np.array([2.0, -0.4, 0.9])
-        assert moreau_check(l1_prox(1.0), linf_ball_prox(1.0), v) == pytest.approx(0.0, abs=1e-14)
+        assert moreau_check(l1_prox(1.0), box_prox(-1.0, 1.0), v) == pytest.approx(0.0, abs=1e-14)
 
     def test_quadratic_self_conjugate(self, rng):
         v = rng.standard_normal(12)
@@ -233,8 +232,20 @@ class TestMoreau:
 @pytest.mark.parametrize("make", [lambda: l1_prox(-1.0), lambda: tv_prox(-1.0),
                                   lambda: wavelet_l1_prox(-1.0),
                                   lambda: wavelet_l1_prox(1.0, levels=0),
-                                  lambda: box_prox(1.0, 0.0)],
-                         ids=["l1", "tv", "wavelet", "wavelet-levels", "box"])
+                                  lambda: box_prox(1.0, 0.0),
+                                  lambda: l1_prox(np.nan), lambda: l1_prox(np.inf),
+                                  lambda: tv_prox(np.nan), lambda: tv_conj_prox(-1.0),
+                                  lambda: tv_conj_prox(np.inf),
+                                  lambda: wavelet_l1_prox(np.inf),
+                                  lambda: squared_l2_prox(-1.0),
+                                  lambda: squared_l2_prox(np.nan),
+                                  lambda: quadratic_prox(np.zeros(3), -1.0),
+                                  lambda: quadratic_prox(np.zeros(3), np.inf),
+                                  lambda: box_prox(np.nan, 1.0), lambda: box_prox(0.0, np.nan)],
+                         ids=["l1", "tv", "wavelet", "wavelet-levels", "box", "l1-nan", "l1-inf",
+                              "tv-nan", "tv_conj-negative", "tv_conj-inf", "wavelet-inf",
+                              "squared_l2-negative", "squared_l2-nan", "quadratic-negative",
+                              "quadratic-inf", "box-nan-lo", "box-nan-hi"])
 def test_prox_map_rejects_bad_parameters_at_construction(make):
     with pytest.raises(ValueError):
         make()
@@ -407,7 +418,7 @@ class TestFusedDualKernel:
     def test_matches_two_stencil_reference(self, ndim, lam, seeded):
         v = _piecewise_noisy(ndim)
         tol = 1e-10 * v.size
-        # the seed tv_conjugate_prox starts from
+        # the seed tv_conj_prox starts from
         seed = (0.25 / ndim) * _grad(v) if seeded else None
         ref_x, ref_div, ref_it = _reference_dual_solve(
             v, lam, tol, 100000, p0=None if seed is None else list(seed))
@@ -448,7 +459,7 @@ class TestFusedDualKernel:
     def test_near_overflow_input_ends_finite_or_diverges(self, rng, scale):
         # prox_tv(s*v, s*lam) = s*prox_tv(v, lam): the same problem near overflow
         v = scale * rng.standard_normal((16, 16))
-        for solve in (prox_tv, tv_conjugate_prox):
+        for solve in (prox_tv, lambda v, lam: tv_conj_prox(lam).evaluate(v, 1.0)):
             try:
                 out = solve(v, 0.04 * scale)
             except DivergenceError:
@@ -468,7 +479,7 @@ class TestFusedDualKernel:
         with pytest.raises(DivergenceError):
             prox_tv(v, 0.04)
         with pytest.raises(DivergenceError):
-            tv_conjugate_prox(v, 0.04)
+            tv_conj_prox(0.04).evaluate(v, 1.0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("shape", [(32,), (8, 8)])
@@ -478,7 +489,7 @@ class TestFusedDualKernel:
         with pytest.raises(DivergenceError):
             prox_tv(v, 0.04)
         with pytest.raises(DivergenceError):
-            tv_conjugate_prox(v, 0.04)
+            tv_conj_prox(0.04).evaluate(v, 1.0)
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
     def test_non_finite_lam_rejected(self, lam):
@@ -486,7 +497,7 @@ class TestFusedDualKernel:
         with pytest.raises(ValueError):
             prox_tv(v, lam)
         with pytest.raises(ValueError):
-            tv_conjugate_prox(v, lam)
+            tv_conj_prox(lam).evaluate(v, 1.0)
 
     def test_max_iter_zero_tol_raises_with_gap(self, rng):
         v = rng.standard_normal((16, 16))
@@ -527,4 +538,4 @@ class TestTvConjugateDomain:
             with pytest.raises(ShapeError):
                 prox_tv(v, lam)
             with pytest.raises(ShapeError):
-                tv_conjugate_prox(v, lam)
+                tv_conj_prox(lam).evaluate(v, 1.0)

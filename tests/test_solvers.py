@@ -12,10 +12,13 @@ from pnpkit import (
     Rng,
     RegSlot,
     SmoothFn,
+    ShapeError,
     SolveError,
     SolverConfig,
+    UlaConfig,
     box_prox,
     contraction_factor,
+    gaussian_posterior_oracle,
     gaussian_smoother,
     gs_denoiser,
     identity_op,
@@ -23,7 +26,6 @@ from pnpkit import (
     linear_spectral_denoiser,
     make_blur,
     nesterov_t_sequence,
-    prox_quadratic_fidelity,
     quadratic_fidelity_prox,
     quadratic_prox,
     run_admm,
@@ -34,6 +36,7 @@ from pnpkit import (
     run_red_apg,
     run_red_gd,
     run_red_pg,
+    run_pnp_ula,
     solve_shifted_normal,
     tikhonov_spectral_family,
     tv_prox,
@@ -67,6 +70,34 @@ def lasso_instance():
 
 def identity_denoiser():
     return Denoiser(lambda arr, s: arr, tag="identity")
+
+
+# Each consumer of data y, called with a y that does not have the operator's
+# output shape; each forms K^T y (or K x - y) at setup.
+_WRONG_Y = {
+    "quadratic_fidelity_prox": quadratic_fidelity_prox,
+    "SmoothFn.least_squares": SmoothFn.least_squares,
+    "run_admm": lambda op, y: run_admm(op, y, RegSlot(prox=l1_prox(0.1)),
+                                       SolverConfig(max_iter=5)),
+    "run_hqs": lambda op, y: run_hqs(op, y, RegSlot(prox=l1_prox(0.1)), SolverConfig(max_iter=5)),
+    "run_red_gd": lambda op, y: run_red_gd(op, y, identity_denoiser(), lam=1.0, sigma=1.0,
+                                           eta=0.1, cfg=SolverConfig(max_iter=5)),
+    "run_red_pg": lambda op, y: run_red_pg(op, y, identity_denoiser(), lam=1.0, L=2.0,
+                                           cfg=SolverConfig(max_iter=5)),
+    "run_red_apg": lambda op, y: run_red_apg(op, y, identity_denoiser(), lam=1.0, L=2.0,
+                                             cfg=SolverConfig(max_iter=5)),
+    "run_pnp_ula": lambda op, y: run_pnp_ula(op, y, identity_denoiser(),
+                                             UlaConfig(delta=1e-3, sigma=1.0, sigma_w=1.0,
+                                                       kept=2)),
+    "gaussian_posterior_oracle": lambda op, y: gaussian_posterior_oracle(op, y, 1.0, 0.1, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", list(_WRONG_Y))
+def test_data_of_the_wrong_shape_raises_shape_error(name):
+    # unchecked, y = [2.0] broadcasts against K = diag(1, 2, 3); most consumers then return
+    with pytest.raises(ShapeError):
+        _WRONG_Y[name](DiagonalOp([1.0, 2.0, 3.0]), np.array([2.0]))
 
 
 class TestPgd:
@@ -319,8 +350,9 @@ class TestDrs:
 
         x = np.zeros(5)
         yk = x
+        fidelity = quadratic_fidelity_prox(op, y)
         for _ in range(60):
-            yk = np.asarray(prox_quadratic_fidelity(x, lam * 1.0, op, y))
+            yk = np.asarray(fidelity.evaluate(x, lam * 1.0))
             v = 2.0 * yk - x
             tau = (lam * 1.0) * weight
             zk = np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
@@ -396,8 +428,9 @@ class TestHqs:
         out, _ = run_hqs(op, y, RegSlot(prox=l1_prox(weight)), cfg)
 
         z = op._adjoint(y)
+        fidelity = quadratic_fidelity_prox(op, y)
         for _ in range(40):
-            x = np.asarray(prox_quadratic_fidelity(z, 1.0 / rho, op, y))
+            x = np.asarray(fidelity.evaluate(z, 1.0 / rho))
             tau = ((1.0 / rho) * 1.0) * weight
             z = np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
         np.testing.assert_array_equal(out.to_array(), z)
@@ -543,8 +576,9 @@ class TestRedPg:
         cfg = SolverConfig(max_iter=30, tol=0.0)
         x, _ = run_red_pg(op, y, identity_denoiser(), lam=lam, L=big_l, cfg=cfg)
         v = op._adjoint(y)
+        fidelity = quadratic_fidelity_prox(op, y)
         for _ in range(30):
-            xk = np.asarray(prox_quadratic_fidelity(v, 1.0 / (lam * big_l), op, y))
+            xk = np.asarray(fidelity.evaluate(v, 1.0 / (lam * big_l)))
             v = (1.0 / big_l) * xk - ((1.0 - big_l) / big_l) * xk
         np.testing.assert_allclose(x.to_array(), xk, atol=1e-12)
 
@@ -615,8 +649,9 @@ class TestRedApg:
         v = op._adjoint(y)
         x_prev = None
         t_prev = 1.0
+        fidelity = quadratic_fidelity_prox(op, y)
         for _ in range(40):
-            xk = np.asarray(prox_quadratic_fidelity(v, 1.0 / (lam * big_l), op, y))
+            xk = np.asarray(fidelity.evaluate(v, 1.0 / (lam * big_l)))
             t = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_prev**2))
             z = xk if x_prev is None else xk + ((t_prev - 1.0) / t) * (xk - x_prev)
             v = (1.0 / big_l) * xk - ((1.0 - big_l) / big_l) * z
@@ -646,8 +681,9 @@ class TestGsPnp:
         cfg = SolverConfig(step=0.5, max_iter=25, tol=0.0)
         x, _ = _gs_pnp(op, y, den, cfg, lam=1.0)
         z = op._adjoint(y)
+        fidelity = quadratic_fidelity_prox(op, y)
         for _ in range(25):
-            z = np.asarray(prox_quadratic_fidelity(z - 0.0, 0.5, op, y))
+            z = np.asarray(fidelity.evaluate(z - 0.0, 0.5))
         np.testing.assert_allclose(x.to_array(), z, atol=1e-13)
 
     def test_objective_nonincreasing(self):
