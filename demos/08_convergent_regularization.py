@@ -36,7 +36,7 @@ direction = Rng(0).standard_normal(4)
 direction /= np.linalg.norm(direction)
 family = tikhonov_spectral_family((4,), transform="identity")
 eta, c = 0.45, 0.5
-cfg = SolverConfig(step=eta, max_iter=100000, tol=1e-14, eval_objective=False)
+cfg = SolverConfig(step=eta, max_iter=100000, tol=1e-14)
 
 print(f"\nrule lam = {c} * sqrt(delta), gradient step eta = {eta}")
 print(f"{'delta':>10} | {'lambda':>8} | {'error to x-dagger':>17}")

@@ -670,7 +670,7 @@ def cmd_sweep(spec: dict, rng: Rng, args) -> int:
         deltas = [2.0 ** (-k) for k in range(sweep["k_min"], sweep["k_max"] + 1)]
     with _section("config.sweep"):
         fid_cfg = SolverConfig(step=sweep["eta"], max_iter=100000, tol=1e-14,
-                               eval_objective=False, record_time=False)
+                               record_time=False)
     out = _prepare_out(args.out or spec["output"])
 
     op = DiagonalOp(diag)

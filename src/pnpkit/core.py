@@ -85,9 +85,10 @@ def scoped_run():
     """Give the solver run inside the block a fresh state dict of its own.
 
     ``solvers._iterate`` opens one per run.  A map that carries something
-    from one call to the next within a run (the TV prox's warm dual) keeps
-    it in :func:`run_state`, so nothing outlives the run or crosses into
-    another run, a nested one or another thread included.
+    from one call to the next within a run (the TV prox's warm dual, the
+    last spectrum of :func:`real_spectrum`) keeps it in :func:`run_state`,
+    so nothing outlives the run or crosses into another run, a nested one
+    or another thread included.
     """
     token = _RUN_STATE.set({})
     try:
@@ -101,45 +102,23 @@ def run_state() -> dict | None:
     return _RUN_STATE.get()
 
 
-# The spectra shared by the value functions of the objective evaluation in
-# progress in this context, or None outside one.
-_SPECTRA: contextvars.ContextVar[dict | None] = contextvars.ContextVar("pnpkit_spectra",
-                                                                      default=None)
-
-
-@contextmanager
-def shared_spectra():
-    """Let the value functions evaluated inside the block share the transforms of one point.
-
-    ``solvers._objective`` opens one per objective evaluation, so the
-    fidelity value and the denoiser's potential at the same point take one
-    ``rfftn`` between them.  Nothing outlives the block or crosses into
-    another thread.
-    """
-    token = _SPECTRA.set({})
-    try:
-        yield
-    finally:
-        _SPECTRA.reset(token)
-
-
 def real_spectrum(x: np.ndarray, axes: tuple) -> np.ndarray:
-    """``rfftn(x, axes=axes)``, shared within a :func:`shared_spectra` block.
+    """``rfftn(x, axes=axes)``, kept for the last array of the solver run in progress.
 
-    Inside the block a second request for the same array object and axes
-    returns the first, read-only result; the caller must not change x in
-    place between them.  Outside the block every call transforms afresh.
+    Inside a :func:`scoped_run` the run keeps the read-only spectrum of the
+    last array object and axes it was given, and a request for the same
+    object and axes returns it again; the caller must not change x in place
+    while the run goes on.  Outside a run every call transforms afresh.
     """
-    share = _SPECTRA.get()
-    if share is None:
+    state = _RUN_STATE.get()
+    if state is None:
         return scipy.fft.rfftn(x, axes=axes)
-    key = (id(x), axes)
-    hit = share.get(key)
-    if hit is not None and hit[0] is x:
-        return hit[1]
+    last = state.get("real_spectrum")
+    if last is not None and last[0] is x and last[1] == axes:
+        return last[2]
     spec = scipy.fft.rfftn(x, axes=axes)
     spec.setflags(write=False)
-    share[key] = (x, spec)  # holding x keeps its id from being reused
+    state["real_spectrum"] = (x, axes, spec)  # the run's one entry; holding x pins its id
     return spec
 
 

@@ -346,7 +346,7 @@ def _circulant_quadratic(quad: np.ndarray, spatial: tuple):
     ``quad`` is real and even, given on the ``rfftn`` half spectrum, which
     :func:`~pnpkit.operators.half_spectrum_weights` sums by Parseval.  A 3-D
     x is summed over its channels.  X comes from
-    :func:`~pnpkit.core.real_spectrum`, so an objective evaluation shares it
+    :func:`~pnpkit.core.real_spectrum`, so within a solver run it is shared
     with the fidelity value at the same point.
     """
     axes = tuple(range(len(spatial)))
@@ -401,14 +401,13 @@ def _fd_jacobian(apply_fn, x: np.ndarray, fd_step: float) -> np.ndarray:
 
 
 def estimate_residual_lipschitz(d: Denoiser, sigma: float, shape, probes: int = 3,
-                                fd_step: float | None = None, rng: Rng | None = None,
-                                power_iters: int = 30000) -> float:
+                                fd_step: float | None = None, rng: Rng | None = None) -> float:
     """Estimated Lipschitz constant of the residual map x - D(x).
 
     At each probe point the Jacobian of D - id is assembled from central
-    finite-difference Jacobian-vector products, and its spectral norm is
-    estimated by power iteration on J^T J; the max over probes is returned.
-    Exact for linear denoisers up to finite-difference rounding.
+    finite-difference Jacobian-vector products, and its exact spectral norm
+    is taken; the max over probes is returned.  Exact for linear denoisers
+    up to finite-difference rounding.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
@@ -422,22 +421,7 @@ def estimate_residual_lipschitz(d: Denoiser, sigma: float, shape, probes: int = 
         h = fd_step if fd_step is not None else _default_fd_step(x)
         jac = _fd_jacobian(lambda z: d.apply(z, sigma), x, h)
         jac[np.diag_indices_from(jac)] -= 1.0  # Jacobian of D - id
-        gram = jac.T @ jac
-        v = rng.standard_normal(jac.shape[0])
-        v /= np.linalg.norm(v)
-        value = 0.0
-        for _ in range(power_iters):
-            w = gram @ v
-            norm = float(np.linalg.norm(w))
-            if norm == 0.0:
-                value = 0.0
-                break
-            v = w / norm
-            if abs(norm - value) <= 1e-15 * max(norm, 1e-300):
-                value = norm
-                break
-            value = norm
-        worst = max(worst, math.sqrt(value))
+        worst = max(worst, float(np.linalg.norm(jac, 2)))
     return worst
 
 

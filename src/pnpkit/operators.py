@@ -4,9 +4,9 @@ All operators are immutable and safe to share between concurrent solver
 runs.  Circulant operators (periodic convolutions) keep their frequency
 response on the half spectrum of a real FFT, which gives one real round
 trip per filter and exact FFT-domain solves for the shifted normal
-equations; diagonal and mask kinds divide componentwise; everything else
-falls back to conjugate gradients on the normal equations with a certified
-relative residual.
+equations; the diagonal kind (masks included) divides componentwise;
+everything else falls back to conjugate gradients on the normal equations
+with a certified relative residual.
 """
 
 from __future__ import annotations
@@ -177,33 +177,6 @@ class DiagonalOp(LinearOp):
         return self.diag
 
 
-class MaskOp(LinearOp):
-    """Self-adjoint projection that zeroes entries where the mask is False."""
-
-    kind = "mask"
-
-    def __init__(self, mask):
-        mask = as_array(mask) != 0
-        super().__init__(mask.shape, mask.shape)
-        self.mask = mask
-        self.mask.setflags(write=False)
-
-    def _apply(self, x):
-        return np.where(self.mask, x, 0.0)
-
-    _adjoint = _apply
-
-    def shifted_solve(self, rho, b):
-        return b / (self.mask.astype(np.float64) + rho)
-
-    @property
-    def spectral_norm(self) -> float:
-        return 1.0 if np.any(self.mask) else 0.0
-
-    def symmetric_spectrum(self):
-        return self.mask.astype(np.float64)
-
-
 class CirculantOp(LinearOp):
     """Periodic convolution; diagonalized by the FFT.
 
@@ -276,8 +249,8 @@ class CirculantOp(LinearOp):
         """x -> 0.5 * sum w |H X - Y|^2 over the half spectrum (Parseval), one ``rfftn`` of x.
 
         Y is transformed once; the weights are :func:`half_spectrum_weights`.
-        X comes from :func:`~pnpkit.core.real_spectrum`, so it is shared with
-        any other value taken at the same point inside one objective evaluation.
+        X comes from :func:`~pnpkit.core.real_spectrum`, so within a solver
+        run it is shared with any other value taken at the same point.
         """
         y_hat = scipy.fft.rfftn(y, axes=self._axes)
         weights = 0.5 * half_spectrum_weights(self._spatial)
@@ -411,9 +384,12 @@ def make_blur(kernel, image_shape) -> CirculantOp:
     return CirculantOp.from_half_response(half, image_shape)
 
 
-def make_mask(mask) -> MaskOp:
-    """Masking operator: keeps entries where ``mask`` is true, zeroes the rest."""
-    return MaskOp(as_array(mask))
+def make_mask(mask) -> DiagonalOp:
+    """Masking operator: keeps entries where ``mask`` is true, zeroes the rest.
+
+    It is the diagonal operator of the 0/1 mask, a self-adjoint projection.
+    """
+    return DiagonalOp((as_array(mask) != 0).astype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -496,9 +472,9 @@ def solve_shifted_normal(op: LinearOp, rho: float, b):
     """Solve (K^T K + rho*I) x = b to relative residual <= 1e-10.
 
     Runs the operator's ``shifted_solve``: exact frequency-domain division
-    for circulant operators and exact componentwise division for
-    diagonal/mask kinds; otherwise conjugate gradients with at most 10*n
-    iterations (SolveError on stagnation).
+    for circulant operators and exact componentwise division for the
+    diagonal kind (masks included); otherwise conjugate gradients with at
+    most 10*n iterations (SolveError on stagnation).
     """
     if not rho > 0:
         raise ValueError("rho must be positive")

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (DivergenceError, Signal, SolveError, Trace, as_array, diverged, psnr,
-                   scoped_run, shared_spectra)
+                   scoped_run)
 from .denoisers import Denoiser
 from .operators import LinearOp, solve_shifted_normal
 from .proximal import ProxMap, quadratic_fidelity_prox
@@ -56,7 +56,6 @@ class SolverConfig:
     rho: float = 1.0
     max_iter: int = 500
     tol: float = 1e-9
-    eval_objective: bool = True
     record_time: bool = True
 
     def __post_init__(self):
@@ -159,42 +158,39 @@ def as_slot(obj) -> RegSlot:
 def _objective(x: np.ndarray, scale: float, f: SmoothFn | None, *slots: RegSlot) -> float:
     """f(x) plus each slot's regularization term at x; NaN when a value is unknown.
 
-    The terms share the transforms of x (see :func:`~pnpkit.core.shared_spectra`):
-    on a circulant problem the fidelity value and a GS potential take one
-    ``rfftn`` between them.
+    Inside a solver run the terms share the transforms of x (see
+    :func:`~pnpkit.core.real_spectrum`): on a circulant problem the fidelity
+    value and a GS potential take one ``rfftn`` between them.
     """
     total = 0.0
-    with shared_spectra():
-        if f is not None:
-            if f.value is None:
-                return math.nan
-            total += float(f.value(x))
-        for slot in slots:
-            reg = slot.reg_value(x, scale)
-            if reg is None:
-                return math.nan
-            total += reg
+    if f is not None:
+        if f.value is None:
+            return math.nan
+        total += float(f.value(x))
+    for slot in slots:
+        reg = slot.reg_value(x, scale)
+        if reg is None:
+            return math.nan
+        total += reg
     return total
 
 
-def _iterate(cfg: SolverConfig, x0, advance, report=None, reference=None, row0=None,
+def _iterate(cfg: SolverConfig, x0, advance, report, reference=None,
              record_divergence: bool = False):
     """Run x_{k+1} = advance(k, x_k) under the shared trace and stopping rules.
 
     ``report(k, x, r)`` gets a checked state and its step residual and
-    returns the traced (point, objective, step_residual, fp_residual); the
-    default traces the state with no objective and r as both residuals.
-    Row 0 is ``report(0, x0, nan)`` unless ``row0``, with the same
-    signature, is given.  Returns (Signal of the last traced point, trace).
+    returns the traced (point, objective, step_residual, fp_residual); row 0
+    is ``report(0, x0, nan)``.  Returns (Signal of the last traced point,
+    trace).
 
     The whole run, row 0 included, sits in a :func:`~pnpkit.core.scoped_run`
     of its own, so state a map carries between its calls (the TV prox's
-    warm dual) lives exactly as long as the run.
+    warm dual, the last spectrum) lives exactly as long as the run.
     """
     x = as_array(x0).copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("the start point x0 has non-finite entries")
-    report = report or (lambda k, x_new, r: (x_new, math.nan, r, r))
     ref = None if reference is None else as_array(reference)
     trace = Trace()
     t0 = time.perf_counter()
@@ -205,7 +201,7 @@ def _iterate(cfg: SolverConfig, x0, advance, report=None, reference=None, row0=N
                      (time.perf_counter() - t0) if cfg.record_time else math.nan)
 
     with scoped_run():
-        point, objective, r, fp = (row0 or report)(0, x, math.nan)
+        point, objective, r, fp = report(0, x, math.nan)
         append(0, point, objective, r, fp)
         trace.stop_reason = "max_iter"
         with np.errstate(over="ignore"):
@@ -254,8 +250,7 @@ def run_pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, precond=None,
     grows (Beck-Teboulle).  Every t <= 1/L meets this sufficient decrease by
     the descent lemma when f is L-smooth and g convex.  A 1e-12 relative
     slack keeps rounding noise near convergence from stalling the search;
-    exhaustion raises SolveError reporting both F values.  F is traced at
-    every row, whatever ``cfg.eval_objective`` says.  Backtracking needs
+    exhaustion raises SolveError reporting both F values.  Backtracking needs
     ``f.value``, a prox slot with an objective, and no ``precond``.
     """
     f = _as_smooth(grad_f)
@@ -272,7 +267,7 @@ def run_pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, precond=None,
         step = 1.0 / b
     if not backtracking:
         def report(k, x, r):
-            return x, _objective(x, step, f, slot) if cfg.eval_objective else math.nan, r, r
+            return x, _objective(x, step, f, slot), r, r
 
         return _iterate(cfg, x0, lambda k, x: slot.apply(x - step * f.grad(x), step), report,
                         reference)
@@ -282,9 +277,10 @@ def run_pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, precond=None,
     fx = math.nan  # F at the current state
     t = step  # the accepted step, carried into the next iteration's search
 
-    def row0(k, x, r):
+    def report(k, x, r):
         nonlocal fx
-        fx = _objective(x, t, f, slot)
+        if k == 0:
+            fx = _objective(x, t, f, slot)
         return x, fx, r, r
 
     def advance(k, x):
@@ -301,7 +297,7 @@ def run_pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, precond=None,
         raise SolveError(f"backtracking exhausted {_HALVINGS} halvings at iteration {k}: "
                          f"F(x) = {fx:.12g}, last trial F = {f_cand:.12g}")
 
-    return _iterate(cfg, x0, advance, lambda k, x, r: (x, fx, r, r), reference, row0=row0)
+    return _iterate(cfg, x0, advance, report, reference)
 
 
 def run_apgd(grad_f, reg, cfg: SolverConfig, x0, reference=None):
@@ -328,7 +324,7 @@ def run_apgd(grad_f, reg, cfg: SolverConfig, x0, reference=None):
         return (1.0 - alpha) * x + alpha * y
 
     def report(k, x, r):
-        return x, _objective(x, cfg.step, f, slot) if cfg.eval_objective else math.nan, r, r
+        return x, _objective(x, cfg.step, f, slot), r, r
 
     return _iterate(cfg, x0, advance, report, reference)
 
@@ -366,8 +362,7 @@ def run_drs(map_a, map_b, cfg: SolverConfig, x0, reference=None):
         return x + z - y
 
     def report(k, x, r):
-        objective = _objective(y, lam, None, slot_a, slot_b) if cfg.eval_objective else math.nan
-        return y, objective, r, r
+        return y, _objective(y, lam, None, slot_a, slot_b), r, r
 
     return _iterate(cfg, x0, advance, report, reference)
 
@@ -390,7 +385,7 @@ def run_admm(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, reference=None):
     x = kty if x0 is None else as_array(x0)
     z = x
     u = np.zeros_like(x)
-    fid = SmoothFn.least_squares(op, y_arr)
+    fid = op.least_squares_value(y_arr)
 
     def advance(k, x):
         nonlocal z, u
@@ -401,8 +396,7 @@ def run_admm(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, reference=None):
 
     def report(k, x, r):
         primal = float(np.linalg.norm(x - z)) if k else math.nan
-        objective = _objective(x, 1.0 / rho, fid, slot) if cfg.eval_objective else math.nan
-        return x, objective, r, primal
+        return x, fid(x) + _objective(x, 1.0 / rho, None, slot), r, primal
 
     return _iterate(cfg, x, advance, report, reference)
 
@@ -439,7 +433,6 @@ def run_hqs(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, rho_schedule=None,
     slot = as_slot(reg)
     rho_of = _as_schedule(rho_schedule, cfg.rho, "rho_schedule", positive=True)
     sigma_of = _as_schedule(sigma_schedule, slot.sigma, "sigma_schedule", positive=False)
-    fid = SmoothFn.least_squares(op, y_arr)
     fid_prox = quadratic_fidelity_prox(op, y_arr)
     scale = 1.0 / rho_of(1)  # 1/rho_k of the current step; row 0 uses rho_1
 
@@ -452,7 +445,7 @@ def run_hqs(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, rho_schedule=None,
         return slot.apply(x, scale)
 
     def report(k, z, r):
-        return z, _objective(z, scale, fid, slot) if cfg.eval_objective else math.nan, r, r
+        return z, fid_prox.objective(z) + _objective(z, scale, None, slot), r, r
 
     return _iterate(cfg, op._adjoint(y_arr) if x0 is None else x0, advance, report, reference,
                     record_divergence=True)
@@ -516,6 +509,8 @@ def _run_red_prox(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,
     def report(k, x, r):
         nonlocal v, x_prev, t_prev
         dx = denoiser.apply(x, sigma)
+        if k == 0:  # row 0 shows v_0, which the first step starts from
+            return x, math.nan, r, _red_fixed_point_norm(grad_f, x, dx, lam)
         z = x
         if accelerated:
             t = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_prev * t_prev))
@@ -527,12 +522,7 @@ def _run_red_prox(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,
         v = (1.0 / L) * dx - ((1.0 - L) / L) * z
         return x, math.nan, r, _red_fixed_point_norm(grad_f, x, dx, lam)
 
-    def row0(k, v0, r):
-        dv = denoiser.apply(v0, sigma)
-        return v0, math.nan, r, _red_fixed_point_norm(grad_f, v0, dv, lam)
-
-    return _iterate(cfg, v, advance, report, reference, row0=row0,
-                    record_divergence=accelerated)
+    return _iterate(cfg, v, advance, report, reference, record_divergence=accelerated)
 
 
 def run_red_pg(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,

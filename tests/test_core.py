@@ -19,8 +19,7 @@ from pnpkit import (
     save_signal,
     write_trace,
 )
-from pnpkit.core import (DIVERGENCE_NORM, diverged, real_spectrum, run_state, scoped_run,
-                         shared_spectra)
+from pnpkit.core import DIVERGENCE_NORM, diverged, real_spectrum, run_state, scoped_run
 
 
 class TestSignal:
@@ -344,24 +343,47 @@ class TestScopedRun:
 
 
 class TestSharedSpectra:
+    """real_spectrum keeps one spectrum per solver run (core.scoped_run)."""
+
     def test_shared_only_inside_the_block(self, rng):
         x = rng.standard_normal((6, 5))
         assert real_spectrum(x, (0, 1)) is not real_spectrum(x, (0, 1))
-        with shared_spectra():
+        with scoped_run():
             first = real_spectrum(x, (0, 1))
             assert real_spectrum(x, (0, 1)) is first
             assert not first.flags.writeable
             assert real_spectrum(x.copy(), (0, 1)) is not first  # another array object
+            first = real_spectrum(x, (0, 1))
             assert real_spectrum(x, (0,)) is not first  # other axes
-            with shared_spectra():
+            first = real_spectrum(x, (0, 1))
+            with scoped_run():
                 assert real_spectrum(x, (0, 1)) is not first
         np.testing.assert_array_equal(first, np.fft.rfftn(x))
         assert real_spectrum(x, (0, 1)).flags.writeable
 
+    def test_the_run_keeps_one_entry(self, rng):
+        x, z = rng.standard_normal(8), rng.standard_normal(8)
+        with scoped_run():
+            first = real_spectrum(x, (0,))
+            real_spectrum(z, (0,))
+            again = real_spectrum(x, (0,))  # z took the one entry, so x is transformed again
+            assert again is not first
+            np.testing.assert_array_equal(again, first)
+            assert real_spectrum(x, (0,)) is again
+
+    def test_nothing_survives_the_run(self, rng):
+        x = rng.standard_normal(8)
+        with scoped_run():
+            first = real_spectrum(x, (0,))
+        assert run_state() is None
+        with scoped_run():
+            assert run_state() == {}
+            assert real_spectrum(x, (0,)) is not first
+
     def test_another_thread_does_not_see_the_share(self, rng):
         x = rng.standard_normal(8)
         seen = []
-        with shared_spectra():
+        with scoped_run():
             first = real_spectrum(x, (0,))
             worker = threading.Thread(target=lambda: seen.append(real_spectrum(x, (0,))))
             worker.start()

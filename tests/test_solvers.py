@@ -818,6 +818,23 @@ class TestObjectiveTransforms:
         assert counts[8] - counts[2] <= 5 * 6  # the set-up and row 0 cancel out
         assert counts[2] <= 5 * 2 + 8  # the set-up: K^T y, the transform of y and row 0
 
+    @pytest.mark.parametrize("algo, adjoints", [("hqs", 2), ("admm", 1)])
+    def test_traced_data_term_forms_no_extra_kty(self, algo, adjoints):
+        # HQS: K^T y for the fidelity prox and for the start point; ADMM: once
+        op, y, den = _circulant_gs_problem(side=16)
+        adjoint, calls = op._adjoint, [0]
+
+        def counted(v):
+            calls[0] += 1
+            return adjoint(v)
+
+        op._adjoint = counted
+        cfg = SolverConfig(max_iter=6, tol=0.0, record_time=False)
+        driver = run_hqs if algo == "hqs" else run_admm
+        _, trace = driver(op, y, RegSlot(denoiser=den), cfg)
+        assert np.all(np.isfinite(trace.column("objective")))
+        assert calls[0] == adjoints
+
 
 class TestBacktracking:
     @staticmethod
