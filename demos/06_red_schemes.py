@@ -12,6 +12,8 @@ proximal-gradient RED land on the same fixed point, and the momentum
 variant is run trace-only (its convergence is an open question).
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from pnpkit import (
@@ -40,7 +42,7 @@ print("closed-form fixed point computed from the linear denoiser\n")
 lip = np.linalg.norm(k_mat, 2) ** 2 + lam
 cfg = SolverConfig(max_iter=50000, tol=1e-14)
 
-x_gd, tr_gd = run_red_gd(op, y, den, lam=lam, sigma=1.0, eta=1.0 / lip, cfg=cfg)
+x_gd, tr_gd = run_red_gd(op, y, den, lam=lam, sigma=1.0, cfg=replace(cfg, step=1.0 / lip))
 print(f"gradient-descent RED : gap to closed form {np.max(np.abs(x_gd - x_star)):.2e}, "
       f"stationarity norm {tr_gd.column('fp_residual')[-1]:.2e} "
       f"({tr_gd.last().iter} iterations)")

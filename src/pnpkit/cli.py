@@ -221,7 +221,7 @@ _SWEEP = {
     "k_min": Key(int, 1), "k_max": Key(int, 8),
     "diag": Key([float], [2.0, 1.7, 1.4, 1.1], min_len=1),
     "x_true": Key([float], [0.15, 0.15, 0.15, 0.15], min_len=1),
-    "deltas": Key([float], None, ge=0.0),
+    "deltas": Key([float], None, ge=0.0, min_len=2),
 }
 _PROBE = {"shape": Key([int], [16, 16], ge=1, min_len=1), "sigma": Key(float, 0.1),
           "probes": Key(int, 2), "fd_step": Key(float, None)}
@@ -495,8 +495,9 @@ def _solver_run(spec: dict, problem, where: str):
     with _section(where):
         cfg = SolverConfig(**{k: spec[k] for k in ("step", "alpha", "rho", "max_iter", "tol")},
                            record_time=False)  # byte-identical outputs for identical config+seed
-        if spec.get("tau") is not None:  # gs-pnp names its step tau
-            cfg = replace(cfg, step=spec["tau"])
+        step_key = {"gs-pnp": "tau", "red-gd": "eta"}.get(algo)  # their names for the step
+        if step_key is not None and spec[step_key] is not None:
+            cfg = replace(cfg, step=spec[step_key])
         prox = None if spec["reg"] is None else RegSlot(prox=build_reg_prox(spec["reg"]))
         plug = None if den is None else RegSlot(denoiser=den, sigma=spec["sigma"])
         slot = (plug or prox) if algo == "hqs" else (prox or plug) if algo in PROX_ALGOS else plug
@@ -522,9 +523,8 @@ def _solver_run(spec: dict, problem, where: str):
             return run_hqs(op, y, slot, cfg, rho_schedule=spec["rho_schedule"],
                            sigma_schedule=spec["sigma_schedule"], reference=ref)
         if algo == "red-gd":
-            eta = cfg.step if spec["eta"] is None else spec["eta"]
-            return run_red_gd(op, y, den, lam=spec["lam"], sigma=spec["sigma"], eta=eta,
-                              cfg=cfg, reference=ref)
+            return run_red_gd(op, y, den, lam=spec["lam"], sigma=spec["sigma"], cfg=cfg,
+                              reference=ref)
         if algo in ("red-pg", "red-apg"):
             runner = run_red_pg if algo == "red-pg" else run_red_apg
             return runner(op, y, den, lam=spec["lam"], L=spec["L"], cfg=cfg,
@@ -667,6 +667,8 @@ def cmd_sweep(spec: dict, rng: Rng, args) -> int:
         raise ConfigError("config.sweep: diag and x_true must have the same length")
     deltas = sweep["deltas"]
     if deltas is None:
+        if sweep["k_max"] <= sweep["k_min"]:  # a ladder needs two rungs to fall
+            raise ConfigError("config.sweep: k_max must exceed k_min")
         deltas = [2.0 ** (-k) for k in range(sweep["k_min"], sweep["k_max"] + 1)]
     with _section("config.sweep"):
         fid_cfg = SolverConfig(step=sweep["eta"], max_iter=100000, tol=1e-14,

@@ -80,9 +80,13 @@ class Denoiser:
 
 
 def gaussian_kernel(sigma: float, ndim: int = 2, radius: int | None = None) -> np.ndarray:
-    """Normalized truncated Gaussian kernel with odd sides (sum exactly 1)."""
+    """Normalized truncated Gaussian kernel with odd sides (sum exactly 1).
+
+    A negative ``radius`` raises ValueError.
+    """
     if sigma <= 0:
         raise ValueError("kernel sigma must be positive")
+    _check_radius(radius)
     if radius is None:
         radius = max(1, int(math.ceil(3.0 * sigma)))
     t = np.arange(-radius, radius + 1, dtype=np.float64)
@@ -91,6 +95,11 @@ def gaussian_kernel(sigma: float, ndim: int = 2, radius: int | None = None) -> n
     for _ in range(ndim - 1):
         kernel = np.multiply.outer(kernel, g1)
     return kernel / kernel.sum()
+
+
+def _check_radius(radius: int | None) -> None:
+    if radius is not None and radius < 0:
+        raise ValueError(f"kernel radius must be nonnegative, got {radius}")
 
 
 def _fitted_gaussian_kernel(sigma: float, shape, radius: int | None) -> np.ndarray:
@@ -107,10 +116,12 @@ def gaussian_filter_denoiser(kernel_sigma: float, radius: int | None = None) -> 
 
     The measurement sigma argument is ignored; the filter is fixed by
     ``kernel_sigma``.  Constant images are preserved because the kernel sums
-    to one.
+    to one.  A negative ``radius`` raises ValueError; a radius too large for
+    the signal is clamped to fit it.
     """
     if not kernel_sigma > 0:
         raise ValueError("kernel sigma must be positive")
+    _check_radius(radius)
 
     def fn(arr, sigma):
         kernel = _fitted_gaussian_kernel(kernel_sigma, arr.shape, radius)

@@ -8,7 +8,8 @@ iteration x_{k+1} = T(x_k) and supplies only its step to one kernel,
 ``report(k, x, r)``, called once that state has passed the divergence check,
 says what the trace shows for it.  The kernel owns the rest.  Drivers return
 the final point plus a per-iteration :class:`~pnpkit.core.Trace`; stopping
-is on the step residual ||x_{k+1} - x_k|| (default 1e-9) or max_iter.  A
+is on the step residual (default 1e-9) or max_iter.  The step residual is
+||x_{k+1} - x_k||, except for ADMM, whose state is (z, u).  A
 non-finite start raises ValueError, and data y not shaped like the
 operator's output raises ShapeError before the first step.  A state that fails
 :func:`~pnpkit.core.diverged` (non-finite, or norm above 1e12), or a
@@ -21,15 +22,17 @@ or a backtracking step rule, and fidelity-first DRS is :func:`run_drs` with
 the fidelity prox first.  Gradient-step PnP (Hurault et al. 2022) is PGD on
 F = f + lam*g with the data term in the prox slot and the denoiser's
 potential as the smooth term: ``run_pgd(SmoothFn.potential(den, lam),
-quadratic_fidelity_prox(op, y), cfg, x0)``.  :func:`contraction_factor` reads
-a converged run's contraction off its trace.
+quadratic_fidelity_prox(op, y), cfg, x0)``.  RED-GD and RED-PG are PGD runs
+too, with the RED gradient x - D(x) in the smooth term; RED-APG has its own
+step.  :func:`contraction_factor` reads a converged run's contraction off its
+trace.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -38,7 +41,7 @@ from .core import (DivergenceError, Signal, SolveError, Trace, as_array, diverge
                    scoped_run)
 from .denoisers import Denoiser
 from .operators import LinearOp, solve_shifted_normal
-from .proximal import ProxMap, quadratic_fidelity_prox
+from .proximal import ProxMap, quadratic_fidelity_prox, zero_prox
 
 
 @dataclass
@@ -180,9 +183,9 @@ def _iterate(cfg: SolverConfig, x0, advance, report, reference=None,
     """Run x_{k+1} = advance(k, x_k) under the shared trace and stopping rules.
 
     ``report(k, x, r)`` gets a checked state and its step residual and
-    returns the traced (point, objective, step_residual, fp_residual); row 0
-    is ``report(0, x0, nan)``.  Returns (Signal of the last traced point,
-    trace).
+    returns the traced (point, objective, step_residual, fp_residual); the
+    tolerance stop reads the step_residual it returns.  Row 0 is
+    ``report(0, x0, nan)``.  Returns (Signal of the last traced point, trace).
 
     The whole run, row 0 included, sits in a :func:`~pnpkit.core.scoped_run`
     of its own, so state a map carries between its calls (the TV prox's
@@ -253,6 +256,16 @@ def run_pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, precond=None,
     exhaustion raises SolveError reporting both F values.  Backtracking needs
     ``f.value``, a prox slot with an objective, and no ``precond``.
     """
+    return _pgd(grad_f, reg, cfg, x0, reference, precond, backtracking)
+
+
+def _pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, precond=None,
+         backtracking: bool = False, residual=None):
+    """:func:`run_pgd`, tracing ``residual(x)`` as the fixed-point residual when given.
+
+    Without the hook the fixed-point residual is the step residual.  The RED
+    drivers pass their stationarity norm through it.
+    """
     f = _as_smooth(grad_f)
     slot = as_slot(reg)
     step = cfg.step
@@ -265,27 +278,24 @@ def run_pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, precond=None,
         if slot.prox is None:
             raise ValueError("a preconditioner needs a prox in the slot")
         step = 1.0 / b
-    if not backtracking:
-        def report(k, x, r):
-            return x, _objective(x, step, f, slot), r, r
-
-        return _iterate(cfg, x0, lambda k, x: slot.apply(x - step * f.grad(x), step), report,
-                        reference)
-    if f.value is None or slot.prox is None or slot.prox.objective is None or precond is not None:
+    if backtracking and (f.value is None or slot.prox is None or slot.prox.objective is None
+                         or precond is not None):
         raise ValueError("backtracking needs f.value, a prox slot with an objective, "
                          "and no precond")
     fx = math.nan  # F at the current state
-    t = step  # the accepted step, carried into the next iteration's search
+    t = step  # with backtracking, the accepted step, carried into the next search
 
     def report(k, x, r):
         nonlocal fx
-        if k == 0:
+        if k == 0 or not backtracking:  # the search has F at an accepted point already
             fx = _objective(x, t, f, slot)
-        return x, fx, r, r
+        return x, fx, r, r if residual is None else residual(x)
 
     def advance(k, x):
         nonlocal fx, t
         grad = f.grad(x)
+        if not backtracking:
+            return slot.apply(x - t * grad, t)
         slack = 1e-12 * max(1.0, abs(fx))
         for _ in range(_HALVINGS + 1):
             cand = slot.apply(x - t * grad, t)
@@ -377,6 +387,12 @@ def run_admm(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, reference=None):
     The x-update is exact through the shifted normal equations.  It starts
     from x_0 = z_0 = x0 (K^T y when not given) and u_0 = 0.  The traced
     fixed-point residual is the primal residual ||x_k - z_k||.
+
+    The state is (z, u), so the step residual that the stopping rule reads
+    is its movement, hypot(||z_{k+1} - z_k||, ||u_{k+1} - u_k||), and
+    ||u_{k+1} - u_k|| is the primal residual.  ||x_{k+1} - x_k|| would not
+    do: with K^T K idempotent (a mask, the identity), x_1 = K^T y = x_0 for
+    every rho while z and u move.
     """
     y_arr = op._data(y)
     slot = as_slot(reg)
@@ -386,17 +402,20 @@ def run_admm(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, reference=None):
     z = x
     u = np.zeros_like(x)
     fid = op.least_squares_value(y_arr)
+    dz = math.nan  # ||z_{k+1} - z_k|| of the last step
 
     def advance(k, x):
-        nonlocal z, u
+        nonlocal z, u, dz
         x_new = solve_shifted_normal(op, rho, kty + rho * (z - u))
-        z = slot.apply(x_new + u, 1.0 / rho)
+        z_new = slot.apply(x_new + u, 1.0 / rho)
+        dz = float(np.linalg.norm(z_new - z))
+        z = z_new
         u = u + x_new - z
         return x_new
 
     def report(k, x, r):
         primal = float(np.linalg.norm(x - z)) if k else math.nan
-        return x, fid(x) + _objective(x, 1.0 / rho, None, slot), r, primal
+        return x, fid(x) + _objective(x, 1.0 / rho, None, slot), math.hypot(dz, primal), primal
 
     return _iterate(cfg, x, advance, report, reference)
 
@@ -456,87 +475,70 @@ def run_hqs(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, rho_schedule=None,
 # ---------------------------------------------------------------------------
 
 
-def _red_fixed_point_norm(grad_f, x, dx, weight: float) -> float:
-    return float(np.linalg.norm(grad_f(x) + weight * (x - dx)))
+def _red_gradient(denoiser: Denoiser, sigma: float, weight: float, grad_f=None):
+    """x -> grad_f(x) + weight * (x - D(x)), the RED gradient.
+
+    The value at the last x is kept, so the traced stationarity and the step
+    from the same point share one denoiser call.
+    """
+    last = [None, None]  # the last x and the gradient there
+
+    def grad(x):
+        if x is not last[0]:
+            g = weight * (x - denoiser.apply(x, sigma))
+            last[:] = x, g if grad_f is None else grad_f(x) + g
+        return last[1]
+
+    return grad
 
 
 def run_red_gd(op: LinearOp, y, denoiser: Denoiser, lam: float, sigma: float,
-               eta: float, cfg: SolverConfig, x0=None, reference=None):
+               cfg: SolverConfig, x0=None, reference=None):
     """Gradient-descent RED.
 
-        x_{k+1} = x_k - eta * [K^T(K x_k - y) + (lam/sigma^2)(x_k - D(x_k))]
+        x_{k+1} = x_k - step * [K^T(K x_k - y) + (lam/sigma^2)(x_k - D(x_k))]
 
-    The traced fixed-point residual is the norm of the bracket, i.e. the
-    stationarity condition the scheme aims to null (with the effective
-    weight lam/sigma^2).
+    with step = ``cfg.step``.  This is :func:`run_pgd` with a zero prox and
+    the bracket as the gradient.  The traced fixed-point residual is the
+    norm of the bracket, i.e. the stationarity condition the scheme aims to
+    null (with the effective weight lam/sigma^2).
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError("sigma must be finite and positive")
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError("lam must be finite and nonnegative")
     y_arr = op._data(y)
-    grad_f = op.least_squares_grad(y_arr)
-    weight = lam / (sigma * sigma)
-    fc = None  # the bracket at the current state
-
-    def bracket_norm(x):
-        nonlocal fc
-        dx = denoiser.apply(x, sigma)
-        fc = grad_f(x) + weight * (x - dx)
-        return float(np.linalg.norm(fc))
-
-    return _iterate(cfg, op._adjoint(y_arr) if x0 is None else x0,
-                    lambda k, x: x - eta * fc,
-                    lambda k, x, r: (x, math.nan, r, bracket_norm(x)), reference)
+    grad = _red_gradient(denoiser, sigma, lam / (sigma * sigma), op.least_squares_grad(y_arr))
+    return _pgd(grad, zero_prox(), cfg, op._adjoint(y_arr) if x0 is None else x0, reference,
+                residual=lambda x: float(np.linalg.norm(grad(x))))
 
 
-def _run_red_prox(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,
-                  cfg: SolverConfig, v0, sigma: float, reference, accelerated: bool):
-    """RED-PG and, with Nesterov momentum on the v-update, RED-APG."""
+def _red_prox_setup(op: LinearOp, y, L: float):
+    """The fidelity prox and K^T y of RED-PG and RED-APG, after checking L."""
     if L <= 1:
         raise ValueError("L must exceed 1")
     y_arr = op._data(y)
-    fid_prox = quadratic_fidelity_prox(op, y_arr)
-    grad_f = op.least_squares_grad(y_arr)
-    v = op._adjoint(y_arr) if v0 is None else as_array(v0)
-    x_prev, t_prev = None, 1.0
-
-    def advance(k, x):
-        return fid_prox.evaluate(v, 1.0 / (lam * L))
-
-    def report(k, x, r):
-        nonlocal v, x_prev, t_prev
-        dx = denoiser.apply(x, sigma)
-        if k == 0:  # row 0 shows v_0, which the first step starts from
-            return x, math.nan, r, _red_fixed_point_norm(grad_f, x, dx, lam)
-        z = x
-        if accelerated:
-            t = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_prev * t_prev))
-            if x_prev is None:
-                r = math.nan  # the start is v_0; there is no x_0 to step from
-            else:
-                z = x + ((t_prev - 1.0) / t) * (x - x_prev)
-            x_prev, t_prev = x, t
-        v = (1.0 / L) * dx - ((1.0 - L) / L) * z
-        return x, math.nan, r, _red_fixed_point_norm(grad_f, x, dx, lam)
-
-    return _iterate(cfg, v, advance, report, reference, record_divergence=accelerated)
+    return quadratic_fidelity_prox(op, y_arr), op._adjoint(y_arr)
 
 
 def run_red_pg(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,
-               cfg: SolverConfig, v0=None, sigma: float = 0.0, reference=None):
+               cfg: SolverConfig, x0=None, sigma: float = 0.0, reference=None):
     """Proximal-gradient RED, the provably convergent fixed-point scheme.
 
-        x_k = argmin_x f(x) + (lam*L/2) ||x - v_{k-1}||^2
         v_k = (1/L) D(x_k) - ((1 - L)/L) x_k
+        x_{k+1} = argmin_x f(x) + (lam*L/2) ||x - v_k||^2
 
-    Requires L > 1 (the averagedness condition).  The traced fixed-point
-    residual is ||K^T(K x - y) + lam (x - D(x))||.
+    This is :func:`run_pgd` with the data term f in the prox slot, the
+    gradient lam*(x - D(x)) and the step 1/(lam*L); ``cfg.step`` is not
+    read.  It starts from x0 (K^T y when not given).  Requires L > 1 (the
+    averagedness condition).  The traced fixed-point residual is
+    ||K^T(K x - y) + lam (x - D(x))||.
     """
-    return _run_red_prox(op, y, denoiser, lam, L, cfg, v0, sigma, reference,
-                         accelerated=False)
+    fid_prox, kty = _red_prox_setup(op, y, L)
+    grad = _red_gradient(denoiser, sigma, lam)
+    return _pgd(grad, fid_prox, replace(cfg, step=1.0 / (lam * L)),
+                kty if x0 is None else x0, reference,
+                residual=lambda x: float(np.linalg.norm(op.normal(x) - kty + grad(x))))
 
 
 def nesterov_t_sequence(count: int) -> np.ndarray:
@@ -563,8 +565,24 @@ def run_red_apg(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,
     finite x_k is returned.  The step residual of k = 1 is NaN, as x_1 has
     no predecessor.
     """
-    return _run_red_prox(op, y, denoiser, lam, L, cfg, v0, sigma, reference,
-                         accelerated=True)
+    fid_prox, kty = _red_prox_setup(op, y, L)
+    v = kty if v0 is None else as_array(v0)
+    x_prev, t_prev = None, 1.0
+
+    def report(k, x, r):
+        nonlocal v, x_prev, t_prev
+        dx = denoiser.apply(x, sigma)
+        if k:  # row 0 shows v_0, which the first step starts from
+            t = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_prev * t_prev))
+            if k == 1:
+                r = math.nan  # the start is v_0; there is no x_0 to step from
+            z = x if k == 1 else x + ((t_prev - 1.0) / t) * (x - x_prev)
+            x_prev, t_prev = x, t
+            v = (1.0 / L) * dx - ((1.0 - L) / L) * z
+        return x, math.nan, r, float(np.linalg.norm(op.normal(x) - kty + lam * (x - dx)))
+
+    return _iterate(cfg, v, lambda k, x: fid_prox.evaluate(v, 1.0 / (lam * L)), report,
+                    reference, record_divergence=True)
 
 
 # ---------------------------------------------------------------------------

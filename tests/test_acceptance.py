@@ -251,7 +251,8 @@ def test_criterion_08_red_fixed_point():
 
     lip = np.linalg.norm(k_mat, 2) ** 2 + lam
     cfg = SolverConfig(max_iter=100000, tol=1e-15)
-    x_gd, tr_gd = run_red_gd(op, y, den, lam=lam, sigma=1.0, eta=1.0 / lip, cfg=cfg)
+    x_gd, tr_gd = run_red_gd(op, y, den, lam=lam, sigma=1.0,
+                             cfg=SolverConfig(step=1.0 / lip, max_iter=100000, tol=1e-15))
     x_pg, tr_pg = run_red_pg(op, y, den, lam=lam, L=2.0, cfg=cfg)
     fc_gd = tr_gd.column("fp_residual")[-1]
     fc_pg = tr_pg.column("fp_residual")[-1]

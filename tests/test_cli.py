@@ -177,6 +177,24 @@ class TestSolveCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["solve", "--config", cfg]) == 0
 
+    def test_admm_inpaint_leaves_its_start(self, tmp_path):
+        # a mask makes x_1 = K^T y = x_0; a stop on x alone returned the zero-filled input
+        out = tmp_path / "out"
+        doc = {
+            "task": "inpaint",
+            "image": {"builtin": "ramp", "size": 32},
+            "operator": {"kind": "mask", "density": 0.6},
+            "noise": {"sigma": 0.01},
+            "denoiser": {"kind": "tv", "c": 1.0},
+            "solver": {"algo": "pnp-admm", "rho": 1.0, "sigma": 0.08,
+                       "max_iter": 300, "tol": 1e-9},
+            "output": str(out),
+        }
+        assert main(["solve", "--config", write_config(tmp_path, doc)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["stop_reason"] == "tolerance"
+        assert summary["final_psnr"] - summary["input_psnr"] >= 2.0
+
 
 class TestCompareCommand:
     def compare_config(self, out):
@@ -538,6 +556,8 @@ MALFORMED = [
     pytest.param("solve", ("denoiser", "c"), -1.0, "config.denoiser", id="tv-c-negative"),
     pytest.param("solve", ("denoiser",), {"kind": "gaussian", "kernel_sigma": -1.0},
                  "config.denoiser", id="gaussian-kernel-sigma-negative"),
+    pytest.param("solve", ("denoiser",), {"kind": "gaussian", "radius": -2}, "config.denoiser",
+                 id="gaussian-radius-negative"),
     pytest.param("solve", ("denoiser",), {"kind": "gs", "weight": -1.0}, "config.denoiser",
                  id="gs-weight-negative"),
     pytest.param("solve", ("denoiser",), {"kind": "nlm", "h": "x"}, "config.denoiser",
@@ -563,6 +583,11 @@ MALFORMED = [
     pytest.param("diagnose", ("mu",), "x", "config", id="mu"),
     pytest.param("sweep", ("sweep", "k_max"), "x", "config.sweep", id="sweep-k-max"),
     pytest.param("sweep", ("sweep", "c"), "x", "config.sweep", id="sweep-c"),
+    # a ladder of fewer than two deltas, which `sweep --assert` would pass vacuously
+    pytest.param("sweep", ("sweep",), {"k_min": 5, "k_max": 1}, "config.sweep",
+                 id="sweep-k-max-below-k-min"),
+    pytest.param("sweep", ("sweep", "deltas"), [], "config.sweep", id="sweep-no-deltas"),
+    pytest.param("sweep", ("sweep", "deltas"), [0.25], "config.sweep", id="sweep-one-delta"),
     pytest.param("solve", None, None, "config.seed", id="seed-flag"),
 ]
 

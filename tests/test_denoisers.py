@@ -81,6 +81,14 @@ class TestGaussianFilter:
         x = Rng(0).uniform(0, 1, (4, 4))
         assert jacobian_asymmetry(d, x, 0.1) <= 1e-6
 
+    def test_negative_radius_rejected(self):
+        # clamped to 0, it made the filter the identity
+        with pytest.raises(ValueError, match="radius"):
+            gaussian_kernel(1.0, radius=-2)
+        with pytest.raises(ValueError, match="radius"):
+            gaussian_filter_denoiser(1.0, radius=-2)
+        np.testing.assert_array_equal(gaussian_kernel(1.0, radius=0), np.ones((1, 1)))
+
 
 class TestNlm:
     def test_constant_preserved(self):

@@ -93,9 +93,9 @@ class TestRunPnpUla:
         _, samples = run_pnp_ula(op, y, den, cfg, x0=np.zeros(n))
 
         for row, iters in zip(samples, (31, 32)):
-            red_cfg = SolverConfig(max_iter=iters, tol=0.0)
-            x_red, _ = run_red_gd(op, y, den, lam=1.0, sigma=sigma, eta=delta,
-                                  cfg=red_cfg, x0=np.zeros(n))
+            red_cfg = SolverConfig(step=delta, max_iter=iters, tol=0.0)
+            x_red, _ = run_red_gd(op, y, den, lam=1.0, sigma=sigma, cfg=red_cfg,
+                                  x0=np.zeros(n))
             np.testing.assert_allclose(row, x_red.to_array(), atol=1e-12)
 
     def test_matches_a_per_step_draw_loop(self):

@@ -25,6 +25,7 @@ from pnpkit import (
     l1_prox,
     linear_spectral_denoiser,
     make_blur,
+    make_mask,
     nesterov_t_sequence,
     quadratic_fidelity_prox,
     quadratic_prox,
@@ -81,7 +82,7 @@ _WRONG_Y = {
                                        SolverConfig(max_iter=5)),
     "run_hqs": lambda op, y: run_hqs(op, y, RegSlot(prox=l1_prox(0.1)), SolverConfig(max_iter=5)),
     "run_red_gd": lambda op, y: run_red_gd(op, y, identity_denoiser(), lam=1.0, sigma=1.0,
-                                           eta=0.1, cfg=SolverConfig(max_iter=5)),
+                                           cfg=SolverConfig(step=0.1, max_iter=5)),
     "run_red_pg": lambda op, y: run_red_pg(op, y, identity_denoiser(), lam=1.0, L=2.0,
                                            cfg=SolverConfig(max_iter=5)),
     "run_red_apg": lambda op, y: run_red_apg(op, y, identity_denoiser(), lam=1.0, L=2.0,
@@ -410,6 +411,26 @@ class TestAdmm:
             u = u + x - z
         np.testing.assert_array_equal(out.to_array(), x)
 
+    @pytest.mark.parametrize("reg", ["l1", "tv"])
+    @pytest.mark.parametrize("kind", ["mask", "identity"])
+    def test_idempotent_normal_runs_to_the_fixed_point(self, kind, reg):
+        # K^T K idempotent: x_1 = K^T y = x_0 for every rho, so a stop on
+        # ||x_{k+1} - x_k|| would end the run at step 1 with z and u still moving
+        from pnpkit import tv_denoiser
+
+        rng = Rng(5)
+        shape = (16, 16)
+        op = make_mask(rng.uniform(0, 1, shape) < 0.6) if kind == "mask" else identity_op(shape)
+        y = op._apply(rng.uniform(0, 1, shape)) + 0.05 * rng.standard_normal(shape)
+        slot = (RegSlot(prox=l1_prox(0.05)) if reg == "l1"
+                else RegSlot(denoiser=tv_denoiser(), sigma=0.1))
+        cfg = SolverConfig(rho=1.0, max_iter=3000, tol=1e-9, record_time=False)
+        x, trace = run_admm(op, y, slot, cfg)
+        nudged, _ = run_admm(op, y, slot, cfg, x0=op._adjoint(y) + 1e-6)
+        assert trace.stop_reason == "tolerance" and len(trace) > 2
+        assert trace.column("fp_residual")[-1] <= cfg.tol
+        assert np.max(np.abs(x.to_array() - nudged.to_array())) <= 1e-6
+
 
 class TestHqs:
     def test_identity_reg_least_squares(self, lasso_instance):
@@ -524,9 +545,8 @@ class TestRedGd:
         k_mat, y, _ = lasso_instance
         op = DenseOp(k_mat)
         eta = 0.02
-        cfg = SolverConfig(max_iter=60, tol=0.0)
-        x, _ = run_red_gd(op, y, identity_denoiser(), lam=1.0, sigma=1.0, eta=eta,
-                          cfg=cfg)
+        cfg = SolverConfig(step=eta, max_iter=60, tol=0.0)
+        x, _ = run_red_gd(op, y, identity_denoiser(), lam=1.0, sigma=1.0, cfg=cfg)
         z = op._adjoint(y)
         for _ in range(60):
             z = z - eta * (op._adjoint(op._apply(z) - y))
@@ -552,8 +572,8 @@ class TestRedGd:
         closed = np.linalg.solve(op.matrix.T @ op.matrix + w * (np.eye(6) - a_mat),
                                  op.matrix.T @ y)
         lip = np.linalg.norm(op.matrix, 2) ** 2 + w
-        cfg = SolverConfig(max_iter=50000, tol=1e-15)
-        x, trace = run_red_gd(op, y, den, lam=lam, sigma=sigma, eta=1.0 / lip, cfg=cfg)
+        cfg = SolverConfig(step=1.0 / lip, max_iter=50000, tol=1e-15)
+        x, trace = run_red_gd(op, y, den, lam=lam, sigma=sigma, cfg=cfg)
         assert np.max(np.abs(x.to_array() - closed)) <= 1e-8
         assert trace.column("fp_residual")[-1] <= 1e-8
 
@@ -565,7 +585,7 @@ class TestRedGd:
     def test_rejects_bad_sigma_and_lam(self, lam, sigma, message):
         with pytest.raises(ValueError, match=f"^{message} must be finite"):
             run_red_gd(identity_op((4,)), np.zeros(4), identity_denoiser(), lam=lam,
-                       sigma=sigma, eta=1.0, cfg=SolverConfig(max_iter=3))
+                       sigma=sigma, cfg=SolverConfig(max_iter=3))
 
 
 class TestRedPg:
@@ -598,8 +618,8 @@ class TestRedPg:
         cfg = SolverConfig(max_iter=100000, tol=1e-15)
         x_pg, trace = run_red_pg(DenseOp(k_mat), y, den, lam=lam, L=2.0, cfg=cfg)
         lip = np.linalg.norm(k_mat, 2) ** 2 + lam
-        x_gd, _ = run_red_gd(DenseOp(k_mat), y, den, lam=lam, sigma=1.0, eta=1.0 / lip,
-                             cfg=cfg)
+        x_gd, _ = run_red_gd(DenseOp(k_mat), y, den, lam=lam, sigma=1.0,
+                             cfg=replace(cfg, step=1.0 / lip))
         assert np.max(np.abs(x_pg.to_array() - x_gd.to_array())) <= 1e-7
         assert trace.column("fp_residual")[-1] <= 1e-8
 
@@ -613,6 +633,66 @@ class TestRedPg:
         _, trace = run_red_pg(DenseOp(k_mat), y, den, lam=1.0, L=2.0, cfg=cfg)
         r = trace.column("step_residual")[2:]
         assert np.all(np.diff(r) <= 1e-14)
+
+
+@pytest.mark.parametrize("driver", ["red-gd", "red-pg"])
+def test_red_one_denoiser_call_per_traced_row(driver):
+    op, y, den = _circulant_gs_problem(side=16)
+    calls = [0]
+
+    def fn(arr, s):
+        calls[0] += 1
+        return den.apply(arr, s)
+
+    counted = Denoiser(fn, tag="counted")
+    cfg = SolverConfig(step=0.5, max_iter=12, tol=0.0, record_time=False)
+    if driver == "red-gd":
+        _, trace = run_red_gd(op, y, counted, lam=0.0025, sigma=0.05, cfg=cfg)
+    else:
+        _, trace = run_red_pg(op, y, counted, lam=0.5, L=2.0, cfg=cfg)
+    assert len(trace) == cfg.max_iter + 1 and calls[0] == cfg.max_iter + 1
+    assert np.all(np.isfinite(trace.column("fp_residual")))
+
+
+class TestRedPgIsPgd:
+    """RED-PG as PGD against the form v_k = (1/L)D(x_k) - ((1-L)/L)x_k, x_{k+1} = prox(v_k).
+
+    That form starts from v_0 = K^T y, so its x_1 = prox(K^T y) starts the PGD run.
+    """
+
+    LAM, L, STEPS = 0.5, 2.0, 59
+
+    def _runs(self, den, sigma):
+        rng = Rng(3)
+        shape = (32, 32)
+        op = make_blur(np.full((5, 5), 1.0 / 25.0), shape)
+        y = op._apply(rng.uniform(0, 1, shape)) + 0.03 * rng.standard_normal(shape)
+        fidelity = quadratic_fidelity_prox(op, y)
+        v = op._adjoint(y)
+        xs = []
+        for _ in range(self.STEPS + 1):
+            xs.append(np.asarray(fidelity.evaluate(v, 1.0 / (self.LAM * self.L))))
+            v = (1.0 / self.L) * den.apply(xs[-1], sigma) - ((1.0 - self.L) / self.L) * xs[-1]
+        cfg = SolverConfig(max_iter=self.STEPS, tol=0.0, record_time=False)
+        out, _ = run_red_pg(op, y, den, lam=self.LAM, L=self.L, cfg=cfg, x0=xs[0],
+                            sigma=sigma)
+        return out.to_array(), xs
+
+    def test_linear_gs_denoiser_bit_for_bit(self):
+        shape = (32, 32)
+        den = gs_denoiser(gaussian_smoother(shape, 1.5, floor=0.15), weight=0.7)
+        out, xs = self._runs(den, 0.0)
+        np.testing.assert_array_equal(out, xs[-1])
+
+    def test_tv_within_the_certificate(self):
+        from pnpkit import tv_denoiser
+
+        out, xs = self._runs(tv_denoiser(), 0.05)
+        # each TV prox is within sqrt(2*tol) of the exact one in both runs (the
+        # run's warm, the loop's cold), and the RED-PG map is nonexpansive
+        tol = 1e-10 * max(out.size, max(float(np.vdot(x, x)) for x in xs))
+        gap = float(np.linalg.norm(out - xs[-1]))
+        assert 0.0 < gap <= 2 * self.STEPS * math.sqrt(2.0 * tol)
 
 
 class TestRedApg:
@@ -818,9 +898,11 @@ class TestObjectiveTransforms:
         assert counts[8] - counts[2] <= 5 * 6  # the set-up and row 0 cancel out
         assert counts[2] <= 5 * 2 + 8  # the set-up: K^T y, the transform of y and row 0
 
-    @pytest.mark.parametrize("algo, adjoints", [("hqs", 2), ("admm", 1)])
+    @pytest.mark.parametrize("algo, adjoints", [("hqs", 2), ("admm", 1), ("red-pg", 2),
+                                                ("red-apg", 2)])
     def test_traced_data_term_forms_no_extra_kty(self, algo, adjoints):
-        # HQS: K^T y for the fidelity prox and for the start point; ADMM: once
+        # HQS, RED-PG, RED-APG: K^T y for the fidelity prox and for the start
+        # point, which the traced stationarity reuses; ADMM: once
         op, y, den = _circulant_gs_problem(side=16)
         adjoint, calls = op._adjoint, [0]
 
@@ -830,9 +912,15 @@ class TestObjectiveTransforms:
 
         op._adjoint = counted
         cfg = SolverConfig(max_iter=6, tol=0.0, record_time=False)
-        driver = run_hqs if algo == "hqs" else run_admm
-        _, trace = driver(op, y, RegSlot(denoiser=den), cfg)
-        assert np.all(np.isfinite(trace.column("objective")))
+        if algo.startswith("red"):
+            driver = run_red_pg if algo == "red-pg" else run_red_apg
+            _, trace = driver(op, y, den, lam=0.5, L=2.0, cfg=cfg)
+            column = "fp_residual"  # the stationarity norm holds the data term
+        else:
+            driver = run_hqs if algo == "hqs" else run_admm
+            _, trace = driver(op, y, RegSlot(denoiser=den), cfg)
+            column = "objective"
+        assert np.all(np.isfinite(trace.column(column)))
         assert calls[0] == adjoints
 
 
@@ -1039,8 +1127,7 @@ DRIVERS = {
     "hqs": lambda cfg, grow: run_hqs(
         CONTRACT_OP, CONTRACT_Y, RegSlot(denoiser=_scaling_denoiser(grow)), cfg),
     "red_gd": lambda cfg, grow: run_red_gd(
-        CONTRACT_OP, CONTRACT_Y, _scaling_denoiser(grow), lam=1.0, sigma=1.0, eta=1.0,
-        cfg=cfg),
+        CONTRACT_OP, CONTRACT_Y, _scaling_denoiser(grow), lam=1.0, sigma=1.0, cfg=cfg),
     "red_pg": lambda cfg, grow: run_red_pg(
         CONTRACT_OP, CONTRACT_Y, _scaling_denoiser(grow), lam=1.0, L=2.0, cfg=cfg),
     "red_apg": lambda cfg, grow: run_red_apg(
