@@ -198,19 +198,20 @@ _REG = OneOf({
     "wavelet": {"weight": Key(float, 1.0), "levels": Key(int, 1)},
     "zero": {},
 }, tag="kind")
-# step, alpha, rho, max_iter and tol are checked by SolverConfig.  eta and
-# gs-pnp's tau default to step, and gs-pnp's lam to the denoiser's weight.
+# step, alpha, rho, max_iter and tol are checked by SolverConfig.  red-gd's eta
+# and gs-pnp's tau default to step, and gs-pnp's lam to the denoiser's weight.
 _SOLVER_KEYS = {
     "step": Key(float, 1.0), "alpha": Key(float, 0.5), "rho": Key(float, 1.0),
     "max_iter": Key(int, 200), "tol": Key(float, 1e-9),
     "lam": Key(float, 1.0, gt=0.0), "sigma": Key(float, 0.0, ge=0.0),
-    "L": Key(float, 2.0, gt=1.0), "eta": Key(float, None, gt=0.0),
+    "L": Key(float, 2.0, gt=1.0),
     "rho_schedule": Key([float], None, gt=0.0, min_len=1),
     "sigma_schedule": Key([float], None, ge=0.0, min_len=1),
     "reg": Key(_REG, None),
 }
 _ALGO_KEYS = {
-    "red-gd": {"lam": Key(float, 1.0, ge=0.0), "sigma": Key(float, 1.0, gt=0.0)},
+    "red-gd": {"lam": Key(float, 1.0, ge=0.0), "sigma": Key(float, 1.0, gt=0.0),
+               "eta": Key(float, None, gt=0.0)},
     "gs-pnp": {"lam": Key(float, None, gt=0.0), "tau": Key(float, None, gt=0.0),
                "backtracking": Key(bool, False)},
 }

@@ -10,7 +10,6 @@ denoiser call.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -99,55 +98,63 @@ def haar_inverse(c, levels: int):
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _shifts(ndim: int) -> tuple[tuple[tuple, tuple], ...]:
-    # Per axis, the index tuples of the leading [:-1] and trailing [1:] parts.
-    out = []
-    for axis in range(ndim):
-        lead = [slice(None)] * ndim
-        trail = [slice(None)] * ndim
-        lead[axis] = slice(0, -1)
-        trail[axis] = slice(1, None)
-        out.append((tuple(lead), tuple(trail)))
-    return tuple(out)
+def _stencil(x: np.ndarray, stack: np.ndarray) -> list:
+    """Per axis, the flat views both TV stencils read and write.
 
-
-def _grad_views(x: np.ndarray, out: np.ndarray) -> list:
-    # Per axis: the trailing and leading parts of x, and the leading part of
-    # out[axis] that their difference fills.
-    return [(x[trail], x[lead], out[axis][lead])
-            for axis, (lead, trail) in enumerate(_shifts(x.ndim))]
+    ``x`` and ``stack`` (shaped (ndim, *x.shape)) are C-contiguous.  Along
+    an axis whose C-order flat offset is k, the neighbour of flat entry i is
+    entry i + k, so each stencil is one contiguous pass per axis over the
+    triple (x[k:], x[:n-k], stack[axis][:n-k]), all flat: the gradient
+    writes the difference of the first two into the third, and the adjoint
+    adds the third into the first.  Along the last axis the pass also runs
+    across each row end; :func:`_grad` and :func:`_grad_adjoint` say why
+    that is harmless.
+    """
+    flat = x.reshape(-1)
+    rows = stack.reshape(len(stack), -1)
+    n = flat.size
+    views = []
+    for axis in range(x.ndim):
+        k = math.prod(x.shape[axis + 1:])
+        views.append((flat[k:], flat[:n - k], rows[axis, :n - k]))
+    return views
 
 
 def _grad(x: np.ndarray, out: np.ndarray | None = None, views=None) -> np.ndarray:
     """Forward differences stacked as (ndim, *x.shape), Neumann boundary.
 
-    Only the leading part of each axis is written, so an ``out`` that starts
-    at zero keeps a zero trailing slice (the boundary difference) for good.
-    ``views`` is ``_grad_views(x, out)``, for a caller that builds it once.
+    Each axis is one flat pass (see :func:`_stencil`).  The last axis's pass
+    also writes, into each row's last entry, the difference across the row
+    end, so that slice is re-zeroed; the other axes never write their
+    trailing slice, so an ``out`` that starts at zero keeps it zero.
+    ``views`` is ``_stencil(x, out)``, for a caller that builds it once on
+    C-contiguous ``x`` and ``out``.
     """
-    if out is None:
-        out = np.zeros((x.ndim,) + x.shape)
-    for ahead, behind, target in _grad_views(x, out) if views is None else views:
+    if views is None:
+        x = np.ascontiguousarray(x)
+        if out is None:
+            out = np.zeros((x.ndim,) + x.shape)
+        views = _stencil(x, out)
+    for ahead, behind, target in views:
         np.subtract(ahead, behind, out=target)
+    if out.size:
+        out[-1, ..., -1] = 0.0
     return out
-
-
-def _adjoint_views(p: np.ndarray, out: np.ndarray) -> list:
-    # Per axis: the trailing part of out and the leading part of p[axis] added to it.
-    return [(out[trail], p[axis][lead]) for axis, (lead, trail) in enumerate(_shifts(out.ndim))]
 
 
 def _grad_adjoint(p: np.ndarray, out: np.ndarray, views=None) -> np.ndarray:
     """grad^T p for stacked duals p that are zero on each trailing slice.
 
-    ``views`` is ``_adjoint_views(p, out)``, for a caller that builds it once.
+    ``out`` is C-contiguous.  The last axis's flat pass (see
+    :func:`_stencil`) also adds each row's last entry of p[-1], which is
+    zero, to the next row's first entry of ``out``.  ``views`` is
+    ``_stencil(out, p)``, for a caller that builds it once.
     """
     np.negative(p[0], out=out)
     for axis in range(1, out.ndim):
         out -= p[axis]
-    for target, source in _adjoint_views(p, out) if views is None else views:
-        target += source
+    for ahead, _, source in _stencil(out, np.ascontiguousarray(p)) if views is None else views:
+        ahead += source
     return out
 
 
@@ -156,7 +163,7 @@ def tv_value(x) -> float:
     return float(np.sum(np.abs(_grad(as_array(x)))))
 
 
-# An inf input makes nan (inf * 0) in the iterates; the non-finite gap reports it.
+# An inf input makes nan (inf - inf) in the iterates; the non-finite gap reports it.
 @np.errstate(invalid="ignore")
 def _tv_dual_solve(v: np.ndarray, lam: float, tol: float, max_iter: int, p0=None, out=None):
     """FISTA-accelerated projected gradient on the TV dual (Beck-Teboulle).
@@ -178,7 +185,13 @@ def _tv_dual_solve(v: np.ndarray, lam: float, tol: float, max_iter: int, p0=None
     lam*||grad x||_1 - <p, grad x>, checked against ``tol`` every iteration.
     A non-finite gap raises DivergenceError before it is compared with
     ``tol``; running out of iterations raises SolveError carrying the gap.
-    The slice views both stencils read and write are built once per solve.
+
+    Every buffer is C-contiguous (``v`` is read through a C-ordered copy
+    when it is not, and ``out`` must be), so both stencils run as one
+    contiguous pass per axis on the flat buffers (see :func:`_stencil`),
+    with views built once per solve.  The scalars are Python floats, the
+    momentum passes are skipped while beta is 0, and ||grad x||_1 is a dot
+    product of |grad x| with a buffer of ones.
 
     The momentum restarts (t = 1, beta = 0) whenever the dual objective
     0.5*||v||^2 - 0.5*||x||^2 falls (O'Donoghue-Candes adaptive restart),
@@ -188,6 +201,7 @@ def _tv_dual_solve(v: np.ndarray, lam: float, tol: float, max_iter: int, p0=None
     rounding of ||x||^2.  Every iterate is still a feasible dual point, so
     the gap certificate and the stopping rule are unchanged.
     """
+    v = np.ascontiguousarray(v)
     ndim = v.ndim
     step = 1.0 / (4.0 * ndim)
     p = np.zeros((ndim,) + v.shape) if out is None else out
@@ -201,25 +215,29 @@ def _tv_dual_solve(v: np.ndarray, lam: float, tol: float, max_iter: int, p0=None
     z_old = np.zeros_like(p)
     dx = np.zeros_like(p)
     work = np.empty_like(p)
+    ones = np.ones_like(p)
     div_p = np.empty_like(v)
     x = np.empty_like(v)
     x_old = np.empty_like(v)
     d = np.empty_like(v)
-    adjoint = _adjoint_views(p, div_p)
-    views, views_old = _grad_views(x, dx), _grad_views(x_old, dx)
+    adjoint = _stencil(div_p, p)
+    views, views_old = _stencil(x, dx), _stencil(x_old, dx)
     np.subtract(v, _grad_adjoint(p, div_p, adjoint), out=x)
     _grad(x, dx, views)
     t, beta = 1.0, 0.0
-    gap = np.inf
+    gap = math.inf
     for it in range(1, max_iter + 1):
         np.multiply(dx, step, out=z)
         z += p
-        np.subtract(z, z_old, out=p)
-        p *= beta
-        p += z
-        np.clip(p, -lam, lam, out=p)
+        if beta:
+            np.subtract(z, z_old, out=p)
+            p *= beta
+            p += z
+            np.clip(p, -lam, lam, out=p)
+        else:
+            np.clip(z, -lam, lam, out=p)
         z, z_old = z_old, z
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_new
         t = t_new
 
@@ -227,8 +245,8 @@ def _tv_dual_solve(v: np.ndarray, lam: float, tol: float, max_iter: int, p0=None
         views, views_old = views_old, views
         np.subtract(v, _grad_adjoint(p, div_p, adjoint), out=x)
         _grad(x, dx, views)
-        gap = lam * float(np.sum(np.abs(dx, out=work))) - float(np.vdot(p, dx))
-        if not np.isfinite(gap):
+        gap = lam * float(np.vdot(np.abs(dx, out=work), ones)) - float(np.vdot(p, dx))
+        if not math.isfinite(gap):
             raise DivergenceError(f"TV dual projection hit a non-finite gap at iteration {it}",
                                   step=it)
         if gap <= tol:
@@ -253,17 +271,35 @@ def _check_tv_domain(arr: np.ndarray) -> None:
         raise ShapeError("TV proxes support 1-D and 2-D signals")
 
 
-def _default_tv_tol(arr: np.ndarray) -> float:
+def _energy(arr: np.ndarray) -> float:
+    """||arr||^2; inf when it overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.vdot(arr, arr))
+
+
+def _default_tv_tol(arr: np.ndarray, energy: float) -> float:
     """1e-10 * max(n, ||v||^2): the gap scales with the data's energy.
 
     An energy that overflows leaves no tolerance to certify against, so it
     raises DivergenceError.
     """
-    with np.errstate(over="ignore"):
-        energy = float(np.vdot(arr, arr))
     if math.isinf(energy):
         raise DivergenceError("TV prox input energy ||v||^2 overflows")
     return 1e-10 * max(arr.size, energy)
+
+
+def _energy_scale(arr: np.ndarray) -> float:
+    """A power of two s with n <= ||arr/s||^2 < 4n, for a finite, nonzero arr.
+
+    With 2^k the power of two just above max|arr|, arr/2^k lies in (-1, 1)
+    and its energy e in [1/4, n); s = 2^(k-j) with 4^j >= n/e lifts the
+    energy of arr/s into [n, 4n).  As e < n, j is at least 1, so s is finite
+    even when max|arr| is above 2^1023.
+    """
+    k = math.frexp(float(np.max(np.abs(arr))))[1]
+    unit = np.ldexp(arr, -k)
+    j = max(1, math.ceil(0.5 * math.log2(arr.size / float(np.vdot(unit, unit)))))
+    return math.ldexp(1.0, k - j)
 
 
 def prox_tv(v, lam: float, tol: float | None = None, max_iter: int = 200000):
@@ -273,8 +309,13 @@ def prox_tv(v, lam: float, tol: float | None = None, max_iter: int = 200000):
     duality gap.  Default tolerance is 1e-10 * max(n, ||v||^2): 1e-10 * n on
     unit-scale images, well inside the certified 1e-6 * n contract, and
     relative to the data's energy once that is larger.  SolveError (carrying
-    the gap) if max_iter is hit, DivergenceError if the input is non-finite
-    or its energy overflows.
+    the gap) if max_iter is hit, DivergenceError if the input is non-finite.
+
+    A finite input whose energy overflows is solved as s * prox_tv(v/s,
+    lam/s) (TV prox is 1-homogeneous), with s the power of two that puts
+    ||v/s||^2 in [n, 4n); the scaling is exact, and the rescaled solve's
+    default tolerance is the nominal 1e-10 * ||v||^2 divided by s^2.  An
+    explicit ``tol`` is divided by s^2 too.
 
     Outside a solver run each call is a cold solve from p = 0.  Inside one
     (see :func:`~pnpkit.core.scoped_run`) each call starts from the dual the
@@ -286,8 +327,12 @@ def prox_tv(v, lam: float, tol: float | None = None, max_iter: int = 200000):
     _check_tv_domain(arr)
     if lam == 0.0:
         return arr.copy()
+    energy = _energy(arr)
+    if math.isinf(energy) and np.isfinite(arr).all():
+        s = _energy_scale(arr)
+        return s * prox_tv(arr / s, lam / s, None if tol is None else tol / s / s, max_iter)
     if tol is None:
-        tol = _default_tv_tol(arr)
+        tol = _default_tv_tol(arr, energy)
     p = _warm_dual(arr)
     x, _, _, _ = _tv_dual_solve(arr, lam, tol, max_iter, p0=p, out=p)
     return x
@@ -434,7 +479,7 @@ def tv_conj_prox(weight: float = 1.0, tol: float | None = None, max_iter: int = 
         if weight == 0.0:
             return np.zeros_like(v)
         seed = (0.25 / v.ndim) * _grad(v)
-        gap_tol = _default_tv_tol(v) if tol is None else tol
+        gap_tol = _default_tv_tol(v, _energy(v)) if tol is None else tol
         return _tv_dual_solve(v, weight, gap_tol, max_iter, p0=seed)[1]
 
     return ProxMap("tv_conjugate", evaluate)

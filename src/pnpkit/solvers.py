@@ -513,8 +513,10 @@ def run_red_gd(op: LinearOp, y, denoiser: Denoiser, lam: float, sigma: float,
                 residual=lambda x: float(np.linalg.norm(grad(x))))
 
 
-def _red_prox_setup(op: LinearOp, y, L: float):
-    """The fidelity prox and K^T y of RED-PG and RED-APG, after checking L."""
+def _red_prox_setup(op: LinearOp, y, lam: float, L: float):
+    """The fidelity prox and K^T y of RED-PG and RED-APG, after checking lam and L."""
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError("lam must be finite and positive")
     if L <= 1:
         raise ValueError("L must exceed 1")
     y_arr = op._data(y)
@@ -534,7 +536,7 @@ def run_red_pg(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,
     averagedness condition).  The traced fixed-point residual is
     ||K^T(K x - y) + lam (x - D(x))||.
     """
-    fid_prox, kty = _red_prox_setup(op, y, L)
+    fid_prox, kty = _red_prox_setup(op, y, lam, L)
     grad = _red_gradient(denoiser, sigma, lam)
     return _pgd(grad, fid_prox, replace(cfg, step=1.0 / (lam * L)),
                 kty if x0 is None else x0, reference,
@@ -565,7 +567,7 @@ def run_red_apg(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,
     finite x_k is returned.  The step residual of k = 1 is NaN, as x_1 has
     no predecessor.
     """
-    fid_prox, kty = _red_prox_setup(op, y, L)
+    fid_prox, kty = _red_prox_setup(op, y, lam, L)
     v = kty if v0 is None else as_array(v0)
     x_prev, t_prev = None, 1.0
 

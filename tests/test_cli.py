@@ -572,6 +572,8 @@ MALFORMED = [
                  "config.solver", id="pgd-backtracking"),
     pytest.param("solve", ("solver",), {"algo": "pnp-pgd", "tau": 1.0},
                  "config.solver", id="pnp-pgd-tau"),
+    pytest.param("solve", ("solver",), {"algo": "pnp-pgd", "eta": 0.001},
+                 "config.solver", id="pnp-pgd-eta"),
     pytest.param("sample", ("sampler", "kept"), "x", "config.sampler", id="sampler-kept"),
     pytest.param("sample", ("sampler", "delta"), -1, "config.sampler", id="sampler-delta"),
     pytest.param("sample", ("sampler", "thin"), 0, "config.sampler", id="sampler-thin"),

@@ -398,8 +398,13 @@ def _piecewise_noisy(ndim):
     return clean + 0.05 * rng.standard_normal(clean.shape)
 
 
+# Flat-stencil edge cases: one row, one column (every entry is a row end),
+# the shortest 1-D signal, and a non-square grid.
+EDGE_SHAPES = [(1, 7), (7, 1), (2,), (9, 13)]
+
+
 class TestTvStencil:
-    @pytest.mark.parametrize("shape", [(17,), (9, 13)])
+    @pytest.mark.parametrize("shape", [(17,), (9, 13), (1, 7), (7, 1), (2,)])
     def test_adjoint_identity(self, rng, shape):
         for _ in range(20):
             x = rng.standard_normal(shape)
@@ -409,6 +414,17 @@ class TestTvStencil:
             lhs = float(np.sum(_grad(x) * p))
             rhs = float(np.sum(x * _grad_adjoint(p, np.empty(shape))))
             assert abs(lhs - rhs) <= 1e-12
+
+    @pytest.mark.parametrize("shape", EDGE_SHAPES)
+    def test_matches_reference_stencils(self, rng, shape):
+        # a strided x and a Fortran-ordered one read like their C copies
+        every_other = (slice(None, None, 2),) * len(shape)
+        strided = rng.standard_normal(tuple(2 * n for n in shape))[every_other]
+        for x in (strided, np.asfortranarray(strided)):
+            np.testing.assert_array_equal(_grad(x), np.stack(_reference_grad(x)))
+        p = np.stack(_reference_grad(rng.standard_normal(shape)))  # zero on each trailing slice
+        np.testing.assert_allclose(_grad_adjoint(p, np.empty(shape)), _reference_grad_adjoint(p),
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestFusedDualKernel:
@@ -446,6 +462,28 @@ class TestFusedDualKernel:
         np.testing.assert_array_equal(x, v - div_p)
         bound = np.sqrt(2.0 * gap) + np.sqrt(2.0 * gap_star)
         assert np.linalg.norm(x - x_star) <= bound
+
+    # The lams of test_matches_two_stencil_reference.  At much larger lam the
+    # two loops, which round differently, can split on a restart test whose d
+    # is at rounding level.
+    @pytest.mark.parametrize("shape", EDGE_SHAPES)
+    @pytest.mark.parametrize("lam", [0.0025, 0.04])
+    def test_edge_shapes_match_reference(self, rng, shape, lam):
+        v = rng.standard_normal(shape)
+        tol = 1e-10 * v.size
+        ref_x, ref_div, ref_it = _reference_dual_solve(v, lam, tol, 100000)
+        x, div_p, gap, it = _tv_dual_solve(v, lam, tol, 100000)
+        assert it == ref_it
+        assert gap <= tol
+        assert np.max(np.abs(x - ref_x)) <= 1e-12
+        assert np.max(np.abs(div_p - ref_div)) <= 1e-12
+
+    def test_non_contiguous_input_gives_the_bits_of_its_c_copy(self, rng):
+        v = rng.standard_normal((24, 34))
+        for view in (np.asfortranarray(v), v[::2, ::2], np.asfortranarray(v)[1::2, ::3]):
+            assert not view.flags.c_contiguous
+            x = prox_tv(view, 0.04)
+            assert x.tobytes() == prox_tv(np.ascontiguousarray(view), 0.04).tobytes()
 
     def test_restart_at_least_halves_iterations(self):
         v = _piecewise_noisy(2)
@@ -511,17 +549,29 @@ class TestTvCertificateScale:
     # the gap: the solve ran out of iterations at one of these scales.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("seed", [4, 11])
-    @pytest.mark.parametrize("scale", [1e150, 1e152])
+    @pytest.mark.parametrize("scale", [1e150, 1e152, 1e154, 1e300])
     def test_scaled_input_certifies_the_scaled_solution(self, seed, scale):
         # prox_tv(s*v, s*lam) = s*prox_tv(v, lam); each solve's gap g bounds
         # its distance to the exact prox by sqrt(2g), so two honest
-        # certificates put x/s within the sum of those radii of the unit solve
+        # certificates put x/s within the sum of those radii of the unit solve.
+        # From 1e154 on ||s*v||^2 overflows and prox_tv rescales by a power of
+        # two, whose solve still certifies 1e-10*||s*v||^2.
         v = Rng(seed).standard_normal((16, 16))
         energy = float(np.vdot(v, v))
         x = prox_tv(scale * v, 0.04 * scale, max_iter=5000)
         unit = prox_tv(v, 0.04)
         bound = math.sqrt(2e-10 * energy) + math.sqrt(2e-10 * max(v.size, energy))
         assert np.linalg.norm(x / scale - unit) <= bound
+
+    def test_overflowing_energy_with_an_inf_entry_still_raises(self):
+        v = np.full((8, 8), 1e160)
+        v[2, 3] = np.inf
+        with pytest.raises(DivergenceError):
+            prox_tv(v, 0.04)
+        v[2, 3] = np.nan
+        with pytest.raises(DivergenceError) as exc:
+            prox_tv(v, 0.04)
+        assert exc.value.step == 1
 
     def test_default_tolerance_is_absolute_on_unit_scale_data(self):
         v = _piecewise_noisy(2)

@@ -695,6 +695,15 @@ class TestRedPgIsPgd:
         assert 0.0 < gap <= 2 * self.STEPS * math.sqrt(2.0 * tol)
 
 
+@pytest.mark.parametrize("driver", [run_red_pg, run_red_apg])
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+def test_red_pg_and_apg_reject_bad_lam(driver, lam):
+    op = DiagonalOp(np.array([1.0, 0.5, 2.0]))
+    with pytest.raises(ValueError, match="^lam must be finite and positive$"):
+        driver(op, np.ones(3), identity_denoiser(), lam=lam, L=2.0,
+               cfg=SolverConfig(max_iter=3))
+
+
 class TestRedApg:
     def test_t_sequence(self):
         t = nesterov_t_sequence(3)
