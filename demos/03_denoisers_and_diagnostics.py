@@ -20,7 +20,6 @@ from pnpkit import (
     jacobian_asymmetry,
     linear_spectral_denoiser,
     nlm_denoiser,
-    tikhonov_spectral_family,
     tv_denoiser,
 )
 
@@ -33,7 +32,7 @@ denoisers = [
     ("gaussian filter", gaussian_filter_denoiser(1.0, radius=2)),
     ("NLM", nlm_denoiser(patch_radius=1, window_radius=2, h=0.4)),
     ("TV", tv_denoiser(c=1.0, tol=1e-12)),
-    ("spectral shrinkage", linear_spectral_denoiser(tikhonov_spectral_family(shape), 0.25)),
+    ("spectral shrinkage", linear_spectral_denoiser(shape, 0.25)),
 ]
 
 print(f"{'denoiser':>20} | {'eps_hat':>9} | {'asymmetry':>9} | {'homogeneity':>11}")
@@ -51,7 +50,7 @@ variational interpretation.  NLM's normalization makes its Jacobian visibly
 asymmetric: its residual is NOT the gradient of any regularizer.
 """)
 
-eps = linear_spectral_denoiser(tikhonov_spectral_family(shape), 0.25).residual_norm
+eps = linear_spectral_denoiser(shape, 0.25).residual_norm
 mu = 1.0
 tau_min = eps / ((1.0 + eps - 2.0 * eps * eps) * mu)
 print(f"theorem gate for the spectral denoiser (exact eps = {eps:.4f}, mu = {mu}):")

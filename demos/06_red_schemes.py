@@ -24,7 +24,6 @@ from pnpkit import (
     run_red_apg,
     run_red_gd,
     run_red_pg,
-    tikhonov_spectral_family,
 )
 
 rng = Rng(31)
@@ -34,7 +33,7 @@ op = DenseOp(k_mat)
 y = rng.standard_normal(n)
 lam = 0.8
 
-den = linear_spectral_denoiser(tikhonov_spectral_family((n,), "dct"), 0.5)
+den = linear_spectral_denoiser((n,), 0.5, "dct")
 a_mat = np.column_stack([den.apply(col) for col in np.eye(n)])
 x_star = np.linalg.solve(k_mat.T @ k_mat + lam * (np.eye(n) - a_mat), k_mat.T @ y)
 print("closed-form fixed point computed from the linear denoiser\n")

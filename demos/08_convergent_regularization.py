@@ -18,23 +18,20 @@ from pnpkit import (
     Rng,
     SmoothFn,
     SolverConfig,
-    as_dense,
     linear_spectral_denoiser,
     naive_svd_solve,
     run_pgd,
-    tikhonov_spectral_family,
 )
 
 diag = np.array([2.0, 1.7, 1.4, 1.1])
 x_dagger_true = np.array([0.15, 0.15, 0.15, 0.15])
 op = DiagonalOp(diag)
 y0 = op._apply(x_dagger_true)
-x_dagger = naive_svd_solve(as_dense(op), y0)
+x_dagger = naive_svd_solve(op, y0)
 print(f"pseudoinverse of the noiseless data: {x_dagger}")
 
 direction = Rng(0).standard_normal(4)
 direction /= np.linalg.norm(direction)
-family = tikhonov_spectral_family((4,), transform="identity")
 eta, c = 0.45, 0.5
 cfg = SolverConfig(step=eta, max_iter=100000, tol=1e-14)
 
@@ -45,7 +42,7 @@ for k in range(1, 9):
     delta = 2.0 ** (-k)
     lam = c * math.sqrt(delta)
     y_delta = y0 + delta * direction
-    den = linear_spectral_denoiser(family, lam)
+    den = linear_spectral_denoiser((4,), lam, transform="identity")
     x_hat, _ = run_pgd(SmoothFn.least_squares(op, y_delta), RegSlot(denoiser=den),
                        cfg, op._adjoint(y_delta))
     err = float(np.linalg.norm(np.asarray(x_hat) - np.asarray(x_dagger)))

@@ -60,14 +60,12 @@ from .denoisers import (
     linear_spectral_denoiser,
     mmse_gmm_denoiser,
     nlm_denoiser,
-    tikhonov_spectral_family,
     tv_denoiser,
 )
 from .gmm import GmmPrior, load_gmm_prior, sample_smoothed
 from .operators import (
     DiagonalOp,
     LinearOp,
-    as_dense,
     identity_op,
     make_blur,
     make_mask,
@@ -431,9 +429,8 @@ def build_denoiser(spec: dict, shape) -> Denoiser:
     if kind == "nlm":
         return nlm_denoiser(spec["patch_radius"], spec["window_radius"], spec["h"])
     if kind == "spectral":
-        family = tikhonov_spectral_family(shape, transform=spec["transform"],
-                                          profile=spec["profile"])
-        return linear_spectral_denoiser(family, spec["lam"])
+        return linear_spectral_denoiser(shape, spec["lam"], transform=spec["transform"],
+                                        profile=spec["profile"])
     if kind == "gs":
         smoother = gaussian_smoother(shape, spec["kernel_sigma"], floor=spec["floor"])
         return gs_denoiser(smoother, weight=spec["weight"])
@@ -678,19 +675,18 @@ def cmd_sweep(spec: dict, rng: Rng, args) -> int:
 
     op = DiagonalOp(diag)
     y0 = op._apply(x_true)
-    x_dagger = naive_svd_solve(as_dense(op), y0)
+    x_dagger = naive_svd_solve(op, y0)
     direction = rng.standard_normal(diag.shape)
     direction /= np.linalg.norm(direction)
-    family = tikhonov_spectral_family(diag.shape, transform="identity")
 
     rows = []
     for delta in deltas:
         lam = c * math.sqrt(delta)
         y_delta = y0 + delta * direction
         if lam == 0.0:
-            x_hat = naive_svd_solve(as_dense(op), y_delta)
+            x_hat = naive_svd_solve(op, y_delta)
         else:
-            den = linear_spectral_denoiser(family, lam)
+            den = linear_spectral_denoiser(diag.shape, lam, transform="identity")
             fid = SmoothFn.least_squares(op, y_delta)
             x_hat, _ = run_pgd(fid, RegSlot(denoiser=den), fid_cfg,
                                op._adjoint(y_delta))

@@ -13,14 +13,12 @@ meant for desk-scale signals (dense Jacobians capped at 4096 entries).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.fft
 from scipy import ndimage
 
-from .core import DivergenceError, Rng, as_array, real_spectrum
+from .core import DivergenceError, Rng, ShapeError, as_array, real_spectrum
 from .gmm import GmmPrior, posterior_mean
 from .operators import CirculantOp, LinearOp, half_spectrum_weights, make_blur
 from .proximal import haar_inverse, haar_transform, prox_tv, tv_value
@@ -188,77 +186,45 @@ def tv_denoiser(c: float = 1.0, tol: float | None = None, max_iter: int = 200000
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectralDenoiserFamily:
-    """Shrinkage family x -> W^T diag(gains(lam)) W x over a tuneable lam.
-
-    ``transform`` is "dct", "haar", or "identity"; ``gains`` maps lam to the
-    per-coefficient gain array on ``shape``.  Every gain must lie in
-    (0, 1/(1+lam)], which makes the induced map a contraction with residual
-    norm max(1 - gain) vanishing as lam -> 0.
-    """
-
-    transform: str
-    shape: tuple
-    gains: Callable[[float], np.ndarray]
-
-    def __post_init__(self):
-        if self.transform not in ("dct", "haar", "identity"):
-            raise ValueError(f"unknown transform {self.transform!r}")
-        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
+# The orthonormal transforms W of a spectral denoiser, as (W, W^T) pairs.
+_SPECTRAL_TRANSFORMS = {
+    "dct": (lambda a: scipy.fft.dctn(a, norm="ortho"),
+            lambda c: scipy.fft.idctn(c, norm="ortho")),
+    "haar": (lambda a: haar_transform(a, 1), lambda c: haar_inverse(c, 1)),
+    "identity": (lambda a: a, lambda c: c),
+}
 
 
-def tikhonov_spectral_family(shape, transform: str = "dct",
-                             profile=None) -> SpectralDenoiserFamily:
-    """Family with gains 1 / (1 + lam * profile) for a profile >= 1.
+def linear_spectral_denoiser(shape, lam: float, transform: str = "dct",
+                             profile=None) -> Denoiser:
+    """Shrinkage x -> W^T diag(g) W x with gains g = 1 / (1 + lam * profile).
 
-    The default flat profile gives the uniform shrinkage x / (1 + lam).
+    ``transform`` names the orthonormal W ("dct", "haar" or "identity") on
+    signals of ``shape``; the default flat profile gives x / (1 + lam).  The
+    profile must be finite, >= 1 and shaped like ``shape``, and lam >= 0
+    with lam * profile finite, so every gain lies in (0, 1/(1+lam)].
+    Exposes the exact residual norm max(1 - g) and, as diagonal shrinkage in
+    an orthonormal basis is the prox of a diagonal quadratic, its potential.
     """
     shape = tuple(int(s) for s in shape)
-    if profile is None:
-        profile_arr = np.ones(shape)
-    else:
-        profile_arr = as_array(profile)
-        if profile_arr.shape != shape:
-            raise ValueError("profile shape must match the family shape")
-        if np.any(profile_arr < 1.0):
-            raise ValueError("profile entries must be >= 1 to keep gains <= 1/(1+lam)")
-    return SpectralDenoiserFamily(
-        transform=transform,
-        shape=shape,
-        gains=lambda lam: 1.0 / (1.0 + lam * profile_arr),
-    )
-
-
-def _spectral_transforms(family: SpectralDenoiserFamily):
-    if family.transform == "dct":
-        return (lambda a: scipy.fft.dctn(a, norm="ortho"),
-                lambda c: scipy.fft.idctn(c, norm="ortho"))
-    if family.transform == "haar":
-        return (lambda a: haar_transform(a, 1), lambda c: haar_inverse(c, 1))
-    return (lambda a: a, lambda c: c)
-
-
-def linear_spectral_denoiser(family: SpectralDenoiserFamily, lam: float) -> Denoiser:
-    """Instantiate one member of a spectral shrinkage family.
-
-    Exposes the exact residual norm max(1 - gain) and, because diagonal
-    shrinkage in an orthonormal basis is the prox of a diagonal quadratic,
-    the exact potential it is the prox of.
-    """
-    if not lam >= 0:
-        raise ValueError(f"lam {lam} must be nonnegative")
-    gains = np.asarray(family.gains(float(lam)), dtype=np.float64)
-    if gains.shape != family.shape:
-        raise ValueError("gain array shape does not match the family shape")
-    if np.any(gains <= 0) or np.any(gains > 1.0 / (1.0 + lam) + 1e-12):
-        raise ValueError("gains must lie in (0, 1/(1+lam)]")
-    fwd, inv = _spectral_transforms(family)
+    if transform not in _SPECTRAL_TRANSFORMS:
+        raise ValueError(f"unknown transform {transform!r}")
+    profile = np.ones(shape) if profile is None else as_array(profile)
+    if profile.shape != shape:
+        raise ValueError(f"profile shape {profile.shape} must match the shape {shape}")
+    if not (np.isfinite(profile).all() and np.all(profile >= 1.0)):
+        raise ValueError("profile entries must be finite and >= 1")
+    if not (lam >= 0 and math.isfinite(lam * float(np.max(profile)))):
+        raise ValueError(f"lam {lam} must be >= 0 with lam * profile finite")
+    if transform == "haar" and any(s % 2 for s in shape):
+        raise ShapeError(f"the one-level Haar transform needs even sides, got shape {shape}")
+    fwd, inv = _SPECTRAL_TRANSFORMS[transform]
+    gains = 1.0 / (1.0 + lam * profile)
     quad = 1.0 / gains - 1.0  # D = prox of (1/2) sum quad_k * coeff_k^2
 
     def fn(arr, sigma):
-        if arr.shape != family.shape:
-            raise ValueError(f"expected shape {family.shape}, got {arr.shape}")
+        if arr.shape != shape:
+            raise ValueError(f"expected shape {shape}, got {arr.shape}")
         return inv(fwd(arr) * gains)
 
     def phi(x, sigma):
@@ -267,7 +233,7 @@ def linear_spectral_denoiser(family: SpectralDenoiserFamily, lam: float) -> Deno
 
     return Denoiser(
         fn,
-        tag=f"spectral({family.transform},lam={lam})",
+        tag=f"spectral({transform},lam={lam})",
         prox_potential=phi,
         residual_norm=float(np.max(1.0 - gains)),
     )

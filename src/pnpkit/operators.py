@@ -401,23 +401,18 @@ class SvdFactors:
     vt: np.ndarray
 
 
-def to_dense_matrix(op: LinearOp) -> np.ndarray:
-    """Materialize an operator as a dense (out_size x in_size) matrix."""
-    n = op.in_size
-    cols = np.empty((op.out_size, n))
+def as_dense(op: LinearOp) -> DenseOp:
+    """The operator as a DenseOp, its (out_size x in_size) matrix built column by column."""
+    if isinstance(op, DenseOp):
+        return op
+    cols = np.empty((op.out_size, op.in_size))
     basis = np.zeros(op.in_shape)
     flat = basis.reshape(-1)
-    for j in range(n):
+    for j in range(op.in_size):
         flat[j] = 1.0
         cols[:, j] = op._apply(basis).reshape(-1)
         flat[j] = 0.0
-    return cols
-
-
-def as_dense(op: LinearOp) -> DenseOp:
-    if isinstance(op, DenseOp):
-        return op
-    return DenseOp(to_dense_matrix(op), op.in_shape, op.out_shape)
+    return DenseOp(cols, op.in_shape, op.out_shape)
 
 
 def svd_factors(op: LinearOp) -> SvdFactors:

@@ -24,73 +24,56 @@ from .operators import LinearOp, solve_shifted_normal
 _SQRT2 = np.sqrt(2.0)
 
 
-def _haar_level_axis(x: np.ndarray, axis: int) -> np.ndarray:
-    even = np.take(x, np.arange(0, x.shape[axis], 2), axis=axis)
-    odd = np.take(x, np.arange(1, x.shape[axis], 2), axis=axis)
-    approx = (even + odd) / _SQRT2
-    detail = (even - odd) / _SQRT2
-    return np.concatenate([approx, detail], axis=axis)
+def _haar_step(x: np.ndarray, axis: int, inverse: bool) -> np.ndarray:
+    """One orthonormal Haar level along ``axis``.
+
+    Analysis maps the pairs (x[0::2], x[1::2]) to the halves (approx,
+    detail); synthesis maps the halves back onto the pairs.  Both are the
+    butterfly (a + b, a - b) / sqrt(2), which is its own inverse.
+    """
+    x = np.moveaxis(x, axis, 0)
+    out = np.empty_like(x)
+    half = len(x) // 2
+    a, b = (x[:half], x[half:]) if inverse else (x[0::2], x[1::2])
+    lo, hi = (out[0::2], out[1::2]) if inverse else (out[:half], out[half:])
+    lo[...] = (a + b) / _SQRT2
+    hi[...] = (a - b) / _SQRT2
+    return np.moveaxis(out, 0, axis)
 
 
-def _ihaar_level_axis(c: np.ndarray, axis: int) -> np.ndarray:
-    half = c.shape[axis] // 2
-    approx = np.take(c, np.arange(half), axis=axis)
-    detail = np.take(c, np.arange(half, 2 * half), axis=axis)
-    even = (approx + detail) / _SQRT2
-    odd = (approx - detail) / _SQRT2
-    out = np.empty_like(c)
-    idx_even = [slice(None)] * c.ndim
-    idx_odd = [slice(None)] * c.ndim
-    idx_even[axis] = slice(0, None, 2)
-    idx_odd[axis] = slice(1, None, 2)
-    out[tuple(idx_even)] = even
-    out[tuple(idx_odd)] = odd
-    return out
+def _haar(x, levels: int, inverse: bool) -> np.ndarray:
+    """Multi-level Haar analysis, or with ``inverse`` its synthesis.
 
-
-def _check_levels(shape, levels: int):
+    Level j works on the leading block of sides shape / 2^j, one axis at a
+    time; synthesis runs the levels and the axes in reverse order.
+    """
+    arr = as_array(x)
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    for s in shape:
+    for s in arr.shape:
         if s % (2**levels) != 0:
             raise ShapeError(
                 f"dimension {s} not divisible by 2^{levels}; cannot run {levels} Haar levels"
             )
+    out = arr.copy()
+    order = -1 if inverse else 1
+    for level in range(levels)[::order]:
+        block = tuple(slice(0, s >> level) for s in arr.shape)
+        low = out[block]
+        for axis in range(arr.ndim)[::order]:
+            low = _haar_step(low, axis, inverse)
+        out[block] = low
+    return out
 
 
 def haar_transform(x, levels: int):
     """Orthonormal multi-level Haar analysis; preserves the l2 norm exactly."""
-    arr = as_array(x)
-    _check_levels(arr.shape, levels)
-    out = arr.copy()
-    sub = [s for s in arr.shape]
-    for _ in range(levels):
-        block = tuple(slice(0, s) for s in sub)
-        low = out[block]
-        for axis in range(arr.ndim):
-            low = _haar_level_axis(low, axis)
-        out[block] = low
-        sub = [s // 2 for s in sub]
-    return out
+    return _haar(x, levels, inverse=False)
 
 
 def haar_inverse(c, levels: int):
     """Inverse of :func:`haar_transform`."""
-    arr = as_array(c)
-    _check_levels(arr.shape, levels)
-    out = arr.copy()
-    subs = []
-    sub = [s for s in arr.shape]
-    for _ in range(levels):
-        subs.append(tuple(sub))
-        sub = [s // 2 for s in sub]
-    for shape in reversed(subs):
-        block = tuple(slice(0, s) for s in shape)
-        low = out[block]
-        for axis in reversed(range(arr.ndim)):
-            low = _ihaar_level_axis(low, axis)
-        out[block] = low
-    return out
+    return _haar(c, levels, inverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +264,7 @@ def _default_tv_tol(arr: np.ndarray, energy: float) -> float:
     """1e-10 * max(n, ||v||^2): the gap scales with the data's energy.
 
     An energy that overflows leaves no tolerance to certify against, so it
-    raises DivergenceError.
+    raises DivergenceError (only an inf entry gets here; see :func:`_tv_solve`).
     """
     if math.isinf(energy):
         raise DivergenceError("TV prox input energy ||v||^2 overflows")
@@ -327,15 +310,27 @@ def prox_tv(v, lam: float, tol: float | None = None, max_iter: int = 200000):
     _check_tv_domain(arr)
     if lam == 0.0:
         return arr.copy()
-    energy = _energy(arr)
-    if math.isinf(energy) and np.isfinite(arr).all():
-        s = _energy_scale(arr)
-        return s * prox_tv(arr / s, lam / s, None if tol is None else tol / s / s, max_iter)
+    return _tv_solve(arr, lam, tol, max_iter, conjugate=False)
+
+
+def _tv_solve(v: np.ndarray, lam: float, tol, max_iter: int, conjugate: bool) -> np.ndarray:
+    """x = prox_{lam*TV}(v), or with ``conjugate`` div_p = v - x; both 1-homogeneous.
+
+    Holds the overflow rescale and the default tolerance of :func:`prox_tv`.
+    The prox starts from the run's warm dual, the conjugate from the
+    projected gradient step (1 / (4*ndim)) * grad v of the rescaled input.
+    """
+    energy = _energy(v)
+    if math.isinf(energy) and np.isfinite(v).all():
+        s = _energy_scale(v)
+        return s * _tv_solve(v / s, lam / s, None if tol is None else tol / s / s, max_iter,
+                             conjugate)
     if tol is None:
-        tol = _default_tv_tol(arr, energy)
-    p = _warm_dual(arr)
-    x, _, _, _ = _tv_dual_solve(arr, lam, tol, max_iter, p0=p, out=p)
-    return x
+        tol = _default_tv_tol(v, energy)
+    if conjugate:
+        return _tv_dual_solve(v, lam, tol, max_iter, p0=(0.25 / v.ndim) * _grad(v))[1]
+    p = _warm_dual(v)
+    return _tv_dual_solve(v, lam, tol, max_iter, p0=p, out=p)[0]
 
 
 def _warm_dual(arr: np.ndarray):
@@ -470,7 +465,9 @@ def tv_conj_prox(weight: float = 1.0, tol: float | None = None, max_iter: int = 
     call is an independent dual solve seeded at a projected gradient step
     rather than at zero, so recombining with :func:`tv_prox` through Moreau's
     identity cross-checks two genuinely distinct solves.  ``tol`` defaults
-    as in :func:`prox_tv`.
+    as in :func:`prox_tv`, and a finite input whose energy overflows is
+    rescaled by a power of two as there, the seed taken from the rescaled
+    input.
     """
     _check_weight(weight)
 
@@ -478,9 +475,7 @@ def tv_conj_prox(weight: float = 1.0, tol: float | None = None, max_iter: int = 
         _check_tv_domain(v)
         if weight == 0.0:
             return np.zeros_like(v)
-        seed = (0.25 / v.ndim) * _grad(v)
-        gap_tol = _default_tv_tol(v, _energy(v)) if tol is None else tol
-        return _tv_dual_solve(v, weight, gap_tol, max_iter, p0=seed)[1]
+        return _tv_solve(v, weight, tol, max_iter, conjugate=True)
 
     return ProxMap("tv_conjugate", evaluate)
 

@@ -47,7 +47,6 @@ from pnpkit import (
     run_red_pg,
     solve_shifted_normal,
     squared_l2_prox,
-    tikhonov_spectral_family,
     tv_conj_prox,
     tv_prox,
     tweedie_check,
@@ -161,7 +160,7 @@ def test_criterion_04_drsdiff_contraction():
     details = []
     for eps in (0.05, 0.1, 0.2):
         lam = eps / (1.0 - eps)  # spectral family: residual norm lam/(1+lam) = eps
-        den = linear_spectral_denoiser(tikhonov_spectral_family((n,), "dct"), lam)
+        den = linear_spectral_denoiser((n,), lam, "dct")
         assert den.residual_norm == pytest.approx(eps, abs=1e-12)
         tau = 2.0 * eps / ((1.0 + eps - 2.0 * eps * eps) * 1.0)
         cfg = SolverConfig(step=tau, max_iter=5000, tol=1e-13)
@@ -240,7 +239,7 @@ def test_criterion_08_red_fixed_point():
     op = DenseOp(k_mat)
     y = rng.standard_normal(n)
     lam = 0.8
-    den = linear_spectral_denoiser(tikhonov_spectral_family((n,), "dct"), 0.5)
+    den = linear_spectral_denoiser((n,), 0.5, "dct")
     a_mat = np.empty((n, n))
     for j in range(n):
         e = np.zeros(n)
@@ -470,8 +469,7 @@ def test_criterion_12_adjoint_and_consistency_suite():
     # 12c: the residual-Lipschitz estimator matches SVD on linear denoisers
     worst_rel = 0.0
     profile = 1.0 + rng.uniform(0.0, 2.0, (8,))
-    den = linear_spectral_denoiser(
-        tikhonov_spectral_family((8,), "dct", profile=profile), 0.4)
+    den = linear_spectral_denoiser((8,), 0.4, "dct", profile=profile)
     mat = np.empty((8, 8))
     for j in range(8):
         e = np.zeros(8)

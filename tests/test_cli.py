@@ -537,7 +537,7 @@ PROBE_BASES = {
 }
 GMM_1D = {"weights": [1.0], "means": [[0.0]], "variances": [1.0]}
 # (command, key path, value put there, the section the message names); a path
-# of None passes `--seed -3` instead
+# of None passes `--seed -3` instead, and a dict of paths to values sets each
 MALFORMED = [
     pytest.param("solve", ("image", "size"), "big", "config.image", id="image-size"),
     pytest.param("solve", ("seed",), -3, "config.seed", id="seed"),
@@ -562,6 +562,9 @@ MALFORMED = [
                  id="gs-weight-negative"),
     pytest.param("solve", ("denoiser",), {"kind": "nlm", "h": "x"}, "config.denoiser",
                  id="nlm-h"),
+    pytest.param("solve", {("image", "size"): 63,
+                           ("denoiser",): {"kind": "spectral", "transform": "haar"}},
+                 None, "config.denoiser", id="spectral-haar-odd-side"),
     pytest.param("solve", ("solver",), {"algo": "pgd", "reg": {"kind": "l1", "weight": "x"}},
                  "config.solver.reg", id="reg-weight"),
     pytest.param("solve", ("solver",), {"algo": "hqs", "rho_schedule": "x"},
@@ -608,7 +611,8 @@ def test_malformed_config_exit_2_before_output(tmp_path, capsys, command, path, 
     doc["output"] = str(out)
     argv = ["--seed", "-3"] if path is None else []
     if path is not None:
-        set_path(doc, path, value)
+        for key_path, key_value in (path if isinstance(path, dict) else {path: value}).items():
+            set_path(doc, key_path, key_value)
     assert main([command, "--config", write_config(tmp_path, doc)] + argv) == 2
     assert f"pnpkit: {section}:" in capsys.readouterr().err
     assert not out.exists()

@@ -23,7 +23,6 @@ from pnpkit import (
     nlm_denoiser,
     operator_norm,
     prox_tv,
-    tikhonov_spectral_family,
     tv_denoiser,
 )
 from pnpkit.denoisers import Denoiser
@@ -164,29 +163,44 @@ class TestTvDenoiser:
 
 class TestSpectralDenoiser:
     def test_flat_family_is_uniform_shrinkage(self, rng):
-        family = tikhonov_spectral_family((8,), transform="dct")
         lam = 0.4
-        d = linear_spectral_denoiser(family, lam)
+        d = linear_spectral_denoiser((8,), lam, transform="dct")
         x = rng.standard_normal(8)
         np.testing.assert_allclose(d.apply(x), x / (1 + lam), atol=1e-12)
         assert d.residual_norm == pytest.approx(lam / (1 + lam), abs=1e-15)
 
     def test_lam_zero_is_identity(self, rng):
-        family = tikhonov_spectral_family((8,))
-        d = linear_spectral_denoiser(family, 0.0)
+        d = linear_spectral_denoiser((8,), 0.0)
         x = rng.standard_normal(8)
         np.testing.assert_allclose(d.apply(x), x, atol=1e-12)
 
     def test_out_of_range_lam_rejected(self):
-        family = tikhonov_spectral_family((4,))
         with pytest.raises(ValueError):
-            linear_spectral_denoiser(family, -0.5)
+            linear_spectral_denoiser((4,), -0.5)
+
+    @pytest.mark.parametrize("lam,transform,profile", [
+        (np.inf, "dct", None),
+        (np.nan, "dct", None),
+        (-0.5, "dct", None),
+        (0.5, "dct", [1.0, 0.5, 1.0, 1.0]),
+        (0.5, "dct", [1.0, np.inf, 1.0, 1.0]),
+        (0.5, "dct", [1.0, 1.0, 1.0]),
+        (0.5, "fourier", None),
+        (1e308, "dct", [1.0, 2.0, 1.0, 1.0]),
+    ], ids=["lam-inf", "lam-nan", "lam-negative", "profile-below-one", "profile-inf",
+            "profile-shape", "unknown-transform", "lam-times-profile-overflows"])
+    def test_bad_input_rejected(self, lam, transform, profile):
+        with pytest.raises(ValueError):
+            linear_spectral_denoiser((4,), lam, transform=transform, profile=profile)
+
+    def test_odd_side_haar_rejected_at_construction(self):
+        with pytest.raises(ShapeError):
+            linear_spectral_denoiser((6, 7), 0.5, transform="haar")
 
     def test_spectral_norm_vs_power_iteration(self, rng):
         profile = 1.0 + rng.uniform(0, 3, (8,))
-        family = tikhonov_spectral_family((8,), transform="dct", profile=profile)
         lam = 0.7
-        d = linear_spectral_denoiser(family, lam)
+        d = linear_spectral_denoiser((8,), lam, transform="dct", profile=profile)
         mat = np.empty((8, 8))
         for j in range(8):
             e = np.zeros(8)
@@ -197,10 +211,9 @@ class TestSpectralDenoiser:
         assert abs(norm - expected) <= 1e-6
 
     def test_residual_lipschitz_matches_exact_and_monotone(self):
-        family = tikhonov_spectral_family((6,), transform="haar")
         previous = -1.0
         for lam in (0.05, 0.2, 0.8):
-            d = linear_spectral_denoiser(family, lam)
+            d = linear_spectral_denoiser((6,), lam, transform="haar")
             est = estimate_residual_lipschitz(d, 0.0, (6,), probes=1, rng=Rng(1))
             assert abs(est - d.residual_norm) <= 1e-6
             assert est >= previous
@@ -208,9 +221,8 @@ class TestSpectralDenoiser:
 
     def test_prox_potential_consistency(self, rng):
         # D = prox of the exposed quadratic: check the optimality condition
-        family = tikhonov_spectral_family((8,), transform="dct")
         lam = 0.5
-        d = linear_spectral_denoiser(family, lam)
+        d = linear_spectral_denoiser((8,), lam, transform="dct")
         v = rng.standard_normal(8)
         x = d.apply(v)
         h = 1e-6
@@ -271,10 +283,9 @@ class TestGsDenoiser:
         assert d.grad_lipschitz is not None and d.grad_lipschitz <= 1.0 + 1e-12
 
     def test_other_denoisers_have_no_grad_lipschitz(self):
-        family = tikhonov_spectral_family((4, 4))
         prior = GmmPrior(np.ones(1), np.zeros((1, 16)), np.ones(1))
         for d in (tv_denoiser(), gaussian_filter_denoiser(1.0), nlm_denoiser(1, 1, 0.1),
-                  linear_spectral_denoiser(family, 0.5), mmse_gmm_denoiser(prior)):
+                  linear_spectral_denoiser((4, 4), 0.5), mmse_gmm_denoiser(prior)):
             assert d.grad_lipschitz is None
 
     def test_mask_smoother(self, rng):
@@ -397,8 +408,7 @@ class TestJacobianAsymmetry:
 
 class TestHomogeneity:
     def test_linear_denoiser_zero_defect(self, rng):
-        family = tikhonov_spectral_family((6,))
-        d = linear_spectral_denoiser(family, 0.3)
+        d = linear_spectral_denoiser((6,), 0.3)
         x = rng.standard_normal(6)
         assert homogeneity_defect(d, x, 0.0) <= 1e-10
 

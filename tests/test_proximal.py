@@ -85,6 +85,22 @@ class TestHaar:
         mat = self._dense_haar_matrix(8, 3)
         np.testing.assert_allclose(mat.T @ mat, np.eye(8), atol=1e-12)
 
+    @pytest.mark.parametrize("shape,levels", [((8, 16), 3), ((16, 4), 2)])
+    def test_rectangular_round_trip(self, rng, shape, levels):
+        v = rng.standard_normal(shape)
+        np.testing.assert_allclose(haar_inverse(haar_transform(v, levels), levels), v,
+                                   atol=1e-12)
+        np.testing.assert_allclose(haar_transform(haar_inverse(v, levels), levels), v,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("shape,levels", [((8, 16), 3), ((16, 4), 2)])
+    def test_rectangular_matrix_is_orthonormal(self, shape, levels):
+        n = int(np.prod(shape))
+        mat = np.column_stack([haar_transform(e.reshape(shape), levels).reshape(-1)
+                               for e in np.eye(n)])
+        np.testing.assert_allclose(mat.T @ mat, np.eye(n), atol=1e-12)
+        np.testing.assert_allclose(mat @ mat.T, np.eye(n), atol=1e-12)
+
     def test_prox_matches_dense_matrix_oracle(self, rng):
         # explicit W: prox = W^T soft(W v)
         v = rng.standard_normal(8)
@@ -503,6 +519,14 @@ class TestFusedDualKernel:
             except DivergenceError:
                 continue
             assert np.all(np.isfinite(out))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e154, 1e300])
+    def test_moreau_identity_where_the_energy_overflows(self, rng, scale):
+        # both halves rescale by a power of two, so the unit defect carries over
+        v = rng.standard_normal((16, 16))
+        defect = moreau_check(tv_prox(0.04 * scale), tv_conj_prox(0.04 * scale), scale * v)
+        assert defect / scale <= 1e-6
 
     def test_nan_input_raises_divergence_at_once(self):
         v = np.zeros((16, 16))

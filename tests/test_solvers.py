@@ -39,7 +39,6 @@ from pnpkit import (
     run_red_pg,
     run_pnp_ula,
     solve_shifted_normal,
-    tikhonov_spectral_family,
     tv_prox,
     zero_prox,
 )
@@ -556,8 +555,7 @@ class TestRedGd:
         rng = Rng(31)
         k_mat = rng.standard_normal((6, 6)) / 2.0
         y = rng.standard_normal(6)
-        family = tikhonov_spectral_family((6,), transform="dct")
-        den = linear_spectral_denoiser(family, 0.5)
+        den = linear_spectral_denoiser((6,), 0.5, transform="dct")
         a_mat = np.empty((6, 6))
         for j in range(6):
             e = np.zeros(6)
@@ -612,8 +610,7 @@ class TestRedPg:
         rng = Rng(31)
         k_mat = rng.standard_normal((6, 6)) / 2.0
         y = rng.standard_normal(6)
-        family = tikhonov_spectral_family((6,), transform="dct")
-        den = linear_spectral_denoiser(family, 0.5)
+        den = linear_spectral_denoiser((6,), 0.5, transform="dct")
         lam = 0.8
         cfg = SolverConfig(max_iter=100000, tol=1e-15)
         x_pg, trace = run_red_pg(DenseOp(k_mat), y, den, lam=lam, L=2.0, cfg=cfg)
@@ -627,8 +624,7 @@ class TestRedPg:
         rng = Rng(9)
         k_mat = rng.standard_normal((5, 5)) / 3.0
         y = rng.standard_normal(5)
-        family = tikhonov_spectral_family((5,), transform="identity")
-        den = linear_spectral_denoiser(family, 0.4)  # nonexpansive linear
+        den = linear_spectral_denoiser((5,), 0.4, transform="identity")  # nonexpansive linear
         cfg = SolverConfig(max_iter=300, tol=0.0)
         _, trace = run_red_pg(DenseOp(k_mat), y, den, lam=1.0, L=2.0, cfg=cfg)
         r = trace.column("step_residual")[2:]
@@ -998,8 +994,7 @@ class TestFixedPoint:
         n = 12
         lam = 1.0 / 9.0  # epsilon = 0.1
         eps = lam / (1.0 + lam)
-        family = tikhonov_spectral_family((n,), transform="dct")
-        den = linear_spectral_denoiser(family, lam)
+        den = linear_spectral_denoiser((n,), lam, transform="dct")
         target = rng.standard_normal(n)
         prox_f = quadratic_prox(target, weight=1.0)  # mu = 1
         tau = 2.0 * eps / ((1.0 + eps - 2.0 * eps**2) * 1.0)
@@ -1013,8 +1008,7 @@ class TestFixedPoint:
         # fidelity-first run_drs: y = prox_{tau f}(x), z = D(2y - x), x <- x + z - y
         rng = Rng(6)
         n = 5
-        family = tikhonov_spectral_family((n,), transform="identity")
-        den = linear_spectral_denoiser(family, 0.25)
+        den = linear_spectral_denoiser((n,), 0.25, transform="identity")
         target = rng.standard_normal(n)
         prox_f = quadratic_prox(target)
         tau = 0.7
