@@ -81,6 +81,7 @@ from .proximal import (
 )
 from .sampling import (
     UlaConfig,
+    _sample_buffer,
     gaussian_posterior_oracle,
     run_pnp_ula,
     write_samples,
@@ -750,6 +751,7 @@ def cmd_sample(spec: dict, rng: Rng, args) -> int:
     with _section("config.sampler"):
         cfg = UlaConfig(delta=s["delta"], sigma=s["sigma"], sigma_w=s["sigma_w"],
                         kept=s["kept"], burn_in=s["burn_in"], thin=s["thin"], seed=rng.seed)
+        _sample_buffer(cfg.kept, op.in_size)  # the chain's kept samples must fit in memory
         y = as_array(add_gaussian_noise(Signal.from_array(y_clean), cfg.sigma_w, rng.child(2)))
     _check_start(op, y)
     denoiser = mmse_gmm_denoiser(prior)

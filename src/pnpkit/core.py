@@ -23,6 +23,7 @@ RAW_MAGIC = b"PNPK0001"
 
 TRACE_COLUMNS = ("iter", "objective", "step_residual", "fp_residual", "psnr", "seconds")
 DIVERGENCE_NORM = 1e12
+_FLOAT64 = np.dtype(np.float64)
 
 
 class PnpkitError(Exception):
@@ -129,7 +130,7 @@ def diverged(x: np.ndarray) -> bool:
     the comparison.  Callers run it under ``np.errstate(over="ignore")`` so a
     large but finite state does not warn on its way to inf.
     """
-    flat = np.ravel(x)
+    flat = x.reshape(-1)
     return not (math.sqrt(flat.dot(flat)) <= DIVERGENCE_NORM)
 
 
@@ -189,7 +190,12 @@ def as_signal(x) -> Signal:
 
 
 def as_array(x) -> np.ndarray:
-    """Coerce a Signal or array-like into a float64 ndarray with true shape."""
+    """Coerce a Signal or array-like into a float64 ndarray with true shape.
+
+    A float64 ndarray comes back as is, the object ``np.asarray`` would give.
+    """
+    if type(x) is np.ndarray and x.dtype == _FLOAT64:
+        return x
     if isinstance(x, Signal):
         return x.to_array()
     return np.asarray(x, dtype=np.float64)

@@ -16,10 +16,9 @@ import math
 
 import numpy as np
 import scipy.fft
-from scipy import ndimage
 
 from .core import DivergenceError, Rng, ShapeError, as_array, real_spectrum
-from .gmm import GmmPrior, posterior_mean
+from .gmm import GmmPrior, _posterior_mean
 from .operators import CirculantOp, LinearOp, half_spectrum_weights, make_blur
 from .proximal import haar_inverse, haar_transform, prox_tv, tv_value
 
@@ -143,6 +142,8 @@ def nlm_denoiser(patch_radius: int, window_radius: int, h: float) -> Denoiser:
     patch_size = 2 * patch_radius + 1
 
     def fn(arr, sigma):
+        from scipy import ndimage  # imported on first use: it adds ~50 ms to every start-up
+
         if arr.ndim not in (1, 2):
             raise ValueError("nlm supports 1-D and 2-D signals")
         offsets = np.ndindex(*([2 * window_radius + 1] * arr.ndim))
@@ -345,8 +346,13 @@ def mmse_gmm_denoiser(prior: GmmPrior) -> Denoiser:
     single zero-mean component, where it reduces to the scalar shrinkage
     gamma^2 / (gamma^2 + sigma^2).
     """
+    dim = prior.dim
+
     def fn(arr, sigma):
-        return posterior_mean(prior, arr.reshape(-1), sigma).reshape(arr.shape)
+        # Denoiser.apply has checked sigma and made arr a float64 array
+        if arr.size != dim:
+            raise ValueError(f"point has dimension {arr.size}, prior expects {dim}")
+        return _posterior_mean(prior, arr.reshape(-1), sigma).reshape(arr.shape)
 
     return Denoiser(fn, tag=f"mmse_gmm(J={prior.n_components})")
 

@@ -182,7 +182,11 @@ def posterior_mean(prior: GmmPrior, x, sigma: float):
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    arr = _as_points(prior, x)
+    return _posterior_mean(prior, _as_points(prior, x), sigma)
+
+
+def _posterior_mean(prior: GmmPrior, arr: np.ndarray, sigma: float) -> np.ndarray:
+    """:func:`posterior_mean` of a checked point or batch and a checked sigma."""
     if sigma == 0:
         return arr.copy()
     c = _smoothed(prior, sigma)

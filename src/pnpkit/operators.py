@@ -166,6 +166,9 @@ class DiagonalOp(LinearOp):
     def _adjoint(self, y):
         return self.diag * y
 
+    def normal(self, x):
+        return self.diag * (self.diag * x)
+
     def shifted_solve(self, rho, b):
         return b / (self.diag**2 + rho)
 

@@ -97,49 +97,67 @@ def run_pnp_ula(op: LinearOp, y, denoiser: Denoiser, cfg: UlaConfig, x0=None):
     K^T y is computed once, so the data drift is K^T y - K^T K x_k.  The
     increments eps_k are drawn in blocks of at most NOISE_BLOCK_BYTES from
     the one seeded stream, which gives the same eps_k as one draw per step.
-    Returns (SampleStats, samples) where samples is a (kept, n) array of
-    the thinned kept states; raises DivergenceError (with the step index)
-    if the chain blows up or the denoiser output is non-finite.
+    The state, the drift and the data term are allocated once and updated
+    in place, so the denoiser must not keep its input from one call to the
+    next.  Returns (SampleStats, samples) where samples is a (kept, n) array
+    of the thinned kept states; raises DivergenceError (with the step index)
+    if the chain blows up or the denoiser output is non-finite, and
+    ValueError if the samples cannot be allocated.
     """
     y_arr = op._data(y)
     rng = Rng(cfg.seed)
     kty = op._adjoint(y_arr)
     x = kty.copy() if x0 is None else as_array(x0).copy()
-    n = x.size
     shape = x.shape
-    inv_s2 = 1.0 / (cfg.sigma * cfg.sigma)
+    samples = _sample_buffer(cfg.kept, x.size)
+    drift = np.empty_like(x)
+    data = np.empty_like(x)
+    sigma, delta = cfg.sigma, cfg.delta
+    inv_s2 = 1.0 / (sigma * sigma)
     inv_w2 = 1.0 / (cfg.sigma_w * cfg.sigma_w)
-    noise_std = math.sqrt(2.0 * cfg.delta) * cfg.noise_scale
+    noise_std = math.sqrt(2.0 * delta) * cfg.noise_scale
 
     total_steps = cfg.burn_in + cfg.kept * cfg.thin
-    samples = np.empty((cfg.kept, n))
     # a (B, n) draw is the same stream as B successive (n,) draws
-    block = max(1, NOISE_BLOCK_BYTES // (8 * n))
+    block = max(1, NOISE_BLOCK_BYTES // (8 * x.size))
     noise = None
-    apply_d = denoiser.apply
+    apply_d, normal = denoiser.apply, op.normal
     # an overflowing ||K||^2 or state norm is inf, and the chain then diverges
     with np.errstate(over="ignore"):
-        stability = cfg.delta * (inv_s2 + float(np.float64(op.spectral_norm) ** 2) * inv_w2)
+        stability = delta * (inv_s2 + float(np.float64(op.spectral_norm) ** 2) * inv_w2)
         for k in range(1, total_steps + 1):
             try:
-                drift = inv_s2 * (apply_d(x, cfg.sigma) - x)
+                np.subtract(apply_d(x, sigma), x, out=drift)
             except DivergenceError as exc:
                 exc.step = k
                 raise
-            drift += inv_w2 * (kty - op.normal(x))
-            x = x + cfg.delta * drift
+            drift *= inv_s2
+            np.subtract(kty, normal(x), out=data)
+            data *= inv_w2
+            drift += data
+            drift *= delta
+            x += drift
             if noise_std != 0.0:
                 i = (k - 1) % block
                 if i == 0:
-                    draws = min(block, total_steps - k + 1)
-                    noise = noise_std * rng.standard_normal((draws, *shape))
-                x = x + noise[i]
+                    noise = rng.standard_normal((min(block, total_steps - k + 1), *shape))
+                    noise *= noise_std
+                x += noise[i]
             if diverged(x):
                 raise DivergenceError(f"PnP-ULA chain diverged at step {k}", step=k)
             if k > cfg.burn_in and (k - cfg.burn_in) % cfg.thin == 0:
                 samples[(k - cfg.burn_in) // cfg.thin - 1] = x.reshape(-1)
     stats = sample_stats(samples, stability=stability)
     return stats, samples
+
+
+def _sample_buffer(kept: int, n: int) -> np.ndarray:
+    """An empty (kept, n) float64 array; ValueError naming ``kept`` if it cannot be had."""
+    try:
+        return np.empty((kept, n))
+    except (MemoryError, ValueError):
+        raise ValueError(f"kept = {kept} samples of {n} entries cannot be allocated "
+                         f"({8 * kept * n:.3g} bytes)") from None
 
 
 @dataclass(frozen=True)
@@ -191,11 +209,10 @@ def effective_sample_size(x: np.ndarray) -> float:
     spec = np.fft.rfft(centered, m)
     acov = np.fft.irfft(spec * np.conj(spec), m)[:n].real
     acov /= acov[0]
-    tau = 1.0
-    for t in range(1, n):
-        if acov[t] < 0.0:
-            break
-        tau += 2.0 * acov[t]
+    # the sum runs up to the first negative lag; cumsum adds left to right, like a loop
+    negative = acov[1:] < 0.0
+    stop = int(np.argmax(negative)) + 1 if negative.any() else n
+    tau = np.cumsum(np.concatenate(([1.0], 2.0 * acov[1:stop])))[-1]
     return float(n / max(tau, 1.0))
 
 

@@ -580,6 +580,9 @@ MALFORMED = [
     pytest.param("sample", ("sampler", "kept"), "x", "config.sampler", id="sampler-kept"),
     pytest.param("sample", ("sampler", "delta"), -1, "config.sampler", id="sampler-delta"),
     pytest.param("sample", ("sampler", "thin"), 0, "config.sampler", id="sampler-thin"),
+    # 1.28e17 bytes of samples: more than a 64-bit address space holds
+    pytest.param("sample", ("sampler", "kept"), 10**15, "config.sampler",
+                 id="sampler-kept-unallocatable"),
     pytest.param("sample", ("prior",), {"weights": [1.0], "means": [[0.0, 0.0]],
                                         "variances": [1.0]},
                  "config.operator", id="operator-vs-prior-dim"),

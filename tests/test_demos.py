@@ -43,6 +43,15 @@ def test_readme_python_example_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
+def test_import_leaves_scipy_ndimage_unloaded(tmp_path):
+    # scipy.ndimage adds ~50 ms to every start-up; only the NLM denoiser uses it
+    script = tmp_path / "imports.py"
+    script.write_text("import sys\nimport pnpkit, pnpkit.cli\n"
+                      "assert 'scipy.ndimage' not in sys.modules\n")
+    proc = run_script(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 def test_readme_solvers_row_names_every_driver():
     row = next(line for line in (ROOT / "README.md").read_text().splitlines()
                if line.startswith("| `pnpkit.solvers` |"))

@@ -428,6 +428,14 @@ class TestSpectralFacts:
         spectrum = DiagonalOp([1e200, 1.0, 1.0]).symmetric_spectrum()
         np.testing.assert_array_equal(spectrum, [1e200, 1.0, 1.0])
 
+    def test_diagonal_normal_is_adjoint_of_apply_bit_for_bit(self, rng):
+        d = np.concatenate([rng.standard_normal(12), [1e200, 1e-200, 0.0, -3.0]])
+        x = np.concatenate([rng.standard_normal(12), [1e200, 1e-200, 5.0, np.nan]])
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            for shape in ((16,), (4, 4)):
+                op, v = DiagonalOp(d.reshape(shape)), x.reshape(shape)
+                assert op.normal(v).tobytes() == op._adjoint(op._apply(v)).tobytes()
+
     @pytest.mark.parametrize("op,message", [
         (DenseOp([[1.0, 2.0], [0.0, 1.0]]), "smoother matrix is not symmetric"),
         (CirculantOp(np.arange(16.0).reshape(4, 4) * 1j, (4, 4)),

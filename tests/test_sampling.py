@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from pnpkit import (
     gaussian_posterior_oracle,
     identity_op,
     load_signal,
+    make_blur,
     mmse_gmm_denoiser,
     run_pnp_ula,
     run_red_gd,
@@ -20,11 +23,91 @@ from pnpkit import (
     write_stats_csv,
     zero_op,
 )
+from pnpkit.core import as_array, diverged
+from pnpkit.sampling import NOISE_BLOCK_BYTES, SampleStats
 from pnpkit.solvers import SolverConfig
 
 
 def standard_prior(n, gamma=1.0):
     return GmmPrior([1.0], [np.zeros(n)], [gamma**2])
+
+
+def frozen_effective_sample_size(x):
+    """effective_sample_size with its initial-positive-sequence cut as a loop."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    n = x.size
+    if n < 2:
+        return float(n)
+    centered = x - x.mean()
+    if not np.any(centered):
+        return float(n)
+    m = 1 << (2 * n - 1).bit_length()
+    spec = np.fft.rfft(centered, m)
+    acov = np.fft.irfft(spec * np.conj(spec), m)[:n].real
+    acov /= acov[0]
+    tau = 1.0
+    for t in range(1, n):
+        if acov[t] < 0.0:
+            break
+        tau += 2.0 * acov[t]
+    return float(n / max(tau, 1.0))
+
+
+def frozen_run_pnp_ula(op, y, denoiser, cfg, x0=None):
+    """run_pnp_ula with a fresh array for every term of every step, and its stats."""
+    y_arr = op._data(y)
+    rng = Rng(cfg.seed)
+    kty = op._adjoint(y_arr)
+    x = kty.copy() if x0 is None else as_array(x0).copy()
+    n = x.size
+    shape = x.shape
+    inv_s2 = 1.0 / (cfg.sigma * cfg.sigma)
+    inv_w2 = 1.0 / (cfg.sigma_w * cfg.sigma_w)
+    noise_std = math.sqrt(2.0 * cfg.delta) * cfg.noise_scale
+    total_steps = cfg.burn_in + cfg.kept * cfg.thin
+    samples = np.empty((cfg.kept, n))
+    block = max(1, NOISE_BLOCK_BYTES // (8 * n))
+    noise = None
+    with np.errstate(over="ignore"):
+        stability = cfg.delta * (inv_s2 + float(np.float64(op.spectral_norm) ** 2) * inv_w2)
+        for k in range(1, total_steps + 1):
+            drift = inv_s2 * (denoiser.apply(x, cfg.sigma) - x)
+            drift += inv_w2 * (kty - op.normal(x))
+            x = x + cfg.delta * drift
+            if noise_std != 0.0:
+                i = (k - 1) % block
+                if i == 0:
+                    draws = min(block, total_steps - k + 1)
+                    noise = noise_std * rng.standard_normal((draws, *shape))
+                x = x + noise[i]
+            assert not diverged(x)
+            if k > cfg.burn_in and (k - cfg.burn_in) % cfg.thin == 0:
+                samples[(k - cfg.burn_in) // cfg.thin - 1] = x.reshape(-1)
+    ess = np.array([frozen_effective_sample_size(samples[:, j]) for j in range(n)])
+    stats = SampleStats(mean=samples.mean(axis=0), variance=samples.var(axis=0, ddof=1),
+                        coordinate_ess=ess, count=cfg.kept, stability=stability)
+    return stats, samples
+
+
+def criterion_9_model():
+    """The diagonal n = 16 model of acceptance criterion 9 and its J = 1 prior."""
+    n = 16
+    diag = np.linspace(1.0, 2.0, n)
+    rng = Rng(900)
+    y = diag * rng.child(1).standard_normal(n) + 0.5 * rng.child(2).standard_normal(n)
+    return DiagonalOp(diag), y, standard_prior(n)
+
+
+def three_component_model():
+    op, y, _ = criterion_9_model()
+    means = [np.zeros(16), np.linspace(-1.0, 1.0, 16), np.full(16, 0.5)]
+    return op, y, GmmPrior([0.2, 0.5, 0.3], means, [0.5, 1.0, 0.3])
+
+
+def circulant_blur_model():
+    op = make_blur(np.full((3, 3), 1.0 / 9.0), (8, 8))
+    y = op.apply(Rng(4).standard_normal((8, 8))) + 0.5 * Rng(5).standard_normal((8, 8))
+    return op, y, standard_prior(64)
 
 
 class TestUlaConfig:
@@ -161,6 +244,81 @@ class TestRunPnpUla:
         stats, _ = run_pnp_ula(op, np.zeros(2), den, cfg)
         expected = 1e-2 * (1.0 / 0.25 + 1.0 / 4.0)
         assert stats.stability == pytest.approx(expected, rel=1e-12)
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+class TestChainBitForBit:
+    """run_pnp_ula's in-place step against the loop of fresh arrays it replaced."""
+
+    @pytest.mark.parametrize("model,ula,x0", [
+        (criterion_9_model, dict(delta=1e-3, sigma=0.3, sigma_w=0.5, kept=2000,
+                                 burn_in=1000, thin=3, seed=17), None),
+        (three_component_model, dict(delta=2e-3, sigma=0.4, sigma_w=0.5, kept=300,
+                                     burn_in=200, thin=2, seed=5), None),
+        (circulant_blur_model, dict(delta=1e-3, sigma=0.3, sigma_w=0.5, kept=200,
+                                    burn_in=100, thin=4, seed=2), np.full((8, 8), 0.3)),
+        (criterion_9_model, dict(delta=1e-2, sigma=0.3, sigma_w=0.5, kept=50,
+                                 burn_in=10, thin=2, seed=2, noise_scale=0.0), np.ones(16)),
+    ], ids=["criterion-9-diagonal", "gmm-3-components", "circulant-8x8-x0",
+            "noise-scale-0-x0"])
+    def test_samples_and_stats_match_the_fresh_array_loop(self, model, ula, x0):
+        op, y, prior = model()
+        den = mmse_gmm_denoiser(prior)
+        cfg = UlaConfig(**ula)
+        stats, samples = run_pnp_ula(op, y, den, cfg, x0=x0)
+        expected_stats, expected = frozen_run_pnp_ula(op, y, den, cfg, x0=x0)
+        assert samples.shape == (cfg.kept, op.in_size)
+        assert same_bits(samples, expected)
+        for field in ("mean", "variance", "coordinate_ess", "stability"):
+            assert same_bits(getattr(stats, field), getattr(expected_stats, field)), field
+        assert stats.count == expected_stats.count
+
+    def test_unallocatable_samples_raise_value_error_before_a_step(self):
+        from pnpkit.denoisers import Denoiser
+
+        def refuse(arr, sigma):
+            raise AssertionError("the chain took a step")
+
+        # 10^15 x 3 float64 entries are more than a 64-bit address space holds
+        cfg = UlaConfig(delta=1e-3, sigma=0.5, sigma_w=1.0, kept=10**15)
+        with pytest.raises(ValueError, match="kept = 1000000000000000 samples"):
+            run_pnp_ula(identity_op((3,)), np.zeros(3), Denoiser(refuse, tag="refuse"), cfg)
+
+
+def ar1_chain(rho, n, seed):
+    noise = Rng(seed).standard_normal(n)
+    chain = np.empty(n)
+    chain[0] = noise[0]
+    for i in range(1, n):
+        chain[i] = rho * chain[i - 1] + noise[i]
+    return chain
+
+
+class TestEffectiveSampleSizeCut:
+    """The vectorised initial-positive-sequence cut against the loop it replaced."""
+
+    @pytest.mark.parametrize("chain", [np.zeros(0), np.array([2.5]), np.full(40, 0.7)],
+                             ids=["empty", "one-sample", "constant"])
+    def test_short_and_constant_chains(self, chain):
+        assert same_bits(effective_sample_size(chain), frozen_effective_sample_size(chain))
+        assert effective_sample_size(chain) == float(chain.size)
+
+    def test_a_chain_with_no_negative_lag(self):
+        # a centred chain's lags sum to -acov[0]/2, so only a NaN keeps every lag
+        # from being negative; the sum then runs to the last lag
+        chain = ar1_chain(0.5, 64, 1)
+        chain[10] = np.nan
+        assert np.isnan(effective_sample_size(chain))
+        assert same_bits(effective_sample_size(chain), frozen_effective_sample_size(chain))
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.6, 0.9, 0.99, 0.999])
+    def test_ar1_chains(self, rho):
+        for n in (2, 17, 2000):
+            chain = ar1_chain(rho, n, seed=n)
+            assert same_bits(effective_sample_size(chain), frozen_effective_sample_size(chain))
 
 
 class TestGaussianPosteriorOracle:
