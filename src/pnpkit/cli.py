@@ -107,11 +107,6 @@ EXIT_ASSERT = 3
 EXIT_DIVERGED = 4
 
 SOLVE_TASKS = ("deblur", "inpaint", "denoise")
-VALID_ALGOS = (
-    "pgd", "pnp-pgd", "apgd", "pnp-apgd", "drs", "pnp-drs", "pnp-drsdiff",
-    "admm", "pnp-admm", "hqs", "red-gd", "red-pg", "red-apg", "gs-pnp",
-)
-PROX_ALGOS = ("pgd", "apgd", "drs", "admm")  # a 'reg' prox first, else the denoiser
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +155,15 @@ _IMAGE = OneOf({
     "path": {"path": Key(PATH)},
 })
 _KERNEL = OneOf({
-    "builtin": {"builtin": Key(str, choices=("uniform", "gaussian")),
-                "size": Key(int, 9, ge=1), "sigma": Key(float, 1.5),
-                "radius": Key(int, None)},
+    "builtin": OneOf({"uniform": {"size": Key(int, 9, ge=1)},
+                      "gaussian": {"sigma": Key(float, 1.5), "radius": Key(int, None)}},
+                     tag="builtin"),
     "path": {"path": Key(PATH)},
 })
 _OPERATOR = OneOf({
     "blur": {"kernel": Key(_KERNEL)},
-    "mask": {"density": Key(float, 0.5, gt=0.0, le=1.0), "path": Key(PATH, None)},
+    # a mask is read from path or drawn at density (0.5 when neither is given)
+    "mask": {"density": Key(float, None, gt=0.0, le=1.0), "path": Key(PATH, None)},
     "identity": {},
     "diagonal": {"entries": Key([float], min_len=1)},
 }, tag="kind")
@@ -206,19 +202,26 @@ _SOLVER_KEYS = {
     "L": Key(float, 2.0, gt=1.0),
     "rho_schedule": Key([float], None, gt=0.0, min_len=1),
     "sigma_schedule": Key([float], None, ge=0.0, min_len=1),
-    "reg": Key(_REG, None),
+    "reg": Key(_REG, None), "eta": Key(float, None, gt=0.0), "tau": Key(float, None, gt=0.0),
+    "backtracking": Key(bool, False),
 }
-_ALGO_KEYS = {
-    "red-gd": {"lam": Key(float, 1.0, ge=0.0), "sigma": Key(float, 1.0, gt=0.0),
-               "eta": Key(float, None, gt=0.0)},
-    "gs-pnp": {"lam": Key(float, None, gt=0.0), "tau": Key(float, None, gt=0.0),
-               "backtracking": Key(bool, False)},
+_ALGO_KEYS = {"red-gd": {"lam": Key(float, 1.0, ge=0.0), "sigma": Key(float, 1.0, gt=0.0)},
+              "gs-pnp": {"lam": Key(float, None, gt=0.0)}}  # their own bounds
+_ALGOS = {  # algo -> the keys it reads besides max_iter and tol
+    "pgd": "step reg sigma", "pnp-pgd": "step sigma",
+    "apgd": "step alpha reg sigma", "pnp-apgd": "step alpha sigma",
+    "drs": "step reg sigma", "pnp-drs": "step sigma", "pnp-drsdiff": "step sigma",
+    "admm": "rho reg sigma", "pnp-admm": "rho sigma",
+    "hqs": "rho sigma reg rho_schedule sigma_schedule",  # its denoiser before a reg prox
+    "red-gd": "step eta lam sigma", "red-pg": "lam L sigma", "red-apg": "lam L sigma",
+    "gs-pnp": "step tau lam backtracking",
 }
-_SOLVER = OneOf({algo: {**_SOLVER_KEYS, **_ALGO_KEYS.get(algo, {})} for algo in VALID_ALGOS},
-                tag="algo")
-_SWEEP = {
+_SOLVER = OneOf({algo: {k: _ALGO_KEYS.get(algo, {}).get(k, _SOLVER_KEYS[k])
+                        for k in ("max_iter", "tol", *row.split())}
+                 for algo, row in _ALGOS.items()}, tag="algo")
+_SWEEP = {  # the deltas are given, or the ladder 2^-k for k_min..k_max (1..8)
     "c": Key(float, 0.5, ge=0.0), "eta": Key(float, 0.45),
-    "k_min": Key(int, 1), "k_max": Key(int, 8),
+    "k_min": Key(int, None), "k_max": Key(int, None),
     "diag": Key([float], [2.0, 1.7, 1.4, 1.1], min_len=1),
     "x_true": Key([float], [0.15, 0.15, 0.15, 0.15], min_len=1),
     "deltas": Key([float], None, ge=0.0, min_len=2),
@@ -393,8 +396,8 @@ def build_image(spec: dict) -> tuple[np.ndarray, str]:
 def build_kernel(spec: dict) -> np.ndarray:
     if "path" in spec:
         return load_signal(spec["path"]).to_array()
-    size = spec["size"]
     if spec["builtin"] == "uniform":
+        size = spec["size"]
         return np.full((size, size), 1.0 / (size * size))
     return gaussian_kernel(spec["sigma"], ndim=2, radius=spec["radius"])
 
@@ -404,9 +407,12 @@ def build_operator(spec: dict, shape, rng: Rng) -> LinearOp:
     if kind == "blur":
         return make_blur(build_kernel(spec["kernel"]), shape)
     if kind == "mask":
-        if spec["path"] is not None:
-            return make_mask(load_signal(spec["path"]).to_array() > 0.5)
-        return make_mask(rng.uniform(0.0, 1.0, tuple(shape)) < spec["density"])
+        if spec["path"] is None:
+            density = 0.5 if spec["density"] is None else spec["density"]
+            return make_mask(rng.uniform(0.0, 1.0, tuple(shape)) < density)
+        if spec["density"] is not None:
+            raise ConfigError("a mask takes path or density, not both")
+        return make_mask(load_signal(spec["path"]).to_array() > 0.5)
     if kind == "diagonal":
         return DiagonalOp(np.asarray(spec["entries"], dtype=np.float64))
     return identity_op(shape)
@@ -492,18 +498,16 @@ def _solver_run(spec: dict, problem, where: str):
     algo = spec["algo"]
     ref, _, op, y, den = problem
     with _section(where):
-        cfg = SolverConfig(**{k: spec[k] for k in ("step", "alpha", "rho", "max_iter", "tol")},
-                           record_time=False)  # byte-identical outputs for identical config+seed
-        step_key = {"gs-pnp": "tau", "red-gd": "eta"}.get(algo)  # their names for the step
-        if step_key is not None and spec[step_key] is not None:
-            cfg = replace(cfg, step=spec[step_key])
-        prox = None if spec["reg"] is None else RegSlot(prox=build_reg_prox(spec["reg"]))
-        plug = None if den is None else RegSlot(denoiser=den, sigma=spec["sigma"])
-        slot = (plug or prox) if algo == "hqs" else (prox or plug) if algo in PROX_ALGOS else plug
+        fields = {k: spec[k] for k in ("step", "alpha", "rho", "max_iter", "tol") if k in spec}
+        fields.update(("step", spec[k]) for k in ("tau", "eta") if spec.get(k) is not None)
+        cfg = SolverConfig(**fields, record_time=False)  # byte-identical reruns
+        prox = None if spec.get("reg") is None else RegSlot(prox=build_reg_prox(spec["reg"]))
+        plug = None if den is None else RegSlot(denoiser=den, sigma=spec.get("sigma", 0.0))
+        fills = {"reg": prox, "sigma": plug}  # the slot is the first one its row names
+        slot = next((fills[k] for k in spec if fills.get(k) is not None), plug)
         if slot is None:
-            needs = ("either a 'reg' spec or a denoiser" if algo in PROX_ALGOS + ("hqs",)
-                     else "a denoiser in the config")
-            raise ConfigError(f"algo {algo!r} needs {needs}")
+            raise ConfigError(f"algo {algo!r} needs a denoiser in the config"
+                              + (" or a 'reg' spec" if "reg" in spec else ""))
         if algo == "gs-pnp" and den.potential is None:
             raise ConfigError("gs-pnp needs a gradient-step denoiser (kind 'gs')")
 
@@ -616,6 +620,9 @@ def cmd_compare(spec: dict, rng: Rng, args) -> int:
         for j, solver in enumerate(spec["solvers"]):
             run = _solver_run(solver, problem, f"config.solvers[{j}]")
             jobs.append((solver["algo"], f"{i:02d}_{name}", x_true, run))
+    algos = [solver["algo"] for solver in spec["solvers"]]
+    if len(set(algos)) < len(algos):  # an algo's runs are named by it alone
+        raise ConfigError(f"config.solvers: each algo may appear once, got {algos}")
     out = _prepare_out(args.out or spec["output"])
 
     def run_one(job):
@@ -664,11 +671,15 @@ def cmd_sweep(spec: dict, rng: Rng, args) -> int:
     x_true = np.asarray(sweep["x_true"], dtype=np.float64)
     if diag.shape != x_true.shape:
         raise ConfigError("config.sweep: diag and x_true must have the same length")
-    deltas = sweep["deltas"]
+    deltas, k_min, k_max = sweep["deltas"], sweep["k_min"], sweep["k_max"]
+    if deltas is not None and (k_min, k_max) != (None, None):
+        raise ConfigError("config.sweep: give deltas or k_min/k_max, not both")
     if deltas is None:
-        if sweep["k_max"] <= sweep["k_min"]:  # a ladder needs two rungs to fall
+        k_min = 1 if k_min is None else k_min
+        k_max = 8 if k_max is None else k_max
+        if k_max <= k_min:  # a ladder needs two rungs to fall
             raise ConfigError("config.sweep: k_max must exceed k_min")
-        deltas = [2.0 ** (-k) for k in range(sweep["k_min"], sweep["k_max"] + 1)]
+        deltas = [2.0 ** (-k) for k in range(k_min, k_max + 1)]
     with _section("config.sweep"):
         fid_cfg = SolverConfig(step=sweep["eta"], max_iter=100000, tol=1e-14,
                                record_time=False)

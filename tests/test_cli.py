@@ -24,6 +24,24 @@ def write_config(tmp_path, doc, name="config.json"):
     return str(path)
 
 
+GS_DENOISER = {"kind": "gs", "kernel_sigma": 1.5, "floor": 0.15, "weight": 0.7}
+# the keys each algo reads besides max_iter and tol, and a value each key may take
+SOLVER_ROWS = {
+    "pgd": ("step", "sigma", "reg"), "pnp-pgd": ("step", "sigma"),
+    "apgd": ("step", "alpha", "sigma", "reg"), "pnp-apgd": ("step", "alpha", "sigma"),
+    "drs": ("step", "sigma", "reg"), "pnp-drs": ("step", "sigma"),
+    "pnp-drsdiff": ("step", "sigma"), "admm": ("rho", "sigma", "reg"),
+    "pnp-admm": ("rho", "sigma"),
+    "hqs": ("rho", "sigma", "reg", "rho_schedule", "sigma_schedule"),
+    "red-gd": ("step", "eta", "lam", "sigma"), "red-pg": ("lam", "L", "sigma"),
+    "red-apg": ("lam", "L", "sigma"), "gs-pnp": ("step", "tau", "lam", "backtracking"),
+}
+ROW_VALUES = {"step": 0.9, "alpha": 0.7, "rho": 1.5, "lam": 0.6, "sigma": 0.05, "L": 3.0,
+              "rho_schedule": [1.0, 2.0], "sigma_schedule": [0.05, 0.04],
+              "reg": {"kind": "l1", "weight": 0.01}, "eta": 0.4, "tau": 0.8,
+              "backtracking": True}
+
+
 def small_deblur_config(out_dir, max_iter=40):
     return {
         "task": "deblur",
@@ -124,17 +142,20 @@ class TestSolveCommand:
         out = tmp_path / "out"
         doc = small_deblur_config(str(out))
         doc["solver"][key] = value
+        if key == "alpha":  # pnp-pgd reads no alpha
+            doc["solver"]["algo"] = "pnp-apgd"
         if command == "compare":
             doc = {"task": "compare", "images": [doc["image"]], "operator": doc["operator"],
                    "denoiser": doc["denoiser"], "output": str(out),
                    "solvers": [{"algo": "pnp-pgd"}, doc["solver"]]}
         assert main([command, "--config", write_config(tmp_path, doc)]) == 2
-        assert "config.solver" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config.solver" in err and f"{key} must" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("algo,key,value", [
         ("pnp-pgd", "step", math.nan), ("pnp-pgd", "tol", math.nan),
-        ("pnp-pgd", "rho", math.nan), ("pnp-pgd", "alpha", math.inf),
+        ("pnp-admm", "rho", math.nan), ("pnp-apgd", "alpha", math.inf),
         ("pnp-pgd", "tol", math.inf),
         ("red-pg", "L", 1.0), ("red-gd", "eta", -1), ("gs-pnp", "tau", -1),
         ("pnp-pgd", "sigma", -1), ("red-gd", "sigma", 0.0), ("gs-pnp", "lam", 0.0),
@@ -142,17 +163,40 @@ class TestSolveCommand:
     ])
     @pytest.mark.parametrize("command", ["solve", "compare"])
     def test_bad_driver_number_exit_2(self, tmp_path, capsys, command, algo, key, value):
+        # valid for its algo but for the one value, which the message names
         out = tmp_path / "out"
         doc = small_deblur_config(str(out))
-        doc["solver"]["algo"] = algo
-        doc["solver"][key] = value
+        doc["solver"] = {"algo": algo, "max_iter": 40, key: value}
+        if algo == "gs-pnp":
+            doc["denoiser"] = GS_DENOISER
         if command == "compare":
             doc = {"task": "compare", "images": [doc["image"]], "operator": doc["operator"],
                    "denoiser": doc["denoiser"], "output": str(out),
                    "solvers": [{"algo": "pnp-pgd"}, doc["solver"]]}
         assert main([command, "--config", write_config(tmp_path, doc)]) == 2
-        assert "config.solver" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config.solver" in err and f"{key} must" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("algo,key", [(algo, key) for algo, row in SOLVER_ROWS.items()
+                                          for key in ROW_VALUES if key not in row])
+    def test_key_outside_the_algo_row_exit_2(self, tmp_path, capsys, algo, key):
+        out = tmp_path / "out"
+        doc = small_deblur_config(str(out))
+        doc["solver"] = {"algo": algo, key: ROW_VALUES[key]}
+        assert main(["solve", "--config", write_config(tmp_path, doc)]) == 2
+        assert f"config.solver: unknown keys [{key!r}]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algo", sorted(SOLVER_ROWS))
+    def test_every_key_of_the_algo_row_runs(self, tmp_path, algo):
+        out = tmp_path / "out"
+        doc = small_deblur_config(str(out), max_iter=3)
+        doc["denoiser"] = GS_DENOISER
+        doc["solver"] = {"algo": algo, "max_iter": 3, "tol": 1e-9,
+                         **{key: ROW_VALUES[key] for key in SOLVER_ROWS[algo]}}
+        assert main(["solve", "--config", write_config(tmp_path, doc)]) == 0
+        assert json.loads((out / "summary.json").read_text())["iters"] == 3
 
     def test_driver_numbers_at_their_bounds_run(self, tmp_path):
         # red-gd accepts lam = 0; pnp-pgd accepts sigma = 0
@@ -176,6 +220,22 @@ class TestSolveCommand:
         }
         cfg = write_config(tmp_path, doc)
         assert main(["solve", "--config", cfg]) == 0
+
+    def test_mask_is_drawn_at_density_or_read_from_path(self, tmp_path, capsys):
+        mask = tmp_path / "mask.raw"
+        save_signal(Signal.from_array(np.tile([1.0, 0.0], (32, 16))), mask)
+        forms = {"default": {}, "half": {"density": 0.5}, "path": {"path": str(mask)},
+                 "both": {"path": str(mask), "density": 0.5}}
+        for name, form in forms.items():
+            doc = small_deblur_config(str(tmp_path / name), max_iter=3)
+            doc.update(task="inpaint", operator={"kind": "mask", **form})
+            code = main(["solve", "--config", write_config(tmp_path, doc)])
+            assert code == (2 if name == "both" else 0)
+        assert "config.operator: a mask takes path or density" in capsys.readouterr().err
+        assert not (tmp_path / "both").exists()
+        recon = {name: (tmp_path / name / "recon.raw").read_bytes() for name in forms
+                 if name != "both"}
+        assert recon["default"] == recon["half"] != recon["path"]
 
     def test_admm_inpaint_leaves_its_start(self, tmp_path):
         # a mask makes x_1 = K^T y = x_0; a stop on x alone returned the zero-filled input
@@ -321,6 +381,15 @@ class TestSweepCommand:
         assert len(errors) == 8
         assert all(b < a for a, b in zip(errors, errors[1:]))
         assert errors[-1] <= 0.05 * errors[0]
+
+    def test_ladder_defaults_are_1_and_8(self, tmp_path):
+        ladders = ({}, {"k_min": 1}, {"k_max": 8}, {"k_min": 1, "k_max": 8})
+        for i, sweep in enumerate(ladders):
+            doc = {"task": "sweep", "output": str(tmp_path / f"s{i}"), "sweep": sweep}
+            assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 0
+        first = (tmp_path / "s0" / "sweep.csv").read_bytes()
+        for i in range(1, len(ladders)):
+            assert (tmp_path / f"s{i}" / "sweep.csv").read_bytes() == first
 
     def test_non_monotone_ladder_asserts_exit_3(self, tmp_path):
         doc = {"task": "sweep", "output": str(tmp_path / "s"),
@@ -534,6 +603,11 @@ PROBE_BASES = {
                  "denoiser": {"kind": "spectral", "transform": "dct", "lam": 0.1},
                  "probe": {"shape": [8, 8], "sigma": 0.1, "probes": 2}, "mu": 1.0},
     "sweep": {"task": "sweep", "sweep": {}},
+    "compare": {"task": "compare", "images": [{"builtin": "shapes", "size": 16}],
+                "operator": {"kind": "blur", "kernel": {"builtin": "uniform", "size": 9}},
+                "denoiser": {"kind": "tv", "c": 1.0},
+                "solvers": [{"algo": "pnp-pgd", "max_iter": 3},
+                            {"algo": "pnp-drs", "max_iter": 3}]},
 }
 GMM_1D = {"weights": [1.0], "means": [[0.0]], "variances": [1.0]}
 # (command, key path, value put there, the section the message names); a path
@@ -548,6 +622,15 @@ MALFORMED = [
     pytest.param("solve", ("operator", "kernel", "size"), "x", "config.operator.kernel",
                  id="kernel-size"),
     pytest.param("solve", ("image", "size"), 8, "config.operator", id="kernel-vs-image"),
+    # a gaussian kernel has no size: it used to build 9x9 at sigma 1.5 whatever the size
+    pytest.param("solve", ("operator", "kernel"), {"builtin": "gaussian", "size": 5},
+                 "config.operator.kernel", id="gaussian-kernel-size"),
+    # both forms of a mask; the file is not read, since giving both is the error
+    pytest.param("solve", ("operator",), {"kind": "mask", "path": __file__, "density": 0.5},
+                 "config.operator", id="mask-path-and-density"),
+    # two runs of one algo would write one trace file
+    pytest.param("compare", ("solvers", 1, "algo"), "pnp-pgd", "config.solvers",
+                 id="compare-algo-twice"),
     pytest.param("solve", ("noise", "percent"), "a", "config.noise", id="noise-percent"),
     pytest.param("solve", ("noise",), {"sigma": -1}, "config.noise", id="noise-sigma"),
     pytest.param("solve", ("operator",), {"kind": "mask", "density": "x"},
@@ -596,6 +679,8 @@ MALFORMED = [
                  id="sweep-k-max-below-k-min"),
     pytest.param("sweep", ("sweep", "deltas"), [], "config.sweep", id="sweep-no-deltas"),
     pytest.param("sweep", ("sweep", "deltas"), [0.25], "config.sweep", id="sweep-one-delta"),
+    pytest.param("sweep", ("sweep",), {"deltas": [0.5, 0.25], "k_max": 4}, "config.sweep",
+                 id="sweep-deltas-and-ladder"),
     pytest.param("solve", None, None, "config.seed", id="seed-flag"),
 ]
 
