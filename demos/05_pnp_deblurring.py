@@ -18,7 +18,6 @@ import numpy as np
 from pnpkit import (
     RegSlot,
     Rng,
-    Signal,
     SmoothFn,
     SolverConfig,
     gaussian_smoother,
@@ -53,8 +52,8 @@ recon, tv_trace = run_pgd(fid, tv_slot, SolverConfig(step=1.0, max_iter=120, tol
                           x0, reference=x_true)
 print(f"  {psnr(recon, x_true):.2f} dB after {tv_trace.last().iter} iterations "
       f"({psnr(recon, x_true) - psnr(y, x_true):+.2f} dB over the input)\n")
-save_signal(Signal.from_array(np.clip(np.asarray(recon), 0, 1)), out_dir / "tv_recon.pgm")
-save_signal(Signal.from_array(np.clip(y, 0, 1)), out_dir / "corrupted.pgm")
+save_signal(np.clip(recon, 0, 1), out_dir / "tv_recon.pgm")
+save_signal(np.clip(y, 0, 1), out_dir / "corrupted.pgm")
 
 print("provably convergent schemes sharing one gradient-step denoiser:")
 gs = gs_denoiser(gaussian_smoother((size, size), 1.5, floor=0.15), weight=0.7)

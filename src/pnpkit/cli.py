@@ -38,10 +38,8 @@ from .core import (
     PnpkitError,
     Rng,
     ShapeError,
-    Signal,
     Trace,
     add_gaussian_noise,
-    as_array,
     load_signal,
     psnr,
     read_trace,
@@ -53,6 +51,7 @@ from .denoisers import (
     estimate_residual_lipschitz,
     gaussian_filter_denoiser,
     gaussian_kernel,
+    gaussian_radius,
     gaussian_smoother,
     gs_denoiser,
     homogeneity_defect,
@@ -66,6 +65,7 @@ from .gmm import GmmPrior, load_gmm_prior, sample_smoothed
 from .operators import (
     DiagonalOp,
     LinearOp,
+    check_blur_kernel,
     identity_op,
     make_blur,
     make_mask,
@@ -338,7 +338,8 @@ def _section(where: str):
     """Report a value the library rejects as a ConfigError naming its section."""
     try:
         yield
-    except (ValueError, TypeError, OSError, ShapeError, ParseError, ConfigError) as exc:
+    except (ValueError, TypeError, OverflowError, OSError, ShapeError, ParseError,
+            ConfigError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
@@ -390,29 +391,32 @@ def builtin_image(name: str, size: int = 64) -> np.ndarray:
 def build_image(spec: dict) -> tuple[np.ndarray, str]:
     if "builtin" in spec:
         return builtin_image(spec["builtin"], spec["size"]), spec["builtin"]
-    return load_signal(spec["path"]).to_array(), Path(spec["path"]).stem
+    return load_signal(spec["path"]), Path(spec["path"]).stem
 
 
-def build_kernel(spec: dict) -> np.ndarray:
+def build_kernel(spec: dict, shape) -> np.ndarray:
+    """The kernel of a ``kernel`` section; a builtin one is checked to fit ``shape`` first."""
     if "path" in spec:
-        return load_signal(spec["path"]).to_array()
-    if spec["builtin"] == "uniform":
-        size = spec["size"]
-        return np.full((size, size), 1.0 / (size * size))
+        return load_signal(spec["path"])
+    uniform = spec["builtin"] == "uniform"
+    side = spec["size"] if uniform else 2 * gaussian_radius(spec["sigma"], spec["radius"]) + 1
+    check_blur_kernel((side, side), shape)  # before a kernel too large to allocate is built
+    if uniform:
+        return np.full((side, side), 1.0 / (side * side))
     return gaussian_kernel(spec["sigma"], ndim=2, radius=spec["radius"])
 
 
 def build_operator(spec: dict, shape, rng: Rng) -> LinearOp:
     kind = spec["kind"]
     if kind == "blur":
-        return make_blur(build_kernel(spec["kernel"]), shape)
+        return make_blur(build_kernel(spec["kernel"], shape), shape)
     if kind == "mask":
         if spec["path"] is None:
             density = 0.5 if spec["density"] is None else spec["density"]
             return make_mask(rng.uniform(0.0, 1.0, tuple(shape)) < density)
         if spec["density"] is not None:
             raise ConfigError("a mask takes path or density, not both")
-        return make_mask(load_signal(spec["path"]).to_array() > 0.5)
+        return make_mask(load_signal(spec["path"]) > 0.5)
     if kind == "diagonal":
         return DiagonalOp(np.asarray(spec["entries"], dtype=np.float64))
     return identity_op(shape)
@@ -481,8 +485,7 @@ def _build_problem(spec: dict, image_spec: dict, rng: Rng, where: str, image_ind
     with _section("config.noise"):
         sigma = (0.0 if noise is None
                  else 0.01 * noise["percent"] if "percent" in noise else noise["sigma"])
-        y = as_array(add_gaussian_noise(Signal.from_array(y_clean), sigma,
-                                        rng.child(100 + image_index)))
+        y = add_gaussian_noise(y_clean, sigma, rng.child(100 + image_index))
     _check_start(op, y)
     with _section("config.denoiser"):
         denoiser = (None if spec["denoiser"] is None
@@ -493,7 +496,7 @@ def _build_problem(spec: dict, image_spec: dict, rng: Rng, where: str, image_ind
 def _solver_run(spec: dict, problem, where: str):
     """Check a filled solver section against its problem; return its run.
 
-    The run takes no arguments and returns (Signal, Trace).
+    The run takes no arguments and returns (the solver's point, its Trace).
     """
     algo = spec["algo"]
     ref, _, op, y, den = problem
@@ -575,12 +578,14 @@ def _prepare_out(path) -> Path:
 
 def cmd_solve(spec: dict, rng: Rng, args) -> int:
     problem = _build_problem(spec, spec["image"], rng, "config.image")
+    if problem[0].ndim != 2:  # recon.pgm is a grayscale image
+        raise ConfigError(f"config.image: solve needs a 2-D image, got shape {problem[0].shape}")
     run = _solver_run(spec["solver"], problem, "config.solver")
     out = _prepare_out(args.out or spec["output"])
     recon, trace = run()
     x_true, name, _, y, _ = problem
     save_signal(recon, out / "recon.raw")
-    save_signal(Signal.from_array(np.clip(recon.to_array(), 0.0, 1.0)), out / "recon.pgm")
+    save_signal(np.clip(recon, 0.0, 1.0), out / "recon.pgm")
     write_trace(trace, out / "trace.csv")
     summary = {
         "final_psnr": psnr(recon, x_true),
@@ -702,7 +707,6 @@ def cmd_sweep(spec: dict, rng: Rng, args) -> int:
             fid = SmoothFn.least_squares(op, y_delta)
             x_hat, _ = run_pgd(fid, RegSlot(denoiser=den), fid_cfg,
                                op._adjoint(y_delta))
-            x_hat = x_hat.to_array()
         err = float(np.linalg.norm(x_hat - x_dagger))
         rows.append((delta, lam, err))
         print(f"sweep: delta {delta:.6g}  lambda {lam:.6g}  error {err:.6g}")
@@ -763,7 +767,7 @@ def cmd_sample(spec: dict, rng: Rng, args) -> int:
         cfg = UlaConfig(delta=s["delta"], sigma=s["sigma"], sigma_w=s["sigma_w"],
                         kept=s["kept"], burn_in=s["burn_in"], thin=s["thin"], seed=rng.seed)
         _sample_buffer(cfg.kept, op.in_size)  # the chain's kept samples must fit in memory
-        y = as_array(add_gaussian_noise(Signal.from_array(y_clean), cfg.sigma_w, rng.child(2)))
+        y = add_gaussian_noise(y_clean, cfg.sigma_w, rng.child(2))
     _check_start(op, y)
     denoiser = mmse_gmm_denoiser(prior)
     out = _prepare_out(args.out or spec["output"])

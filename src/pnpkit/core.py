@@ -1,4 +1,4 @@
-"""Shared signal containers, metrics, noise injection, RNG, and file formats.
+"""Errors, the run scope, metrics, noise injection, RNG, traces and signal files.
 
 Conventions used throughout the package: signals are float64 arrays with
 intensities nominally in [0, 1] (PGM/PPM quantization maps linearly onto
@@ -136,13 +136,12 @@ def diverged(x: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class Signal:
-    """Immutable flat float64 array plus shape metadata.
+    """Immutable flat float64 array plus shape metadata: a validated input wrapper.
 
     ``data`` is stored flat in row-major order; ``shape`` may describe 1-D
-    vectors, 2-D grayscale images, or 3-D multichannel images.  A Signal is
-    what :func:`load_signal`, :func:`add_gaussian_noise` and a finished
-    solver run return; every map of the package takes a Signal or an array
-    and returns an array.
+    vectors, 2-D grayscale images, or 3-D multichannel images.  Every
+    function of the package accepts a Signal where it takes an array (it
+    reads one through ``__array__``), and no function returns one.
     """
 
     data: np.ndarray
@@ -169,36 +168,25 @@ class Signal:
         arr = np.asarray(arr, dtype=np.float64)
         return Signal(arr.reshape(-1), arr.shape if arr.shape else (1,))
 
-    def to_array(self) -> np.ndarray:
-        """Return the signal as a read-only array with its true shape."""
-        return self.data.reshape(self.shape)
-
     def __array__(self, dtype=None, copy=None):
         arr = self.data.reshape(self.shape)
-        return arr.astype(dtype) if dtype is not None else arr
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-
-def as_signal(x) -> Signal:
-    """Coerce an array-like into a :class:`Signal` (no-op for Signals)."""
-    if isinstance(x, Signal):
-        return x
-    return Signal.from_array(x)
+        return arr.astype(np.float64 if dtype is None else dtype, copy=bool(copy))
 
 
 def as_array(x) -> np.ndarray:
-    """Coerce a Signal or array-like into a float64 ndarray with true shape.
+    """Coerce an array-like (a :class:`Signal` included) into a float64 ndarray.
 
     A float64 ndarray comes back as is, the object ``np.asarray`` would give.
     """
     if type(x) is np.ndarray and x.dtype == _FLOAT64:
         return x
-    if isinstance(x, Signal):
-        return x.to_array()
     return np.asarray(x, dtype=np.float64)
+
+
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """arr, marked read-only: how the package hands out a loaded, noisy or solved signal."""
+    arr.setflags(write=False)
+    return arr
 
 
 class Rng:
@@ -264,15 +252,19 @@ def psnr(a, b, peak: float = 1.0) -> float:
     return min(10.0 * math.log10(peak * peak / mse), PSNR_CAP_DB)
 
 
-def add_gaussian_noise(x, sigma: float, rng: Rng) -> Signal:
-    """Return x + sigma * w with w i.i.d. standard normal from ``rng``."""
-    x = as_signal(x)
+def add_gaussian_noise(x, sigma: float, rng: Rng) -> np.ndarray:
+    """Return x + sigma * w, w i.i.d. standard normal from ``rng``, as a read-only array.
+
+    At sigma = 0 it is a copy of x.  A non-finite result raises ValueError.
+    """
+    x = as_array(x)
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    if sigma == 0:
-        return x
-    noisy = x.data + sigma * rng.standard_normal(x.size)
-    return Signal(noisy, x.shape)
+    with np.errstate(over="ignore"):  # an overflow is caught as non-finite below
+        noisy = x.copy() if sigma == 0 else x + sigma * rng.standard_normal(x.shape)
+    if not np.all(np.isfinite(noisy)):
+        raise ValueError("noisy signal entries must be finite")
+    return read_only(noisy)
 
 
 @dataclass
@@ -339,26 +331,41 @@ def write_trace(trace: Trace, path) -> None:
 
 
 def read_trace(path) -> Trace:
-    """Read a trace CSV produced by :func:`write_trace`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln != ""]
+    """Read a trace CSV produced by :func:`write_trace`.
+
+    Anything else raises ParseError naming the file and the line: bytes that
+    are not UTF-8, a wrong header, a row of the wrong width, a cell that is
+    not a number, an iteration that is not an integer, or iterations that do
+    not rise from 0.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: line {line} is not UTF-8 text", offset=exc.start) from None
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln != ""]
     if not lines:
         raise ParseError(f"{path}: empty trace file", offset=0)
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if tuple(header) != TRACE_COLUMNS:
         raise ParseError(f"{path}: unexpected trace header {header!r}", offset=0)
     trace = Trace()
-    for ln in lines[1:]:
+    for n, ln in lines[1:]:
         cells = ln.split(",")
-        if len(cells) != len(TRACE_COLUMNS):
-            raise ParseError(f"{path}: malformed trace row {ln!r}")
-        values = [float(c) if c != "" else math.nan for c in cells[1:]]
-        trace.append(int(cells[0]), *values)
+        try:
+            if len(cells) != len(TRACE_COLUMNS):
+                raise ValueError(f"expected {len(TRACE_COLUMNS)} cells, got {len(cells)}")
+            values = [float(c) if c != "" else math.nan for c in cells[1:]]
+            trace.append(int(cells[0]), *values)
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {n}: malformed trace row {ln!r:.80}: {exc}") from None
     return trace
 
 
 # ---------------------------------------------------------------------------
-# Signal file formats: raw float64 container and Netpbm PGM/PPM.
+# File formats for signals: raw float64 container and Netpbm PGM/PPM.
 # ---------------------------------------------------------------------------
 
 
@@ -370,7 +377,9 @@ def save_signal(x, path, maxval: int = 255) -> None:
     ``.ppm`` write binary P5/P6 with linear quantization of [0, 1] onto
     [0, maxval]; maxval must be 255 or 65535.
     """
-    x = as_signal(x)
+    x = as_array(x)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("signal entries must be finite")
     path = str(path)
     ext = path.rsplit(".", 1)[-1].lower() if "." in path else ""
     if ext == "raw":
@@ -387,8 +396,8 @@ def save_signal(x, path, maxval: int = 255) -> None:
         raise ValueError(f"unsupported signal extension {ext!r} (use raw, pgm, or ppm)")
 
 
-def load_signal(path) -> Signal:
-    """Load a signal saved by :func:`save_signal` (raw, PGM, or PPM)."""
+def load_signal(path) -> np.ndarray:
+    """Load a signal saved by :func:`save_signal` (raw, PGM, or PPM) as a read-only array."""
     path = str(path)
     ext = path.rsplit(".", 1)[-1].lower() if "." in path else ""
     with open(path, "rb") as fh:
@@ -400,16 +409,17 @@ def load_signal(path) -> Signal:
     raise ValueError(f"unsupported signal extension {ext!r} (use raw, pgm, or ppm)")
 
 
-def _save_raw(x: Signal, path: str) -> None:
+def _save_raw(x: np.ndarray, path: str) -> None:
     sidecar = json.dumps({"shape": list(x.shape)}, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(RAW_MAGIC)
         fh.write(sidecar)
         fh.write(b"\n")
-        fh.write(x.data.astype("<f8").tobytes())
+        fh.write(x.astype("<f8").tobytes())
 
 
-def _load_raw(buf: bytes, path: str) -> Signal:
+def _load_raw(buf: bytes, path: str) -> np.ndarray:
+    # The one place a file brings in a shape or a float: both are checked here.
     if buf[: len(RAW_MAGIC)] != RAW_MAGIC:
         raise ParseError(f"{path}: bad magic, expected {RAW_MAGIC!r}", offset=0)
     nl = buf.find(b"\n", len(RAW_MAGIC))
@@ -423,6 +433,8 @@ def _load_raw(buf: bytes, path: str) -> Signal:
         raise ParseError(f"{path}: sidecar must be exactly {{\"shape\": [...]}}",
                          offset=len(RAW_MAGIC))
     shape = tuple(int(s) for s in sidecar["shape"])
+    if any(s <= 0 for s in shape):
+        raise ShapeError(f"{path}: shape entries must be positive, got {shape}")
     n = int(np.prod(shape))
     payload = buf[nl + 1:]
     if len(payload) != 8 * n:
@@ -430,16 +442,18 @@ def _load_raw(buf: bytes, path: str) -> Signal:
             f"{path}: payload has {len(payload)} bytes, shape {shape} needs {8 * n}",
             offset=nl + 1,
         )
-    data = np.frombuffer(payload, dtype="<f8")
-    return Signal(data, shape)
+    data = np.frombuffer(payload, dtype="<f8").astype(np.float64, copy=False)
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: signal entries must be finite")
+    return read_only(data.reshape(shape))
 
 
-def _save_netpbm(x: Signal, path: str, maxval: int) -> None:
+def _save_netpbm(x: np.ndarray, path: str, maxval: int) -> None:
     if maxval not in (255, 65535):
         raise ValueError("maxval must be 255 or 65535")
     magic = b"P5" if len(x.shape) == 2 else b"P6"
     h, w = x.shape[0], x.shape[1]
-    quant = np.round(np.clip(x.to_array(), 0.0, 1.0) * maxval)
+    quant = np.round(np.clip(x, 0.0, 1.0) * maxval)
     if maxval == 255:
         raster = quant.astype(np.uint8).tobytes()
     else:
@@ -487,7 +501,7 @@ def _netpbm_int(buf: bytes, pos: int, path: str, what: str, least: int,
     return value, new_pos
 
 
-def _load_netpbm(buf: bytes, path: str) -> Signal:
+def _load_netpbm(buf: bytes, path: str) -> np.ndarray:
     magic, pos = _netpbm_token(buf, 0, path)
     if magic not in (b"P2", b"P3", b"P5", b"P6"):
         raise ParseError(f"{path}: unsupported Netpbm magic {magic!r}", offset=0)
@@ -518,4 +532,4 @@ def _load_netpbm(buf: bytes, path: str) -> Signal:
             values[i], pos = _netpbm_int(buf, pos, path, "sample", 0, maxval)
 
     shape = (h, w) if channels == 1 else (h, w, 3)
-    return Signal(values / maxval, shape)
+    return read_only((values / maxval).reshape(shape))

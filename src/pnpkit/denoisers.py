@@ -28,8 +28,8 @@ JACOBIAN_MAX_DIM = 4096
 class Denoiser:
     """A sigma-parameterized denoising map with optional analytic structure.
 
-    ``apply(x, sigma)`` takes a Signal or an array and returns an array of
-    the same shape.
+    ``apply(x, sigma)`` takes an array (a :class:`~pnpkit.core.Signal` is
+    read as its array) and returns an array of the same shape.
 
     Optional hooks (all taking ``(x, sigma)``):
 
@@ -84,14 +84,18 @@ def gaussian_kernel(sigma: float, ndim: int = 2, radius: int | None = None) -> n
     if sigma <= 0:
         raise ValueError("kernel sigma must be positive")
     _check_radius(radius)
-    if radius is None:
-        radius = max(1, int(math.ceil(3.0 * sigma)))
+    radius = gaussian_radius(sigma, radius)
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     g1 = np.exp(-0.5 * (t / sigma) ** 2)
     kernel = g1
     for _ in range(ndim - 1):
         kernel = np.multiply.outer(kernel, g1)
     return kernel / kernel.sum()
+
+
+def gaussian_radius(sigma: float, radius: int | None = None) -> int:
+    """The half-width of a truncated Gaussian kernel: ``radius``, by default ceil(3 sigma) >= 1."""
+    return max(1, math.ceil(3.0 * sigma)) if radius is None else radius
 
 
 def _check_radius(radius: int | None) -> None:
@@ -103,9 +107,8 @@ def _fitted_gaussian_kernel(sigma: float, shape, radius: int | None) -> np.ndarr
     # radius clamped so the (odd-sided) kernel fits the image
     ndim = min(len(shape), 2)
     max_radius = (min(shape[:ndim]) - 1) // 2
-    if radius is None:
-        radius = max(1, int(math.ceil(3.0 * sigma)))
-    return gaussian_kernel(sigma, ndim=ndim, radius=max(0, min(radius, max_radius)))
+    radius = max(0, min(gaussian_radius(sigma, radius), max_radius))
+    return gaussian_kernel(sigma, ndim=ndim, radius=radius)
 
 
 def gaussian_filter_denoiser(kernel_sigma: float, radius: int | None = None) -> Denoiser:
@@ -145,7 +148,7 @@ def nlm_denoiser(patch_radius: int, window_radius: int, h: float) -> Denoiser:
         from scipy import ndimage  # imported on first use: it adds ~50 ms to every start-up
 
         if arr.ndim not in (1, 2):
-            raise ValueError("nlm supports 1-D and 2-D signals")
+            raise ShapeError(f"nlm supports 1-D and 2-D signals, got shape {arr.shape}")
         offsets = np.ndindex(*([2 * window_radius + 1] * arr.ndim))
         num = np.zeros_like(arr)
         den = np.zeros_like(arr)

@@ -29,10 +29,10 @@ class LinearOp:
 
     Subclasses implement ``_apply`` and ``_adjoint`` on plain arrays: the
     unchecked path (no shape check) that the package's own solver, denoiser
-    and sampler loops call.  The public methods check shapes, take a Signal
-    or an array, and return an array.  ``normal`` (K^T K x) and
-    ``shifted_solve`` work on plain arrays of the input shape without
-    checks; kinds with a closed form override them, and
+    and sampler loops call.  The public methods check shapes, take an array
+    (a :class:`~pnpkit.core.Signal` is read as its array), and return an
+    array.  ``normal`` (K^T K x) and ``shifted_solve`` work on plain arrays
+    of the input shape without checks; kinds with a closed form override them, and
     :func:`solve_shifted_normal` is the checked entry.
     Each kind answers for its own ``spectral_norm`` and ``symmetric_spectrum()``.
     """
@@ -356,6 +356,25 @@ def zero_op(shape) -> DiagonalOp:
     return DiagonalOp(np.zeros(tuple(shape)))
 
 
+def check_blur_kernel(kernel_shape, image_shape) -> tuple:
+    """The spatial shape a kernel of ``kernel_shape`` blurs; ShapeError if it cannot.
+
+    The kernel has the image's dimension, or one less (it then acts per
+    channel), odd sides, and no side larger than the image's.  Only shapes
+    are read, so a kernel can be checked before it is built.
+    """
+    kernel_shape, image_shape = tuple(kernel_shape), tuple(image_shape)
+    ndim = len(kernel_shape)
+    if ndim != len(image_shape) and not (ndim == len(image_shape) - 1 and ndim >= 1):
+        raise ShapeError(f"kernel ndim {ndim} incompatible with image shape {image_shape}")
+    if any(s % 2 == 0 for s in kernel_shape):
+        raise ShapeError(f"kernel sides must be odd, got {kernel_shape}")
+    spatial = image_shape[:ndim]
+    if any(k > s for k, s in zip(kernel_shape, spatial)):
+        raise ShapeError(f"kernel {kernel_shape} larger than image {spatial}")
+    return spatial
+
+
 def make_blur(kernel, image_shape) -> CirculantOp:
     """Periodic (circular) convolution with ``kernel`` on ``image_shape``.
 
@@ -365,17 +384,7 @@ def make_blur(kernel, image_shape) -> CirculantOp:
     """
     kernel = as_array(kernel)
     image_shape = tuple(int(s) for s in image_shape)
-    spatial = image_shape[: kernel.ndim]
-    if kernel.ndim == len(image_shape) - 1 and len(image_shape) >= 2:
-        pass  # per-channel application
-    elif kernel.ndim != len(image_shape):
-        raise ShapeError(
-            f"kernel ndim {kernel.ndim} incompatible with image shape {image_shape}"
-        )
-    if any(s % 2 == 0 for s in kernel.shape):
-        raise ShapeError(f"kernel sides must be odd, got {kernel.shape}")
-    if any(k > s for k, s in zip(kernel.shape, spatial)):
-        raise ShapeError(f"kernel {kernel.shape} larger than image {spatial}")
+    spatial = check_blur_kernel(kernel.shape, image_shape)
     embedded = np.zeros(spatial)
     slices = tuple(slice(0, k) for k in kernel.shape)
     embedded[slices] = kernel
@@ -527,7 +536,7 @@ def operator_norm(op: LinearOp, rng, iters: int = 2000, tol: float = 1e-13) -> f
 
 def load_dense_operator(path) -> DenseOp:
     """Load a dense operator from the raw float64 format (shape [m, n])."""
-    sig = load_signal(path)
-    if len(sig.shape) != 2:
-        raise ShapeError(f"dense operator file must have shape [m, n], got {sig.shape}")
-    return DenseOp(sig.to_array())
+    matrix = load_signal(path)
+    if matrix.ndim != 2:
+        raise ShapeError(f"dense operator file must have shape [m, n], got {matrix.shape}")
+    return DenseOp(matrix)

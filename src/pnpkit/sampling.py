@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DivergenceError, Rng, Signal, as_array, diverged, save_signal
+from .core import DivergenceError, Rng, as_array, diverged, save_signal
 from .denoisers import Denoiser
 from .operators import LinearOp, as_dense
 
@@ -235,9 +235,8 @@ def sample_stats(samples: np.ndarray, stability: float | None = None) -> SampleS
 
 
 def write_samples(samples: np.ndarray, path) -> None:
-    """Stream kept samples to the raw float64 container, one row per sample."""
-    samples = np.asarray(samples, dtype=np.float64)
-    save_signal(Signal.from_array(samples), path)
+    """Write kept samples to the raw float64 container, one row per sample."""
+    save_signal(samples, path)
 
 
 def write_stats_csv(stats: SampleStats, path) -> None:

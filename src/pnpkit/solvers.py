@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (DivergenceError, Signal, SolveError, Trace, as_array, diverged, psnr,
+from .core import (DivergenceError, SolveError, Trace, as_array, diverged, psnr, read_only,
                    scoped_run)
 from .denoisers import Denoiser
 from .operators import LinearOp, solve_shifted_normal
@@ -185,7 +185,8 @@ def _iterate(cfg: SolverConfig, x0, advance, report, reference=None,
     ``report(k, x, r)`` gets a checked state and its step residual and
     returns the traced (point, objective, step_residual, fp_residual); the
     tolerance stop reads the step_residual it returns.  Row 0 is
-    ``report(0, x0, nan)``.  Returns (Signal of the last traced point, trace).
+    ``report(0, x0, nan)``.  Returns (the last traced point, trace); the point,
+    like a DivergenceError's ``last``, is a read-only array that is not x0.
 
     The whole run, row 0 included, sits in a :func:`~pnpkit.core.scoped_run`
     of its own, so state a map carries between its calls (the TV prox's
@@ -216,7 +217,7 @@ def _iterate(cfg: SolverConfig, x0, advance, report, reference=None,
                     point, objective, r, fp = report(k, x_new, float(np.linalg.norm(x_new - x)))
                 except DivergenceError as exc:
                     trace.stop_reason = "diverged"
-                    exc.step, exc.last, exc.trace = k, Signal.from_array(x), trace
+                    exc.step, exc.last, exc.trace = k, read_only(x), trace
                     if record_divergence:
                         return exc.last, trace
                     raise
@@ -225,7 +226,7 @@ def _iterate(cfg: SolverConfig, x0, advance, report, reference=None,
                 if r <= cfg.tol:
                     trace.stop_reason = "tolerance"
                     break
-    return Signal.from_array(point), trace
+    return read_only(point), trace
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,7 @@ def test_criterion_03_pgd_linear_rate():
     ratios = []
     for k in range(1, 40):
         out, _ = run_pgd(f, slot, SolverConfig(step=step, max_iter=1, tol=0.0), x)
-        x_new = out.to_array()
+        x_new = out
         d_old = np.linalg.norm(x - x_star)
         d_new = np.linalg.norm(x_new - x_star)
         if k >= 5 and d_old > 1e-13:
@@ -168,7 +168,7 @@ def test_criterion_04_drsdiff_contraction():
         x2, t2 = run_drs(prox_f, RegSlot(denoiser=den), cfg, 5.0 * rng.standard_normal(n))
         f1, f2 = contraction_factor(t1), contraction_factor(t2)
         assert f1 < 1.0 and f2 < 1.0
-        gap = float(np.max(np.abs(x1.to_array() - x2.to_array())))
+        gap = float(np.max(np.abs(x1 - x2)))
         assert gap <= 1e-8
         details.append(f"eps={eps}: factor {max(f1, f2):.3f}, init gap {gap:.1e}")
     budget.done("4 drsdiff-contraction", "; ".join(details))
@@ -256,8 +256,8 @@ def test_criterion_08_red_fixed_point():
     fc_gd = tr_gd.column("fp_residual")[-1]
     fc_pg = tr_pg.column("fp_residual")[-1]
     assert fc_gd <= 1e-8 and fc_pg <= 1e-8
-    gap_gd = float(np.max(np.abs(x_gd.to_array() - closed)))
-    gap_pg = float(np.max(np.abs(x_pg.to_array() - closed)))
+    gap_gd = float(np.max(np.abs(x_gd - closed)))
+    gap_pg = float(np.max(np.abs(x_pg - closed)))
     assert gap_gd <= 1e-7 and gap_pg <= 1e-7
     budget.done("8 red-fixed-point",
                 f"fc norms {fc_gd:.1e}/{fc_pg:.1e} <= 1e-8, "
@@ -417,7 +417,7 @@ def test_criterion_12_adjoint_and_consistency_suite():
     for _ in range(50):
         v = z - step * op._adjoint(op._apply(z) - y)
         z = np.sign(v) * np.maximum(np.abs(v) - (step * 1.0) * weight, 0.0)
-    assert np.array_equal(x_lib.to_array(), z)
+    assert np.array_equal(x_lib, z)
 
     alpha = 0.7
     x_lib, _ = run_apgd(SmoothFn.least_squares(op, y), RegSlot(prox=l1_prox(weight)),
@@ -430,7 +430,7 @@ def test_criterion_12_adjoint_and_consistency_suite():
         v = yk - step * op._adjoint(op._apply(q) - y)
         yk = np.sign(v) * np.maximum(np.abs(v) - (step * 1.0) * weight, 0.0)
         xk = (1.0 - alpha) * xk + alpha * yk
-    assert np.array_equal(x_lib.to_array(), xk)
+    assert np.array_equal(x_lib, xk)
 
     lam = 0.8
     out, _ = run_drs(quadratic_fidelity_prox(op, y), RegSlot(prox=l1_prox(weight)),
@@ -442,7 +442,7 @@ def test_criterion_12_adjoint_and_consistency_suite():
         v = 2.0 * yk - x
         zk = np.sign(v) * np.maximum(np.abs(v) - (lam * 1.0) * weight, 0.0)
         x = x + zk - yk
-    assert np.array_equal(out.to_array(), yk)
+    assert np.array_equal(out, yk)
 
     rho = 1.5
     out, _ = run_admm(op, y, RegSlot(prox=l1_prox(weight)),
@@ -455,7 +455,7 @@ def test_criterion_12_adjoint_and_consistency_suite():
         v = x + u
         zz = np.sign(v) * np.maximum(np.abs(v) - ((1.0 / rho) * 1.0) * weight, 0.0)
         u = u + x - zz
-    assert np.array_equal(out.to_array(), x)
+    assert np.array_equal(out, x)
 
     rho = 1.1
     out, _ = run_hqs(op, y, RegSlot(prox=l1_prox(weight)),
@@ -464,7 +464,7 @@ def test_criterion_12_adjoint_and_consistency_suite():
     for _ in range(40):
         x = np.asarray(fidelity.evaluate(zz, 1.0 / rho))
         zz = np.sign(x) * np.maximum(np.abs(x) - ((1.0 / rho) * 1.0) * weight, 0.0)
-    assert np.array_equal(out.to_array(), zz)
+    assert np.array_equal(out, zz)
 
     # 12c: the residual-Lipschitz estimator matches SVD on linear denoisers
     worst_rel = 0.0

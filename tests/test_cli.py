@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnpkit import ConfigError, Signal, Trace, save_signal, write_trace
+from pnpkit import ConfigError, Trace, save_signal, write_trace
 from pnpkit.cli import (
     builtin_image,
     main,
@@ -223,7 +223,7 @@ class TestSolveCommand:
 
     def test_mask_is_drawn_at_density_or_read_from_path(self, tmp_path, capsys):
         mask = tmp_path / "mask.raw"
-        save_signal(Signal.from_array(np.tile([1.0, 0.0], (32, 16))), mask)
+        save_signal(np.tile([1.0, 0.0], (32, 16)), mask)
         forms = {"default": {}, "half": {"density": 0.5}, "path": {"path": str(mask)},
                  "both": {"path": str(mask), "density": 0.5}}
         for name, form in forms.items():
@@ -574,6 +574,18 @@ class TestPlotCommand:
         cfg = write_config(tmp_path, {"traces": [str(p)]})
         assert main(["plot", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("row", [
+        b"0,a,b,c,d,e\n", b"x,1,,,,\n", b"0.5,1,,,,\n", b"1,1,,,,\n", b"0,\xff\xfe,,,,\n",
+    ], ids=["non-numeric-cell", "iter-x", "iter-half", "first-row-at-1", "not-utf8"])
+    def test_malformed_trace_row_exit_2(self, tmp_path, capsys, row):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"iter,objective,step_residual,fp_residual,psnr,seconds\n" + row)
+        cfg = write_config(tmp_path, {"traces": [str(p)]})
+        assert main(["plot", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"pnpkit: {p}: line 2") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_render_handles_nan_columns(self):
         t = Trace()
         t.append(0)
@@ -622,6 +634,14 @@ MALFORMED = [
     pytest.param("solve", ("operator", "kernel", "size"), "x", "config.operator.kernel",
                  id="kernel-size"),
     pytest.param("solve", ("image", "size"), 8, "config.operator", id="kernel-vs-image"),
+    # kernels wider than the image, rejected before they are built (262 TiB and 2.84 PiB)
+    pytest.param("solve", ("operator", "kernel"), {"builtin": "gaussian", "sigma": 1e6},
+                 "config.operator", id="gaussian-sigma-kernel-vs-image"),
+    pytest.param("solve", ("operator", "kernel"), {"builtin": "gaussian", "radius": 10**7},
+                 "config.operator", id="gaussian-radius-kernel-vs-image"),
+    # 3 sigma overflows to inf, so the default radius is no integer
+    pytest.param("solve", ("operator", "kernel"), {"builtin": "gaussian", "sigma": 1e308},
+                 "config.operator", id="gaussian-sigma-overflows"),
     # a gaussian kernel has no size: it used to build 9x9 at sigma 1.5 whatever the size
     pytest.param("solve", ("operator", "kernel"), {"builtin": "gaussian", "size": 5},
                  "config.operator.kernel", id="gaussian-kernel-size"),
@@ -712,7 +732,7 @@ def test_non_finite_adjoint_measurement_exit_2_before_output(tmp_path, capsys, c
     out = tmp_path / "out"
     if command == "solve":
         image = tmp_path / "line.raw"
-        save_signal(Signal.from_array(np.full(3, 0.5)), image)
+        save_signal(np.full(3, 0.5), image)
         doc = {"task": "denoise", "image": {"path": str(image)},
                "operator": {"kind": "diagonal", "entries": [1e200, 1.0, 1.0]},
                "solver": {"algo": "pgd", "reg": {"kind": "zero"}, "max_iter": 3}}
@@ -723,6 +743,41 @@ def test_non_finite_adjoint_measurement_exit_2_before_output(tmp_path, capsys, c
     assert main([command, "--config", write_config(tmp_path, doc)]) == 2
     assert "pnpkit: config.operator:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("shape,operator,denoiser", [
+    ((16,), {"kind": "diagonal", "entries": [1.0] * 16}, None),
+    ((16, 16, 3), {"kind": "identity"}, {"kind": "gaussian"}),
+], ids=["line", "rgb"])
+def test_solve_on_an_image_not_2d_exit_2_before_output(tmp_path, capsys, shape, operator,
+                                                       denoiser):
+    # recon.pgm is grayscale: such an image used to run the whole solve, then fail there
+    image = tmp_path / "image.raw"
+    save_signal(np.full(shape, 0.5), image)
+    out = tmp_path / "out"
+    solver = ({"algo": "pgd", "reg": {"kind": "zero"}, "max_iter": 2} if denoiser is None
+              else {"algo": "pnp-pgd", "max_iter": 2})
+    doc = {"task": "denoise", "image": {"path": str(image)}, "operator": operator,
+           "denoiser": denoiser, "solver": solver, "output": str(out)}
+    assert main(["solve", "--config", write_config(tmp_path, doc)]) == 2
+    assert "pnpkit: config.image: solve needs a 2-D image" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_nlm_on_a_colour_image_exit_2(tmp_path, capsys, command):
+    image = tmp_path / "rgb.raw"
+    save_signal(np.full((16, 16, 3), 0.5), image)
+    solvers = [{"algo": "pnp-pgd", "max_iter": 2}, {"algo": "pnp-drs", "max_iter": 2}]
+    doc = {"operator": {"kind": "identity"}, "denoiser": {"kind": "nlm"},
+           "output": str(tmp_path / "out")}
+    if command == "solve":
+        doc.update(task="denoise", image={"path": str(image)}, solver=solvers[0])
+    else:
+        doc.update(task="compare", images=[{"path": str(image)}], solvers=solvers)
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pnpkit:") and "Traceback" not in err
 
 
 def test_uncertified_inner_solve_exit_4(tmp_path, capsys):

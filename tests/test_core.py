@@ -19,7 +19,8 @@ from pnpkit import (
     save_signal,
     write_trace,
 )
-from pnpkit.core import DIVERGENCE_NORM, diverged, real_spectrum, run_state, scoped_run
+from pnpkit.core import (DIVERGENCE_NORM, RAW_MAGIC, diverged, real_spectrum, run_state,
+                         scoped_run)
 
 
 class TestSignal:
@@ -40,7 +41,14 @@ class TestSignal:
         arr = np.arange(12.0).reshape(3, 4)
         sig = Signal.from_array(arr)
         assert sig.shape == (3, 4)
-        np.testing.assert_array_equal(sig.to_array(), arr)
+        np.testing.assert_array_equal(np.asarray(sig), arr)
+
+    def test_array_is_a_view_and_a_copy_on_request(self):
+        sig = Signal.from_array(np.arange(6.0).reshape(2, 3))
+        assert np.shares_memory(np.asarray(sig), sig.data)
+        copied = np.array(sig)
+        copied[0, 0] = 7.0  # a writable copy; the Signal keeps its data
+        assert sig.data[0] == 0.0 and copied.shape == (2, 3)
 
 
 class TestRng:
@@ -122,9 +130,9 @@ class TestPsnr:
 
 class TestNoise:
     def test_sigma_zero_identity(self):
-        x = Signal.from_array(np.linspace(0, 1, 9).reshape(3, 3))
+        x = np.linspace(0, 1, 9).reshape(3, 3)
         out = add_gaussian_noise(x, 0.0, Rng(0))
-        np.testing.assert_array_equal(out.data, x.data)
+        np.testing.assert_array_equal(out, x)
 
     def test_negative_sigma(self):
         with pytest.raises(ValueError):
@@ -134,29 +142,44 @@ class TestNoise:
         x = np.zeros(64)
         a = add_gaussian_noise(x, 0.5, Rng(9))
         b = add_gaussian_noise(x, 0.5, Rng(9))
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(a, b)
 
     def test_sample_variance(self):
         x = np.zeros(10**6)
         sigma = 0.37
         out = add_gaussian_noise(x, sigma, Rng(5))
-        assert np.var(out.data) == pytest.approx(sigma**2, rel=0.01)
+        assert np.var(out) == pytest.approx(sigma**2, rel=0.01)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_result_is_a_read_only_array_apart_from_x(self, sigma):
+        x = np.linspace(0, 1, 9).reshape(3, 3)
+        out = add_gaussian_noise(x, sigma, Rng(0))
+        assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == x.shape
+        assert not np.shares_memory(out, x) and x.flags.writeable
+        with pytest.raises(ValueError):
+            out[0, 0] = 1.0
+
+    @pytest.mark.parametrize("x,sigma", [(np.full(256, 1.0), 1e308), (np.array([0.0, np.nan]), 0.0)],
+                             ids=["overflow", "nan-input"])
+    def test_non_finite_result_raises(self, x, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            add_gaussian_noise(x, sigma, Rng(0))
 
     def test_two_stage_variance_adds(self):
         x = np.zeros(10**6)
         s1, s2 = 0.3, 0.4
         out = add_gaussian_noise(add_gaussian_noise(x, s1, Rng(1)), s2, Rng(2))
-        assert np.var(out.data) == pytest.approx(s1**2 + s2**2, rel=0.01)
+        assert np.var(out) == pytest.approx(s1**2 + s2**2, rel=0.01)
 
 
 class TestRawFormat:
     def test_bitwise_roundtrip(self, tmp_path, rng):
-        x = Signal.from_array(rng.standard_normal((5, 7)))
+        x = rng.standard_normal((5, 7))
         path = tmp_path / "sig.raw"
         save_signal(x, path)
         back = load_signal(path)
         assert back.shape == x.shape
-        np.testing.assert_array_equal(back.data, x.data)
+        np.testing.assert_array_equal(back, x)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "sig.raw"
@@ -166,7 +189,7 @@ class TestRawFormat:
         assert exc.value.offset == 0
 
     def test_truncated_payload(self, tmp_path):
-        x = Signal.from_array(np.zeros(8))
+        x = np.zeros(8)
         path = tmp_path / "sig.raw"
         save_signal(x, path)
         path.write_bytes(path.read_bytes()[:-4])
@@ -177,6 +200,32 @@ class TestRawFormat:
         with pytest.raises(ValueError):
             save_signal(np.zeros(4), tmp_path / "sig.bmp")
 
+    @pytest.mark.parametrize("ext", ["raw", "pgm"])
+    def test_loaded_signal_is_read_only(self, tmp_path, ext):
+        path = tmp_path / f"sig.{ext}"
+        save_signal(np.full((2, 3), 0.5), path)
+        back = load_signal(path)
+        assert type(back) is np.ndarray and back.dtype == np.float64 and back.shape == (2, 3)
+        with pytest.raises(ValueError):
+            back[0, 0] = 1.0
+
+    def test_non_finite_save_raises(self, tmp_path):
+        with pytest.raises(ValueError, match="finite"):
+            save_signal(np.array([1.0, np.inf]), tmp_path / "sig.raw")
+
+    @pytest.mark.parametrize("shape,values,error", [
+        ([2], [0.0, np.nan], ValueError),
+        ([3], [1.0, np.inf, 0.0], ValueError),
+        ([0], [], ShapeError),
+        ([-2, -3], [0.0] * 6, ShapeError),
+    ], ids=["nan", "inf", "zero-side", "negative-sides"])
+    def test_malformed_raw_file_fails_to_load(self, tmp_path, shape, values, error):
+        path = tmp_path / "sig.raw"
+        sidecar = ('{"shape":%s}' % shape).encode().replace(b" ", b"")
+        path.write_bytes(RAW_MAGIC + sidecar + b"\n" + np.array(values, "<f8").tobytes())
+        with pytest.raises(error):
+            load_signal(path)
+
 
 class TestNetpbm:
     def test_p2_ascii_example(self, tmp_path):
@@ -185,7 +234,7 @@ class TestNetpbm:
         sig = load_signal(path)
         assert sig.shape == (2, 2)
         np.testing.assert_allclose(
-            sig.to_array(), np.array([[0, 255], [128, 64]]) / 255.0, atol=0
+            sig, np.array([[0, 255], [128, 64]]) / 255.0, atol=0
         )
 
     def test_p2_with_comments(self, tmp_path):
@@ -210,14 +259,14 @@ class TestNetpbm:
         x = rng.uniform(0, 1, (6, 4))
         path = tmp_path / "q.pgm"
         save_signal(x, path)
-        back = load_signal(path).to_array()
+        back = load_signal(path)
         np.testing.assert_array_equal(back, np.round(x * 255) / 255.0)
 
     def test_quantized_roundtrip_16bit(self, tmp_path, rng):
         x = rng.uniform(0, 1, (3, 5))
         path = tmp_path / "q16.pgm"
         save_signal(x, path, maxval=65535)
-        back = load_signal(path).to_array()
+        back = load_signal(path)
         np.testing.assert_array_equal(back, np.round(x * 65535) / 65535.0)
 
     def test_ppm_roundtrip(self, tmp_path, rng):
@@ -226,13 +275,13 @@ class TestNetpbm:
         save_signal(x, path)
         back = load_signal(path)
         assert back.shape == (4, 4, 3)
-        np.testing.assert_array_equal(back.to_array(), np.round(x * 255) / 255.0)
+        np.testing.assert_array_equal(back, np.round(x * 255) / 255.0)
 
     def test_p3_ascii(self, tmp_path):
         path = tmp_path / "c.ppm"
         path.write_bytes(b"P3\n1 1\n255\n255 0 128\n")
         sig = load_signal(path)
-        np.testing.assert_allclose(sig.to_array().reshape(-1), [1.0, 0.0, 128 / 255.0])
+        np.testing.assert_allclose(sig.reshape(-1), [1.0, 0.0, 128 / 255.0])
 
     def test_sample_exceeds_maxval(self, tmp_path):
         path = tmp_path / "bad.pgm"

@@ -112,6 +112,10 @@ class TestNlm:
         oracle = nlm_quadruple_loop(x, 1, 2, 0.4)
         assert np.max(np.abs(d.apply(x) - oracle)) <= 1e-12
 
+    def test_colour_image_raises_shape_error(self):
+        with pytest.raises(ShapeError, match="1-D and 2-D"):
+            nlm_denoiser(1, 2, 0.3).apply(np.full((4, 4, 3), 0.5))
+
     def test_jacobian_asymmetry_positive(self, rng):
         d = nlm_denoiser(1, 2, 0.3)
         x = rng.uniform(0, 1, (5, 5))

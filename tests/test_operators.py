@@ -249,13 +249,13 @@ class TestDenseIo:
     def test_load_dense_operator(self, tmp_path, rng):
         mat = rng.standard_normal((3, 4))
         path = tmp_path / "op.raw"
-        save_signal(Signal.from_array(mat), path)
+        save_signal(mat, path)
         op = load_dense_operator(path)
         np.testing.assert_array_equal(op.matrix, mat)
 
     def test_load_dense_rejects_vector(self, tmp_path):
         path = tmp_path / "vec.raw"
-        save_signal(Signal.from_array(np.zeros(4)), path)
+        save_signal(np.zeros(4), path)
         with pytest.raises(ShapeError):
             load_dense_operator(path)
 

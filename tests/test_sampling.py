@@ -179,7 +179,7 @@ class TestRunPnpUla:
             red_cfg = SolverConfig(step=delta, max_iter=iters, tol=0.0)
             x_red, _ = run_red_gd(op, y, den, lam=1.0, sigma=sigma, cfg=red_cfg,
                                   x0=np.zeros(n))
-            np.testing.assert_allclose(row, x_red.to_array(), atol=1e-12)
+            np.testing.assert_allclose(row, x_red, atol=1e-12)
 
     def test_matches_a_per_step_draw_loop(self):
         # n = 64 gives noise blocks of 128 steps; 150 + 50*3 = 300 steps is no multiple
@@ -395,7 +395,7 @@ class TestSampleIo:
         write_samples(samples, path)
         back = load_signal(path)
         assert back.shape == (10, 4)
-        np.testing.assert_array_equal(back.to_array(), samples)
+        np.testing.assert_array_equal(back, samples)
 
     def test_stats_csv_format(self, tmp_path, rng):
         stats = sample_stats(rng.standard_normal((20, 3)))

@@ -107,7 +107,7 @@ class TestPgd:
         f = SmoothFn(grad=lambda x: x - c, value=lambda x: 0.5 * np.sum((x - c) ** 2))
         cfg = SolverConfig(step=1.0, max_iter=5, tol=1e-15)
         x, trace = run_pgd(f, RegSlot(prox=box_prox(0.0, 1.0)), cfg, np.zeros(3))
-        np.testing.assert_allclose(x.to_array(), np.clip(c, 0.0, 1.0), atol=1e-15)
+        np.testing.assert_allclose(x, np.clip(c, 0.0, 1.0), atol=1e-15)
         assert trace.stop_reason == "tolerance"
 
     def test_lasso_vs_coordinate_descent(self, lasso_instance):
@@ -118,7 +118,7 @@ class TestPgd:
         x, _ = run_pgd(SmoothFn.least_squares(op, y), RegSlot(prox=l1_prox(weight)),
                        cfg, np.zeros(5))
         oracle = lasso_cd_oracle(k_mat, y, weight)
-        assert np.max(np.abs(x.to_array() - oracle)) <= 1e-8
+        assert np.max(np.abs(x - oracle)) <= 1e-8
 
     def test_linear_contraction_rate(self):
         # rho = max(|1 - lam*L|, |1 - lam*mu|) = 0.9 for diag(1, 10), lam = 0.1
@@ -130,11 +130,11 @@ class TestPgd:
         ratios = []
         for _ in range(40):
             x_new, _ = run_pgd(f, RegSlot(prox=zero_prox()), SolverConfig(step=0.1, max_iter=1, tol=0.0), x)
-            num = np.linalg.norm(x_new.to_array())
+            num = np.linalg.norm(x_new)
             den = np.linalg.norm(x)
             if den > 1e-14:
                 ratios.append(num / den)
-            x = x_new.to_array()
+            x = x_new
         assert max(ratios[1:]) <= 0.9 + 1e-6
 
     def test_objective_nonincreasing(self, lasso_instance):
@@ -173,7 +173,7 @@ class TestPgd:
             v = z - step * op._adjoint(op._apply(z) - y)
             tau = (step * 1.0) * weight
             z = np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
-        np.testing.assert_array_equal(x.to_array(), z)
+        np.testing.assert_array_equal(x, z)
 
     def test_divergence_detected(self):
         f = SmoothFn(grad=lambda x: -x)  # concave: iterates explode
@@ -181,7 +181,7 @@ class TestPgd:
         with pytest.raises(DivergenceError) as exc:
             run_pgd(f, RegSlot(prox=zero_prox()), cfg, np.ones(4))
         assert exc.value.last is not None
-        assert np.all(np.isfinite(exc.value.last.data))
+        assert np.all(np.isfinite(exc.value.last))
 
 
 class TestPgdPreconditioned:
@@ -194,14 +194,14 @@ class TestPgdPreconditioned:
         x_pgd, _ = run_pgd(fid, RegSlot(prox=l1_prox(weight)), cfg, np.zeros(5))
         x_pre, _ = run_pgd(fid, RegSlot(prox=l1_prox(weight)), cfg, np.zeros(5),
                            precond=np.full(5, c))
-        assert np.max(np.abs(x_pgd.to_array() - x_pre.to_array())) <= 1e-12
+        assert np.max(np.abs(x_pgd - x_pre)) <= 1e-12
 
     def test_newton_on_diagonal_quadratic(self):
         h = np.array([2.0, 7.0, 0.5])
         f = SmoothFn(grad=lambda x: h * x)
         cfg = SolverConfig(step=1.0, max_iter=3, tol=1e-15)
         x, trace = run_pgd(f, zero_prox(), cfg, np.array([1.0, -2.0, 3.0]), precond=h)
-        np.testing.assert_allclose(x.to_array(), np.zeros(3), atol=1e-14)
+        np.testing.assert_allclose(x, np.zeros(3), atol=1e-14)
         assert trace.rows[1].step_residual > 0  # one step was enough
 
     def test_lasso_vs_oracle(self, lasso_instance):
@@ -212,7 +212,7 @@ class TestPgdPreconditioned:
         x, _ = run_pgd(SmoothFn.least_squares(op, y), l1_prox(weight), cfg, np.zeros(5),
                        precond=b)
         oracle = lasso_cd_oracle(k_mat, y, weight)
-        assert np.max(np.abs(x.to_array() - oracle)) <= 1e-8
+        assert np.max(np.abs(x - oracle)) <= 1e-8
 
     def test_nonseparable_prox_rejected(self):
         f = SmoothFn(grad=lambda x: x)
@@ -240,7 +240,7 @@ class TestApgd:
         x_a, _ = run_apgd(fid, RegSlot(prox=l1_prox(weight)), cfg, np.zeros(5))
         x_p, _ = run_pgd(fid, RegSlot(prox=l1_prox(weight)),
                          SolverConfig(step=0.05, max_iter=80, tol=0.0), np.zeros(5))
-        assert np.max(np.abs(x_a.to_array() - x_p.to_array())) <= 1e-12
+        assert np.max(np.abs(x_a - x_p)) <= 1e-12
 
     def test_limit_matches_pgd_limit(self, lasso_instance):
         k_mat, y, weight = lasso_instance
@@ -252,7 +252,7 @@ class TestApgd:
         x_p, _ = run_pgd(fid, RegSlot(prox=l1_prox(weight)),
                          SolverConfig(step=1.0 / lip, max_iter=40000, tol=1e-15),
                          np.zeros(5))
-        assert np.max(np.abs(x_a.to_array() - x_p.to_array())) <= 1e-6
+        assert np.max(np.abs(x_a - x_p)) <= 1e-6
 
     def test_lyapunov_nonincreasing_gs_slot(self):
         # denoiser slot with an exact proximal potential; alpha = 0.5
@@ -289,7 +289,7 @@ class TestApgd:
             tau = (step * 1.0) * weight
             yk = np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
             xk = (1.0 - alpha) * xk + alpha * yk
-        np.testing.assert_array_equal(x.to_array(), xk)
+        np.testing.assert_array_equal(x, xk)
 
     def test_min_residual_sqrt_k_bounded(self):
         # min_{l<=k} ||x_{l+1} - x_l|| = O(1/sqrt(k)), C fitted at k = 25
@@ -315,7 +315,7 @@ class TestDrs:
         cfg = SolverConfig(step=1.0, max_iter=2000, tol=1e-14)
         x, _ = run_drs(RegSlot(prox=quadratic_prox(a)), RegSlot(prox=quadratic_prox(b)),
                        cfg, np.zeros(2))
-        np.testing.assert_allclose(x.to_array(), (a + b) / 2.0, atol=1e-10)
+        np.testing.assert_allclose(x, (a + b) / 2.0, atol=1e-10)
 
     def test_lasso_matches_pgd(self, lasso_instance):
         k_mat, y, weight = lasso_instance
@@ -327,7 +327,7 @@ class TestDrs:
         x_pgd, _ = run_pgd(SmoothFn.least_squares(op, y), RegSlot(prox=l1_prox(weight)),
                            SolverConfig(step=1.0 / lip, max_iter=40000, tol=1e-15),
                            np.zeros(5))
-        assert np.max(np.abs(x_drs.to_array() - x_pgd.to_array())) <= 1e-7
+        assert np.max(np.abs(x_drs - x_pgd)) <= 1e-7
 
     def test_residual_rate_one_over_k(self, lasso_instance):
         k_mat, y, weight = lasso_instance
@@ -357,7 +357,7 @@ class TestDrs:
             tau = (lam * 1.0) * weight
             zk = np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
             x = x + zk - yk
-        np.testing.assert_array_equal(out.to_array(), yk)
+        np.testing.assert_array_equal(out, yk)
 
 
 class TestAdmm:
@@ -367,7 +367,7 @@ class TestAdmm:
         cfg = SolverConfig(rho=1.0, max_iter=4000, tol=1e-14)
         x, trace = run_admm(op, y, RegSlot(prox=zero_prox()), cfg)
         ls = np.linalg.solve(k_mat.T @ k_mat, k_mat.T @ y)
-        assert np.max(np.abs(x.to_array() - ls)) <= 1e-8
+        assert np.max(np.abs(x - ls)) <= 1e-8
         assert trace.column("fp_residual")[-1] <= 1e-10
 
     def test_lasso_agrees_with_pgd_and_drs(self, lasso_instance):
@@ -376,7 +376,7 @@ class TestAdmm:
         cfg = SolverConfig(rho=2.0, max_iter=6000, tol=1e-14)
         x_admm, _ = run_admm(op, y, RegSlot(prox=l1_prox(weight)), cfg)
         oracle = lasso_cd_oracle(k_mat, y, weight)
-        assert np.max(np.abs(x_admm.to_array() - oracle)) <= 1e-6
+        assert np.max(np.abs(x_admm - oracle)) <= 1e-6
 
     def test_fixed_point_subdifferential_inclusion(self, lasso_instance):
         # at the limit: K^T(Kx* - y) in -weight * subgradient(||x*||_1)
@@ -384,8 +384,8 @@ class TestAdmm:
         op = DenseOp(k_mat)
         cfg = SolverConfig(rho=2.0, max_iter=8000, tol=1e-15)
         x, _ = run_admm(op, y, RegSlot(prox=l1_prox(weight)), cfg)
-        g = k_mat.T @ (k_mat @ x.to_array() - y)
-        for gi, xi in zip(g, x.to_array()):
+        g = k_mat.T @ (k_mat @ x - y)
+        for gi, xi in zip(g, x):
             if abs(xi) > 1e-8:
                 assert gi == pytest.approx(-weight * np.sign(xi), abs=1e-6)
             else:
@@ -408,7 +408,7 @@ class TestAdmm:
             tau = ((1.0 / rho) * 1.0) * weight
             z = np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
             u = u + x - z
-        np.testing.assert_array_equal(out.to_array(), x)
+        np.testing.assert_array_equal(out, x)
 
     @pytest.mark.parametrize("reg", ["l1", "tv"])
     @pytest.mark.parametrize("kind", ["mask", "identity"])
@@ -428,7 +428,7 @@ class TestAdmm:
         nudged, _ = run_admm(op, y, slot, cfg, x0=op._adjoint(y) + 1e-6)
         assert trace.stop_reason == "tolerance" and len(trace) > 2
         assert trace.column("fp_residual")[-1] <= cfg.tol
-        assert np.max(np.abs(x.to_array() - nudged.to_array())) <= 1e-6
+        assert np.max(np.abs(x - nudged)) <= 1e-6
 
 
 class TestHqs:
@@ -438,7 +438,7 @@ class TestHqs:
         cfg = SolverConfig(rho=0.05, max_iter=30000, tol=1e-14)
         x, _ = run_hqs(op, y, RegSlot(prox=zero_prox()), cfg)
         ls = np.linalg.solve(k_mat.T @ k_mat, k_mat.T @ y)
-        assert np.max(np.abs(x.to_array() - ls)) <= 1e-5
+        assert np.max(np.abs(x - ls)) <= 1e-5
 
     def test_bit_for_bit_classical(self, lasso_instance):
         k_mat, y, weight = lasso_instance
@@ -453,7 +453,7 @@ class TestHqs:
             x = np.asarray(fidelity.evaluate(z, 1.0 / rho))
             tau = ((1.0 / rho) * 1.0) * weight
             z = np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
-        np.testing.assert_array_equal(out.to_array(), z)
+        np.testing.assert_array_equal(out, z)
 
     def test_decreasing_sigma_schedule_records_trace(self):
         rng = Rng(8)
@@ -524,7 +524,7 @@ class TestTvWarmStart:
         # runs, and the PGD map is nonexpansive, so k steps drift by at most
         # 2*k*sqrt(2*tol).
         tol = 1e-10 * max(x0.size, largest)
-        gap = np.linalg.norm(warm.to_array() - cold)
+        gap = np.linalg.norm(warm - cold)
         assert 0.0 < gap <= 2 * steps * math.sqrt(2.0 * tol)
 
     def test_runs_share_no_dual(self):
@@ -535,7 +535,7 @@ class TestTvWarmStart:
         cfg = SolverConfig(step=1.0, max_iter=6, tol=0.0, record_time=False)
         first, trace_a = run_pgd(SmoothFn.least_squares(op, y), slot, cfg, op._adjoint(y))
         second, trace_b = run_pgd(SmoothFn.least_squares(op, y), slot, cfg, op._adjoint(y))
-        np.testing.assert_array_equal(first.to_array(), second.to_array())
+        np.testing.assert_array_equal(first, second)
         np.testing.assert_array_equal(trace_a.column("objective"), trace_b.column("objective"))
 
 
@@ -549,7 +549,7 @@ class TestRedGd:
         z = op._adjoint(y)
         for _ in range(60):
             z = z - eta * (op._adjoint(op._apply(z) - y))
-        np.testing.assert_allclose(x.to_array(), z, atol=1e-13)
+        np.testing.assert_allclose(x, z, atol=1e-13)
 
     def _linear_setup(self):
         rng = Rng(31)
@@ -572,7 +572,7 @@ class TestRedGd:
         lip = np.linalg.norm(op.matrix, 2) ** 2 + w
         cfg = SolverConfig(step=1.0 / lip, max_iter=50000, tol=1e-15)
         x, trace = run_red_gd(op, y, den, lam=lam, sigma=sigma, cfg=cfg)
-        assert np.max(np.abs(x.to_array() - closed)) <= 1e-8
+        assert np.max(np.abs(x - closed)) <= 1e-8
         assert trace.column("fp_residual")[-1] <= 1e-8
 
     @pytest.mark.parametrize("lam,sigma,message", [
@@ -598,7 +598,7 @@ class TestRedPg:
         for _ in range(30):
             xk = np.asarray(fidelity.evaluate(v, 1.0 / (lam * big_l)))
             v = (1.0 / big_l) * xk - ((1.0 - big_l) / big_l) * xk
-        np.testing.assert_allclose(x.to_array(), xk, atol=1e-12)
+        np.testing.assert_allclose(x, xk, atol=1e-12)
 
     def test_requires_L_above_one(self, lasso_instance):
         k_mat, y, _ = lasso_instance
@@ -617,7 +617,7 @@ class TestRedPg:
         lip = np.linalg.norm(k_mat, 2) ** 2 + lam
         x_gd, _ = run_red_gd(DenseOp(k_mat), y, den, lam=lam, sigma=1.0,
                              cfg=replace(cfg, step=1.0 / lip))
-        assert np.max(np.abs(x_pg.to_array() - x_gd.to_array())) <= 1e-7
+        assert np.max(np.abs(x_pg - x_gd)) <= 1e-7
         assert trace.column("fp_residual")[-1] <= 1e-8
 
     def test_step_residual_monotone_for_averaged_operator(self):
@@ -672,7 +672,7 @@ class TestRedPgIsPgd:
         cfg = SolverConfig(max_iter=self.STEPS, tol=0.0, record_time=False)
         out, _ = run_red_pg(op, y, den, lam=self.LAM, L=self.L, cfg=cfg, x0=xs[0],
                             sigma=sigma)
-        return out.to_array(), xs
+        return out, xs
 
     def test_linear_gs_denoiser_bit_for_bit(self):
         shape = (32, 32)
@@ -741,7 +741,7 @@ class TestRedApg:
             z = xk if x_prev is None else xk + ((t_prev - 1.0) / t) * (xk - x_prev)
             v = (1.0 / big_l) * xk - ((1.0 - big_l) / big_l) * z
             x_prev, t_prev = xk, t
-        np.testing.assert_array_equal(out.to_array(), x_prev)
+        np.testing.assert_array_equal(out, x_prev)
 
 
 def _gs_pnp(op, y, den, cfg, lam, x0=None, backtracking=False):
@@ -769,7 +769,7 @@ class TestGsPnp:
         fidelity = quadratic_fidelity_prox(op, y)
         for _ in range(25):
             z = np.asarray(fidelity.evaluate(z - 0.0, 0.5))
-        np.testing.assert_allclose(x.to_array(), z, atol=1e-13)
+        np.testing.assert_allclose(x, z, atol=1e-13)
 
     def test_objective_nonincreasing(self):
         op, y, den = self._deblur_setup()
@@ -786,8 +786,8 @@ class TestGsPnp:
         tau = 0.9 / (lam * den.grad_lipschitz)
         cfg = SolverConfig(step=tau, max_iter=5000, tol=1e-13)
         x, _ = _gs_pnp(op, y, den, cfg, lam=lam)
-        grad_f = op._adjoint(op._apply(x.to_array()) - y)
-        grad = grad_f + lam * den.grad_potential(x.to_array(), 0.0)
+        grad_f = op._adjoint(op._apply(x) - y)
+        grad = grad_f + lam * den.grad_potential(x, 0.0)
         assert np.linalg.norm(grad) <= 1e-6
 
     def test_backtracking_accepts_on_strongly_convex_instance(self):
@@ -945,7 +945,7 @@ class TestBacktracking:
         # the full trial step is rejected: the first iterate is a halved step's
         first, _ = self._lasso_run(lasso_instance, 1, True)
         full, _ = self._lasso_run(lasso_instance, 1, False)
-        assert np.max(np.abs(first.to_array() - full.to_array())) > 1e-3
+        assert np.max(np.abs(first - full)) > 1e-3
         _, trace = self._lasso_run(lasso_instance, 200, True)
         obj = trace.column("objective")
         assert np.all(np.diff(obj) <= 1e-12) and obj[-1] < obj[0]
@@ -953,7 +953,7 @@ class TestBacktracking:
     def test_lasso_backtracking_stops_on_tolerance(self, lasso_instance):
         x, trace = self._lasso_run(lasso_instance, 2000, True)
         assert trace.stop_reason == "tolerance"
-        np.testing.assert_allclose(x.to_array(), lasso_cd_oracle(*lasso_instance), atol=1e-8)
+        np.testing.assert_allclose(x, lasso_cd_oracle(*lasso_instance), atol=1e-8)
 
     def test_rejects_denoiser_slot(self, lasso_instance):
         k_mat, y, _ = lasso_instance
@@ -985,7 +985,7 @@ class TestFixedPoint:
     def test_half_identity_contracts_at_half(self):
         cfg = SolverConfig(max_iter=200, tol=1e-12)
         x, trace = _iterate_map(lambda z: 0.5 * z, cfg, np.ones(3))
-        assert np.linalg.norm(x.to_array()) <= 1e-11
+        assert np.linalg.norm(x) <= 1e-11
         assert contraction_factor(trace) == pytest.approx(0.5, abs=1e-9)
 
     def test_drsdiff_contraction_gate(self):
@@ -1002,7 +1002,7 @@ class TestFixedPoint:
         x1, trace1 = run_drs(prox_f, RegSlot(denoiser=den), cfg, np.zeros(n))
         x2, trace2 = run_drs(prox_f, RegSlot(denoiser=den), cfg, 10.0 * rng.standard_normal(n))
         assert contraction_factor(trace1) < 1.0 and contraction_factor(trace2) < 1.0
-        assert np.max(np.abs(x1.to_array() - x2.to_array())) <= 1e-8
+        assert np.max(np.abs(x1 - x2)) <= 1e-8
 
     def test_fidelity_first_drs_matches_three_line_updates(self):
         # fidelity-first run_drs: y = prox_{tau f}(x), z = D(2y - x), x <- x + z - y
@@ -1019,7 +1019,7 @@ class TestFixedPoint:
             x = x + den.apply(2.0 * y - x) - y
         cfg = SolverConfig(step=tau, max_iter=3, tol=0.0)
         out, _ = run_drs(prox_f, RegSlot(denoiser=den), cfg, x0)
-        np.testing.assert_allclose(out.to_array(), y, atol=1e-14)
+        np.testing.assert_allclose(out, y, atol=1e-14)
 
     def test_nonconvergent_rotation_raises_with_factor(self):
         theta = 0.3
@@ -1060,8 +1060,8 @@ class TestCrossSolverConsistency:
                            SolverConfig(step=0.5, max_iter=20000, tol=1e-15), np.zeros(5))
         x_admm, _ = run_admm(op, y, RegSlot(prox=l1_prox(weight)),
                              SolverConfig(rho=2.0, max_iter=20000, tol=1e-15))
-        assert np.max(np.abs(x_pgd.to_array() - x_drs.to_array())) <= 1e-6
-        assert np.max(np.abs(x_pgd.to_array() - x_admm.to_array())) <= 1e-6
+        assert np.max(np.abs(x_pgd - x_drs)) <= 1e-6
+        assert np.max(np.abs(x_pgd - x_admm)) <= 1e-6
 
     def test_pnp_pgd_and_drsdiff_target_same_objective(self):
         shape = (8, 8)
@@ -1080,8 +1080,8 @@ class TestCrossSolverConsistency:
         def objective(x):
             return 0.5 * np.sum((op._apply(x) - y) ** 2) + den.prox_potential(x, 0.0)
 
-        f1 = objective(x_pgd.to_array())
-        f2 = objective(x_drs.to_array())
+        f1 = objective(x_pgd)
+        f2 = objective(x_drs)
         assert abs(f1 - f2) <= 1e-4
 
 
@@ -1168,14 +1168,57 @@ def test_driver_contract(name):
     if name in ("hqs", "red_apg"):
         x, trace = run(cfg, True)
         assert trace.stop_reason == "diverged"
-        assert 1 < len(trace) < 501 and np.all(np.isfinite(x.to_array()))
+        assert 1 < len(trace) < 501 and np.all(np.isfinite(x))
     else:
         with pytest.raises(DivergenceError) as exc:
             run(cfg, True)
         err = exc.value
         assert err.step >= 1 and len(err.trace) == err.step
         assert err.trace.stop_reason == "diverged"
-        assert np.all(np.isfinite(err.last.to_array()))
+        assert np.all(np.isfinite(err.last))
+
+
+def _assert_read_only_array(x):
+    assert type(x) is np.ndarray and x.dtype == np.float64
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+
+
+@pytest.mark.parametrize("name", sorted(DRIVERS))
+def test_driver_point_and_diverged_state_are_read_only_arrays(name):
+    x, _ = DRIVERS[name](SolverConfig(max_iter=5000, tol=1e-10), False)
+    _assert_read_only_array(x)
+    try:
+        x, _ = DRIVERS[name](SolverConfig(max_iter=500, tol=0.0), True)
+    except DivergenceError as exc:
+        x = exc.last
+    _assert_read_only_array(x)
+
+
+# Each driver that takes a start point, started from x0 with a zero prior
+_FROM_X0 = {
+    "pgd": lambda cfg, x0: run_pgd(_fid(), zero_prox(), cfg, x0),
+    "apgd": lambda cfg, x0: run_apgd(_fid(), zero_prox(), cfg, x0),
+    "drs": lambda cfg, x0: run_drs(zero_prox(),
+                                   quadratic_fidelity_prox(CONTRACT_OP, CONTRACT_Y), cfg, x0),
+    "admm": lambda cfg, x0: run_admm(CONTRACT_OP, CONTRACT_Y, zero_prox(), cfg, x0=x0),
+    "hqs": lambda cfg, x0: run_hqs(CONTRACT_OP, CONTRACT_Y, zero_prox(), cfg, x0=x0),
+    "red_gd": lambda cfg, x0: run_red_gd(CONTRACT_OP, CONTRACT_Y, identity_denoiser(),
+                                         lam=1.0, sigma=1.0, cfg=cfg, x0=x0),
+    "red_pg": lambda cfg, x0: run_red_pg(CONTRACT_OP, CONTRACT_Y, identity_denoiser(),
+                                         lam=1.0, L=2.0, cfg=cfg, x0=x0),
+    "red_apg": lambda cfg, x0: run_red_apg(CONTRACT_OP, CONTRACT_Y, identity_denoiser(),
+                                           lam=1.0, L=2.0, cfg=cfg, v0=x0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FROM_X0))
+def test_driver_point_does_not_alias_x0(name):
+    x0 = np.ones(4)
+    x, _ = _FROM_X0[name](SolverConfig(max_iter=1, tol=0.0), x0)
+    _assert_read_only_array(x)
+    assert not np.shares_memory(x, x0)
+    x0[0] = 2.0  # the caller's start stays its own, and writable
 
 
 def _failing_denoiser(fail_at):
@@ -1198,7 +1241,7 @@ class TestDivergenceContext:
         assert err.trace.stop_reason == "diverged"
         two_steps, _ = run_pgd(_fid(), RegSlot(denoiser=_failing_denoiser(99)),
                                SolverConfig(max_iter=2, tol=0.0), np.ones(4))
-        np.testing.assert_array_equal(err.last.to_array(), two_steps.to_array())
+        np.testing.assert_array_equal(err.last, two_steps)
 
     def test_red_apg_returns_last_finite_state_when_denoiser_fails(self):
         # calls: row 0, then one per step; the 4th call (step 3) fails
@@ -1208,7 +1251,7 @@ class TestDivergenceContext:
         assert trace.stop_reason == "diverged" and len(trace) == 3
         x2, _ = run_red_apg(CONTRACT_OP, CONTRACT_Y, _failing_denoiser(99), lam=1.0, L=2.0,
                             cfg=SolverConfig(max_iter=2, tol=0.0))
-        np.testing.assert_array_equal(x.to_array(), x2.to_array())
+        np.testing.assert_array_equal(x, x2)
 
 
 @pytest.mark.filterwarnings("error")
