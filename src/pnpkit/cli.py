@@ -11,8 +11,9 @@ suppressed in emitted traces so repeated runs are byte-identical.
 
 Exit codes: 0 success; 2 usage/config error, a shape mismatch found
 during the run included; 3 assertion failure (``sweep --assert``);
-4 numerical failure: divergence, or an inner solve that did not reach its
-certificate.
+4 numerical failure: a ``solve`` whose run diverges (every algo), or an
+inner solve that did not reach its certificate.  ``compare`` writes a
+diverged run's trace and reports it ``converged=false``.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ from .sampling import (
     _sample_buffer,
     gaussian_posterior_oracle,
     run_pnp_ula,
-    write_samples,
     write_stats_csv,
 )
 from .solvers import (
@@ -430,23 +430,27 @@ def build_gmm_prior(spec: dict) -> GmmPrior:
 
 
 def build_denoiser(spec: dict, shape) -> Denoiser:
-    """The denoiser of a ``denoiser`` config section, for signals of ``shape``."""
-    spec = _read(spec, _DENOISER, "denoiser")
+    """The denoiser of a filled ``denoiser`` section, for signals of ``shape``.
+
+    It is applied once to zeros of that shape, so a shape it cannot take (3-D
+    under TV or NLM, a GMM of another dimension) is found before the run.
+    """
     kind = spec["kind"]
     if kind == "tv":
-        return tv_denoiser(c=spec["c"], tol=spec["tol"], max_iter=spec["max_iter"])
-    if kind == "gaussian":
-        return gaussian_filter_denoiser(spec["kernel_sigma"], radius=spec["radius"])
-    if kind == "nlm":
-        return nlm_denoiser(spec["patch_radius"], spec["window_radius"], spec["h"])
-    if kind == "spectral":
-        return linear_spectral_denoiser(shape, spec["lam"], transform=spec["transform"],
-                                        profile=spec["profile"])
-    if kind == "gs":
+        denoiser = tv_denoiser(c=spec["c"], tol=spec["tol"], max_iter=spec["max_iter"])
+    elif kind == "gaussian":
+        denoiser = gaussian_filter_denoiser(spec["kernel_sigma"], radius=spec["radius"])
+    elif kind == "nlm":
+        denoiser = nlm_denoiser(spec["patch_radius"], spec["window_radius"], spec["h"])
+    elif kind == "spectral":
+        denoiser = linear_spectral_denoiser(shape, spec["lam"], transform=spec["transform"],
+                                            profile=spec["profile"])
+    elif kind == "gs":
         smoother = gaussian_smoother(shape, spec["kernel_sigma"], floor=spec["floor"])
-        return gs_denoiser(smoother, weight=spec["weight"])
-    denoiser = mmse_gmm_denoiser(build_gmm_prior(spec))
-    denoiser.apply(np.zeros(shape))  # the prior checks its dimension against the signal's
+        denoiser = gs_denoiser(smoother, weight=spec["weight"])
+    else:
+        denoiser = mmse_gmm_denoiser(build_gmm_prior(spec))
+    denoiser.apply(np.zeros(shape))
     return denoiser
 
 
@@ -636,9 +640,7 @@ def cmd_compare(spec: dict, rng: Rng, args) -> int:
             recon, trace = run()
             final_psnr = psnr(recon, x_true)
         except DivergenceError as exc:
-            trace = exc.trace if exc.trace is not None else Trace()
-            trace.stop_reason = "diverged"
-            final_psnr = psnr(exc.last, x_true) if exc.last is not None else math.nan
+            trace, final_psnr = exc.trace, psnr(exc.last, x_true)
         write_trace(trace, out / f"trace_{algo}_{image}.csv")
         res = trace.column("step_residual")
         finite = res[np.isfinite(res)]
@@ -775,7 +777,7 @@ def cmd_sample(spec: dict, rng: Rng, args) -> int:
 
     write_stats_csv(stats, out / "stats.csv")
     if spec["save_samples"]:
-        write_samples(samples, out / "samples.raw")
+        save_signal(samples, out / "samples.raw")
     summary = {
         "seed": rng.seed,
         "count": stats.count,

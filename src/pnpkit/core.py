@@ -61,15 +61,16 @@ class SolveError(PnpkitError):
 class DivergenceError(PnpkitError):
     """Iterates became non-finite or unbounded.
 
-    ``last`` holds the last finite iterate, ``step`` the iteration index at
-    which divergence was detected.
+    ``step`` is the iteration index at which divergence was detected.  A
+    solver run also sets ``last``, its last finite iterate, and ``trace``,
+    the rows traced before it (marked ``"diverged"``); both are None otherwise.
     """
 
-    def __init__(self, message: str, last=None, step: int | None = None, trace=None):
+    def __init__(self, message: str, step: int | None = None):
         super().__init__(message)
-        self.last = last
         self.step = step
-        self.trace = trace
+        self.last = None
+        self.trace = None
 
 
 class ConfigError(PnpkitError):

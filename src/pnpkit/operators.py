@@ -129,7 +129,7 @@ class DenseOp(LinearOp):
     kind = "dense"
 
     def __init__(self, matrix, in_shape=None, out_shape=None):
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = np.array(matrix, dtype=np.float64)  # a copy: the caller's stays writable
         if matrix.ndim != 2:
             raise ShapeError("dense operator needs a 2-D matrix")
         m, n = matrix.shape

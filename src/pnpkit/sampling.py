@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DivergenceError, Rng, as_array, diverged, save_signal
+from .core import DivergenceError, Rng, as_array, diverged
 from .denoisers import Denoiser
 from .operators import LinearOp, as_dense
 
@@ -232,11 +232,6 @@ def sample_stats(samples: np.ndarray, stability: float | None = None) -> SampleS
     coordinate_ess = np.array([effective_sample_size(samples[:, j]) for j in range(n)])
     return SampleStats(mean=samples.mean(axis=0), variance=samples.var(axis=0, ddof=1),
                        coordinate_ess=coordinate_ess, count=count, stability=stability)
-
-
-def write_samples(samples: np.ndarray, path) -> None:
-    """Write kept samples to the raw float64 container, one row per sample."""
-    save_signal(samples, path)
 
 
 def write_stats_csv(stats: SampleStats, path) -> None:

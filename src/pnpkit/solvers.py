@@ -15,7 +15,7 @@ operator's output raises ShapeError before the first step.  A state that fails
 :func:`~pnpkit.core.diverged` (non-finite, or norm above 1e12), or a
 DivergenceError from inside the step (a denoiser's non-finite output),
 raises :class:`~pnpkit.core.DivergenceError` carrying the step, the last
-finite state and the trace; HQS and RED-APG record it instead.
+finite state and the trace, in every driver.
 
 One driver per scheme: :func:`run_pgd` takes an optional diagonal metric
 or a backtracking step rule, and fidelity-first DRS is :func:`run_drs` with
@@ -178,8 +178,7 @@ def _objective(x: np.ndarray, scale: float, f: SmoothFn | None, *slots: RegSlot)
     return total
 
 
-def _iterate(cfg: SolverConfig, x0, advance, report, reference=None,
-             record_divergence: bool = False):
+def _iterate(cfg: SolverConfig, x0, advance, report, reference=None):
     """Run x_{k+1} = advance(k, x_k) under the shared trace and stopping rules.
 
     ``report(k, x, r)`` gets a checked state and its step residual and
@@ -187,6 +186,8 @@ def _iterate(cfg: SolverConfig, x0, advance, report, reference=None,
     tolerance stop reads the step_residual it returns.  Row 0 is
     ``report(0, x0, nan)``.  Returns (the last traced point, trace); the point,
     like a DivergenceError's ``last``, is a read-only array that is not x0.
+    A DivergenceError, row 0's included, leaves with ``step`` (0 at row 0),
+    ``last`` (the last checked state) and the trace so far.
 
     The whole run, row 0 included, sits in a :func:`~pnpkit.core.scoped_run`
     of its own, so state a map carries between its calls (the TV prox's
@@ -204,28 +205,28 @@ def _iterate(cfg: SolverConfig, x0, advance, report, reference=None,
                      math.nan if ref is None else psnr(point, ref),
                      (time.perf_counter() - t0) if cfg.record_time else math.nan)
 
+    k = 0
     with scoped_run():
-        point, objective, r, fp = report(0, x, math.nan)
-        append(0, point, objective, r, fp)
-        trace.stop_reason = "max_iter"
-        with np.errstate(over="ignore"):
-            for k in range(1, cfg.max_iter + 1):
-                try:
+        try:
+            point, objective, r, fp = report(0, x, math.nan)
+            append(0, point, objective, r, fp)
+            trace.stop_reason = "max_iter"
+            with np.errstate(over="ignore"):
+                for k in range(1, cfg.max_iter + 1):
                     x_new = advance(k, x)
                     if diverged(x_new):
                         raise DivergenceError(f"iterates diverged at step {k}")
-                    point, objective, r, fp = report(k, x_new, float(np.linalg.norm(x_new - x)))
-                except DivergenceError as exc:
-                    trace.stop_reason = "diverged"
-                    exc.step, exc.last, exc.trace = k, read_only(x), trace
-                    if record_divergence:
-                        return exc.last, trace
-                    raise
-                append(k, point, objective, r, fp)
-                x = x_new
-                if r <= cfg.tol:
-                    trace.stop_reason = "tolerance"
-                    break
+                    point, objective, r, fp = report(k, x_new,
+                                                     float(np.linalg.norm(x_new - x)))
+                    append(k, point, objective, r, fp)
+                    x = x_new
+                    if r <= cfg.tol:
+                        trace.stop_reason = "tolerance"
+                        break
+        except DivergenceError as exc:
+            trace.stop_reason = "diverged"
+            exc.step, exc.last, exc.trace = k, read_only(x), trace
+            raise
     return read_only(point), trace
 
 
@@ -446,8 +447,7 @@ def run_hqs(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, rho_schedule=None,
     step k and whose last entry holds after its end.  A decreasing-sigma
     denoiser schedule mimics the classical non-convergent baseline.  An
     empty schedule, or one with a non-finite entry, a rho <= 0 or a sigma < 0,
-    raises ValueError before the first step.  Divergence is recorded in the
-    trace, not raised.
+    raises ValueError before the first step.
     """
     y_arr = op._data(y)
     slot = as_slot(reg)
@@ -467,8 +467,7 @@ def run_hqs(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, rho_schedule=None,
     def report(k, z, r):
         return z, fid_prox.objective(z) + _objective(z, scale, None, slot), r, r
 
-    return _iterate(cfg, op._adjoint(y_arr) if x0 is None else x0, advance, report, reference,
-                    record_divergence=True)
+    return _iterate(cfg, op._adjoint(y_arr) if x0 is None else x0, advance, report, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +555,7 @@ def nesterov_t_sequence(count: int) -> np.ndarray:
 
 
 def run_red_apg(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,
-                cfg: SolverConfig, v0=None, sigma: float = 0.0, reference=None):
+                cfg: SolverConfig, x0=None, sigma: float = 0.0, reference=None):
     """Momentum-accelerated RED (trace only; convergence is not asserted).
 
         x_k = argmin_x f(x) + (lam*L/2) ||x - v_{k-1}||^2
@@ -564,28 +563,28 @@ def run_red_apg(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,
         z_k = x_k + ((t_{k-1} - 1)/t_k) (x_k - x_{k-1})
         v_k = (1/L) D(x_k) - ((1 - L)/L) z_k
 
-    Divergence is recorded in the trace rather than raised, and the last
-    finite x_k is returned.  The step residual of k = 1 is NaN, as x_1 has
-    no predecessor.
+    It starts from v_0 = x0 (K^T y when not given), which row 0 shows.  The
+    step residual of k = 1 is NaN, as x_1 has no predecessor.
     """
     fid_prox, kty = _red_prox_setup(op, y, lam, L)
-    v = kty if v0 is None else as_array(v0)
-    x_prev, t_prev = None, 1.0
+    t, z, dx = 1.0, None, None  # t_{k-1}, z_{k-1} and D(x_{k-1}) on entry to step k
+
+    def advance(k, x):
+        nonlocal t, z
+        v = x if k == 1 else (1.0 / L) * dx - ((1.0 - L) / L) * z
+        x_new = fid_prox.evaluate(v, 1.0 / (lam * L))
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        z = x_new if k == 1 else x_new + ((t - 1.0) / t_new) * (x_new - x)
+        t = t_new
+        return x_new
 
     def report(k, x, r):
-        nonlocal v, x_prev, t_prev
+        nonlocal dx
         dx = denoiser.apply(x, sigma)
-        if k:  # row 0 shows v_0, which the first step starts from
-            t = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_prev * t_prev))
-            if k == 1:
-                r = math.nan  # the start is v_0; there is no x_0 to step from
-            z = x if k == 1 else x + ((t_prev - 1.0) / t) * (x - x_prev)
-            x_prev, t_prev = x, t
-            v = (1.0 / L) * dx - ((1.0 - L) / L) * z
-        return x, math.nan, r, float(np.linalg.norm(op.normal(x) - kty + lam * (x - dx)))
+        return (x, math.nan, math.nan if k == 1 else r,
+                float(np.linalg.norm(op.normal(x) - kty + lam * (x - dx))))
 
-    return _iterate(cfg, v, lambda k, x: fid_prox.evaluate(v, 1.0 / (lam * L)), report,
-                    reference, record_divergence=True)
+    return _iterate(cfg, kty if x0 is None else x0, advance, report, reference)
 
 
 # ---------------------------------------------------------------------------

@@ -622,8 +622,18 @@ PROBE_BASES = {
                             {"algo": "pnp-drs", "max_iter": 3}]},
 }
 GMM_1D = {"weights": [1.0], "means": [[0.0]], "variances": [1.0]}
+
+
+def rgb_images(tmp_path):
+    """A compare ``images`` list of one 16x16x3 raw image written under tmp_path."""
+    image = tmp_path / "rgb.raw"
+    save_signal(np.full((16, 16, 3), 0.5), image)
+    return [{"path": str(image)}]
+
+
 # (command, key path, value put there, the section the message names); a path
-# of None passes `--seed -3` instead, and a dict of paths to values sets each
+# of None passes `--seed -3` instead, a dict of paths to values sets each, and
+# a callable value is called with tmp_path to make the value
 MALFORMED = [
     pytest.param("solve", ("image", "size"), "big", "config.image", id="image-size"),
     pytest.param("solve", ("seed",), -3, "config.seed", id="seed"),
@@ -651,6 +661,13 @@ MALFORMED = [
     # two runs of one algo would write one trace file
     pytest.param("compare", ("solvers", 1, "algo"), "pnp-pgd", "config.solvers",
                  id="compare-algo-twice"),
+    # denoisers of 1-D and 2-D signals only, found before the output directory is made
+    pytest.param("compare", {("images",): rgb_images, ("operator",): {"kind": "identity"},
+                             ("denoiser",): {"kind": "tv"}},
+                 None, "config.denoiser", id="compare-tv-3d"),
+    pytest.param("compare", {("images",): rgb_images, ("operator",): {"kind": "identity"},
+                             ("denoiser",): {"kind": "nlm"}},
+                 None, "config.denoiser", id="compare-nlm-3d"),
     pytest.param("solve", ("noise", "percent"), "a", "config.noise", id="noise-percent"),
     pytest.param("solve", ("noise",), {"sigma": -1}, "config.noise", id="noise-sigma"),
     pytest.param("solve", ("operator",), {"kind": "mask", "density": "x"},
@@ -720,7 +737,7 @@ def test_malformed_config_exit_2_before_output(tmp_path, capsys, command, path, 
     argv = ["--seed", "-3"] if path is None else []
     if path is not None:
         for key_path, key_value in (path if isinstance(path, dict) else {path: value}).items():
-            set_path(doc, key_path, key_value)
+            set_path(doc, key_path, key_value(tmp_path) if callable(key_value) else key_value)
     assert main([command, "--config", write_config(tmp_path, doc)] + argv) == 2
     assert f"pnpkit: {section}:" in capsys.readouterr().err
     assert not out.exists()

@@ -259,6 +259,13 @@ class TestDenseIo:
         with pytest.raises(ShapeError):
             load_dense_operator(path)
 
+    def test_caller_matrix_stays_writable(self):
+        m = np.eye(3)
+        op = DenseOp(m)
+        m[0, 0] = 2.0
+        np.testing.assert_array_equal(op.matrix, np.eye(3))
+        assert not op.matrix.flags.writeable
+
 
 def hermitian_part(freq):
     """(H(k) + conj(H(-k)))/2 on the full FFT grid."""

@@ -19,7 +19,7 @@ from pnpkit import (
     run_pnp_ula,
     run_red_gd,
     sample_stats,
-    write_samples,
+    save_signal,
     write_stats_csv,
     zero_op,
 )
@@ -392,7 +392,7 @@ class TestSampleIo:
     def test_samples_roundtrip(self, tmp_path, rng):
         samples = rng.standard_normal((10, 4))
         path = tmp_path / "samples.raw"
-        write_samples(samples, path)
+        save_signal(samples, path)
         back = load_signal(path)
         assert back.shape == (10, 4)
         np.testing.assert_array_equal(back, samples)

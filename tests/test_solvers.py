@@ -478,8 +478,12 @@ class TestHqs:
         slot = RegSlot(denoiser=tv_denoiser(), sigma=0.2)
         cfg = SolverConfig(rho=1.0, max_iter=5, tol=0.0)
         # the fidelity step turns the finite start into a NaN denoiser input
-        _, trace = run_hqs(identity_op((8, 8)), y, slot, cfg, x0=np.zeros((8, 8)))
-        assert trace.stop_reason == "diverged"
+        with pytest.raises(DivergenceError) as exc:
+            run_hqs(identity_op((8, 8)), y, slot, cfg, x0=np.zeros((8, 8)))
+        err = exc.value
+        assert err.trace.stop_reason == "diverged"
+        assert err.step == 1 and len(err.trace) == 1
+        np.testing.assert_array_equal(err.last, np.zeros((8, 8)))
 
     @pytest.mark.parametrize("schedules", [
         {"rho_schedule": []}, {"rho_schedule": [0.0]}, {"rho_schedule": [1.0, -1.0]},
@@ -712,17 +716,21 @@ class TestRedApg:
         w = (t[:-1] - 1.0) / t[1:]
         assert np.all(w >= 0.0) and np.all(w < 1.0)
 
-    def test_divergence_recorded_not_raised(self):
-        # an expansive map in the slot blows the momentum recursion up; the
-        # harness records it in the trace instead of raising
+    def test_divergence_raises_with_step_last_and_trace(self):
+        # an expansive map in the slot blows the momentum recursion up
         rng = Rng(1)
         op = DiagonalOp(np.full(4, 0.1))
         y = rng.standard_normal(4)
         expander = Denoiser(lambda arr, s: 10.0 * arr, tag="expander")
         cfg = SolverConfig(max_iter=2000, tol=0.0)
-        _, trace = run_red_apg(op, y, expander, lam=1.0, L=1.5, cfg=cfg,
-                               v0=np.ones(4))
-        assert trace.stop_reason == "diverged"
+        with pytest.raises(DivergenceError) as exc:
+            run_red_apg(op, y, expander, lam=1.0, L=1.5, cfg=cfg, x0=np.ones(4))
+        err = exc.value
+        assert err.trace.stop_reason == "diverged"
+        assert err.step == 15 and len(err.trace) == 15
+        last, _ = run_red_apg(op, y, expander, lam=1.0, L=1.5,
+                              cfg=SolverConfig(max_iter=14, tol=0.0), x0=np.ones(4))
+        np.testing.assert_array_equal(err.last, last)
 
     def test_identity_denoiser_matches_accelerated_proximal_point(self, lasso_instance):
         k_mat, y, _ = lasso_instance
@@ -1164,18 +1172,12 @@ def test_driver_contract(name):
         assert trace.stop_reason == "max_iter"
         assert len(trace) == 4
 
-    cfg = SolverConfig(max_iter=500, tol=0.0)
-    if name in ("hqs", "red_apg"):
-        x, trace = run(cfg, True)
-        assert trace.stop_reason == "diverged"
-        assert 1 < len(trace) < 501 and np.all(np.isfinite(x))
-    else:
-        with pytest.raises(DivergenceError) as exc:
-            run(cfg, True)
-        err = exc.value
-        assert err.step >= 1 and len(err.trace) == err.step
-        assert err.trace.stop_reason == "diverged"
-        assert np.all(np.isfinite(err.last))
+    with pytest.raises(DivergenceError) as exc:
+        run(SolverConfig(max_iter=500, tol=0.0), True)
+    err = exc.value
+    assert err.step >= 1 and len(err.trace) == err.step
+    assert err.trace.stop_reason == "diverged"
+    assert np.all(np.isfinite(err.last))
 
 
 def _assert_read_only_array(x):
@@ -1188,11 +1190,9 @@ def _assert_read_only_array(x):
 def test_driver_point_and_diverged_state_are_read_only_arrays(name):
     x, _ = DRIVERS[name](SolverConfig(max_iter=5000, tol=1e-10), False)
     _assert_read_only_array(x)
-    try:
-        x, _ = DRIVERS[name](SolverConfig(max_iter=500, tol=0.0), True)
-    except DivergenceError as exc:
-        x = exc.last
-    _assert_read_only_array(x)
+    with pytest.raises(DivergenceError) as exc:
+        DRIVERS[name](SolverConfig(max_iter=500, tol=0.0), True)
+    _assert_read_only_array(exc.value.last)
 
 
 # Each driver that takes a start point, started from x0 with a zero prior
@@ -1208,7 +1208,7 @@ _FROM_X0 = {
     "red_pg": lambda cfg, x0: run_red_pg(CONTRACT_OP, CONTRACT_Y, identity_denoiser(),
                                          lam=1.0, L=2.0, cfg=cfg, x0=x0),
     "red_apg": lambda cfg, x0: run_red_apg(CONTRACT_OP, CONTRACT_Y, identity_denoiser(),
-                                           lam=1.0, L=2.0, cfg=cfg, v0=x0),
+                                           lam=1.0, L=2.0, cfg=cfg, x0=x0),
 }
 
 
@@ -1243,15 +1243,33 @@ class TestDivergenceContext:
                                SolverConfig(max_iter=2, tol=0.0), np.ones(4))
         np.testing.assert_array_equal(err.last, two_steps)
 
-    def test_red_apg_returns_last_finite_state_when_denoiser_fails(self):
+    def test_red_apg_error_carries_last_state_when_denoiser_fails(self):
         # calls: row 0, then one per step; the 4th call (step 3) fails
         cfg = SolverConfig(max_iter=10, tol=0.0)
-        x, trace = run_red_apg(CONTRACT_OP, CONTRACT_Y, _failing_denoiser(4), lam=1.0,
-                               L=2.0, cfg=cfg)
-        assert trace.stop_reason == "diverged" and len(trace) == 3
+        with pytest.raises(DivergenceError) as exc:
+            run_red_apg(CONTRACT_OP, CONTRACT_Y, _failing_denoiser(4), lam=1.0, L=2.0, cfg=cfg)
+        err = exc.value
+        assert err.trace.stop_reason == "diverged"
+        assert err.step == 3 and len(err.trace) == 3
         x2, _ = run_red_apg(CONTRACT_OP, CONTRACT_Y, _failing_denoiser(99), lam=1.0, L=2.0,
                             cfg=SolverConfig(max_iter=2, tol=0.0))
-        np.testing.assert_array_equal(x, x2)
+        np.testing.assert_array_equal(err.last, x2)
+
+    @pytest.mark.parametrize("driver", [
+        lambda den, x0: run_red_gd(CONTRACT_OP, CONTRACT_Y, den, lam=1.0, sigma=1.0,
+                                   cfg=SolverConfig(max_iter=10, tol=0.0), x0=x0),
+        lambda den, x0: run_red_apg(CONTRACT_OP, CONTRACT_Y, den, lam=1.0, L=2.0,
+                                    cfg=SolverConfig(max_iter=10, tol=0.0), x0=x0),
+    ], ids=["red_gd", "red_apg"])
+    def test_row_0_failure_carries_step_0_and_the_start(self, driver):
+        # row 0 traces the stationarity norm, so the first denoiser call is row 0's
+        x0 = np.linspace(0.5, 2.0, 4)
+        with pytest.raises(DivergenceError) as exc:
+            driver(_failing_denoiser(1), x0)
+        err = exc.value
+        assert err.step == 0
+        np.testing.assert_array_equal(err.last, x0)
+        assert len(err.trace) == 0 and err.trace.stop_reason == "diverged"
 
 
 @pytest.mark.filterwarnings("error")
