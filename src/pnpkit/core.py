@@ -16,7 +16,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 PSNR_CAP_DB = 300.0
 RAW_MAGIC = b"PNPK0001"
@@ -104,8 +103,32 @@ def run_state() -> dict | None:
     return _RUN_STATE.get()
 
 
+def _rfftn(x: np.ndarray, axes: tuple) -> np.ndarray:
+    """The real FFT of x over ``axes``, on the half spectrum of the last axis.
+
+    numpy's ``rfftn`` passes without its argument front end: ``rfft`` on
+    the last axis, then ``fft`` in place on each other axis in the order
+    given, the order ``scipy.fft.rfftn`` takes them in, with the same bits.
+    """
+    spec = np.fft.rfft(x, axis=axes[-1])
+    for axis in axes[:-1]:
+        np.fft.fft(spec, axis=axis, out=spec)
+    return spec
+
+
+def _irfftn(spec: np.ndarray, shape: tuple, axes: tuple) -> np.ndarray:
+    """The inverse of :func:`_rfftn` onto the sides ``shape`` of ``axes``; overwrites spec.
+
+    ``ifft`` in place on each axis but the last, in the order given, then
+    ``irfft`` onto ``shape[-1]`` points on the last.
+    """
+    for axis in axes[:-1]:
+        np.fft.ifft(spec, axis=axis, out=spec)
+    return np.fft.irfft(spec, shape[-1], axis=axes[-1])
+
+
 def real_spectrum(x: np.ndarray, axes: tuple) -> np.ndarray:
-    """``rfftn(x, axes=axes)``, kept for the last array of the solver run in progress.
+    """The real FFT :func:`_rfftn` of x, kept for the last array of the solver run in progress.
 
     Inside a :func:`scoped_run` the run keeps the read-only spectrum of the
     last array object and axes it was given, and a request for the same
@@ -114,11 +137,11 @@ def real_spectrum(x: np.ndarray, axes: tuple) -> np.ndarray:
     """
     state = _RUN_STATE.get()
     if state is None:
-        return scipy.fft.rfftn(x, axes=axes)
+        return _rfftn(x, axes)
     last = state.get("real_spectrum")
     if last is not None and last[0] is x and last[1] == axes:
         return last[2]
-    spec = scipy.fft.rfftn(x, axes=axes)
+    spec = _rfftn(x, axes)
     spec.setflags(write=False)
     state["real_spectrum"] = (x, axes, spec)  # the run's one entry; holding x pins its id
     return spec

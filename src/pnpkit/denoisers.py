@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.fft
 
 from .core import DivergenceError, Rng, ShapeError, as_array, real_spectrum
 from .gmm import GmmPrior, _posterior_mean
@@ -145,7 +144,7 @@ def nlm_denoiser(patch_radius: int, window_radius: int, h: float) -> Denoiser:
     patch_size = 2 * patch_radius + 1
 
     def fn(arr, sigma):
-        from scipy import ndimage  # imported on first use: it adds ~50 ms to every start-up
+        from scipy import ndimage  # imported on first use: it adds ~300 ms to a start-up
 
         if arr.ndim not in (1, 2):
             raise ShapeError(f"nlm supports 1-D and 2-D signals, got shape {arr.shape}")
@@ -190,10 +189,21 @@ def tv_denoiser(c: float = 1.0, tol: float | None = None, max_iter: int = 200000
 # ---------------------------------------------------------------------------
 
 
+def _dctn(a):
+    from scipy import fft  # imported on first use: it adds ~350 ms to a start-up
+
+    return fft.dctn(a, norm="ortho")
+
+
+def _idctn(c):
+    from scipy import fft
+
+    return fft.idctn(c, norm="ortho")
+
+
 # The orthonormal transforms W of a spectral denoiser, as (W, W^T) pairs.
 _SPECTRAL_TRANSFORMS = {
-    "dct": (lambda a: scipy.fft.dctn(a, norm="ortho"),
-            lambda c: scipy.fft.idctn(c, norm="ortho")),
+    "dct": (_dctn, _idctn),
     "haar": (lambda a: haar_transform(a, 1), lambda c: haar_inverse(c, 1)),
     "identity": (lambda a: a, lambda c: c),
 }
@@ -324,7 +334,7 @@ def gs_denoiser(smoother: LinearOp, weight: float = 1.0) -> Denoiser:
 def _circulant_quadratic(quad: np.ndarray, spatial: tuple):
     """x -> 0.5 * sum_k quad(k) |X(k)|^2 / n over the full FFT grid ``spatial``.
 
-    ``quad`` is real and even, given on the ``rfftn`` half spectrum, which
+    ``quad`` is real and even, given on the real FFT half spectrum, which
     :func:`~pnpkit.operators.half_spectrum_weights` sums by Parseval.  A 3-D
     x is summed over its channels.  X comes from
     :func:`~pnpkit.core.real_spectrum`, so within a solver run it is shared

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import Rng, as_array
 
@@ -144,14 +143,39 @@ def smoothed_logpdf(prior: GmmPrior, x, sigma: float):
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     arr = _as_points(prior, x)
-    out = logsumexp(_component_logpdfs(prior, _smoothed(prior, sigma), arr), axis=-1)
+    out = _logsumexp(_component_logpdfs(prior, _smoothed(prior, sigma), arr))
     return float(out) if arr.ndim == 1 else out
 
 
+def _shifted_exp(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(logs - m) and m, for m the max of logs over the last axis (kept as an axis).
+
+    The shift puts the largest term at 1, so a sum of the terms neither
+    overflows nor underflows to 0.  A max that is not finite (a row of -inf,
+    or one holding +inf) shifts by 0 instead, so its row sums to 0 or inf
+    rather than to the NaN of inf - inf.
+    """
+    top = logs.max(axis=-1, keepdims=True)
+    if not np.isfinite(top).all():
+        top = np.where(np.isfinite(top), top, 0.0)
+    return np.exp(logs - top), top
+
+
+def _logsumexp(logs: np.ndarray) -> np.ndarray:
+    """log(sum(exp(logs))) over the last axis, from the max-shifted terms.
+
+    Neither edge warns: a term more than the float range below its row's
+    max shifts to -inf and adds 0, and a row of -inf sums to 0, whose log
+    is -inf.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        terms, top = _shifted_exp(logs)
+        return np.log(terms.sum(axis=-1)) + top[..., 0]
+
+
 def _responsibilities(prior: GmmPrior, c: _Smoothed, x: np.ndarray) -> np.ndarray:
-    logs = _component_logpdfs(prior, c, x)
-    w = np.exp(logs - logs.max(axis=-1, keepdims=True))
-    return w / w.sum(axis=-1, keepdims=True)
+    terms, _ = _shifted_exp(_component_logpdfs(prior, c, x))
+    return terms / terms.sum(axis=-1, keepdims=True)
 
 
 def smoothed_score(prior: GmmPrior, x, sigma: float, allow_unsmoothed: bool = False):

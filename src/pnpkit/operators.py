@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
-from .core import Rng, ShapeError, SolveError, as_array, load_signal, real_spectrum
+from .core import (Rng, ShapeError, SolveError, _irfftn, _rfftn, as_array, load_signal,
+                   real_spectrum)
 
 CG_RTOL = 1e-10
 SVD_MAX_DIM = 512
@@ -189,8 +189,9 @@ class CirculantOp(LinearOp):
     (H(k) + conj(H(-k)))/2 of H, so that part is what the operator keeps,
     on the half spectrum of a real FFT (``half_response``, a real array
     when the response is real, as for an even kernel).  Apply, adjoint,
-    the normal map and the shifted solve are one ``rfftn``/``irfftn`` round
-    trip each; the least-squares value is one ``rfftn``, by Parseval.
+    the normal map and the shifted solve are one real FFT round trip each
+    (:func:`~pnpkit.core._rfftn`, then :func:`~pnpkit.core._irfftn`); the
+    least-squares value is one forward real FFT, by Parseval.
     """
 
     kind = "circulant-conv"
@@ -204,7 +205,7 @@ class CirculantOp(LinearOp):
 
     @classmethod
     def from_half_response(cls, half_response, image_shape) -> "CirculantOp":
-        """Build from a Hermitian response given on the ``rfftn`` half spectrum.
+        """Build from a Hermitian response given on the half spectrum of the real FFT.
 
         A real function of a real half spectrum (such as a product or a
         polynomial of other operators' responses) stays Hermitian.
@@ -235,9 +236,9 @@ class CirculantOp(LinearOp):
         self._axes = tuple(range(len(spatial)))
 
     def _filter(self, x, response, combine=np.multiply):
-        spec = scipy.fft.rfftn(x, axes=self._axes)
+        spec = _rfftn(x, self._axes)
         combine(spec, response if x.ndim == response.ndim else response[..., None], out=spec)
-        return scipy.fft.irfftn(spec, s=self._spatial, axes=self._axes, overwrite_x=True)
+        return _irfftn(spec, self._spatial, self._axes)
 
     def _apply(self, x):
         return self._filter(x, self.half_response)
@@ -249,13 +250,13 @@ class CirculantOp(LinearOp):
         return self._filter(x, self._gram)
 
     def least_squares_value(self, y):
-        """x -> 0.5 * sum w |H X - Y|^2 over the half spectrum (Parseval), one ``rfftn`` of x.
+        """x -> 0.5 * sum w |H X - Y|^2 over the half spectrum (Parseval), one real FFT of x.
 
         Y is transformed once; the weights are :func:`half_spectrum_weights`.
         X comes from :func:`~pnpkit.core.real_spectrum`, so within a solver
         run it is shared with any other value taken at the same point.
         """
-        y_hat = scipy.fft.rfftn(y, axes=self._axes)
+        y_hat = _rfftn(y, self._axes)
         weights = 0.5 * half_spectrum_weights(self._spatial)
         response = self.half_response
         if y.ndim > len(self._spatial):  # per channel
@@ -297,9 +298,10 @@ class CirculantOp(LinearOp):
 
 
 def half_spectrum_weights(spatial) -> np.ndarray:
-    """Parseval weights of the ``rfftn`` half spectrum on the grid ``spatial``.
+    """Parseval weights of the real FFT half spectrum on the grid ``spatial``.
 
-    For a real x, sum(w * |rfftn(x)|^2) = ||x||^2: |X(-k)| = |X(k)|, so
+    For a real x and X = :func:`~pnpkit.core._rfftn` of x over the grid's
+    axes, sum(w * |X|^2) = ||x||^2: |X(-k)| = |X(k)|, so
     every column of the last axis other than 0 and (for an even side) the
     Nyquist column stands for two and weighs 2/n; those two weigh 1/n.
     The weights vary along the last spatial axis only.
@@ -390,7 +392,7 @@ def make_blur(kernel, image_shape) -> CirculantOp:
     embedded[slices] = kernel
     center = tuple(k // 2 for k in kernel.shape)
     embedded = np.roll(embedded, tuple(-c for c in center), axis=tuple(range(kernel.ndim)))
-    half = scipy.fft.rfftn(embedded)
+    half = _rfftn(embedded, tuple(range(embedded.ndim)))
     if np.array_equal(kernel, np.flip(kernel)):
         half = half.real  # an even kernel has a real response; drop the rounding residue
     return CirculantOp.from_half_response(half, image_shape)

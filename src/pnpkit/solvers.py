@@ -163,7 +163,7 @@ def _objective(x: np.ndarray, scale: float, f: SmoothFn | None, *slots: RegSlot)
 
     Inside a solver run the terms share the transforms of x (see
     :func:`~pnpkit.core.real_spectrum`): on a circulant problem the fidelity
-    value and a GS potential take one ``rfftn`` between them.
+    value and a GS potential take one forward real FFT between them.
     """
     total = 0.0
     if f is not None:

@@ -19,8 +19,8 @@ from pnpkit import (
     save_signal,
     write_trace,
 )
-from pnpkit.core import (DIVERGENCE_NORM, RAW_MAGIC, diverged, real_spectrum, run_state,
-                         scoped_run)
+from pnpkit.core import (DIVERGENCE_NORM, RAW_MAGIC, _irfftn, _rfftn, diverged, real_spectrum,
+                         run_state, scoped_run)
 
 
 class TestSignal:
@@ -389,6 +389,37 @@ class TestScopedRun:
             with scoped_run():
                 raise RuntimeError("boom")
         assert run_state() is None
+
+
+# (shape, whether the round trip gives scipy.fft's bits); the last two are per channel
+_FFT_SHAPES = [((16,), True), ((8, 8), True), ((32, 32), True), ((64, 64), True),
+               ((128, 128), True), ((64, 72), True), ((40, 72), False), ((63, 63), False),
+               ((96, 96), False), ((100, 100), False), ((9, 13), False), ((16, 16, 3), True),
+               ((40, 72, 3), False)]
+
+
+class TestRealFftPair:
+    """core._rfftn/_irfftn against scipy.fft.rfftn/irfftn, whose bits they replace."""
+
+    @pytest.mark.parametrize("shape, same_bits", _FFT_SHAPES)
+    def test_matches_scipy(self, shape, same_bits):
+        import scipy.fft
+
+        x = Rng(0).standard_normal(shape)
+        axes = tuple(range(min(len(shape), 2)))
+        spatial = shape[: len(axes)]
+        spec = _rfftn(x, axes)
+        reference = scipy.fft.rfftn(x, axes=axes)
+        np.testing.assert_array_equal(spec, reference)  # forward: bit for bit on every shape
+        back = _irfftn(spec, spatial, axes)
+        reference_back = scipy.fft.irfftn(reference, s=spatial, axes=axes)
+        assert back.shape == shape
+        if same_bits:
+            np.testing.assert_array_equal(back, reference_back)
+        else:
+            scale = np.max(np.abs(reference_back))
+            assert np.max(np.abs(back - reference_back)) <= 1e-15 * scale
+        np.testing.assert_allclose(back, x, rtol=0, atol=1e-13)
 
 
 class TestSharedSpectra:

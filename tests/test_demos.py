@@ -43,11 +43,33 @@ def test_readme_python_example_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
-def test_import_leaves_scipy_ndimage_unloaded(tmp_path):
-    # scipy.ndimage adds ~50 ms to every start-up; only the NLM denoiser uses it
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # scipy adds ~350 ms to a start-up; only the dct spectral denoiser and NLM use it
     script = tmp_path / "imports.py"
     script.write_text("import sys\nimport pnpkit, pnpkit.cli\n"
-                      "assert 'scipy.ndimage' not in sys.modules\n")
+                      "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+                      "assert not loaded, loaded\n")
+    proc = run_script(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_dct_and_nlm_denoisers_load_scipy_on_first_use(tmp_path):
+    script = tmp_path / "first_use.py"
+    script.write_text(
+        "import sys\n"
+        "import numpy as np\n"
+        "from pnpkit import linear_spectral_denoiser, nlm_denoiser\n"
+        "x = np.linspace(0.0, 1.0, 64).reshape(8, 8)\n"
+        "dct = linear_spectral_denoiser((8, 8), 0.5, 'dct')\n"
+        "nlm = nlm_denoiser(1, 2, 0.2)\n"
+        "assert 'scipy.fft' not in sys.modules\n"
+        "out = dct.apply(x, 0.1)\n"
+        "assert 'scipy.fft' in sys.modules\n"
+        "assert np.allclose(out, x / 1.5)\n"
+        "assert 'scipy.ndimage' not in sys.modules\n"
+        "out = nlm.apply(x, 0.1)\n"
+        "assert 'scipy.ndimage' in sys.modules\n"
+        "assert out.shape == x.shape and np.all(np.isfinite(out))\n")
     proc = run_script(script, tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]
 

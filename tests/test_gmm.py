@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from pnpkit import (
     smoothed_score,
     tweedie_check,
 )
+from pnpkit.gmm import _logsumexp
 
 
 def quad_smoothed_pdf(prior, z, sigma):
@@ -284,3 +286,46 @@ class TestBatchAndConstants:
             posterior_mean(prior, np.zeros((2, 2, 4)), 0.5)
         np.testing.assert_array_equal(posterior_mean(prior, np.ones((2, 4)), 0.0),
                                       np.ones((2, 4)))
+
+
+class TestLogsumexp:
+    """The private max-shifted logsumexp against scipy.special.logsumexp."""
+
+    def test_matches_scipy(self):
+        logs = Rng(6).standard_normal((50, 7)) * np.array([[0.1], [10.0], [700.0], [1e5], [1e300]]
+                                                          ).repeat(10, axis=0)
+        out = _logsumexp(logs)
+        ref = logsumexp(logs, axis=-1)
+        assert out.shape == (50,)
+        assert np.all(np.abs(out - ref) <= 1e-15 * np.maximum(np.abs(ref), 1.0))
+
+    def test_rows_equal_single_calls(self):
+        logs = Rng(7).standard_normal((9, 3)) * 50.0
+        out = _logsumexp(logs)
+        for c, row in enumerate(logs):
+            assert out[c] == _logsumexp(row)
+
+    @pytest.mark.parametrize("row, expected", [
+        ([-np.inf, -np.inf, -np.inf], -np.inf),
+        ([1.0, np.inf, 0.0], np.inf),
+        ([-np.inf, np.inf], np.inf),
+        ([-np.inf, 0.0, -np.inf], 0.0),
+    ])
+    def test_infinite_rows_without_a_warning(self, row, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _logsumexp(np.array(row))
+            batch = _logsumexp(np.array([row, [0.0] * len(row)]))
+        assert out == expected == logsumexp(row) and batch[0] == expected
+        assert batch[1] == pytest.approx(math.log(len(row)), rel=1e-15)
+
+    @pytest.mark.parametrize("row", [[1e308, -1e308], [-1e308, -1e308], [1.7e308, 1.7e308, 1.7e308],
+                                     [-1.7e308, 1.7e308, 0.0], [-1.7e308, -1e308, -1.7e308]])
+    def test_spreads_near_the_float_limits_stay_finite(self, row):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ref = logsumexp(row)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _logsumexp(np.array(row))
+        assert np.isfinite(ref) and out == pytest.approx(ref, rel=1e-15)
