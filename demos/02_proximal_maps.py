@@ -14,7 +14,7 @@ from pnpkit import (
     l1_prox,
     moreau_check,
     prox_tv,
-    squared_l2_prox,
+    quadratic_prox,
     tv_conj_prox,
     tv_prox,
     tv_value,
@@ -46,7 +46,8 @@ print(f"  prox    : {np.round(denoised, 3)} (TV {tv_value(denoised):.3f})\n")
 print("Moreau identities (defect = ||prox_f(v) + prox_f*(v) - v||_inf):")
 v = 2.0 * rng.standard_normal(16)
 print(f"  l1 vs l-inf ball projection : {moreau_check(l1_prox(1.0), box_prox(-1.0, 1.0), v):.2e}")
-print(f"  0.5*||.||^2 (self-conjugate): {moreau_check(squared_l2_prox(1.0), squared_l2_prox(1.0), v):.2e}")
+half_sq = quadratic_prox(0.0, 1.0)  # 0.5*||x||^2
+print(f"  0.5*||.||^2 (self-conjugate): {moreau_check(half_sq, half_sq, v):.2e}")
 tv_defect = moreau_check(tv_prox(0.3, tol=1e-13), tv_conj_prox(0.3, tol=1e-13), v)
 print(f"  TV via two iterative solves : {tv_defect:.2e}  (certified by duality gaps)")
 

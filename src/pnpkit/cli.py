@@ -219,12 +219,11 @@ _ALGOS = {  # algo -> the keys it reads besides max_iter and tol
 _SOLVER = OneOf({algo: {k: _ALGO_KEYS.get(algo, {}).get(k, _SOLVER_KEYS[k])
                         for k in ("max_iter", "tol", *row.split())}
                  for algo, row in _ALGOS.items()}, tag="algo")
-_SWEEP = {  # the deltas are given, or the ladder 2^-k for k_min..k_max (1..8)
+_SWEEP = {
     "c": Key(float, 0.5, ge=0.0), "eta": Key(float, 0.45),
-    "k_min": Key(int, None), "k_max": Key(int, None),
     "diag": Key([float], [2.0, 1.7, 1.4, 1.1], min_len=1),
     "x_true": Key([float], [0.15, 0.15, 0.15, 0.15], min_len=1),
-    "deltas": Key([float], None, ge=0.0, min_len=2),
+    "deltas": Key([float], [2.0 ** -k for k in range(1, 9)], ge=0.0, min_len=2),
 }
 _PROBE = {"shape": Key([int], [16, 16], ge=1, min_len=1), "sigma": Key(float, 0.1),
           "probes": Key(int, 2), "fd_step": Key(float, None)}
@@ -547,15 +546,18 @@ def _solver_run(spec: dict, problem, where: str):
 
 
 def _worker_count() -> int:
+    """The compare pool size: PNPKIT_THREADS, a positive integer (1 when unset)."""
     raw = os.environ.get("PNPKIT_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"PNPKIT_THREADS must be a positive integer, got {raw!r:.60}")
+    return workers
 
 
-def _map_jobs(fn, items):
-    workers = _worker_count()
+def _map_jobs(fn, items, workers: int):
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -632,6 +634,7 @@ def cmd_compare(spec: dict, rng: Rng, args) -> int:
     algos = [solver["algo"] for solver in spec["solvers"]]
     if len(set(algos)) < len(algos):  # an algo's runs are named by it alone
         raise ConfigError(f"config.solvers: each algo may appear once, got {algos}")
+    workers = _worker_count()
     out = _prepare_out(args.out or spec["output"])
 
     def run_one(job):
@@ -657,7 +660,7 @@ def cmd_compare(spec: dict, rng: Rng, args) -> int:
             "converged": converged,
         }
 
-    rows = _map_jobs(run_one, jobs)
+    rows = _map_jobs(run_one, jobs, workers)
     lines = ["solver,image,final_psnr,min_residual,residual_slope,converged"]
     for r in rows:
         lines.append(
@@ -678,28 +681,19 @@ def cmd_sweep(spec: dict, rng: Rng, args) -> int:
     x_true = np.asarray(sweep["x_true"], dtype=np.float64)
     if diag.shape != x_true.shape:
         raise ConfigError("config.sweep: diag and x_true must have the same length")
-    deltas, k_min, k_max = sweep["deltas"], sweep["k_min"], sweep["k_max"]
-    if deltas is not None and (k_min, k_max) != (None, None):
-        raise ConfigError("config.sweep: give deltas or k_min/k_max, not both")
-    if deltas is None:
-        k_min = 1 if k_min is None else k_min
-        k_max = 8 if k_max is None else k_max
-        if k_max <= k_min:  # a ladder needs two rungs to fall
-            raise ConfigError("config.sweep: k_max must exceed k_min")
-        deltas = [2.0 ** (-k) for k in range(k_min, k_max + 1)]
     with _section("config.sweep"):
         fid_cfg = SolverConfig(step=sweep["eta"], max_iter=100000, tol=1e-14,
                                record_time=False)
+        op = DiagonalOp(diag)
+        y0 = op._apply(x_true)
+        x_dagger = naive_svd_solve(op, y0)
     out = _prepare_out(args.out or spec["output"])
 
-    op = DiagonalOp(diag)
-    y0 = op._apply(x_true)
-    x_dagger = naive_svd_solve(op, y0)
     direction = rng.standard_normal(diag.shape)
     direction /= np.linalg.norm(direction)
 
     rows = []
-    for delta in deltas:
+    for delta in sweep["deltas"]:
         lam = c * math.sqrt(delta)
         y_delta = y0 + delta * direction
         if lam == 0.0:

@@ -118,9 +118,29 @@ def _smoothed(prior: GmmPrior, sigma: float) -> _Smoothed:
 
 
 def _component_logpdfs(prior: GmmPrior, c: _Smoothed, x: np.ndarray) -> np.ndarray:
-    """log w_j N(x; mu_j, s_j I) for each component: shape (J,) or (C, J)."""
-    diff2 = np.sum((x[..., None, :] - prior.means) ** 2, axis=-1)
+    """log w_j N(x; mu_j, s_j I) for each component: shape (J,) or (C, J).
+
+    A squared distance that overflows gives -inf, without a warning.
+    """
+    with np.errstate(over="ignore"):
+        diff2 = np.sum((x[..., None, :] - prior.means) ** 2, axis=-1)
     return c.log_norm - diff2 * c.half_inv
+
+
+def _far_logs(prior: GmmPrior, c: _Smoothed, x: np.ndarray) -> np.ndarray:
+    """-|x - mu_j|^2 / (2 s_j) for each row of x scaled by its own power of two.
+
+    For finite rows at which every squared distance overflows, so that every
+    component's log-density is -inf.  A row's scale puts its largest entry,
+    or the largest mean entry, just under 2^e, with e as large as keeps each
+    value finite (n (2^(e+1))^2 max 1/(2 s_j) <= 2^1020).  The components
+    keep their order, so the largest s_j, the limit far from the means, wins.
+    """
+    e = int((1018 - math.log2(prior.dim * float(np.max(c.half_inv)))) // 2)
+    span = np.maximum(np.max(np.abs(x), axis=-1), np.max(np.abs(prior.means)))
+    scale = np.ldexp(1.0, e - np.frexp(span)[1])[..., None, None]
+    diff2 = np.sum((scale * x[..., None, :] - scale * prior.means) ** 2, axis=-1)
+    return -diff2 * c.half_inv
 
 
 def _as_points(prior: GmmPrior, x) -> np.ndarray:
@@ -174,21 +194,24 @@ def _logsumexp(logs: np.ndarray) -> np.ndarray:
 
 
 def _responsibilities(prior: GmmPrior, c: _Smoothed, x: np.ndarray) -> np.ndarray:
-    terms, _ = _shifted_exp(_component_logpdfs(prior, c, x))
+    """Each component's posterior weight; finite rows far from every mean use :func:`_far_logs`."""
+    logs = _component_logpdfs(prior, c, x)
+    top = logs.max(axis=-1)
+    if top.min() == -math.inf:  # a far row, or one holding an inf
+        far = (top == -math.inf) & np.isfinite(x).all(axis=-1)
+        logs[far] = _far_logs(prior, c, x[far])
+    terms, _ = _shifted_exp(logs)
     return terms / terms.sum(axis=-1, keepdims=True)
 
 
-def smoothed_score(prior: GmmPrior, x, sigma: float, allow_unsmoothed: bool = False):
+def smoothed_score(prior: GmmPrior, x, sigma: float):
     """Exact gradient of :func:`smoothed_logpdf` with respect to x.
 
-    sigma = 0 is rejected unless ``allow_unsmoothed`` is set, in which case
-    the score of the mixture itself is returned.  A batch (C, n) gives the
-    score of each row.
+    sigma = 0 gives the score of the mixture itself (every variance is
+    positive).  A batch (C, n) gives the score of each row.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    if sigma == 0 and not allow_unsmoothed:
-        raise ValueError("sigma = 0 requires allow_unsmoothed=True")
     arr = _as_points(prior, x)
     c = _smoothed(prior, sigma)
     weights = _responsibilities(prior, c, arr) * c.inv_var

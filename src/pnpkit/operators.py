@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Rng, ShapeError, SolveError, _irfftn, _rfftn, as_array, load_signal,
-                   real_spectrum)
+from .core import Rng, ShapeError, SolveError, _irfftn, _rfftn, as_array, real_spectrum
 
 CG_RTOL = 1e-10
 SVD_MAX_DIM = 512
@@ -277,16 +276,6 @@ class CirculantOp(LinearOp):
         return self._filter(b, self._gram + rho, np.divide)
 
     @property
-    def freq_response(self) -> np.ndarray:
-        """The Hermitian response on the full FFT grid, rebuilt from the half spectrum."""
-        half = self.half_response
-        # column j > n/2 of the last axis holds conj(H(-k)), read from column n - j
-        tail = np.conj(half[..., self._spatial[-1] - half.shape[-1]: 0: -1])
-        for axis in range(half.ndim - 1):
-            tail = np.roll(np.flip(tail, axis=axis), 1, axis=axis)
-        return np.concatenate([half, tail], axis=-1)
-
-    @property
     def spectral_norm(self) -> float:
         return float(np.max(np.abs(self.half_response)))
 
@@ -352,10 +341,6 @@ def compose(outer: LinearOp, inner: LinearOp) -> LinearOp:
 
 def identity_op(shape) -> DiagonalOp:
     return DiagonalOp(np.ones(tuple(shape)))
-
-
-def zero_op(shape) -> DiagonalOp:
-    return DiagonalOp(np.zeros(tuple(shape)))
 
 
 def check_blur_kernel(kernel_shape, image_shape) -> tuple:
@@ -535,10 +520,3 @@ def operator_norm(op: LinearOp, rng, iters: int = 2000, tol: float = 1e-13) -> f
         value = new_value
     return float(np.sqrt(value))
 
-
-def load_dense_operator(path) -> DenseOp:
-    """Load a dense operator from the raw float64 format (shape [m, n])."""
-    matrix = load_signal(path)
-    if matrix.ndim != 2:
-        raise ShapeError(f"dense operator file must have shape [m, n], got {matrix.shape}")
-    return DenseOp(matrix)

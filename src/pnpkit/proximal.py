@@ -417,19 +417,8 @@ def box_prox(lo: float = 0.0, hi: float = 1.0) -> ProxMap:
     )
 
 
-def squared_l2_prox(weight: float = 1.0) -> ProxMap:
-    """Prox of (weight/2)*||x||^2, which is v / (1 + lam*weight); self-conjugate at weight 1."""
-    _check_weight(weight)
-    return ProxMap(
-        "squared_l2",
-        lambda v, lam: v / (1.0 + lam * weight),
-        objective=lambda x: 0.5 * weight * float(np.sum(as_array(x) ** 2)),
-        separable=True,
-    )
-
-
 def quadratic_prox(center, weight: float = 1.0) -> ProxMap:
-    """Prox of (weight/2)*||x - center||^2."""
+    """Prox of (weight/2)*||x - center||^2; self-conjugate at center 0 and weight 1."""
     _check_weight(weight)
     c = as_array(center)
     return ProxMap(

@@ -148,7 +148,7 @@ class RegSlot:
         return None
 
 
-def as_slot(obj) -> RegSlot:
+def _as_slot(obj) -> RegSlot:
     if isinstance(obj, RegSlot):
         return obj
     if isinstance(obj, ProxMap):
@@ -269,7 +269,7 @@ def _pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, precond=None,
     drivers pass their stationarity norm through it.
     """
     f = _as_smooth(grad_f)
-    slot = as_slot(reg)
+    slot = _as_slot(reg)
     step = cfg.step
     if precond is not None:
         b = as_array(precond)
@@ -325,7 +325,7 @@ def run_apgd(grad_f, reg, cfg: SolverConfig, x0, reference=None):
     starts at x0.
     """
     f = _as_smooth(grad_f)
-    slot = as_slot(reg)
+    slot = _as_slot(reg)
     alpha = cfg.alpha
     y = as_array(x0)
 
@@ -362,8 +362,8 @@ def run_drs(map_a, map_b, cfg: SolverConfig, x0, reference=None):
     fixed-point residual is ||z_k - y_k|| = ||x_{k+1} - x_k||, the update's
     own residual.
     """
-    slot_a = as_slot(map_a)
-    slot_b = as_slot(map_b)
+    slot_a = _as_slot(map_a)
+    slot_b = _as_slot(map_b)
     lam = cfg.step
     y = as_array(x0)  # the traced point; row 0 shows the start
 
@@ -397,7 +397,7 @@ def run_admm(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, reference=None):
     every rho while z and u move.
     """
     y_arr = op._data(y)
-    slot = as_slot(reg)
+    slot = _as_slot(reg)
     rho = cfg.rho
     kty = op._adjoint(y_arr)
     x = kty if x0 is None else as_array(x0)
@@ -450,7 +450,7 @@ def run_hqs(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, rho_schedule=None,
     raises ValueError before the first step.
     """
     y_arr = op._data(y)
-    slot = as_slot(reg)
+    slot = _as_slot(reg)
     rho_of = _as_schedule(rho_schedule, cfg.rho, "rho_schedule", positive=True)
     sigma_of = _as_schedule(sigma_schedule, slot.sigma, "sigma_schedule", positive=False)
     fid_prox = quadratic_fidelity_prox(op, y_arr)
@@ -541,17 +541,6 @@ def run_red_pg(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,
     return _pgd(grad, fid_prox, replace(cfg, step=1.0 / (lam * L)),
                 kty if x0 is None else x0, reference,
                 residual=lambda x: float(np.linalg.norm(op.normal(x) - kty + grad(x))))
-
-
-def nesterov_t_sequence(count: int) -> np.ndarray:
-    """t_0 = 1, t_k = (1 + sqrt(1 + 4 t_{k-1}^2)) / 2."""
-    t = np.empty(count)
-    if count == 0:
-        return t
-    t[0] = 1.0
-    for k in range(1, count):
-        t[k] = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t[k - 1] ** 2))
-    return t
 
 
 def run_red_apg(op: LinearOp, y, denoiser: Denoiser, lam: float, L: float,

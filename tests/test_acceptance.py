@@ -46,7 +46,6 @@ from pnpkit import (
     run_red_gd,
     run_red_pg,
     solve_shifted_normal,
-    squared_l2_prox,
     tv_conj_prox,
     tv_prox,
     tweedie_check,
@@ -106,7 +105,7 @@ def test_criterion_02_moreau_identity():
         v = 3.0 * rng.standard_normal(12)
         worst_closed = max(worst_closed, moreau_check(l1_prox(1.0), box_prox(-1.0, 1.0), v))
         worst_closed = max(worst_closed,
-                           moreau_check(squared_l2_prox(1.0), squared_l2_prox(1.0), v))
+                           moreau_check(quadratic_prox(0.0, 1.0), quadratic_prox(0.0, 1.0), v))
     assert worst_closed <= 1e-10
 
     worst_tv = 0.0

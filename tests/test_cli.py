@@ -383,7 +383,9 @@ class TestSweepCommand:
         assert errors[-1] <= 0.05 * errors[0]
 
     def test_ladder_defaults_are_1_and_8(self, tmp_path):
-        ladders = ({}, {"k_min": 1}, {"k_max": 8}, {"k_min": 1, "k_max": 8})
+        # the default deltas are 2^-k for k = 1..8
+        ladders = ({}, {"deltas": [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125,
+                                   0.00390625]})
         for i, sweep in enumerate(ladders):
             doc = {"task": "sweep", "output": str(tmp_path / f"s{i}"), "sweep": sweep}
             assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 0
@@ -709,15 +711,19 @@ MALFORMED = [
     pytest.param("diagnose", ("probe", "shape"), "x", "config.probe", id="probe-shape"),
     pytest.param("diagnose", ("probe", "sigma"), "x", "config.probe", id="probe-sigma"),
     pytest.param("diagnose", ("mu",), "x", "config", id="mu"),
+    # k_min and k_max are no sweep keys: the deltas are the one form of the ladder
     pytest.param("sweep", ("sweep", "k_max"), "x", "config.sweep", id="sweep-k-max"),
     pytest.param("sweep", ("sweep", "c"), "x", "config.sweep", id="sweep-c"),
-    # a ladder of fewer than two deltas, which `sweep --assert` would pass vacuously
     pytest.param("sweep", ("sweep",), {"k_min": 5, "k_max": 1}, "config.sweep",
                  id="sweep-k-max-below-k-min"),
+    # a ladder of fewer than two deltas, which `sweep --assert` would pass vacuously
     pytest.param("sweep", ("sweep", "deltas"), [], "config.sweep", id="sweep-no-deltas"),
     pytest.param("sweep", ("sweep", "deltas"), [0.25], "config.sweep", id="sweep-one-delta"),
     pytest.param("sweep", ("sweep",), {"deltas": [0.5, 0.25], "k_max": 4}, "config.sweep",
                  id="sweep-deltas-and-ladder"),
+    # the exact solve x_dagger is built before the output directory is made
+    pytest.param("sweep", {("sweep", "diag"): [1.0] * 600, ("sweep", "x_true"): [0.1] * 600},
+                 None, "config.sweep", id="sweep-diag-over-svd-limit"),
     pytest.param("solve", None, None, "config.seed", id="seed-flag"),
 ]
 
@@ -740,6 +746,16 @@ def test_malformed_config_exit_2_before_output(tmp_path, capsys, command, path, 
             set_path(doc, key_path, key_value(tmp_path) if callable(key_value) else key_value)
     assert main([command, "--config", write_config(tmp_path, doc)] + argv) == 2
     assert f"pnpkit: {section}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", "abc", "1.5", ""])
+def test_bad_thread_count_exit_2_before_output(tmp_path, capsys, monkeypatch, threads):
+    out = tmp_path / "out"
+    doc = {**PROBE_BASES["compare"], "output": str(out)}
+    monkeypatch.setenv("PNPKIT_THREADS", threads)
+    assert main(["compare", "--config", write_config(tmp_path, doc)]) == 2
+    assert "pnpkit: PNPKIT_THREADS must be a positive integer" in capsys.readouterr().err
     assert not out.exists()
 
 

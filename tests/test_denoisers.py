@@ -382,7 +382,7 @@ class TestResidualLipschitz:
         d = gaussian_filter_denoiser(1.0, radius=2)
         kernel = gaussian_kernel(1.0, ndim=2, radius=2)
         op = make_blur(kernel, (8, 8))
-        expected = float(np.max(np.abs(1.0 - op.freq_response)))
+        expected = float(np.max(np.abs(1.0 - op.half_response)))
         est = estimate_residual_lipschitz(d, 0.0, (8, 8), probes=1, rng=Rng(4))
         assert abs(est - expected) <= 1e-6
 

@@ -162,11 +162,13 @@ class TestSmoothedScore:
         prior = GmmPrior([0.5, 0.5], [[-1.0], [1.0]], [0.4, 0.4])
         assert abs(smoothed_score(prior, [0.0], 0.5)[0]) <= 1e-14
 
-    def test_sigma_zero_needs_flag(self, two_component):
-        with pytest.raises(ValueError):
-            smoothed_score(two_component, [0.0], 0.0)
-        val = smoothed_score(two_component, [0.0], 0.0, allow_unsmoothed=True)
-        assert np.all(np.isfinite(val))
+    def test_sigma_zero_is_the_mixture_score(self, two_component):
+        # sum_j r_j (mu_j - x) / v_j, r_j proportional to w_j N(x; mu_j, v_j)
+        x = 0.3
+        dens = [w * math.exp(-0.5 * (x - m) ** 2 / v) / math.sqrt(2.0 * math.pi * v)
+                for w, m, v in ((0.4, -1.5, 0.5), (0.6, 2.0, 1.3))]
+        expected = (dens[0] * (-1.5 - x) / 0.5 + dens[1] * (2.0 - x) / 1.3) / sum(dens)
+        assert smoothed_score(two_component, [x], 0.0)[0] == pytest.approx(expected, rel=1e-14)
 
 
 class TestPosteriorMean:
@@ -277,6 +279,27 @@ class TestBatchAndConstants:
                                  (posterior_mean(prior, x, sigma),
                                   old_posterior_mean(prior, x, sigma))):
                     assert np.max(np.abs(new - old)) <= 1e-14 * np.max(np.abs(old))
+
+    @pytest.mark.parametrize("value", [1e200, -1e200, 1e300])
+    def test_far_point_gives_the_largest_variance_limit(self, value):
+        # every squared distance overflows: the widest smoothed component takes it all
+        prior = GmmPrior([0.2, 0.5, 0.3], [[0, 0, 0, 0], [1, 1, 1, 1], [-1, 0, 1, 0]],
+                         [0.1, 0.2, 0.3])
+        sigma, s = 0.5, 0.3 + 0.25
+        x = np.full(4, value)
+        batch = np.stack([x, np.zeros(4), -x])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lp, sc, pm = (fn(prior, x, sigma)
+                          for fn in (smoothed_logpdf, smoothed_score, posterior_mean))
+            rows = [fn(prior, batch, sigma)
+                    for fn in (smoothed_logpdf, smoothed_score, posterior_mean)]
+        assert lp == -np.inf
+        np.testing.assert_array_equal(pm, (0.3 / s) * x + 0.25 * prior.means[2] / s)
+        np.testing.assert_array_equal(sc, (1.0 / s) * (prior.means[2] - x))
+        for out, single in zip(rows, (smoothed_logpdf, smoothed_score, posterior_mean)):
+            for c, row in enumerate(batch):
+                np.testing.assert_array_equal(out[c], single(prior, row, sigma))
 
     def test_batch_shape_contract(self):
         prior = PRIORS[3]

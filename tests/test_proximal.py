@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnpkit import (
+    DiagonalOp,
     DivergenceError,
     Rng,
     ShapeError,
@@ -20,12 +21,10 @@ from pnpkit import (
     prox_tv,
     quadratic_fidelity_prox,
     quadratic_prox,
-    squared_l2_prox,
     tv_conj_prox,
     tv_prox,
     tv_value,
     wavelet_l1_prox,
-    zero_op,
     zero_prox,
 )
 from pnpkit.cli import builtin_image
@@ -178,7 +177,7 @@ class TestProxQuadraticFidelity:
 
     def test_zero_operator_returns_v(self, rng):
         v = rng.standard_normal(6)
-        out = quadratic_fidelity_prox(zero_op((6,)), np.zeros(6)).evaluate(v, 0.8)
+        out = quadratic_fidelity_prox(DiagonalOp(np.zeros(6)), np.zeros(6)).evaluate(v, 0.8)
         np.testing.assert_allclose(out, v, atol=1e-12)
 
     def test_identity_closed_form(self, rng):
@@ -233,7 +232,7 @@ class TestMoreau:
 
     def test_quadratic_self_conjugate(self, rng):
         v = rng.standard_normal(12)
-        assert moreau_check(squared_l2_prox(1.0), squared_l2_prox(1.0), v) <= 1e-14
+        assert moreau_check(quadratic_prox(0.0, 1.0), quadratic_prox(0.0, 1.0), v) <= 1e-14
 
     def test_tv_pair_via_independent_dual_solves(self, rng):
         lam = 0.3
@@ -253,8 +252,8 @@ class TestMoreau:
                                   lambda: tv_prox(np.nan), lambda: tv_conj_prox(-1.0),
                                   lambda: tv_conj_prox(np.inf),
                                   lambda: wavelet_l1_prox(np.inf),
-                                  lambda: squared_l2_prox(-1.0),
-                                  lambda: squared_l2_prox(np.nan),
+                                  lambda: quadratic_prox(0.0, -1.0),
+                                  lambda: quadratic_prox(0.0, np.nan),
                                   lambda: quadratic_prox(np.zeros(3), -1.0),
                                   lambda: quadratic_prox(np.zeros(3), np.inf),
                                   lambda: box_prox(np.nan, 1.0), lambda: box_prox(0.0, np.nan)],
@@ -272,7 +271,7 @@ class TestProxMapProperties:
         return [
             (l1_prox(0.7), None),
             (box_prox(0.0, 1.0), None),
-            (squared_l2_prox(2.0), None),
+            (quadratic_prox(0.0, 2.0), None),
             (wavelet_l1_prox(0.5, levels=2), (8,)),
         ]
 
@@ -293,7 +292,7 @@ class TestProxMapProperties:
         v = np.array([0.25, 0.75])
         np.testing.assert_array_equal(box_prox(0.0, 1.0).evaluate(v, 1.0), v)
         # quadratic: origin is fixed
-        assert np.all(squared_l2_prox(1.0).evaluate(np.zeros(3), 2.0) == 0.0)
+        assert np.all(quadratic_prox(0.0, 1.0).evaluate(np.zeros(3), 2.0) == 0.0)
 
     def test_variational_inequality(self, rng):
         # prox output beats random perturbations on the prox objective
@@ -320,7 +319,7 @@ class TestProxMapProperties:
     def test_componentwise_lam_matches_entrywise_scalar_calls(self, rng):
         v = rng.standard_normal(5)
         lam = np.array([0.1, 0.5, 1.0, 2.0, 4.0])
-        for prox in (l1_prox(0.7), box_prox(-0.5, 0.5), squared_l2_prox(2.0),
+        for prox in (l1_prox(0.7), box_prox(-0.5, 0.5), quadratic_prox(0.0, 2.0),
                      quadratic_prox(np.linspace(-1.0, 1.0, 5), 1.5), zero_prox()):
             expected = [prox.evaluate(v, lam[i])[i] for i in range(5)]
             np.testing.assert_array_equal(prox.evaluate(v, lam), expected)

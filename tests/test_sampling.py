@@ -21,7 +21,6 @@ from pnpkit import (
     sample_stats,
     save_signal,
     write_stats_csv,
-    zero_op,
 )
 from pnpkit.core import as_array, diverged
 from pnpkit.sampling import NOISE_BLOCK_BYTES, SampleStats
@@ -152,7 +151,7 @@ class TestRunPnpUla:
         gamma, sigma = 1.0, 0.5
         prior = standard_prior(4, gamma)
         den = mmse_gmm_denoiser(prior)
-        op = zero_op((4,))
+        op = DiagonalOp(np.zeros(4))
         cfg = UlaConfig(delta=2e-2, sigma=sigma, sigma_w=1.0, kept=60000,
                         burn_in=5000, seed=3)
         stats, _ = run_pnp_ula(op, np.zeros(4), den, cfg)
@@ -223,7 +222,7 @@ class TestRunPnpUla:
         from pnpkit.denoisers import Denoiser
 
         bad = Denoiser(lambda arr, s: 3.0 * arr, tag="expander")
-        op = zero_op((3,))
+        op = DiagonalOp(np.zeros(3))
         cfg = UlaConfig(delta=5.0, sigma=0.1, sigma_w=1.0, kept=10, burn_in=10, seed=0)
         with pytest.raises(DivergenceError) as exc:
             run_pnp_ula(op, np.zeros(3), bad, cfg, x0=np.ones(3))
@@ -330,7 +329,7 @@ class TestGaussianPosteriorOracle:
         assert oracle.mean[0] == pytest.approx(2.0 / 3.0, abs=1e-14)
 
     def test_zero_operator_returns_smoothed_prior(self):
-        oracle = gaussian_posterior_oracle(zero_op((3,)), np.zeros(3), 1.0, 0.5, 1.0)
+        oracle = gaussian_posterior_oracle(DiagonalOp(np.zeros(3)), np.zeros(3), 1.0, 0.5, 1.0)
         np.testing.assert_allclose(oracle.mean, np.zeros(3), atol=1e-14)
         np.testing.assert_allclose(oracle.covariance, 1.25 * np.eye(3), atol=1e-12)
 

@@ -26,7 +26,6 @@ from pnpkit import (
     linear_spectral_denoiser,
     make_blur,
     make_mask,
-    nesterov_t_sequence,
     quadratic_fidelity_prox,
     quadratic_prox,
     run_admm,
@@ -705,17 +704,6 @@ def test_red_pg_and_apg_reject_bad_lam(driver, lam):
 
 
 class TestRedApg:
-    def test_t_sequence(self):
-        t = nesterov_t_sequence(3)
-        assert t[0] == 1.0
-        assert t[1] == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0, abs=1e-15)
-        assert t[2] == pytest.approx(0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t[1] ** 2)), abs=1e-15)
-
-    def test_momentum_weight_in_unit_interval(self):
-        t = nesterov_t_sequence(200)
-        w = (t[:-1] - 1.0) / t[1:]
-        assert np.all(w >= 0.0) and np.all(w < 1.0)
-
     def test_divergence_raises_with_step_last_and_trace(self):
         # an expansive map in the slot blows the momentum recursion up
         rng = Rng(1)
