@@ -6,6 +6,8 @@ reader, :func:`_read`, checks a section against its table and fills in its
 defaults, and the builders and commands read only that filled spec.  A
 command builds its whole problem before it makes its output directory, and
 a value the library rejects there is a config error naming its section.
+So is a value the library rejects during the run (a solve, a compare job,
+a sample chain), but its output directory may then already exist.
 Commands are deterministic given config + seed: solver timing is
 suppressed in emitted traces so repeated runs are byte-identical.
 
@@ -499,7 +501,8 @@ def _build_problem(spec: dict, image_spec: dict, rng: Rng, where: str, image_ind
 def _solver_run(spec: dict, problem, where: str):
     """Check a filled solver section against its problem; return its run.
 
-    The run takes no arguments and returns (the solver's point, its Trace).
+    The run takes no arguments and returns (the solver's point, its Trace);
+    a value the library rejects during it is a ConfigError naming ``where``.
     """
     algo = spec["algo"]
     ref, _, op, y, den = problem
@@ -518,29 +521,30 @@ def _solver_run(spec: dict, problem, where: str):
             raise ConfigError("gs-pnp needs a gradient-step denoiser (kind 'gs')")
 
     def run():
-        x0 = op._adjoint(y)
-        if algo in ("pgd", "pnp-pgd", "apgd", "pnp-apgd"):
-            driver = run_apgd if algo.endswith("apgd") else run_pgd
-            return driver(SmoothFn.least_squares(op, y), slot, cfg, x0, reference=ref)
-        if algo in ("drs", "pnp-drsdiff"):
-            return run_drs(quadratic_fidelity_prox(op, y), slot, cfg, x0, reference=ref)
-        if algo == "pnp-drs":
-            return run_drs(slot, quadratic_fidelity_prox(op, y), cfg, x0, reference=ref)
-        if algo in ("admm", "pnp-admm"):
-            return run_admm(op, y, slot, cfg, reference=ref)
-        if algo == "hqs":
-            return run_hqs(op, y, slot, cfg, rho_schedule=spec["rho_schedule"],
-                           sigma_schedule=spec["sigma_schedule"], reference=ref)
-        if algo == "red-gd":
-            return run_red_gd(op, y, den, lam=spec["lam"], sigma=spec["sigma"], cfg=cfg,
-                              reference=ref)
-        if algo in ("red-pg", "red-apg"):
-            runner = run_red_pg if algo == "red-pg" else run_red_apg
-            return runner(op, y, den, lam=spec["lam"], L=spec["L"], cfg=cfg,
-                          sigma=spec["sigma"], reference=ref)
-        lam = den.weight if spec["lam"] is None else spec["lam"]
-        return run_pgd(SmoothFn.potential(den, lam), quadratic_fidelity_prox(op, y), cfg, x0,
-                       reference=ref, backtracking=spec["backtracking"])
+        with _section(where):
+            x0 = op._adjoint(y)
+            if algo in ("pgd", "pnp-pgd", "apgd", "pnp-apgd"):
+                driver = run_apgd if algo.endswith("apgd") else run_pgd
+                return driver(SmoothFn.least_squares(op, y), slot, cfg, x0, reference=ref)
+            if algo in ("drs", "pnp-drsdiff"):
+                return run_drs(quadratic_fidelity_prox(op, y), slot, cfg, x0, reference=ref)
+            if algo == "pnp-drs":
+                return run_drs(slot, quadratic_fidelity_prox(op, y), cfg, x0, reference=ref)
+            if algo in ("admm", "pnp-admm"):
+                return run_admm(op, y, slot, cfg, reference=ref)
+            if algo == "hqs":
+                return run_hqs(op, y, slot, cfg, rho_schedule=spec["rho_schedule"],
+                               sigma_schedule=spec["sigma_schedule"], reference=ref)
+            if algo == "red-gd":
+                return run_red_gd(op, y, den, lam=spec["lam"], sigma=spec["sigma"], cfg=cfg,
+                                  reference=ref)
+            if algo in ("red-pg", "red-apg"):
+                runner = run_red_pg if algo == "red-pg" else run_red_apg
+                return runner(op, y, den, lam=spec["lam"], L=spec["L"], cfg=cfg,
+                              sigma=spec["sigma"], reference=ref)
+            lam = den.weight if spec["lam"] is None else spec["lam"]
+            return run_pgd(SmoothFn.potential(den, lam), quadratic_fidelity_prox(op, y), cfg, x0,
+                           reference=ref, backtracking=spec["backtracking"])
 
     return run
 
@@ -767,7 +771,8 @@ def cmd_sample(spec: dict, rng: Rng, args) -> int:
     _check_start(op, y)
     denoiser = mmse_gmm_denoiser(prior)
     out = _prepare_out(args.out or spec["output"])
-    stats, samples = run_pnp_ula(op, y, denoiser, cfg)
+    with _section("config.sampler"):
+        stats, samples = run_pnp_ula(op, y, denoiser, cfg)
 
     write_stats_csv(stats, out / "stats.csv")
     if spec["save_samples"]:

@@ -16,9 +16,9 @@ import math
 
 import numpy as np
 
-from .core import DivergenceError, Rng, ShapeError, as_array, real_spectrum
+from .core import DivergenceError, Rng, ShapeError, as_array
 from .gmm import GmmPrior, _posterior_mean
-from .operators import CirculantOp, LinearOp, half_spectrum_weights, make_blur
+from .operators import CirculantOp, LinearOp, make_blur
 from .proximal import haar_inverse, haar_transform, prox_tv, tv_value
 
 JACOBIAN_MAX_DIM = 4096
@@ -270,8 +270,7 @@ def gaussian_smoother(shape, kernel_sigma: float, floor: float = 0.0) -> Circula
     shape = tuple(int(s) for s in shape)
     kernel = _fitted_gaussian_kernel(kernel_sigma, shape, None)
     g = make_blur(kernel, shape)
-    return CirculantOp.from_half_response(floor + (1.0 - floor) * np.abs(g.half_response) ** 2,
-                                          shape)
+    return CirculantOp(floor + (1.0 - floor) * np.abs(g.half_response) ** 2, shape)
 
 
 def gs_denoiser(smoother: LinearOp, weight: float = 1.0) -> Denoiser:
@@ -293,9 +292,9 @@ def gs_denoiser(smoother: LinearOp, weight: float = 1.0) -> Denoiser:
     phi = None
     if isinstance(smoother, CirculantOp):
         res2 = (1.0 - spectrum) ** 2
-        grad_op = CirculantOp.from_half_response(res2, smoother.in_shape)
-        d_op = CirculantOp.from_half_response(1.0 - res2, smoother.in_shape)
-        g_value = _circulant_quadratic(res2, smoother._spatial)
+        grad_op = CirculantOp(res2, smoother.in_shape)
+        d_op = CirculantOp(1.0 - res2, smoother.in_shape)
+        g_value = grad_op.quadratic_value()
 
         def grad_g(x, sigma=0.0):
             return grad_op._apply(as_array(x))
@@ -305,7 +304,7 @@ def gs_denoiser(smoother: LinearOp, weight: float = 1.0) -> Denoiser:
 
         d_eigs = d_op.half_response
         if np.min(d_eigs) > 1e-12:
-            phi = _circulant_quadratic(1.0 / d_eigs - 1.0, smoother._spatial)
+            phi = CirculantOp(1.0 / d_eigs - 1.0, smoother.in_shape).quadratic_value()
     else:
         def residual(arr):
             return arr - smoother._apply(arr)
@@ -314,7 +313,7 @@ def gs_denoiser(smoother: LinearOp, weight: float = 1.0) -> Denoiser:
             r = residual(as_array(x))
             return r - smoother._apply(r)  # (I - A)^T (I - A) x with A symmetric
 
-        def g_value(x, sigma=0.0):
+        def g_value(x):
             return 0.5 * float(np.sum(residual(as_array(x)) ** 2))
 
         def fn(arr, sigma):
@@ -323,33 +322,12 @@ def gs_denoiser(smoother: LinearOp, weight: float = 1.0) -> Denoiser:
     return Denoiser(
         fn,
         tag="gs",
-        potential=g_value,
+        potential=lambda x, sigma=0.0: g_value(x),
         grad_potential=grad_g,
-        prox_potential=phi,
+        prox_potential=None if phi is None else lambda x, sigma=0.0: phi(x),
         weight=weight,
         grad_lipschitz=None if spectrum is None else float(np.max((1.0 - spectrum) ** 2)),
     )
-
-
-def _circulant_quadratic(quad: np.ndarray, spatial: tuple):
-    """x -> 0.5 * sum_k quad(k) |X(k)|^2 / n over the full FFT grid ``spatial``.
-
-    ``quad`` is real and even, given on the real FFT half spectrum, which
-    :func:`~pnpkit.operators.half_spectrum_weights` sums by Parseval.  A 3-D
-    x is summed over its channels.  X comes from
-    :func:`~pnpkit.core.real_spectrum`, so within a solver run it is shared
-    with the fidelity value at the same point.
-    """
-    axes = tuple(range(len(spatial)))
-    weights = 0.5 * quad * half_spectrum_weights(spatial)
-    channel = weights[..., None]
-
-    def phi(x, sigma=0.0):
-        arr = as_array(x)
-        spec = real_spectrum(arr, axes)
-        return float(np.vdot(spec, (weights if arr.ndim == weights.ndim else channel) * spec).real)
-
-    return phi
 
 
 def mmse_gmm_denoiser(prior: GmmPrior) -> Denoiser:

@@ -165,9 +165,6 @@ class DiagonalOp(LinearOp):
     def _adjoint(self, y):
         return self.diag * y
 
-    def normal(self, x):
-        return self.diag * (self.diag * x)
-
     def shifted_solve(self, rho, b):
         return b / (self.diag**2 + rho)
 
@@ -182,46 +179,29 @@ class DiagonalOp(LinearOp):
 class CirculantOp(LinearOp):
     """Periodic convolution; diagonalized by the FFT.
 
-    ``freq_response`` is the transfer function H on the FFT grid of the
-    image's spatial shape; for 3-D inputs the same 2-D response is applied
-    to each channel.  A real signal only sees the Hermitian part
-    (H(k) + conj(H(-k)))/2 of H, so that part is what the operator keeps,
-    on the half spectrum of a real FFT (``half_response``, a real array
-    when the response is real, as for an even kernel).  Apply, adjoint,
-    the normal map and the shifted solve are one real FFT round trip each
-    (:func:`~pnpkit.core._rfftn`, then :func:`~pnpkit.core._irfftn`); the
-    least-squares value is one forward real FFT, by Parseval.
+    ``half_response`` is the transfer function H on the half spectrum of a
+    real FFT over the leading axes of ``image_shape`` (as many as H has;
+    the last is cut to n // 2 + 1), so a full-grid response is a
+    ShapeError.  A 2-D response on a 3-D shape acts per channel.  H is the
+    half of a Hermitian response, H(-k) = conj(H(k)), as every real
+    kernel's is, and a real function of real half responses (a product, a
+    polynomial) stays one; it is kept real when it has no imaginary part,
+    as for an even kernel.  Apply, adjoint, the normal map and the shifted
+    solve are one real FFT round trip each (:func:`~pnpkit.core._rfftn`,
+    then :func:`~pnpkit.core._irfftn`); the least-squares and quadratic
+    values are one forward real FFT, by Parseval.
     """
 
     kind = "circulant-conv"
 
-    def __init__(self, freq_response, image_shape):
-        full = np.asarray(freq_response)
-        # H(-k): reverse every axis, then roll so that index 0 stays in place
-        mirrored = np.roll(np.flip(full), 1, axis=tuple(range(full.ndim)))
-        hermitian = 0.5 * (full + np.conj(mirrored))
-        self._init(hermitian[..., : full.shape[-1] // 2 + 1], image_shape, full.shape)
-
-    @classmethod
-    def from_half_response(cls, half_response, image_shape) -> "CirculantOp":
-        """Build from a Hermitian response given on the half spectrum of the real FFT.
-
-        A real function of a real half spectrum (such as a product or a
-        polynomial of other operators' responses) stays Hermitian.
-        """
-        op = cls.__new__(cls)
+    def __init__(self, half_response, image_shape):
+        super().__init__(image_shape, image_shape)
         half = np.asarray(half_response)
-        spatial = tuple(int(s) for s in image_shape)[: half.ndim]
-        op._init(half, image_shape, spatial)
-        return op
-
-    def _init(self, half, image_shape, spatial):
-        LinearOp.__init__(self, image_shape, image_shape)
-        spatial = tuple(int(s) for s in spatial)
-        expected = spatial[:-1] + (spatial[-1] // 2 + 1,)
-        if (half.shape != expected or self.in_shape[: len(spatial)] != spatial
+        spatial = self.in_shape[: half.ndim]
+        if (not spatial or half.shape != spatial[:-1] + (spatial[-1] // 2 + 1,)
                 or len(self.in_shape) - len(spatial) not in (0, 1)):
-            raise ShapeError(f"circulant response does not fit image shape {self.in_shape}")
+            raise ShapeError(f"circulant half response {half.shape} does not fit "
+                             f"image shape {self.in_shape}")
         if np.iscomplexobj(half) and not np.any(half.imag):
             half = half.real
         real = not np.iscomplexobj(half)
@@ -265,6 +245,25 @@ class CirculantOp(LinearOp):
             res = response * real_spectrum(x, self._axes)
             res -= y_hat
             return float(np.vdot(res, weights * res).real)
+
+        return value
+
+    def quadratic_value(self):
+        """x -> 0.5 * <x, K x> = 0.5 * sum w H |X|^2 over the half spectrum (Parseval).
+
+        One forward real FFT of x, from :func:`~pnpkit.core.real_spectrum`,
+        so within a solver run it is shared with any other value taken at
+        the same point; the weights are :func:`half_spectrum_weights`.  A
+        3-D x is summed over its channels.
+        """
+        weights = 0.5 * self.half_response * half_spectrum_weights(self._spatial)
+        channel = weights[..., None]
+
+        def value(x):
+            arr = as_array(x)
+            spec = real_spectrum(arr, self._axes)
+            scaled = (weights if arr.ndim == weights.ndim else channel) * spec
+            return float(np.vdot(spec, scaled).real)
 
         return value
 
@@ -334,8 +333,7 @@ def compose(outer: LinearOp, inner: LinearOp) -> LinearOp:
     if (isinstance(outer, CirculantOp) and isinstance(inner, CirculantOp)
             and outer.in_shape == inner.out_shape
             and outer.half_response.shape == inner.half_response.shape):
-        return CirculantOp.from_half_response(outer.half_response * inner.half_response,
-                                              inner.in_shape)
+        return CirculantOp(outer.half_response * inner.half_response, inner.in_shape)
     return CompositeOp(outer, inner)
 
 
@@ -380,7 +378,7 @@ def make_blur(kernel, image_shape) -> CirculantOp:
     half = _rfftn(embedded, tuple(range(embedded.ndim)))
     if np.array_equal(kernel, np.flip(kernel)):
         half = half.real  # an even kernel has a real response; drop the rounding residue
-    return CirculantOp.from_half_response(half, image_shape)
+    return CirculantOp(half, image_shape)
 
 
 def make_mask(mask) -> DiagonalOp:
@@ -401,9 +399,11 @@ class SvdFactors:
 
 
 def as_dense(op: LinearOp) -> DenseOp:
-    """The operator as a DenseOp, its (out_size x in_size) matrix built column by column."""
-    if isinstance(op, DenseOp):
-        return op
+    """The operator as a DenseOp, its (out_size x in_size) matrix built column by column.
+
+    Column j is K applied to the j-th unit vector, so a dense operator with
+    finite entries gives back its own matrix.
+    """
     cols = np.empty((op.out_size, op.in_size))
     basis = np.zeros(op.in_shape)
     flat = basis.reshape(-1)

@@ -52,6 +52,11 @@ class UlaConfig:
             raise ValueError("sigma must be positive")
         if self.sigma_w <= 0:
             raise ValueError("sigma_w must be positive")
+        for name in ("sigma", "sigma_w"):  # the chain divides by their squares
+            value = getattr(self, name)
+            if not 0.0 < value * value < math.inf:
+                raise ValueError(f"{name}*{name} must be finite and positive; {name} = "
+                                 f"{value!r} gives {value * value!r}")
         if self.kept < 2:
             raise ValueError("kept must be >= 2: the sample statistics need two samples")
         if self.thin < 1:

@@ -507,18 +507,30 @@ def run_red_gd(op: LinearOp, y, denoiser: Denoiser, lam: float, sigma: float,
         raise ValueError("sigma must be finite and positive")
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError("lam must be finite and nonnegative")
+    square = sigma * sigma
+    if not 0.0 < square < math.inf:
+        raise ValueError(f"sigma*sigma must be finite and positive; sigma = {sigma!r} "
+                         f"gives {square!r}")
+    weight = lam / square
+    if not math.isfinite(weight):
+        raise ValueError(f"lam/sigma^2 must be finite; lam = {lam!r} and sigma = {sigma!r} "
+                         f"give {weight!r}")
     y_arr = op._data(y)
-    grad = _red_gradient(denoiser, sigma, lam / (sigma * sigma), op.least_squares_grad(y_arr))
+    grad = _red_gradient(denoiser, sigma, weight, op.least_squares_grad(y_arr))
     return _pgd(grad, zero_prox(), cfg, op._adjoint(y_arr) if x0 is None else x0, reference,
                 residual=lambda x: float(np.linalg.norm(grad(x))))
 
 
 def _red_prox_setup(op: LinearOp, y, lam: float, L: float):
-    """The fidelity prox and K^T y of RED-PG and RED-APG, after checking lam and L."""
+    """The fidelity prox and K^T y of RED-PG and RED-APG, after checking lam, L and the step."""
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError("lam must be finite and positive")
     if L <= 1:
         raise ValueError("L must exceed 1")
+    step = 1.0 / (lam * L)
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"the step 1/(lam*L) must be finite and positive; lam = {lam!r} "
+                         f"and L = {L!r} give {step!r}")
     y_arr = op._data(y)
     return quadratic_fidelity_prox(op, y_arr), op._adjoint(y_arr)
 

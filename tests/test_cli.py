@@ -829,6 +829,60 @@ def test_shape_mismatch_found_in_the_run_exit_2(tmp_path, capsys):
     assert "Haar levels" in capsys.readouterr().err
 
 
+RUN_PHASE_BASE = {"task": "deblur", "image": {"builtin": "shapes", "size": 16},
+                  "operator": {"kind": "blur", "kernel": {"builtin": "uniform", "size": 3}},
+                  "denoiser": {"kind": "tv"}, "solver": {"max_iter": 3}}
+_TV_OVERFLOW = {"kind": "tv", "c": 1e308}  # c * sigma^2 is inf at sigma 1e10
+
+
+# (command, the keys set on RUN_PHASE_BASE, the section the message names): values the
+# config schema takes, which the library rejects only once the run has started
+RUN_PHASE = [
+    pytest.param("solve", {"denoiser": _TV_OVERFLOW,
+                           "solver": {"algo": "pnp-pgd", "sigma": 1e10}},
+                 "config.solver", id="pnp-pgd-tv-lam-overflows"),
+    pytest.param("solve", {"denoiser": {"kind": "tv", "c": 1e300},
+                           "solver": {"algo": "hqs", "sigma_schedule": [1e10]}},
+                 "config.solver", id="hqs-tv-lam-overflows"),
+    pytest.param("solve", {"denoiser": None,
+                           "solver": {"algo": "pgd", "reg": {"kind": "tv", "weight": 1e308},
+                                      "step": 10}},
+                 "config.solver", id="pgd-tv-reg-lam-overflows"),
+    pytest.param("solve", {"solver": {"algo": "red-pg", "lam": 1e-320}}, "config.solver",
+                 id="red-pg-step-overflows"),
+    pytest.param("solve", {"solver": {"algo": "red-apg", "lam": 1e-320}}, "config.solver",
+                 id="red-apg-step-overflows"),
+    pytest.param("solve", {"solver": {"algo": "red-gd", "sigma": 1e-200}}, "config.solver",
+                 id="red-gd-sigma-squared-underflows"),
+    pytest.param("compare", {"task": "compare", "images": [RUN_PHASE_BASE["image"]],
+                             "denoiser": _TV_OVERFLOW,
+                             "solvers": [{"algo": "pnp-pgd", "sigma": 1e10, "max_iter": 3},
+                                         {"algo": "pnp-drs", "max_iter": 3}]},
+                 "config.solvers[0]", id="compare-tv-lam-overflows"),
+    pytest.param("sample", {"sampler": {"sigma_w": 1e-300}}, "config.sampler",
+                 id="sample-sigma-w-squared-underflows"),
+    pytest.param("sample", {"sampler": {"sigma": 1e-300}}, "config.sampler",
+                 id="sample-sigma-squared-underflows"),
+]
+
+
+@pytest.mark.parametrize("command,keys,section", RUN_PHASE)
+def test_value_rejected_in_the_run_exit_2(tmp_path, capsys, command, keys, section):
+    if command == "sample":
+        doc = TestSampleCommand().gaussian_config("out")
+        doc["sampler"].update(keys["sampler"])
+    else:
+        doc = copy.deepcopy(RUN_PHASE_BASE)
+        for key, value in keys.items():
+            doc[key] = {**doc[key], **value} if key == "solver" else value
+        if command == "compare":
+            del doc["image"], doc["solver"]
+    doc["output"] = str(tmp_path / "out")
+    assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"pnpkit: {section}: ") and "Traceback" not in err
+
+
 def key_paths(doc, prefix=()):
     for key, value in doc.items():
         yield prefix + (key,), isinstance(value, dict)

@@ -266,6 +266,13 @@ class TestDenseIo:
         np.testing.assert_array_equal(op.matrix, np.eye(3))
         assert not op.matrix.flags.writeable
 
+    @pytest.mark.parametrize("in_shape,out_shape", [((7,), (5,)), ((7, 1), (1, 5))])
+    def test_as_dense_of_a_dense_operator_is_its_matrix(self, rng, in_shape, out_shape):
+        m = rng.standard_normal((5, 7))
+        dense = as_dense(DenseOp(m, in_shape, out_shape))
+        np.testing.assert_array_equal(dense.matrix, m)
+        assert (dense.in_shape, dense.out_shape) == (in_shape, out_shape)
+
 
 def hermitian_part(freq):
     """(H(k) + conj(H(-k)))/2 on the full FFT grid."""
@@ -273,6 +280,11 @@ def hermitian_part(freq):
     for ax in range(freq.ndim):
         mirrored = np.roll(mirrored, 1, axis=ax)
     return 0.5 * (freq + mirrored)
+
+
+def half_of(freq):
+    """The half spectrum of the real FFT that a circulant operator takes, from a full-grid H."""
+    return hermitian_part(freq)[..., : freq.shape[-1] // 2 + 1]
 
 
 def complex_filter(x, response):
@@ -303,7 +315,7 @@ class TestRealFftCirculant:
     @pytest.mark.parametrize("even", [False, True])
     def test_matches_complex_fft_reference(self, rng, spatial, shape, even):
         freq = random_response(rng, spatial, even)
-        op = CirculantOp(freq, shape)
+        op = CirculantOp(half_of(freq), shape)
         assert np.iscomplexobj(op.half_response) == (not even)
         x = rng.standard_normal(shape)
         kx = complex_filter(x, freq)
@@ -313,17 +325,23 @@ class TestRealFftCirculant:
         rho = 0.5
         denom = np.abs(hermitian_part(freq)) ** 2 + rho
         assert rel_err(solve_shifted_normal(op, rho, x), complex_filter(x, 1.0 / denom)) <= 1e-12
-        half = hermitian_part(freq)[..., : spatial[-1] // 2 + 1]
-        assert rel_err(op.half_response, half) <= 1e-15
 
     @pytest.mark.parametrize("spatial,shape", CIRCULANT_CASES)
     @pytest.mark.parametrize("even", [False, True])
     def test_parseval_least_squares_value(self, rng, spatial, shape, even):
         # odd and even sides, a 3-D per-channel input, real and complex responses
-        op = CirculantOp(random_response(rng, spatial, even), shape)
+        op = CirculantOp(half_of(random_response(rng, spatial, even)), shape)
         x, y = rng.standard_normal(shape), rng.standard_normal(shape)
         pixel = 0.5 * float(np.sum((op._apply(x) - y) ** 2))
         assert op.least_squares_value(y)(x) == pytest.approx(pixel, rel=1e-12)
+
+    @pytest.mark.parametrize("spatial,shape", CIRCULANT_CASES)
+    @pytest.mark.parametrize("even", [False, True])
+    def test_parseval_quadratic_value(self, rng, spatial, shape, even):
+        op = CirculantOp(half_of(random_response(rng, spatial, even)), shape)
+        x = rng.standard_normal(shape)
+        pixel = 0.5 * float(np.vdot(x, op._apply(x)))
+        assert op.quadratic_value()(x) == pytest.approx(pixel, rel=1e-12)
 
     @pytest.mark.parametrize("shape", [(9, 12), (12, 9), (8, 10, 3)])
     def test_parseval_value_of_a_non_even_kernel(self, rng, shape):
@@ -345,7 +363,7 @@ class TestRealFftCirculant:
 
     def test_non_hermitian_shifted_solve_regression(self, rng):
         freq = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        op = CirculantOp(freq, (8, 8))
+        op = CirculantOp(half_of(freq), (8, 8))
         b = rng.standard_normal((8, 8))
         rho = 0.5
         x = solve_shifted_normal(op, rho, b)
@@ -363,16 +381,16 @@ class TestRealFftCirculant:
     def test_response_must_fit_image(self):
         with pytest.raises(ShapeError):
             CirculantOp(np.ones((8, 8)), (8, 6))
-        with pytest.raises(ShapeError):
-            CirculantOp.from_half_response(np.ones((8, 8)), (8, 8))
+        with pytest.raises(ShapeError):  # a full-grid response is not a half spectrum
+            CirculantOp(np.ones((8, 8)), (8, 8))
 
 
 class TestCirculantCompose:
     @pytest.mark.parametrize("spatial,shape", CIRCULANT_CASES)
     @pytest.mark.parametrize("even", [False, True])
     def test_two_circulants_compose_to_a_circulant(self, rng, spatial, shape, even):
-        outer = CirculantOp(random_response(rng, spatial, even), shape)
-        inner = CirculantOp(random_response(rng, spatial, not even), shape)
+        outer = CirculantOp(half_of(random_response(rng, spatial, even)), shape)
+        inner = CirculantOp(half_of(random_response(rng, spatial, not even)), shape)
         op = compose(outer, inner)
         chained = CompositeOp(outer, inner)
         assert op.kind == "circulant-conv"
@@ -385,7 +403,7 @@ class TestCirculantCompose:
 
     def test_mismatched_grids_stay_composite(self, rng):
         per_channel = make_blur(np.full((3, 3), 1.0 / 9.0), (8, 6, 3))
-        volume = CirculantOp(random_response(rng, (8, 6, 3), True), (8, 6, 3))
+        volume = CirculantOp(half_of(random_response(rng, (8, 6, 3), True)), (8, 6, 3))
         assert compose(per_channel, volume).kind == "composite"
         with pytest.raises(ShapeError):
             compose(make_blur(np.ones((3, 3)), (8, 8)), make_blur(np.ones((3, 3)), (8, 6)))
@@ -446,7 +464,7 @@ class TestSpectralFacts:
 
     @pytest.mark.parametrize("op,message", [
         (DenseOp([[1.0, 2.0], [0.0, 1.0]]), "smoother matrix is not symmetric"),
-        (CirculantOp(np.arange(16.0).reshape(4, 4) * 1j, (4, 4)),
+        (CirculantOp(half_of(np.arange(16.0).reshape(4, 4) * 1j), (4, 4)),
          r"circulant smoother is not symmetric \(complex spectrum\)"),
         (compose(DiagonalOp([1.0, 2.0]), DenseOp(np.ones((2, 2)))),
          "smoother fails the self-adjointness probe"),

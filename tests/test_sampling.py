@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,17 @@ class TestUlaConfig:
     def test_rejects_non_finite_numbers(self, key, value):
         params = {"delta": 1e-3, "sigma": 0.5, "sigma_w": 1.0, key: value}
         with pytest.raises(ValueError, match=f"{key} must be finite"):
+            UlaConfig(**params)
+
+    @pytest.mark.parametrize("key,value,square", [("sigma", 1e-300, "0.0"),
+                                                  ("sigma_w", 1e-300, "0.0"),
+                                                  ("sigma", 1e200, "inf"),
+                                                  ("sigma_w", 1e200, "inf")])
+    def test_rejects_a_square_that_is_zero_or_not_finite(self, key, value, square):
+        # the chain divides by sigma^2 and sigma_w^2: rejected before the first step
+        params = {"delta": 1e-3, "sigma": 0.5, "sigma_w": 1.0, key: value}
+        message = f"{key}*{key} must be finite and positive; {key} = {value!r} gives {square}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             UlaConfig(**params)
 
     def test_rejects_a_single_kept_sample(self):

@@ -71,6 +71,15 @@ def identity_denoiser():
     return Denoiser(lambda arr, s: arr, tag="identity")
 
 
+def never_called_denoiser():
+    """A denoiser whose call fails the test: a driver must reject its input before stepping."""
+
+    def fn(arr, sigma):
+        raise AssertionError("the driver took a step before it rejected its parameters")
+
+    return Denoiser(fn, tag="never-called")
+
+
 # Each consumer of data y, called with a y that does not have the operator's
 # output shape; each forms K^T y (or K x - y) at setup.
 _WRONG_Y = {
@@ -582,10 +591,13 @@ class TestRedGd:
         (1.0, 0.0, "sigma"), (1.0, -1.0, "sigma"), (1.0, math.nan, "sigma"),
         (1.0, math.inf, "sigma"), (-1.0, 1.0, "lam"), (math.nan, 1.0, "lam"),
         (math.inf, 1.0, "lam"),
+        # derived numbers: sigma*sigma underflows to 0 or overflows, lam/sigma^2 overflows
+        (1.0, 1e-200, r"sigma\*sigma"), (1.0, 1e200, r"sigma\*sigma"),
+        (1.0, 1e-160, r"lam/sigma\^2"),
     ])
     def test_rejects_bad_sigma_and_lam(self, lam, sigma, message):
         with pytest.raises(ValueError, match=f"^{message} must be finite"):
-            run_red_gd(identity_op((4,)), np.zeros(4), identity_denoiser(), lam=lam,
+            run_red_gd(identity_op((4,)), np.zeros(4), never_called_denoiser(), lam=lam,
                        sigma=sigma, cfg=SolverConfig(max_iter=3))
 
 
@@ -700,6 +712,17 @@ def test_red_pg_and_apg_reject_bad_lam(driver, lam):
     op = DiagonalOp(np.array([1.0, 0.5, 2.0]))
     with pytest.raises(ValueError, match="^lam must be finite and positive$"):
         driver(op, np.ones(3), identity_denoiser(), lam=lam, L=2.0,
+               cfg=SolverConfig(max_iter=3))
+
+
+@pytest.mark.parametrize("driver", [run_red_pg, run_red_apg])
+@pytest.mark.parametrize("lam,big_l", [(1e-320, 2.0), (1e300, 1e10), (1.0, math.inf),
+                                       (1.0, math.nan)])
+def test_red_pg_and_apg_reject_a_step_that_is_not_finite(driver, lam, big_l):
+    # 1/(lam*L) overflows to inf, or is 0 or NaN: found before the first step
+    op = DiagonalOp(np.array([1.0, 0.5, 2.0]))
+    with pytest.raises(ValueError, match=r"^the step 1/\(lam\*L\) must be finite and positive"):
+        driver(op, np.ones(3), never_called_denoiser(), lam=lam, L=big_l,
                cfg=SolverConfig(max_iter=3))
 
 
