@@ -9,7 +9,7 @@ components, at the price of a bias that must be tuned to the noise level.
 
 import numpy as np
 
-from pnpkit import DenseOp, Rng, naive_svd_solve, svd_factors, tikhonov_solve
+from pnpkit import DenseOp, Rng, naive_svd_solve, tikhonov_solve
 
 rng = Rng(0)
 
@@ -25,7 +25,7 @@ y_clean = op.apply(x_true)
 noise = 1e-3 * rng.standard_normal(n)
 y_noisy = y_clean + noise
 
-print("singular values:", np.array2string(svd_factors(op).s, precision=4))
+print("singular values:", np.array2string(np.linalg.svd(op.matrix, compute_uv=False), precision=4))
 print(f"noise level: {np.linalg.norm(noise):.2e}\n")
 
 x_naive_clean = naive_svd_solve(op, y_clean)

@@ -9,7 +9,7 @@ The unadjusted Langevin chain
 targets the posterior whose prior score the denoiser supplies via
 Tweedie's identity.  With a single-Gaussian prior the smoothed posterior
 is exactly Gaussian, so the chain can be held against the true mean and
-covariance; credible intervals then come for free from the samples.
+marginal variances; credible intervals then come for free from the samples.
 """
 
 import numpy as np
@@ -41,7 +41,7 @@ cfg = UlaConfig(delta=delta, sigma=sigma, sigma_w=sigma_w, kept=50000,
                 burn_in=10000, thin=4, seed=11)
 stats, samples = run_pnp_ula(op, y, den, cfg)
 oracle = gaussian_posterior_oracle(op, y, gamma, sigma, sigma_w)
-oracle_var = np.diag(oracle.covariance)
+oracle_var = oracle.variance
 
 print(f"chain: {cfg.burn_in} burn-in + {cfg.kept * cfg.thin} steps, thinning {cfg.thin}, "
       f"stability heuristic {stats.stability:.3f} (< 2 required)")

@@ -790,10 +790,9 @@ def cmd_sample(spec: dict, rng: Rng, args) -> int:
         gamma = float(math.sqrt(prior.variances[0]))
         oracle = gaussian_posterior_oracle(op, y, gamma, cfg.sigma, cfg.sigma_w)
         gaps = stats.mean - oracle.mean
-        oracle_var = np.diag(oracle.covariance)
-        se = np.sqrt(oracle_var / np.maximum(stats.coordinate_ess, 1.0))
+        se = np.sqrt(oracle.variance / np.maximum(stats.coordinate_ess, 1.0))
         allowed = np.maximum(3.0 * se, 2.0 * cfg.delta)
-        var_err = np.abs(stats.variance / oracle_var - 1.0)
+        var_err = np.abs(stats.variance / oracle.variance - 1.0)
         gap_doc = {
             "mean_gap_inf": float(np.max(np.abs(gaps))),
             "mean_gap_allowed": float(np.max(allowed)),

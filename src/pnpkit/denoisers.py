@@ -167,16 +167,18 @@ def nlm_denoiser(patch_radius: int, window_radius: int, h: float) -> Denoiser:
 
 
 def tv_denoiser(c: float = 1.0, tol: float | None = None, max_iter: int = 200000) -> Denoiser:
-    """TV denoiser: the TV prox with strength lam = c * sigma^2.
+    """TV denoiser: :func:`~pnpkit.proximal.prox_tv` at a finite strength lam = c * sigma^2.
 
-    Each call is a :func:`~pnpkit.proximal.prox_tv`: warm-started from the
-    run's previous TV dual within a solver run, cold outside one.
+    Warm-started from the run's previous TV dual within a solver run, cold outside one.
     """
     if not (math.isfinite(c) and c >= 0):
         raise ValueError("c must be finite and nonnegative")
 
     def fn(arr, sigma):
-        return prox_tv(arr, c * sigma * sigma, tol=tol, max_iter=max_iter)
+        lam = c * sigma * sigma
+        if not math.isfinite(lam):
+            raise ValueError(f"TV strength c * sigma^2 = {c!r} * {sigma!r}^2 is not finite")
+        return prox_tv(arr, lam, tol=tol, max_iter=max_iter)
 
     def phi(x, sigma):
         return c * sigma * sigma * tv_value(x)

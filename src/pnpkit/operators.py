@@ -12,7 +12,6 @@ with a certified relative residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +31,8 @@ class LinearOp:
     (a :class:`~pnpkit.core.Signal` is read as its array), and return an
     array.  ``normal`` (K^T K x) and ``shifted_solve`` work on plain arrays
     of the input shape without checks; kinds with a closed form override them, and
-    :func:`solve_shifted_normal` is the checked entry.
+    :func:`solve_shifted_normal` is the checked entry.  They also override ``gram_spectrum(g)``
+    and ``adjoint_filter(g, y)`` = g(K^T K) K^T y, from y: K^T y squares the condition number.
     Each kind answers for its own ``spectral_norm`` and ``symmetric_spectrum()``.
     """
 
@@ -115,6 +115,24 @@ class LinearOp:
             raise SolveError("conjugate gradients stagnated", residual=res)
         return x_flat.reshape(self.in_shape)
 
+    def adjoint_filter(self, g, y: np.ndarray) -> np.ndarray:
+        """g(K^T K) K^T y; here V g(s^2) s U^T y from the dense SVD K = U diag(s) V^T."""
+        u, s, vt = self._svd(full=False)
+        return (vt.T @ (g(s * s) * s * (u.T @ y.reshape(-1)))).reshape(self.in_shape)
+
+    def gram_spectrum(self, g):
+        """(g over the eigenvalues of K^T K, the diagonal of g(K^T K)); here from the dense SVD."""
+        _, s, vt = self._svd(full=True)
+        t = np.zeros(self.in_size)  # a wide K's null space has t = 0
+        t[: s.size] = s * s
+        g_t = g(t)
+        return g_t, (g_t @ (vt * vt)).reshape(self.in_shape)
+
+    def _svd(self, full: bool):
+        if max(self.in_size, self.out_size) > SVD_MAX_DIM:
+            raise ShapeError(f"the dense SVD is limited to dimension {SVD_MAX_DIM}")
+        return np.linalg.svd(as_dense(self).matrix, full_matrices=full)
+
     @property
     def in_size(self) -> int:
         return int(np.prod(self.in_shape))
@@ -167,6 +185,13 @@ class DiagonalOp(LinearOp):
 
     def shifted_solve(self, rho, b):
         return b / (self.diag**2 + rho)
+
+    def adjoint_filter(self, g, y):
+        return g(self.diag * self.diag) * (self.diag * y)
+
+    def gram_spectrum(self, g):
+        g_t = g(self.diag * self.diag)
+        return g_t, g_t
 
     @property
     def spectral_norm(self) -> float:
@@ -273,6 +298,13 @@ class CirculantOp(LinearOp):
 
     def shifted_solve(self, rho, b):
         return self._filter(b, self._gram + rho, np.divide)
+
+    def adjoint_filter(self, g, y):
+        return self._filter(y, self._conj_response * g(self._gram))
+
+    def gram_spectrum(self, g):
+        g_t = g(self._gram)  # the diagonal is the Parseval mean sum w g(|H|^2) everywhere
+        return g_t, np.full(self.in_shape, np.sum(half_spectrum_weights(self._spatial) * g_t))
 
     @property
     def spectral_norm(self) -> float:
@@ -389,21 +421,8 @@ def make_mask(mask) -> DiagonalOp:
     return DiagonalOp((as_array(mask) != 0).astype(np.float64))
 
 
-@dataclass(frozen=True)
-class SvdFactors:
-    """Singular value decomposition K = U diag(s) Vt with s descending."""
-
-    s: np.ndarray
-    u: np.ndarray
-    vt: np.ndarray
-
-
 def as_dense(op: LinearOp) -> DenseOp:
-    """The operator as a DenseOp, its (out_size x in_size) matrix built column by column.
-
-    Column j is K applied to the j-th unit vector, so a dense operator with
-    finite entries gives back its own matrix.
-    """
+    """The operator as a DenseOp; column j is K applied to the j-th unit vector."""
     cols = np.empty((op.out_size, op.in_size))
     basis = np.zeros(op.in_shape)
     flat = basis.reshape(-1)
@@ -414,29 +433,10 @@ def as_dense(op: LinearOp) -> DenseOp:
     return DenseOp(cols, op.in_shape, op.out_shape)
 
 
-def svd_factors(op: LinearOp) -> SvdFactors:
-    """Dense SVD of a small operator (sides capped at 512)."""
-    if max(op.in_size, op.out_size) > SVD_MAX_DIM:
-        raise ShapeError(f"svd_factors limited to dimension {SVD_MAX_DIM}")
-    matrix = as_dense(op).matrix
-    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-    return SvdFactors(s, u, vt)
-
-
 def naive_svd_solve(op: LinearOp, y, tol: float = 0.0):
-    """Pseudoinverse solution sum_m <y, u_m>/s_m v_m, truncating s_m <= tol.
-
-    Exhibits noise amplification when small singular values are kept; the
-    truncation tolerance handles rank deficiency.
-    """
-    factors = svd_factors(op)
-    y_arr = as_array(y).reshape(-1)
-    coeff = factors.u.T @ y_arr
-    keep = factors.s > tol
-    inv = np.zeros_like(factors.s)
-    inv[keep] = 1.0 / factors.s[keep]
-    x = factors.vt.T @ (coeff * inv)
-    return x.reshape(op.in_shape)
+    """Pseudo-inverse g(K^T K) K^T y, g = 1/t for t > tol^2 else 0; small kept s amplify noise."""
+    return op.adjoint_filter(lambda t: np.divide(1.0, t, out=np.zeros_like(t), where=t > tol**2),
+                             op._data(y))
 
 
 def _cg(matvec, b: np.ndarray, rtol: float, max_iter: int) -> tuple[np.ndarray, float]:

@@ -440,11 +440,13 @@ def zero_prox() -> ProxMap:
 
 def tv_prox(weight: float = 1.0, tol: float | None = None, max_iter: int = 200000) -> ProxMap:
     _check_weight(weight)
-    return ProxMap(
-        "tv",
-        lambda v, lam: prox_tv(v, lam * weight, tol=tol, max_iter=max_iter),
-        objective=lambda x: weight * tv_value(x),
-    )
+
+    def evaluate(v, lam):
+        if not math.isfinite(lam * weight):
+            raise ValueError(f"TV strength weight * step = {weight!r} * {lam!r} is not finite")
+        return prox_tv(v, lam * weight, tol=tol, max_iter=max_iter)
+
+    return ProxMap("tv", evaluate, objective=lambda x: weight * tv_value(x))
 
 
 def tv_conj_prox(weight: float = 1.0, tol: float | None = None, max_iter: int = 200000) -> ProxMap:

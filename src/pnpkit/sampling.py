@@ -4,8 +4,8 @@ The sampler discretizes the overdamped Langevin diffusion targeting the
 posterior of a linear-Gaussian measurement model, with the prior score
 replaced by the denoiser residual (D(x) - x) / sigma^2.  When the prior is
 a single zero-mean Gaussian the smoothed posterior is Gaussian too, and
-:func:`gaussian_posterior_oracle` provides its exact mean and covariance
-for end-to-end verification.
+:func:`gaussian_posterior_oracle` provides its exact mean and marginal
+variances for end-to-end verification.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import DivergenceError, Rng, as_array, diverged
 from .denoisers import Denoiser
-from .operators import LinearOp, as_dense
+from .operators import LinearOp
 
 NOISE_BLOCK_BYTES = 1 << 16
 
@@ -168,7 +168,7 @@ def _sample_buffer(kept: int, n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class PosteriorOracle:
     mean: np.ndarray
-    covariance: np.ndarray
+    variance: np.ndarray
     condition_number: float
 
 
@@ -176,25 +176,24 @@ def gaussian_posterior_oracle(op: LinearOp, y, gamma: float, sigma: float,
                               sigma_w: float) -> PosteriorOracle:
     """Exact posterior for a Gaussian likelihood and smoothed Gaussian prior.
 
-    Prior N(0, (gamma^2 + sigma^2) I), likelihood exp(-||y - Kx||^2 /
-    (2 sigma_w^2)): the posterior is Gaussian with covariance
-    C = (K^T K / sigma_w^2 + I/(gamma^2 + sigma^2))^{-1} and mean
-    C K^T y / sigma_w^2.  Dense algebra, capped at n = 256.
+    Prior N(0, (gamma^2 + sigma^2) I), likelihood exp(-||y - Kx||^2 / (2 sigma_w^2)):
+    the posterior is Gaussian with covariance g(K^T K), g(t) = 1/(t/sigma_w^2 + 1/(gamma^2
+    + sigma^2)), and mean g(K^T K) K^T y / sigma_w^2; the precision is 1/g.
     """
     if gamma <= 0 or sigma < 0 or sigma_w <= 0:
         raise ValueError("gamma and sigma_w must be positive, sigma nonnegative")
-    n = op.in_size
-    if n > 256:
-        raise ValueError("gaussian_posterior_oracle capped at n = 256")
-    k_mat = as_dense(op).matrix
-    y_flat = op._data(y).reshape(-1)
-    prior_var = gamma * gamma + sigma * sigma
-    precision = k_mat.T @ k_mat / (sigma_w * sigma_w) + np.eye(n) / prior_var
-    cov = np.linalg.inv(precision)
-    cov = 0.5 * (cov + cov.T)
-    mean = cov @ (k_mat.T @ y_flat) / (sigma_w * sigma_w)
-    cond = float(np.linalg.cond(precision))
-    return PosteriorOracle(mean=mean, covariance=cov, condition_number=cond)
+    w2, prior_var = sigma_w * sigma_w, gamma * gamma + sigma * sigma
+
+    def precision(t):
+        return t / w2 + 1.0 / prior_var
+
+    def g(t):
+        return 1.0 / precision(t)
+
+    mean = op.adjoint_filter(g, op._data(y)).reshape(-1) / w2
+    spectrum, _ = op.gram_spectrum(precision)
+    _, variance = op.gram_spectrum(g)
+    return PosteriorOracle(mean, variance.reshape(-1), float(np.max(spectrum) / np.min(spectrum)))
 
 
 def effective_sample_size(x: np.ndarray) -> float:

@@ -279,7 +279,7 @@ def test_criterion_09_pnp_ula_vs_oracle():
                     burn_in=30000, thin=3, seed=17)
     stats, samples = run_pnp_ula(op, y, den, cfg)
     oracle = gaussian_posterior_oracle(op, y, gamma, sigma, sigma_w)
-    oracle_var = np.diag(oracle.covariance)
+    oracle_var = oracle.variance
 
     ess = np.array([effective_sample_size(samples[:, j]) for j in range(n)])
     se = np.sqrt(oracle_var / np.maximum(ess, 1.0))

@@ -393,6 +393,14 @@ class TestSweepCommand:
         for i in range(1, len(ladders)):
             assert (tmp_path / f"s{i}" / "sweep.csv").read_bytes() == first
 
+    def test_diag_of_600_entries(self, tmp_path):
+        # a diagonal operator's pseudo-inverse needs no dense SVD, so no size limit
+        out = tmp_path / "s"
+        doc = {"task": "sweep", "output": str(out),
+               "sweep": {"diag": [1.0] * 600, "x_true": [0.1] * 600}}
+        assert main(["sweep", "--config", write_config(tmp_path, doc), "--assert"]) == 0
+        assert len((out / "sweep.csv").read_text().splitlines()) == 9
+
     def test_non_monotone_ladder_asserts_exit_3(self, tmp_path):
         doc = {"task": "sweep", "output": str(tmp_path / "s"),
                "sweep": {"deltas": [0.25, 0.25]}}
@@ -721,9 +729,6 @@ MALFORMED = [
     pytest.param("sweep", ("sweep", "deltas"), [0.25], "config.sweep", id="sweep-one-delta"),
     pytest.param("sweep", ("sweep",), {"deltas": [0.5, 0.25], "k_max": 4}, "config.sweep",
                  id="sweep-deltas-and-ladder"),
-    # the exact solve x_dagger is built before the output directory is made
-    pytest.param("sweep", {("sweep", "diag"): [1.0] * 600, ("sweep", "x_true"): [0.1] * 600},
-                 None, "config.sweep", id="sweep-diag-over-svd-limit"),
     pytest.param("solve", None, None, "config.seed", id="seed-flag"),
 ]
 
@@ -866,8 +871,8 @@ RUN_PHASE = [
 ]
 
 
-@pytest.mark.parametrize("command,keys,section", RUN_PHASE)
-def test_value_rejected_in_the_run_exit_2(tmp_path, capsys, command, keys, section):
+def run_phase_error(tmp_path, capsys, command, keys):
+    """The exit code and stderr of ``command`` on RUN_PHASE_BASE (or a sample config) + keys."""
     if command == "sample":
         doc = TestSampleCommand().gaussian_config("out")
         doc["sampler"].update(keys["sampler"])
@@ -878,9 +883,29 @@ def test_value_rejected_in_the_run_exit_2(tmp_path, capsys, command, keys, secti
         if command == "compare":
             del doc["image"], doc["solver"]
     doc["output"] = str(tmp_path / "out")
-    assert main([command, "--config", write_config(tmp_path, doc)]) == 2
-    err = capsys.readouterr().err
+    return main([command, "--config", write_config(tmp_path, doc)]), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,keys,section", RUN_PHASE)
+def test_value_rejected_in_the_run_exit_2(tmp_path, capsys, command, keys, section):
+    code, err = run_phase_error(tmp_path, capsys, command, keys)
+    assert code == 2
     assert err.startswith(f"pnpkit: {section}: ") and "Traceback" not in err
+
+
+# the TV rows of RUN_PHASE, and the product their message names
+TV_PRODUCTS = {"pnp-pgd-tv-lam-overflows": "c * sigma^2 = 1e+308 * 10000000000.0^2",
+               "hqs-tv-lam-overflows": "c * sigma^2 = 1e+300 * 10000000000.0^2",
+               "pgd-tv-reg-lam-overflows": "weight * step = 1e+308 * 10.0",
+               "compare-tv-lam-overflows": "c * sigma^2 = 1e+308 * 10000000000.0^2"}
+
+
+@pytest.mark.parametrize("command,keys,section", [r for r in RUN_PHASE if r.id in TV_PRODUCTS])
+def test_tv_strength_that_overflows_names_its_factors(tmp_path, capsys, request, command, keys,
+                                                      section):
+    code, err = run_phase_error(tmp_path, capsys, command, keys)
+    product = TV_PRODUCTS[request.node.callspec.id]
+    assert code == 2 and err.startswith(f"pnpkit: {section}: TV strength {product} is not finite")
 
 
 def key_paths(doc, prefix=()):

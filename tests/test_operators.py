@@ -26,7 +26,6 @@ from pnpkit import (
     Signal,
     smoothed_score,
     solve_shifted_normal,
-    svd_factors,
     tikhonov_solve,
     tv_denoiser,
 )
@@ -193,12 +192,19 @@ class TestNaiveSvd:
         oracle = np.linalg.solve(mat.T @ mat, mat.T @ y)
         assert np.max(np.abs(x - oracle)) <= 1e-8
 
-    def test_factor_reconstruction(self, rng):
-        mat = rng.standard_normal((6, 4))
-        f = svd_factors(DenseOp(mat))
-        recon = f.u @ np.diag(f.s) @ f.vt
-        assert np.linalg.norm(recon - mat) / np.linalg.norm(mat) <= 1e-10
-        assert np.all(np.diff(f.s) <= 0)
+    def test_zero_on_a_zero_diagonal_entry(self):
+        x = naive_svd_solve(DiagonalOp(np.array([2.0, 0.0, 0.5])), np.array([1.0, 3.0, 1.0]))
+        assert x[1] == 0.0
+        np.testing.assert_allclose(x, [0.5, 0.0, 2.0], rtol=1e-15)
+
+    def test_recovers_x_on_singular_values_down_to_3_to_the_minus_11(self):
+        # demo 01's matrix: through K^T y the condition number would be squared
+        rng = Rng(0)
+        u, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+        v, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+        op = DenseOp(u @ np.diag(3.0 ** -np.arange(12)) @ v.T)
+        x_true = rng.standard_normal(12)
+        assert np.linalg.norm(naive_svd_solve(op, op.apply(x_true)) - x_true) <= 1e-10
 
 
 class TestShiftedNormal:
@@ -383,6 +389,48 @@ class TestRealFftCirculant:
             CirculantOp(np.ones((8, 8)), (8, 6))
         with pytest.raises(ShapeError):  # a full-grid response is not a half spectrum
             CirculantOp(np.ones((8, 8)), (8, 8))
+
+
+def pinv_filter(t):
+    return np.divide(1.0, t, out=np.zeros_like(t), where=t > 1e-24)
+
+
+def posterior_filter(t):
+    return 1.0 / (t / 0.25 + 1.0 / 1.09)
+
+
+def calculus_cases():
+    rng = Rng(7)
+    for spatial, shape in CIRCULANT_CASES:
+        for even in (False, True):
+            yield CirculantOp(half_of(random_response(rng, spatial, even)), shape)
+    yield DiagonalOp(np.array([1.5, 0.0, -0.7, 2.0]))
+    yield DenseOp(rng.standard_normal((7, 5)))
+    yield DenseOp(rng.standard_normal((5, 7)))
+    yield CompositeOp(DenseOp(rng.standard_normal((6, 5))), DiagonalOp(rng.uniform(0.5, 1.5, 5)))
+
+
+class TestSpectralCalculus:
+    @pytest.mark.parametrize("op", list(calculus_cases()), ids=lambda op: op.kind)
+    def test_matches_dense_pinv_and_precision_inverse(self, rng, op):
+        m = as_dense(op).matrix
+        y = rng.standard_normal(op.out_shape)
+        pinv = np.linalg.pinv(m) @ y.reshape(-1)
+        assert rel_err(op.adjoint_filter(pinv_filter, y).reshape(-1), pinv) <= 1e-12
+        precision = m.T @ m / 0.25 + np.eye(op.in_size) / 1.09
+        cov = np.linalg.inv(precision)
+        got = op.adjoint_filter(posterior_filter, y).reshape(-1)
+        assert rel_err(got, cov @ m.T @ y.reshape(-1)) <= 1e-12
+        values, diagonal = op.gram_spectrum(posterior_filter)
+        assert diagonal.shape == op.in_shape
+        assert rel_err(diagonal.reshape(-1), np.diag(cov)) <= 1e-12
+        eig = np.linalg.eigvalsh(0.5 * (cov + cov.T))
+        assert max(rel_err(v, eig[np.argmin(np.abs(eig - v))]) for v in values.ravel()) <= 1e-12
+        assert rel_err(np.max(values) / np.min(values), np.linalg.cond(precision)) <= 1e-12
+
+    def test_dense_fallback_is_capped(self):
+        with pytest.raises(ShapeError, match="limited to dimension 512"):
+            naive_svd_solve(DenseOp(np.ones((1, 513))), np.ones(1))
 
 
 class TestCirculantCompose:

@@ -21,6 +21,7 @@ from pnpkit import (
     run_red_gd,
     sample_stats,
     save_signal,
+    tikhonov_solve,
     write_stats_csv,
 )
 from pnpkit.core import as_array, diverged
@@ -337,18 +338,33 @@ class TestGaussianPosteriorOracle:
         # K = I, gamma = sigma = sigma_w = 1, y = 1: precision 1.5, mean 2/3
         oracle = gaussian_posterior_oracle(identity_op((1,)), np.array([1.0]),
                                            1.0, 1.0, 1.0)
-        assert oracle.covariance[0, 0] == pytest.approx(1.0 / 1.5, abs=1e-14)
+        assert oracle.variance[0] == pytest.approx(1.0 / 1.5, abs=1e-14)
         assert oracle.mean[0] == pytest.approx(2.0 / 3.0, abs=1e-14)
 
     def test_zero_operator_returns_smoothed_prior(self):
         oracle = gaussian_posterior_oracle(DiagonalOp(np.zeros(3)), np.zeros(3), 1.0, 0.5, 1.0)
         np.testing.assert_allclose(oracle.mean, np.zeros(3), atol=1e-14)
-        np.testing.assert_allclose(oracle.covariance, 1.25 * np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(oracle.variance, np.full(3, 1.25), atol=1e-12)
 
     def test_small_noise_limit_returns_measurement(self):
         y = np.array([0.3, -0.7])
         oracle = gaussian_posterior_oracle(identity_op((2,)), y, 1.0, 0.2, 1e-6)
         np.testing.assert_allclose(oracle.mean, y, atol=1e-9)
+
+    def test_circulant_blur_past_the_old_n_256_cap(self, rng):
+        # 64^2 = 4096 unknowns: the mean is the ridge solution at sigma_w^2/(gamma^2 + sigma^2)
+        gamma, sigma, sigma_w = 1.0, 0.3, 0.5
+        op = make_blur(np.full((9, 9), 1.0 / 81.0), (64, 64))
+        y = rng.standard_normal((64, 64))
+        oracle = gaussian_posterior_oracle(op, y, gamma, sigma, sigma_w)
+        ridge = tikhonov_solve(op, y, sigma_w**2 / (gamma**2 + sigma**2)).reshape(-1)
+        assert np.max(np.abs(oracle.mean - ridge)) <= 1e-12 * np.max(np.abs(ridge))
+        # every marginal variance is the mean of g over the full FFT grid
+        kernel = np.zeros((64, 64))
+        kernel[:9, :9] = 1.0 / 81.0
+        gram = np.abs(np.fft.fft2(kernel)) ** 2
+        expected = np.mean(1.0 / (gram / sigma_w**2 + 1.0 / (gamma**2 + sigma**2)))
+        np.testing.assert_allclose(oracle.variance, np.full(4096, expected), rtol=1e-12)
 
     def test_condition_number_reported(self):
         oracle = gaussian_posterior_oracle(DiagonalOp(np.array([3.0, 0.5])),
