@@ -579,9 +579,15 @@ def _write_json(doc: dict, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _prepare_out(path) -> Path:
-    out = Path(path)
+def _prepare_out(args, default) -> Path:
+    """Make the output directory ``--out`` (else ``default``) and its missing parents.
+
+    The directories made are kept in ``args.made_dirs``, deepest first, so a
+    command that fails later can take back the ones it left empty.
+    """
+    out = Path(args.out or default)
     with _section("config.output"):
+        args.made_dirs = [d for d in (out, *out.parents) if not d.exists()]
         out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -591,7 +597,7 @@ def cmd_solve(spec: dict, rng: Rng, args) -> int:
     if problem[0].ndim != 2:  # recon.pgm is a grayscale image
         raise ConfigError(f"config.image: solve needs a 2-D image, got shape {problem[0].shape}")
     run = _solver_run(spec["solver"], problem, "config.solver")
-    out = _prepare_out(args.out or spec["output"])
+    out = _prepare_out(args, spec["output"])
     recon, trace = run()
     x_true, name, _, y, _ = problem
     save_signal(recon, out / "recon.raw")
@@ -639,7 +645,7 @@ def cmd_compare(spec: dict, rng: Rng, args) -> int:
     if len(set(algos)) < len(algos):  # an algo's runs are named by it alone
         raise ConfigError(f"config.solvers: each algo may appear once, got {algos}")
     workers = _worker_count()
-    out = _prepare_out(args.out or spec["output"])
+    out = _prepare_out(args, spec["output"])
 
     def run_one(job):
         algo, image, x_true, run = job
@@ -691,7 +697,7 @@ def cmd_sweep(spec: dict, rng: Rng, args) -> int:
         op = DiagonalOp(diag)
         y0 = op._apply(x_true)
         x_dagger = naive_svd_solve(op, y0)
-    out = _prepare_out(args.out or spec["output"])
+    out = _prepare_out(args, spec["output"])
 
     direction = rng.standard_normal(diag.shape)
     direction /= np.linalg.norm(direction)
@@ -749,7 +755,7 @@ def cmd_diagnose(spec: dict, rng: Rng, args) -> int:
         "mu": mu,
         "theorem_gate": gate,
     }
-    out = _prepare_out(args.out or spec["output"])
+    out = _prepare_out(args, spec["output"])
     _write_json(report, out / "diagnose.json")
     print(json.dumps(report, sort_keys=True))
     return EXIT_OK
@@ -770,7 +776,7 @@ def cmd_sample(spec: dict, rng: Rng, args) -> int:
         y = add_gaussian_noise(y_clean, cfg.sigma_w, rng.child(2))
     _check_start(op, y)
     denoiser = mmse_gmm_denoiser(prior)
-    out = _prepare_out(args.out or spec["output"])
+    out = _prepare_out(args, spec["output"])
     with _section("config.sampler"):
         stats, samples = run_pnp_ula(op, y, denoiser, cfg)
 
@@ -894,7 +900,7 @@ def cmd_plot(spec: dict, rng, args) -> int:
             raise ParseError(f"{p}: trace has no rows")
         traces.append(t)
         labels.append(Path(p).stem)
-    target = _prepare_out(args.out or ".") / spec["output"]
+    target = _prepare_out(args, ".") / spec["output"]
     target.write_text(render_traces_svg(traces, labels), encoding="utf-8")
     print(f"plot: wrote {target}")
     return EXIT_OK
@@ -931,6 +937,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    args.made_dirs = []
     tasks, handler = COMMANDS[args.command]
     try:
         doc = _load_json(args.config)
@@ -944,11 +951,20 @@ def main(argv=None) -> int:
             rng = Rng(spec["seed"] if args.seed is None else args.seed)
         return handler(spec, rng, args)
     except (ConfigError, ParseError, ShapeError) as exc:  # shapes come from the config
-        print(f"pnpkit: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(args, exc, EXIT_CONFIG)
     except PnpkitError as exc:  # divergence, or an inner solve that missed its certificate
-        print(f"pnpkit: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+        return _fail(args, exc, EXIT_DIVERGED)
+
+
+def _fail(args, exc: Exception, status: int) -> int:
+    """Report ``exc`` and remove the output directories this command made and left empty."""
+    print(f"pnpkit: {exc}", file=sys.stderr)
+    for made in args.made_dirs:  # deepest first; a directory that existed is not listed
+        try:
+            made.rmdir()
+        except OSError:  # not empty
+            break
+    return status
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ with a certified relative residual.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -117,21 +118,24 @@ class LinearOp:
 
     def adjoint_filter(self, g, y: np.ndarray) -> np.ndarray:
         """g(K^T K) K^T y; here V g(s^2) s U^T y from the dense SVD K = U diag(s) V^T."""
-        u, s, vt = self._svd(full=False)
-        return (vt.T @ (g(s * s) * s * (u.T @ y.reshape(-1)))).reshape(self.in_shape)
+        u, s, vt = self._svd
+        k = s.size
+        return (vt[:k].T @ (g(s * s) * s * (u[:, :k].T @ y.reshape(-1)))).reshape(self.in_shape)
 
     def gram_spectrum(self, g):
         """(g over the eigenvalues of K^T K, the diagonal of g(K^T K)); here from the dense SVD."""
-        _, s, vt = self._svd(full=True)
+        _, s, vt = self._svd
         t = np.zeros(self.in_size)  # a wide K's null space has t = 0
         t[: s.size] = s * s
         g_t = g(t)
         return g_t, (g_t @ (vt * vt)).reshape(self.in_shape)
 
-    def _svd(self, full: bool):
+    @functools.cached_property
+    def _svd(self):
+        """The full SVD of the dense K, taken once: an operator's K does not change."""
         if max(self.in_size, self.out_size) > SVD_MAX_DIM:
             raise ShapeError(f"the dense SVD is limited to dimension {SVD_MAX_DIM}")
-        return np.linalg.svd(as_dense(self).matrix, full_matrices=full)
+        return np.linalg.svd(as_dense(self).matrix)
 
     @property
     def in_size(self) -> int:

@@ -893,6 +893,30 @@ def test_value_rejected_in_the_run_exit_2(tmp_path, capsys, command, keys, secti
     assert err.startswith(f"pnpkit: {section}: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,keys,section", RUN_PHASE)
+def test_value_rejected_in_the_run_leaves_no_output_directory(tmp_path, capsys, command, keys,
+                                                              section):
+    # a command that fails in the run takes back the output directory it made
+    assert run_phase_error(tmp_path, capsys, command, keys)[0] == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("existing", [None, "out", "a"])
+def test_value_rejected_in_the_run_removes_only_the_directories_it_made(tmp_path, capsys,
+                                                                        existing):
+    # --out a/b/out; a directory that was there before the command stays, if empty
+    if existing is not None:
+        (tmp_path / "a" / "b" / "out" if existing == "out" else tmp_path / "a").mkdir(parents=True)
+    command, keys, _ = RUN_PHASE[0].values
+    doc = copy.deepcopy(RUN_PHASE_BASE)
+    doc.update(keys)
+    out = tmp_path / "a" / "b" / "out"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    assert "pnpkit: config.solver: TV strength" in capsys.readouterr().err
+    assert out.exists() == (existing == "out")
+    assert (tmp_path / "a").exists() == (existing is not None)
+
+
 # the TV rows of RUN_PHASE, and the product their message names
 TV_PRODUCTS = {"pnp-pgd-tv-lam-overflows": "c * sigma^2 = 1e+308 * 10000000000.0^2",
                "hqs-tv-lam-overflows": "c * sigma^2 = 1e+300 * 10000000000.0^2",

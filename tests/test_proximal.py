@@ -370,6 +370,9 @@ def _reference_dual_solve(v, lam, tol, max_iter, p0=None, restart=True):
 
     With ``restart`` the momentum resets (q = p, t = 1) whenever the dual
     objective 0.5*||v||^2 - 0.5*||x||^2 falls; without it this is plain FISTA.
+    The gap and the restart test run on the kernel's schedule, iterations
+    1, 5, 9, ... and ``max_iter``; x_old follows every iteration.  Running
+    out of iterations raises SolveError carrying the last gap, as the kernel does.
     """
     step = 1.0 / (4.0 * v.ndim)
     if p0 is None:
@@ -380,6 +383,7 @@ def _reference_dual_solve(v, lam, tol, max_iter, p0=None, restart=True):
     q = [pa.copy() for pa in p]
     t = 1.0
     x_old = v - _reference_grad_adjoint(p)
+    gap = math.inf
     for it in range(1, max_iter + 1):
         grad_h = _reference_grad(_reference_grad_adjoint(q) - v)
         p_new = [np.clip(qa - step * ga, -lam, lam) for qa, ga in zip(q, grad_h)]
@@ -391,17 +395,19 @@ def _reference_dual_solve(v, lam, tol, max_iter, p0=None, restart=True):
         t = t_new
         div_p = _reference_grad_adjoint(p)
         x = v - div_p
-        tv = sum(np.sum(np.abs(g)) for g in _reference_grad(x))
-        primal = 0.5 * float(np.sum(div_p**2)) + lam * float(tv)
-        dual = float(np.sum(v * div_p)) - 0.5 * float(np.sum(div_p**2))
-        if primal - dual <= tol:
-            return x, div_p, it
-        d = x - x_old
-        if restart and 2.0 * float(np.vdot(d, x)) > float(np.vdot(d, d)):
-            q = [pa.copy() for pa in p]
-            t = 1.0
+        if it % 4 == 1 or it == max_iter:
+            tv = sum(np.sum(np.abs(g)) for g in _reference_grad(x))
+            primal = 0.5 * float(np.sum(div_p**2)) + lam * float(tv)
+            dual = float(np.sum(v * div_p)) - 0.5 * float(np.sum(div_p**2))
+            gap = primal - dual
+            if gap <= tol:
+                return x, div_p, it
+            d = x - x_old
+            if restart and 2.0 * float(np.vdot(d, x)) > float(np.vdot(d, d)):
+                q = [pa.copy() for pa in p]
+                t = 1.0
         x_old = x
-    raise AssertionError("reference solve did not converge")
+    raise SolveError("reference solve did not converge", residual=gap)
 
 
 def _piecewise_noisy(ndim):
@@ -559,6 +565,31 @@ class TestFusedDualKernel:
             prox_tv(v, lam)
         with pytest.raises(ValueError):
             tv_conj_prox(lam).evaluate(v, 1.0)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 5, 7])
+    def test_exhausted_solve_carries_the_gap_of_its_last_iteration(self, rng, max_iter):
+        # 2 and 7 are off the check schedule: the gap is taken at max_iter all the
+        # same.  It is a difference of O(10) sums, so it agrees to rounding, 1e-12.
+        v = rng.standard_normal((16, 16))
+        with pytest.raises(SolveError) as exc:
+            prox_tv(v, 0.04, tol=0.0, max_iter=max_iter)
+        with pytest.raises(SolveError) as ref:
+            _reference_dual_solve(v, 0.04, 0.0, max_iter)
+        assert abs(exc.value.residual - ref.value.residual) <= 1e-12
+
+    def test_returns_on_a_checked_iteration_or_at_max_iter(self, rng):
+        v = rng.standard_normal((16, 16))
+        runs = []
+        for lam in (0.0025, 0.04, 0.3):
+            runs.append((_tv_dual_solve(v, lam, 1e-10 * v.size, 100000)[3], 100000))
+            for max_iter in range(1, 13):
+                with pytest.raises(SolveError) as exc:
+                    _tv_dual_solve(v, lam, 0.0, max_iter)
+                # the gap max_iter ends on is a tol that solve meets by max_iter
+                it = _tv_dual_solve(v, lam, exc.value.residual, max_iter)[3]
+                runs.append((it, max_iter))
+        assert all(it % 4 == 1 or it == max_iter for it, max_iter in runs)
+        assert any(it % 4 != 1 for it, _ in runs)
 
     def test_max_iter_zero_tol_raises_with_gap(self, rng):
         v = rng.standard_normal((16, 16))

@@ -366,6 +366,24 @@ class TestGaussianPosteriorOracle:
         expected = np.mean(1.0 / (gram / sigma_w**2 + 1.0 / (gamma**2 + sigma**2)))
         np.testing.assert_allclose(oracle.variance, np.full(4096, expected), rtol=1e-12)
 
+    def test_one_dense_svd_per_call(self, rng, monkeypatch):
+        matrix = rng.standard_normal((20, 20))
+        y = rng.standard_normal(20)
+        svd, calls = np.linalg.svd, []
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        oracle = gaussian_posterior_oracle(DenseOp(matrix), y, 1.0, 0.3, 0.5)
+        assert calls == [(20, 20)]
+        precision = matrix.T @ matrix / 0.25 + np.eye(20) / 1.09
+        cov = np.linalg.inv(precision)
+        np.testing.assert_allclose(oracle.mean, cov @ matrix.T @ y / 0.25, rtol=1e-10)
+        np.testing.assert_allclose(oracle.variance, np.diag(cov), rtol=1e-12)
+        assert oracle.condition_number == pytest.approx(np.linalg.cond(precision), rel=1e-12)
+
     def test_condition_number_reported(self):
         oracle = gaussian_posterior_oracle(DiagonalOp(np.array([3.0, 0.5])),
                                            np.zeros(2), 1.0, 0.0, 1.0)
