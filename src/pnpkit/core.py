@@ -87,7 +87,7 @@ def scoped_run():
 
     ``solvers._iterate`` opens one per run.  A map that carries something
     from one call to the next within a run (the TV prox's warm dual, the
-    last spectrum of :func:`real_spectrum`) keeps it in :func:`run_state`,
+    spectra of :func:`real_spectrum`) keeps it in :func:`run_state`,
     so nothing outlives the run or crosses into another run, a nested one
     or another thread included.
     """
@@ -128,23 +128,45 @@ def _irfftn(spec: np.ndarray, shape: tuple, axes: tuple) -> np.ndarray:
 
 
 def real_spectrum(x: np.ndarray, axes: tuple) -> np.ndarray:
-    """The real FFT :func:`_rfftn` of x, kept for the last array of the solver run in progress.
+    """The real FFT :func:`_rfftn` of x, shared within the solver run in progress.
 
-    Inside a :func:`scoped_run` the run keeps the read-only spectrum of the
-    last array object and axes it was given, and a request for the same
-    object and axes returns it again; the caller must not change x in place
-    while the run goes on.  Outside a run every call transforms afresh.
+    Inside a :func:`scoped_run` the run holds the read-only spectra of the
+    last two array objects recorded with their axes: those this function
+    transformed and the outputs of the circulant filters
+    (:meth:`~pnpkit.operators.CirculantOp._filter`), a third evicting the
+    oldest.  A request for a held object and axes returns its spectrum
+    again, so the caller must not change x in place while the run goes on.
+    A filter output's spectrum is the filtered product the filter inverted,
+    which differs from a fresh transform of the output in the last bits.
+    Outside a run every call transforms afresh.
     """
     state = _RUN_STATE.get()
     if state is None:
         return _rfftn(x, axes)
-    last = state.get("real_spectrum")
-    if last is not None and last[0] is x and last[1] == axes:
-        return last[2]
-    spec = _rfftn(x, axes)
-    spec.setflags(write=False)
-    state["real_spectrum"] = (x, axes, spec)  # the run's one entry; holding x pins its id
+    spec = _held_spectrum(state, x, axes)
+    if spec is None:
+        spec = _rfftn(x, axes)
+        _hold_spectrum(state, x, axes, spec)
     return spec
+
+
+def _held_spectrum(state: dict, x: np.ndarray, axes: tuple) -> np.ndarray | None:
+    """The spectrum the run with ``state`` holds for the array object x over axes, else None."""
+    for held, held_axes, spec in state.get("real_spectrum", ()):
+        if held is x and held_axes == axes:
+            return spec
+    return None
+
+
+def _hold_spectrum(state: dict, x: np.ndarray, axes: tuple, spec: np.ndarray) -> None:
+    """Hold spec, made read-only, as the spectrum of x over axes; the run keeps the last two.
+
+    Holding x pins its id, so a later array cannot take it while its entry
+    lasts.  (Weak references, which free a spent filter output sooner, made
+    the provable drivers slower through allocator churn.)
+    """
+    spec.setflags(write=False)
+    state["real_spectrum"] = state.get("real_spectrum", ())[-1:] + ((x, axes, spec),)
 
 
 def diverged(x: np.ndarray) -> bool:

@@ -85,7 +85,8 @@ def gaussian_kernel(sigma: float, ndim: int = 2, radius: int | None = None) -> n
     _check_radius(radius)
     radius = gaussian_radius(sigma, radius)
     t = np.arange(-radius, radius + 1, dtype=np.float64)
-    g1 = np.exp(-0.5 * (t / sigma) ** 2)
+    with np.errstate(over="ignore"):  # a tiny sigma squares to inf: exp(-inf) = 0, a delta
+        g1 = np.exp(-0.5 * (t / sigma) ** 2)
     kernel = g1
     for _ in range(ndim - 1):
         kernel = np.multiply.outer(kernel, g1)

@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from .core import Rng, ShapeError, SolveError, _irfftn, _rfftn, as_array, real_spectrum
+from .core import (Rng, ShapeError, SolveError, _held_spectrum, _hold_spectrum, _irfftn, _rfftn,
+                   as_array, real_spectrum, run_state)
 
 CG_RTOL = 1e-10
 SVD_MAX_DIM = 512
@@ -218,7 +219,10 @@ class CirculantOp(LinearOp):
     as for an even kernel.  Apply, adjoint, the normal map and the shifted
     solve are one real FFT round trip each (:func:`~pnpkit.core._rfftn`,
     then :func:`~pnpkit.core._irfftn`); the least-squares and quadratic
-    values are one forward real FFT, by Parseval.
+    values are one forward real FFT, by Parseval.  Inside a solver run the
+    forward transform may come from the run, which holds the spectra of
+    the last filter outputs (:meth:`_filter`), so a filter of a denoiser's
+    or a prox's output costs one inverse transform.
     """
 
     kind = "circulant-conv"
@@ -244,9 +248,34 @@ class CirculantOp(LinearOp):
         self._axes = tuple(range(len(spatial)))
 
     def _filter(self, x, response, combine=np.multiply):
-        spec = _rfftn(x, self._axes)
-        combine(spec, response if x.ndim == response.ndim else response[..., None], out=spec)
-        return _irfftn(spec, self._spatial, self._axes)
+        """The inverse real FFT of Z = combine(X, response), X the spectrum of x.
+
+        Outside a solver run X is a fresh transform, filtered in place.
+        Inside one X is the spectrum the run holds for x when it holds one
+        (see :func:`~pnpkit.core.real_spectrum`; Z is then a new array, as a
+        held spectrum is read-only); the inverse runs on the run's one work
+        copy of Z, and Z is held as the output's spectrum.  x itself is not
+        recorded: holding inputs would evict spectra that are still to be
+        read, such as DRS's y before its objective.
+        """
+        if x.ndim != response.ndim:
+            response = response[..., None]  # per channel
+        state = run_state()
+        held = None if state is None else _held_spectrum(state, x, self._axes)
+        if held is None:
+            spec = _rfftn(x, self._axes)
+            combine(spec, response, out=spec)
+        else:
+            spec = combine(held, response)  # a held spectrum is read-only
+        if state is None:
+            return _irfftn(spec, self._spatial, self._axes)
+        work = state.get("spectrum_work")  # the inverse overwrites its input: the run's copy
+        if work is None or work.shape != spec.shape:
+            work = state["spectrum_work"] = np.empty_like(spec)
+        np.copyto(work, spec)
+        out = _irfftn(work, self._spatial, self._axes)
+        _hold_spectrum(state, out, self._axes, spec)
+        return out
 
     def _apply(self, x):
         return self._filter(x, self.half_response)

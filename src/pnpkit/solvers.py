@@ -191,7 +191,7 @@ def _iterate(cfg: SolverConfig, x0, advance, report, reference=None):
 
     The whole run, row 0 included, sits in a :func:`~pnpkit.core.scoped_run`
     of its own, so state a map carries between its calls (the TV prox's
-    warm dual, the last spectrum) lives exactly as long as the run.
+    warm dual, the held spectra) lives exactly as long as the run.
     """
     x = as_array(x0).copy()
     if not np.all(np.isfinite(x)):
@@ -211,7 +211,9 @@ def _iterate(cfg: SolverConfig, x0, advance, report, reference=None):
             point, objective, r, fp = report(0, x, math.nan)
             append(0, point, objective, r, fp)
             trace.stop_reason = "max_iter"
-            with np.errstate(over="ignore"):
+            # a diverging step overflows to inf, then inf - inf makes NaN; the
+            # divergence check reports both once, as a DivergenceError
+            with np.errstate(over="ignore", invalid="ignore"):
                 for k in range(1, cfg.max_iter + 1):
                     x_new = advance(k, x)
                     if diverged(x_new):

@@ -14,6 +14,7 @@ from pnpkit import (
     Trace,
     add_gaussian_noise,
     load_signal,
+    make_blur,
     psnr,
     read_trace,
     save_signal,
@@ -423,7 +424,7 @@ class TestRealFftPair:
 
 
 class TestSharedSpectra:
-    """real_spectrum keeps one spectrum per solver run (core.scoped_run)."""
+    """A solver run (core.scoped_run) holds two spectra, from real_spectrum or filter outputs."""
 
     def test_shared_only_inside_the_block(self, rng):
         x = rng.standard_normal((6, 5))
@@ -441,12 +442,15 @@ class TestSharedSpectra:
         np.testing.assert_array_equal(first, np.fft.rfftn(x))
         assert real_spectrum(x, (0, 1)).flags.writeable
 
-    def test_the_run_keeps_one_entry(self, rng):
-        x, z = rng.standard_normal(8), rng.standard_normal(8)
+    def test_the_run_keeps_two_entries(self, rng):
+        x, z, w = (rng.standard_normal(8) for _ in range(3))
         with scoped_run():
             first = real_spectrum(x, (0,))
-            real_spectrum(z, (0,))
-            again = real_spectrum(x, (0,))  # z took the one entry, so x is transformed again
+            second = real_spectrum(z, (0,))
+            assert real_spectrum(x, (0,)) is first  # z took the second entry
+            real_spectrum(w, (0,))  # a third array evicts the oldest, x
+            assert real_spectrum(z, (0,)) is second
+            again = real_spectrum(x, (0,))
             assert again is not first
             np.testing.assert_array_equal(again, first)
             assert real_spectrum(x, (0,)) is again
@@ -470,3 +474,66 @@ class TestSharedSpectra:
             worker.join(timeout=30)
         assert not worker.is_alive()
         assert seen[0] is not first and seen[0].flags.writeable
+
+    @staticmethod
+    def _filters():
+        # name -> (operator, filter of x): even and asymmetric kernels, the
+        # shifted solve's divide, and a 2-D kernel acting per channel
+        rng = Rng(21)
+        even = make_blur(np.full((3, 3), 1.0 / 9.0), (12, 9))
+        skew = make_blur(rng.uniform(0.0, 1.0, (3, 5)), (12, 9))
+        per_channel = make_blur(rng.uniform(0.0, 1.0, (3, 3)), (12, 9, 3))
+        return {"even": (even, even._apply), "asymmetric": (skew, skew._adjoint),
+                "shifted-solve": (skew, lambda x: skew.shifted_solve(0.3, x)),
+                "per-channel": (per_channel, per_channel._apply)}
+
+    @pytest.mark.parametrize("name", ["even", "asymmetric", "shifted-solve", "per-channel"])
+    def test_a_filter_holds_the_spectrum_of_its_output(self, name, rng):
+        op, apply = self._filters()[name]
+        assert np.iscomplexobj(op.half_response) == (name != "even")
+        x = rng.standard_normal(op.in_shape)
+        axes = (0, 1)
+        with scoped_run():
+            out = apply(x)
+            held = real_spectrum(out, axes)
+            assert not held.flags.writeable and real_spectrum(out, axes) is held
+            fresh = _rfftn(out, axes)
+            assert np.max(np.abs(held - fresh)) <= 1e-13 * np.max(np.abs(fresh))
+            assert real_spectrum(out.copy(), axes) is not held  # an equal-valued copy misses
+            again = apply(out)  # filters the held spectrum
+        np.testing.assert_allclose(again, apply(out), rtol=0, atol=1e-13 * np.max(np.abs(out)))
+
+    def test_a_filter_reads_a_held_input_and_does_not_hold_a_new_one(self, rng, monkeypatch):
+        from pnpkit import core, operators
+
+        forward = [0]
+
+        def counted(x, axes):
+            forward[0] += 1
+            return _rfftn(x, axes)
+
+        op = make_blur(np.full((3, 3), 1.0 / 9.0), (8, 8))
+        monkeypatch.setattr(operators, "_rfftn", counted)
+        x = rng.standard_normal((8, 8))
+        with scoped_run():
+            out = op._apply(x)
+            assert forward[0] == 1 and core._held_spectrum(run_state(), x, (0, 1)) is None
+            op._adjoint(out)
+            op.shifted_solve(0.5, out)
+            assert forward[0] == 1  # both read the spectrum held for out
+        op._apply(out)
+        assert forward[0] == 2  # outside a run every filter transforms afresh
+
+    def test_a_held_output_does_not_survive_the_run_or_cross_threads(self, rng):
+        op = make_blur(np.full((3, 3), 1.0 / 9.0), (8, 8))
+        seen = []
+        with scoped_run():
+            out = op._apply(rng.standard_normal((8, 8)))
+            held = real_spectrum(out, (0, 1))
+            worker = threading.Thread(target=lambda: seen.append(real_spectrum(out, (0, 1))))
+            worker.start()
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert seen[0] is not held and seen[0].flags.writeable
+        after = real_spectrum(out, (0, 1))
+        assert after is not held and after.flags.writeable

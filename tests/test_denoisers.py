@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,16 @@ class TestGaussianFilter:
         with pytest.raises(ValueError, match="radius"):
             gaussian_filter_denoiser(1.0, radius=-2)
         np.testing.assert_array_equal(gaussian_kernel(1.0, radius=0), np.ones((1, 1)))
+
+    @pytest.mark.parametrize("sigma", [1e-300, 5e-324, 1e-160])
+    def test_a_tiny_sigma_gives_the_delta_without_warnings(self, sigma):
+        # (t / sigma)^2 overflows to inf off the centre, and exp(-inf) = 0
+        delta = np.zeros((3, 3))
+        delta[1, 1] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel = gaussian_kernel(sigma)
+        np.testing.assert_array_equal(kernel, delta)
 
 
 class TestNlm:

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -42,6 +44,7 @@ from pnpkit import (
     zero_prox,
 )
 from pnpkit import solvers
+from pnpkit.core import scoped_run
 from pnpkit.operators import as_dense
 
 
@@ -673,26 +676,30 @@ class TestRedPgIsPgd:
 
     LAM, L, STEPS = 0.5, 2.0, 59
 
-    def _runs(self, den, sigma):
+    def _runs(self, den, sigma, scope=contextlib.nullcontext):
+        # the form's steps after x_1 run inside scope(); x_1 is outside it, as
+        # the run's start (a copy of x_1) has no spectrum held for it
         rng = Rng(3)
         shape = (32, 32)
         op = make_blur(np.full((5, 5), 1.0 / 25.0), shape)
         y = op._apply(rng.uniform(0, 1, shape)) + 0.03 * rng.standard_normal(shape)
         fidelity = quadratic_fidelity_prox(op, y)
-        v = op._adjoint(y)
-        xs = []
-        for _ in range(self.STEPS + 1):
-            xs.append(np.asarray(fidelity.evaluate(v, 1.0 / (self.LAM * self.L))))
-            v = (1.0 / self.L) * den.apply(xs[-1], sigma) - ((1.0 - self.L) / self.L) * xs[-1]
+        xs = [np.asarray(fidelity.evaluate(op._adjoint(y), 1.0 / (self.LAM * self.L)))]
+        with scope():
+            for _ in range(self.STEPS):
+                v = (1.0 / self.L) * den.apply(xs[-1], sigma) - ((1.0 - self.L) / self.L) * xs[-1]
+                xs.append(np.asarray(fidelity.evaluate(v, 1.0 / (self.LAM * self.L))))
         cfg = SolverConfig(max_iter=self.STEPS, tol=0.0, record_time=False)
         out, _ = run_red_pg(op, y, den, lam=self.LAM, L=self.L, cfg=cfg, x0=xs[0],
                             sigma=sigma)
         return out, xs
 
     def test_linear_gs_denoiser_bit_for_bit(self):
+        # in a solver run the denoiser reads the spectrum the fidelity prox held
+        # for its output; the form's loop runs in a run of its own to do the same
         shape = (32, 32)
         den = gs_denoiser(gaussian_smoother(shape, 1.5, floor=0.15), weight=0.7)
-        out, xs = self._runs(den, 0.0)
+        out, xs = self._runs(den, 0.0, scoped_run)
         np.testing.assert_array_equal(out, xs[-1])
 
     def test_tv_within_the_certificate(self):
@@ -922,9 +929,28 @@ class TestObjectiveTransforms:
             _, trace = PROVABLE_RUNS[algo](op, y, slot, cfg)
             assert np.all(np.isfinite(trace.column("objective")))
             counts[iters] = count[0]
+        # a filter reads the spectrum the run holds for its input (a denoiser's
+        # or a prox's output) and the objective the one of the traced point;
+        # APGD's q and its traced point are new linear combinations
+        per_iteration = {"pnp-pgd": 3, "gs-pnp": 3, "pnp-drs": 4, "pnp-drsdiff": 4,
+                         "apgd": 5}[algo]
         assert counts[2] > 0  # the counter sees the transforms the run makes
-        assert counts[8] - counts[2] <= 5 * 6  # the set-up and row 0 cancel out
-        assert counts[2] <= 5 * 2 + 8  # the set-up: K^T y, the transform of y and row 0
+        assert counts[8] - counts[2] <= per_iteration * 6  # the set-up and row 0 cancel out
+        assert counts[2] <= per_iteration * 2 + 8  # the set-up: K^T y, the transform of y, row 0
+
+    @pytest.mark.parametrize("algo, message", [
+        ("pnp-pgd", "denoiser 'gs' produced non-finite output"),
+        ("gs-pnp", "iterates diverged at step 3"),
+    ], ids=["pnp-pgd", "gs-pnp"])
+    def test_a_diverging_step_is_reported_once_without_warnings(self, algo, message):
+        # step 1e308 overflows the step to inf and then to NaN inside the
+        # filters; the run reports it only as a DivergenceError
+        op, y, den = _circulant_gs_problem(side=16)
+        cfg = SolverConfig(step=1e308, max_iter=50, record_time=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match=f"^{message}$"):
+                PROVABLE_RUNS[algo](op, y, RegSlot(denoiser=den), cfg)
 
     @pytest.mark.parametrize("algo, adjoints", [("hqs", 2), ("admm", 1), ("red-pg", 2),
                                                 ("red-apg", 2)])
