@@ -127,18 +127,27 @@ def _irfftn(spec: np.ndarray, shape: tuple, axes: tuple) -> np.ndarray:
     return np.fft.irfft(spec, shape[-1], axis=axes[-1])
 
 
+# The number of spectra a solver run holds, the oldest evicted first.  Five
+# keep every spectrum an alpha-PGD step reads: its x must outlive q, the
+# gradient at q, the gradient step and the denoiser's output.
+_HELD_SPECTRA = 5
+
+
 def real_spectrum(x: np.ndarray, axes: tuple) -> np.ndarray:
     """The real FFT :func:`_rfftn` of x, shared within the solver run in progress.
 
     Inside a :func:`scoped_run` the run holds the read-only spectra of the
-    last two array objects recorded with their axes: those this function
-    transformed and the outputs of the circulant filters
-    (:meth:`~pnpkit.operators.CirculantOp._filter`), a third evicting the
-    oldest.  A request for a held object and axes returns its spectrum
-    again, so the caller must not change x in place while the run goes on.
+    last five array objects recorded with their axes: those this function
+    transformed, the inputs the circulant filters transformed and their
+    outputs (:meth:`~pnpkit.operators.CirculantOp._filter`), and the
+    combinations :func:`lincomb` formed of held spectra, a sixth evicting
+    the oldest.  A request for a held object and axes returns its spectrum
+    again, so no array that this function, a filter or a combination has
+    read may change in place while the run goes on.
     A filter output's spectrum is the filtered product the filter inverted,
-    which differs from a fresh transform of the output in the last bits.
-    Outside a run every call transforms afresh.
+    and a combination's the combination of its terms' spectra; each differs
+    from a fresh transform of the array in the last bits.  Outside a run
+    every call transforms afresh.
     """
     state = _RUN_STATE.get()
     if state is None:
@@ -159,14 +168,60 @@ def _held_spectrum(state: dict, x: np.ndarray, axes: tuple) -> np.ndarray | None
 
 
 def _hold_spectrum(state: dict, x: np.ndarray, axes: tuple, spec: np.ndarray) -> None:
-    """Hold spec, made read-only, as the spectrum of x over axes; the run keeps the last two.
+    """Hold spec, made read-only, as the spectrum of x over axes; the run keeps the last five.
 
     Holding x pins its id, so a later array cannot take it while its entry
     lasts.  (Weak references, which free a spent filter output sooner, made
     the provable drivers slower through allocator churn.)
     """
     spec.setflags(write=False)
-    state["real_spectrum"] = state.get("real_spectrum", ())[-1:] + ((x, axes, spec),)
+    held = state.get("real_spectrum", ())[1 - _HELD_SPECTRA:]
+    state["real_spectrum"] = held + ((x, axes, spec),)
+
+
+def _combine(terms) -> np.ndarray:
+    """Sum c_i * x_i over the (c_i, x_i) pairs, left to right, as a new array.
+
+    A coefficient 1 adds its term and -1 subtracts it, which is bitwise the
+    product's sum: (-1) * x is -x exactly, and a + (-b) is a - b.
+    """
+    (c, first), rest = terms[0], terms[1:]
+    total = first if c == 1.0 and rest else c * first
+    for c, x in rest:
+        if c == 1.0 or c == -1.0:
+            part, ufunc = x, np.add if c == 1.0 else np.subtract
+        else:
+            part, ufunc = c * x, np.add
+        # write into an array this sum made: the running total, else the new product
+        out = total if total is not first else None if part is x else part
+        total = ufunc(total, part, out=out)
+    return total
+
+
+def lincomb(*terms) -> np.ndarray:
+    """The linear combination c1*x1 + c2*x2 + ... of the ``(c, x)`` pairs, as a new array.
+
+    It is evaluated left to right with the IEEE operations of the written
+    expression: ``lincomb((1.0, x), (-t, g))`` gives the bits of
+    ``x - t * g`` ((-t) * g is -(t * g) exactly, and a + (-b) is a - b),
+    ``lincomb((2.0, y), (-1.0, x))`` those of ``2.0 * y - x`` and
+    ``lincomb((1.0, x), (1.0, z), (-1.0, y))`` those of ``x + z - y``.
+
+    Inside a solver run, when the run holds the spectrum of every term over
+    the same axes (see :func:`real_spectrum`), it also holds the same
+    combination of those spectra as the result's, so a circulant filter of
+    the result needs only its inverse transform.  It never transforms
+    anything to make one.
+    """
+    total = _combine(terms)
+    state = _RUN_STATE.get()
+    if state is not None:
+        first = terms[0][1]
+        axes = next((a for held, a, _ in state.get("real_spectrum", ()) if held is first), None)
+        specs = [(c, _held_spectrum(state, x, axes)) for c, x in terms]
+        if axes is not None and all(spec is not None for _, spec in specs):
+            _hold_spectrum(state, total, axes, _combine(specs))
+    return total
 
 
 def diverged(x: np.ndarray) -> bool:

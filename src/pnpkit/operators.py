@@ -81,6 +81,15 @@ class LinearOp:
         """x -> K^T (K x - y), the gradient of 0.5*||K x - y||^2."""
         return lambda x: self._adjoint(self._apply(x) - y)
 
+    def least_squares_prox(self, y: np.ndarray):
+        """(v, lam) -> (I + lam K^T K)^{-1} (v + lam K^T y), the prox of lam*0.5*||K x - y||^2.
+
+        Here the shifted normal equations with rho = 1/lam, right-hand side
+        K^T y + v/lam, K^T y formed once.
+        """
+        kty = self._adjoint(y)
+        return lambda v, lam: solve_shifted_normal(self, 1.0 / lam, kty + v / lam)
+
     @property
     def spectral_norm(self) -> float:
         """||K||_2, by power iteration on K^T K from a fixed seed."""
@@ -219,10 +228,13 @@ class CirculantOp(LinearOp):
     as for an even kernel.  Apply, adjoint, the normal map and the shifted
     solve are one real FFT round trip each (:func:`~pnpkit.core._rfftn`,
     then :func:`~pnpkit.core._irfftn`); the least-squares and quadratic
-    values are one forward real FFT, by Parseval.  Inside a solver run the
-    forward transform may come from the run, which holds the spectra of
-    the last filter outputs (:meth:`_filter`), so a filter of a denoiser's
-    or a prox's output costs one inverse transform.
+    values are one forward real FFT, by Parseval.  The least-squares
+    gradient and prox are single filters too, with K^T y's spectrum folded
+    into the filtered product.  Inside a solver run the forward transform
+    may come from the run, which holds the spectra of the filters' inputs
+    and outputs and of their linear combinations (:meth:`_filter`,
+    :func:`~pnpkit.core.lincomb`), so a filter of a denoiser's or a prox's
+    output, or of a combination of such outputs, costs one inverse transform.
     """
 
     kind = "circulant-conv"
@@ -250,25 +262,24 @@ class CirculantOp(LinearOp):
     def _filter(self, x, response, combine=np.multiply):
         """The inverse real FFT of Z = combine(X, response), X the spectrum of x.
 
-        Outside a solver run X is a fresh transform, filtered in place.
-        Inside one X is the spectrum the run holds for x when it holds one
-        (see :func:`~pnpkit.core.real_spectrum`; Z is then a new array, as a
-        held spectrum is read-only); the inverse runs on the run's one work
-        copy of Z, and Z is held as the output's spectrum.  x itself is not
-        recorded: holding inputs would evict spectra that are still to be
-        read, such as DRS's y before its objective.
+        ``combine(X, response, out=None)`` forms Z, in X itself when given
+        ``out=X``.  Outside a solver run X is a fresh transform, combined in
+        place.  Inside one X is the spectrum the run holds for x, or a fresh
+        transform that the run then holds for x (see
+        :func:`~pnpkit.core.real_spectrum`); Z is a new array, as a held
+        spectrum is read-only.  The inverse runs on the run's one work copy
+        of Z, and Z is held as the output's spectrum.
         """
         if x.ndim != response.ndim:
             response = response[..., None]  # per channel
         state = run_state()
-        held = None if state is None else _held_spectrum(state, x, self._axes)
-        if held is None:
+        spec = None if state is None else _held_spectrum(state, x, self._axes)
+        if spec is None:
             spec = _rfftn(x, self._axes)
-            combine(spec, response, out=spec)
-        else:
-            spec = combine(held, response)  # a held spectrum is read-only
-        if state is None:
-            return _irfftn(spec, self._spatial, self._axes)
+            if state is None:
+                return _irfftn(combine(spec, response, out=spec), self._spatial, self._axes)
+            _hold_spectrum(state, x, self._axes, spec)
+        spec = combine(spec, response)
         work = state.get("spectrum_work")  # the inverse overwrites its input: the run's copy
         if work is None or work.shape != spec.shape:
             work = state["spectrum_work"] = np.empty_like(spec)
@@ -289,20 +300,22 @@ class CirculantOp(LinearOp):
     def least_squares_value(self, y):
         """x -> 0.5 * sum w |H X - Y|^2 over the half spectrum (Parseval), one real FFT of x.
 
-        Y is transformed once; the weights are :func:`half_spectrum_weights`.
-        X comes from :func:`~pnpkit.core.real_spectrum`, so within a solver
-        run it is shared with any other value taken at the same point.
+        The weights are :func:`half_spectrum_weights`; sqrt(w/2) is folded
+        into H and into Y, which is transformed once, so a value is
+        ||H' X - Y'||^2 from one complex temporary.  X comes from
+        :func:`~pnpkit.core.real_spectrum`, so within a solver run it is
+        shared with any other value taken at the same point.
         """
-        y_hat = _rfftn(y, self._axes)
-        weights = 0.5 * half_spectrum_weights(self._spatial)
-        response = self.half_response
+        root = np.sqrt(0.5 * half_spectrum_weights(self._spatial))
+        response = root * self.half_response
         if y.ndim > len(self._spatial):  # per channel
-            response, weights = response[..., None], weights[..., None]
+            response, root = response[..., None], root[..., None]
+        y_hat = root * _rfftn(y, self._axes)
 
         def value(x):
             res = response * real_spectrum(x, self._axes)
             res -= y_hat
-            return float(np.vdot(res, weights * res).real)
+            return float(np.vdot(res, res).real)
 
         return value
 
@@ -326,11 +339,39 @@ class CirculantOp(LinearOp):
         return value
 
     def least_squares_grad(self, y):
-        kty = self._adjoint(y)  # once, so each gradient is one filter
-        return lambda x: self.normal(x) - kty
+        """x -> K^T (K x - y), one filter with the product |H|^2 X - (K^T y)^."""
+        kty_hat = _rfftn(self._adjoint(y), self._axes)  # once
+
+        def gradient(spec, gram, out=None):
+            res = np.multiply(spec, gram, out=out)
+            res -= kty_hat
+            return res
+
+        return lambda x: self._filter(x, self._gram, gradient)
+
+    def least_squares_prox(self, y):
+        """(v, lam) -> one filter with the product (V/lam + (K^T y)^) / (|H|^2 + 1/lam).
+
+        The spectral form of the base kind's (K^T K + I/lam)^{-1} (K^T y + v/lam).
+        """
+        kty_hat = _rfftn(self._adjoint(y), self._axes)  # once
+
+        def prox(v, lam):
+            rho = 1.0 / lam
+            if not rho > 0:
+                raise ValueError("rho must be positive")
+
+            def solve(spec, inverse, out=None):
+                res = np.multiply(spec, rho, out=out)
+                res += kty_hat
+                return np.multiply(res, inverse, out=res)
+
+            return self._filter(v, _reciprocal(self._gram + rho), solve)
+
+        return prox
 
     def shifted_solve(self, rho, b):
-        return self._filter(b, self._gram + rho, np.divide)
+        return self._filter(b, _reciprocal(self._gram + rho))
 
     def adjoint_filter(self, g, y):
         return self._filter(y, self._conj_response * g(self._gram))
@@ -348,6 +389,15 @@ class CirculantOp(LinearOp):
         if np.max(np.abs(np.imag(self.half_response))) > 1e-10:
             raise ValueError("circulant smoother is not symmetric (complex spectrum)")
         return np.real(self.half_response)
+
+
+def _reciprocal(den: np.ndarray) -> np.ndarray:
+    """1/den in place, for a real den: a complex Z times it has the bits of Z / den.
+
+    numpy divides a complex Z by a real c as Z * (1/c), so the product gives
+    the quotient's bits at the cost of a multiply.
+    """
+    return np.divide(1.0, den, out=den)
 
 
 def half_spectrum_weights(spatial) -> np.ndarray:

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .core import DivergenceError, ShapeError, SolveError, as_array, run_state
-from .operators import LinearOp, solve_shifted_normal
+from .operators import LinearOp
 
 # ---------------------------------------------------------------------------
 # Orthonormal Haar transform
@@ -499,17 +499,17 @@ def wavelet_l1_prox(weight: float = 1.0, levels: int = 1) -> ProxMap:
 def quadratic_fidelity_prox(op: LinearOp, y) -> ProxMap:
     """Prox of the least-squares fidelity f(x) = 0.5*||y - Kx||^2.
 
-    ``evaluate(v, lam)`` returns (I + lam*K^T K)^{-1} (v + lam*K^T y), solved
-    through the shifted normal equations with rho = 1/lam (exact for
-    circulant/diagonal kinds).  K^T y is formed once, here, and a y not
-    shaped like the operator's output raises ShapeError.
+    ``evaluate(v, lam)`` returns (I + lam*K^T K)^{-1} (v + lam*K^T y), the
+    operator's own ``least_squares_prox``: the shifted normal equations with
+    rho = 1/lam (exact for the diagonal kind), and one filter for a
+    circulant operator.  K^T y is formed once, here, and a y not shaped like
+    the operator's output raises ShapeError.
     """
     y_arr = op._data(y)
-    kty = op._adjoint(y_arr)
     value = op.least_squares_value(y_arr)
     return ProxMap(
         "quadratic_fidelity",
-        lambda v, lam: solve_shifted_normal(op, 1.0 / lam, kty + v / lam),
+        op.least_squares_prox(y_arr),
         objective=lambda x: value(as_array(x)),
     )
 

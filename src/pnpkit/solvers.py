@@ -37,8 +37,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (DivergenceError, SolveError, Trace, as_array, diverged, psnr, read_only,
-                   scoped_run)
+from .core import (DivergenceError, SolveError, Trace, as_array, diverged, lincomb, psnr,
+                   read_only, scoped_run)
 from .denoisers import Denoiser
 from .operators import LinearOp, solve_shifted_normal
 from .proximal import ProxMap, quadratic_fidelity_prox, zero_prox
@@ -101,7 +101,7 @@ class SmoothFn:
                              "its potential")
         if not lam > 0:
             raise ValueError("lam must be positive")
-        return SmoothFn(grad=lambda x: lam * den.grad_potential(x, 0.0),
+        return SmoothFn(grad=lambda x: lincomb((lam, den.grad_potential(x, 0.0))),
                         value=lambda x: lam * float(den.potential(x, 0.0)))
 
 
@@ -298,8 +298,9 @@ def _pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, precond=None,
     def advance(k, x):
         nonlocal fx, t
         grad = f.grad(x)
-        if not backtracking:
-            return slot.apply(x - t * grad, t)
+        if not backtracking:  # a scalar step's combination carries its spectrum
+            v = x - t * grad if precond is not None else lincomb((1.0, x), (-t, grad))
+            return slot.apply(v, t)
         slack = 1e-12 * max(1.0, abs(fx))
         for _ in range(_HALVINGS + 1):
             cand = slot.apply(x - t * grad, t)
@@ -329,15 +330,18 @@ def run_apgd(grad_f, reg, cfg: SolverConfig, x0, reference=None):
     f = _as_smooth(grad_f)
     slot = _as_slot(reg)
     alpha = cfg.alpha
-    y = as_array(x0)
+    y = None  # y_0: row 0 takes the run's copy of x0, whose spectrum its objective holds
 
     def advance(k, x):
         nonlocal y
-        q = (1.0 - alpha) * x + alpha * y
-        y = slot.apply(y - cfg.step * f.grad(q), cfg.step)
-        return (1.0 - alpha) * x + alpha * y
+        q = lincomb((1.0 - alpha, x), (alpha, y))
+        y = slot.apply(lincomb((1.0, y), (-cfg.step, f.grad(q))), cfg.step)
+        return lincomb((1.0 - alpha, x), (alpha, y))
 
     def report(k, x, r):
+        nonlocal y
+        if k == 0:
+            y = x
         return x, _objective(x, cfg.step, f, slot), r, r
 
     return _iterate(cfg, x0, advance, report, reference)
@@ -367,15 +371,18 @@ def run_drs(map_a, map_b, cfg: SolverConfig, x0, reference=None):
     slot_a = _as_slot(map_a)
     slot_b = _as_slot(map_b)
     lam = cfg.step
-    y = as_array(x0)  # the traced point; row 0 shows the start
+    y = None  # the traced point; row 0 shows the start, the run's copy of x0
 
     def advance(k, x):
         nonlocal y
         y = slot_a.apply(x, lam)
-        z = slot_b.apply(2.0 * y - x, lam)
-        return x + z - y
+        z = slot_b.apply(lincomb((2.0, y), (-1.0, x)), lam)
+        return lincomb((1.0, x), (1.0, z), (-1.0, y))
 
     def report(k, x, r):
+        nonlocal y
+        if k == 0:
+            y = x
         return y, _objective(y, lam, None, slot_a, slot_b), r, r
 
     return _iterate(cfg, x0, advance, report, reference)

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnpkit import (
+    DenseOp,
+    DiagonalOp,
     ParseError,
     Rng,
     ShapeError,
@@ -15,13 +17,14 @@ from pnpkit import (
     add_gaussian_noise,
     load_signal,
     make_blur,
+    make_mask,
     psnr,
     read_trace,
     save_signal,
     write_trace,
 )
-from pnpkit.core import (DIVERGENCE_NORM, RAW_MAGIC, _irfftn, _rfftn, diverged, real_spectrum,
-                         run_state, scoped_run)
+from pnpkit.core import (DIVERGENCE_NORM, RAW_MAGIC, _irfftn, _rfftn, diverged, lincomb,
+                         real_spectrum, run_state, scoped_run)
 
 
 class TestSignal:
@@ -424,7 +427,7 @@ class TestRealFftPair:
 
 
 class TestSharedSpectra:
-    """A solver run (core.scoped_run) holds two spectra, from real_spectrum or filter outputs."""
+    """A solver run (core.scoped_run) holds five spectra: real_spectrum's, filter inputs and outputs."""
 
     def test_shared_only_inside_the_block(self, rng):
         x = rng.standard_normal((6, 5))
@@ -442,18 +445,18 @@ class TestSharedSpectra:
         np.testing.assert_array_equal(first, np.fft.rfftn(x))
         assert real_spectrum(x, (0, 1)).flags.writeable
 
-    def test_the_run_keeps_two_entries(self, rng):
-        x, z, w = (rng.standard_normal(8) for _ in range(3))
+    def test_the_run_keeps_five_entries(self, rng):
+        xs = [rng.standard_normal(8) for _ in range(6)]
         with scoped_run():
-            first = real_spectrum(x, (0,))
-            second = real_spectrum(z, (0,))
-            assert real_spectrum(x, (0,)) is first  # z took the second entry
-            real_spectrum(w, (0,))  # a third array evicts the oldest, x
-            assert real_spectrum(z, (0,)) is second
-            again = real_spectrum(x, (0,))
-            assert again is not first
-            np.testing.assert_array_equal(again, first)
-            assert real_spectrum(x, (0,)) is again
+            held = [real_spectrum(x, (0,)) for x in xs[:5]]
+            # the others took the next four entries; a lookup moves nothing
+            assert all(real_spectrum(x, (0,)) is spec for x, spec in zip(xs[:5], held))
+            real_spectrum(xs[5], (0,))  # a sixth array evicts the oldest, xs[0]
+            assert all(real_spectrum(x, (0,)) is spec for x, spec in zip(xs[1:5], held[1:]))
+            again = real_spectrum(xs[0], (0,))
+            assert again is not held[0]
+            np.testing.assert_array_equal(again, held[0])
+            assert real_spectrum(xs[0], (0,)) is again
 
     def test_nothing_survives_the_run(self, rng):
         x = rng.standard_normal(8)
@@ -517,10 +520,14 @@ class TestSharedSpectra:
         x = rng.standard_normal((8, 8))
         with scoped_run():
             out = op._apply(x)
-            assert forward[0] == 1 and core._held_spectrum(run_state(), x, (0, 1)) is None
+            held = core._held_spectrum(run_state(), x, (0, 1))
+            assert forward[0] == 1 and held is not None  # the input's fresh transform is held
+            op._adjoint(x)
             op._adjoint(out)
             op.shifted_solve(0.5, out)
-            assert forward[0] == 1  # both read the spectrum held for out
+            assert forward[0] == 1  # each read the spectrum held for x or for out
+            assert core._held_spectrum(run_state(), x, (0, 1)) is held
+            assert sum(entry is x for entry, _, _ in run_state()["real_spectrum"]) == 1
         op._apply(out)
         assert forward[0] == 2  # outside a run every filter transforms afresh
 
@@ -537,3 +544,85 @@ class TestSharedSpectra:
         assert seen[0] is not held and seen[0].flags.writeable
         after = real_spectrum(out, (0, 1))
         assert after is not held and after.flags.writeable
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
+class TestLincomb:
+    """core.lincomb: the bits of the written expression; in a run, the spectrum of held terms."""
+
+    @staticmethod
+    def _forms(x, y, z, t=0.37, alpha=0.3):
+        # (terms, the written expression) for each combination the drivers form
+        return [
+            (((1.0, x), (-t, y)), x - t * y),
+            (((2.0, y), (-1.0, x)), 2.0 * y - x),
+            (((1.0, x), (1.0, z), (-1.0, y)), x + z - y),
+            (((1.0 - alpha, x), (alpha, y)), (1.0 - alpha) * x + alpha * y),
+            (((t, y),), t * y),
+        ]
+
+    def test_the_bits_of_the_written_expression_outside_a_run(self, rng):
+        scales = np.array([1e-300, 1e-8, 1.0, 3.0, 1e8, 1e300])
+        x, y, z = (rng.standard_normal((4, 6)) * scales for _ in range(3))
+        for t in (0.37, 1.0, 2.0, 1e308):
+            with np.errstate(over="ignore", invalid="ignore"):
+                for terms, expected in self._forms(x, y, z, t):
+                    out = lincomb(*terms)
+                    np.testing.assert_array_equal(_bits(out), _bits(expected))
+                    assert all(out is not term for _, term in terms)  # always a new array
+
+    @pytest.mark.parametrize("kind", ["dense", "diagonal"])
+    def test_dense_and_diagonal_runs_keep_the_bits_and_hold_nothing(self, kind, rng):
+        op = (DenseOp(rng.standard_normal((6, 6))) if kind == "dense"
+              else DiagonalOp(rng.standard_normal(6)))
+        with scoped_run():
+            x, y, z = (op._apply(rng.standard_normal(6)) for _ in range(3))
+            for terms, expected in self._forms(x, y, z):
+                np.testing.assert_array_equal(_bits(lincomb(*terms)), _bits(expected))
+            assert not run_state().get("real_spectrum")
+
+    def test_a_term_without_a_held_spectrum_makes_no_transform(self, rng, monkeypatch):
+        from pnpkit import core
+
+        forward = [0]
+
+        def counted(x, axes):
+            forward[0] += 1
+            return _rfftn(x, axes)
+
+        monkeypatch.setattr(core, "_rfftn", counted)
+        blur = make_blur(np.full((3, 3), 1.0 / 9.0), (8, 8))
+        mask = make_mask(rng.uniform(0.0, 1.0, (8, 8)) > 0.5)
+        with scoped_run():
+            x = rng.standard_normal((8, 8))
+            filtered, masked = blur._apply(x), mask._apply(x)
+            out = lincomb((1.0, filtered), (-0.5, masked))
+            assert core._held_spectrum(run_state(), out, (0, 1)) is None
+            out = lincomb((1.0, masked), (2.0, masked))
+            assert not any(entry is out for entry, _, _ in run_state()["real_spectrum"])
+        assert forward[0] == 0
+
+    @pytest.mark.parametrize("shape", [(12, 9), (12, 9, 3)], ids=["2-D", "per-channel"])
+    def test_a_held_combination_is_the_spectrum_of_the_result(self, shape, rng):
+        from pnpkit import core
+
+        op = make_blur(rng.uniform(0.0, 1.0, (3, 5)), shape)
+        axes = (0, 1)
+        for form in range(5):
+            with scoped_run():
+                x = op._apply(rng.standard_normal(shape))
+                y = op._adjoint(x)
+                z = op.normal(y)
+                terms, expected = self._forms(x, y, z)[form]
+                out = lincomb(*terms)
+                np.testing.assert_array_equal(_bits(out), _bits(expected))
+                held = core._held_spectrum(run_state(), out, axes)
+                assert held is not None and not held.flags.writeable
+                fresh = _rfftn(out, axes)
+                assert np.max(np.abs(held - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+                again = op._apply(out)  # reads the held spectrum
+            np.testing.assert_allclose(again, op._apply(out), rtol=0,
+                                       atol=1e-12 * np.max(np.abs(out)))

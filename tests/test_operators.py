@@ -29,6 +29,7 @@ from pnpkit import (
     tikhonov_solve,
     tv_denoiser,
 )
+from pnpkit.core import _irfftn, _rfftn
 from pnpkit.operators import CompositeOp, half_spectrum_weights
 
 
@@ -340,6 +341,28 @@ class TestRealFftCirculant:
         x, y = rng.standard_normal(shape), rng.standard_normal(shape)
         pixel = 0.5 * float(np.sum((op._apply(x) - y) ** 2))
         assert op.least_squares_value(y)(x) == pytest.approx(pixel, rel=1e-12)
+
+    @pytest.mark.parametrize("spatial,shape", CIRCULANT_CASES)
+    @pytest.mark.parametrize("even", [False, True])
+    def test_least_squares_maps_are_one_filter_each(self, rng, spatial, shape, even):
+        # the shifted solve and the prox multiply by reciprocals, which has the
+        # bits of the written quotients: numpy divides a complex Z by a real c
+        # as Z * (1/c)
+        op = CirculantOp(half_of(random_response(rng, spatial, even)), shape)
+        x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+        axes = tuple(range(len(spatial)))
+        gram = op._gram if x.ndim == op._gram.ndim else op._gram[..., None]
+        spec, kty_hat = _rfftn(x, axes), _rfftn(op._adjoint(y), axes)
+        lam = 0.7
+        prox = op.least_squares_prox(y)(x, lam)
+        grad = op.least_squares_grad(y)(x)
+        for got, product in [(op.shifted_solve(0.5, x), spec / (gram + 0.5)),
+                             (prox, (spec / lam + kty_hat) / (gram + 1.0 / lam)),
+                             (grad, spec * gram - kty_hat)]:
+            want = _irfftn(product, spatial, axes)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert rel_err(grad, op.adjoint(op.apply(x) - y)) <= 1e-12
+        assert rel_err(prox, solve_shifted_normal(op, 1.0 / lam, op.adjoint(y) + x / lam)) <= 1e-12
 
     @pytest.mark.parametrize("spatial,shape", CIRCULANT_CASES)
     @pytest.mark.parametrize("even", [False, True])

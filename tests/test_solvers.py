@@ -371,6 +371,44 @@ class TestDrs:
         np.testing.assert_array_equal(out, yk)
 
 
+def _bits(arr):
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
+@pytest.mark.parametrize("algo", ["pgd", "apgd", "drs"])
+def test_diagonal_runs_keep_the_bits_of_the_written_iterations(algo):
+    # core.lincomb forms each combination with the operations written below
+    rng = Rng(29)
+    op = DiagonalOp(rng.uniform(0.5, 1.5, 12))
+    y = rng.standard_normal(12)
+    weight, step, alpha, steps = 0.1, 0.6, 0.7, 40
+
+    def shrink(v):
+        return np.sign(v) * np.maximum(np.abs(v) - step * weight, 0.0)
+
+    cfg = SolverConfig(step=step, alpha=alpha, max_iter=steps, tol=0.0)
+    slot = RegSlot(prox=l1_prox(weight))
+    x, yk = np.zeros(12), np.zeros(12)
+    if algo == "drs":
+        fidelity = quadratic_fidelity_prox(op, y)
+        out, _ = run_drs(fidelity, slot, cfg, x)
+        for _ in range(steps):
+            yk = np.asarray(fidelity.evaluate(x, step))
+            x = x + shrink(2.0 * yk - x) - yk
+        x = yk
+    else:
+        driver = run_pgd if algo == "pgd" else run_apgd
+        out, _ = driver(SmoothFn.least_squares(op, y), slot, cfg, x)
+        for _ in range(steps):
+            if algo == "pgd":
+                x = shrink(x - step * op._adjoint(op._apply(x) - y))
+            else:
+                q = (1.0 - alpha) * x + alpha * yk
+                yk = shrink(yk - step * op._adjoint(op._apply(q) - y))
+                x = (1.0 - alpha) * x + alpha * yk
+    np.testing.assert_array_equal(_bits(out), _bits(x))
+
+
 class TestAdmm:
     def test_identity_reg_gives_least_squares(self, lasso_instance):
         k_mat, y, _ = lasso_instance
@@ -903,8 +941,9 @@ class TestObjectiveTransforms:
         assert solvers._objective(x, 1.0, fid, slot) == pytest.approx(
             fid.value(x.copy()) + slot.reg_value(x.copy(), 1.0), rel=1e-14)
 
-    @pytest.mark.parametrize("algo", sorted(PROVABLE_RUNS))
-    def test_at_most_five_real_transforms_per_iteration(self, algo, monkeypatch):
+    @staticmethod
+    def _count_transforms(monkeypatch):
+        """A one-entry list that counts every real transform from now on."""
         from pnpkit import core, operators
 
         count = [0]
@@ -920,6 +959,11 @@ class TestObjectiveTransforms:
             wrapped = counted(getattr(core, name))
             for module in (core, operators):
                 monkeypatch.setattr(module, name, wrapped)
+        return count
+
+    @pytest.mark.parametrize("algo", sorted(PROVABLE_RUNS))
+    def test_at_most_two_real_transforms_per_iteration(self, algo, monkeypatch):
+        count = self._count_transforms(monkeypatch)
         op, y, den = _circulant_gs_problem()
         slot = RegSlot(denoiser=den)
         counts = {}
@@ -929,28 +973,89 @@ class TestObjectiveTransforms:
             _, trace = PROVABLE_RUNS[algo](op, y, slot, cfg)
             assert np.all(np.isfinite(trace.column("objective")))
             counts[iters] = count[0]
-        # a filter reads the spectrum the run holds for its input (a denoiser's
-        # or a prox's output) and the objective the one of the traced point;
-        # APGD's q and its traced point are new linear combinations
-        per_iteration = {"pnp-pgd": 3, "gs-pnp": 3, "pnp-drs": 4, "pnp-drsdiff": 4,
-                         "apgd": 5}[algo]
+        # each step is two filters: a filter reads the spectrum the run holds
+        # for its input (a denoiser's or a prox's output, or a linear
+        # combination of held spectra, core.lincomb), and the objective the
+        # one of the traced point
+        per_iteration = 2
         assert counts[2] > 0  # the counter sees the transforms the run makes
         assert counts[8] - counts[2] <= per_iteration * 6  # the set-up and row 0 cancel out
         assert counts[2] <= per_iteration * 2 + 8  # the set-up: K^T y, the transform of y, row 0
 
     @pytest.mark.parametrize("algo, message", [
         ("pnp-pgd", "denoiser 'gs' produced non-finite output"),
-        ("gs-pnp", "iterates diverged at step 3"),
+        ("gs-pnp", "iterates diverged at step 2"),
     ], ids=["pnp-pgd", "gs-pnp"])
     def test_a_diverging_step_is_reported_once_without_warnings(self, algo, message):
         # step 1e308 overflows the step to inf and then to NaN inside the
-        # filters; the run reports it only as a DivergenceError
+        # filters; the run reports it only as a DivergenceError.  GS-PnP's
+        # step x - t*grad g is filtered from its held spectrum, whose entries
+        # sum over the grid, so it overflows a step before the spatial one
+        # would
         op, y, den = _circulant_gs_problem(side=16)
         cfg = SolverConfig(step=1e308, max_iter=50, record_time=False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError, match=f"^{message}$"):
                 PROVABLE_RUNS[algo](op, y, RegSlot(denoiser=den), cfg)
+
+    @pytest.mark.parametrize("algo", sorted(set(PROVABLE_RUNS) - {"gs-pnp"}))
+    def test_a_mask_run_makes_no_transform(self, algo, monkeypatch):
+        # every term of every linear combination lacks a held spectrum, and
+        # core.lincomb never transforms one to make it
+        count = self._count_transforms(monkeypatch)
+        rng = Rng(23)
+        op = make_mask(rng.uniform(0, 1, (16, 16)) > 0.4)
+        y = op._apply(rng.uniform(0, 1, (16, 16)))
+        cfg = SolverConfig(step=1.0, max_iter=6, tol=0.0, record_time=False)
+        _, trace = PROVABLE_RUNS[algo](op, y, RegSlot(prox=l1_prox(0.05)), cfg)
+        assert np.all(np.isfinite(trace.column("objective")))
+        assert count[0] == 0
+
+    @pytest.mark.parametrize("algo", ["pgd", "apgd", "drs"])
+    def test_a_mask_run_with_a_circulant_denoiser_matches_its_written_iteration(self, algo):
+        # the denoiser's outputs have held spectra and the mask's do not, so
+        # no combination of the two may hold one
+        rng = Rng(31)
+        shape = (16, 16)
+        op = make_mask(rng.uniform(0, 1, shape) > 0.4)
+        y = op._apply(rng.uniform(0, 1, shape))
+        den = gs_denoiser(gaussian_smoother(shape, 1.5, floor=0.15), weight=0.7)
+        step, alpha, steps = 1.0, 0.5, 8
+        cfg = SolverConfig(step=step, alpha=alpha, max_iter=steps, tol=0.0, record_time=False)
+        x0 = op._adjoint(y)
+        x, yk = x0, x0
+        if algo == "drs":
+            fidelity = quadratic_fidelity_prox(op, y)
+            out, _ = run_drs(fidelity, den, cfg, x0)
+            for _ in range(steps):
+                yk = fidelity.evaluate(x, step)
+                x = x + den.apply(2.0 * yk - x) - yk
+            x = yk
+        else:
+            fid = SmoothFn.least_squares(op, y)
+            out, _ = (run_pgd if algo == "pgd" else run_apgd)(fid, den, cfg, x0)
+            for _ in range(steps):
+                if algo == "pgd":
+                    x = den.apply(x - step * fid.grad(x))
+                else:
+                    yk = den.apply(yk - step * fid.grad((1.0 - alpha) * x + alpha * yk))
+                    x = (1.0 - alpha) * x + alpha * yk
+        np.testing.assert_allclose(out, x, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("algo", sorted(PROVABLE_RUNS))
+    def test_a_per_channel_run_traces_its_spatial_objective(self, algo):
+        # a 2-D kernel on 16x16x3: every held spectrum is over the axes (0, 1)
+        rng = Rng(17)
+        shape = (16, 16, 3)
+        op = make_blur(np.full((5, 5), 1.0 / 25.0), shape)
+        y = op._apply(rng.uniform(0, 1, shape)) + 0.03 * rng.standard_normal(shape)
+        den = gs_denoiser(gaussian_smoother(shape, 1.5, floor=0.15), weight=0.7)
+        cfg = SolverConfig(step=1.0, max_iter=8, tol=0.0, record_time=False)
+        x, trace = PROVABLE_RUNS[algo](op, y, RegSlot(denoiser=den), cfg)
+        fidelity = 0.5 * float(np.sum((op.apply(x) - y) ** 2))
+        reg = 0.7 * den.potential(x) if algo == "gs-pnp" else den.prox_potential(x) / cfg.step
+        assert trace.last().objective == pytest.approx(fidelity + reg, rel=1e-12)
 
     @pytest.mark.parametrize("algo, adjoints", [("hqs", 2), ("admm", 1), ("red-pg", 2),
                                                 ("red-apg", 2)])
