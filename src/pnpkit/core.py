@@ -138,16 +138,15 @@ def real_spectrum(x: np.ndarray, axes: tuple) -> np.ndarray:
 
     Inside a :func:`scoped_run` the run holds the read-only spectra of the
     last five array objects recorded with their axes: those this function
-    transformed, the inputs the circulant filters transformed and their
-    outputs (:meth:`~pnpkit.operators.CirculantOp._filter`), and the
-    combinations :func:`lincomb` formed of held spectra, a sixth evicting
-    the oldest.  A request for a held object and axes returns its spectrum
-    again, so no array that this function, a filter or a combination has
-    read may change in place while the run goes on.
-    A filter output's spectrum is the filtered product the filter inverted,
-    and a combination's the combination of its terms' spectra; each differs
-    from a fresh transform of the array in the last bits.  Outside a run
-    every call transforms afresh.
+    transformed (a filter's input among them), the outputs of
+    :func:`_spectral_filter`, and the combinations :func:`lincomb` formed of
+    held spectra, a sixth evicting the oldest.  A request for a held object
+    and axes returns its spectrum again, so no array that this function, a
+    filter or a combination has read may change in place while the run goes
+    on.  A filter output's spectrum is the filtered product the filter
+    inverted, and a combination's the combination of its terms' spectra;
+    each differs from a fresh transform of the array in the last bits.
+    Outside a run every call transforms afresh.
     """
     state = _RUN_STATE.get()
     if state is None:
@@ -157,6 +156,27 @@ def real_spectrum(x: np.ndarray, axes: tuple) -> np.ndarray:
         spec = _rfftn(x, axes)
         _hold_spectrum(state, x, axes, spec)
     return spec
+
+
+def _spectral_filter(x: np.ndarray, axes: tuple, shape: tuple, product) -> np.ndarray:
+    """The inverse real FFT onto the sides ``shape`` of ``product(X)``, X = real_spectrum(x).
+
+    ``product`` forms a new array from X, which inside a run may be a held,
+    read-only spectrum.  Inside a run the inverse runs on the run's one work
+    copy of the product, and the product is held as the output's spectrum
+    (see :func:`real_spectrum`).
+    """
+    spec = product(real_spectrum(x, axes))
+    state = _RUN_STATE.get()
+    if state is None:
+        return _irfftn(spec, shape, axes)
+    work = state.get("spectrum_work")  # the inverse overwrites its input: the run's copy
+    if work is None or work.shape != spec.shape:
+        work = state["spectrum_work"] = np.empty_like(spec)
+    np.copyto(work, spec)
+    out = _irfftn(work, shape, axes)
+    _hold_spectrum(state, out, axes, spec)
+    return out
 
 
 def _held_spectrum(state: dict, x: np.ndarray, axes: tuple) -> np.ndarray | None:

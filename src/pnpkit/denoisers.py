@@ -56,8 +56,8 @@ class Denoiser:
         self.grad_lipschitz = grad_lipschitz
 
     def apply(self, x, sigma: float = 0.0):
-        if sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (math.isfinite(sigma) and sigma >= 0):
+            raise ValueError("sigma must be finite and nonnegative")
         arr = as_array(x)
         out = as_array(self._fn(arr, float(sigma)))
         if out.shape != arr.shape:

@@ -16,8 +16,7 @@ import math
 
 import numpy as np
 
-from .core import (Rng, ShapeError, SolveError, _held_spectrum, _hold_spectrum, _irfftn, _rfftn,
-                   as_array, real_spectrum, run_state)
+from .core import Rng, ShapeError, SolveError, _rfftn, _spectral_filter, as_array, real_spectrum
 
 CG_RTOL = 1e-10
 SVD_MAX_DIM = 512
@@ -230,10 +229,11 @@ class CirculantOp(LinearOp):
     then :func:`~pnpkit.core._irfftn`); the least-squares and quadratic
     values are one forward real FFT, by Parseval.  The least-squares
     gradient and prox are single filters too, with K^T y's spectrum folded
-    into the filtered product.  Inside a solver run the forward transform
-    may come from the run, which holds the spectra of the filters' inputs
-    and outputs and of their linear combinations (:meth:`_filter`,
-    :func:`~pnpkit.core.lincomb`), so a filter of a denoiser's or a prox's
+    into the filtered product.  Each filter is one
+    :func:`~pnpkit.core._spectral_filter`: inside a solver run the forward
+    transform may come from the run, which holds the spectra of the
+    filters' inputs and outputs and of their linear combinations
+    (:func:`~pnpkit.core.lincomb`), so a filter of a denoiser's or a prox's
     output, or of a combination of such outputs, costs one inverse transform.
     """
 
@@ -260,33 +260,14 @@ class CirculantOp(LinearOp):
         self._axes = tuple(range(len(spatial)))
 
     def _filter(self, x, response, combine=np.multiply):
-        """The inverse real FFT of Z = combine(X, response), X the spectrum of x.
+        """The inverse real FFT of the new array combine(X, response), X the spectrum of x.
 
-        ``combine(X, response, out=None)`` forms Z, in X itself when given
-        ``out=X``.  Outside a solver run X is a fresh transform, combined in
-        place.  Inside one X is the spectrum the run holds for x, or a fresh
-        transform that the run then holds for x (see
-        :func:`~pnpkit.core.real_spectrum`); Z is a new array, as a held
-        spectrum is read-only.  The inverse runs on the run's one work copy
-        of Z, and Z is held as the output's spectrum.
+        One :func:`~pnpkit.core._spectral_filter`, with the response fitted
+        to a per-channel x.
         """
         if x.ndim != response.ndim:
             response = response[..., None]  # per channel
-        state = run_state()
-        spec = None if state is None else _held_spectrum(state, x, self._axes)
-        if spec is None:
-            spec = _rfftn(x, self._axes)
-            if state is None:
-                return _irfftn(combine(spec, response, out=spec), self._spatial, self._axes)
-            _hold_spectrum(state, x, self._axes, spec)
-        spec = combine(spec, response)
-        work = state.get("spectrum_work")  # the inverse overwrites its input: the run's copy
-        if work is None or work.shape != spec.shape:
-            work = state["spectrum_work"] = np.empty_like(spec)
-        np.copyto(work, spec)
-        out = _irfftn(work, self._spatial, self._axes)
-        _hold_spectrum(state, out, self._axes, spec)
-        return out
+        return _spectral_filter(x, self._axes, self._spatial, lambda spec: combine(spec, response))
 
     def _apply(self, x):
         return self._filter(x, self.half_response)
@@ -342,8 +323,8 @@ class CirculantOp(LinearOp):
         """x -> K^T (K x - y), one filter with the product |H|^2 X - (K^T y)^."""
         kty_hat = _rfftn(self._adjoint(y), self._axes)  # once
 
-        def gradient(spec, gram, out=None):
-            res = np.multiply(spec, gram, out=out)
+        def gradient(spec, gram):
+            res = spec * gram
             res -= kty_hat
             return res
 
@@ -361,8 +342,8 @@ class CirculantOp(LinearOp):
             if not rho > 0:
                 raise ValueError("rho must be positive")
 
-            def solve(spec, inverse, out=None):
-                res = np.multiply(spec, rho, out=out)
+            def solve(spec, inverse):
+                res = spec * rho
                 res += kty_hat
                 return np.multiply(res, inverse, out=res)
 

@@ -295,7 +295,11 @@ def _energy_scale(arr: np.ndarray) -> float:
     return math.ldexp(1.0, k - j)
 
 
-def prox_tv(v, lam: float, tol: float | None = None, max_iter: int = 200000):
+# The inner-iteration cap of a TV prox: prox_tv's default, and every tv_conj_prox solve's.
+_TV_MAX_ITER = 200000
+
+
+def prox_tv(v, lam: float, tol: float | None = None, max_iter: int = _TV_MAX_ITER):
     """Prox of lam * TV (anisotropic, forward differences, Neumann boundary).
 
     Chambolle-type dual projection with FISTA acceleration, stopped on the
@@ -365,34 +369,21 @@ def _warm_dual(arr: np.ndarray):
 
 
 class ProxMap:
-    """A prox evaluator with an identity tag and optional objective.
+    """A prox evaluator with an optional objective.
 
     ``evaluate(v, lam)`` returns prox_{lam*f}(v) as an array for a positive
-    scalar lam.
-    A prox built with ``separable=True`` (f a sum of per-entry terms) also
-    takes a positive componentwise lam shaped like v, which is the prox under
-    a diagonal metric; other proxes raise SolveError for it.  ``objective``
-    (when present) evaluates f itself, which solver traces use.
+    scalar lam; any other lam, an array included, raises ValueError.
+    ``objective`` (when present) evaluates f itself, which solver traces use.
     """
 
-    def __init__(self, fn_id: str, evaluate, objective=None, separable: bool = False):
-        self.fn_id = fn_id
+    def __init__(self, evaluate, objective=None):
         self._evaluate = evaluate
         self.objective = objective
-        self.separable = separable
 
     def evaluate(self, v, lam):
-        if np.ndim(lam) == 0:
-            if not lam > 0:
-                raise ValueError("lam must be positive")
-            lam = float(lam)
-        elif not self.separable:
-            raise SolveError(f"prox {self.fn_id!r} does not support componentwise scaling")
-        else:
-            lam = as_array(lam)
-            if not np.all(lam > 0):
-                raise ValueError("componentwise lam must be positive")
-        return as_array(self._evaluate(as_array(v), lam))
+        if not (np.ndim(lam) == 0 and lam > 0):
+            raise ValueError("lam must be a positive scalar")
+        return as_array(self._evaluate(as_array(v), float(lam)))
 
 
 def _shrink(v: np.ndarray, tau) -> np.ndarray:
@@ -402,12 +393,8 @@ def _shrink(v: np.ndarray, tau) -> np.ndarray:
 
 def l1_prox(weight: float = 1.0) -> ProxMap:
     _check_weight(weight)
-    return ProxMap(
-        "l1",
-        lambda v, lam: _shrink(v, lam * weight),
-        objective=lambda x: weight * float(np.sum(np.abs(as_array(x)))),
-        separable=True,
-    )
+    return ProxMap(lambda v, lam: _shrink(v, lam * weight),
+                   objective=lambda x: weight * float(np.sum(np.abs(as_array(x)))))
 
 
 def box_prox(lo: float = 0.0, hi: float = 1.0) -> ProxMap:
@@ -419,47 +406,33 @@ def box_prox(lo: float = 0.0, hi: float = 1.0) -> ProxMap:
         arr = as_array(x)
         return 0.0 if (arr.min() >= lo - 1e-12 and arr.max() <= hi + 1e-12) else np.inf
 
-    return ProxMap(
-        "box",
-        lambda v, lam: np.clip(v, lo, hi),
-        objective=objective,
-        separable=True,
-    )
+    return ProxMap(lambda v, lam: np.clip(v, lo, hi), objective=objective)
 
 
 def quadratic_prox(center, weight: float = 1.0) -> ProxMap:
     """Prox of (weight/2)*||x - center||^2; self-conjugate at center 0 and weight 1."""
     _check_weight(weight)
     c = as_array(center)
-    return ProxMap(
-        "quadratic",
-        lambda v, lam: (v + lam * weight * c) / (1.0 + lam * weight),
-        objective=lambda x: 0.5 * weight * float(np.sum((as_array(x) - c) ** 2)),
-        separable=True,
-    )
+    return ProxMap(lambda v, lam: (v + lam * weight * c) / (1.0 + lam * weight),
+                   objective=lambda x: 0.5 * weight * float(np.sum((as_array(x) - c) ** 2)))
 
 
 def zero_prox() -> ProxMap:
-    return ProxMap(
-        "zero",
-        lambda v, lam: v.copy(),
-        objective=lambda x: 0.0,
-        separable=True,
-    )
+    return ProxMap(lambda v, lam: v.copy(), objective=lambda x: 0.0)
 
 
-def tv_prox(weight: float = 1.0, tol: float | None = None, max_iter: int = 200000) -> ProxMap:
+def tv_prox(weight: float = 1.0, tol: float | None = None) -> ProxMap:
     _check_weight(weight)
 
     def evaluate(v, lam):
         if not math.isfinite(lam * weight):
             raise ValueError(f"TV strength weight * step = {weight!r} * {lam!r} is not finite")
-        return prox_tv(v, lam * weight, tol=tol, max_iter=max_iter)
+        return prox_tv(v, lam * weight, tol=tol)
 
-    return ProxMap("tv", evaluate, objective=lambda x: weight * tv_value(x))
+    return ProxMap(evaluate, objective=lambda x: weight * tv_value(x))
 
 
-def tv_conj_prox(weight: float = 1.0, tol: float | None = None, max_iter: int = 200000) -> ProxMap:
+def tv_conj_prox(weight: float = 1.0, tol: float | None = None) -> ProxMap:
     """Prox of (weight*TV)^*: projection onto {grad^T p : |p| <= weight}.
 
     The conjugate of weight*TV is an indicator, so the prox ignores lam.  Each
@@ -476,9 +449,9 @@ def tv_conj_prox(weight: float = 1.0, tol: float | None = None, max_iter: int = 
         _check_tv_domain(v)
         if weight == 0.0:
             return np.zeros_like(v)
-        return _tv_solve(v, weight, tol, max_iter, conjugate=True)
+        return _tv_solve(v, weight, tol, _TV_MAX_ITER, conjugate=True)
 
-    return ProxMap("tv_conjugate", evaluate)
+    return ProxMap(evaluate)
 
 
 def wavelet_l1_prox(weight: float = 1.0, levels: int = 1) -> ProxMap:
@@ -490,7 +463,6 @@ def wavelet_l1_prox(weight: float = 1.0, levels: int = 1) -> ProxMap:
     if levels < 1:
         raise ValueError("levels must be >= 1")
     return ProxMap(
-        "wavelet_l1",
         lambda v, lam: haar_inverse(_shrink(haar_transform(v, levels), lam * weight), levels),
         objective=lambda x: weight * float(np.sum(np.abs(haar_transform(x, levels)))),
     )
@@ -507,11 +479,7 @@ def quadratic_fidelity_prox(op: LinearOp, y) -> ProxMap:
     """
     y_arr = op._data(y)
     value = op.least_squares_value(y_arr)
-    return ProxMap(
-        "quadratic_fidelity",
-        op.least_squares_prox(y_arr),
-        objective=lambda x: value(as_array(x)),
-    )
+    return ProxMap(op.least_squares_prox(y_arr), objective=lambda x: value(as_array(x)))
 
 
 def moreau_check(p: ProxMap, p_conj: ProxMap, v) -> float:

@@ -17,9 +17,9 @@ DivergenceError from inside the step (a denoiser's non-finite output),
 raises :class:`~pnpkit.core.DivergenceError` carrying the step, the last
 finite state and the trace, in every driver.
 
-One driver per scheme: :func:`run_pgd` takes an optional diagonal metric
-or a backtracking step rule, and fidelity-first DRS is :func:`run_drs` with
-the fidelity prox first.  Gradient-step PnP (Hurault et al. 2022) is PGD on
+One driver per scheme: :func:`run_pgd` takes an optional backtracking
+step rule, and fidelity-first DRS is :func:`run_drs` with the fidelity prox
+first.  Gradient-step PnP (Hurault et al. 2022) is PGD on
 F = f + lam*g with the data term in the prox slot and the denoiser's
 potential as the smooth term: ``run_pgd(SmoothFn.potential(den, lam),
 quadratic_fidelity_prox(op, y), cfg, x0)``.  RED-GD and RED-PG are PGD runs
@@ -115,9 +115,9 @@ def _as_smooth(obj) -> SmoothFn:
 class RegSlot:
     """Regularization slot: exactly one of an exact prox or a denoiser.
 
-    For a prox slot, ``apply(v, scale)`` evaluates prox_{scale*g} (scale may
-    be componentwise for a separable prox); the denoiser slot applies D_sigma
-    and ignores the scale, which is the plug-and-play substitution.
+    For a prox slot, ``apply(v, scale)`` evaluates prox_{scale*g} for a
+    positive scalar scale; the denoiser slot applies D_sigma and ignores the
+    scale, which is the plug-and-play substitution.
     ``reg_value`` evaluates the regularization term of the objective the
     scheme targets, when that is known (prox objective, or the denoiser's
     exact proximal potential divided by the scale).
@@ -130,8 +130,8 @@ class RegSlot:
     def __post_init__(self):
         if (self.prox is None) == (self.denoiser is None):
             raise ValueError("exactly one of prox/denoiser must be set")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("sigma must be finite and nonnegative")
 
     def apply(self, v: np.ndarray, scale: float) -> np.ndarray:
         if self.prox is not None:
@@ -237,16 +237,11 @@ def _iterate(cfg: SolverConfig, x0, advance, report, reference=None):
 # ---------------------------------------------------------------------------
 
 
-def run_pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, precond=None,
-            backtracking: bool = False):
+def run_pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, backtracking: bool = False):
     """Proximal gradient descent x_{k+1} = reg(x_k - step * grad f(x_k)).
 
     With an exact prox in the slot this is classical PGD; with a denoiser it
-    is the plug-and-play substitution of the same iteration.  A positive
-    diagonal metric ``precond`` = B (shaped like x0) replaces the scalar step
-    by the componentwise step 1/B, x_{k+1} = prox_g^B(x_k - B^{-1} grad f(x_k)),
-    which needs a separable prox in the slot (l1, box, quadratic, ...);
-    other proxes raise SolveError.
+    is the plug-and-play substitution of the same iteration.
 
     With ``backtracking`` the trial step t starts at ``cfg.step``, is halved
     (at most 60 times per iteration) until F = f + g satisfies
@@ -258,13 +253,13 @@ def run_pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, precond=None,
     the descent lemma when f is L-smooth and g convex.  A 1e-12 relative
     slack keeps rounding noise near convergence from stalling the search;
     exhaustion raises SolveError reporting both F values.  Backtracking needs
-    ``f.value``, a prox slot with an objective, and no ``precond``.
+    ``f.value`` and a prox slot with an objective.
     """
-    return _pgd(grad_f, reg, cfg, x0, reference, precond, backtracking)
+    return _pgd(grad_f, reg, cfg, x0, reference, backtracking)
 
 
-def _pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, precond=None,
-         backtracking: bool = False, residual=None):
+def _pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, backtracking: bool = False,
+         residual=None):
     """:func:`run_pgd`, tracing ``residual(x)`` as the fixed-point residual when given.
 
     Without the hook the fixed-point residual is the step residual.  The RED
@@ -272,22 +267,10 @@ def _pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, precond=None,
     """
     f = _as_smooth(grad_f)
     slot = _as_slot(reg)
-    step = cfg.step
-    if precond is not None:
-        b = as_array(precond)
-        if np.any(b <= 0):
-            raise ValueError("preconditioner entries must be positive")
-        if as_array(x0).shape != b.shape:
-            raise ValueError("preconditioner shape must match the iterate")
-        if slot.prox is None:
-            raise ValueError("a preconditioner needs a prox in the slot")
-        step = 1.0 / b
-    if backtracking and (f.value is None or slot.prox is None or slot.prox.objective is None
-                         or precond is not None):
-        raise ValueError("backtracking needs f.value, a prox slot with an objective, "
-                         "and no precond")
+    if backtracking and (f.value is None or slot.prox is None or slot.prox.objective is None):
+        raise ValueError("backtracking needs f.value and a prox slot with an objective")
     fx = math.nan  # F at the current state
-    t = step  # with backtracking, the accepted step, carried into the next search
+    t = cfg.step  # with backtracking, the accepted step, carried into the next search
 
     def report(k, x, r):
         nonlocal fx
@@ -298,9 +281,8 @@ def _pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, precond=None,
     def advance(k, x):
         nonlocal fx, t
         grad = f.grad(x)
-        if not backtracking:  # a scalar step's combination carries its spectrum
-            v = x - t * grad if precond is not None else lincomb((1.0, x), (-t, grad))
-            return slot.apply(v, t)
+        if not backtracking:  # the step's combination carries its spectrum
+            return slot.apply(lincomb((1.0, x), (-t, grad)), t)
         slack = 1e-12 * max(1.0, abs(fx))
         for _ in range(_HALVINGS + 1):
             cand = slot.apply(x - t * grad, t)

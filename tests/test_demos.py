@@ -91,3 +91,13 @@ def test_readme_proximal_row_names_every_prox_factory():
               if inspect.isfunction(obj) and obj.__module__ == proximal.__name__
               and not name.startswith("_") and re.fullmatch(r"prox_\w+|\w+_prox", name)}
     assert listed == proxes
+
+
+def test_readme_solvers_row_names_only_real_driver_keywords():
+    row = next(line for line in (ROOT / "README.md").read_text().splitlines()
+               if line.startswith("| `pnpkit.solvers` |"))
+    calls = re.findall(r"`(run_\w+)\(([^`]*)`", row)
+    keywords = [(name, kw) for name, args in calls for kw in re.findall(r"(\w+)=", args)]
+    assert keywords  # the row shows at least one keyword call
+    for name, kw in keywords:
+        assert kw in inspect.signature(getattr(solvers, name)).parameters, (name, kw)

@@ -28,6 +28,7 @@ from pnpkit import (
     tv_denoiser,
 )
 from pnpkit.denoisers import Denoiser
+from pnpkit.solvers import RegSlot
 
 
 def nlm_quadruple_loop(image, patch_radius, window_radius, h):
@@ -51,6 +52,28 @@ def nlm_quadruple_loop(image, patch_radius, window_radius, h):
                     den += w
             out[i, j] = num / den
     return out
+
+
+DENOISER_KINDS = {
+    "gaussian": lambda: gaussian_filter_denoiser(1.0),
+    "nlm": lambda: nlm_denoiser(1, 1, 0.3),
+    "tv": lambda: tv_denoiser(1.0),
+    "spectral": lambda: linear_spectral_denoiser((8, 8), 0.5),
+    "gs": lambda: gs_denoiser(gaussian_smoother((8, 8), 1.5, floor=0.15), weight=0.7),
+    "gmm": lambda: mmse_gmm_denoiser(GmmPrior(np.ones(1), np.zeros((1, 64)), np.ones(1))),
+}
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("kind", sorted(DENOISER_KINDS))
+def test_a_sigma_that_is_not_finite_is_rejected(kind, sigma):
+    den = DENOISER_KINDS[kind]()
+    x = np.full((8, 8), 0.5)
+    assert np.all(np.isfinite(den.apply(x, 0.1)))
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        den.apply(x, sigma)
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        RegSlot(denoiser=den, sigma=sigma)
 
 
 class TestGaussianFilter:

@@ -312,23 +312,27 @@ class TestProxMapProperties:
                 z = x + 1e-3 * rng.standard_normal(shape)
                 assert total(z) >= base - 1e-12
 
-    def test_scaled_evaluate_requires_separable(self, rng):
-        with pytest.raises(SolveError):
-            tv_prox(1.0).evaluate(rng.standard_normal(4), np.ones(4))
+    FACTORIES = {
+        "l1": lambda: l1_prox(0.7),
+        "box": lambda: box_prox(0.0, 1.0),
+        "quadratic": lambda: quadratic_prox(0.0, 2.0),
+        "zero": zero_prox,
+        "tv": lambda: tv_prox(0.5),
+        "tv_conj": lambda: tv_conj_prox(0.5),
+        "wavelet_l1": lambda: wavelet_l1_prox(0.5, levels=2),
+        "quadratic_fidelity": lambda: quadratic_fidelity_prox(DiagonalOp(np.full(8, 0.5)),
+                                                              np.ones(8)),
+    }
 
-    def test_componentwise_lam_matches_entrywise_scalar_calls(self, rng):
-        v = rng.standard_normal(5)
-        lam = np.array([0.1, 0.5, 1.0, 2.0, 4.0])
-        for prox in (l1_prox(0.7), box_prox(-0.5, 0.5), quadratic_prox(0.0, 2.0),
-                     quadratic_prox(np.linspace(-1.0, 1.0, 5), 1.5), zero_prox()):
-            expected = [prox.evaluate(v, lam[i])[i] for i in range(5)]
-            np.testing.assert_array_equal(prox.evaluate(v, lam), expected)
-        with pytest.raises(ValueError):
-            l1_prox(1.0).evaluate(v, -lam)
-        with pytest.raises(ValueError):
-            l1_prox(1.0).evaluate(v, np.where(lam > 1.5, np.nan, lam))
-        with pytest.raises(ValueError):
-            l1_prox(1.0).evaluate(v, np.nan)
+    @pytest.mark.parametrize("name", sorted(FACTORIES))
+    @pytest.mark.parametrize("lam", [np.ones(8), 0.0, -1.0, math.nan],
+                             ids=["array", "zero", "negative", "nan"])
+    def test_evaluate_takes_only_a_positive_scalar_lam(self, name, lam, rng):
+        prox = self.FACTORIES[name]()
+        v = rng.standard_normal(8)
+        assert prox.evaluate(v, 0.5).shape == v.shape
+        with pytest.raises(ValueError, match="positive scalar"):
+            prox.evaluate(v, lam)
 
 
 def _reference_grad(x):

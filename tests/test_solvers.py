@@ -40,7 +40,6 @@ from pnpkit import (
     run_red_pg,
     run_pnp_ula,
     solve_shifted_normal,
-    tv_prox,
     zero_prox,
 )
 from pnpkit import solvers
@@ -193,53 +192,6 @@ class TestPgd:
             run_pgd(f, RegSlot(prox=zero_prox()), cfg, np.ones(4))
         assert exc.value.last is not None
         assert np.all(np.isfinite(exc.value.last))
-
-
-class TestPgdPreconditioned:
-    def test_scalar_preconditioner_matches_pgd(self, lasso_instance):
-        k_mat, y, weight = lasso_instance
-        op = DenseOp(k_mat)
-        fid = SmoothFn.least_squares(op, y)
-        c = 8.0
-        cfg = SolverConfig(step=1.0 / c, max_iter=100, tol=0.0)
-        x_pgd, _ = run_pgd(fid, RegSlot(prox=l1_prox(weight)), cfg, np.zeros(5))
-        x_pre, _ = run_pgd(fid, RegSlot(prox=l1_prox(weight)), cfg, np.zeros(5),
-                           precond=np.full(5, c))
-        assert np.max(np.abs(x_pgd - x_pre)) <= 1e-12
-
-    def test_newton_on_diagonal_quadratic(self):
-        h = np.array([2.0, 7.0, 0.5])
-        f = SmoothFn(grad=lambda x: h * x)
-        cfg = SolverConfig(step=1.0, max_iter=3, tol=1e-15)
-        x, trace = run_pgd(f, zero_prox(), cfg, np.array([1.0, -2.0, 3.0]), precond=h)
-        np.testing.assert_allclose(x, np.zeros(3), atol=1e-14)
-        assert trace.rows[1].step_residual > 0  # one step was enough
-
-    def test_lasso_vs_oracle(self, lasso_instance):
-        k_mat, y, weight = lasso_instance
-        op = DenseOp(k_mat)
-        b = np.full(5, np.linalg.norm(k_mat, 2) ** 2)  # valid majorizer
-        cfg = SolverConfig(step=1.0, max_iter=20000, tol=1e-14)
-        x, _ = run_pgd(SmoothFn.least_squares(op, y), l1_prox(weight), cfg, np.zeros(5),
-                       precond=b)
-        oracle = lasso_cd_oracle(k_mat, y, weight)
-        assert np.max(np.abs(x - oracle)) <= 1e-8
-
-    def test_nonseparable_prox_rejected(self):
-        f = SmoothFn(grad=lambda x: x)
-        cfg = SolverConfig(step=1.0, max_iter=2)
-        with pytest.raises(SolveError):
-            run_pgd(f, tv_prox(0.5), cfg, np.zeros(2), precond=np.array([1.0, 2.0]))
-
-    def test_bad_preconditioner_rejected(self):
-        f = SmoothFn(grad=lambda x: x)
-        cfg = SolverConfig(max_iter=2)
-        with pytest.raises(ValueError, match="positive"):
-            run_pgd(f, zero_prox(), cfg, np.zeros(2), precond=np.array([1.0, 0.0]))
-        with pytest.raises(ValueError, match="shape"):
-            run_pgd(f, zero_prox(), cfg, np.zeros(2), precond=np.ones(3))
-        with pytest.raises(ValueError, match="prox"):
-            run_pgd(f, identity_denoiser(), cfg, np.zeros(2), precond=np.ones(2))
 
 
 class TestApgd:
@@ -954,11 +906,9 @@ class TestObjectiveTransforms:
                 return fn(*args, **kwargs)
             return wrapper
 
-        # the real FFT pair lives in core; operators binds its own names for it
-        for name in ("_rfftn", "_irfftn"):
-            wrapped = counted(getattr(core, name))
-            for module in (core, operators):
-                monkeypatch.setattr(module, name, wrapped)
+        # the real FFT pair lives in core; operators binds its own name for the forward one
+        for module, name in ((core, "_rfftn"), (core, "_irfftn"), (operators, "_rfftn")):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
         return count
 
     @pytest.mark.parametrize("algo", sorted(PROVABLE_RUNS))
@@ -1115,12 +1065,6 @@ class TestBacktracking:
             run_pgd(SmoothFn.least_squares(DenseOp(k_mat), y), identity_denoiser(),
                     SolverConfig(), np.zeros(5), backtracking=True)
 
-    def test_rejects_precond(self, lasso_instance):
-        k_mat, y, _ = lasso_instance
-        with pytest.raises(ValueError, match="backtracking"):
-            run_pgd(SmoothFn.least_squares(DenseOp(k_mat), y), l1_prox(0.2),
-                    SolverConfig(), np.zeros(5), precond=np.ones(5), backtracking=True)
-
     def test_rejects_smooth_term_without_value(self, lasso_instance):
         k_mat, y, _ = lasso_instance
         grad = DenseOp(k_mat).least_squares_grad(y)
@@ -1272,8 +1216,6 @@ def _with_contraction(result):
 DRIVERS = {
     "pgd": lambda cfg, grow: run_pgd(
         _fid(), RegSlot(denoiser=_scaling_denoiser(grow)), cfg, np.ones(4)),
-    "pgd_preconditioned": lambda cfg, grow: run_pgd(
-        _fid(), l1_prox(0.1), cfg, np.ones(4), precond=np.full(4, 0.01 if grow else 1.0)),
     "apgd": lambda cfg, grow: run_apgd(
         _fid(), RegSlot(denoiser=_scaling_denoiser(grow)), cfg, np.ones(4)),
     "drs": lambda cfg, grow: run_drs(
