@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import DivergenceError, Rng, ShapeError, as_array
 from .gmm import GmmPrior, _posterior_mean
-from .operators import CirculantOp, LinearOp, make_blur
+from .operators import CirculantOp, make_blur
 from .proximal import haar_inverse, haar_transform, prox_tv, tv_value
 
 JACOBIAN_MAX_DIM = 4096
@@ -78,11 +78,9 @@ class Denoiser:
 def gaussian_kernel(sigma: float, ndim: int = 2, radius: int | None = None) -> np.ndarray:
     """Normalized truncated Gaussian kernel with odd sides (sum exactly 1).
 
-    A negative ``radius`` raises ValueError.
+    A ``sigma`` that is not finite and positive, or a negative ``radius``, raises ValueError.
     """
-    if sigma <= 0:
-        raise ValueError("kernel sigma must be positive")
-    _check_radius(radius)
+    _check_kernel(sigma, radius)
     radius = gaussian_radius(sigma, radius)
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     with np.errstate(over="ignore"):  # a tiny sigma squares to inf: exp(-inf) = 0, a delta
@@ -98,7 +96,9 @@ def gaussian_radius(sigma: float, radius: int | None = None) -> int:
     return max(1, math.ceil(3.0 * sigma)) if radius is None else radius
 
 
-def _check_radius(radius: int | None) -> None:
+def _check_kernel(sigma: float, radius: int | None = None) -> None:
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError("kernel sigma must be finite and positive")
     if radius is not None and radius < 0:
         raise ValueError(f"kernel radius must be nonnegative, got {radius}")
 
@@ -116,12 +116,11 @@ def gaussian_filter_denoiser(kernel_sigma: float, radius: int | None = None) -> 
 
     The measurement sigma argument is ignored; the filter is fixed by
     ``kernel_sigma``.  Constant images are preserved because the kernel sums
-    to one.  A negative ``radius`` raises ValueError; a radius too large for
-    the signal is clamped to fit it.
+    to one.  A ``kernel_sigma`` that is not finite and positive, or a
+    negative ``radius``, raises ValueError; a radius too large for the
+    signal is clamped to fit it.
     """
-    if not kernel_sigma > 0:
-        raise ValueError("kernel sigma must be positive")
-    _check_radius(radius)
+    _check_kernel(kernel_sigma, radius)
 
     def fn(arr, sigma):
         kernel = _fitted_gaussian_kernel(kernel_sigma, arr.shape, radius)
@@ -187,6 +186,14 @@ def tv_denoiser(c: float = 1.0, tol: float | None = None, max_iter: int = 200000
     return Denoiser(fn, tag="tv", prox_potential=phi)
 
 
+def _shaped(x, shape: tuple) -> np.ndarray:
+    """x as an array of ``shape``, the one shape a shape-fixed denoiser takes; else ValueError."""
+    arr = as_array(x)
+    if arr.shape != shape:
+        raise ValueError(f"expected shape {shape}, got {arr.shape}")
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # Linear spectral denoisers
 # ---------------------------------------------------------------------------
@@ -240,12 +247,10 @@ def linear_spectral_denoiser(shape, lam: float, transform: str = "dct",
     quad = 1.0 / gains - 1.0  # D = prox of (1/2) sum quad_k * coeff_k^2
 
     def fn(arr, sigma):
-        if arr.shape != shape:
-            raise ValueError(f"expected shape {shape}, got {arr.shape}")
-        return inv(fwd(arr) * gains)
+        return inv(fwd(_shaped(arr, shape)) * gains)
 
     def phi(x, sigma):
-        coeff = fwd(as_array(x))
+        coeff = fwd(_shaped(x, shape))
         return 0.5 * float(np.sum(quad * coeff * coeff))
 
     return Denoiser(
@@ -270,66 +275,56 @@ def gaussian_smoother(shape, kernel_sigma: float, floor: float = 0.0) -> Circula
     """
     if not (0.0 <= floor < 1.0):
         raise ValueError("floor must lie in [0, 1)")
+    _check_kernel(kernel_sigma)
     shape = tuple(int(s) for s in shape)
     kernel = _fitted_gaussian_kernel(kernel_sigma, shape, None)
     g = make_blur(kernel, shape)
     return CirculantOp(floor + (1.0 - floor) * np.abs(g.half_response) ** 2, shape)
 
 
-def gs_denoiser(smoother: LinearOp, weight: float = 1.0) -> Denoiser:
+def gs_denoiser(smoother: CirculantOp, weight: float = 1.0) -> Denoiser:
     """Gradient-step denoiser D = id - grad g with g(x) = 0.5*||x - A x||^2.
 
-    A must be a symmetric smoother with eigenvalues in [0, 1]; then
-    grad g = (I - A)^2 has Lipschitz constant ||I - A||^2 <= 1.  ``weight``
-    is the default regularization strength the solvers pair with g.  When A
-    is circulant, grad g is one filter with spectrum (1 - a)^2, g one
-    transform, and D one filter with spectrum 1 - (1 - a)^2; when that
-    spectrum is bounded away from 0, D is invertible and its exact proximal
-    potential is exposed as well.
+    A is a symmetric circulant smoother, as :func:`gaussian_smoother`
+    builds, whose real half response a lies in [0, 1].  Then grad g = (I - A)^2
+    is one filter with spectrum (1 - a)^2 and Lipschitz constant
+    ``grad_lipschitz`` = max (1 - a)^2 <= 1, g one transform, and D one
+    filter with spectrum 1 - (1 - a)^2; when that spectrum is bounded away
+    from 0, D is invertible and its exact proximal potential is exposed as
+    well.  Every hook takes x of the smoother's shape only.  ``weight`` is
+    the default regularization strength the solvers pair with g.  A smoother
+    that is not circulant raises TypeError, a complex half response ValueError.
     """
-    if smoother.in_shape != smoother.out_shape:
-        raise ValueError("smoother must be square")
+    if not isinstance(smoother, CirculantOp):
+        raise TypeError(f"the GS smoother must be circulant, got a {smoother.kind} operator")
     if not (math.isfinite(weight) and weight > 0):
         raise ValueError("weight must be finite and positive")
-    spectrum = smoother.symmetric_spectrum()
+    if np.max(np.abs(np.imag(smoother.half_response))) > 1e-10:
+        raise ValueError("circulant smoother is not symmetric (complex spectrum)")
+    shape = smoother.in_shape
+    res2 = (1.0 - np.real(smoother.half_response)) ** 2
+    grad_op = CirculantOp(res2, shape)
+    d_op = CirculantOp(1.0 - res2, shape)
+    g_value = grad_op.quadratic_value()
+    d_eigs = d_op.half_response
     phi = None
-    if isinstance(smoother, CirculantOp):
-        res2 = (1.0 - spectrum) ** 2
-        grad_op = CirculantOp(res2, smoother.in_shape)
-        d_op = CirculantOp(1.0 - res2, smoother.in_shape)
-        g_value = grad_op.quadratic_value()
+    if np.min(d_eigs) > 1e-12:
+        phi = CirculantOp(1.0 / d_eigs - 1.0, shape).quadratic_value()
 
-        def grad_g(x, sigma=0.0):
-            return grad_op._apply(as_array(x))
+    def grad_g(x, sigma=0.0):
+        return grad_op._apply(_shaped(x, shape))
 
-        def fn(arr, sigma):
-            return d_op._apply(arr)
-
-        d_eigs = d_op.half_response
-        if np.min(d_eigs) > 1e-12:
-            phi = CirculantOp(1.0 / d_eigs - 1.0, smoother.in_shape).quadratic_value()
-    else:
-        def residual(arr):
-            return arr - smoother._apply(arr)
-
-        def grad_g(x, sigma=0.0):
-            r = residual(as_array(x))
-            return r - smoother._apply(r)  # (I - A)^T (I - A) x with A symmetric
-
-        def g_value(x):
-            return 0.5 * float(np.sum(residual(as_array(x)) ** 2))
-
-        def fn(arr, sigma):
-            return arr - grad_g(arr)
+    def fn(arr, sigma):
+        return d_op._apply(_shaped(arr, shape))
 
     return Denoiser(
         fn,
         tag="gs",
-        potential=lambda x, sigma=0.0: g_value(x),
+        potential=lambda x, sigma=0.0: g_value(_shaped(x, shape)),
         grad_potential=grad_g,
-        prox_potential=None if phi is None else lambda x, sigma=0.0: phi(x),
+        prox_potential=None if phi is None else lambda x, sigma=0.0: phi(_shaped(x, shape)),
         weight=weight,
-        grad_lipschitz=None if spectrum is None else float(np.max((1.0 - spectrum) ** 2)),
+        grad_lipschitz=float(np.max(res2)),
     )
 
 

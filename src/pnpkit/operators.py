@@ -20,7 +20,6 @@ from .core import Rng, ShapeError, SolveError, _rfftn, _spectral_filter, as_arra
 
 CG_RTOL = 1e-10
 SVD_MAX_DIM = 512
-EIGH_MAX_DIM = 4096
 
 
 class LinearOp:
@@ -34,7 +33,7 @@ class LinearOp:
     of the input shape without checks; kinds with a closed form override them, and
     :func:`solve_shifted_normal` is the checked entry.  They also override ``gram_spectrum(g)``
     and ``adjoint_filter(g, y)`` = g(K^T K) K^T y, from y: K^T y squares the condition number.
-    Each kind answers for its own ``spectral_norm`` and ``symmetric_spectrum()``.
+    Each kind answers for its own ``spectral_norm``.
     """
 
     kind = "abstract"
@@ -93,23 +92,6 @@ class LinearOp:
     def spectral_norm(self) -> float:
         """||K||_2, by power iteration on K^T K from a fixed seed."""
         return operator_norm(self, Rng(0))
-
-    def symmetric_spectrum(self):
-        """An array of the eigenvalues of a self-adjoint operator, or None when not cheap.
-
-        Raises ValueError when the operator is not self-adjoint.  This default
-        checks <K x, y> = <x, K y> on 8 random probe pairs and returns None.
-        """
-        rng = Rng(0)
-        for _ in range(8):
-            x = rng.standard_normal(self.in_shape)
-            y = rng.standard_normal(self.in_shape)
-            lhs = float(np.vdot(self._apply(x), y))
-            rhs = float(np.vdot(x, self._apply(y)))
-            scale = np.linalg.norm(x) * np.linalg.norm(y)
-            if abs(lhs - rhs) > 1e-8 * max(scale, 1.0):
-                raise ValueError("smoother fails the self-adjointness probe")
-        return None
 
     def shifted_solve(self, rho: float, b: np.ndarray) -> np.ndarray:
         """(K^T K + rho*I)^{-1} b by conjugate gradients, at most 10*n iterations.
@@ -175,11 +157,6 @@ class DenseOp(LinearOp):
     def _adjoint(self, y):
         return (self.matrix.T @ y.reshape(-1)).reshape(self.in_shape)
 
-    def symmetric_spectrum(self):
-        if not np.allclose(self.matrix, self.matrix.T, atol=1e-10, rtol=0.0):
-            raise ValueError("smoother matrix is not symmetric")
-        return np.linalg.eigvalsh(self.matrix) if self.in_size <= EIGH_MAX_DIM else None
-
 
 class DiagonalOp(LinearOp):
     kind = "diagonal"
@@ -209,9 +186,6 @@ class DiagonalOp(LinearOp):
     @property
     def spectral_norm(self) -> float:
         return float(np.max(np.abs(self.diag)))
-
-    def symmetric_spectrum(self):
-        return self.diag
 
 
 class CirculantOp(LinearOp):
@@ -364,12 +338,6 @@ class CirculantOp(LinearOp):
     @property
     def spectral_norm(self) -> float:
         return float(np.max(np.abs(self.half_response)))
-
-    def symmetric_spectrum(self):
-        """The real half spectrum: every eigenvalue, though not every multiplicity."""
-        if np.max(np.abs(np.imag(self.half_response))) > 1e-10:
-            raise ValueError("circulant smoother is not symmetric (complex spectrum)")
-        return np.real(self.half_response)
 
 
 def _reciprocal(den: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pnpkit
-from pnpkit import proximal, solvers
+from pnpkit import denoisers, proximal, solvers
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
@@ -92,6 +92,16 @@ def test_readme_proximal_row_names_every_prox_factory():
               and not name.startswith("_") and re.fullmatch(r"prox_\w+|\w+_prox", name)}
     assert listed == proxes
 
+
+
+def test_readme_denoisers_row_names_every_denoiser_factory():
+    row = next(line for line in (ROOT / "README.md").read_text().splitlines()
+               if line.startswith("| `pnpkit.denoisers` |"))
+    listed = set(re.findall(r"`(\w+_denoiser)\b", row))
+    factories = {name for name, obj in vars(denoisers).items()
+                 if inspect.isfunction(obj) and obj.__module__ == denoisers.__name__
+                 and not name.startswith("_") and name.endswith("_denoiser")}
+    assert listed == factories
 
 def test_readme_solvers_row_names_only_real_driver_keywords():
     row = next(line for line in (ROOT / "README.md").read_text().splitlines()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pnpkit import (
+    CirculantOp,
     DenseOp,
     DivergenceError,
     DiagonalOp,
@@ -76,6 +77,17 @@ def test_a_sigma_that_is_not_finite_is_rejected(kind, sigma):
         RegSlot(denoiser=den, sigma=sigma)
 
 
+@pytest.mark.parametrize("bad_shape", [(8, 9), (64,), (8,)], ids=str)
+@pytest.mark.parametrize("kind,hook", [
+    ("gs", "apply"), ("gs", "potential"), ("gs", "grad_potential"), ("gs", "prox_potential"),
+    ("spectral", "apply"), ("spectral", "prox_potential"),
+])
+def test_a_shape_fixed_hook_rejects_another_shape(kind, hook, bad_shape):
+    den = DENOISER_KINDS[kind]()
+    with pytest.raises(ValueError, match=r"expected shape \(8, 8\), got"):
+        getattr(den, hook)(np.ones(bad_shape), 0.0)
+
+
 class TestGaussianFilter:
     def test_constant_preserved(self):
         d = gaussian_filter_denoiser(1.5)
@@ -112,6 +124,14 @@ class TestGaussianFilter:
         with pytest.raises(ValueError, match="radius"):
             gaussian_filter_denoiser(1.0, radius=-2)
         np.testing.assert_array_equal(gaussian_kernel(1.0, radius=0), np.ones((1, 1)))
+
+    @pytest.mark.parametrize("sigma", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("build", [
+        gaussian_kernel, lambda s: gaussian_smoother((8, 8), s), gaussian_filter_denoiser,
+    ], ids=["kernel", "smoother", "denoiser"])
+    def test_a_kernel_sigma_that_is_not_finite_is_rejected_where_built(self, build, sigma):
+        with pytest.raises(ValueError, match="kernel sigma must be finite and positive"):
+            build(sigma)
 
     @pytest.mark.parametrize("sigma", [1e-300, 5e-324, 1e-160])
     def test_a_tiny_sigma_gives_the_delta_without_warnings(self, sigma):
@@ -274,13 +294,13 @@ class TestSpectralDenoiser:
 
 class TestGsDenoiser:
     def test_identity_smoother_gives_identity(self, rng):
-        d = gs_denoiser(DiagonalOp(np.ones(6)))
+        d = gs_denoiser(CirculantOp(np.ones(4), (6,)))
         x = rng.standard_normal(6)
         np.testing.assert_allclose(d.apply(x), x, atol=1e-14)
         assert d.potential(x, 0.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_zero_smoother(self, rng):
-        d = gs_denoiser(DiagonalOp(np.zeros(6)))
+        d = gs_denoiser(CirculantOp(np.zeros(4), (6,)))
         x = rng.standard_normal(6)
         np.testing.assert_allclose(d.apply(x), np.zeros(6), atol=1e-14)
         assert d.potential(x, 0.0) == pytest.approx(0.5 * np.sum(x**2), abs=1e-12)
@@ -302,9 +322,8 @@ class TestGsDenoiser:
         assert np.max(np.abs(grad - fd)) <= 1e-6
 
     def test_asymmetric_smoother_rejected(self):
-        mat = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            gs_denoiser(DenseOp(mat))
+        with pytest.raises(ValueError, match=r"not symmetric \(complex spectrum\)"):
+            gs_denoiser(CirculantOp(np.full((4, 3), 1j), (4, 4)))
 
     def test_potential_decreases_along_denoising_flow(self, rng):
         smoother = gaussian_smoother((8, 8), 1.5, floor=0.1)
@@ -327,19 +346,15 @@ class TestGsDenoiser:
                   linear_spectral_denoiser((4, 4), 0.5), mmse_gmm_denoiser(prior)):
             assert d.grad_lipschitz is None
 
-    def test_mask_smoother(self, rng):
-        mask = np.array([True, False, True, True])
-        d = gs_denoiser(make_mask(mask))
-        assert d.grad_lipschitz == 1.0
-        x = rng.standard_normal(4)
-        np.testing.assert_array_equal(d.apply(x), np.where(mask, x, 0.0))
-
-    def test_composite_smoother(self, rng):
-        half = DiagonalOp([0.5, 0.8, 1.0])
-        d = gs_denoiser(compose(half, half))
-        assert d.grad_lipschitz is None
-        x = rng.standard_normal(3)
-        np.testing.assert_allclose(d.apply(x), x - (1.0 - half.diag**2) ** 2 * x, atol=1e-15)
+    @pytest.mark.parametrize("smoother", [
+        DenseOp(np.eye(3)),
+        DiagonalOp([0.5, 0.8, 1.0]),
+        make_mask(np.array([True, False, True, True])),
+        compose(DiagonalOp([0.5, 0.8, 1.0]), DiagonalOp([0.5, 0.8, 1.0])),
+    ], ids=["dense", "diagonal", "mask", "composite"])
+    def test_smoother_that_is_not_circulant_rejected(self, smoother):
+        with pytest.raises(TypeError, match=smoother.kind):
+            gs_denoiser(smoother)
 
     def test_prox_potential_optimality(self, rng):
         smoother = gaussian_smoother((6,), 1.0, floor=0.3)
@@ -469,10 +484,10 @@ class TestConstructorChecks:
         lambda: tv_denoiser(c=-0.5),
         lambda: gaussian_filter_denoiser(0.0),
         lambda: gaussian_filter_denoiser(-1.0),
-        lambda: gs_denoiser(DiagonalOp([0.5, 0.5]), weight=0.0),
-        lambda: gs_denoiser(DiagonalOp([0.5, 0.5]), weight=-1.0),
-        lambda: gs_denoiser(DiagonalOp([0.5, 0.5]), weight=float("inf")),
-        lambda: gs_denoiser(DiagonalOp([0.5, 0.5]), weight=float("nan")),
+        lambda: gs_denoiser(CirculantOp([0.5, 0.5], (2,)), weight=0.0),
+        lambda: gs_denoiser(CirculantOp([0.5, 0.5], (2,)), weight=-1.0),
+        lambda: gs_denoiser(CirculantOp([0.5, 0.5], (2,)), weight=float("inf")),
+        lambda: gs_denoiser(CirculantOp([0.5, 0.5], (2,)), weight=float("nan")),
     ], ids=["tv-c", "gaussian-zero", "gaussian-negative", "gs-zero", "gs-negative", "gs-inf",
             "gs-nan"])
     def test_bad_parameter_rejected_at_construction(self, build):

@@ -507,24 +507,6 @@ class TestSpectralFacts:
             estimated = operator_norm(op, Rng(3), iters=5000, tol=1e-15)
             assert abs(op.spectral_norm - estimated) <= 1e-8 * max(estimated, 1.0), op.kind
 
-    def test_symmetric_spectrum_of_each_kind(self, rng):
-        a = rng.standard_normal((5, 5))
-        sym = a + a.T
-        np.testing.assert_allclose(np.sort(DenseOp(sym).symmetric_spectrum()),
-                                   np.linalg.eigvalsh(sym), atol=1e-12)
-        d = rng.standard_normal(6)
-        np.testing.assert_array_equal(DiagonalOp(d).symmetric_spectrum(), d)
-        mask = rng.uniform(0, 1, (3, 3)) > 0.5
-        np.testing.assert_array_equal(make_mask(mask).symmetric_spectrum(),
-                                      mask.astype(float))
-        blur = make_blur(np.full((3, 3), 1.0 / 9.0), (8, 8))
-        np.testing.assert_array_equal(blur.symmetric_spectrum(), blur.half_response)
-        assert compose(DiagonalOp(d), DiagonalOp(d)).symmetric_spectrum() is None
-
-    def test_huge_diagonal_is_symmetric(self):
-        spectrum = DiagonalOp([1e200, 1.0, 1.0]).symmetric_spectrum()
-        np.testing.assert_array_equal(spectrum, [1e200, 1.0, 1.0])
-
     def test_diagonal_normal_is_adjoint_of_apply_bit_for_bit(self, rng):
         d = np.concatenate([rng.standard_normal(12), [1e200, 1e-200, 0.0, -3.0]])
         x = np.concatenate([rng.standard_normal(12), [1e200, 1e-200, 5.0, np.nan]])
@@ -532,17 +514,6 @@ class TestSpectralFacts:
             for shape in ((16,), (4, 4)):
                 op, v = DiagonalOp(d.reshape(shape)), x.reshape(shape)
                 assert op.normal(v).tobytes() == op._adjoint(op._apply(v)).tobytes()
-
-    @pytest.mark.parametrize("op,message", [
-        (DenseOp([[1.0, 2.0], [0.0, 1.0]]), "smoother matrix is not symmetric"),
-        (CirculantOp(half_of(np.arange(16.0).reshape(4, 4) * 1j), (4, 4)),
-         r"circulant smoother is not symmetric \(complex spectrum\)"),
-        (compose(DiagonalOp([1.0, 2.0]), DenseOp(np.ones((2, 2)))),
-         "smoother fails the self-adjointness probe"),
-    ], ids=["dense", "complex-circulant", "composite"])
-    def test_symmetric_spectrum_rejects_asymmetric(self, op, message):
-        with pytest.raises(ValueError, match=message):
-            op.symmetric_spectrum()
 
 
 _BLUR = make_blur(np.full((3, 3), 1.0 / 9.0), (8, 8))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pnpkit import (
+    CirculantOp,
     DenseOp,
     DiagonalOp,
     DivergenceError,
@@ -778,7 +779,7 @@ class TestGsPnp:
     def test_identity_smoother_is_proximal_point(self, lasso_instance):
         k_mat, y, _ = lasso_instance
         op = DenseOp(k_mat)
-        den = gs_denoiser(DiagonalOp(np.ones(5)))
+        den = gs_denoiser(CirculantOp(np.ones(3), (5,)))
         cfg = SolverConfig(step=0.5, max_iter=25, tol=0.0)
         x, _ = _gs_pnp(op, y, den, cfg, lam=1.0)
         z = op._adjoint(y)
@@ -824,7 +825,7 @@ class TestGsPnp:
         # halvings exhausts them and errors out
         monkeypatch.setattr(solvers, "_HALVINGS", 12)
         op = identity_op((4,))
-        den = gs_denoiser(DiagonalOp(np.zeros(4)))  # g = 0.5*||x||^2
+        den = gs_denoiser(CirculantOp(np.zeros(3), (4,)))  # g = 0.5*||x||^2
         cfg = SolverConfig(step=0.5, max_iter=5, tol=0.0)
         with pytest.raises(SolveError) as exc:
             _gs_pnp(op, np.zeros(4), den, cfg, lam=1e5, x0=2.0 * np.ones(4),
@@ -838,7 +839,7 @@ class TestGsPnp:
     @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
     def test_rejects_nonpositive_lam(self, lam):
         with pytest.raises(ValueError):
-            SmoothFn.potential(gs_denoiser(DiagonalOp(np.zeros(4))), lam)
+            SmoothFn.potential(gs_denoiser(CirculantOp(np.zeros(3), (4,))), lam)
 
 
 def _circulant_gs_problem(side=32):
