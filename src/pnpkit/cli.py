@@ -28,7 +28,6 @@ import numbers
 import operator
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -562,10 +561,42 @@ def _worker_count() -> int:
 
 
 def _map_jobs(fn, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """``[fn(item) for item in items]``, on up to ``workers`` forked worker processes.
+
+    The workers are ``fork`` children of this process, so ``fn`` (a closure
+    over the problems built here) and ``items`` reach them without pickling;
+    only each result, or the exception a job raised, comes back by pickle.
+    The results are in item order, and the pool is shut down, its workers
+    joined, before this returns or raises.  With one worker, one item or no
+    ``fork`` start method, the items run in order in this process.
+    """
+    if workers > 1 and len(items) > 1:
+        import multiprocessing  # imported here: at module level it slows every CLI start
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures.process import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(max_workers=min(workers, len(items)),
+                                       mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_hold_jobs, initargs=(fn, items))
+            try:
+                return list(pool.map(_run_held_job, range(len(items))))
+            finally:  # after a failed job, the jobs not yet started never start
+                pool.shutdown(cancel_futures=True)
+    return [fn(item) for item in items]
+
+
+_HELD_JOBS = None  # (fn, items) in a worker process of _map_jobs
+
+
+def _hold_jobs(fn, items) -> None:
+    global _HELD_JOBS
+    _HELD_JOBS = (fn, items)
+
+
+def _run_held_job(index: int):
+    fn, items = _HELD_JOBS
+    return fn(items[index])
 
 
 def _write_json(doc: dict, path) -> None:
@@ -654,14 +685,13 @@ def cmd_compare(spec: dict, rng: Rng, args) -> int:
             final_psnr = psnr(recon, x_true)
         except DivergenceError as exc:
             trace, final_psnr = exc.trace, psnr(exc.last, x_true)
-        write_trace(trace, out / f"trace_{algo}_{image}.csv")
         res = trace.column("step_residual")
         finite = res[np.isfinite(res)]
         slope = _residual_slope(trace)
         converged = trace.stop_reason != "diverged" and (
             trace.stop_reason == "tolerance" or (math.isfinite(slope) and slope <= -0.35)
         )
-        return {
+        return trace, {
             "solver": algo,
             "image": image,
             "final_psnr": final_psnr,
@@ -670,15 +700,17 @@ def cmd_compare(spec: dict, rng: Rng, args) -> int:
             "converged": converged,
         }
 
-    rows = _map_jobs(run_one, jobs, workers)
+    # nothing is written until every row has returned, so a failed row leaves no files
+    results = _map_jobs(run_one, jobs, workers)
     lines = ["solver,image,final_psnr,min_residual,residual_slope,converged"]
-    for r in rows:
+    for trace, r in results:
+        write_trace(trace, out / f"trace_{r['solver']}_{r['image']}.csv")
         lines.append(
             f"{r['solver']},{r['image']},{r['final_psnr']!r},{r['min_residual']!r},"
             f"{r['residual_slope']!r},{str(r['converged']).lower()}"
         )
     (out / "compare.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    for r in rows:
+    for _, r in results:
         print(f"compare[{r['solver']}] {r['image']}: psnr {r['final_psnr']:.2f} dB, "
               f"slope {r['residual_slope']:.2f}, converged={r['converged']}")
     return EXIT_OK

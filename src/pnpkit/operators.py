@@ -228,7 +228,13 @@ class CirculantOp(LinearOp):
         self._conj_response = self.half_response if real else np.conj(self.half_response)
         self._gram = (self.half_response**2 if real
                       else self.half_response.real**2 + self.half_response.imag**2)
-        for arr in (self.half_response, self._conj_response, self._gram):
+        # complex128 copies of the responses multiplied into complex spectra: numpy
+        # casts a real operand on every such product, to the same bits, so cast once
+        self._response_c = self.half_response.astype(np.complex128, copy=False)
+        self._conj_response_c = self._response_c if real else self._conj_response
+        self._gram_c = self._gram.astype(np.complex128)
+        for arr in (self.half_response, self._conj_response, self._gram, self._response_c,
+                    self._conj_response_c, self._gram_c):
             arr.setflags(write=False)
         self._spatial = spatial
         self._axes = tuple(range(len(spatial)))
@@ -244,13 +250,13 @@ class CirculantOp(LinearOp):
         return _spectral_filter(x, self._axes, self._spatial, lambda spec: combine(spec, response))
 
     def _apply(self, x):
-        return self._filter(x, self.half_response)
+        return self._filter(x, self._response_c)
 
     def _adjoint(self, y):
-        return self._filter(y, self._conj_response)
+        return self._filter(y, self._conj_response_c)
 
     def normal(self, x):
-        return self._filter(x, self._gram)
+        return self._filter(x, self._gram_c)
 
     def least_squares_value(self, y):
         """x -> 0.5 * sum w |H X - Y|^2 over the half spectrum (Parseval), one real FFT of x.
@@ -302,7 +308,7 @@ class CirculantOp(LinearOp):
             res -= kty_hat
             return res
 
-        return lambda x: self._filter(x, self._gram, gradient)
+        return lambda x: self._filter(x, self._gram_c, gradient)
 
     def least_squares_prox(self, y):
         """(v, lam) -> one filter with the product (V/lam + (K^T y)^) / (|H|^2 + 1/lam).

@@ -1,6 +1,8 @@
 import copy
 import json
 import math
+import multiprocessing
+import os
 import tempfile
 from pathlib import Path
 
@@ -9,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnpkit import ConfigError, Trace, save_signal, write_trace
+from pnpkit import ConfigError, SolveError, Trace, save_signal, write_trace
 from pnpkit.cli import (
+    _map_jobs,
     builtin_image,
     main,
     render_traces_svg,
@@ -294,7 +297,7 @@ class TestCompareCommand:
 
     def test_worker_fanout_matches_sequential(self, tmp_path, monkeypatch):
         # the GS set, then three TV runs sharing one denoiser, whose warm TV
-        # duals must stay within each run and its thread
+        # duals must stay within each run and its worker process
         tv_doc = self.compare_config("unused")
         tv_doc["denoiser"] = {"kind": "tv", "c": 1.0}
         tv_doc["solvers"] = [
@@ -316,6 +319,55 @@ class TestCompareCommand:
             assert "compare.csv" in names
             for file in names:
                 assert (out_seq / file).read_bytes() == (out_par / file).read_bytes()
+
+    def test_jobs_run_in_worker_processes_in_job_order(self):
+        # the job and its items reach the workers by fork, unpickled: a closure and lambdas
+        def job(item):
+            index, value = item
+            return index, value(), os.getpid()
+
+        items = [(i, lambda i=i: 10 * i) for i in range(5)]
+        results = _map_jobs(job, items, 2)
+        assert [r[:2] for r in results] == [(i, 10 * i) for i in range(5)]
+        assert os.getpid() not in {r[2] for r in results}
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("error", [SolveError("TV dual solve did not reach tol", 1e-3),
+                                       ConfigError("config.solvers[1]: TV strength overflows")])
+    def test_error_in_a_worker_reaches_the_caller(self, error):
+        def job(index):
+            if index == 2:
+                raise error
+            return index
+
+        with pytest.raises(type(error)) as caught:
+            _map_jobs(job, list(range(4)), 2)
+        assert type(caught.value) is type(error) and str(caught.value) == str(error)
+        assert multiprocessing.active_children() == []
+
+    def test_jobs_run_in_order_here_without_fork(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        ran = []
+
+        def job(index):
+            ran.append(index)
+            return os.getpid()
+
+        assert _map_jobs(job, list(range(4)), 2) == [os.getpid()] * 4
+        assert ran == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_uncertified_inner_solve_in_a_row_exit_4(self, tmp_path, capsys, monkeypatch,
+                                                     threads):
+        out = tmp_path / "out"
+        doc = self.compare_config(str(out))
+        doc["denoiser"] = {"kind": "tv", "c": 1.0, "max_iter": 1}
+        doc["solvers"] = [{"algo": "pnp-pgd", "sigma": 0.05, "max_iter": 3},
+                          {"algo": "pnp-drs", "sigma": 0.05, "max_iter": 3}]
+        monkeypatch.setenv("PNPKIT_THREADS", threads)
+        assert main(["compare", "--config", write_config(tmp_path, doc)]) == 4
+        assert "did not reach" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_hqs_baseline_recorded(self, tmp_path):
         out = tmp_path / "cmp"
@@ -871,6 +923,14 @@ RUN_PHASE = [
 ]
 
 
+# RUN_PHASE, with its compare row once more on 2 workers, whose failed row comes back from a
+# worker process
+RUN_PHASE_WORKERS = [pytest.param(*r.values, "1", id=r.id) for r in RUN_PHASE] + [
+    pytest.param(*r.values, "2", id=f"{r.id}-2-workers")
+    for r in RUN_PHASE if r.values[0] == "compare"
+]
+
+
 def run_phase_error(tmp_path, capsys, command, keys):
     """The exit code and stderr of ``command`` on RUN_PHASE_BASE (or a sample config) + keys."""
     if command == "sample":
@@ -886,17 +946,20 @@ def run_phase_error(tmp_path, capsys, command, keys):
     return main([command, "--config", write_config(tmp_path, doc)]), capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command,keys,section", RUN_PHASE)
-def test_value_rejected_in_the_run_exit_2(tmp_path, capsys, command, keys, section):
+@pytest.mark.parametrize("command,keys,section,threads", RUN_PHASE_WORKERS)
+def test_value_rejected_in_the_run_exit_2(tmp_path, capsys, monkeypatch, command, keys, section,
+                                          threads):
+    monkeypatch.setenv("PNPKIT_THREADS", threads)
     code, err = run_phase_error(tmp_path, capsys, command, keys)
     assert code == 2
     assert err.startswith(f"pnpkit: {section}: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command,keys,section", RUN_PHASE)
-def test_value_rejected_in_the_run_leaves_no_output_directory(tmp_path, capsys, command, keys,
-                                                              section):
+@pytest.mark.parametrize("command,keys,section,threads", RUN_PHASE_WORKERS)
+def test_value_rejected_in_the_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch,
+                                                              command, keys, section, threads):
     # a command that fails in the run takes back the output directory it made
+    monkeypatch.setenv("PNPKIT_THREADS", threads)
     assert run_phase_error(tmp_path, capsys, command, keys)[0] == 2
     assert not (tmp_path / "out").exists()
 

@@ -373,6 +373,31 @@ class TestRealFftCirculant:
         assert op.quadratic_value()(x) == pytest.approx(pixel, rel=1e-12)
 
     @pytest.mark.parametrize("shape", [(9, 12), (12, 9), (8, 10, 3)])
+    def test_real_response_filters_keep_the_bits_of_the_real_product(self, rng, shape):
+        # apply, adjoint and the normal map multiply by complex128 copies of a real
+        # response, cast once: the bits of numpy's cast on every product
+        spatial = shape[:2]
+        half = rng.uniform(-1.0, 1.0, spatial[:-1] + (spatial[-1] // 2 + 1,))
+        op = CirculantOp(half, shape)
+        assert not np.iscomplexobj(op.half_response)
+        x = rng.standard_normal(shape)
+        spec = _rfftn(x, (0, 1))
+        response = half if x.ndim == 2 else half[..., None]
+        for got, product in [(op.apply(x), spec * response), (op.adjoint(x), spec * response),
+                             (op.normal(x), spec * response**2)]:
+            want = _irfftn(product, spatial, (0, 1))
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        # inf and NaN entries too, product by product
+        half[0, 1], half[1, 0], half[1, 1] = np.inf, -np.inf, np.nan
+        op = CirculantOp(half, shape)
+        spec = rng.standard_normal(half.shape) + 1j * rng.standard_normal(half.shape)
+        with np.errstate(invalid="ignore"):
+            for copy, real in [(op._response_c, op.half_response),
+                               (op._conj_response_c, op._conj_response), (op._gram_c, op._gram)]:
+                np.testing.assert_array_equal((spec * copy).view(np.uint64),
+                                              (spec * real).view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(9, 12), (12, 9), (8, 10, 3)])
     def test_parseval_value_of_a_non_even_kernel(self, rng, shape):
         kernel = rng.uniform(0.0, 1.0, (3, 5))
         op = make_blur(kernel, shape)
