@@ -353,7 +353,7 @@ def psnr(a, b, peak: float = 1.0) -> float:
 
     Returns the 300 dB cap when the mean squared error is zero (or small
     enough to exceed the cap), so that traces remain numeric.  Raises
-    ValueError for a non-finite operand (or a squared error that overflows).
+    ValueError for a non-finite operand or peak, a peak <= 0, or a squared error overflow.
     """
     a = as_array(a)
     b = as_array(b)
@@ -361,8 +361,8 @@ def psnr(a, b, peak: float = 1.0) -> float:
         raise ShapeError(f"psnr operands differ in shape: {a.shape} vs {b.shape}")
     if a.size == 0:
         raise ShapeError("psnr operands are empty")
-    if peak <= 0:
-        raise ValueError("peak must be positive")
+    if not (math.isfinite(peak) and peak > 0):
+        raise ValueError("peak must be finite and positive")
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.subtract(a, b).reshape(-1)
         mse = float(d.dot(d)) / d.size

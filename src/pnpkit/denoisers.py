@@ -137,8 +137,8 @@ def nlm_denoiser(patch_radius: int, window_radius: int, h: float) -> Denoiser:
     weights exp(-||P_i - P_j||^2 / h^2) normalized to sum to one per pixel;
     patch distances are squared sums over (2*patch_radius+1)^d patches.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not (math.isfinite(h) and h > 0 and h * h > 0):
+        raise ValueError(f"h must be finite and positive, with h*h > 0; got {h!r}")
     if patch_radius < 0 or window_radius < 0:
         raise ValueError("radii must be nonnegative")
     patch_size = 2 * patch_radius + 1

@@ -33,6 +33,8 @@ class LinearOp:
     of the input shape without checks; kinds with a closed form override them, and
     :func:`solve_shifted_normal` is the checked entry.  They also override ``gram_spectrum(g)``
     and ``adjoint_filter(g, y)`` = g(K^T K) K^T y, from y: K^T y squares the condition number.
+    ``least_squares(y)`` gives the value, gradient and prox of the data term
+    0.5*||K x - y||^2, so each kind states that algebra in one method.
     Each kind answers for its own ``spectral_norm``.
     """
 
@@ -71,22 +73,16 @@ class LinearOp:
         """K^T K x."""
         return self._adjoint(self._apply(x))
 
-    def least_squares_value(self, y: np.ndarray):
-        """x -> 0.5*||K x - y||^2."""
-        return lambda x: 0.5 * float(np.sum((self._apply(x) - y) ** 2))
+    def least_squares(self, y: np.ndarray):
+        """(value, gradient, prox) of the data term f(x) = 0.5*||K x - y||^2, K^T y formed once.
 
-    def least_squares_grad(self, y: np.ndarray):
-        """x -> K^T (K x - y), the gradient of 0.5*||K x - y||^2."""
-        return lambda x: self._adjoint(self._apply(x) - y)
-
-    def least_squares_prox(self, y: np.ndarray):
-        """(v, lam) -> (I + lam K^T K)^{-1} (v + lam K^T y), the prox of lam*0.5*||K x - y||^2.
-
-        Here the shifted normal equations with rho = 1/lam, right-hand side
-        K^T y + v/lam, K^T y formed once.
+        value(x) = f(x), gradient(x) = K^T (K x - y), and prox(v, lam), the prox of lam*f, is
+        (I + lam K^T K)^{-1} (v + lam K^T y): here the shifted normal equations, rho = 1/lam.
         """
         kty = self._adjoint(y)
-        return lambda v, lam: solve_shifted_normal(self, 1.0 / lam, kty + v / lam)
+        return (lambda x: 0.5 * float(np.sum((self._apply(x) - y) ** 2)),
+                lambda x: self._adjoint(self._apply(x) - y),
+                lambda v, lam: solve_shifted_normal(self, 1.0 / lam, kty + v / lam))
 
     @property
     def spectral_norm(self) -> float:
@@ -202,8 +198,8 @@ class CirculantOp(LinearOp):
     solve are one real FFT round trip each (:func:`~pnpkit.core._rfftn`,
     then :func:`~pnpkit.core._irfftn`); the least-squares and quadratic
     values are one forward real FFT, by Parseval.  The least-squares
-    gradient and prox are single filters too, with K^T y's spectrum folded
-    into the filtered product.  Each filter is one
+    gradient and prox are single filters too, with (K^T y)^ = conj(H) Y, from
+    the one transform Y of y, folded into the filtered product.  Each filter is one
     :func:`~pnpkit.core._spectral_filter`: inside a solver run the forward
     transform may come from the run, which holds the spectra of the
     filters' inputs and outputs and of their linear combinations
@@ -258,27 +254,47 @@ class CirculantOp(LinearOp):
     def normal(self, x):
         return self._filter(x, self._gram_c)
 
-    def least_squares_value(self, y):
-        """x -> 0.5 * sum w |H X - Y|^2 over the half spectrum (Parseval), one real FFT of x.
+    def least_squares(self, y):
+        """The base kind's (value, gradient, prox), from one transform Y of y.
 
-        The weights are :func:`half_spectrum_weights`; sqrt(w/2) is folded
-        into H and into Y, which is transformed once, so a value is
-        ||H' X - Y'||^2 from one complex temporary.  X comes from
-        :func:`~pnpkit.core.real_spectrum`, so within a solver run it is
-        shared with any other value taken at the same point.
+        The value is 0.5 * sum w |H X - Y|^2 over the half spectrum
+        (Parseval), with the weights of :func:`half_spectrum_weights`; sqrt(w/2)
+        is folded into H and Y, so a value is one real FFT of x and one complex
+        temporary.  X comes from :func:`~pnpkit.core.real_spectrum`, so within a
+        solver run it is shared with any other value taken at the same point.
+        The gradient and the prox are one filter each, with the products
+        |H|^2 X - (K^T y)^ and (V/lam + (K^T y)^) / (|H|^2 + 1/lam), (K^T y)^ = conj(H) Y.
         """
+        y_hat = _rfftn(y, self._axes)
         root = np.sqrt(0.5 * half_spectrum_weights(self._spatial))
-        response = root * self.half_response
+        response, conj = root * self.half_response, self._conj_response_c
         if y.ndim > len(self._spatial):  # per channel
-            response, root = response[..., None], root[..., None]
-        y_hat = root * _rfftn(y, self._axes)
+            response, root, conj = response[..., None], root[..., None], conj[..., None]
+        scaled_y_hat, kty_hat = root * y_hat, conj * y_hat
 
         def value(x):
             res = response * real_spectrum(x, self._axes)
-            res -= y_hat
+            res -= scaled_y_hat
             return float(np.vdot(res, res).real)
 
-        return value
+        def gradient(spec, gram):
+            res = spec * gram
+            res -= kty_hat
+            return res
+
+        def prox(v, lam):
+            rho = 1.0 / lam
+            if not rho > 0:
+                raise ValueError("rho must be positive")
+
+            def solve(spec, inverse):
+                res = spec * rho
+                res += kty_hat
+                return np.multiply(res, inverse, out=res)
+
+            return self._filter(v, _reciprocal(self._gram + rho), solve)
+
+        return value, lambda x: self._filter(x, self._gram_c, gradient), prox
 
     def quadratic_value(self):
         """x -> 0.5 * <x, K x> = 0.5 * sum w H |X|^2 over the half spectrum (Parseval).
@@ -298,38 +314,6 @@ class CirculantOp(LinearOp):
             return float(np.vdot(spec, scaled).real)
 
         return value
-
-    def least_squares_grad(self, y):
-        """x -> K^T (K x - y), one filter with the product |H|^2 X - (K^T y)^."""
-        kty_hat = _rfftn(self._adjoint(y), self._axes)  # once
-
-        def gradient(spec, gram):
-            res = spec * gram
-            res -= kty_hat
-            return res
-
-        return lambda x: self._filter(x, self._gram_c, gradient)
-
-    def least_squares_prox(self, y):
-        """(v, lam) -> one filter with the product (V/lam + (K^T y)^) / (|H|^2 + 1/lam).
-
-        The spectral form of the base kind's (K^T K + I/lam)^{-1} (K^T y + v/lam).
-        """
-        kty_hat = _rfftn(self._adjoint(y), self._axes)  # once
-
-        def prox(v, lam):
-            rho = 1.0 / lam
-            if not rho > 0:
-                raise ValueError("rho must be positive")
-
-            def solve(spec, inverse):
-                res = spec * rho
-                res += kty_hat
-                return np.multiply(res, inverse, out=res)
-
-            return self._filter(v, _reciprocal(self._gram + rho), solve)
-
-        return prox
 
     def shifted_solve(self, rho, b):
         return self._filter(b, _reciprocal(self._gram + rho))
@@ -393,17 +377,8 @@ class CompositeOp(LinearOp):
         return self.inner._adjoint(self.outer._adjoint(y))
 
 
-def compose(outer: LinearOp, inner: LinearOp) -> LinearOp:
-    """outer(inner(x)).
-
-    Two circulant operators on one grid compose to the circulant operator
-    with the product response, whose shifted solve stays an exact FFT
-    division; any other pair gives a :class:`CompositeOp`.
-    """
-    if (isinstance(outer, CirculantOp) and isinstance(inner, CirculantOp)
-            and outer.in_shape == inner.out_shape
-            and outer.half_response.shape == inner.half_response.shape):
-        return CirculantOp(outer.half_response * inner.half_response, inner.in_shape)
+def compose(outer: LinearOp, inner: LinearOp) -> CompositeOp:
+    """outer(inner(x)), a :class:`CompositeOp` for every pair of kinds."""
     return CompositeOp(outer, inner)
 
 

@@ -472,14 +472,13 @@ def quadratic_fidelity_prox(op: LinearOp, y) -> ProxMap:
     """Prox of the least-squares fidelity f(x) = 0.5*||y - Kx||^2.
 
     ``evaluate(v, lam)`` returns (I + lam*K^T K)^{-1} (v + lam*K^T y), the
-    operator's own ``least_squares_prox``: the shifted normal equations with
-    rho = 1/lam (exact for the diagonal kind), and one filter for a
-    circulant operator.  K^T y is formed once, here, and a y not shaped like
-    the operator's output raises ShapeError.
+    prox of the operator's own ``least_squares(y)``: the shifted normal
+    equations with rho = 1/lam (exact for the diagonal kind), and one
+    filter for a circulant operator, whose data term transforms y once.  A
+    y not shaped like the operator's output raises ShapeError.
     """
-    y_arr = op._data(y)
-    value = op.least_squares_value(y_arr)
-    return ProxMap(op.least_squares_prox(y_arr), objective=lambda x: value(as_array(x)))
+    value, _, prox = op.least_squares(op._data(y))
+    return ProxMap(prox, objective=lambda x: value(as_array(x)))
 
 
 def moreau_check(p: ProxMap, p_conj: ProxMap, v) -> float:

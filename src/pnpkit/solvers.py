@@ -90,8 +90,8 @@ class SmoothFn:
 
     @staticmethod
     def least_squares(op: LinearOp, y) -> "SmoothFn":
-        y_arr = op._data(y)
-        return SmoothFn(grad=op.least_squares_grad(y_arr), value=op.least_squares_value(y_arr))
+        value, grad, _ = op.least_squares(op._data(y))
+        return SmoothFn(grad=grad, value=value)
 
     @staticmethod
     def potential(den: Denoiser, lam: float) -> "SmoothFn":
@@ -252,7 +252,8 @@ def run_pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, backtracking: bo
     grows (Beck-Teboulle).  Every t <= 1/L meets this sufficient decrease by
     the descent lemma when f is L-smooth and g convex.  A 1e-12 relative
     slack keeps rounding noise near convergence from stalling the search;
-    exhaustion raises SolveError reporting both F values.  Backtracking needs
+    exhaustion, after 60 halvings or once a halved step underflows to 0,
+    raises SolveError reporting both F values.  Backtracking needs
     ``f.value`` and a prox slot with an objective.
     """
     return _pgd(grad_f, reg, cfg, x0, reference, backtracking)
@@ -281,18 +282,21 @@ def _pgd(grad_f, reg, cfg: SolverConfig, x0, reference=None, backtracking: bool 
     def advance(k, x):
         nonlocal fx, t
         grad = f.grad(x)
-        if not backtracking:  # the step's combination carries its spectrum
-            return slot.apply(lincomb((1.0, x), (-t, grad)), t)
         slack = 1e-12 * max(1.0, abs(fx))
-        for _ in range(_HALVINGS + 1):
-            cand = slot.apply(x - t * grad, t)
+        for halvings in range(_HALVINGS + 1):
+            # the step's combination carries its spectrum
+            cand = slot.apply(lincomb((1.0, x), (-t, grad)), t)
+            if not backtracking:
+                return cand
             f_cand = _objective(cand, t, f, slot)
             if fx - f_cand >= (0.5 / t) * float(np.sum((cand - x) ** 2)) - slack:
                 fx = f_cand
                 return cand
             t *= 0.5
-        raise SolveError(f"backtracking exhausted {_HALVINGS} halvings at iteration {k}: "
-                         f"F(x) = {fx:.12g}, last trial F = {f_cand:.12g}")
+            if t == 0.0:  # underflowed: no smaller trial is left
+                break
+        raise SolveError(f"backtracking exhausted {halvings} halvings at iteration {k}, the next "
+                         f"step {t:g}: F(x) = {fx:.12g}, last trial F = {f_cand:.12g}")
 
     return _iterate(cfg, x0, advance, report, reference)
 
@@ -394,7 +398,7 @@ def run_admm(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, reference=None):
     x = kty if x0 is None else as_array(x0)
     z = x
     u = np.zeros_like(x)
-    fid = op.least_squares_value(y_arr)
+    fid = op.least_squares(y_arr)[0]
     dz = math.nan  # ||z_{k+1} - z_k|| of the last step
 
     def advance(k, x):
@@ -507,7 +511,7 @@ def run_red_gd(op: LinearOp, y, denoiser: Denoiser, lam: float, sigma: float,
         raise ValueError(f"lam/sigma^2 must be finite; lam = {lam!r} and sigma = {sigma!r} "
                          f"give {weight!r}")
     y_arr = op._data(y)
-    grad = _red_gradient(denoiser, sigma, weight, op.least_squares_grad(y_arr))
+    grad = _red_gradient(denoiser, sigma, weight, op.least_squares(y_arr)[1])
     return _pgd(grad, zero_prox(), cfg, op._adjoint(y_arr) if x0 is None else x0, reference,
                 residual=lambda x: float(np.linalg.norm(grad(x))))
 

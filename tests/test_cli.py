@@ -744,6 +744,9 @@ MALFORMED = [
                  id="gs-weight-negative"),
     pytest.param("solve", ("denoiser",), {"kind": "nlm", "h": "x"}, "config.denoiser",
                  id="nlm-h"),
+    # h*h underflows to 0: every weight would be exp(-d/0), found before the first step
+    pytest.param("solve", ("denoiser",), {"kind": "nlm", "h": 1e-200}, "config.denoiser",
+                 id="nlm-h-squared-underflows"),
     pytest.param("solve", {("image", "size"): 63,
                            ("denoiser",): {"kind": "spectral", "transform": "haar"}},
                  None, "config.denoiser", id="spectral-haar-odd-side"),
@@ -876,6 +879,22 @@ def test_uncertified_inner_solve_exit_4(tmp_path, capsys):
     doc["output"] = str(tmp_path / "out")
     assert main(["solve", "--config", write_config(tmp_path, doc)]) == 4
     assert "did not reach" in capsys.readouterr().err
+
+
+def test_backtracking_step_underflow_exit_4(tmp_path, capsys):
+    # every halving of the trial step 1e-320 is rejected until it reaches 0: an
+    # exhausted search, with the output directory taken back
+    out = tmp_path / "out"
+    doc = {"task": "deblur", "image": {"builtin": "shapes", "size": 16},
+           "operator": {"kind": "blur", "kernel": {"builtin": "uniform", "size": 5}},
+           "noise": {"percent": 3.0}, "denoiser": GS_DENOISER,
+           "solver": {"algo": "gs-pnp", "lam": 0.7, "step": 1e-320, "backtracking": True,
+                      "max_iter": 5},
+           "seed": 1, "output": str(out)}
+    assert main(["solve", "--config", write_config(tmp_path, doc)]) == 4
+    err = capsys.readouterr().err
+    assert "backtracking exhausted" in err and "the next step 0:" in err
+    assert not out.exists()
 
 
 def test_shape_mismatch_found_in_the_run_exit_2(tmp_path, capsys):

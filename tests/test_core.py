@@ -109,6 +109,11 @@ class TestPsnr:
         with pytest.raises(ValueError):
             psnr(np.zeros(3), np.zeros(3), peak=0.0)
 
+    @pytest.mark.parametrize("peak", [float("nan"), float("inf")])
+    def test_non_finite_peak_rejected(self, peak):
+        with pytest.raises(ValueError, match="peak must be finite and positive"):
+            psnr(np.zeros(3), np.ones(3), peak=peak)
+
     def test_signal_operand_equals_its_array(self, rng):
         a = rng.uniform(0, 1, (9, 7))
         b = rng.uniform(0, 1, (9, 7))

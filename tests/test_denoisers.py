@@ -171,6 +171,12 @@ class TestNlm:
         with pytest.raises(ShapeError, match="1-D and 2-D"):
             nlm_denoiser(1, 2, 0.3).apply(np.full((4, 4, 3), 0.5))
 
+    @pytest.mark.parametrize("h", [0.0, -0.3, float("nan"), float("inf"), 1e-200])
+    def test_bad_h_raises_at_construction(self, h):
+        # 1e-200 squares to 0, so every weight would be exp(-d/0)
+        with pytest.raises(ValueError, match="h must be finite and positive"):
+            nlm_denoiser(1, 2, h)
+
     def test_jacobian_asymmetry_positive(self, rng):
         d = nlm_denoiser(1, 2, 0.3)
         x = rng.uniform(0, 1, (5, 5))

@@ -519,7 +519,7 @@ class TestTvWarmStart:
         x0 = op._adjoint(y)
         warm, _ = run_pgd(SmoothFn.least_squares(op, y),
                           RegSlot(denoiser=tv_denoiser(), sigma=sigma), cfg, x0)
-        grad = op.least_squares_grad(y)
+        grad = op.least_squares(y)[1]
         cold = x0
         largest = 0.0
         for _ in range(steps):
@@ -832,6 +832,14 @@ class TestGsPnp:
                     backtracking=True)
         assert "backtracking" in str(exc.value)
 
+    def test_backtracking_step_underflow_raises(self):
+        # halving a trial step of 1e-320 reaches 0 long before 60 halvings: the
+        # search ends there, exhausted, instead of calling the prox at step 0
+        op, y, den = _circulant_gs_problem(side=16)
+        cfg = SolverConfig(step=1e-320, max_iter=5, tol=0.0, record_time=False)
+        with pytest.raises(SolveError, match="the next step 0:"):
+            _gs_pnp(op, y, den, cfg, lam=0.7, backtracking=True)
+
     def test_requires_potential(self):
         with pytest.raises(ValueError):
             SmoothFn.potential(identity_denoiser(), 1.0)
@@ -933,6 +941,29 @@ class TestObjectiveTransforms:
         assert counts[8] - counts[2] <= per_iteration * 6  # the set-up and row 0 cancel out
         assert counts[2] <= per_iteration * 2 + 8  # the set-up: K^T y, the transform of y, row 0
 
+    @pytest.mark.parametrize("build", [SmoothFn.least_squares, quadratic_fidelity_prox],
+                             ids=["smooth", "prox"])
+    @pytest.mark.parametrize("shape", [(32, 32), (16, 16, 3)])
+    @pytest.mark.parametrize("even", [True, False], ids=["even", "non-even"])
+    def test_a_circulant_data_term_transforms_y_once(self, build, shape, even, monkeypatch):
+        # (K^T y)^ = conj(H) Y and the Parseval value both come from the one Y
+        kernel = np.full((5, 5), 1.0 / 25.0) if even else Rng(2).uniform(0.0, 1.0, (3, 5))
+        op = make_blur(kernel, shape)
+        y = Rng(3).uniform(0.0, 1.0, shape)
+        count = self._count_transforms(monkeypatch)
+        build(op, y)
+        assert count[0] == 1
+
+    @pytest.mark.parametrize("algo", sorted(PROVABLE_RUNS))
+    def test_a_two_iteration_run_makes_eight_transforms(self, algo, monkeypatch):
+        # Y, the start point K^T y (one round trip), row 0's objective and two
+        # per iteration
+        op, y, den = _circulant_gs_problem()
+        cfg = SolverConfig(step=1.0, max_iter=2, tol=0.0, record_time=False)
+        count = self._count_transforms(monkeypatch)
+        PROVABLE_RUNS[algo](op, y, RegSlot(denoiser=den), cfg)
+        assert count[0] == 8
+
     @pytest.mark.parametrize("algo, message", [
         ("pnp-pgd", "denoiser 'gs' produced non-finite output"),
         ("gs-pnp", "iterates diverged at step 2"),
@@ -1008,11 +1039,12 @@ class TestObjectiveTransforms:
         reg = 0.7 * den.potential(x) if algo == "gs-pnp" else den.prox_potential(x) / cfg.step
         assert trace.last().objective == pytest.approx(fidelity + reg, rel=1e-12)
 
-    @pytest.mark.parametrize("algo, adjoints", [("hqs", 2), ("admm", 1), ("red-pg", 2),
-                                                ("red-apg", 2)])
+    @pytest.mark.parametrize("algo, adjoints", [("hqs", 1), ("admm", 1), ("red-pg", 1),
+                                                ("red-apg", 1)])
     def test_traced_data_term_forms_no_extra_kty(self, algo, adjoints):
-        # HQS, RED-PG, RED-APG: K^T y for the fidelity prox and for the start
-        # point, which the traced stationarity reuses; ADMM: once
+        # K^T y once, for the start point, which RED-PG's and RED-APG's traced
+        # stationarity and ADMM's x-update reuse: the circulant data term's
+        # (K^T y)^ is conj(H) Y
         op, y, den = _circulant_gs_problem(side=16)
         adjoint, calls = op._adjoint, [0]
 
@@ -1068,7 +1100,7 @@ class TestBacktracking:
 
     def test_rejects_smooth_term_without_value(self, lasso_instance):
         k_mat, y, _ = lasso_instance
-        grad = DenseOp(k_mat).least_squares_grad(y)
+        grad = DenseOp(k_mat).least_squares(y)[1]
         with pytest.raises(ValueError, match="backtracking"):
             run_pgd(SmoothFn(grad=grad), l1_prox(0.2), SolverConfig(), np.zeros(5),
                     backtracking=True)
