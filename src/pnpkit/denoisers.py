@@ -19,7 +19,7 @@ import numpy as np
 from .core import DivergenceError, Rng, ShapeError, as_array
 from .gmm import GmmPrior, _posterior_mean
 from .operators import CirculantOp, make_blur
-from .proximal import haar_inverse, haar_transform, prox_tv, tv_value
+from .proximal import _check_tv_tol, haar_inverse, haar_transform, prox_tv, tv_value
 
 JACOBIAN_MAX_DIM = 4096
 
@@ -173,6 +173,7 @@ def tv_denoiser(c: float = 1.0, tol: float | None = None, max_iter: int = 200000
     """
     if not (math.isfinite(c) and c >= 0):
         raise ValueError("c must be finite and nonnegative")
+    _check_tv_tol(tol)
 
     def fn(arr, sigma):
         lam = c * sigma * sigma

@@ -232,6 +232,8 @@ class CirculantOp(LinearOp):
         for arr in (self.half_response, self._conj_response, self._gram, self._response_c,
                     self._conj_response_c, self._gram_c):
             arr.setflags(write=False)
+        # a one-entry cache: (rho, complex128 1/(|H|^2 + rho)) of the last rho solved for
+        self._shifted = None
         self._spatial = spatial
         self._axes = tuple(range(len(spatial)))
 
@@ -292,7 +294,7 @@ class CirculantOp(LinearOp):
                 res += kty_hat
                 return np.multiply(res, inverse, out=res)
 
-            return self._filter(v, _reciprocal(self._gram + rho), solve)
+            return self._filter(v, self._shifted_reciprocal(rho), solve)
 
         return value, lambda x: self._filter(x, self._gram_c, gradient), prox
 
@@ -316,7 +318,23 @@ class CirculantOp(LinearOp):
         return value
 
     def shifted_solve(self, rho, b):
-        return self._filter(b, _reciprocal(self._gram + rho))
+        return self._filter(b, self._shifted_reciprocal(rho))
+
+    def _shifted_reciprocal(self, rho):
+        """1/(|H|^2 + rho) as complex128; the last rho's is kept.
+
+        A complex Z times it has the bits of Z / (|H|^2 + rho): numpy divides
+        a complex by a real c as Z * (1/c), and casts a real operand of a
+        complex product to complex128 first, which the kept copy does once.
+        """
+        cached = self._shifted
+        if cached is not None and cached[0] == rho:
+            return cached[1]
+        inverse = (1.0 / (self._gram + rho)).astype(np.complex128)
+        inverse.setflags(write=False)
+        # one attribute store, so a concurrent reader sees the old or the new entry
+        self._shifted = (rho, inverse)
+        return inverse
 
     def adjoint_filter(self, g, y):
         return self._filter(y, self._conj_response * g(self._gram))
@@ -328,15 +346,6 @@ class CirculantOp(LinearOp):
     @property
     def spectral_norm(self) -> float:
         return float(np.max(np.abs(self.half_response)))
-
-
-def _reciprocal(den: np.ndarray) -> np.ndarray:
-    """1/den in place, for a real den: a complex Z times it has the bits of Z / den.
-
-    numpy divides a complex Z by a real c as Z * (1/c), so the product gives
-    the quotient's bits at the cost of a multiply.
-    """
-    return np.divide(1.0, den, out=den)
 
 
 def half_spectrum_weights(spatial) -> np.ndarray:

@@ -149,6 +149,28 @@ def tv_value(x) -> float:
 # The dual solve takes its gap and restart test on every _CHECK_EVERY-th iteration.
 _CHECK_EVERY = 4
 
+# The byte boundary each TV buffer starts on: one cache line.
+_ALIGN = 64
+
+
+def _aligned_empty(*shapes) -> list:
+    """Uninitialized float64 arrays of ``shapes``, C-contiguous, carved from one block.
+
+    Each array starts on a 64-byte boundary.  numpy's allocator promises
+    less, so where a buffer of the TV kernel starts within a cache line
+    would follow the heap, and the kernel's speed with it.  The arrays are
+    views of one ``np.empty``, which lives as long as any of them.
+    """
+    line = _ALIGN // 8
+    slots = [-(-math.prod(shape) // line) * line for shape in shapes]
+    block = np.empty(sum(slots) + line)
+    start = -block.ctypes.data % _ALIGN // 8
+    out = []
+    for shape, slot in zip(shapes, slots):
+        out.append(block[start:start + math.prod(shape)].reshape(shape))
+        start += slot
+    return out
+
 
 # An inf input makes nan (inf - inf) in the iterates; the non-finite gap reports it.
 @np.errstate(invalid="ignore")
@@ -161,8 +183,8 @@ def _tv_dual_solve(v: np.ndarray, lam: float, tol: float, max_iter: int, p0=None
     seeds the stacked (ndim, *v.shape) dual variables: it is clipped into
     the box and its trailing slices, which no difference reaches, are
     zeroed.  The dual is iterated in ``out`` when one is given, else in a
-    fresh array, so ``p0 = out`` warm-starts from a buffer and leaves the
-    final dual in it for a next solve.
+    buffer of the solve's own, so ``p0 = out`` warm-starts from a buffer and
+    leaves the final dual in it for a next solve.
 
     The dual gradient at the extrapolated point q = p + beta*(p - p_old) is
     linear in the last two iterates, so with x = v - grad^T p and
@@ -175,12 +197,16 @@ def _tv_dual_solve(v: np.ndarray, lam: float, tol: float, max_iter: int, p0=None
     DivergenceError before it is compared with ``tol``; running out of
     iterations raises SolveError carrying the gap of the last iteration.
 
-    Every buffer is C-contiguous (``v`` is read through a C-ordered copy
-    when it is not, and ``out`` must be), so both stencils run as one
-    contiguous pass per axis on the flat buffers (see :func:`_stencil`),
-    with views built once per solve.  The scalars are Python floats and the
-    momentum passes are skipped while beta is 0.  The gap reads <p, grad x>
-    as <grad^T p, x> = <div_p, x>, on n entries instead of ndim*n, and
+    A copy of ``v`` and the work buffers (with the dual, when ``out`` is
+    None) come from one block, each on a 64-byte boundary (see
+    :func:`_aligned_empty`); ``out`` must be C-contiguous.  Both stencils
+    run as one contiguous pass per axis on the flat buffers (see
+    :func:`_stencil`), on views built once per solve: inside the loop the
+    passes of :func:`_grad_adjoint` and :func:`_grad` run on them directly,
+    with no call.  The returned x and div_p are fresh arrays, so no caller
+    keeps the block alive.  The scalars are Python floats and the momentum
+    passes are skipped while beta is 0.  The gap reads <p, grad x> as
+    <grad^T p, x> = <div_p, x>, on n entries instead of ndim*n, and
     ||grad x||_1 as one reduction of |grad x|.
 
     The momentum restarts (t = 1, beta = 0) whenever the dual objective
@@ -192,26 +218,25 @@ def _tv_dual_solve(v: np.ndarray, lam: float, tol: float, max_iter: int, p0=None
     rounding of ||x||^2.  Every iterate is still a feasible dual point, so
     the gap certificate and the stopping rule are unchanged.
     """
-    v = np.ascontiguousarray(v)
     ndim = v.ndim
     step = 1.0 / (4.0 * ndim)
-    p = np.zeros((ndim,) + v.shape) if out is None else out
+    stack = (ndim,) + v.shape
+    shapes = [v.shape] + [stack] * 4 + [v.shape] * 4 + ([stack] if out is None else [])
+    v_copy, z, z_old, dx, work, div_p, x, x_old, d, *own = _aligned_empty(*shapes)
+    np.copyto(v_copy, v)
+    v = v_copy
+    p = own[0] if own else out
     if p0 is not None:
         np.clip(p0, -lam, lam, out=p)
         for axis in range(ndim):
-            p[axis].swapaxes(0, axis)[-1] = 0.0
-    elif out is not None:
+            p[axis].swapaxes(0, axis)[-1:] = 0.0
+    else:
         p.fill(0.0)
-    z = np.empty_like(p)
-    z_old = np.zeros_like(p)
-    dx = np.zeros_like(p)
-    work = np.empty_like(p)
-    div_p = np.empty_like(v)
-    x = np.empty_like(v)
-    x_old = np.empty_like(v)
-    d = np.empty_like(v)
+    dx.fill(0.0)  # only the last axis's pass writes its trailing slice
     adjoint = _stencil(div_p, p)
     views, views_old = _stencil(x, dx), _stencil(x_old, dx)
+    first, others = p[0], list(p[1:])
+    row_ends = dx[-1, ..., -1:]
     np.subtract(v, _grad_adjoint(p, div_p, adjoint), out=x)
     _grad(x, dx, views)
     t, beta = 1.0, 0.0
@@ -233,8 +258,16 @@ def _tv_dual_solve(v: np.ndarray, lam: float, tol: float, max_iter: int, p0=None
 
         x, x_old = x_old, x
         views, views_old = views_old, views
-        np.subtract(v, _grad_adjoint(p, div_p, adjoint), out=x)
-        _grad(x, dx, views)
+        # x = v - grad^T p, then dx = grad x: the passes of _grad_adjoint and _grad
+        np.negative(first, out=div_p)
+        for other in others:
+            div_p -= other
+        for ahead, _, source in adjoint:
+            ahead += source
+        np.subtract(v, div_p, out=x)
+        for ahead, behind, target in views:
+            np.subtract(ahead, behind, out=target)
+        row_ends.fill(0.0)
         if (it - 1) % _CHECK_EVERY and it != max_iter:
             continue
         gap = (lam * float(np.add.reduce(np.abs(dx, out=work), axis=None))
@@ -243,7 +276,7 @@ def _tv_dual_solve(v: np.ndarray, lam: float, tol: float, max_iter: int, p0=None
             raise DivergenceError(f"TV dual projection hit a non-finite gap at iteration {it}",
                                   step=it)
         if gap <= tol:
-            return x, div_p, gap, it
+            return x.copy(), div_p.copy(), gap, it
         np.subtract(x, x_old, out=d)
         if 2.0 * float(np.vdot(d, x)) > float(np.vdot(d, d)):
             t, beta = 1.0, 0.0
@@ -257,6 +290,12 @@ def _check_weight(value: float, name: str = "weight") -> None:
     """The one check on a prox weight, and on the lam of :func:`prox_tv`."""
     if not (np.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and nonnegative")
+
+
+def _check_tv_tol(tol) -> None:
+    """A TV gap tolerance is None (the default) or >= 0: no gap meets a NaN or negative one."""
+    if tol is not None and not tol >= 0:
+        raise ValueError(f"TV tol must be nonnegative, not {tol!r}")
 
 
 def _check_tv_domain(arr: np.ndarray) -> None:
@@ -306,7 +345,8 @@ def prox_tv(v, lam: float, tol: float | None = None, max_iter: int = _TV_MAX_ITE
     duality gap.  Default tolerance is 1e-10 * max(n, ||v||^2): 1e-10 * n on
     unit-scale images, well inside the certified 1e-6 * n contract, and
     relative to the data's energy once that is larger.  SolveError (carrying
-    the gap) if max_iter is hit, DivergenceError if the input is non-finite.
+    the gap) if max_iter is hit, DivergenceError if the input is non-finite,
+    ValueError for a NaN or negative ``tol``, which no gap meets.
 
     A finite input whose energy overflows is solved as s * prox_tv(v/s,
     lam/s) (TV prox is 1-homogeneous), with s the power of two that puts
@@ -320,6 +360,7 @@ def prox_tv(v, lam: float, tol: float | None = None, max_iter: int = _TV_MAX_ITE
     starts a valid solve, so the gap certified is the same.
     """
     _check_weight(lam, "lam")
+    _check_tv_tol(tol)
     arr = as_array(v)
     _check_tv_domain(arr)
     if lam == 0.0:
@@ -350,8 +391,9 @@ def _tv_solve(v: np.ndarray, lam: float, tol, max_iter: int, conjugate: bool) ->
 def _warm_dual(arr: np.ndarray):
     """This solver run's TV dual on the grid of ``arr``; None outside a run.
 
-    Zeros at the run's first TV prox on that grid.  The kernel clips it into
-    the new box, so a changed lam needs nothing more.
+    Zeros at the run's first TV prox on that grid, on a 64-byte boundary
+    (see :func:`_aligned_empty`).  The kernel clips it into the new box, so
+    a changed lam needs nothing more.
     """
     state = run_state()
     if state is None:
@@ -359,7 +401,8 @@ def _warm_dual(arr: np.ndarray):
     key = ("prox_tv", arr.shape)
     p = state.get(key)
     if p is None:
-        p = state[key] = np.zeros((arr.ndim,) + arr.shape)
+        p = state[key] = _aligned_empty((arr.ndim,) + arr.shape)[0]
+        p.fill(0.0)
     return p
 
 
@@ -423,6 +466,7 @@ def zero_prox() -> ProxMap:
 
 def tv_prox(weight: float = 1.0, tol: float | None = None) -> ProxMap:
     _check_weight(weight)
+    _check_tv_tol(tol)
 
     def evaluate(v, lam):
         if not math.isfinite(lam * weight):
@@ -444,6 +488,7 @@ def tv_conj_prox(weight: float = 1.0, tol: float | None = None) -> ProxMap:
     input.
     """
     _check_weight(weight)
+    _check_tv_tol(tol)
 
     def evaluate(v, lam):
         _check_tv_domain(v)

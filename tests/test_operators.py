@@ -366,6 +366,25 @@ class TestRealFftCirculant:
         assert rel_err(prox, solve_shifted_normal(op, 1.0 / lam, op.adjoint(y) + x / lam)) <= 1e-12
 
     @pytest.mark.parametrize("spatial,shape", CIRCULANT_CASES)
+    def test_shifted_reciprocal_is_kept_for_the_last_rho(self, rng, spatial, shape):
+        # the shifted solve and the prox share one complex128 1/(|H|^2 + rho), kept
+        # for the last rho; a kept one gives the bits of a fresh one
+        op = CirculantOp(half_of(random_response(rng, spatial, False)), shape)
+        b, y = rng.standard_normal(shape), rng.standard_normal(shape)
+        prox = op.least_squares(y)[2]
+        solved = op.shifted_solve(0.5, b)
+        rho, inverse = op._shifted
+        assert rho == 0.5 and inverse.dtype == np.complex128 and not inverse.flags.writeable
+        proxed = prox(b, 2.0)  # rho = 1/lam = 0.5: the kept reciprocal
+        assert op._shifted[1] is inverse
+        prox(b, 0.25)
+        assert op._shifted[0] == 4.0
+        assert op.shifted_solve(0.5, b).tobytes() == solved.tobytes()
+        assert prox(b, 2.0).tobytes() == proxed.tobytes()
+        fresh = CirculantOp(op.half_response, shape)
+        assert fresh.shifted_solve(0.5, b).tobytes() == solved.tobytes()
+
+    @pytest.mark.parametrize("spatial,shape", CIRCULANT_CASES)
     @pytest.mark.parametrize("even", [False, True])
     def test_parseval_quadratic_value(self, rng, spatial, shape, even):
         op = CirculantOp(half_of(random_response(rng, spatial, even)), shape)

@@ -22,14 +22,17 @@ from pnpkit import (
     quadratic_fidelity_prox,
     quadratic_prox,
     tv_conj_prox,
+    tv_denoiser,
     tv_prox,
     tv_value,
     wavelet_l1_prox,
     zero_prox,
 )
+from pnpkit import proximal
 from pnpkit.cli import builtin_image
+from pnpkit.core import run_state, scoped_run
 from pnpkit.operators import as_dense
-from pnpkit.proximal import _grad, _grad_adjoint, _tv_dual_solve
+from pnpkit.proximal import _TV_MAX_ITER, _grad, _grad_adjoint, _tv_dual_solve, _warm_dual
 
 
 class TestSoftThreshold:
@@ -507,8 +510,14 @@ class TestFusedDualKernel:
         v = rng.standard_normal((24, 34))
         for view in (np.asfortranarray(v), v[::2, ::2], np.asfortranarray(v)[1::2, ::3]):
             assert not view.flags.c_contiguous
+            copy = np.ascontiguousarray(view)
             x = prox_tv(view, 0.04)
-            assert x.tobytes() == prox_tv(np.ascontiguousarray(view), 0.04).tobytes()
+            assert x.tobytes() == prox_tv(copy, 0.04).tobytes()
+            conj = tv_conj_prox(0.04)
+            assert conj.evaluate(view, 1.0).tobytes() == conj.evaluate(copy, 1.0).tobytes()
+            got, want = _tv_dual_solve(view, 0.3, 1e-8, 5000), _tv_dual_solve(copy, 0.3, 1e-8, 5000)
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+            assert got[2:] == want[2:]
 
     def test_restart_at_least_halves_iterations(self):
         v = _piecewise_noisy(2)
@@ -647,3 +656,172 @@ class TestTvConjugateDomain:
                 prox_tv(v, lam)
             with pytest.raises(ShapeError):
                 tv_conj_prox(lam).evaluate(v, 1.0)
+
+
+class TestTvTolerance:
+    # No gap meets a NaN or negative tol, so a solve would run every inner
+    # iteration for nothing: it is a ValueError at entry and when a map is built.
+    @pytest.mark.parametrize("tol", [np.nan, -1e-3, -np.inf])
+    def test_nan_or_negative_tol_rejected(self, tol):
+        v = np.zeros((8, 8))
+        with pytest.raises(ValueError, match="tol"):
+            prox_tv(v, 0.1, tol=tol)
+        for make in (tv_prox, tv_conj_prox):
+            with pytest.raises(ValueError, match="tol"):
+                make(1.0, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            tv_denoiser(tol=tol)
+
+    def test_zero_tol_is_legal(self):
+        # a constant input has gap 0 at once
+        np.testing.assert_array_equal(prox_tv(np.full((8, 8), 0.5), 0.1, tol=0.0), 0.5)
+        np.testing.assert_array_equal(tv_prox(1.0, tol=0.0).evaluate(np.full(9, 0.5), 0.1), 0.5)
+        np.testing.assert_array_equal(tv_denoiser(tol=0.0).apply(np.full(9, 0.5), 0.3), 0.5)
+
+
+class TestTvBlock:
+    """The kernel's buffers: one block, 64-byte boundaries, fresh outputs."""
+
+    @staticmethod
+    def _recorded(monkeypatch):
+        made = []
+
+        def aligned_empty(*shapes):
+            arrays = real(*shapes)
+            made.append(arrays)
+            return arrays
+
+        real = proximal._aligned_empty
+        monkeypatch.setattr(proximal, "_aligned_empty", aligned_empty)
+        return made
+
+    @pytest.mark.parametrize("shape", [(64, 64), (9, 13), (17,), (1, 5)])
+    def test_buffers_and_warm_dual_start_on_64_byte_boundaries(self, monkeypatch, rng, shape):
+        made = self._recorded(monkeypatch)
+        v = rng.standard_normal(shape)
+        prox_tv(v, 0.04)
+        tv_conj_prox(0.04).evaluate(v, 1.0)
+        with scoped_run():
+            prox_tv(v, 0.04)
+            prox_tv(v, 0.02)
+            warm = run_state()[("prox_tv", shape)]
+        stack = (len(shape),) + shape
+        # cold: v, 8 work buffers and the dual; the run's dual once, then 9 per solve
+        assert [len(arrays) for arrays in made] == [10, 10, 1, 9, 9]
+        assert made[2][0] is warm and warm.shape == stack
+        for arrays in made:
+            for arr in arrays:
+                assert arr.ctypes.data % 64 == 0 and arr.flags.c_contiguous
+        assert made[0][0].base is made[0][-1].base  # one block per solve
+
+    def test_outputs_share_no_memory(self, rng):
+        v, w = rng.standard_normal((16, 16)), rng.standard_normal((16, 16))
+        with scoped_run():
+            x, div_p, _, _ = _tv_dual_solve(v, 0.04, 1e-8, 5000, p0=_warm_dual(v), out=_warm_dual(v))
+            outputs = [x, div_p, prox_tv(v, 0.04), prox_tv(w, 0.02),
+                       tv_conj_prox(0.04).evaluate(v, 1.0), _warm_dual(v)]
+        for i, a in enumerate(outputs):
+            for b in outputs[i + 1:]:
+                assert not np.shares_memory(a, b)
+        # fresh arrays, not views that would keep a solve's whole block alive
+        assert all(out.base is None for out in outputs[:5])
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (1, 1), (1, 6), (6, 1)])
+    def test_degenerate_shapes_solve(self, rng, shape):
+        v = rng.standard_normal(shape)
+        cold = prox_tv(v, 0.3)
+        conj = tv_conj_prox(0.3).evaluate(v, 1.0)
+        with scoped_run():
+            warm = [prox_tv(v, lam) for lam in (0.3, 0.1)]
+        for out in [cold, conj] + warm:
+            assert out.shape == shape and np.all(np.isfinite(out))
+        assert np.max(np.abs(cold + conj - v), initial=0.0) <= 1e-6
+        if v.size:
+            ref = _reference_dual_solve(v, 0.3, 1e-10 * v.size, 100000)[0]
+            assert np.max(np.abs(cold - ref)) <= 1e-8
+        if v.size <= 1:  # no differences: the prox is v itself
+            np.testing.assert_array_equal(cold, v)
+
+
+def _rectangle(side, rows, cols, corner=False):
+    """A rows x cols block of ones on a side x side grid of zeros, centred or in a corner."""
+    v = np.zeros((side, side))
+    top, left = (0, 0) if corner else ((side - rows) // 2, (side - cols) // 2)
+    v[top:top + rows, left:left + cols] = 1.0
+    return v
+
+
+def _rectangle_prox(v, lam, edges):
+    """The prox of lam*TV of a one-rectangle image while its two levels keep their order.
+
+    The rectangle's level drops by lam*E/area and the background rises by
+    lam*E/(N - area), E the grid edges its boundary cuts.
+    """
+    inside = v == 1.0
+    area = int(inside.sum())
+    x = np.where(inside, 1.0 - lam * edges / area, lam * edges / (v.size - area))
+    assert x[inside][0] > x[~inside][0]
+    return x
+
+
+def _tv_objective(x, v, lam):
+    return 0.5 * float(np.sum((x - v) ** 2)) + lam * tv_value(x)
+
+
+class TestTvExactAnswers:
+    """The TV kernel against closed-form proxes of piecewise-constant inputs.
+
+    Anisotropic TV with a Neumann boundary; each closed form holds while no
+    two levels merge, and past merging the prox is the constant mean.
+    """
+
+    @pytest.mark.parametrize("rows,cols,lam", [(16, 16, 0.5), (16, 16, 1.0), (10, 20, 0.3),
+                                               (32, 32, 1.0), (8, 8, 0.5)])
+    def test_centred_rectangle(self, rows, cols, lam):
+        v = _rectangle(64, rows, cols)
+        x = prox_tv(v, lam, tol=1e-13 * v.size)
+        assert np.max(np.abs(x - _rectangle_prox(v, lam, 2 * (rows + cols)))) <= 1e-10
+
+    def test_corner_rectangle(self):
+        # two of its sides lie on the domain edge, which no difference crosses
+        v = _rectangle(64, 20, 12, corner=True)
+        x = prox_tv(v, 0.5, tol=1e-13 * v.size)
+        assert np.max(np.abs(x - _rectangle_prox(v, 0.5, 20 + 12))) <= 1e-10
+
+    def test_merged_levels_give_the_mean(self):
+        v = _rectangle(16, 6, 6)
+        x = prox_tv(v, 30.0, tol=1e-13 * v.size)
+        assert np.max(np.abs(x - v.mean())) <= 1e-10
+
+    def test_piecewise_constant_1d(self):
+        # each segment moves by lam*(e_left + e_right)/length, e the sign of
+        # (neighbour level - its level), 0 at a domain end
+        v = np.zeros(200)
+        v[50:80], v[120:160] = 1.0, 0.6
+        lam = 0.1
+        moves = {(0, 50): 1 / 50, (50, 80): -2 / 30, (80, 120): 2 / 40, (120, 160): -2 / 40,
+                 (160, 200): 1 / 40}
+        want = v.copy()
+        for (lo, hi), move in moves.items():
+            want[lo:hi] += lam * move
+        x = prox_tv(v, lam, tol=1e-13 * v.size)
+        assert np.max(np.abs(x - want)) <= 1e-10
+
+    def test_warm_gap_bounds_the_objective_and_the_distance(self):
+        # F(x) - F* <= gap by weak duality and 0.5*||x - x*||^2 <= gap by strong
+        # convexity, for the gap of a run's solve from its warm dual
+        v, lam = _rectangle(64, 16, 16), 0.5
+        x_star = _rectangle_prox(v, lam, 64)
+        f_star = _tv_objective(x_star, v, lam)
+        default = 1e-10 * v.size
+        for tol in (default, 1e4 * default):
+            with scoped_run():
+                prox_tv(v, 1.0)  # leaves a warm dual for the grid
+                warm = _warm_dual(v).copy()
+                assert np.any(warm)
+                x_run = prox_tv(v, lam, tol=tol)
+            x, _, gap, _ = _tv_dual_solve(v, lam, tol, _TV_MAX_ITER, p0=warm)
+            assert x.tobytes() == x_run.tobytes()
+            assert 0.0 <= gap <= tol
+            assert _tv_objective(x, v, lam) - f_star <= gap + 1e-12 * f_star
+            assert 0.5 * float(np.sum((x - x_star) ** 2)) <= gap
