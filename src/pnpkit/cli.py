@@ -578,7 +578,7 @@ def _map_jobs(fn, items, workers: int):
 
             pool = ProcessPoolExecutor(max_workers=min(workers, len(items)),
                                        mp_context=multiprocessing.get_context("fork"),
-                                       initializer=_hold_jobs, initargs=(fn, items))
+                                       initializer=_hold_jobs, initargs=(fn, items, os.getpid()))
             try:
                 return list(pool.map(_run_held_job, range(len(items))))
             finally:  # after a failed job, the jobs not yet started never start
@@ -589,9 +589,27 @@ def _map_jobs(fn, items, workers: int):
 _HELD_JOBS = None  # (fn, items) in a worker process of _map_jobs
 
 
-def _hold_jobs(fn, items) -> None:
+def _hold_jobs(fn, items, parent: int) -> None:
+    """Hold the jobs in a worker, and end the worker with the command ``parent``.
+
+    On Linux the worker asks for SIGKILL at its parent's death
+    (``prctl(PR_SET_PDEATHSIG)``), then exits if the parent is already gone,
+    which the request would miss.  Where libc has no ``prctl`` nothing is
+    asked, and the workers of a killed command outlive it.
+    """
     global _HELD_JOBS
     _HELD_JOBS = (fn, items)
+    import ctypes  # imported here: at module level it slows every CLI start
+    import signal
+
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except AttributeError:
+        return
+    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG (linux/prctl.h)
+    if os.getppid() != parent:
+        os._exit(1)
 
 
 def _run_held_job(index: int):

@@ -90,8 +90,9 @@ def _stencil(x: np.ndarray, stack: np.ndarray) -> list:
     triple (x[k:], x[:n-k], stack[axis][:n-k]), all flat: the gradient
     writes the difference of the first two into the third, and the adjoint
     adds the third into the first.  Along the last axis the pass also runs
-    across each row end; :func:`_grad` and :func:`_grad_adjoint` say why
-    that is harmless.
+    across each row end, which is harmless: the gradient re-zeroes each
+    row's last entry after it, and the adjoint adds each row's last entry
+    of the dual, which is zero, to the next row's first entry.
     """
     flat = x.reshape(-1)
     rows = stack.reshape(len(stack), -1)
@@ -103,41 +104,19 @@ def _stencil(x: np.ndarray, stack: np.ndarray) -> list:
     return views
 
 
-def _grad(x: np.ndarray, out: np.ndarray | None = None, views=None) -> np.ndarray:
+def _grad(x: np.ndarray) -> np.ndarray:
     """Forward differences stacked as (ndim, *x.shape), Neumann boundary.
 
-    Each axis is one flat pass (see :func:`_stencil`).  The last axis's pass
-    also writes, into each row's last entry, the difference across the row
-    end, so that slice is re-zeroed; the other axes never write their
-    trailing slice, so an ``out`` that starts at zero keeps it zero.
-    ``views`` is ``_stencil(x, out)``, for a caller that builds it once on
-    C-contiguous ``x`` and ``out``.
+    Each axis is one flat pass (see :func:`_stencil`) into a zeroed stack;
+    the last axis's pass also writes, into each row's last entry, the
+    difference across the row end, so that slice is re-zeroed.
     """
-    if views is None:
-        x = np.ascontiguousarray(x)
-        if out is None:
-            out = np.zeros((x.ndim,) + x.shape)
-        views = _stencil(x, out)
-    for ahead, behind, target in views:
+    x = np.ascontiguousarray(x)
+    out = np.zeros((x.ndim,) + x.shape)
+    for ahead, behind, target in _stencil(x, out):
         np.subtract(ahead, behind, out=target)
     if out.size:
         out[-1, ..., -1] = 0.0
-    return out
-
-
-def _grad_adjoint(p: np.ndarray, out: np.ndarray, views=None) -> np.ndarray:
-    """grad^T p for stacked duals p that are zero on each trailing slice.
-
-    ``out`` is C-contiguous.  The last axis's flat pass (see
-    :func:`_stencil`) also adds each row's last entry of p[-1], which is
-    zero, to the next row's first entry of ``out``.  ``views`` is
-    ``_stencil(out, p)``, for a caller that builds it once.
-    """
-    np.negative(p[0], out=out)
-    for axis in range(1, out.ndim):
-        out -= p[axis]
-    for ahead, _, source in _stencil(out, np.ascontiguousarray(p)) if views is None else views:
-        ahead += source
     return out
 
 
@@ -174,38 +153,38 @@ def _aligned_empty(*shapes) -> list:
 
 # An inf input makes nan (inf - inf) in the iterates; the non-finite gap reports it.
 @np.errstate(invalid="ignore")
-def _tv_dual_solve(v: np.ndarray, lam: float, tol: float, max_iter: int, p0=None, out=None):
+def _tv_dual_solve(v: np.ndarray, lam: float, tol: float, max_iter: int, p=None):
     """FISTA-accelerated projected gradient on the TV dual (Beck-Teboulle).
 
     Maximizes the dual of 0.5*||x - v||^2 + lam*TV(x) over |p| <= lam
     componentwise; returns (x, div_p, gap, iterations).  Dual ascent step is
-    1/4 in 1-D and 1/8 in 2-D (1 / ||grad||^2 bound).  ``p0`` optionally
-    seeds the stacked (ndim, *v.shape) dual variables: it is clipped into
-    the box and its trailing slices, which no difference reaches, are
-    zeroed.  The dual is iterated in ``out`` when one is given, else in a
-    buffer of the solve's own, so ``p0 = out`` warm-starts from a buffer and
-    leaves the final dual in it for a next solve.
+    1/4 in 1-D and 1/8 in 2-D (1 / ||grad||^2 bound).  ``p``, a
+    C-contiguous stack of (ndim, *v.shape) dual variables, seeds the solve:
+    it is clipped into the box, its trailing slices, which no difference
+    reaches, are zeroed, and it is iterated in place, so it holds the final
+    dual afterwards for a next solve to warm-start from.  With ``p`` None the
+    dual starts at zero in a buffer of the solve's own.
 
     The dual gradient at the extrapolated point q = p + beta*(p - p_old) is
     linear in the last two iterates, so with x = v - grad^T p and
     z = p + step*grad(x) the step reads p_next = clip(z + beta*(z - z_old)).
-    Each iteration thus costs one adjoint and one gradient.  The duality gap
+    Each iteration thus costs one adjoint and one gradient; iteration 0 runs
+    the two passes on the starting dual alone.  The duality gap
     lam*||grad x||_1 - <p, grad x> is bookkeeping that leaves the iterates
     alone, so it is taken only on iterations 1, 1 + 4, 1 + 8, ... (every
     ``_CHECK_EVERY``-th) and at ``max_iter``, and checked against ``tol``
     there: a solve returns on such an iteration.  A non-finite gap raises
     DivergenceError before it is compared with ``tol``; running out of
-    iterations raises SolveError carrying the gap of the last iteration.
+    iterations raises SolveError carrying the gap of the last iteration (inf
+    at ``max_iter`` 0).
 
-    A copy of ``v`` and the work buffers (with the dual, when ``out`` is
-    None) come from one block, each on a 64-byte boundary (see
-    :func:`_aligned_empty`); ``out`` must be C-contiguous.  Both stencils
-    run as one contiguous pass per axis on the flat buffers (see
-    :func:`_stencil`), on views built once per solve: inside the loop the
-    passes of :func:`_grad_adjoint` and :func:`_grad` run on them directly,
-    with no call.  The returned x and div_p are fresh arrays, so no caller
-    keeps the block alive.  The scalars are Python floats and the momentum
-    passes are skipped while beta is 0.  The gap reads <p, grad x> as
+    A copy of ``v`` and the work buffers (with the dual, when ``p`` is None)
+    come from one block, each on a 64-byte boundary (see
+    :func:`_aligned_empty`).  Both stencils run as one contiguous pass per
+    axis on the flat buffers (see :func:`_stencil`), on views built once per
+    solve.  The returned x and div_p are fresh arrays, so no caller keeps
+    the block alive.  The scalars are Python floats and the momentum passes
+    are skipped while beta is 0.  The gap reads <p, grad x> as
     <grad^T p, x> = <div_p, x>, on n entries instead of ndim*n, and
     ||grad x||_1 as one reduction of |grad x|.
 
@@ -221,44 +200,43 @@ def _tv_dual_solve(v: np.ndarray, lam: float, tol: float, max_iter: int, p0=None
     ndim = v.ndim
     step = 1.0 / (4.0 * ndim)
     stack = (ndim,) + v.shape
-    shapes = [v.shape] + [stack] * 4 + [v.shape] * 4 + ([stack] if out is None else [])
+    shapes = [v.shape] + [stack] * 4 + [v.shape] * 4 + ([stack] if p is None else [])
     v_copy, z, z_old, dx, work, div_p, x, x_old, d, *own = _aligned_empty(*shapes)
     np.copyto(v_copy, v)
     v = v_copy
-    p = own[0] if own else out
-    if p0 is not None:
-        np.clip(p0, -lam, lam, out=p)
+    if p is None:
+        p = own[0]
+        p.fill(0.0)
+    else:
+        p.clip(-lam, lam, out=p)
         for axis in range(ndim):
             p[axis].swapaxes(0, axis)[-1:] = 0.0
-    else:
-        p.fill(0.0)
     dx.fill(0.0)  # only the last axis's pass writes its trailing slice
     adjoint = _stencil(div_p, p)
     views, views_old = _stencil(x, dx), _stencil(x_old, dx)
     first, others = p[0], list(p[1:])
     row_ends = dx[-1, ..., -1:]
-    np.subtract(v, _grad_adjoint(p, div_p, adjoint), out=x)
-    _grad(x, dx, views)
     t, beta = 1.0, 0.0
     gap = math.inf
-    for it in range(1, max_iter + 1):
-        np.multiply(dx, step, out=z)
-        z += p
-        if beta:
-            np.subtract(z, z_old, out=p)
-            p *= beta
-            p += z
-            p.clip(-lam, lam, out=p)
-        else:
-            z.clip(-lam, lam, out=p)
-        z, z_old = z_old, z
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        beta = (t - 1.0) / t_new
-        t = t_new
+    for it in range(max_iter + 1):
+        if it:
+            np.multiply(dx, step, out=z)
+            z += p
+            if beta:
+                np.subtract(z, z_old, out=p)
+                p *= beta
+                p += z
+                p.clip(-lam, lam, out=p)
+            else:
+                z.clip(-lam, lam, out=p)
+            z, z_old = z_old, z
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_new
+            t = t_new
 
         x, x_old = x_old, x
         views, views_old = views_old, views
-        # x = v - grad^T p, then dx = grad x: the passes of _grad_adjoint and _grad
+        # x = v - grad^T p, then dx = grad x
         np.negative(first, out=div_p)
         for other in others:
             div_p -= other
@@ -268,7 +246,7 @@ def _tv_dual_solve(v: np.ndarray, lam: float, tol: float, max_iter: int, p0=None
         for ahead, behind, target in views:
             np.subtract(ahead, behind, out=target)
         row_ends.fill(0.0)
-        if (it - 1) % _CHECK_EVERY and it != max_iter:
+        if not it or ((it - 1) % _CHECK_EVERY and it != max_iter):
             continue
         gap = (lam * float(np.add.reduce(np.abs(dx, out=work), axis=None))
                - float(np.vdot(div_p, x)))
@@ -373,7 +351,8 @@ def _tv_solve(v: np.ndarray, lam: float, tol, max_iter: int, conjugate: bool) ->
 
     Holds the overflow rescale and the default tolerance of :func:`prox_tv`.
     The prox starts from the run's warm dual, the conjugate from the
-    projected gradient step (1 / (4*ndim)) * grad v of the rescaled input.
+    projected gradient step (1 / (4*ndim)) * grad v of the rescaled input,
+    written into a dual on a 64-byte boundary like every other.
     """
     energy = _energy(v)
     if math.isinf(energy) and np.isfinite(v).all():
@@ -383,9 +362,10 @@ def _tv_solve(v: np.ndarray, lam: float, tol, max_iter: int, conjugate: bool) ->
     if tol is None:
         tol = _default_tv_tol(v, energy)
     if conjugate:
-        return _tv_dual_solve(v, lam, tol, max_iter, p0=(0.25 / v.ndim) * _grad(v))[1]
-    p = _warm_dual(v)
-    return _tv_dual_solve(v, lam, tol, max_iter, p0=p, out=p)[0]
+        p = _aligned_empty((v.ndim,) + v.shape)[0]
+        np.multiply(_grad(v), 0.25 / v.ndim, out=p)
+        return _tv_dual_solve(v, lam, tol, max_iter, p)[1]
+    return _tv_dual_solve(v, lam, tol, max_iter, _warm_dual(v))[0]
 
 
 def _warm_dual(arr: np.ndarray):

@@ -28,9 +28,7 @@ class UlaConfig:
 
     ``delta`` is the time step of the Euler-Maruyama discretization,
     ``sigma`` the denoiser noise level, ``sigma_w`` the measurement noise
-    level.  Burn-in defaults to the kept-sample count.  ``noise_scale``
-    rescales the stochastic term and exists so the deterministic drift can
-    be tested in isolation (noise_scale = 0).
+    level.  Burn-in defaults to the kept-sample count.
     """
 
     delta: float
@@ -40,10 +38,9 @@ class UlaConfig:
     burn_in: int | None = None
     thin: int = 1
     seed: int = 0
-    noise_scale: float = 1.0
 
     def __post_init__(self):
-        for name in ("delta", "sigma", "sigma_w", "noise_scale"):
+        for name in ("delta", "sigma", "sigma_w"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.delta <= 0:
@@ -65,8 +62,6 @@ class UlaConfig:
             self.burn_in = self.kept
         if self.burn_in < 1:
             raise ValueError("burn_in must be >= 1")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be nonnegative")
 
 
 @dataclass
@@ -120,12 +115,11 @@ def run_pnp_ula(op: LinearOp, y, denoiser: Denoiser, cfg: UlaConfig, x0=None):
     sigma, delta = cfg.sigma, cfg.delta
     inv_s2 = 1.0 / (sigma * sigma)
     inv_w2 = 1.0 / (cfg.sigma_w * cfg.sigma_w)
-    noise_std = math.sqrt(2.0 * delta) * cfg.noise_scale
+    noise_std = math.sqrt(2.0 * delta)
 
     total_steps = cfg.burn_in + cfg.kept * cfg.thin
     # a (B, n) draw is the same stream as B successive (n,) draws
     block = max(1, NOISE_BLOCK_BYTES // (8 * x.size))
-    noise = None
     apply_d, normal = denoiser.apply, op.normal
     # an overflowing ||K||^2 or state norm is inf, and the chain then diverges
     with np.errstate(over="ignore"):
@@ -142,12 +136,11 @@ def run_pnp_ula(op: LinearOp, y, denoiser: Denoiser, cfg: UlaConfig, x0=None):
             drift += data
             drift *= delta
             x += drift
-            if noise_std != 0.0:
-                i = (k - 1) % block
-                if i == 0:
-                    noise = rng.standard_normal((min(block, total_steps - k + 1), *shape))
-                    noise *= noise_std
-                x += noise[i]
+            i = (k - 1) % block
+            if i == 0:
+                noise = rng.standard_normal((min(block, total_steps - k + 1), *shape))
+                noise *= noise_std
+            x += noise[i]
             if diverged(x):
                 raise DivergenceError(f"PnP-ULA chain diverged at step {k}", step=k)
             if k > cfg.burn_in and (k - cfg.burn_in) % cfg.thin == 0:

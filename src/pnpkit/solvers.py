@@ -440,27 +440,26 @@ def run_hqs(op: LinearOp, y, reg, cfg: SolverConfig, x0=None, rho_schedule=None,
     ``rho_schedule`` and ``sigma_schedule`` are each None (``cfg.rho`` and
     the slot's sigma at every step) or a sequence whose k-th entry is used at
     step k and whose last entry holds after its end.  A decreasing-sigma
-    denoiser schedule mimics the classical non-convergent baseline.  An
-    empty schedule, or one with a non-finite entry, a rho <= 0 or a sigma < 0,
-    raises ValueError before the first step.
+    denoiser schedule mimics the classical non-convergent baseline.  Row k
+    traces f(z_k) plus the slot's term at step k's rho and sigma (row 0 at
+    step 1's).  An empty schedule, or one with a non-finite entry, a
+    rho <= 0 or a sigma < 0, raises ValueError before the first step.
     """
     y_arr = op._data(y)
     slot = _as_slot(reg)
     rho_of = _as_schedule(rho_schedule, cfg.rho, "rho_schedule", positive=True)
     sigma_of = _as_schedule(sigma_schedule, slot.sigma, "sigma_schedule", positive=False)
     fid_prox = quadratic_fidelity_prox(op, y_arr)
-    scale = 1.0 / rho_of(1)  # 1/rho_k of the current step; row 0 uses rho_1
+    # 1/rho_k and the slot at sigma_k of the current step; row 0 uses step 1's
+    scale, step_slot = 1.0 / rho_of(1), replace(slot, sigma=sigma_of(1))
 
     def advance(k, z):
-        nonlocal scale
-        scale = 1.0 / rho_of(k)
-        x = fid_prox.evaluate(z, scale)
-        if slot.denoiser is not None:
-            return slot.denoiser.apply(x, sigma_of(k))
-        return slot.apply(x, scale)
+        nonlocal scale, step_slot
+        scale, step_slot = 1.0 / rho_of(k), replace(slot, sigma=sigma_of(k))
+        return step_slot.apply(fid_prox.evaluate(z, scale), scale)
 
     def report(k, z, r):
-        return z, fid_prox.objective(z) + _objective(z, scale, None, slot), r, r
+        return z, fid_prox.objective(z) + _objective(z, scale, None, step_slot), r, r
 
     return _iterate(cfg, op._adjoint(y_arr) if x0 is None else x0, advance, report, reference)
 

@@ -1,9 +1,16 @@
+import contextlib
 import copy
+import ctypes
 import json
 import math
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pnpkit
 from pnpkit import ConfigError, SolveError, Trace, save_signal, write_trace
 from pnpkit.cli import (
     _map_jobs,
@@ -25,6 +33,15 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _gone_or_zombie(pid: int) -> bool:
+    """Whether process ``pid`` has ended: no /proc entry, or a zombie (state Z)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
 
 
 GS_DENOISER = {"kind": "gs", "kernel_sigma": 1.5, "floor": 0.15, "weight": 0.7}
@@ -344,6 +361,43 @@ class TestCompareCommand:
             _map_jobs(job, list(range(4)), 2)
         assert type(caught.value) is type(error) and str(caught.value) == str(error)
         assert multiprocessing.active_children() == []
+
+    def test_sigterm_to_the_command_ends_its_workers(self, tmp_path):
+        # a 64^2 TV compare whose two rows run until killed (tol 0), on 2 workers
+        tid = threading.get_native_id()
+        if (not Path(f"/proc/self/task/{tid}/children").is_file()
+                or not hasattr(ctypes.CDLL(None), "prctl")):
+            pytest.skip("needs /proc/<pid>/task/<tid>/children and prctl")
+        doc = {**self.compare_config(str(tmp_path / "cmp")),
+               "images": [{"builtin": "shapes", "size": 64}],
+               "denoiser": {"kind": "tv", "c": 1.0},
+               "solvers": [{"algo": algo, "step": 1.0, "sigma": 0.05, "max_iter": 100000,
+                            "tol": 0.0} for algo in ("pnp-pgd", "pnp-drs")]}
+        env = dict(os.environ, PNPKIT_THREADS="2")
+        src = str(Path(pnpkit.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen([sys.executable, "-m", "pnpkit.cli", "compare", "--config",
+                                 write_config(tmp_path, doc)], env=env)
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        workers = []
+        try:
+            deadline = time.monotonic() + 3.0
+            while len(workers) < 2 and time.monotonic() < deadline:
+                assert proc.poll() is None, "the compare exited before it started 2 workers"
+                workers = [int(pid) for pid in children.read_text().split()]
+                time.sleep(0.01)
+            assert len(workers) == 2, "the compare started no 2 workers in 3 s"
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(5.0)
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and not all(map(_gone_or_zombie, workers)):
+                time.sleep(0.05)
+            assert all(map(_gone_or_zombie, workers))
+        finally:
+            for pid in [proc.pid] + workers:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            proc.wait()
 
     def test_jobs_run_in_order_here_without_fork(self, monkeypatch):
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])

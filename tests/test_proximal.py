@@ -32,7 +32,7 @@ from pnpkit import proximal
 from pnpkit.cli import builtin_image
 from pnpkit.core import run_state, scoped_run
 from pnpkit.operators import as_dense
-from pnpkit.proximal import _TV_MAX_ITER, _grad, _grad_adjoint, _tv_dual_solve, _warm_dual
+from pnpkit.proximal import _TV_MAX_ITER, _grad, _tv_dual_solve, _warm_dual
 
 
 class TestSoftThreshold:
@@ -372,7 +372,7 @@ def _reference_zero_tail(p):
         pa[tuple(tail)] = 0.0
 
 
-def _reference_dual_solve(v, lam, tol, max_iter, p0=None, restart=True):
+def _reference_dual_solve(v, lam, tol, max_iter, seed=None, restart=True):
     """The two-stencil FISTA loop: explicit extrapolation q, gap from primal - dual.
 
     With ``restart`` the momentum resets (q = p, t = 1) whenever the dual
@@ -382,10 +382,10 @@ def _reference_dual_solve(v, lam, tol, max_iter, p0=None, restart=True):
     out of iterations raises SolveError carrying the last gap, as the kernel does.
     """
     step = 1.0 / (4.0 * v.ndim)
-    if p0 is None:
+    if seed is None:
         p = [np.zeros_like(v) for _ in range(v.ndim)]
     else:
-        p = [np.clip(pa, -lam, lam) for pa in p0]
+        p = [np.clip(pa, -lam, lam) for pa in seed]
         _reference_zero_tail(p)
     q = [pa.copy() for pa in p]
     t = 1.0
@@ -426,6 +426,14 @@ def _piecewise_noisy(ndim):
     return clean + 0.05 * rng.standard_normal(clean.shape)
 
 
+def _conj_seed(v, seeded):
+    """A fresh copy of the dual tv_conj_prox starts from, or None (a cold start).
+
+    The kernel iterates a given dual in place, so each solve takes its own.
+    """
+    return (0.25 / v.ndim) * _grad(v) if seeded else None
+
+
 # Flat-stencil edge cases: one row, one column (every entry is a row end),
 # the shortest 1-D signal, and a non-square grid.
 EDGE_SHAPES = [(1, 7), (7, 1), (2,), (9, 13)]
@@ -434,13 +442,16 @@ EDGE_SHAPES = [(1, 7), (7, 1), (2,), (9, 13)]
 class TestTvStencil:
     @pytest.mark.parametrize("shape", [(17,), (9, 13), (1, 7), (7, 1), (2,)])
     def test_adjoint_identity(self, rng, shape):
+        # The kernel's adjoint pass, read through its in/out dual: a solve from
+        # a random p returns at iteration 1 (tol inf) with div_p = grad^T p_final.
         for _ in range(20):
-            x = rng.standard_normal(shape)
+            v = rng.standard_normal(shape)
             p = rng.standard_normal((len(shape),) + shape)
-            for axis in range(len(shape)):
-                p[(axis,) + (slice(None),) * axis + (-1,)] = 0.0
+            x, div_p, _, it = _tv_dual_solve(v, 1.0, math.inf, 1, p)
+            assert it == 1
+            np.testing.assert_allclose(div_p, _reference_grad_adjoint(p), rtol=0.0, atol=1e-12)
             lhs = float(np.sum(_grad(x) * p))
-            rhs = float(np.sum(x * _grad_adjoint(p, np.empty(shape))))
+            rhs = float(np.sum(x * div_p))
             assert abs(lhs - rhs) <= 1e-12
 
     @pytest.mark.parametrize("shape", EDGE_SHAPES)
@@ -450,9 +461,6 @@ class TestTvStencil:
         strided = rng.standard_normal(tuple(2 * n for n in shape))[every_other]
         for x in (strided, np.asfortranarray(strided)):
             np.testing.assert_array_equal(_grad(x), np.stack(_reference_grad(x)))
-        p = np.stack(_reference_grad(rng.standard_normal(shape)))  # zero on each trailing slice
-        np.testing.assert_allclose(_grad_adjoint(p, np.empty(shape)), _reference_grad_adjoint(p),
-                                   rtol=0.0, atol=1e-12)
 
 
 class TestFusedDualKernel:
@@ -462,11 +470,10 @@ class TestFusedDualKernel:
     def test_matches_two_stencil_reference(self, ndim, lam, seeded):
         v = _piecewise_noisy(ndim)
         tol = 1e-10 * v.size
-        # the seed tv_conj_prox starts from
-        seed = (0.25 / ndim) * _grad(v) if seeded else None
+        seed = _conj_seed(v, seeded)
         ref_x, ref_div, ref_it = _reference_dual_solve(
-            v, lam, tol, 100000, p0=None if seed is None else list(seed))
-        x, div_p, gap, it = _tv_dual_solve(v, lam, tol, 100000, p0=seed)
+            v, lam, tol, 100000, seed=None if seed is None else list(seed))
+        x, div_p, gap, it = _tv_dual_solve(v, lam, tol, 100000, seed)
         assert it == ref_it
         assert gap <= tol
         assert np.max(np.abs(x - ref_x)) <= 1e-12
@@ -480,9 +487,8 @@ class TestFusedDualKernel:
         # x with gap g satisfies 0.5*||x - x*||^2 <= g, whatever produced it.
         v = _piecewise_noisy(ndim)
         tol = 1e-10 * v.size
-        seed = (0.25 / ndim) * _grad(v) if seeded else None
-        x, div_p, gap, _ = _tv_dual_solve(v, lam, tol, 100000, p0=seed)
-        x_star, _, gap_star, _ = _tv_dual_solve(v, lam, 1e-13, 100000, p0=seed)
+        x, div_p, gap, _ = _tv_dual_solve(v, lam, tol, 100000, _conj_seed(v, seeded))
+        x_star, _, gap_star, _ = _tv_dual_solve(v, lam, 1e-13, 100000, _conj_seed(v, seeded))
         primal = 0.5 * float(np.sum((x - v) ** 2)) + lam * tv_value(x)
         dual = 0.5 * float(np.sum(v**2)) - 0.5 * float(np.sum(x**2))
         assert 0.0 <= gap <= tol and 0.0 <= gap_star <= 1e-13
@@ -604,6 +610,14 @@ class TestFusedDualKernel:
         assert all(it % 4 == 1 or it == max_iter for it, max_iter in runs)
         assert any(it % 4 != 1 for it, _ in runs)
 
+    def test_max_iter_zero_raises_with_an_infinite_gap(self, rng):
+        # iteration 0 runs the passes on the starting dual and takes no gap
+        v = rng.standard_normal((16, 16))
+        for p in (None, np.zeros((2, 16, 16))):
+            with pytest.raises(SolveError) as exc:
+                _tv_dual_solve(v, 0.04, 1e10, 0, p)
+            assert exc.value.residual == math.inf
+
     def test_max_iter_zero_tol_raises_with_gap(self, rng):
         v = rng.standard_normal((16, 16))
         with pytest.raises(SolveError) as exc:
@@ -706,9 +720,11 @@ class TestTvBlock:
             prox_tv(v, 0.02)
             warm = run_state()[("prox_tv", shape)]
         stack = (len(shape),) + shape
-        # cold: v, 8 work buffers and the dual; the run's dual once, then 9 per solve
-        assert [len(arrays) for arrays in made] == [10, 10, 1, 9, 9]
-        assert made[2][0] is warm and warm.shape == stack
+        # cold: v, 8 work buffers and the dual; the conjugate's seeded dual, then 9;
+        # the run's dual once, then 9 per solve
+        assert [len(arrays) for arrays in made] == [10, 1, 9, 1, 9, 9]
+        assert made[3][0] is warm and warm.shape == stack
+        assert made[1][0].shape == stack
         for arrays in made:
             for arr in arrays:
                 assert arr.ctypes.data % 64 == 0 and arr.flags.c_contiguous
@@ -717,7 +733,7 @@ class TestTvBlock:
     def test_outputs_share_no_memory(self, rng):
         v, w = rng.standard_normal((16, 16)), rng.standard_normal((16, 16))
         with scoped_run():
-            x, div_p, _, _ = _tv_dual_solve(v, 0.04, 1e-8, 5000, p0=_warm_dual(v), out=_warm_dual(v))
+            x, div_p, _, _ = _tv_dual_solve(v, 0.04, 1e-8, 5000, _warm_dual(v))
             outputs = [x, div_p, prox_tv(v, 0.04), prox_tv(w, 0.02),
                        tv_conj_prox(0.04).evaluate(v, 1.0), _warm_dual(v)]
         for i, a in enumerate(outputs):
@@ -820,7 +836,7 @@ class TestTvExactAnswers:
                 warm = _warm_dual(v).copy()
                 assert np.any(warm)
                 x_run = prox_tv(v, lam, tol=tol)
-            x, _, gap, _ = _tv_dual_solve(v, lam, tol, _TV_MAX_ITER, p0=warm)
+            x, _, gap, _ = _tv_dual_solve(v, lam, tol, _TV_MAX_ITER, warm)
             assert x.tobytes() == x_run.tobytes()
             assert 0.0 <= gap <= tol
             assert _tv_objective(x, v, lam) - f_star <= gap + 1e-12 * f_star

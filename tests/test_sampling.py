@@ -64,23 +64,21 @@ def frozen_run_pnp_ula(op, y, denoiser, cfg, x0=None):
     shape = x.shape
     inv_s2 = 1.0 / (cfg.sigma * cfg.sigma)
     inv_w2 = 1.0 / (cfg.sigma_w * cfg.sigma_w)
-    noise_std = math.sqrt(2.0 * cfg.delta) * cfg.noise_scale
+    noise_std = math.sqrt(2.0 * cfg.delta)
     total_steps = cfg.burn_in + cfg.kept * cfg.thin
     samples = np.empty((cfg.kept, n))
     block = max(1, NOISE_BLOCK_BYTES // (8 * n))
-    noise = None
     with np.errstate(over="ignore"):
         stability = cfg.delta * (inv_s2 + float(np.float64(op.spectral_norm) ** 2) * inv_w2)
         for k in range(1, total_steps + 1):
             drift = inv_s2 * (denoiser.apply(x, cfg.sigma) - x)
             drift += inv_w2 * (kty - op.normal(x))
             x = x + cfg.delta * drift
-            if noise_std != 0.0:
-                i = (k - 1) % block
-                if i == 0:
-                    draws = min(block, total_steps - k + 1)
-                    noise = noise_std * rng.standard_normal((draws, *shape))
-                x = x + noise[i]
+            i = (k - 1) % block
+            if i == 0:
+                draws = min(block, total_steps - k + 1)
+                noise = noise_std * rng.standard_normal((draws, *shape))
+            x = x + noise[i]
             assert not diverged(x)
             if k > cfg.burn_in and (k - cfg.burn_in) % cfg.thin == 0:
                 samples[(k - cfg.burn_in) // cfg.thin - 1] = x.reshape(-1)
@@ -125,7 +123,7 @@ class TestUlaConfig:
             UlaConfig(delta=1e-3, sigma=0.5, sigma_w=1.0, kept=0)
 
     @pytest.mark.parametrize("key,value", [("delta", np.nan), ("sigma", np.nan),
-                                           ("noise_scale", np.nan), ("sigma_w", np.inf)])
+                                           ("sigma_w", np.inf)])
     def test_rejects_non_finite_numbers(self, key, value):
         params = {"delta": 1e-3, "sigma": 0.5, "sigma_w": 1.0, key: value}
         with pytest.raises(ValueError, match=f"{key} must be finite"):
@@ -173,8 +171,8 @@ class TestRunPnpUla:
         se = np.sqrt(stats.variance / stats.ess)
         assert np.all(np.abs(stats.mean) <= 4.0 * se)
 
-    def test_zero_noise_drift_matches_red_gd_recursion(self):
-        # noise_scale = 0, sigma_w = 1, lam = 1: the ULA drift is exactly the
+    def test_zero_noise_drift_matches_red_gd_recursion(self, monkeypatch):
+        # zero increments, sigma_w = 1, lam = 1: the ULA drift is exactly the
         # gradient-descent RED update with eta = delta
         rng = Rng(11)
         n = 6
@@ -184,8 +182,12 @@ class TestRunPnpUla:
         den = mmse_gmm_denoiser(prior)
         sigma, delta = 0.4, 0.05
         cfg = UlaConfig(delta=delta, sigma=sigma, sigma_w=1.0, kept=2,
-                        burn_in=30, thin=1, seed=0, noise_scale=0.0)
-        _, samples = run_pnp_ula(op, y, den, cfg, x0=np.zeros(n))
+                        burn_in=30, thin=1, seed=0)
+        with monkeypatch.context() as m:
+            m.setattr(Rng, "standard_normal", lambda self, shape=None: np.zeros(shape))
+            _, samples = run_pnp_ula(op, y, den, cfg, x0=np.zeros(n))
+        # a chain that never leaves x0 = 0 would match RED-GD trivially
+        assert np.all(np.abs(samples) > 1e-3)
 
         for row, iters in zip(samples, (31, 32)):
             red_cfg = SolverConfig(step=delta, max_iter=iters, tol=0.0)
@@ -273,9 +275,8 @@ class TestChainBitForBit:
         (circulant_blur_model, dict(delta=1e-3, sigma=0.3, sigma_w=0.5, kept=200,
                                     burn_in=100, thin=4, seed=2), np.full((8, 8), 0.3)),
         (criterion_9_model, dict(delta=1e-2, sigma=0.3, sigma_w=0.5, kept=50,
-                                 burn_in=10, thin=2, seed=2, noise_scale=0.0), np.ones(16)),
-    ], ids=["criterion-9-diagonal", "gmm-3-components", "circulant-8x8-x0",
-            "noise-scale-0-x0"])
+                                 burn_in=10, thin=2, seed=2), np.ones(16)),
+    ], ids=["criterion-9-diagonal", "gmm-3-components", "circulant-8x8-x0", "criterion-9-x0"])
     def test_samples_and_stats_match_the_fresh_array_loop(self, model, ula, x0):
         op, y, prior = model()
         den = mmse_gmm_denoiser(prior)

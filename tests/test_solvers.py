@@ -41,6 +41,7 @@ from pnpkit import (
     run_red_pg,
     run_pnp_ula,
     solve_shifted_normal,
+    tv_value,
     zero_prox,
 )
 from pnpkit import solvers
@@ -471,6 +472,28 @@ class TestHqs:
         _, trace = run_hqs(op, y, slot, cfg, sigma_schedule=list(sigmas))
         assert len(trace) == 31
         assert trace.stop_reason in ("max_iter", "tolerance", "diverged")
+
+    def test_traced_objective_is_at_the_steps_rho_and_sigma(self):
+        # row k = 0.5*||K z_k - y||^2 + c*sigma_k^2*TV(z_k)*rho_k, row 0 at step 1's
+        # rho and sigma; the slot's own sigma (0.5) is on no row
+        from pnpkit import tv_denoiser
+
+        rng = Rng(8)
+        shape = (8, 8)
+        op = make_blur(np.ones((3, 3)) / 9.0, shape)
+        y = op._apply(rng.uniform(0, 1, shape)) + 0.03 * rng.standard_normal(shape)
+        c, steps = 1.5, 6
+        slot = RegSlot(denoiser=tv_denoiser(c), sigma=0.5)
+        sigmas, rhos = list(np.geomspace(0.2, 0.02, steps)), list(np.geomspace(1.0, 4.0, steps))
+        run = lambda n: run_hqs(op, y, slot, SolverConfig(max_iter=n, tol=0.0),
+                                rho_schedule=rhos, sigma_schedule=sigmas)
+        objective = run(steps)[1].column("objective")
+        for k in range(steps + 1):
+            z = run(k)[0] if k else op._adjoint(y)
+            step = max(k, 1) - 1
+            want = (0.5 * float(np.sum((op._apply(z) - y) ** 2))
+                    + c * sigmas[step] ** 2 * tv_value(z) * rhos[step])
+            assert objective[k] == pytest.approx(want, rel=1e-12)
 
     def test_non_finite_tv_input_records_divergence(self):
         from pnpkit import tv_denoiser
